@@ -1,19 +1,14 @@
 """Operator means and Kubo-Ando connections on the PSD cone.
 
-Two computation routes coexist:
-
-* ``parallel_sum`` (and hence the harmonic mean and ``connection_apply``) use
-  the pseudo-inverse formula ``A (A+B)^+ B``, which is exact in finite
-  dimensions.
-
-* The geometric, power and logarithmic means go through a compatible
-  two-operator representation on ran(A+B): with ``C = A + B``,
-  ``A' = C^{+1/2} A C^{+1/2}`` and ``B' = Π - A'`` (Π the support of C) commute,
-  so any mean reduces to a scalar function of the spectrum of A' applied under
-  the sandwich ``C^{1/2} · C^{1/2}``.  This is exact for singular inputs and
-  avoids the ill-conditioned epsilon-regularized limit entirely; the
-  regularized limit ``(A+εI) σ (B+εI)`` agrees with it as ε ↓ 0 and is kept in
-  the test suite as a cross-check oracle.
+Connections go through one compatible two-operator representation on
+ran(A+B): with ``C = A + B``, ``A' = C^{+1/2} A C^{+1/2}`` and ``B' = Π - A'``
+(Π the support of C) commute, so ``A σ_f B = C^{1/2} h(A') C^{1/2}`` with the
+scalar kernel ``h(t) = t f((1-t)/t)`` on the spectrum of A' (Kubo-Ando 1980).
+The geometric, power and logarithmic means and every ``ConnectionRep``,
+transformed or not, take this route: four eigendecompositions whatever the
+kernel, exact for singular inputs.  The epsilon-regularized limit and the
+per-atom parallel-sum formula of a ``ConnectionRep`` are test oracles only.
+``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``.
 
 Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 ``a`` on B, so commuting scalars give ``r**(1-a) * s**a``.
@@ -21,18 +16,16 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import roots_jacobi
 
-from .errors import DomainError, NonConvergence, ShapeError
+from .errors import DomainError, ShapeError
 from .hermlinalg import RANK_RTOL, PsdMatrix, as_psd, pinv_psd
 
 TOL_MEAN = 1e-7   # mean identities, relative to max(1, ||A||, ||B||)
-TOL_QUAD = 1e-6   # scalar quadrature / connection-fit accuracy
+TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_rep
 
 # Spectrum of A' lies in [0, 1] exactly; eigenvalues closer than this to an
 # endpoint are snapped onto it so that rank-deficient directions are killed
@@ -155,17 +148,21 @@ def log_mean(a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
 
 @dataclass(frozen=True)
 class ConnectionRep:
-    """Integral representation of an operator monotone function on [0, inf).
+    """Operator monotone function on [0, inf) from a discretized integral representation.
 
-    Encodes ``f(t) = a + b t + sum_k w_k t (1 + l_k) / (t + l_k)`` with
-    nonnegative a, b and finitely many atoms (l_k > 0, w_k > 0) discretizing
-    the representing measure.
+    Atoms (l_k > 0, w_k > 0) discretize the representing measure of
+    ``g(t) = a + b t + sum_k w_k t (1 + l_k) / (t + l_k)``, a, b >= 0.  The
+    represented f is g, or with ``transposed`` ``t g(1/t)``, with ``adjoint``
+    ``1/g(1/t)``, with both the dual ``t / g(t)``: the transforms flip flags,
+    so they are exact and compose exactly.  The label takes no part in equality.
     """
 
     a: float
     b: float
     atoms: tuple[tuple[float, float], ...]
-    label: str = ""
+    label: str = field(default="", compare=False)
+    transposed: bool = False
+    adjoint: bool = False
 
     def __post_init__(self):
         if self.a < 0.0 or self.b < 0.0:
@@ -175,14 +172,45 @@ class ConnectionRep:
                 raise DomainError(f"atom location must be positive, got {lam}")
             if not (wt > 0.0 and np.isfinite(wt)):
                 raise DomainError(f"atom weight must be positive, got {wt}")
+        # g vanishes on (0, inf) exactly when every coefficient does.
+        if self.adjoint and self.a == 0.0 and self.b == 0.0 and not self.atoms:
+            raise DomainError("adjoint and dual transforms need f not identically zero")
+
+    def _pair(self, u, v):
+        """The connection ``u σ v`` of scalars u, v >= 0, not both zero.
+
+        The adjoint ``u v / (v σ_g u)`` is summed as reciprocals, so its zeros
+        at u = 0 (a > 0) or v = 0 (b > 0) are exact, not 0/0.
+        """
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if self.transposed:
+            u, v = v, u
+        lam, wt = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        c = wt * (1.0 + lam)
+        uu, vv = u[..., None], v[..., None]
+        if not self.adjoint:
+            return self.a * u + self.b * v + (c * uu * vv / (lam * uu + vv)).sum(axis=-1)
+        k = (c / (lam * vv + uu)).sum(axis=-1)
+        with np.errstate(divide="ignore"):
+            if self.a > 0.0:
+                k = k + self.a / u
+            if self.b > 0.0:
+                k = k + self.b / v
+        return 1.0 / k
 
     def scalar(self, t):
         """Evaluate f(t) for scalar or array t >= 0."""
+        return self._pair(1.0, t)
+
+    def kernel(self, t):
+        """The kernel ``h(t) = t f((1-t)/t)`` on the spectrum t in [0, 1] of A'.
+
+        For g it is ``a t + b (1-t) + sum_k w_k (1+l_k) t (1-t) / (l_k t + 1 - t)``;
+        the transpose takes h(1-t), the adjoint ``t (1-t) / h(1-t)``.
+        """
         t = np.asarray(t, dtype=float)
-        out = self.a + self.b * t
-        for lam, wt in self.atoms:
-            out = out + wt * t * (1.0 + lam) / (t + lam)
-        return out
+        return self._pair(t, 1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -247,17 +275,16 @@ def mean(kind: MeanKind, a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
         return power_mean(a, b, kind.alpha)
     if kind.tag == "log":
         return log_mean(a, b, nodes=nodes)
-    return connection_apply(kind.rep, a, b)
+    return _kernel_mean(*_check_pair(a, b), kind.rep.kernel)
 
 
 def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:
-    """Evaluate the connection ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``."""
+    """Connection of ``rep`` on (A, B) through ``rep.kernel``, as ``mean`` does.
+
+    Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``.
+    """
     a, b = _check_pair(a, b)
-    out = rep.a * a.entries + rep.b * b.entries
-    for lam, wt in rep.atoms:
-        term = parallel_sum(PsdMatrix(lam * a.entries), b)
-        out = out + wt * (1.0 + lam) / lam * term.entries
-    return PsdMatrix.clamped(_herm(out), tol=TOL_MEAN)
+    return _kernel_mean(a, b, rep.kernel)
 
 
 def power_rep(alpha: float, nodes: int = 64) -> ConnectionRep:
@@ -269,7 +296,13 @@ def power_rep(alpha: float, nodes: int = 64) -> ConnectionRep:
     nodes are therefore taken from the Gauss-Jacobi rule with exactly that
     weight, which integrates the remaining analytic kernel to near machine
     precision.
+
+    A finite atom sum has ``g(inf) = sum_k w_k (1 + l_k) < inf``, so the
+    adjoint and the dual leak ``1/g(inf)`` (1/128 at alpha = 1/2) onto ker B,
+    where those of t^alpha vanish.
     """
+    from scipy.special import roots_jacobi
+
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"power_rep requires alpha in (0, 1), got {alpha}")
     if nodes < 4:
@@ -284,51 +317,15 @@ def power_rep(alpha: float, nodes: int = 64) -> ConnectionRep:
 
 
 def transpose_rep(rep: ConnectionRep) -> ConnectionRep:
-    """Transpose transform, representing ``t f(1/t)``; realizes argument swap.
-
-    Exact at the representation level: swap the endpoint coefficients and
-    push each atom through l -> 1/l.
-    """
-    atoms = tuple((1.0 / lam, wt) for lam, wt in rep.atoms)
-    return ConnectionRep(rep.b, rep.a, atoms, label=f"transpose({rep.label})")
-
-
-# Fit/validation grids for the numeric transform re-fits.  The fit grid spans
-# two octaves beyond the validation grid t in {2^-4, ..., 2^4} so endpoint
-# behavior is pinned down.
-_FIT_T = np.geomspace(2.0 ** -6, 2.0 ** 6, 481)
-_FIT_ATOMS = np.unique(np.concatenate([np.geomspace(2.0 ** -9, 2.0 ** 9, 181), [1.0]]))
-_VALIDATE_T = 2.0 ** np.arange(-4, 5, dtype=float)
-
-
-def _refit(target_fn: Callable[[np.ndarray], np.ndarray], label: str) -> ConnectionRep:
-    """Re-discretize a scalar operator monotone function by nonnegative least squares."""
-    kern = _FIT_T[:, None] * (1.0 + _FIT_ATOMS[None, :]) / (_FIT_T[:, None] + _FIT_ATOMS[None, :])
-    design = np.column_stack([np.ones_like(_FIT_T), _FIT_T, kern])
-    coef, _ = nnls(design, target_fn(_FIT_T), maxiter=20 * design.shape[1])
-    atoms = tuple(
-        (float(lam), float(wt))
-        for lam, wt in zip(_FIT_ATOMS, coef[2:])
-        if wt > 0.0
-    )
-    fitted = ConnectionRep(float(coef[0]), float(coef[1]), atoms, label=label)
-    err = np.abs(fitted.scalar(_VALIDATE_T) - target_fn(_VALIDATE_T))
-    if err.max() > TOL_QUAD:
-        raise NonConvergence(
-            f"connection re-fit residual {err.max():.3e} exceeds {TOL_QUAD}"
-        )
-    return fitted
+    """Transpose transform, representing ``t f(1/t)``; realizes argument swap."""
+    return replace(rep, transposed=not rep.transposed, label=f"transpose({rep.label})")
 
 
 def adjoint_rep(rep: ConnectionRep) -> ConnectionRep:
-    """Adjoint transform, representing ``f(1/t)^(-1)``; numeric re-fit."""
-    if np.min(rep.scalar(1.0 / _FIT_T)) <= 0.0:
-        raise DomainError("adjoint transform needs f strictly positive on the grid")
-    return _refit(lambda t: 1.0 / rep.scalar(1.0 / t), label=f"adjoint({rep.label})")
+    """Adjoint transform ``f(1/t)^(-1)``: exact; DomainError if f vanishes identically."""
+    return replace(rep, adjoint=not rep.adjoint, label=f"adjoint({rep.label})")
 
 
 def dual_rep(rep: ConnectionRep) -> ConnectionRep:
-    """Dual transform, representing ``t / f(t)``; numeric re-fit."""
-    if np.min(rep.scalar(_FIT_T)) <= 0.0:
-        raise DomainError("dual transform needs f strictly positive on the grid")
-    return _refit(lambda t: t / rep.scalar(t), label=f"dual({rep.label})")
+    """Dual transform ``t / f(t)``, the adjoint of the transpose; exact, like it."""
+    return replace(adjoint_rep(transpose_rep(rep)), label=f"dual({rep.label})")

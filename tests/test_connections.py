@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpmean.cpmaps import mean_cp
 from cpmean.errors import DomainError
 from cpmean.opmeans import (
     TOL_QUAD,
@@ -13,17 +14,39 @@ from cpmean.opmeans import (
     geometric_mean,
     harmonic_mean,
     mean,
+    parallel_sum,
     power_mean,
     power_rep,
     transpose_rep,
 )
 
-from conftest import max_abs, random_psd
+from conftest import max_abs, random_cp, random_psd
 
 TGRID = 2.0 ** np.arange(-4, 5, dtype=float)
 
 ARITH_REP = ConnectionRep(0.5, 0.5, (), label="arith")
 HARM_REP = ConnectionRep(0.0, 0.0, ((1.0, 1.0),), label="harm")
+
+
+def atom_oracle(rep, a, b):
+    """Per-atom formula ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``.
+
+    Covers reps without the adjoint flag; a transposed rep is expanded on its
+    atoms (swap a and b, l -> 1/l).
+    """
+    assert not rep.adjoint
+    ca, cb, atoms = rep.a, rep.b, rep.atoms
+    if rep.transposed:
+        ca, cb, atoms = cb, ca, tuple((1.0 / lam, wt) for lam, wt in atoms)
+    a, b = np.asarray(a), np.asarray(b)
+    out = ca * a + cb * b
+    for lam, wt in atoms:
+        out = out + wt * (1.0 + lam) / lam * parallel_sum(lam * a, b).entries
+    return out
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
 def scalar_apply(rep, t):
@@ -71,6 +94,41 @@ class TestConnectionApply:
         got = mean(MeanKind.custom(rep), a, b)
         want = power_mean(a, b, 0.3)
         assert max_abs(got.entries - want.entries) < TOL_QUAD
+
+
+class TestKernelRoute:
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    @pytest.mark.parametrize("transform", [lambda r: r, transpose_rep],
+                             ids=["plain", "transpose"])
+    def test_matches_atom_formula_on_rank_deficient_pairs(self, rng, dim, transform):
+        # Rank pairs (r, dim + 1 - r) and (r, dim) run each argument through
+        # every rank from 1 to full, with ran(A) ∩ ran(B) never trivial.
+        pairs = [(r, dim + 1 - r) for r in range(1, dim + 1)]
+        pairs += [(r, dim) for r in range(1, dim + 1)] + [(dim, r) for r in range(1, dim)]
+        for ra, rb in pairs:
+            a = random_psd(rng, dim, rank=ra)
+            b = random_psd(rng, dim, rank=rb)
+            rep = transform(power_rep(float(rng.uniform(0.1, 0.9)), 16))
+            got = connection_apply(rep, a, b).entries
+            assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10, (ra, rb)
+
+    def test_custom_kind_matches_atom_formula(self, rng):
+        a = random_psd(rng, 4, rank=2)
+        b = random_psd(rng, 4, rank=3)
+        rep = power_rep(0.3)
+        got = mean(MeanKind.custom(rep), a, b).entries
+        assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10
+
+    @pytest.mark.parametrize("transform", [adjoint_rep, dual_rep])
+    def test_adjoint_and_dual_match_inverse_formula(self, rng, transform):
+        # On invertible pairs A σ* B = (A^-1 σ B^-1)^-1, and dual = adjoint ∘ transpose.
+        a = random_psd(rng, 9)
+        b = random_psd(rng, 9)
+        rep = power_rep(0.3, 16)
+        base = rep if transform is adjoint_rep else transpose_rep(rep)
+        want = np.linalg.inv(atom_oracle(base, np.linalg.inv(a), np.linalg.inv(b)))
+        got = connection_apply(transform(rep), a, b).entries
+        assert rel_err(got, want) < 1e-10
 
 
 class TestPowerRep:
@@ -144,6 +202,44 @@ class TestTransforms:
         with pytest.raises(DomainError):
             dual_rep(zero)
 
+    @pytest.mark.parametrize("rep", [ARITH_REP, HARM_REP, power_rep(0.3, 48),
+                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25)))],
+                             ids=["arith", "harm", "power", "mixed"])
+    def test_transforms_are_exact_involutions(self, rep):
+        assert adjoint_rep(adjoint_rep(rep)) == rep
+        assert dual_rep(dual_rep(rep)) == rep
+        assert transpose_rep(transpose_rep(rep)) == rep
+        assert dual_rep(rep) == adjoint_rep(transpose_rep(rep)) == transpose_rep(adjoint_rep(rep))
+
+    @pytest.mark.parametrize("rep", [ARITH_REP, power_rep(0.3, 48),
+                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25)))],
+                             ids=["arith", "power", "mixed"])
+    def test_dual_is_transpose_of_adjoint_on_scalars(self, rep):
+        got = dual_rep(rep).scalar(TGRID)
+        want = TGRID / rep.scalar(TGRID)
+        assert np.abs(got - transpose_rep(adjoint_rep(rep)).scalar(TGRID)).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12 * want.max()
+        want = 1.0 / rep.scalar(1.0 / TGRID)
+        assert np.abs(adjoint_rep(rep).scalar(TGRID) - want).max() < 1e-12 * want.max()
+
+    def test_adjoint_kernel_endpoints(self):
+        t = np.array([0.0, 1.0])
+        mixed = ConnectionRep(0.0, 0.0, ((0.5, 2.0), (4.0, 1.0)))
+        want = [1.0 / sum(w * (1.0 + l) / l for l, w in mixed.atoms),
+                1.0 / sum(w * (1.0 + l) for l, w in mixed.atoms)]
+        assert np.abs(adjoint_rep(mixed).kernel(t) - want).max() < 1e-15
+        assert adjoint_rep(ConnectionRep(1.0, 0.0, mixed.atoms)).kernel(t)[0] == 0.0
+        assert adjoint_rep(ConnectionRep(0.0, 1.0, mixed.atoms)).kernel(t)[1] == 0.0
+        # the adjoint of the arithmetic mean has the harmonic kernel 2t(1-t)
+        t = np.linspace(0.0, 1.0, 33)
+        assert np.abs(adjoint_rep(ARITH_REP).kernel(t) - 2.0 * t * (1.0 - t)).max() < 1e-15
+
+    def test_adjoint_of_arithmetic_is_harmonic_on_rank_deficient_pair(self, rng):
+        a = random_psd(rng, 9, rank=4)
+        b = random_psd(rng, 9, rank=7)
+        got = connection_apply(adjoint_rep(ARITH_REP), a, b).entries
+        assert rel_err(got, harmonic_mean(a, b).entries) < 1e-12
+
     def test_transformed_mean_on_matrices(self, rng):
         # adjoint of arithmetic applied to matrices reproduces the harmonic mean
         a = random_psd(rng, 3)
@@ -152,6 +248,34 @@ class TestTransforms:
         want = harmonic_mean(a, b).entries
         scale = max(1.0, max_abs(want))
         assert max_abs(got - want) < 1e-5 * scale
+
+
+class TestEighCount:
+    @staticmethod
+    def eigh_calls(monkeypatch, call) -> int:
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting)
+            call()
+        return len(calls)
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    def test_custom_mean_costs_as_much_as_geo(self, rng, monkeypatch, nodes):
+        f = random_cp(rng, 2, 2)
+        g = random_cp(rng, 2, 2, rank=2)
+        geo = self.eigh_calls(monkeypatch, lambda: mean_cp(MeanKind("geo"), f, g))
+        rep = power_rep(0.3, nodes)
+        assert len(rep.atoms) == nodes
+        for transform in (lambda r: r, transpose_rep, adjoint_rep, dual_rep):
+            got = self.eigh_calls(
+                monkeypatch, lambda: mean_cp(MeanKind.custom(transform(rep)), f, g))
+            assert got == geo
 
 
 class TestGeometricMeanViaConnection:
