@@ -11,7 +11,9 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
     }
 
 Floats are emitted by Python's shortest round-trip repr (at most 17
-significant digits), so a choi document survives save/load bit-exactly.
+significant digits), so a choi document survives save/load bit-exactly,
+up to the sign of zero entries: the Hermitian symmetrization of the Choi
+matrix can turn a -0.0 into 0.0.
 """
 
 from __future__ import annotations
@@ -26,46 +28,38 @@ from .errors import InvalidInput, NotCompletelyPositive, ParseError, ShapeError
 from .hermlinalg import TOL_HERM
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_to_pair(z) for z in row] for row in m]
-
-
-def _pair_to_complex(obj) -> complex:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) for x in obj)):
-        raise ParseError(f"complex entries must be [re, im] pairs, got {obj!r}")
-    re, im = float(obj[0]), float(obj[1])
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise ParseError("non-finite entries are not permitted in documents")
-    return complex(re, im)
+def _to_pairs(a) -> list:
+    """Nested lists of [re, im] floats, one pair per entry of a complex array."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != shape[0]:
-        raise ParseError(f"expected {shape[0]} rows, got {type(rows).__name__}")
-    out = np.zeros(shape, dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise ParseError(f"row {i} must hold {shape[1]} entries")
-        for j, cell in enumerate(row):
-            out[i, j] = _pair_to_complex(cell)
-    return out
+    """Complex matrix of the given shape from nested [re, im] pairs, bit for bit."""
+    try:
+        arr = np.asarray(rows)
+        if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
+            arr = arr.astype(np.float64)  # integer literals beyond 64 bits
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(f"complex matrix data is malformed: {exc}") from exc
+    if arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+        raise ParseError(f"expected {shape[0]} x {shape[1]} [re, im] pairs of numbers, "
+                         f"got shape {arr.shape} of {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise ParseError("non-finite entries are not permitted in documents")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def channel_to_doc(f: CpMap, repr_kind: str = "choi", name: str | None = None) -> dict:
     """Serialize a CpMap to a JSON-ready document."""
     if repr_kind == "choi":
-        data = _matrix_to_rows(f.choi.entries)
+        data = _to_pairs(f.choi.entries)
     elif repr_kind == "kraus":
         ops = f.kraus
         if ops is None:
             from .cpmaps import kraus_decompose
             ops = kraus_decompose(f)
-        data = [_matrix_to_rows(np.asarray(k)) for k in ops]
+        data = [_to_pairs(k) for k in ops]
     else:
         raise ParseError(f"unknown representation {repr_kind!r}")
     doc = {"dim_in": f.dim_in, "dim_out": f.dim_out, "repr": repr_kind, "data": data}
@@ -109,9 +103,9 @@ def save_channel(f: CpMap, path: str | os.PathLike, repr_kind: str = "choi",
                  name: str | None = None) -> None:
     """Write a channel document to a file."""
     doc = channel_to_doc(f, repr_kind=repr_kind, name=name)
+    text = json.dumps(doc)  # json.dump would take the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_doc(path: str | os.PathLike) -> dict:

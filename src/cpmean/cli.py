@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hermlinalg, lebesgue, opmeans
 from .channeldoc import doc_to_channel, read_doc, save_channel
-from .cpmaps import CpMap, channel_flags, geo_certificate, index_cp, leq_cp, mean_cp
+from .cpmaps import CpMap, channel_flags, geo_certificate, index_cp, mean_cp, order_cp
 from .errors import (
     CpMeanError,
     DomainError,
@@ -39,7 +39,7 @@ from .errors import (
     ShapeError,
     UnknownExample,
 )
-from .opmeans import GEO, MeanKind
+from .opmeans import MeanKind
 from .registry import REGISTRY, run_example
 from .report import Report
 
@@ -128,11 +128,14 @@ def _load(path: str) -> tuple[CpMap, str]:
     return chan, str(name)
 
 
-def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float):
-    """Record how far each step of harmonic <= geometric <= arithmetic dips."""
-    harm = mean_cp(MeanKind("harm"), f, g).choi.entries
-    geo = mean_cp(GEO, f, g).choi.entries
-    arith = mean_cp(MeanKind("arith"), f, g).choi.entries
+def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float, known: dict[str, CpMap]):
+    """Record how far each step of harmonic <= geometric <= arithmetic dips.
+
+    `known` maps a mean tag to a result the caller already computed.
+    """
+    harm, geo, arith = (
+        (known[tag] if tag in known else mean_cp(MeanKind(tag), f, g)).choi.entries
+        for tag in ("harm", "geo", "arith"))
     scale = max(1.0, f.choi.norm(), g.choi.norm())
     for label, diff in (("geo - harm", geo - harm), ("arith - geo", arith - geo)):
         low = float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0])
@@ -155,7 +158,7 @@ def cmd_mean(args) -> Report:
         ok = geo_certificate(f, g, result, tol=opmeans.TOL_MEAN)
         rep.record("block certificate [[A,G],[G,B]] PSD", ok, 0.0 if ok else 1.0,
                    0.0)
-    _chain_checks(rep, f, g, opmeans.TOL_MEAN)
+    _chain_checks(rep, f, g, opmeans.TOL_MEAN, {kind.tag: result})
     if args.out:
         save_channel(result, args.out,
                      name=f"{args.kind}({name_a},{name_b})")
@@ -169,8 +172,7 @@ def cmd_order(args, tol: float) -> Report:
     rep = Report("order")
     rep.add_input(name_a, args.path_a)
     rep.add_input(name_b, args.path_b)
-    le = leq_cp(f, g, tol)
-    ge = leq_cp(g, f, tol)
+    le, ge = order_cp(f, g, tol)
     verdict = {(True, True): "equal", (True, False): "<=cp",
                (False, True): ">=cp", (False, False): "incomparable"}[(le, ge)]
     rep.outputs["order"] = verdict
@@ -277,7 +279,7 @@ def _emit(reports: list[Report], fmt: str) -> None:
             print(reports[0].to_json())
         else:
             import json as _json
-            print(_json.dumps([r.to_obj() for r in reports], indent=2))
+            print(_json.dumps([r.to_obj() for r in reports]))
     else:
         for rep in reports:
             print(rep.to_text())

@@ -29,9 +29,8 @@ from .hermlinalg import (
     PsdMatrix,
     as_psd,
     is_psd,
-    pinv_psd,
+    psd_signs,
     psd_sqrt,
-    support_projection,
 )
 from . import opmeans
 from .opmeans import MeanKind
@@ -174,13 +173,13 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
         dim_out = dim_out or n
         if (n, m) != (dim_out, dim_in):
             raise ShapeError("Kraus operators must be dim_out x dim_in")
-    c = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=np.complex128)
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise ShapeError("inconsistent Kraus operator shapes")
-        v = _vec(k)
-        c += np.outer(v, v.conj())
-    return from_choi(dim_in, dim_out, c, kraus=ops)
+    # columns of v are the vec(K), so C = sum_K vec(K) vec(K)* = v v*
+    v = np.array([_vec(k) for k in ops], dtype=np.complex128)
+    v = v.reshape(len(ops), dim_in * dim_out).T
+    return from_choi(dim_in, dim_out, v @ v.conj().T, kraus=ops)
 
 
 def kraus_decompose(f: CpMap, rank_rtol: float = RANK_RTOL) -> list[np.ndarray]:
@@ -201,8 +200,18 @@ def apply(f: CpMap, x) -> np.ndarray:
 
 def leq_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> bool:
     """CP order: F <= G iff C_G - C_F is PSD."""
+    return order_cp(f, g, tol)[0]
+
+
+def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[bool, bool]:
+    """``(F <= G, G <= F)`` in the CP order from one eigendecomposition of C_G - C_F.
+
+    The second verdict reads the spectrum of C_G - C_F negated, so it can
+    differ from ``leq_cp(g, f, tol)`` only where two eigendecompositions of
+    the same matrix, up to sign, round differently at the bound.
+    """
     _check_same_dims(f, g)
-    return is_psd(g.choi.entries - f.choi.entries, tol)
+    return psd_signs(g.choi.entries - f.choi.entries, tol)
 
 
 def mean_cp(kind: MeanKind, f: CpMap, g: CpMap, nodes: int = 16) -> CpMap:
@@ -266,12 +275,12 @@ def index_cp(f: CpMap, rank_rtol: float = RANK_RTOL) -> float:
     if f.dim_in != f.dim_out:
         raise ShapeError("index is defined for square maps only")
     v = _max_entangled_vec(f.dim_in)
-    supp = support_projection(f.choi, rank_rtol)
-    defect = np.linalg.norm(v - supp.entries @ v)
-    if defect > rank_rtol * np.linalg.norm(v):
+    w, u = f.choi.eig()
+    keep = w > rank_rtol * max(float(w[-1]), 0.0)
+    y = u.conj().T @ v  # v in the eigenbasis of C; the part off keep is v - P v
+    if np.linalg.norm(y[~keep]) > rank_rtol * np.linalg.norm(v):
         return math.inf
-    pinv = pinv_psd(f.choi, rank_rtol)
-    return float(np.real(v.conj() @ pinv.entries @ v))
+    return float(np.sum(np.abs(y[keep]) ** 2 / w[keep]))
 
 
 def channel_flags(f: CpMap, tol: float = TOL_FLAGS) -> ChannelFlags:

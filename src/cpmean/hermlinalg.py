@@ -147,11 +147,21 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return as_hermitian(h).eig()
 
 
-def is_psd(h, tol: float = TOL_PSD) -> bool:
-    """True iff the minimum eigenvalue is >= -tol * max(1, spectral norm)."""
+def psd_signs(h, tol: float = TOL_PSD) -> tuple[bool, bool]:
+    """``(is_psd(h, tol), is_psd(-h, tol))`` from one eigendecomposition of h.
+
+    The spectrum of -h is the negated spectrum of h and the bound
+    ``tol * max(1, spectral norm)`` is the same for both.
+    """
     hm = as_hermitian(h)
     w, _ = hm.eig()
-    return bool(w[0] >= -tol * max(1.0, hm.norm()))
+    bound = -tol * max(1.0, hm.norm())
+    return bool(w[0] >= bound), bool(-w[-1] >= bound)
+
+
+def is_psd(h, tol: float = TOL_PSD) -> bool:
+    """True iff the minimum eigenvalue is >= -tol * max(1, spectral norm)."""
+    return psd_signs(h, tol)[0]
 
 
 def _fn_of_spectrum(a: PsdMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

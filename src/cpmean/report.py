@@ -1,8 +1,9 @@
 """Structured command reports with per-check residuals.
 
-Reports render either as human-readable text or as schema-stable JSON: the
-same command always emits the same fields, every numeric check carries its
-residual and tolerance, and floats are serialized at full precision.
+Reports render either as human-readable text or as compact, single-line,
+schema-stable JSON: the same command always emits the same fields, every
+numeric check carries its residual and tolerance, and floats are serialized
+at full precision.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .channeldoc import _to_pairs
 
 
 @dataclass
@@ -70,7 +73,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)
+        return json.dumps(self.to_obj())
 
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]
@@ -97,17 +100,13 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return [[_pair(z) for z in row] for row in np.atleast_2d(value)]
+            return _to_pairs(np.atleast_2d(value))
         return value.tolist()
     if isinstance(value, complex):
-        return _pair(value)
+        return _to_pairs(value)
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     return value
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _format_value(value) -> str:

@@ -22,13 +22,14 @@ from cpmean.cpmaps import (
     kraus_decompose,
     leq_cp,
     mean_cp,
+    order_cp,
     schur,
     state_mean_quantities,
     tensor,
     unitary_conj,
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import TOL_RECON
+from cpmean.hermlinalg import RANK_RTOL, TOL_RECON, pinv_psd, support_projection
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
@@ -95,6 +96,13 @@ class TestKraus:
             scale = max(1.0, f.choi.norm())
             assert max_abs(rebuilt.choi.entries - f.choi.entries) <= TOL_RECON * scale
 
+    def test_matches_outer_product_sum(self, rng):
+        for m, n, k in ((2, 3, 1), (3, 2, 4), (2, 2, 7)):
+            ops = [rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(k)]
+            want = sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ops)
+            got = from_kraus(ops).choi.entries
+            assert max_abs(got - want) <= 1e-14 * k * max_abs(want)
+
     def test_kraus_consistency_invariant(self, rng):
         f = random_cp(rng, 2, 3)
         ops = kraus_decompose(f)
@@ -148,6 +156,29 @@ class TestOrder:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             leq_cp(identity(2), identity(3))
+        with pytest.raises(ShapeError):
+            order_cp(identity(2), identity(3))
+
+    def test_order_cp_matches_two_leq_cp(self, rng):
+        f = random_cp(rng, 2, 3)
+        pairs = [
+            (f, f),
+            (0.5 * f, f),
+            (f, 0.5 * f),
+            (identity(2), depolarizing(2)),
+            (0.5 * identity(2), identity(2)),
+            (f, f + random_cp(rng, 2, 3, rank=1)),
+        ]
+        pairs += [(random_cp(rng, 2, 2, rank=r), random_cp(rng, 2, 2, rank=s))
+                  for r in (1, 2, 4) for s in (1, 3, 4)]
+        for tol in (1e-9, 10.0):
+            seen = set()
+            for a, b in pairs:
+                both = order_cp(a, b, tol)
+                assert both == (leq_cp(a, b, tol), leq_cp(b, a, tol))
+                seen.add(both)
+            if tol == 1e-9:  # equal, <=, >= and incomparable all occur
+                assert len(seen) == 4
 
 
 class TestMeanCp:
@@ -277,7 +308,38 @@ class TestTensorCompose:
         assert max_abs(lhs - rhs) < 1e-9
 
 
+def index_oracle(f, rank_rtol=RANK_RTOL):
+    """<v, C^+ v> through a support projection and a pseudo-inverse."""
+    v = entangled_vec(f.dim_in)
+    supp = support_projection(f.choi, rank_rtol)
+    if np.linalg.norm(v - supp.entries @ v) > rank_rtol * np.linalg.norm(v):
+        return math.inf
+    return float(np.real(v.conj() @ pinv_psd(f.choi, rank_rtol).entries @ v))
+
+
 class TestIndex:
+    def test_matches_pinv_oracle(self, rng):
+        maps = [identity(3), depolarizing(3), cond_exp_diag(3),
+                cond_exp_tensor(2, (0.75, 0.25)), unitary_conj(random_unitary(rng, 3))]
+        for d in (2, 3):
+            v = entangled_vec(d)
+            maps.append(random_cp(rng, d, d))
+            for rank in (1, d, d * d - 1):
+                # v in the range: a finite index from a rank-deficient Choi matrix
+                maps.append(from_choi(d, d, random_psd(rng, d * d, rank=rank)
+                                      + np.outer(v, v.conj())))
+                maps.append(random_cp(rng, d, d, rank=rank))  # generic: infinite
+        finite = 0
+        for f in maps:
+            got, want = index_cp(f), index_oracle(f)
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                finite += 1
+                assert abs(got - want) <= 1e-12 * want
+        assert finite >= 9 and finite < len(maps)
+        assert index_cp(depolarizing(3)) == 9.0
+
     def test_identity(self):
         assert index_cp(identity(3)) == pytest.approx(1.0)
 

@@ -12,6 +12,7 @@ from cpmean.hermlinalg import (
     frac_power_psd,
     is_psd,
     pinv_psd,
+    psd_signs,
     proj_intersection,
     psd_sqrt,
     support_projection,
@@ -103,6 +104,14 @@ class TestIsPsd:
     def test_hand_computed_indefinite(self):
         # eigenvalues -1 and 3
         assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_signs_are_is_psd_of_both_signs(self, rng):
+        mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([-1.0, -1e-12]),
+                np.array([[1.0, 2.0], [2.0, 1.0]]), random_psd(rng, 4, rank=2)]
+        mats.append(-mats[-1])
+        for h in mats:
+            for tol in (1e-9, 1.0):
+                assert psd_signs(h, tol) == (is_psd(h, tol), is_psd(-h, tol))
 
 
 class TestPsdSqrt:
