@@ -18,7 +18,11 @@ class DomainError(CpMeanError):
 
 
 class NonConvergence(CpMeanError):
-    """An iterative limit failed its convergence criterion."""
+    """An iterative limit failed its convergence criterion; estimate is its last error."""
+
+    def __init__(self, message: str, estimate: float = float("inf")):
+        super().__init__(message)
+        self.estimate = estimate
 
 
 class NotCompletelyPositive(CpMeanError):

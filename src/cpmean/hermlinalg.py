@@ -107,6 +107,14 @@ class PsdMatrix(HermitianMatrix):
             )
         return cls((u * np.clip(w, 0.0, None)) @ u.conj().T)
 
+    @classmethod
+    def _trusted(cls, entries) -> "PsdMatrix":
+        """Admit a result PSD by construction (``U f(w) U*``, f >= 0) without the
+        admission eigendecomposition; eig stays lazy.  Never for external data."""
+        out = cls.__new__(cls)
+        HermitianMatrix.__init__(out, entries)
+        return out
+
 
 class Projection(PsdMatrix):
     """Orthogonal projection: idempotent PSD matrix with spectrum in {0, 1}."""
@@ -172,7 +180,7 @@ def _fn_of_spectrum(a: PsdMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.
 def psd_sqrt(a) -> PsdMatrix:
     """PSD square root; negative eigenvalues within tolerance are clamped to 0."""
     a = as_psd(a)
-    return PsdMatrix(_fn_of_spectrum(a, lambda w: np.sqrt(np.clip(w, 0.0, None))))
+    return PsdMatrix._trusted(_fn_of_spectrum(a, lambda w: np.sqrt(np.clip(w, 0.0, None))))
 
 
 def pinv_psd(a, rank_rtol: float = RANK_RTOL) -> PsdMatrix:
@@ -186,7 +194,7 @@ def pinv_psd(a, rank_rtol: float = RANK_RTOL) -> PsdMatrix:
         out[mask] = 1.0 / w[mask]
         return out
 
-    return PsdMatrix(_fn_of_spectrum(a, inv))
+    return PsdMatrix._trusted(_fn_of_spectrum(a, inv))
 
 
 def support_projection(a, rank_rtol: float = RANK_RTOL) -> Projection:
@@ -219,7 +227,7 @@ def frac_power_psd(a, p: float, rank_rtol: float = RANK_RTOL) -> PsdMatrix:
         out[mask] = w[mask] ** p
         return out
 
-    return PsdMatrix(_fn_of_spectrum(a, pw))
+    return PsdMatrix._trusted(_fn_of_spectrum(a, pw))
 
 
 def proj_intersection(p, q) -> Projection:

@@ -3,10 +3,12 @@
 Everything happens at the Choi level.  With ``C = C_F + C_G`` the
 Radon-Nikodym pair ``A' = C^{+1/2} C_F C^{+1/2}`` and ``B' = C^{+1/2} C_G
 C^{+1/2}`` satisfies ``A' + B' = supp(C)``, so the two derivatives commute.
-The absolutely continuous part of G with respect to F is the compression of
-B' onto the support of A', pushed back through ``C^{1/2}``; it coincides with
-the parallel-sum limit ``lim_n (nF : G)``, which is retained here as the
-independent oracle (geometric doubling schedule).
+One eigendecomposition of C and one of A' on ran C give
+``C^{1/2} h(A') C^{1/2} = Z diag(h(t)) Z*``, and every quantity here is such a
+Gram form: the absolutely continuous part of G takes ``h = 1[t>0] (1-t)``, the
+singular part ``h = 1[t=0] (1-t)``.  The parallel-sum limit ``lim_n (nF : G)``
+is retained as the independent oracle, Richardson-extrapolated along the
+doubling schedule.
 """
 
 from __future__ import annotations
@@ -17,23 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
-from .errors import DomainError, InvalidInput, NonConvergence, NumericalError
-from .hermlinalg import (
-    TOL_PSD,
-    TOL_RECON,
-    Projection,
-    PsdMatrix,
-    frac_power_psd,
-    psd_sqrt,
-    support_projection,
-)
+from .errors import DomainError, NonConvergence, NumericalError
+from .hermlinalg import RANK_RTOL, TOL_RECON, Projection, PsdMatrix
 from .opmeans import parallel_sum
 
-TOL_LIM = 1e-6  # parallel-sum-limit agreement, relative to max(1, ||C_G||)
+# Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
+# (the CLI compares oracle and split within TOL_LIM max(1, ||C_G||)).
+TOL_LIM = 1e-6
 
 # A' + B' = supp(C) puts the spectrum of A' in [0, 1], so the support cutoff
-# of the RN derivatives is effectively absolute.
+# of the RN derivatives is effectively absolute; eigenvalues this close to 1
+# are snapped onto it, which keeps the ac part of a singular pair exactly 0.
 _RN_SUPPORT_RTOL = 1e-10
+
+_RICHARDSON_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class RnPair:
 class LebesgueSplit:
     """Decomposition G = ac + sing with ac absolutely continuous and sing singular.
 
-    alpha_min is the least alpha with C_ac <= alpha * C_F (+inf if the ranges
-    fail to nest, which cannot happen for the canonical ac part).
+    alpha_min is the least alpha with C_ac <= alpha * C_F (0 when ac vanishes).
     """
 
     ac: CpMap
@@ -65,101 +63,130 @@ class LebesgueSplit:
     alpha_min: float
 
 
+@dataclass(frozen=True)
+class _Pair:
+    """C = U diag(w) U* on ran C; A' = V diag(t) V* there, with UV = u @ V and
+    Z = U W^{1/2} V; phi marks the support of A'."""
+
+    u: np.ndarray
+    w: np.ndarray
+    uv: np.ndarray
+    z: np.ndarray
+    t: np.ndarray
+    phi: np.ndarray
+
+
+def _pair(f: CpMap, g: CpMap) -> _Pair:
+    _check_same_dims(f, g)
+    w, u = np.linalg.eigh(f.choi.entries + g.choi.entries)
+    keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
+    u, w = u[:, keep], w[keep]
+    x = u / np.sqrt(w)
+    a = x.conj().T @ f.choi.entries @ x
+    t, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    t = np.where(t > 1.0 - _RN_SUPPORT_RTOL, 1.0, np.maximum(t, 0.0))
+    phi = t > _RN_SUPPORT_RTOL * t.max(initial=0.0)
+    return _Pair(u, w, u @ v, (u * np.sqrt(w)) @ v, t, phi)
+
+
+def _gram(z: np.ndarray, h, cls=PsdMatrix) -> PsdMatrix:
+    """``Z diag(h) Z*`` for h >= 0: PSD by construction."""
+    return cls._trusted((z * h) @ z.conj().T)
+
+
+def _ac(p: _Pair) -> PsdMatrix:
+    return _gram(p.z, np.where(p.phi, 1.0 - p.t, 0.0))
+
+
 def rn_pair(f: CpMap, g: CpMap) -> RnPair:
     """Construct the commuting Radon-Nikodym pair for (F, G)."""
-    _check_same_dims(f, g)
-    c = PsdMatrix.clamped(f.choi.entries + g.choi.entries)
-    c_half = psd_sqrt(c)
-    c_inv_half = frac_power_psd(c, -0.5)
-    ci = c_inv_half.entries
-    a_prime = PsdMatrix.clamped(ci @ f.choi.entries @ ci)
-    b_prime = PsdMatrix.clamped(ci @ g.choi.entries @ ci)
-    return RnPair(c_half, a_prime, b_prime, support_projection(c))
-
-
-def _ac_choi(f: CpMap, g: CpMap) -> tuple[PsdMatrix, Projection]:
-    pair = rn_pair(f, g)
-    p_phi = support_projection(pair.a_prime, _RN_SUPPORT_RTOL)
-    ch = pair.c_half.entries
-    comp = p_phi.entries @ pair.b_prime.entries @ p_phi.entries
-    ac = ch @ comp @ ch
-    return PsdMatrix.clamped(0.5 * (ac + ac.conj().T)), p_phi
+    p = _pair(f, g)
+    return RnPair(_gram(p.u, np.sqrt(p.w)), _gram(p.uv, p.t), _gram(p.uv, 1.0 - p.t),
+                  _gram(p.u, 1.0, Projection))
 
 
 def ac_part(f: CpMap, g: CpMap) -> CpMap:
     """Absolutely continuous part of G with respect to F (the maximal one)."""
-    ac, _ = _ac_choi(f, g)
-    return CpMap(f.dim_in, f.dim_out, ac)
+    return CpMap(f.dim_in, f.dim_out, _ac(_pair(f, g)))
 
 
 def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     """Parallel-sum-limit construction of the absolutely continuous part.
 
-    Evaluates ``(2^k F : G)`` along the doubling schedule up to n_max and
-    returns the final iterate; raises NonConvergence if the last two iterates
-    still differ by more than the limit tolerance.
+    ``n F : G`` is a rational function of n, analytic at n = infinity, whose
+    1/n series converges for n > ||C_G|| / lambda_min^+(C_F).  The iterates at
+    n = 2^k, from the first k with n at least twice that radius (at most
+    log2(n_max) - 2) up to n_max, feed a Richardson table of depth 4; the
+    result is returned once two successive differences of its diagonal are
+    within TOL_LIM ||C_G||.  Raises NonConvergence, carrying the last estimate,
+    if that never happens or the extrapolant is not PSD within the same gate.
     """
     _check_same_dims(f, g)
-    if n_max < 2:
-        raise DomainError("oracle needs n_max >= 2")
-    tol = TOL_LIM * max(1.0, g.choi.norm())
-    steps = max(1, int(math.floor(math.log2(n_max))))
-    prev = None
-    cur = None
-    for k in range(1, steps + 1):
-        scaled = PsdMatrix((2.0 ** k) * f.choi.entries)
-        prev, cur = cur, parallel_sum(scaled, g.choi)
-    if prev is not None:
-        drift = float(np.abs(cur.entries - prev.entries).max())
-        if drift > tol:
-            raise NonConvergence(
-                f"parallel-sum limit moved {drift:.3e} at n={2 ** steps}, "
-                f"tolerance {tol:.3e}"
-            )
-    return CpMap(f.dim_in, f.dim_out, cur)
+    if n_max < 8:
+        raise DomainError("oracle needs n_max >= 8")
+    steps = int(math.floor(math.log2(n_max)))
+    gnorm = g.choi.norm()
+    tol = TOL_LIM * gnorm
+    wf = f.choi.eig()[0]
+    lam = wf[wf > RANK_RTOL * max(float(wf[-1]), 0.0)]
+    ratio = 2.0 * gnorm / lam[0] if lam.size else 0.0
+    k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), steps - 2)
+    row, best, est, ok = [], None, math.inf, 0
+    for k in range(k0, steps + 1):
+        x = parallel_sum(PsdMatrix._trusted((2.0 ** k) * f.choi.entries), g.choi).entries
+        new = [x]
+        for j, r in enumerate(row[:_RICHARDSON_DEPTH - 1], start=1):
+            new.append(new[-1] + (new[-1] - r) / (2.0 ** j - 1.0))
+        row, prev, best = new, best, new[-1]
+        if prev is not None:
+            est = float(np.abs(best - prev).max())
+            ok = ok + 1 if est <= tol else 0
+            if ok == 2:
+                break
+    else:
+        raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** steps}, "
+                             f"tolerance {tol:.3e}", est)
+    w, u = np.linalg.eigh(0.5 * (best + best.conj().T))
+    if w[0] < -tol:
+        raise NonConvergence(f"extrapolated limit has eigenvalue {w[0]:.3e}, "
+                             f"tolerance {tol:.3e}", -float(w[0]))
+    return CpMap(f.dim_in, f.dim_out, _gram(u, np.clip(w, 0.0, None)))
 
 
 def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     """Lebesgue decomposition of G relative to F.
 
-    The singular part is G - ac; exact arithmetic makes it PSD, so residual
-    negative eigenvalues are clamped within TOL_PSD and anything beyond raises
-    NumericalError.
+    ac and sing are Gram forms of the one spectral pair, so both are PSD by
+    construction; their sum must reproduce C_G within TOL_RECON times
+    max(||C_F||, ||C_G||), else NumericalError.  alpha_min is the largest
+    ``(1 - t) / t`` over the support of A', hence invariant under joint scaling.
     """
-    ac, p_phi = _ac_choi(f, g)
-    try:
-        sing = PsdMatrix.clamped(g.choi.entries - ac.entries)
-    except InvalidInput as exc:
-        raise NumericalError(f"singular part failed positivity: {exc}") from exc
+    p = _pair(f, g)
+    ac = _ac(p)
+    sing = _gram(p.z, np.where(p.phi, 0.0, 1.0 - p.t))
+    resid = float(np.abs(ac.entries + sing.entries - g.choi.entries).max())
+    bound = TOL_RECON * max(f.choi.norm(), g.choi.norm())
+    if resid > bound:
+        raise NumericalError(f"ac + sing misses C_G by {resid:.3e}, tolerance {bound:.3e}")
+    tp = p.t[p.phi]
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        phi_support=p_phi,
-        alpha_min=_alpha_min(f.choi, ac),
+        phi_support=_gram(p.uv[:, p.phi], 1.0, Projection),
+        alpha_min=float(((1.0 - tp) / tp).max(initial=0.0)),
     )
 
 
-def _alpha_min(c_f: PsdMatrix, c_ac: PsdMatrix) -> float:
-    """Least alpha with C_ac <= alpha C_F, via the generalized Rayleigh quotient.
-
-    A numerically-zero ac part (the mutually singular case) reports exactly 0.
-    """
-    if c_ac.norm() <= _RN_SUPPORT_RTOL * max(1.0, c_f.norm()):
-        return 0.0
-    supp_f = support_projection(c_f)
-    outside = (np.eye(c_f.dim) - supp_f.entries) @ c_ac.entries
-    if np.abs(outside).max() > TOL_RECON * max(1.0, c_ac.norm()):
-        return math.inf
-    half_pinv = frac_power_psd(c_f, -0.5).entries
-    m = half_pinv @ c_ac.entries @ half_pinv
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(max(w[-1], 0.0))
+def singular_residual(f: CpMap, g: CpMap) -> float:
+    """``max t (1 - t)`` over the spectrum of A': 0 iff F and G are mutually
+    singular (``F : G = C^{1/2} A' B' C^{1/2}``); invariant under joint scaling."""
+    t = _pair(f, g).t
+    return float((t * (1.0 - t)).max(initial=0.0))
 
 
 def is_singular(f: CpMap, g: CpMap, tol: float = 1e-8) -> bool:
-    """True iff F and G are mutually singular, i.e. their parallel sum vanishes."""
-    _check_same_dims(f, g)
-    return parallel_sum(f.choi, g.choi).norm() <= tol
+    """True iff F and G are mutually singular: ``singular_residual(f, g) <= tol``."""
+    return singular_residual(f, g) <= tol
 
 
 def is_abs_continuous(g: CpMap, f: CpMap, tol: float = 1e-8) -> bool:
@@ -168,5 +195,5 @@ def is_abs_continuous(g: CpMap, f: CpMap, tol: float = 1e-8) -> bool:
     The equivalent range criterion supp(B') <= supp(A') in the RN picture is
     exercised by the test suite.
     """
-    ac, _ = _ac_choi(f, g)
+    ac = _ac(_pair(f, g))
     return bool(np.abs(g.choi.entries - ac.entries).max() <= tol)

@@ -79,14 +79,14 @@ def parallel_sum(a, b) -> PsdMatrix:
     ``A : B <= A, B`` in the PSD order.
     """
     a, b = _check_pair(a, b)
-    s = pinv_psd(PsdMatrix.clamped(a.entries + b.entries))
+    s = pinv_psd(PsdMatrix(a.entries + b.entries))
     return PsdMatrix.clamped(_herm(a.entries @ s.entries @ b.entries), tol=TOL_MEAN)
 
 
 def harmonic_mean(a, b) -> PsdMatrix:
     """Harmonic mean ``2 (A : B)``."""
     p = parallel_sum(a, b)
-    return PsdMatrix(2.0 * p.entries)
+    return PsdMatrix._trusted(2.0 * p.entries)
 
 
 def arithmetic_mean(a, b) -> PsdMatrix:

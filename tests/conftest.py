@@ -42,3 +42,22 @@ def min_eig(a):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """``count(call)``: the (eigh, eigvalsh) calls into numpy.linalg that call() makes."""
+
+    def count(call) -> tuple[int, int]:
+        calls = {"eigh": 0, "eigvalsh": 0}
+        with monkeypatch.context() as m:
+            for name in calls:
+                def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                m.setattr(np.linalg, name, counting)
+            call()
+        return calls["eigh"], calls["eigvalsh"]
+
+    return count

@@ -321,6 +321,24 @@ class TestCliCommands:
         assert max_abs(sing - np.diag([0.0, 0.5])) < 1e-10
         assert "alpha_min" in capsys.readouterr().out
 
+    def test_lebesgue_oracle_failure_is_a_failed_check(self, tmp_path, capsys):
+        # a direction where C_F has eigenvalue 1e-8 and C_G weight 1: n F : G is
+        # still far from its limit at n = 2^20, so the oracle cannot certify ac
+        u = random_unitary(np.random.default_rng(5), 4)
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        save_channel(from_choi(2, 2, (u * np.array([1e-8, 0.5, 1.0, 2.0])) @ u.conj().T),
+                     phi, name="phi")
+        save_channel(from_choi(2, 2, np.eye(4)), psi, name="psi")
+        prefix = str(tmp_path / "split")
+        assert main(["--format", "json", "lebesgue", str(phi), str(psi), "-o", prefix]) == 3
+        out = json.loads(capsys.readouterr().out)
+        checks = {c["name"]: c for c in out["checks"]}
+        oracle = checks["parallel-sum oracle residual"]
+        assert not oracle["passed"] and oracle["residual"] > oracle["tolerance"]
+        assert all(c["passed"] for name, c in checks.items() if c is not oracle)
+        assert "ac_choi" in out["outputs"] and "sing_choi" in out["outputs"]
+        assert max_abs(load_channel(prefix + ".ac.json").choi.entries - np.eye(4)) < 1e-6
+
     def test_example_all_passes(self, capsys):
         assert main(["example", "--all"]) == 0
         out = capsys.readouterr().out

@@ -251,30 +251,15 @@ class TestTransforms:
 
 
 class TestEighCount:
-    @staticmethod
-    def eigh_calls(monkeypatch, call) -> int:
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", counting)
-            call()
-        return len(calls)
-
     @pytest.mark.parametrize("nodes", [16, 64])
-    def test_custom_mean_costs_as_much_as_geo(self, rng, monkeypatch, nodes):
+    def test_custom_mean_costs_as_much_as_geo(self, rng, eigh_calls, nodes):
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-        geo = self.eigh_calls(monkeypatch, lambda: mean_cp(MeanKind("geo"), f, g))
+        geo = eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g))
         rep = power_rep(0.3, nodes)
         assert len(rep.atoms) == nodes
         for transform in (lambda r: r, transpose_rep, adjoint_rep, dual_rep):
-            got = self.eigh_calls(
-                monkeypatch, lambda: mean_cp(MeanKind.custom(transform(rep)), f, g))
+            got = eigh_calls(lambda: mean_cp(MeanKind.custom(transform(rep)), f, g))
             assert got == geo
 
 

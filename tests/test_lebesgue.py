@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpmean.cpmaps import from_choi, functional
-from cpmean.errors import DomainError, ShapeError
+from cpmean.errors import DomainError, InvalidInput, NonConvergence, ShapeError
 from cpmean.hermlinalg import PsdMatrix, is_psd, support_projection
 from cpmean.lebesgue import (
     TOL_LIM,
@@ -14,11 +14,13 @@ from cpmean.lebesgue import (
     is_abs_continuous,
     is_singular,
     rn_pair,
+    singular_residual,
 )
+from cpmean import lebesgue
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import leq_cp
 
-from conftest import max_abs, min_eig, random_psd, random_unitary
+from conftest import max_abs, min_eig, random_cp, random_psd, random_unitary
 
 
 def planted_pair(rng, m, n, lo=0.2, hi=0.25):
@@ -348,3 +350,107 @@ class TestAndoRecovery:
             got = ac_part(phi, psi).choi.entries
             assert max_abs(got - direct_rn_compression(a, b)) \
                 < 1e-6 * max(1.0, max_abs(b))
+
+
+def ando_ac(f, g):
+    """Ando's closed form of the F-absolutely continuous part of G, in raw numpy.
+
+    ``G^{1/2} P G^{1/2}`` with P the projection onto ``ker((1 - P_F) G^{1/2})``.
+    """
+    wg, ug = np.linalg.eigh(g)
+    g_half = (ug * np.sqrt(np.clip(wg, 0.0, None))) @ ug.conj().T
+    wf, uf = np.linalg.eigh(f)
+    ran_f = uf[:, wf > 1e-10 * wf[-1]]
+    k = g_half - ran_f @ (ran_f.conj().T @ g_half)
+    w, u = np.linalg.eigh(k.conj().T @ k)
+    kern = u[:, w <= 1e-10 * wg[-1]]
+    ac = g_half @ kern @ kern.conj().T @ g_half
+    return 0.5 * (ac + ac.conj().T)
+
+
+def generic_pairs(seed):
+    """Default-generator pairs at Choi 2, 4, 6 and 16, ranks 1 to full on both sides."""
+    rng = np.random.default_rng(seed)
+    for m, n in [(1, 2), (2, 2), (2, 3), (4, 4)]:
+        d = m * n
+        ranks = np.unique(np.linspace(1, d, min(d, 5)).round().astype(int))
+        for rf in ranks:
+            for rg in ranks:
+                yield random_cp(rng, m, n, rank=int(rf)), random_cp(rng, m, n, rank=int(rg))
+
+
+SCALES = [1e-12, 1.0, 1e12]
+
+
+class TestGenericPairs:
+    @pytest.mark.parametrize("s", SCALES)
+    def test_decompose_matches_ando_closed_form(self, s):
+        for f, g in generic_pairs(61):
+            split = decompose(s * f, s * g)
+            want = ando_ac(f.choi.entries, g.choi.entries)
+            scale = s * g.choi.norm()
+            assert max_abs(split.ac.choi.entries - s * want) <= 1e-10 * scale
+            assert max_abs(split.sing.choi.entries - s * (g.choi.entries - want)) \
+                <= 1e-10 * scale
+            assert is_singular(s * f, split.sing)
+
+    def test_alpha_min_is_invariant_under_joint_scale(self):
+        for f, g in generic_pairs(62):
+            alpha = decompose(f, g).alpha_min
+            for s in (1e-12, 1e12):
+                got = decompose(s * f, s * g).alpha_min
+                assert abs(got - alpha) <= 1e-10 * max(1.0, alpha)
+
+    @pytest.mark.parametrize("s", [
+        1e-12,
+        1.0,
+        pytest.param(1e12, marks=pytest.mark.xfail(
+            strict=True, raises=InvalidInput,
+            reason="parallel_sum clamps with tolerance TOL_MEAN max(1, ||A:B||): on a "
+                   "nearly singular pair at large scale its round-off exceeds it")),
+    ])
+    def test_oracle_agrees(self, s):
+        for f, g in generic_pairs(63):
+            want = decompose(s * f, s * g).ac.choi.entries
+            got = ac_part_oracle(s * f, s * g).choi.entries
+            assert max_abs(got - want) <= TOL_LIM * s * g.choi.norm()
+
+    def test_slow_direction_raises(self, rng):
+        # F has an eigenvalue 1e-8 along a direction where G has weight 1, so
+        # n F : G is still far from its limit G at n = 2^20.
+        u = random_unitary(rng, 4)
+        f = from_choi(2, 2, (u * np.array([1e-8, 0.5, 1.0, 2.0])) @ u.conj().T)
+        g = from_choi(2, 2, np.eye(4))
+        assert max_abs(decompose(f, g).ac.choi.entries - np.eye(4)) < 1e-6
+        with pytest.raises(NonConvergence) as info:
+            ac_part_oracle(f, g)
+        assert info.value.estimate > TOL_LIM
+
+
+class TestScaleFreeSingularity:
+    @pytest.mark.parametrize("s", SCALES)
+    def test_is_singular_at_joint_scale(self, rng, s):
+        f, g = random_cp(rng, 2, 2, rank=3), random_cp(rng, 2, 2, rank=3)
+        f, g = s * f, s * g
+        assert not is_singular(f, g)
+        assert singular_residual(f, g) > 1e-3
+        assert is_singular(f, decompose(f, g).sing)
+        orth_f = from_choi(1, 2, s * np.diag([1.0, 0.0]))
+        orth_g = from_choi(1, 2, s * np.diag([0.0, 2.0]))
+        assert singular_residual(orth_f, orth_g) == 0.0
+
+
+class TestEighCount:
+    def test_pinned_eigh_counts(self, rng, eigh_calls, monkeypatch):
+        f = random_cp(rng, 2, 2)
+        g = random_cp(rng, 2, 2, rank=2)
+        assert eigh_calls(lambda: decompose(f, g)) == (2, 0)
+        sums = []
+
+        def counting(a, b):
+            sums.append(None)
+            return parallel_sum(a, b)
+
+        monkeypatch.setattr(lebesgue, "parallel_sum", counting)
+        eigh, eigvalsh = eigh_calls(lambda: ac_part_oracle(f, g))
+        assert sums and (eigh, eigvalsh) == (1 + 3 * len(sums), 0)

@@ -355,3 +355,15 @@ class TestStructuralProperties:
             dual = power_mean(a, b, 1.0 - alpha).entries
             lhs = geometric_mean(PsdMatrix(fwd), PsdMatrix(dual)).entries
             assert max_abs(lhs - geometric_mean(a, b).entries) < TOL_MEAN * scale
+
+
+class TestEighCount:
+    @pytest.mark.parametrize("fn, count", [
+        (parallel_sum, 3),      # admit A + B, then the final clamp's two
+        (harmonic_mean, 3),     # 2 (A : B) is PSD by construction
+        (geometric_mean, 4),    # eig C, eig A', and the clamp's two
+    ])
+    def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):
+        a = PsdMatrix(random_psd(rng, 9))
+        b = PsdMatrix(random_psd(rng, 9, rank=4))
+        assert eigh_calls(lambda: fn(a, b)) == (count, 0)
