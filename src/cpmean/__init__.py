@@ -49,6 +49,7 @@ from .opmeans import (
     log_mean,
     mean,
     parallel_sum,
+    power_atoms,
     power_mean,
     power_rep,
     transpose_rep,

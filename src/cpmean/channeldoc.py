@@ -11,9 +11,8 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
     }
 
 Floats are emitted by Python's shortest round-trip repr (at most 17
-significant digits), so a choi document survives save/load bit-exactly,
-up to the sign of zero entries: the Hermitian symmetrization of the Choi
-matrix can turn a -0.0 into 0.0.
+significant digits), so a choi document of an exactly Hermitian matrix
+survives save/load bit-exactly, signed zeros included.
 """
 
 from __future__ import annotations

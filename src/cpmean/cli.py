@@ -226,8 +226,8 @@ def cmd_lebesgue(args) -> Report:
                               - psi.choi.entries).max())
     rep.check("ac + sing = psi", add_defect, 1e-9 * max(1.0, psi.choi.norm()))
     rep.check("sing is phi-singular", lebesgue.singular_residual(phi, split.sing), 1e-8)
-    rep.record("ac is phi-absolutely continuous",
-               lebesgue.is_abs_continuous(split.ac, phi), 0.0, 0.0)
+    rep.check("ac is phi-absolutely continuous",
+              lebesgue.abs_continuity_residual(split.ac, phi), 1e-8)
     oracle_tol = lebesgue.TOL_LIM * max(1.0, psi.choi.norm())
     try:
         oracle = lebesgue.ac_part_oracle(phi, psi)

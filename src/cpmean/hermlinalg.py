@@ -40,7 +40,12 @@ class HermitianMatrix:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidInput("matrix entries must be finite")
-        m = 0.5 * (m + m.conj().T)
+        mh = m.conj().T
+        if not (m == mh).all():
+            # Halved as real arrays: a complex product by 0.5 would turn some
+            # -0.0 into 0.0.  An exactly Hermitian input is kept bit for bit.
+            m = m + mh
+            m.view(np.float64)[...] *= 0.5
         m.flags.writeable = False
         self._m = m
         self._eig = None
@@ -91,17 +96,18 @@ class PsdMatrix(HermitianMatrix):
             )
 
     @classmethod
-    def clamped(cls, entries, tol: float = TOL_PSD) -> "PsdMatrix":
+    def clamped(cls, entries, tol: float = TOL_PSD, scale: float | None = None) -> "PsdMatrix":
         """Project onto the PSD cone by zeroing small negative eigenvalues.
 
-        Eigenvalues below -tol * max(1, norm) raise InvalidInput instead of
-        being silently absorbed.
+        Eigenvalues below -tol * scale raise InvalidInput instead of being
+        silently absorbed; scale defaults to max(1, norm), and a caller whose
+        round-off is relative to its operands passes their norm.
         """
         h = HermitianMatrix(entries)
         w, u = h.eig()
         if w[0] >= 0.0:
             return cls(h.entries)
-        if w[0] < -tol * max(1.0, h.norm()):
+        if w[0] < -tol * (max(1.0, h.norm()) if scale is None else scale):
             raise InvalidInput(
                 f"negative eigenvalue {w[0]:.3e} exceeds clamping tolerance"
             )

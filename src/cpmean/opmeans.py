@@ -6,8 +6,10 @@ ran(A+B): with ``C = A + B``, ``A' = C^{+1/2} A C^{+1/2}`` and ``B' = Π - A'``
 scalar kernel ``h(t) = t f((1-t)/t)`` on the spectrum of A' (Kubo-Ando 1980).
 The geometric, power and logarithmic means and every ``ConnectionRep``,
 transformed or not, take this route: four eigendecompositions whatever the
-kernel, exact for singular inputs.  The epsilon-regularized limit and the
-per-atom parallel-sum formula of a ``ConnectionRep`` are test oracles only.
+kernel, exact for singular inputs.  ``power_rep`` is the power connection in
+closed form; its Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy),
+the epsilon-regularized limit and the per-atom parallel-sum formula of a
+``ConnectionRep`` are test oracles only.
 ``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``.
 
 Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
@@ -17,6 +19,7 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,7 +28,7 @@ from .errors import DomainError, ShapeError
 from .hermlinalg import RANK_RTOL, PsdMatrix, as_psd, pinv_psd
 
 TOL_MEAN = 1e-7   # mean identities, relative to max(1, ||A||, ||B||)
-TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_rep
+TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_atoms
 
 # Spectrum of A' lies in [0, 1] exactly; eigenvalues closer than this to an
 # endpoint are snapped onto it so that rank-deficient directions are killed
@@ -79,8 +82,11 @@ def parallel_sum(a, b) -> PsdMatrix:
     ``A : B <= A, B`` in the PSD order.
     """
     a, b = _check_pair(a, b)
-    s = pinv_psd(PsdMatrix(a.entries + b.entries))
-    return PsdMatrix.clamped(_herm(a.entries @ s.entries @ b.entries), tol=TOL_MEAN)
+    c = PsdMatrix(a.entries + b.entries)
+    out = _herm(a.entries @ pinv_psd(c).entries @ b.entries)
+    # Round-off in the product is relative to the operands, not to the result,
+    # which can be far smaller than A + B.
+    return PsdMatrix.clamped(out, tol=TOL_MEAN, scale=c.norm())
 
 
 def harmonic_mean(a, b) -> PsdMatrix:
@@ -119,12 +125,18 @@ def power_mean(a, b, alpha: float) -> PsdMatrix:
         return a
     if alpha == 1.0:
         return b
-    return _kernel_mean(a, b, lambda t: t ** (1.0 - alpha) * (1.0 - t) ** alpha)
+    return _kernel_mean(a, b, power_rep(alpha).kernel)
 
 
+@lru_cache(maxsize=16)
 def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
+    count and shared read-only by every caller."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
+    s, om = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = False
+    om.flags.writeable = False
+    return s, om
 
 
 def log_mean(a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
@@ -148,13 +160,15 @@ def log_mean(a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
 
 @dataclass(frozen=True)
 class ConnectionRep:
-    """Operator monotone function on [0, inf) from a discretized integral representation.
+    """Operator monotone function on [0, inf) from its integral representation.
 
     Atoms (l_k > 0, w_k > 0) discretize the representing measure of
-    ``g(t) = a + b t + sum_k w_k t (1 + l_k) / (t + l_k)``, a, b >= 0.  The
-    represented f is g, or with ``transposed`` ``t g(1/t)``, with ``adjoint``
-    ``1/g(1/t)``, with both the dual ``t / g(t)``: the transforms flip flags,
-    so they are exact and compose exactly.  The label takes no part in equality.
+    ``g(t) = a + b t + sum_k w_k t (1 + l_k) / (t + l_k)``, a, b >= 0.  With
+    ``power`` = p in (0, 1) and no other term, g is exactly t^p, which no
+    finite atom sum is (their g(inf) is finite).  The represented f is g, or
+    with ``transposed`` ``t g(1/t)``, with ``adjoint`` ``1/g(1/t)``, with both
+    the dual ``t / g(t)``: the transforms flip flags, so they are exact and
+    compose exactly.  The label takes no part in equality.
     """
 
     a: float
@@ -163,6 +177,7 @@ class ConnectionRep:
     label: str = field(default="", compare=False)
     transposed: bool = False
     adjoint: bool = False
+    power: float | None = None
 
     def __post_init__(self):
         if self.a < 0.0 or self.b < 0.0:
@@ -172,20 +187,28 @@ class ConnectionRep:
                 raise DomainError(f"atom location must be positive, got {lam}")
             if not (wt > 0.0 and np.isfinite(wt)):
                 raise DomainError(f"atom weight must be positive, got {wt}")
+        if self.power is not None:
+            if not 0.0 < self.power < 1.0:
+                raise DomainError(f"power exponent must lie in (0, 1), got {self.power}")
+            if self.a != 0.0 or self.b != 0.0 or self.atoms:
+                raise DomainError("a power connection has no other term")
         # g vanishes on (0, inf) exactly when every coefficient does.
-        if self.adjoint and self.a == 0.0 and self.b == 0.0 and not self.atoms:
+        elif self.adjoint and self.a == 0.0 and self.b == 0.0 and not self.atoms:
             raise DomainError("adjoint and dual transforms need f not identically zero")
 
     def _pair(self, u, v):
         """The connection ``u σ v`` of scalars u, v >= 0, not both zero.
 
         The adjoint ``u v / (v σ_g u)`` is summed as reciprocals, so its zeros
-        at u = 0 (a > 0) or v = 0 (b > 0) are exact, not 0/0.
+        at u = 0 (a > 0) or v = 0 (b > 0) are exact, not 0/0.  A power
+        connection is its own adjoint, ``u^(1-p) v^p``.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if self.transposed:
             u, v = v, u
+        if self.power is not None:
+            return u ** (1.0 - self.power) * v ** self.power
         lam, wt = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         c = wt * (1.0 + lam)
         uu, vv = u[..., None], v[..., None]
@@ -206,8 +229,9 @@ class ConnectionRep:
     def kernel(self, t):
         """The kernel ``h(t) = t f((1-t)/t)`` on the spectrum t in [0, 1] of A'.
 
-        For g it is ``a t + b (1-t) + sum_k w_k (1+l_k) t (1-t) / (l_k t + 1 - t)``;
-        the transpose takes h(1-t), the adjoint ``t (1-t) / h(1-t)``.
+        For g it is ``a t + b (1-t) + sum_k w_k (1+l_k) t (1-t) / (l_k t + 1 - t)``,
+        for t^p ``t^(1-p) (1-t)^p``; the transpose takes h(1-t), the adjoint
+        ``t (1-t) / h(1-t)``.
         """
         t = np.asarray(t, dtype=float)
         return self._pair(t, 1.0 - t)
@@ -281,39 +305,53 @@ def mean(kind: MeanKind, a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
 def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:
     """Connection of ``rep`` on (A, B) through ``rep.kernel``, as ``mean`` does.
 
-    Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``.
+    Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``,
+    or ``power_mean(A, B, p)`` for a power connection.
     """
     a, b = _check_pair(a, b)
     return _kernel_mean(a, b, rep.kernel)
 
 
-def power_rep(alpha: float, nodes: int = 64) -> ConnectionRep:
-    """Discretize the representing measure of t^alpha into a ConnectionRep.
+def power_rep(alpha: float) -> ConnectionRep:
+    """The power connection ``t^alpha``, 0 < alpha < 1, in closed form.
+
+    Its kernel ``t^(1-alpha) (1-t)^alpha`` is that of ``power_mean(A, B,
+    alpha)``.  The family is closed under the transforms, which stay exact
+    flag flips: the transpose and the dual represent ``t^(1-alpha)``, the
+    adjoint ``t^alpha`` itself, and all vanish where those functions do.
+    ``power_atoms`` is its finite discretization.
+    """
+    return ConnectionRep(0.0, 0.0, (), label=f"power({alpha})", power=alpha)
+
+
+def power_atoms(alpha: float, nodes: int = 64) -> ConnectionRep:
+    """Discretize the representing measure of t^alpha into ``nodes`` atoms.
 
     The measure density is sin(a pi)/pi * l^(a-1) / (1 + l) dl on (0, inf).
     Under l = u/(1-u) this becomes sin(a pi)/pi * u^(a-1) (1-u)^(-a) du on
     (0, 1), whose endpoint singularities defeat plain Gauss-Legendre; the
     nodes are therefore taken from the Gauss-Jacobi rule with exactly that
     weight, which integrates the remaining analytic kernel to near machine
-    precision.
+    precision.  Needs scipy (``roots_jacobi``); ``power_rep`` does not.
 
     A finite atom sum has ``g(inf) = sum_k w_k (1 + l_k) < inf``, so the
     adjoint and the dual leak ``1/g(inf)`` (1/128 at alpha = 1/2) onto ker B,
-    where those of t^alpha vanish.
+    where those of t^alpha vanish: this is the test oracle of the atom
+    kernel, not a substitute for ``power_rep``.
     """
     from scipy.special import roots_jacobi
 
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"power_rep requires alpha in (0, 1), got {alpha}")
+        raise DomainError(f"power_atoms requires alpha in (0, 1), got {alpha}")
     if nodes < 4:
-        raise DomainError("power_rep requires at least 4 quadrature nodes")
+        raise DomainError("power_atoms requires at least 4 quadrature nodes")
     with np.errstate(invalid="ignore"):
         x, wj = roots_jacobi(nodes, -alpha, alpha - 1.0)
     u = 0.5 * (x + 1.0)
     lam = u / (1.0 - u)
     wt = np.sin(alpha * np.pi) / np.pi * wj
     atoms = tuple((float(l), float(w)) for l, w in zip(lam, wt) if w > 0.0)
-    return ConnectionRep(0.0, 0.0, atoms, label=f"power({alpha})")
+    return ConnectionRep(0.0, 0.0, atoms, label=f"power_atoms({alpha}, {nodes})")
 
 
 def transpose_rep(rep: ConnectionRep) -> ConnectionRep:

@@ -39,8 +39,8 @@ from cpmean.opmeans import (
     dual_rep,
     geometric_mean,
     parallel_sum,
+    power_atoms,
     power_mean,
-    power_rep,
     transpose_rep,
 )
 
@@ -198,7 +198,7 @@ def test_criterion_08_connection_engine():
     tgrid = 2.0 ** np.arange(-4, 5, dtype=float)
     worst_rep = 0.0
     for alpha in np.arange(0.1, 0.95, 0.1):
-        rep = power_rep(float(alpha), 64)
+        rep = power_atoms(float(alpha), 64)
         worst_rep = max(worst_rep, float(np.abs(rep.scalar(tgrid)
                                                 - tgrid ** alpha).max()))
         for _ in range(2):
@@ -213,7 +213,7 @@ def test_criterion_08_connection_engine():
     arith = ConnectionRep(0.5, 0.5, ())
     harm_target = 2.0 * tgrid / (1.0 + tgrid)
     worst_tr = float(np.abs(adjoint_rep(arith).scalar(tgrid) - harm_target).max())
-    geo_rep = power_rep(0.5, 64)
+    geo_rep = power_atoms(0.5, 64)
     for transform in (transpose_rep, adjoint_rep, dual_rep):
         worst_tr = max(worst_tr, float(np.abs(
             transform(geo_rep).scalar(tgrid) - np.sqrt(tgrid)).max()))

@@ -184,8 +184,6 @@ class TestChannelDoc:
         save_channel(g, p2)
         assert p.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.xfail(strict=True, reason="HermitianMatrix symmetrizes with a complex "
-                       "product by 0.5, which turns some -0.0 into 0.0 (CHANGES.md FOUND)")
     def test_choi_round_trip_keeps_signed_zeros(self):
         doc = {"dim_in": 1, "dim_out": 2, "repr": "choi",
                "data": [[[1.0, 0.0], [-0.0, -0.001]], [[-0.0, 0.001], [1.0, -0.0]]]}
@@ -338,6 +336,17 @@ class TestCliCommands:
         assert all(c["passed"] for name, c in checks.items() if c is not oracle)
         assert "ac_choi" in out["outputs"] and "sing_choi" in out["outputs"]
         assert max_abs(load_channel(prefix + ".ac.json").choi.entries - np.eye(4)) < 1e-6
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_lebesgue_checks_are_scale_free(self, tmp_path, capsys, s):
+        rng = np.random.default_rng(11)
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        save_channel(s * random_cp(rng, 2, 2, rank=3), phi, name="phi")
+        save_channel(s * random_cp(rng, 2, 2, rank=3), psi, name="psi")
+        assert main(["--format", "json", "lebesgue", str(phi), str(psi)]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        ac = checks["ac is phi-absolutely continuous"]
+        assert ac["passed"] and ac["tolerance"] == 1e-8 and ac["residual"] <= 1e-12
 
     def test_example_all_passes(self, capsys):
         assert main(["example", "--all"]) == 0

@@ -1,3 +1,8 @@
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from cpmean.opmeans import (
     harmonic_mean,
     mean,
     parallel_sum,
+    power_atoms,
     power_mean,
     power_rep,
     transpose_rep,
@@ -83,14 +89,14 @@ class TestConnectionApply:
         assert max_abs(got.entries - harmonic_mean(a, b).entries) < 1e-12
 
     def test_power_rep_matrix_closed_form(self):
-        rep = power_rep(0.5, 64)
+        rep = power_atoms(0.5, 64)
         got = connection_apply(rep, np.diag([1.0, 9.0]), np.diag([9.0, 1.0]))
         assert max_abs(got.entries - 3.0 * np.eye(2)) < TOL_QUAD
 
     def test_custom_kind_dispatch(self, rng):
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        rep = power_rep(0.3, 64)
+        rep = power_atoms(0.3, 64)
         got = mean(MeanKind.custom(rep), a, b)
         want = power_mean(a, b, 0.3)
         assert max_abs(got.entries - want.entries) < TOL_QUAD
@@ -108,14 +114,14 @@ class TestKernelRoute:
         for ra, rb in pairs:
             a = random_psd(rng, dim, rank=ra)
             b = random_psd(rng, dim, rank=rb)
-            rep = transform(power_rep(float(rng.uniform(0.1, 0.9)), 16))
+            rep = transform(power_atoms(float(rng.uniform(0.1, 0.9)), 16))
             got = connection_apply(rep, a, b).entries
             assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10, (ra, rb)
 
     def test_custom_kind_matches_atom_formula(self, rng):
         a = random_psd(rng, 4, rank=2)
         b = random_psd(rng, 4, rank=3)
-        rep = power_rep(0.3)
+        rep = power_atoms(0.3)
         got = mean(MeanKind.custom(rep), a, b).entries
         assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10
 
@@ -124,7 +130,7 @@ class TestKernelRoute:
         # On invertible pairs A σ* B = (A^-1 σ B^-1)^-1, and dual = adjoint ∘ transpose.
         a = random_psd(rng, 9)
         b = random_psd(rng, 9)
-        rep = power_rep(0.3, 16)
+        rep = power_atoms(0.3, 16)
         base = rep if transform is adjoint_rep else transpose_rep(rep)
         want = np.linalg.inv(atom_oracle(base, np.linalg.inv(a), np.linalg.inv(b)))
         got = connection_apply(transform(rep), a, b).entries
@@ -134,31 +140,31 @@ class TestKernelRoute:
 class TestPowerRep:
     def test_normalized_at_one(self):
         for alpha in (0.1, 0.5, 0.9):
-            rep = power_rep(alpha, 64)
+            rep = power_atoms(alpha, 64)
             assert abs(rep.scalar(1.0) - 1.0) < TOL_QUAD
 
     def test_scalar_examples(self):
-        assert abs(power_rep(0.5, 64).scalar(4.0) - 2.0) < TOL_QUAD
-        assert abs(power_rep(0.25, 64).scalar(16.0) - 2.0) < TOL_QUAD
+        assert abs(power_atoms(0.5, 64).scalar(4.0) - 2.0) < TOL_QUAD
+        assert abs(power_atoms(0.25, 64).scalar(16.0) - 2.0) < TOL_QUAD
 
     @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_scalar_grid(self, alpha):
-        rep = power_rep(alpha, 64)
+        rep = power_atoms(alpha, 64)
         err = np.abs(rep.scalar(TGRID) - TGRID ** alpha).max()
         assert err < TOL_QUAD
 
     def test_consistent_through_matrices(self):
-        rep = power_rep(0.5, 64)
+        rep = power_atoms(0.5, 64)
         for t in (0.25, 1.0, 4.0):
             assert abs(scalar_apply(rep, t) - np.sqrt(t)) < TOL_QUAD
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            power_rep(0.0, 64)
+            power_atoms(0.0, 64)
         with pytest.raises(DomainError):
-            power_rep(1.0, 64)
+            power_atoms(1.0, 64)
         with pytest.raises(DomainError):
-            power_rep(0.5, 2)
+            power_atoms(0.5, 2)
 
 
 class TestTransforms:
@@ -167,7 +173,7 @@ class TestTransforms:
         assert np.abs(rep.scalar(TGRID) - (1.0 + TGRID) / 2.0).max() < 1e-12
 
     def test_transpose_swaps_arguments(self, rng):
-        rep = power_rep(0.3, 32)
+        rep = power_atoms(0.3, 32)
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
         lhs = connection_apply(transpose_rep(rep), a, b).entries
@@ -185,13 +191,13 @@ class TestTransforms:
         assert np.abs(rep.scalar(TGRID) - want).max() < 1e-5
 
     def test_geometric_fixed_under_all_transforms(self):
-        geo = power_rep(0.5, 64)
+        geo = power_atoms(0.5, 64)
         for transform in (transpose_rep, adjoint_rep, dual_rep):
             got = transform(geo)
             assert np.abs(got.scalar(TGRID) - np.sqrt(TGRID)).max() < 1e-5
 
     def test_adjoint_involutive_on_scalars(self):
-        rep = power_rep(0.3, 48)
+        rep = power_atoms(0.3, 48)
         back = adjoint_rep(adjoint_rep(rep))
         assert np.abs(back.scalar(TGRID) - TGRID ** 0.3).max() < 1e-5
 
@@ -202,18 +208,20 @@ class TestTransforms:
         with pytest.raises(DomainError):
             dual_rep(zero)
 
-    @pytest.mark.parametrize("rep", [ARITH_REP, HARM_REP, power_rep(0.3, 48),
-                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25)))],
-                             ids=["arith", "harm", "power", "mixed"])
+    @pytest.mark.parametrize("rep", [ARITH_REP, HARM_REP, power_atoms(0.3, 48),
+                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25))),
+                                     power_rep(0.3)],
+                             ids=["arith", "harm", "power", "mixed", "power_exact"])
     def test_transforms_are_exact_involutions(self, rep):
         assert adjoint_rep(adjoint_rep(rep)) == rep
         assert dual_rep(dual_rep(rep)) == rep
         assert transpose_rep(transpose_rep(rep)) == rep
         assert dual_rep(rep) == adjoint_rep(transpose_rep(rep)) == transpose_rep(adjoint_rep(rep))
 
-    @pytest.mark.parametrize("rep", [ARITH_REP, power_rep(0.3, 48),
-                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25)))],
-                             ids=["arith", "power", "mixed"])
+    @pytest.mark.parametrize("rep", [ARITH_REP, power_atoms(0.3, 48),
+                                     ConnectionRep(0.2, 0.0, ((0.3, 1.5), (7.0, 0.25))),
+                                     power_rep(0.3)],
+                             ids=["arith", "power", "mixed", "power_exact"])
     def test_dual_is_transpose_of_adjoint_on_scalars(self, rep):
         got = dual_rep(rep).scalar(TGRID)
         want = TGRID / rep.scalar(TGRID)
@@ -256,7 +264,7 @@ class TestEighCount:
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
         geo = eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g))
-        rep = power_rep(0.3, nodes)
+        rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
         for transform in (lambda r: r, transpose_rep, adjoint_rep, dual_rep):
             got = eigh_calls(lambda: mean_cp(MeanKind.custom(transform(rep)), f, g))
@@ -265,8 +273,78 @@ class TestEighCount:
 
 class TestGeometricMeanViaConnection:
     def test_power_rep_reproduces_geometric(self, rng):
-        rep = power_rep(0.5, 64)
+        rep = power_atoms(0.5, 64)
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
         got = connection_apply(rep, a, b).entries
         assert max_abs(got - geometric_mean(a, b).entries) < TOL_QUAD
+
+
+class TestExactPowerRep:
+    """``power_rep`` is t^alpha in closed form, closed under the transforms."""
+
+    @pytest.mark.parametrize("dim", [4, 9])
+    def test_matches_closed_form_on_invertible_pairs(self, rng, dim):
+        def closed_form(a, b, p):
+            """``A^{1/2} (A^{-1/2} B A^{-1/2})^p A^{1/2}`` in raw numpy."""
+            wa, ua = np.linalg.eigh(a)
+            ah, aih = (ua * np.sqrt(wa)) @ ua.conj().T, (ua / np.sqrt(wa)) @ ua.conj().T
+            mid = aih @ b @ aih
+            wm, um = np.linalg.eigh(0.5 * (mid + mid.conj().T))
+            return ah @ ((um * np.clip(wm, 0.0, None) ** p) @ um.conj().T) @ ah
+
+        for _ in range(3):
+            a, b = random_psd(rng, dim), random_psd(rng, dim)
+            alpha = float(rng.uniform(0.1, 0.9))
+            rep = power_rep(alpha)
+            for r, p in ((rep, alpha), (adjoint_rep(rep), alpha),
+                         (transpose_rep(rep), 1.0 - alpha), (dual_rep(rep), 1.0 - alpha)):
+                got = mean(MeanKind.custom(r), a, b).entries
+                assert rel_err(got, closed_form(a, b, p)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_adjoint_and_dual_on_rank_deficient_pairs(self, rng, dim):
+        # t^a is its own adjoint and its dual is t^(1-a); both vanish on
+        # ker B, where a finite atom sum leaks 1/g(inf).
+        for ra, rb in [(dim, 1), (dim, dim // 2), (dim // 2, dim), (dim - 1, dim - 1)]:
+            a = random_psd(rng, dim, rank=ra)
+            b = random_psd(rng, dim, rank=rb)
+            alpha = float(rng.uniform(0.1, 0.9))
+            rep = power_rep(alpha)
+            got = connection_apply(adjoint_rep(rep), a, b).entries
+            assert rel_err(got, power_mean(a, b, alpha).entries) < 1e-12, (ra, rb)
+            got = connection_apply(dual_rep(rep), a, b).entries
+            assert rel_err(got, power_mean(a, b, 1.0 - alpha).entries) < 1e-12, (ra, rb)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
+    def test_scalar_and_kernel_values(self, alpha):
+        rep = power_rep(alpha)
+        assert rep.atoms == ()
+        for r, p in ((rep, alpha), (adjoint_rep(rep), alpha), (transpose_rep(rep), 1.0 - alpha),
+                     (dual_rep(rep), 1.0 - alpha)):
+            assert np.abs(r.scalar(TGRID) - TGRID ** p).max() < 1e-15 * TGRID.max()
+            assert np.array_equal(r.kernel(np.array([0.0, 1.0])), [0.0, 0.0])
+
+    def test_domain_errors(self):
+        for alpha in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(DomainError):
+                power_rep(alpha)
+        with pytest.raises(DomainError):
+            ConnectionRep(0.5, 0.0, (), power=0.3)
+        with pytest.raises(DomainError):
+            ConnectionRep(0.0, 0.0, ((1.0, 1.0),), power=0.3)
+
+    def test_runs_without_scipy(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from cpmean import MeanKind, dual_rep, from_choi, mean_cp, power_rep\n"
+                "f = from_choi(2, 2, np.eye(4))\n"
+                "g = from_choi(2, 2, np.diag([1.0, 2.0, 0.0, 0.0]))\n"
+                "mean_cp(MeanKind.custom(dual_rep(power_rep(0.3))), f, g)\n"
+                "assert 'scipy' not in sys.modules\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            deps = re.search(r"^dependencies = \[(.*?)\]", fh.read(), re.M | re.S).group(1)
+        assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]

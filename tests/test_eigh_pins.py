@@ -1,0 +1,56 @@
+"""Eigendecompositions per public operation, pinned on one Choi-16 pair.
+
+A change that moves a count restates its row here and says why.
+"""
+
+import numpy as np
+import pytest
+
+from cpmean import cpmaps, lebesgue, opmeans
+from cpmean.opmeans import MeanKind
+
+from conftest import random_cp
+
+# (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
+PINS = [
+    ("mean arith", (2, 0)),       # the clamp of (A + B)/2: eig, then its admission
+    ("mean harm", (3, 0)),        # admit A + B, then the clamp's two
+    ("mean parallel", (3, 0)),
+    ("mean geo", (4, 0)),         # eig C, eig A', and the clamp's two
+    ("mean power:0.3", (4, 0)),
+    ("mean log", (4, 0)),         # the Gauss-Legendre rule is cached
+    ("mean custom", (4, 0)),
+    ("decompose", (2, 0)),        # eig C, eig A'
+    ("index_cp", (0, 0)),         # reads the cached eig of C_F
+    ("order_cp", (1, 0)),         # eig of C_G - C_F
+    ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
+]
+
+
+@pytest.fixture(scope="module")
+def pair():
+    rng = np.random.default_rng(1616)
+    f, g = random_cp(rng, 4, 4), random_cp(rng, 4, 4, rank=8)
+    return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g)
+
+
+def _operation(name, f, g, geo):
+    if name.startswith("mean "):
+        tag = name.split()[1]
+        kind = (MeanKind.custom(opmeans.power_rep(0.3)) if tag == "custom"
+                else MeanKind.parse(tag))
+        return lambda: cpmaps.mean_cp(kind, f, g)
+    return {
+        "decompose": lambda: lebesgue.decompose(f, g),
+        "index_cp": lambda: cpmaps.index_cp(f),
+        "order_cp": lambda: cpmaps.order_cp(f, g),
+        "geo_certificate": lambda: cpmaps.geo_certificate(f, g, geo),
+    }[name]
+
+
+@pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
+def test_pinned_counts(pair, eigh_calls, name, counts):
+    op = _operation(name, *pair)
+    if name == "mean log":
+        opmeans._gauss_legendre_01(16)   # the rule is computed once per process
+    assert eigh_calls(op) == counts

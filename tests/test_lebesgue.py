@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cpmean.cpmaps import from_choi, functional
-from cpmean.errors import DomainError, InvalidInput, NonConvergence, ShapeError
+from cpmean.errors import DomainError, NonConvergence, ShapeError
 from cpmean.hermlinalg import PsdMatrix, is_psd, support_projection
 from cpmean.lebesgue import (
     TOL_LIM,
+    abs_continuity_residual,
     ac_part,
     ac_part_oracle,
     decompose,
@@ -401,14 +402,7 @@ class TestGenericPairs:
                 got = decompose(s * f, s * g).alpha_min
                 assert abs(got - alpha) <= 1e-10 * max(1.0, alpha)
 
-    @pytest.mark.parametrize("s", [
-        1e-12,
-        1.0,
-        pytest.param(1e12, marks=pytest.mark.xfail(
-            strict=True, raises=InvalidInput,
-            reason="parallel_sum clamps with tolerance TOL_MEAN max(1, ||A:B||): on a "
-                   "nearly singular pair at large scale its round-off exceeds it")),
-    ])
+    @pytest.mark.parametrize("s", SCALES)
     def test_oracle_agrees(self, s):
         for f, g in generic_pairs(63):
             want = decompose(s * f, s * g).ac.choi.entries
@@ -438,6 +432,21 @@ class TestScaleFreeSingularity:
         orth_f = from_choi(1, 2, s * np.diag([1.0, 0.0]))
         orth_g = from_choi(1, 2, s * np.diag([0.0, 2.0]))
         assert singular_residual(orth_f, orth_g) == 0.0
+
+
+class TestScaleFreeAbsContinuity:
+    @pytest.mark.parametrize("s", SCALES)
+    def test_is_abs_continuous_at_joint_scale(self, rng, s):
+        f, g = random_cp(rng, 2, 2, rank=3), random_cp(rng, 2, 2, rank=3)
+        f, g = s * f, s * g
+        split = decompose(f, g)
+        assert not is_abs_continuous(g, f)
+        assert not is_abs_continuous(split.sing, f)
+        assert is_abs_continuous(split.ac, f)
+        assert abs_continuity_residual(g, f) > 1e-3
+        assert abs(abs_continuity_residual(split.sing, f) - 1.0) < 1e-10
+        assert abs_continuity_residual(split.ac, f) <= 1e-12
+        assert abs_continuity_residual(0.0 * g, f) == 0.0
 
 
 class TestEighCount:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cpmean.errors import DomainError, ShapeError
+from cpmean import opmeans
+from cpmean.errors import DomainError, InvalidInput, ShapeError
 from cpmean.hermlinalg import (
     Projection,
     PsdMatrix,
@@ -96,6 +97,20 @@ class TestParallelSum:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             parallel_sum(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_clamp_is_relative_to_the_operands(self, monkeypatch, s):
+        # With A = B = s I and (A+B)^+ replaced by diag(1/(2s), -x/s), A S B has
+        # the eigenvalue -x s: clamped above -TOL_MEAN ||A + B||, raised below.
+        a = b = PsdMatrix(s * np.eye(2))
+        for x, raises in ((TOL_MEAN, False), (4.0 * TOL_MEAN, True)):
+            fake = PsdMatrix._trusted(np.diag([0.5 / s, -x / s]))
+            monkeypatch.setattr(opmeans, "pinv_psd", lambda c, fake=fake: fake)
+            if raises:
+                with pytest.raises(InvalidInput):
+                    parallel_sum(a, b)
+            else:
+                assert np.array_equal(parallel_sum(a, b).entries, np.diag([0.5 * s, 0.0]))
 
 
 class TestHarmonicArithmetic:
@@ -218,6 +233,17 @@ class TestLogMean:
         want = np.diag([(t - 1.0) / 2.0, 1.0])
         assert max_abs(got.entries - want) < 1e-6
 
+    def test_quadrature_rule_is_computed_once(self, eigh_calls):
+        opmeans._gauss_legendre_01.cache_clear()
+        a, b = PsdMatrix(np.eye(2)), PsdMatrix(np.diag([4.0, 1.0]))
+        assert eigh_calls(lambda: log_mean(a, b)) == (4, 1)
+        assert eigh_calls(lambda: log_mean(a, b)) == (4, 0)
+        s, om = opmeans._gauss_legendre_01(16)
+        assert s is opmeans._gauss_legendre_01(16)[0]
+        assert not s.flags.writeable and not om.flags.writeable
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(s, 0.5 * (x + 1.0)) and np.array_equal(om, 0.5 * w)
+
     def test_ordering_with_neighbors(self, rng):
         for _ in range(5):
             a = random_psd(rng, 4)
@@ -257,9 +283,9 @@ class TestMeanDispatch:
 
 class TestStructuralProperties:
     def test_monotonicity(self, rng):
-        from cpmean.opmeans import power_rep
+        from cpmean.opmeans import power_atoms
         kinds = [ARITH, GEO, HARM, PARALLEL, LOG, MeanKind.power(0.3),
-                 MeanKind.custom(power_rep(0.6, 16))]
+                 MeanKind.custom(power_atoms(0.6, 16))]
         for _ in range(10):
             dim = int(rng.integers(2, 7))
             a1 = random_psd(rng, dim)
