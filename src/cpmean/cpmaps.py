@@ -182,15 +182,10 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
     return from_choi(dim_in, dim_out, v @ v.conj().T, kraus=ops)
 
 
-def kraus_decompose(f: CpMap, rank_rtol: float = RANK_RTOL) -> list[np.ndarray]:
+def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     """Kraus operators from the spectral decomposition of the Choi matrix."""
-    w, u = f.choi.eig()
-    cutoff = rank_rtol * max(float(w[-1]), 0.0)
-    ops = []
-    for idx in range(f.choi.dim):
-        if w[idx] > cutoff:
-            ops.append(_unvec(np.sqrt(w[idx]) * u[:, idx], f.dim_in, f.dim_out))
-    return ops
+    w, u = f.choi.support()
+    return [_unvec(np.sqrt(wk) * uk, f.dim_in, f.dim_out) for wk, uk in zip(w, u.T)]
 
 
 def apply(f: CpMap, x) -> np.ndarray:
@@ -265,7 +260,7 @@ def _max_entangled_vec(n: int) -> np.ndarray:
     return v
 
 
-def index_cp(f: CpMap, rank_rtol: float = RANK_RTOL) -> float:
+def index_cp(f: CpMap) -> float:
     """Pimsner-Popa index: the least lam > 0 with lam*F - id completely positive.
 
     Equals <v, C^+ v> for v the unnormalized maximally entangled vector when v
@@ -275,12 +270,11 @@ def index_cp(f: CpMap, rank_rtol: float = RANK_RTOL) -> float:
     if f.dim_in != f.dim_out:
         raise ShapeError("index is defined for square maps only")
     v = _max_entangled_vec(f.dim_in)
-    w, u = f.choi.eig()
-    keep = w > rank_rtol * max(float(w[-1]), 0.0)
-    y = u.conj().T @ v  # v in the eigenbasis of C; the part off keep is v - P v
-    if np.linalg.norm(y[~keep]) > rank_rtol * np.linalg.norm(v):
+    w, u = f.choi.support()
+    y = u.conj().T @ v  # v in the eigenbasis of C on its support
+    if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
         return math.inf
-    return float(np.sum(np.abs(y[keep]) ** 2 / w[keep]))
+    return float(np.sum(np.abs(y) ** 2 / w))
 
 
 def channel_flags(f: CpMap, tol: float = TOL_FLAGS) -> ChannelFlags:

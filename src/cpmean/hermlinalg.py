@@ -2,15 +2,15 @@
 
 Everything in this package runs through the small set of primitives below:
 spectral decompositions, matrix functions of PSD matrices, Moore-Penrose
-pseudo-inverses, support projections, and projection intersections.  Matrices
-are small (dim <= ~64) dense complex arrays; all values are immutable after
-construction and spectral data is computed once and cached, so instances are
-safe to share across threads.
+pseudo-inverses, support projections, projection intersections, and the
+``SpectralPair`` on which every mean, connection and Lebesgue split is
+evaluated.  The rank cutoff lives in one place, ``HermitianMatrix.support``.
+Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
+all values are immutable after construction and spectral data is computed
+once and cached, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -22,6 +22,8 @@ TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
 TOL_HERM = 1e-10    # Hermiticity admission for external data
 TOL_RECON = 1e-8    # reconstruction residual, relative to max(1, norm)
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
+_EPS = float(np.finfo(np.float64).eps)
+_PAIR_SNAP = 1e-12  # SpectralPair: least snap of t onto 0 and 1
 
 
 class HermitianMatrix:
@@ -67,6 +69,13 @@ class HermitianMatrix:
             u.flags.writeable = False
             self._eig = (w, u)
         return self._eig
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``: views
+        of the cached ``eig()``, whose ascending order makes them its tail."""
+        w, u = self.eig()
+        k = int(np.searchsorted(w, RANK_RTOL * max(float(w[-1]), 0.0), side="right"))
+        return w[k:], u[:, k:]
 
     def norm(self) -> float:
         """Spectral norm."""
@@ -120,6 +129,11 @@ class PsdMatrix(HermitianMatrix):
         out = cls.__new__(cls)
         HermitianMatrix.__init__(out, entries)
         return out
+
+    @classmethod
+    def _gram(cls, x: np.ndarray, h=1.0) -> "PsdMatrix":
+        """``X diag(h) X*`` for h >= 0, admitted as PSD by construction."""
+        return cls._trusted((x * h) @ x.conj().T)
 
 
 class Projection(PsdMatrix):
@@ -178,62 +192,36 @@ def is_psd(h, tol: float = TOL_PSD) -> bool:
     return psd_signs(h, tol)[0]
 
 
-def _fn_of_spectrum(a: PsdMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    w, u = a.eig()
-    return (u * fn(w)) @ u.conj().T
-
-
 def psd_sqrt(a) -> PsdMatrix:
     """PSD square root; negative eigenvalues within tolerance are clamped to 0."""
-    a = as_psd(a)
-    return PsdMatrix._trusted(_fn_of_spectrum(a, lambda w: np.sqrt(np.clip(w, 0.0, None))))
+    w, u = as_psd(a).eig()
+    return PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
-def pinv_psd(a, rank_rtol: float = RANK_RTOL) -> PsdMatrix:
-    """Moore-Penrose inverse restricted to eigenvalues > rank_rtol * max eigenvalue."""
-    a = as_psd(a)
-
-    def inv(w):
-        cutoff = rank_rtol * max(w[-1], 0.0)
-        out = np.zeros_like(w)
-        mask = w > cutoff
-        out[mask] = 1.0 / w[mask]
-        return out
-
-    return PsdMatrix._trusted(_fn_of_spectrum(a, inv))
+def pinv_psd(a) -> PsdMatrix:
+    """Moore-Penrose inverse: the eigenvalues ``support()`` keeps are inverted."""
+    w, u = as_psd(a).support()
+    return PsdMatrix._gram(u, 1.0 / w)
 
 
-def support_projection(a, rank_rtol: float = RANK_RTOL) -> Projection:
-    """Projection onto the span of eigenvectors with eigenvalue > rank_rtol * max."""
-    a = as_psd(a)
-    w, u = a.eig()
-    cutoff = rank_rtol * max(w[-1], 0.0)
-    keep = w > cutoff
-    if not keep.any():
-        return Projection(np.zeros((a.dim, a.dim), dtype=np.complex128))
-    us = u[:, keep]
-    return Projection(us @ us.conj().T)
+def support_projection(a) -> Projection:
+    """Projection onto the span of the eigenvectors ``support()`` keeps."""
+    _, u = as_psd(a).support()
+    return Projection(u @ u.conj().T)
 
 
-def frac_power_psd(a, p: float, rank_rtol: float = RANK_RTOL) -> PsdMatrix:
+def frac_power_psd(a, p: float) -> PsdMatrix:
     """Fractional power with eigenvalues mapped by ``w -> w**p`` and 0 fixed.
 
-    For p < 0 (and for p == 0, where the scalar map is discontinuous at 0) the
-    power is taken on the support only: eigenvalues below the rank cutoff map
-    to 0.
+    For p <= 0, where the scalar map is discontinuous at 0, the power is taken
+    on the support only: eigenvalues below the rank cutoff map to 0.
     """
     a = as_psd(a)
-
-    def pw(w):
-        if p >= 0.0 and p != 0.0:
-            return np.clip(w, 0.0, None) ** p
-        cutoff = rank_rtol * max(w[-1], 0.0)
-        out = np.zeros_like(w)
-        mask = w > cutoff
-        out[mask] = w[mask] ** p
-        return out
-
-    return PsdMatrix._trusted(_fn_of_spectrum(a, pw))
+    if p > 0.0:
+        w, u = a.eig()
+        return PsdMatrix._gram(u, np.clip(w, 0.0, None) ** p)
+    w, u = a.support()
+    return PsdMatrix._gram(u, w ** p)
 
 
 def proj_intersection(p, q) -> Projection:
@@ -249,8 +237,40 @@ def proj_intersection(p, q) -> Projection:
     eye = np.eye(p.dim)
     gap = HermitianMatrix((eye - p.entries) + (eye - q.entries))
     w, u = gap.eig()
-    keep = w <= RANK_RTOL * max(1.0, w[-1])
-    if not keep.any():
-        return Projection(np.zeros((p.dim, p.dim), dtype=np.complex128))
-    us = u[:, keep]
+    us = u[:, w <= RANK_RTOL * max(1.0, w[-1])]
     return Projection(us @ us.conj().T)
+
+
+class SpectralPair:
+    """The commuting Radon-Nikodym pair of PSD A and B on ran C, C = A + B.
+
+    With ``C = U diag(w) U*`` on its support, ``A' = W^{-1/2} U* A U W^{-1/2}
+    = V diag(t) V*`` and ``B' = I - A'`` commute, and every connection and
+    Lebesgue part is a Gram form ``C^{1/2} h(A') C^{1/2} = Z diag(h(t)) Z*``
+    with ``Z = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  t is snapped onto
+    {0, 1} within its rounding error, so rank-deficient directions carry no
+    eigensolver noise into the kernels.  Costs two eigendecompositions, of C
+    and of the r x r A'; an empty support gives 0-column arrays.
+    """
+
+    __slots__ = ("u", "w", "v", "t", "z")
+
+    def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
+        self.w, self.u = HermitianMatrix(a.entries + b.entries).support()
+        x = self.u / np.sqrt(self.w)
+        if self.w.size:
+            t, self.v = HermitianMatrix(x.conj().T @ a.entries @ x).eig()
+            # A' carries rounding of about eps ||A|| / w_min, which exceeds
+            # _PAIR_SNAP when C is ill-conditioned on the range of A.
+            snap = max(_PAIR_SNAP, _EPS * np.linalg.norm(a.entries) / self.w[0])
+        else:
+            t, self.v, snap = self.w, np.zeros((0, 0), dtype=np.complex128), _PAIR_SNAP
+        t = np.clip(t, 0.0, 1.0)
+        t[t < snap] = 0.0
+        t[t > 1.0 - snap] = 1.0
+        self.t = t
+        self.z = (self.u * np.sqrt(self.w)) @ self.v
+
+    def gram(self, h) -> PsdMatrix:
+        """``Z diag(h) Z*`` for h >= 0 given on the spectrum t."""
+        return PsdMatrix._gram(self.z, h)

@@ -3,12 +3,12 @@
 Everything happens at the Choi level.  With ``C = C_F + C_G`` the
 Radon-Nikodym pair ``A' = C^{+1/2} C_F C^{+1/2}`` and ``B' = C^{+1/2} C_G
 C^{+1/2}`` satisfies ``A' + B' = supp(C)``, so the two derivatives commute.
-One eigendecomposition of C and one of A' on ran C give
-``C^{1/2} h(A') C^{1/2} = Z diag(h(t)) Z*``, and every quantity here is such a
-Gram form: the absolutely continuous part of G takes ``h = 1[t>0] (1-t)``, the
-singular part ``h = 1[t=0] (1-t)``.  The parallel-sum limit ``lim_n (nF : G)``
-is retained as the independent oracle, Richardson-extrapolated along the
-doubling schedule.
+This is the ``hermlinalg.SpectralPair`` of (C_F, C_G) that the operator means
+use, and every quantity here is one of its Gram forms ``C^{1/2} h(A') C^{1/2}``:
+the absolutely continuous part of G takes ``h = 1[t>0] (1-t)``, the singular
+part ``h = 1[t=0] (1-t)``.  The parallel-sum limit ``lim_n (nF : G)`` is
+retained as the independent oracle, Richardson-extrapolated along the doubling
+schedule.
 """
 
 from __future__ import annotations
@@ -20,17 +20,12 @@ import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
 from .errors import DomainError, NonConvergence, NumericalError
-from .hermlinalg import RANK_RTOL, TOL_RECON, Projection, PsdMatrix
+from .hermlinalg import TOL_RECON, HermitianMatrix, Projection, PsdMatrix, SpectralPair
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
 # (the CLI compares oracle and split within TOL_LIM max(1, ||C_G||)).
 TOL_LIM = 1e-6
-
-# A' + B' = supp(C) puts the spectrum of A' in [0, 1], so the support cutoff
-# of the RN derivatives is effectively absolute; eigenvalues this close to 1
-# are snapped onto it, which keeps the ac part of a singular pair exactly 0.
-_RN_SUPPORT_RTOL = 1e-10
 
 _RICHARDSON_DEPTH = 4
 
@@ -63,46 +58,21 @@ class LebesgueSplit:
     alpha_min: float
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """C = U diag(w) U* on ran C; A' = V diag(t) V* there, with UV = u @ V and
-    Z = U W^{1/2} V; phi marks the support of A'."""
-
-    u: np.ndarray
-    w: np.ndarray
-    uv: np.ndarray
-    z: np.ndarray
-    t: np.ndarray
-    phi: np.ndarray
-
-
-def _pair(f: CpMap, g: CpMap) -> _Pair:
+def _pair(f: CpMap, g: CpMap) -> SpectralPair:
     _check_same_dims(f, g)
-    w, u = np.linalg.eigh(f.choi.entries + g.choi.entries)
-    keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
-    u, w = u[:, keep], w[keep]
-    x = u / np.sqrt(w)
-    a = x.conj().T @ f.choi.entries @ x
-    t, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    t = np.where(t > 1.0 - _RN_SUPPORT_RTOL, 1.0, np.maximum(t, 0.0))
-    phi = t > _RN_SUPPORT_RTOL * t.max(initial=0.0)
-    return _Pair(u, w, u @ v, (u * np.sqrt(w)) @ v, t, phi)
+    return SpectralPair(f.choi, g.choi)
 
 
-def _gram(z: np.ndarray, h, cls=PsdMatrix) -> PsdMatrix:
-    """``Z diag(h) Z*`` for h >= 0: PSD by construction."""
-    return cls._trusted((z * h) @ z.conj().T)
-
-
-def _ac(p: _Pair) -> PsdMatrix:
-    return _gram(p.z, np.where(p.phi, 1.0 - p.t, 0.0))
+def _ac(p: SpectralPair) -> PsdMatrix:
+    return p.gram(np.where(p.t > 0.0, 1.0 - p.t, 0.0))
 
 
 def rn_pair(f: CpMap, g: CpMap) -> RnPair:
     """Construct the commuting Radon-Nikodym pair for (F, G)."""
     p = _pair(f, g)
-    return RnPair(_gram(p.u, np.sqrt(p.w)), _gram(p.uv, p.t), _gram(p.uv, 1.0 - p.t),
-                  _gram(p.u, 1.0, Projection))
+    uv = p.u @ p.v
+    return RnPair(PsdMatrix._gram(p.u, np.sqrt(p.w)), PsdMatrix._gram(uv, p.t),
+                  PsdMatrix._gram(uv, 1.0 - p.t), Projection._gram(p.u))
 
 
 def ac_part(f: CpMap, g: CpMap) -> CpMap:
@@ -127,8 +97,7 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     steps = int(math.floor(math.log2(n_max)))
     gnorm = g.choi.norm()
     tol = TOL_LIM * gnorm
-    wf = f.choi.eig()[0]
-    lam = wf[wf > RANK_RTOL * max(float(wf[-1]), 0.0)]
+    lam = f.choi.support()[0]
     ratio = 2.0 * gnorm / lam[0] if lam.size else 0.0
     k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), steps - 2)
     row, best, est, ok = [], None, math.inf, 0
@@ -146,11 +115,11 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     else:
         raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** steps}, "
                              f"tolerance {tol:.3e}", est)
-    w, u = np.linalg.eigh(0.5 * (best + best.conj().T))
+    w, u = HermitianMatrix(best).eig()
     if w[0] < -tol:
         raise NonConvergence(f"extrapolated limit has eigenvalue {w[0]:.3e}, "
                              f"tolerance {tol:.3e}", -float(w[0]))
-    return CpMap(f.dim_in, f.dim_out, _gram(u, np.clip(w, 0.0, None)))
+    return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(u, np.clip(w, 0.0, None)))
 
 
 def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
@@ -162,17 +131,18 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     ``(1 - t) / t`` over the support of A', hence invariant under joint scaling.
     """
     p = _pair(f, g)
+    phi = p.t > 0.0
     ac = _ac(p)
-    sing = _gram(p.z, np.where(p.phi, 0.0, 1.0 - p.t))
+    sing = p.gram(np.where(phi, 0.0, 1.0 - p.t))
     resid = float(np.abs(ac.entries + sing.entries - g.choi.entries).max())
     bound = TOL_RECON * max(f.choi.norm(), g.choi.norm())
     if resid > bound:
         raise NumericalError(f"ac + sing misses C_G by {resid:.3e}, tolerance {bound:.3e}")
-    tp = p.t[p.phi]
+    tp = p.t[phi]
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        phi_support=_gram(p.uv[:, p.phi], 1.0, Projection),
+        phi_support=Projection._gram(p.u @ p.v[:, phi]),
         alpha_min=float(((1.0 - tp) / tp).max(initial=0.0)),
     )
 
@@ -197,7 +167,7 @@ def abs_continuity_residual(g: CpMap, f: CpMap) -> float:
     total = float(np.trace(g.choi.entries).real)
     if not total > 0.0:
         return 0.0
-    sing = np.where(p.phi, 0.0, 1.0 - p.t) @ (np.abs(p.z) ** 2).sum(axis=0)
+    sing = np.where(p.t > 0.0, 0.0, 1.0 - p.t) @ (np.abs(p.z) ** 2).sum(axis=0)
     return float(sing) / total
 
 

@@ -1,14 +1,14 @@
 """Operator means and Kubo-Ando connections on the PSD cone.
 
-Connections go through one compatible two-operator representation on
-ran(A+B): with ``C = A + B``, ``A' = C^{+1/2} A C^{+1/2}`` and ``B' = Π - A'``
-(Π the support of C) commute, so ``A σ_f B = C^{1/2} h(A') C^{1/2}`` with the
-scalar kernel ``h(t) = t f((1-t)/t)`` on the spectrum of A' (Kubo-Ando 1980).
-The geometric, power and logarithmic means and every ``ConnectionRep``,
-transformed or not, take this route: four eigendecompositions whatever the
-kernel, exact for singular inputs.  ``power_rep`` is the power connection in
-closed form; its Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy),
-the epsilon-regularized limit and the per-atom parallel-sum formula of a
+Connections are evaluated on ``hermlinalg.SpectralPair``, the commuting pair
+``A' = C^{+1/2} A C^{+1/2}``, ``B' = Π - A'`` on ran(A+B) with ``C = A + B``:
+``A σ_f B = C^{1/2} h(A') C^{1/2}`` with the scalar kernel ``h(t) = t f((1-t)/t)``
+on the spectrum of A' (Kubo-Ando 1980).  The geometric, power and logarithmic
+means and every ``ConnectionRep``, transformed or not, take this route: the
+pair's two eigendecompositions and the final clamp's two whatever the kernel,
+exact for singular inputs.  ``power_rep`` is the power connection in closed
+form; its Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy), the
+epsilon-regularized limit and the per-atom parallel-sum formula of a
 ``ConnectionRep`` are test oracles only.
 ``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``.
 
@@ -25,15 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .hermlinalg import RANK_RTOL, PsdMatrix, as_psd, pinv_psd
+from .hermlinalg import PsdMatrix, SpectralPair, as_psd, pinv_psd
 
 TOL_MEAN = 1e-7   # mean identities, relative to max(1, ||A||, ||B||)
 TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_atoms
-
-# Spectrum of A' lies in [0, 1] exactly; eigenvalues closer than this to an
-# endpoint are snapped onto it so that rank-deficient directions are killed
-# instead of leaking eigensolver noise through fractional powers.
-_RN_SNAP = 1e-12
 
 _LOG_MEAN_NODES = 16
 
@@ -46,33 +41,10 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
     return a, b
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
-def _kernel_mean(a: PsdMatrix, b: PsdMatrix, h: Callable[[np.ndarray], np.ndarray],
-                 rank_rtol: float = RANK_RTOL) -> PsdMatrix:
-    """Evaluate the connection with scalar kernel h on the commuting pair (A', B').
-
-    h receives the spectrum t of A' (clipped to [0, 1]); B' has spectrum 1 - t
-    in the same eigenbasis.  h(0) need not vanish: components outside ran(A+B)
-    are annihilated by the C^{1/2} sandwich.
-    """
-    c = a.entries + b.entries
-    w, u = np.linalg.eigh(_herm(c))
-    lmax = max(float(w[-1]), 0.0)
-    keep = w > rank_rtol * lmax if lmax > 0.0 else np.zeros_like(w, dtype=bool)
-    if not keep.any():
-        return PsdMatrix(np.zeros_like(c))
-    ws, us = w[keep], u[:, keep]
-    chalf = (us * np.sqrt(ws)) @ us.conj().T
-    cinvh = (us / np.sqrt(ws)) @ us.conj().T
-    t, v = np.linalg.eigh(_herm(cinvh @ a.entries @ cinvh))
-    t = np.clip(t, 0.0, 1.0)
-    t[t < _RN_SNAP] = 0.0
-    t[t > 1.0 - _RN_SNAP] = 1.0
-    m = (v * h(t)) @ v.conj().T
-    return PsdMatrix.clamped(_herm(chalf @ m @ chalf), tol=TOL_MEAN)
+def _kernel_mean(a: PsdMatrix, b: PsdMatrix, h: Callable[[np.ndarray], np.ndarray]) -> PsdMatrix:
+    """The connection with kernel h: pair, kernel on the spectrum t of A', clamp."""
+    p = SpectralPair(a, b)
+    return PsdMatrix.clamped(p.gram(h(p.t)).entries, tol=TOL_MEAN)
 
 
 def parallel_sum(a, b) -> PsdMatrix:
@@ -83,7 +55,7 @@ def parallel_sum(a, b) -> PsdMatrix:
     """
     a, b = _check_pair(a, b)
     c = PsdMatrix(a.entries + b.entries)
-    out = _herm(a.entries @ pinv_psd(c).entries @ b.entries)
+    out = a.entries @ pinv_psd(c).entries @ b.entries
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.
     return PsdMatrix.clamped(out, tol=TOL_MEAN, scale=c.norm())
@@ -299,7 +271,7 @@ def mean(kind: MeanKind, a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
         return power_mean(a, b, kind.alpha)
     if kind.tag == "log":
         return log_mean(a, b, nodes=nodes)
-    return _kernel_mean(*_check_pair(a, b), kind.rep.kernel)
+    return connection_apply(kind.rep, a, b)
 
 
 def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:

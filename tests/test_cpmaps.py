@@ -308,13 +308,13 @@ class TestTensorCompose:
         assert max_abs(lhs - rhs) < 1e-9
 
 
-def index_oracle(f, rank_rtol=RANK_RTOL):
+def index_oracle(f):
     """<v, C^+ v> through a support projection and a pseudo-inverse."""
     v = entangled_vec(f.dim_in)
-    supp = support_projection(f.choi, rank_rtol)
-    if np.linalg.norm(v - supp.entries @ v) > rank_rtol * np.linalg.norm(v):
+    supp = support_projection(f.choi)
+    if np.linalg.norm(v - supp.entries @ v) > RANK_RTOL * np.linalg.norm(v):
         return math.inf
-    return float(np.real(v.conj() @ pinv_psd(f.choi, rank_rtol).entries @ v))
+    return float(np.real(v.conj() @ pinv_psd(f.choi).entries @ v))
 
 
 class TestIndex:

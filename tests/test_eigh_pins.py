@@ -20,8 +20,15 @@ PINS = [
     ("mean power:0.3", (4, 0)),
     ("mean log", (4, 0)),         # the Gauss-Legendre rule is cached
     ("mean custom", (4, 0)),
+    ("mean custom adjoint", (4, 0)),
+    ("mean custom dual", (4, 0)),
     ("decompose", (2, 0)),        # eig C, eig A'
+    ("rn_pair", (2, 0)),
+    ("ac_part", (2, 0)),
+    ("singular_residual", (2, 0)),
+    ("abs_continuity_residual", (2, 0)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
+    ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
     ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
 ]
@@ -35,14 +42,22 @@ def pair():
 
 
 def _operation(name, f, g, geo):
+    if name.startswith("mean custom"):
+        transform = {"custom": lambda r: r, "adjoint": opmeans.adjoint_rep,
+                     "dual": opmeans.dual_rep}[name.split()[-1]]
+        kind = MeanKind.custom(transform(opmeans.power_rep(0.3)))
+        return lambda: cpmaps.mean_cp(kind, f, g)
     if name.startswith("mean "):
-        tag = name.split()[1]
-        kind = (MeanKind.custom(opmeans.power_rep(0.3)) if tag == "custom"
-                else MeanKind.parse(tag))
+        kind = MeanKind.parse(name.split()[1])
         return lambda: cpmaps.mean_cp(kind, f, g)
     return {
         "decompose": lambda: lebesgue.decompose(f, g),
+        "rn_pair": lambda: lebesgue.rn_pair(f, g),
+        "ac_part": lambda: lebesgue.ac_part(f, g),
+        "singular_residual": lambda: lebesgue.singular_residual(f, g),
+        "abs_continuity_residual": lambda: lebesgue.abs_continuity_residual(g, f),
         "index_cp": lambda: cpmaps.index_cp(f),
+        "kraus_decompose": lambda: cpmaps.kraus_decompose(f),
         "order_cp": lambda: cpmaps.order_cp(f, g),
         "geo_certificate": lambda: cpmaps.geo_certificate(f, g, geo),
     }[name]

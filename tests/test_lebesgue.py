@@ -17,7 +17,7 @@ from cpmean.lebesgue import (
     rn_pair,
     singular_residual,
 )
-from cpmean import lebesgue
+from cpmean import lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import leq_cp
 
@@ -205,6 +205,36 @@ class TestDecompose:
         assert max_abs(split.sing.choi.entries) == 0.0
         assert split.alpha_min == 0.0
 
+    @pytest.mark.parametrize("theta", [1e-2, 1e-3, 3e-4])
+    def test_singular_pair_with_an_ill_conditioned_sum(self, rng, theta):
+        """Complementary ranges with one principal angle theta: C_F + C_G has
+        condition number about 1/theta^2 while A' has spectrum exactly {0, 1}."""
+        for _ in range(8):
+            q = random_unitary(rng, 16)
+            fv = q[:, :6].copy()
+            fv[:, 5] = np.cos(theta) * q[:, 6] + np.sin(theta) * q[:, 5]
+            gv = q[:, 6:]
+            f = from_choi(4, 4, (fv * rng.uniform(0.5, 2.0, 6)) @ fv.conj().T)
+            g = from_choi(4, 4, (gv * rng.uniform(0.5, 2.0, 10)) @ gv.conj().T)
+            split = decompose(f, g)
+            assert max_abs(split.ac.choi.entries) < 1e-8
+            assert split.alpha_min == 0.0
+
+    def test_zero_pair(self):
+        """C = 0: the shared pair has an empty support, so every Gram form is 0."""
+        zero = from_choi(2, 2, np.zeros((4, 4)))
+        z = zero.choi
+        means = [opmeans.geometric_mean(z, z), opmeans.power_mean(z, z, 0.3),
+                 opmeans.log_mean(z, z),
+                 opmeans.mean(opmeans.MeanKind.custom(opmeans.power_rep(0.3)), z, z)]
+        for m in means:
+            assert max_abs(m.entries) == 0.0
+        split = decompose(zero, zero)
+        assert max_abs(split.ac.choi.entries) == 0.0
+        assert max_abs(split.sing.choi.entries) == 0.0
+        assert split.alpha_min == 0.0
+        assert rn_pair(zero, zero).support.rank() == 0
+
     def test_additivity_and_mutual_singularity(self, rng):
         for _ in range(10):
             m = int(rng.integers(1, 4))
@@ -274,8 +304,8 @@ class TestPredicates:
         for _ in range(8):
             f, g = planted_pair(rng, 2, 2)
             pair = rn_pair(f, g)
-            pa = support_projection(pair.a_prime, 1e-10).entries
-            pb = support_projection(pair.b_prime, 1e-10).entries
+            pa = support_projection(pair.a_prime).entries
+            pb = support_projection(pair.b_prime).entries
             support_orthogonal = max_abs(pa @ pb) < 1e-8
             assert is_singular(f, g) == support_orthogonal
 
@@ -292,7 +322,7 @@ class TestPredicates:
         for _ in range(8):
             f, g = planted_pair(rng, 1, 3)
             pair = rn_pair(f, g)
-            pa = support_projection(pair.a_prime, 1e-10).entries
+            pa = support_projection(pair.a_prime).entries
             outside = (np.eye(3) - pa) @ pair.b_prime.entries @ (np.eye(3) - pa)
             range_ok = max_abs(outside) < 1e-8
             assert is_abs_continuous(g, f) == range_ok
