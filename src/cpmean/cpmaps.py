@@ -185,7 +185,10 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     """Kraus operators from the spectral decomposition of the Choi matrix."""
     w, u = f.choi.support()
-    return [_unvec(np.sqrt(wk) * uk, f.dim_in, f.dim_out) for wk, uk in zip(w, u.T)]
+    ops = []
+    for idx in range(w.size):
+        ops.append(_unvec(np.sqrt(w[idx]) * u[:, idx], f.dim_in, f.dim_out))
+    return ops
 
 
 def apply(f: CpMap, x) -> np.ndarray:

@@ -217,11 +217,8 @@ def frac_power_psd(a, p: float) -> PsdMatrix:
     on the support only: eigenvalues below the rank cutoff map to 0.
     """
     a = as_psd(a)
-    if p > 0.0:
-        w, u = a.eig()
-        return PsdMatrix._gram(u, np.clip(w, 0.0, None) ** p)
-    w, u = a.support()
-    return PsdMatrix._gram(u, w ** p)
+    w, u = a.eig() if p > 0.0 else a.support()
+    return PsdMatrix._gram(u, np.clip(w, 0.0, None) ** p)
 
 
 def proj_intersection(p, q) -> Projection:
@@ -237,7 +234,8 @@ def proj_intersection(p, q) -> Projection:
     eye = np.eye(p.dim)
     gap = HermitianMatrix((eye - p.entries) + (eye - q.entries))
     w, u = gap.eig()
-    us = u[:, w <= RANK_RTOL * max(1.0, w[-1])]
+    keep = w <= RANK_RTOL * max(1.0, w[-1])
+    us = u[:, keep]
     return Projection(us @ us.conj().T)
 
 
@@ -247,10 +245,10 @@ class SpectralPair:
     With ``C = U diag(w) U*`` on its support, ``A' = W^{-1/2} U* A U W^{-1/2}
     = V diag(t) V*`` and ``B' = I - A'`` commute, and every connection and
     Lebesgue part is a Gram form ``C^{1/2} h(A') C^{1/2} = Z diag(h(t)) Z*``
-    with ``Z = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  t is snapped onto
-    {0, 1} within its rounding error, so rank-deficient directions carry no
-    eigensolver noise into the kernels.  Costs two eigendecompositions, of C
-    and of the r x r A'; an empty support gives 0-column arrays.
+    with ``Z = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped
+    onto {0, 1} within its own rounding error, so rank-deficient directions
+    carry no eigensolver noise into the kernels.  Costs two eigendecompositions,
+    of C and of the r x r A'; an empty support gives 0-column arrays.
     """
 
     __slots__ = ("u", "w", "v", "t", "z")
@@ -258,19 +256,15 @@ class SpectralPair:
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
         self.w, self.u = HermitianMatrix(a.entries + b.entries).support()
         x = self.u / np.sqrt(self.w)
-        if self.w.size:
-            t, self.v = HermitianMatrix(x.conj().T @ a.entries @ x).eig()
-            # A' carries rounding of about eps ||A|| / w_min, which exceeds
-            # _PAIR_SNAP when C is ill-conditioned on the range of A.
-            snap = max(_PAIR_SNAP, _EPS * np.linalg.norm(a.entries) / self.w[0])
-        else:
-            t, self.v, snap = self.w, np.zeros((0, 0), dtype=np.complex128), _PAIR_SNAP
-        t = np.clip(t, 0.0, 1.0)
+        ap = x.conj().T @ a.entries @ x
+        t, self.v = np.linalg.eigh(0.5 * (ap + ap.conj().T))
+        # Rounding in the product (n eps ||A||) and in the eigenvectors of C
+        # (n eps ||C||, times t_i) reaches t_i as n eps (||A|| + t_i ||C||)
+        # sum_j |V_ji|^2 / w_j: above _PAIR_SNAP only where C is small.
+        snap = np.maximum(_PAIR_SNAP, self.u.shape[0] * _EPS
+                          * (np.linalg.norm(a.entries) + t * np.linalg.norm(self.w))
+                          * ((np.abs(self.v) ** 2).T @ (1.0 / self.w)))
         t[t < snap] = 0.0
         t[t > 1.0 - snap] = 1.0
         self.t = t
         self.z = (self.u * np.sqrt(self.w)) @ self.v
-
-    def gram(self, h) -> PsdMatrix:
-        """``Z diag(h) Z*`` for h >= 0 given on the spectrum t."""
-        return PsdMatrix._gram(self.z, h)

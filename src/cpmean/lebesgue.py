@@ -63,8 +63,11 @@ def _pair(f: CpMap, g: CpMap) -> SpectralPair:
     return SpectralPair(f.choi, g.choi)
 
 
-def _ac(p: SpectralPair) -> PsdMatrix:
-    return p.gram(np.where(p.t > 0.0, 1.0 - p.t, 0.0))
+def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support rule phi = 1[t > 0] and the kernels of G's two parts: 1 - t
+    on phi (absolutely continuous) and off it (singular)."""
+    phi = p.t > 0.0
+    return phi, np.where(phi, 1.0 - p.t, 0.0), np.where(phi, 0.0, 1.0 - p.t)
 
 
 def rn_pair(f: CpMap, g: CpMap) -> RnPair:
@@ -77,7 +80,8 @@ def rn_pair(f: CpMap, g: CpMap) -> RnPair:
 
 def ac_part(f: CpMap, g: CpMap) -> CpMap:
     """Absolutely continuous part of G with respect to F (the maximal one)."""
-    return CpMap(f.dim_in, f.dim_out, _ac(_pair(f, g)))
+    p = _pair(f, g)
+    return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(p.z, _split(p)[1]))
 
 
 def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
@@ -131,9 +135,8 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     ``(1 - t) / t`` over the support of A', hence invariant under joint scaling.
     """
     p = _pair(f, g)
-    phi = p.t > 0.0
-    ac = _ac(p)
-    sing = p.gram(np.where(phi, 0.0, 1.0 - p.t))
+    phi, h_ac, h_sing = _split(p)
+    ac, sing = PsdMatrix._gram(p.z, h_ac), PsdMatrix._gram(p.z, h_sing)
     resid = float(np.abs(ac.entries + sing.entries - g.choi.entries).max())
     bound = TOL_RECON * max(f.choi.norm(), g.choi.norm())
     if resid > bound:
@@ -167,7 +170,7 @@ def abs_continuity_residual(g: CpMap, f: CpMap) -> float:
     total = float(np.trace(g.choi.entries).real)
     if not total > 0.0:
         return 0.0
-    sing = np.where(p.t > 0.0, 0.0, 1.0 - p.t) @ (np.abs(p.z) ** 2).sum(axis=0)
+    sing = _split(p)[2] @ (np.abs(p.z) ** 2).sum(axis=0)
     return float(sing) / total
 
 

@@ -41,10 +41,10 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
     return a, b
 
 
-def _kernel_mean(a: PsdMatrix, b: PsdMatrix, h: Callable[[np.ndarray], np.ndarray]) -> PsdMatrix:
+def _kernel_mean(a, b, h: Callable[[np.ndarray], np.ndarray]) -> PsdMatrix:
     """The connection with kernel h: pair, kernel on the spectrum t of A', clamp."""
-    p = SpectralPair(a, b)
-    return PsdMatrix.clamped(p.gram(h(p.t)).entries, tol=TOL_MEAN)
+    p = SpectralPair(*_check_pair(a, b))
+    return PsdMatrix.clamped((p.z * h(p.t)) @ p.z.conj().T, tol=TOL_MEAN)
 
 
 def parallel_sum(a, b) -> PsdMatrix:
@@ -80,7 +80,6 @@ def geometric_mean(a, b) -> PsdMatrix:
     inputs; for singular inputs it is the maximal X with
     ``[[A, X], [X, B]] >= 0``, whose range is ran(A) ∩ ran(B).
     """
-    a, b = _check_pair(a, b)
     return _kernel_mean(a, b, lambda t: np.sqrt(t * (1.0 - t)))
 
 
@@ -117,7 +116,6 @@ def log_mean(a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
     Realized by Gauss-Legendre quadrature in the weight; matches the scalar
     function (t - 1)/log(t) on commuting pairs.
     """
-    a, b = _check_pair(a, b)
     if nodes < 2:
         raise DomainError("log mean quadrature needs at least 2 nodes")
     s, om = _gauss_legendre_01(nodes)
@@ -280,7 +278,6 @@ def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:
     Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``,
     or ``power_mean(A, B, p)`` for a power connection.
     """
-    a, b = _check_pair(a, b)
     return _kernel_mean(a, b, rep.kernel)
 
 

@@ -220,6 +220,18 @@ class TestDecompose:
             assert max_abs(split.ac.choi.entries) < 1e-8
             assert split.alpha_min == 0.0
 
+    @pytest.mark.parametrize("a, b, alpha", [([1e-7, 1.0, 5e-10], [1.0, 0.0, 5e-10], 1e7),
+                                             ([1.0, 1.0, 5e-10], [1e-7, 0.0, 5e-10], 1.0)])
+    def test_small_weight_beside_an_ill_conditioned_sum(self, a, b, alpha):
+        """F has full rank, so G is all absolutely continuous even where t or
+        1 - t is 1e-7 and C_F + C_G has a 1e-9 eigenvalue elsewhere."""
+        f, g = from_choi(1, 3, np.diag(a)), from_choi(1, 3, np.diag(b))
+        split = decompose(f, g)
+        assert max_abs(split.ac.choi.entries - np.diag(b)) < 1e-12
+        assert max_abs(split.sing.choi.entries) < 1e-12
+        assert split.alpha_min == pytest.approx(alpha, rel=1e-6)
+        assert is_abs_continuous(g, f)
+
     def test_zero_pair(self):
         """C = 0: the shared pair has an empty support, so every Gram form is 0."""
         zero = from_choi(2, 2, np.zeros((4, 4)))

@@ -193,6 +193,14 @@ class TestGeometricMean:
         b = random_psd(rng, 5, rank=4)
         assert is_psd(geometric_mean(a, b))
 
+    @pytest.mark.parametrize("a, b", [([1e-7, 1.0, 5e-10], [1.0, 0.0, 5e-10]),
+                                      ([1.0, 1.0, 5e-10], [1e-7, 0.0, 5e-10])])
+    def test_small_weight_beside_an_ill_conditioned_sum(self, a, b):
+        """t = 1e-7 (or 1 - t = 1e-7) on a direction where C = A + B is 1 while
+        C has a 1e-9 eigenvalue elsewhere: the direction keeps its weight."""
+        got = geometric_mean(np.diag(a), np.diag(b)).entries
+        assert max_abs(got - np.diag(np.sqrt(np.multiply(a, b)))) < 1e-10
+
 
 class TestPowerMean:
     def test_endpoints(self, rng):
