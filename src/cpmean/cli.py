@@ -7,11 +7,10 @@
     cpmean lebesgue PHI.json PSI.json [-o PREFIX]
     cpmean example <name> [key=value ...] | --all
 
-Global flags (accepted before or after the subcommand): --format text|json,
---tol FLOAT (overrides the PSD tolerance for order/verify), --nodes INT
-(quadrature node count for the logarithmic mean).  The environment variable
-CPMEAN_DEFAULT_TOL, when set to a positive float, supplies the default PSD
-tolerance.
+Global flags (accepted before or after the subcommand): --format text|json
+and --tol FLOAT, the PSD tolerance of order/verify.  Without --tol the
+environment variable CPMEAN_DEFAULT_TOL, when set, supplies it.  Either must
+be a finite number >= 0; any other value exits 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 numeric failure.
 """
@@ -54,26 +53,28 @@ _VALIDATION_ERRORS = (
 _NUMERIC_ERRORS = (NonConvergence, NumericalError)
 
 
-def _default_tol() -> float:
-    env = os.environ.get("CPMEAN_DEFAULT_TOL")
-    if env:
-        try:
-            val = float(env)
-        except ValueError:
+def _tolerance(flag: str | None) -> float:
+    """The PSD tolerance: --tol, else CPMEAN_DEFAULT_TOL if set, else ``TOL_PSD``."""
+    source, text = "--tol", flag
+    if text is None:
+        source, text = "CPMEAN_DEFAULT_TOL", os.environ.get("CPMEAN_DEFAULT_TOL")
+        if not text:
             return hermlinalg.TOL_PSD
-        if val > 0.0:
-            return val
-    return hermlinalg.TOL_PSD
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val >= 0.0):
+        raise DomainError(f"{source} must be a finite number >= 0, got {text!r}")
+    return val
 
 
 def _globals_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("text", "json"), default=None,
                    help="report format (default: text)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="PSD tolerance override for order/verify")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="quadrature node count for the logarithmic mean")
+    p.add_argument("--tol", default=None,
+                   help="PSD tolerance for order/verify, finite and >= 0")
     return p
 
 
@@ -82,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cpmean",
         description="Operator means, CP order, indices and Lebesgue "
                     "decomposition of channels.",
-        epilog="Global flags --format text|json, --tol FLOAT and --nodes INT "
-               "may appear anywhere on the command line.",
+        epilog="Global flags --format text|json and --tol FLOAT may appear "
+               "anywhere on the command line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -146,8 +147,7 @@ def cmd_mean(args) -> Report:
     kind = MeanKind.parse(args.kind)
     f, name_a = _load(args.path_a)
     g, name_b = _load(args.path_b)
-    nodes = args.nodes or 16
-    result = mean_cp(kind, f, g, nodes=nodes)
+    result = mean_cp(kind, f, g)
     rep = Report(f"mean --kind {args.kind}")
     rep.add_input(name_a, args.path_a)
     rep.add_input(name_b, args.path_b)
@@ -224,11 +224,11 @@ def cmd_lebesgue(args) -> Report:
     rep.outputs["sing_choi"] = split.sing.choi.entries
     add_defect = float(np.abs(split.ac.choi.entries + split.sing.choi.entries
                               - psi.choi.entries).max())
-    rep.check("ac + sing = psi", add_defect, 1e-9 * max(1.0, psi.choi.norm()))
+    rep.check("ac + sing = psi", add_defect, 1e-9 * max(phi.choi.norm(), psi.choi.norm()))
     rep.check("sing is phi-singular", lebesgue.singular_residual(phi, split.sing), 1e-8)
     rep.check("ac is phi-absolutely continuous",
               lebesgue.abs_continuity_residual(split.ac, phi), 1e-8)
-    oracle_tol = lebesgue.TOL_LIM * max(1.0, psi.choi.norm())
+    oracle_tol = lebesgue.TOL_LIM * psi.choi.norm()
     try:
         oracle = lebesgue.ac_part_oracle(phi, psi)
     except NonConvergence as exc:
@@ -294,10 +294,9 @@ def main(argv=None) -> int:
     gargs, rest = _globals_parser().parse_known_args(argv)
     parser = _build_parser()
     args = parser.parse_args(rest)
-    args.nodes = gargs.nodes
     fmt = gargs.format or "text"
-    tol = gargs.tol if gargs.tol is not None else _default_tol()
     try:
+        tol = _tolerance(gargs.tol)
         if args.command == "mean":
             reports = [cmd_mean(args)]
         elif args.command == "order":

@@ -145,10 +145,7 @@ def choi_from_action(dim_in: int, dim_out: int,
             if block.shape != (n, n):
                 raise ShapeError(f"action must return {n} x {n} matrices")
             c[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
-    c = 0.5 * (c + c.conj().T)
-    if not is_psd(c, TOL_PSD):
-        raise NotCompletelyPositive("assembled Choi matrix is not PSD")
-    return from_choi(m, n, c)
+    return from_choi(m, n, 0.5 * (c + c.conj().T))
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
@@ -212,10 +209,10 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[bool, bool]:
     return psd_signs(g.choi.entries - f.choi.entries, tol)
 
 
-def mean_cp(kind: MeanKind, f: CpMap, g: CpMap, nodes: int = 16) -> CpMap:
+def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
     """Mean of CP maps: the Choi matrix of the result is the mean of the Chois."""
     _check_same_dims(f, g)
-    m = opmeans.mean(kind, f.choi, g.choi, nodes=nodes)
+    m = opmeans.mean(kind, f.choi, g.choi)
     return CpMap(f.dim_in, f.dim_out, m)
 
 

@@ -124,8 +124,9 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def _trusted(cls, entries) -> "PsdMatrix":
-        """Admit a result PSD by construction (``U f(w) U*``, f >= 0) without the
-        admission eigendecomposition; eig stays lazy.  Never for external data."""
+        """Admit a result PSD by construction (``U f(w) U*`` with f >= 0, or a
+        nonnegative combination of admitted matrices) without the admission
+        eigendecomposition; eig stays lazy.  Never for external data."""
         out = cls.__new__(cls)
         HermitianMatrix.__init__(out, entries)
         return out

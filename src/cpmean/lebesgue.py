@@ -24,7 +24,7 @@ from .hermlinalg import TOL_RECON, HermitianMatrix, Projection, PsdMatrix, Spect
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
-# (the CLI compares oracle and split within TOL_LIM max(1, ||C_G||)).
+# (the CLI compares oracle and split within the same TOL_LIM ||C_G||).
 TOL_LIM = 1e-6
 
 _RICHARDSON_DEPTH = 4

@@ -6,11 +6,12 @@ Connections are evaluated on ``hermlinalg.SpectralPair``, the commuting pair
 on the spectrum of A' (Kubo-Ando 1980).  The geometric, power and logarithmic
 means and every ``ConnectionRep``, transformed or not, take this route: the
 pair's two eigendecompositions and the final clamp's two whatever the kernel,
-exact for singular inputs.  ``power_rep`` is the power connection in closed
-form; its Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy), the
+exact for singular inputs.  The power and logarithmic kernels are in closed
+form; the Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy), the
 epsilon-regularized limit and the per-atom parallel-sum formula of a
 ``ConnectionRep`` are test oracles only.
-``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``.
+``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``; the
+arithmetic mean is a plain sum, with no eigendecomposition.
 
 Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 ``a`` on B, so commuting scalars give ``r**(1-a) * s**a``.
@@ -19,7 +20,6 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,6 @@ from .hermlinalg import PsdMatrix, SpectralPair, as_psd, pinv_psd
 
 TOL_MEAN = 1e-7   # mean identities, relative to max(1, ||A||, ||B||)
 TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_atoms
-
-_LOG_MEAN_NODES = 16
 
 
 def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
@@ -70,7 +68,7 @@ def harmonic_mean(a, b) -> PsdMatrix:
 def arithmetic_mean(a, b) -> PsdMatrix:
     """Arithmetic mean ``(A + B) / 2``."""
     a, b = _check_pair(a, b)
-    return PsdMatrix.clamped(0.5 * (a.entries + b.entries))
+    return PsdMatrix._trusted(0.5 * (a.entries + b.entries))
 
 
 def geometric_mean(a, b) -> PsdMatrix:
@@ -99,33 +97,29 @@ def power_mean(a, b, alpha: float) -> PsdMatrix:
     return _kernel_mean(a, b, power_rep(alpha).kernel)
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
-    count and shared read-only by every caller."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    s, om = 0.5 * (x + 1.0), 0.5 * w
-    s.flags.writeable = False
-    om.flags.writeable = False
-    return s, om
+def _log_kernel(t):
+    """``h(t) = (2t - 1)/(log t - log(1 - t))``, the kernel of ``(x - 1)/log x``.
 
-
-def log_mean(a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
-    """Logarithmic mean, the integral of the power mean weight over (0, 1).
-
-    Realized by Gauss-Legendre quadrature in the weight; matches the scalar
-    function (t - 1)/log(t) on commuting pairs.
+    Near t = 1/2 the denominator is ``2 artanh(2t - 1)``, free of the
+    cancellation of the two logarithms; elsewhere ``log1p(-t)`` gives
+    log(1 - t) without rounding 1 - t, which near t = 0 would lose t (as
+    ``2t - 1`` does there).  h(0) = h(1) = 0 and h(1/2) = 1/2.
     """
-    if nodes < 2:
-        raise DomainError("log mean quadrature needs at least 2 nodes")
-    s, om = _gauss_legendre_01(nodes)
+    t = np.asarray(t, dtype=float)
+    x = 2.0 * t - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(np.abs(x) < 0.5, 2.0 * np.arctanh(x), np.log(t) - np.log1p(-t))
+        return np.where(x == 0.0, 0.5, x / d)
 
-    def h(t):
-        tt = t[:, None]
-        vals = tt ** (1.0 - s[None, :]) * (1.0 - tt) ** s[None, :]
-        return vals @ om
 
-    return _kernel_mean(a, b, h)
+def log_mean(a, b) -> PsdMatrix:
+    """Logarithmic mean, the connection of ``(x - 1)/log x``.
+
+    Evaluated from its kernel in closed form; it equals the integral of the
+    power mean over its weight in (0, 1), and the scalar mean
+    ``(r - s)/(log r - log s)`` on commuting pairs.
+    """
+    return _kernel_mean(a, b, _log_kernel)
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,7 @@ PARALLEL = MeanKind("parallel")
 LOG = MeanKind("log")
 
 
-def mean(kind: MeanKind, a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
+def mean(kind: MeanKind, a, b) -> PsdMatrix:
     """Dispatch a mean/connection by kind."""
     if kind.tag == "arith":
         return arithmetic_mean(a, b)
@@ -268,7 +262,7 @@ def mean(kind: MeanKind, a, b, nodes: int = _LOG_MEAN_NODES) -> PsdMatrix:
     if kind.tag == "power":
         return power_mean(a, b, kind.alpha)
     if kind.tag == "log":
-        return log_mean(a, b, nodes=nodes)
+        return log_mean(a, b)
     return connection_apply(kind.rep, a, b)
 
 

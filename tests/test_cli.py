@@ -338,15 +338,23 @@ class TestCliCommands:
         assert max_abs(load_channel(prefix + ".ac.json").choi.entries - np.eye(4)) < 1e-6
 
     @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
-    def test_lebesgue_checks_are_scale_free(self, tmp_path, capsys, s):
+    def test_lebesgue_checks_are_scale_free(self, tmp_path, capsys, monkeypatch, s):
         rng = np.random.default_rng(11)
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
         save_channel(s * random_cp(rng, 2, 2, rank=3), phi, name="phi")
         save_channel(s * random_cp(rng, 2, 2, rank=3), psi, name="psi")
-        assert main(["--format", "json", "lebesgue", str(phi), str(psi)]) == 0
+        argv = ["--format", "json", "lebesgue", str(phi), str(psi)]
+        assert main(argv) == 0
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         ac = checks["ac is phi-absolutely continuous"]
         assert ac["passed"] and ac["tolerance"] == 1e-8 and ac["residual"] <= 1e-12
+        # an oracle answer off by a factor 2 fails at every scale
+        oracle = cli.lebesgue.ac_part_oracle
+        monkeypatch.setattr(cli.lebesgue, "ac_part_oracle", lambda f, g: 2.0 * oracle(f, g))
+        assert main(argv) == 3
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "parallel-sum oracle residual"]
 
     def test_example_all_passes(self, capsys):
         assert main(["example", "--all"]) == 0
@@ -386,6 +394,19 @@ class TestCliCommands:
         assert main(["order", channel_files["half_id2"], channel_files["id2"]]) == 0
         assert "equal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["--tol", "CPMEAN_DEFAULT_TOL"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, channel_files, capsys, monkeypatch, source, value):
+        argv = ["order", channel_files["id2"], channel_files["id2"]]
+        if source == "--tol":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv(source, value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{source} must be a finite number >= 0, got '{value}'" in captured.err
+
 
 class TestCliErrorPaths:
     def test_malformed_exits_2(self, tmp_path, capsys):
@@ -420,6 +441,14 @@ class TestCliErrorPaths:
     def test_bad_power_weight_exits_2(self, channel_files):
         assert main(["mean", "--kind", "power:2.0", channel_files["id2"],
                      channel_files["dep2"]]) == 2
+
+    def test_nodes_flag_is_gone(self, channel_files, capsys):
+        # the log mean has no quadrature left for --nodes to set
+        with pytest.raises(SystemExit) as exc:
+            main(["mean", "--kind", "log", "--nodes", "8", channel_files["id2"],
+                  channel_files["dep2"]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nodes" in capsys.readouterr().err
 
     def test_failing_checks_exit_3(self, monkeypatch, capsys):
         # a registry entry whose check fails must drive the exit code to 3

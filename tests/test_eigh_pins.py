@@ -6,19 +6,20 @@ A change that moves a count restates its row here and says why.
 import numpy as np
 import pytest
 
-from cpmean import cpmaps, lebesgue, opmeans
+from cpmean import cli, cpmaps, lebesgue, opmeans
+from cpmean.channeldoc import save_channel
 from cpmean.opmeans import MeanKind
 
 from conftest import random_cp
 
 # (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
 PINS = [
-    ("mean arith", (2, 0)),       # the clamp of (A + B)/2: eig, then its admission
+    ("mean arith", (0, 0)),       # (A + B)/2 is PSD by construction
     ("mean harm", (3, 0)),        # admit A + B, then the clamp's two
     ("mean parallel", (3, 0)),
     ("mean geo", (4, 0)),         # eig C, eig A', and the clamp's two
     ("mean power:0.3", (4, 0)),
-    ("mean log", (4, 0)),         # the Gauss-Legendre rule is cached
+    ("mean log", (4, 0)),         # its kernel is in closed form
     ("mean custom", (4, 0)),
     ("mean custom adjoint", (4, 0)),
     ("mean custom dual", (4, 0)),
@@ -31,17 +32,30 @@ PINS = [
     ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
     ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
+    # 2 input admissions, geo 4, certificate 1, harm 3 for the chain checks,
+    # whose two eigvalsh bound the dips of geo - harm and arith - geo
+    ("cli mean --kind geo -o", (10, 2)),
 ]
 
 
 @pytest.fixture(scope="module")
-def pair():
+def pair(tmp_path_factory):
     rng = np.random.default_rng(1616)
     f, g = random_cp(rng, 4, 4), random_cp(rng, 4, 4, rank=8)
-    return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g)
+    tmp = tmp_path_factory.mktemp("pins")
+    paths = [str(tmp / "f.json"), str(tmp / "g.json"), str(tmp / "geo.json")]
+    save_channel(f, paths[0])
+    save_channel(g, paths[1])
+    return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g), paths
 
 
-def _operation(name, f, g, geo):
+def _operation(name, f, g, geo, paths):
+    if name.startswith("cli "):
+        argv = ["--format", "json", "mean", "--kind", "geo", *paths[:2], "-o", paths[2]]
+
+        def run():
+            assert cli.main(argv) == 0
+        return run
     if name.startswith("mean custom"):
         transform = {"custom": lambda r: r, "adjoint": opmeans.adjoint_rep,
                      "dual": opmeans.dual_rep}[name.split()[-1]]
@@ -65,7 +79,4 @@ def _operation(name, f, g, geo):
 
 @pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
 def test_pinned_counts(pair, eigh_calls, name, counts):
-    op = _operation(name, *pair)
-    if name == "mean log":
-        opmeans._gauss_legendre_01(16)   # the rule is computed once per process
-    assert eigh_calls(op) == counts
+    assert eigh_calls(_operation(name, *pair)) == counts

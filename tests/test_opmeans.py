@@ -1,3 +1,6 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -241,16 +244,45 @@ class TestLogMean:
         want = np.diag([(t - 1.0) / 2.0, 1.0])
         assert max_abs(got.entries - want) < 1e-6
 
-    def test_quadrature_rule_is_computed_once(self, eigh_calls):
-        opmeans._gauss_legendre_01.cache_clear()
-        a, b = PsdMatrix(np.eye(2)), PsdMatrix(np.diag([4.0, 1.0]))
-        assert eigh_calls(lambda: log_mean(a, b)) == (4, 1)
-        assert eigh_calls(lambda: log_mean(a, b)) == (4, 0)
-        s, om = opmeans._gauss_legendre_01(16)
-        assert s is opmeans._gauss_legendre_01(16)[0]
-        assert not s.flags.writeable and not om.flags.writeable
-        x, w = np.polynomial.legendre.leggauss(16)
-        assert np.array_equal(s, 0.5 * (x + 1.0)) and np.array_equal(om, 0.5 * w)
+    @pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-12, 1e-3, 0.5 - 1e-9, 0.5 + 1e-9,
+                                   1.0 - 1e-12])
+    def test_kernel_is_the_scalar_log_mean(self, t):
+        # h(t) is the log mean of the commuting pair (t, 1 - t), taken exactly:
+        # 1 - t in 50-digit decimals, where float logs near t = 1/2 would cancel.
+        a = Decimal(t)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = float((a - (1 - a)) / (a.ln() - (1 - a).ln()))
+        assert abs(opmeans._log_kernel(t) - want) <= 4e-16 * want
+
+    def test_kernel_symmetry_and_endpoints(self):
+        t = np.arange(1, 1024) / 1024.0   # dyadic, so 1 - t is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = opmeans._log_kernel(t)
+            ends = opmeans._log_kernel(np.array([0.0, 1.0, 0.5]))
+        assert max_abs(h - opmeans._log_kernel(1.0 - t)) <= 4e-16 * h.max()
+        assert ends.tolist() == [0.0, 0.0, 0.5]
+
+    def test_commuting_pairs(self):
+        # (a - 1)/log a is accurate in floats: a - 1 is exact near 1 and log a
+        # is taken of an exact input
+        a = np.array([1e-3, 0.25, 1.0 - 4e-9, 1.0 + 4e-9, 7.0])
+        got = np.diag(log_mean(np.diag(a), np.eye(len(a))).entries).real
+        want = (a - 1.0) / np.log(a)
+        assert np.abs(got / want - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim, ranks", [(4, (3, 2)), (9, (6, 5)), (16, (12, 9))])
+    def test_power_mean_integral_oracle(self, rng, dim, ranks):
+        # the log mean is the integral of A #_s B over s in (0, 1): a 64-node
+        # Gauss-Legendre sum of power means, each through its own pair
+        a = random_psd(rng, dim, rank=ranks[0])
+        b = random_psd(rng, dim, rank=ranks[1])
+        x, w = np.polynomial.legendre.leggauss(64)
+        want = sum(0.5 * wk * power_mean(a, b, 0.5 * (xk + 1.0)).entries
+                   for xk, wk in zip(x, w))
+        scale = max(max_abs(a), max_abs(b))
+        assert max_abs(log_mean(a, b).entries - want) <= 1e-12 * scale
 
     def test_ordering_with_neighbors(self, rng):
         for _ in range(5):
