@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .cpmaps import CpMap, from_choi, from_kraus
-from .errors import InvalidInput, NotCompletelyPositive, ParseError, ShapeError
+from .errors import ParseError, ShapeError
 from .hermlinalg import TOL_HERM
 
 
@@ -86,10 +86,7 @@ def doc_to_channel(doc) -> CpMap:
         scale = max(1.0, float(np.abs(mat).max()))
         if herm_defect > TOL_HERM * scale:
             raise ParseError(f"choi data is not Hermitian (defect {herm_defect:.3e})")
-        try:
-            return from_choi(m, n, mat)
-        except InvalidInput as exc:
-            raise NotCompletelyPositive(str(exc)) from exc
+        return from_choi(m, n, mat)
     if kind == "kraus":
         if not isinstance(data, list):
             raise ParseError("kraus data must be a list of operators")

@@ -26,30 +26,12 @@ import numpy as np
 
 from . import hermlinalg, lebesgue, opmeans
 from .channeldoc import doc_to_channel, read_doc, save_channel
-from .cpmaps import CpMap, channel_flags, geo_certificate, index_cp, mean_cp, order_cp
-from .errors import (
-    CpMeanError,
-    DomainError,
-    InvalidInput,
-    NonConvergence,
-    NotCompletelyPositive,
-    NumericalError,
-    ParseError,
-    ShapeError,
-    UnknownExample,
-)
+from .cpmaps import CpMap, geo_certificate, index_cp, mean_cp, order_cp
+from .errors import CpMeanError, DomainError, NonConvergence, NumericalError, UnknownExample
 from .opmeans import MeanKind
 from .registry import REGISTRY, run_example
 from .report import Report
 
-_VALIDATION_ERRORS = (
-    ParseError,
-    ShapeError,
-    DomainError,
-    InvalidInput,
-    NotCompletelyPositive,
-    UnknownExample,
-)
 _NUMERIC_ERRORS = (NonConvergence, NumericalError)
 
 
@@ -94,16 +76,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("path_a")
     p_mean.add_argument("path_b")
     p_mean.add_argument("-o", "--out", default=None, help="write result document")
+    p_mean.set_defaults(run=cmd_mean)
 
     p_order = sub.add_parser("order", help="compare two channels in the CP order")
     p_order.add_argument("path_a")
     p_order.add_argument("path_b")
+    p_order.set_defaults(run=cmd_order)
 
     p_index = sub.add_parser("index", help="Pimsner-Popa index of a channel")
     p_index.add_argument("path")
+    p_index.set_defaults(run=cmd_index)
 
     p_verify = sub.add_parser("verify", help="CP/unital/trace-preserving flags")
     p_verify.add_argument("path")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_leb = sub.add_parser("lebesgue",
                            help="Lebesgue decomposition of PSI relative to PHI")
@@ -111,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_leb.add_argument("path_psi")
     p_leb.add_argument("-o", "--out", default=None,
                        help="prefix for the ac/sing output documents")
+    p_leb.set_defaults(run=cmd_lebesgue)
 
     p_ex = sub.add_parser("example", help="recompute a worked example by name")
     p_ex.add_argument("name", nargs="?", default=None)
@@ -118,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="key=value parameter overrides")
     p_ex.add_argument("--all", action="store_true", dest="run_all",
                       help="run the full registry")
+    p_ex.set_defaults(run=cmd_example)
 
     return parser
 
@@ -143,7 +131,7 @@ def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float, known: dict[str, 
         rep.check(f"chain {label} >= 0", max(0.0, -low), tol * scale)
 
 
-def cmd_mean(args) -> Report:
+def cmd_mean(args, tol: float) -> list[Report]:
     kind = MeanKind.parse(args.kind)
     f, name_a = _load(args.path_a)
     g, name_b = _load(args.path_b)
@@ -155,18 +143,17 @@ def cmd_mean(args) -> Report:
     rep.outputs["dim_out"] = result.dim_out
     rep.outputs["choi"] = result.choi.entries
     if kind.tag == "geo":
-        ok = geo_certificate(f, g, result, tol=opmeans.TOL_MEAN)
-        rep.record("block certificate [[A,G],[G,B]] PSD", ok, 0.0 if ok else 1.0,
-                   0.0)
+        rep.check("block certificate [[A,G],[G,B]] PSD",
+                  *geo_certificate(f, g, result, tol=opmeans.TOL_MEAN))
     _chain_checks(rep, f, g, opmeans.TOL_MEAN, {kind.tag: result})
     if args.out:
         save_channel(result, args.out,
                      name=f"{args.kind}({name_a},{name_b})")
         rep.outputs["written"] = args.out
-    return rep
+    return [rep]
 
 
-def cmd_order(args, tol: float) -> Report:
+def cmd_order(args, tol: float) -> list[Report]:
     f, name_a = _load(args.path_a)
     g, name_b = _load(args.path_b)
     rep = Report("order")
@@ -177,41 +164,32 @@ def cmd_order(args, tol: float) -> Report:
                (False, True): ">=cp", (False, False): "incomparable"}[(le, ge)]
     rep.outputs["order"] = verdict
     rep.outputs["tolerance"] = tol
-    return rep
+    return [rep]
 
 
-def cmd_index(args) -> Report:
+def cmd_index(args, tol: float) -> list[Report]:
     f, name = _load(args.path)
     rep = Report("index")
     rep.add_input(name, args.path)
     value = index_cp(f)
     rep.outputs["index"] = "infinite" if math.isinf(value) else value
-    return rep
+    return [rep]
 
 
-def cmd_verify(args, tol: float) -> Report:
+def cmd_verify(args, tol: float) -> list[Report]:
     f, name = _load(args.path)
     rep = Report("verify")
     rep.add_input(name, args.path)
-    flags = channel_flags(f, tol)
-    w, _ = f.choi.eig()
-    rep.record("completely positive", flags.is_cp, max(0.0, -float(w[0])), tol)
-    one_defect = float(np.abs(f.apply(np.eye(f.dim_in))
-                              - np.eye(f.dim_out)).max())
-    rep.record("unital", flags.is_unital, one_defect, tol)
-    tr_defect = float(np.abs(np.einsum("ikjk->ij", f.choi_blocks())
-                             - np.eye(f.dim_in)).max())
-    rep.record("trace preserving", flags.is_trace_preserving, tr_defect, tol)
     rep.outputs["flags"] = {
-        "is_cp": flags.is_cp,
-        "is_unital": flags.is_unital,
-        "is_trace_preserving": flags.is_trace_preserving,
-        "tolerance": flags.tolerance,
+        "is_cp": rep.check("completely positive", *hermlinalg.psd_verdict(f.choi, tol)),
+        "is_unital": rep.check("unital", f.unital_defect(), tol),
+        "is_trace_preserving": rep.check("trace preserving", f.trace_defect(), tol),
+        "tolerance": tol,
     }
-    return rep
+    return [rep]
 
 
-def cmd_lebesgue(args) -> Report:
+def cmd_lebesgue(args, tol: float) -> list[Report]:
     phi, name_phi = _load(args.path_phi)
     psi, name_psi = _load(args.path_psi)
     rep = Report("lebesgue")
@@ -225,25 +203,25 @@ def cmd_lebesgue(args) -> Report:
     add_defect = float(np.abs(split.ac.choi.entries + split.sing.choi.entries
                               - psi.choi.entries).max())
     rep.check("ac + sing = psi", add_defect, 1e-9 * max(phi.choi.norm(), psi.choi.norm()))
-    rep.check("sing is phi-singular", lebesgue.singular_residual(phi, split.sing), 1e-8)
+    rep.check("sing is phi-singular", lebesgue.singular_residual(phi, split.sing),
+              lebesgue.TOL_SPLIT)
     rep.check("ac is phi-absolutely continuous",
-              lebesgue.abs_continuity_residual(split.ac, phi), 1e-8)
-    oracle_tol = lebesgue.TOL_LIM * psi.choi.norm()
+              lebesgue.abs_continuity_residual(split.ac, phi), lebesgue.TOL_SPLIT)
     try:
         oracle = lebesgue.ac_part_oracle(phi, psi)
-    except NonConvergence as exc:
-        rep.record("parallel-sum oracle residual", False, exc.estimate, oracle_tol)
+    except NonConvergence as exc:  # its estimate exceeds the same bound
+        oracle_defect = exc.estimate
     else:
-        rep.check("parallel-sum oracle residual",
-                  float(np.abs(oracle.choi.entries - split.ac.choi.entries).max()),
-                  oracle_tol)
+        oracle_defect = float(np.abs(oracle.choi.entries - split.ac.choi.entries).max())
+    rep.check("parallel-sum oracle residual", oracle_defect,
+              lebesgue.TOL_LIM * psi.choi.norm())
     if args.out:
         ac_path = f"{args.out}.ac.json"
         sing_path = f"{args.out}.sing.json"
         save_channel(split.ac, ac_path, name=f"ac({name_psi}|{name_phi})")
         save_channel(split.sing, sing_path, name=f"sing({name_psi}|{name_phi})")
         rep.outputs["written"] = [ac_path, sing_path]
-    return rep
+    return [rep]
 
 
 def _parse_params(items) -> dict:
@@ -265,7 +243,7 @@ def _parse_params(items) -> dict:
     return out
 
 
-def cmd_example(args) -> list[Report]:
+def cmd_example(args, tol: float) -> list[Report]:
     if args.run_all:
         return [run_example(name) for name in REGISTRY]
     if not args.name:
@@ -292,28 +270,10 @@ def _emit(reports: list[Report], fmt: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     gargs, rest = _globals_parser().parse_known_args(argv)
-    parser = _build_parser()
-    args = parser.parse_args(rest)
+    args = _build_parser().parse_args(rest)
     fmt = gargs.format or "text"
     try:
-        tol = _tolerance(gargs.tol)
-        if args.command == "mean":
-            reports = [cmd_mean(args)]
-        elif args.command == "order":
-            reports = [cmd_order(args, tol)]
-        elif args.command == "index":
-            reports = [cmd_index(args)]
-        elif args.command == "verify":
-            reports = [cmd_verify(args, tol)]
-        elif args.command == "lebesgue":
-            reports = [cmd_lebesgue(args)]
-        elif args.command == "example":
-            reports = cmd_example(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        reports = args.run(args, _tolerance(gargs.tol))
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -27,10 +27,12 @@ from .hermlinalg import (
     RANK_RTOL,
     TOL_PSD,
     PsdMatrix,
+    Verdict,
     as_psd,
     is_psd,
     psd_signs,
     psd_sqrt,
+    psd_verdict,
 )
 from . import opmeans
 from .opmeans import MeanKind
@@ -70,14 +72,20 @@ class CpMap:
             )
         return np.einsum("ij,ikjl->kl", x, self.choi_blocks())
 
+    def unital_defect(self) -> float:
+        """``max |F(1) - 1|`` over the entries."""
+        return float(np.abs(self.apply(np.eye(self.dim_in)) - np.eye(self.dim_out)).max())
+
+    def trace_defect(self) -> float:
+        """``max |Tr F(e_ij) - delta_ij|``: the partial trace over the output leg."""
+        tr_blocks = np.einsum("ikjk->ij", self.choi_blocks())
+        return float(np.abs(tr_blocks - np.eye(self.dim_in)).max())
+
     def is_unital(self, tol: float = TOL_FLAGS) -> bool:
-        one = self.apply(np.eye(self.dim_in))
-        return bool(np.abs(one - np.eye(self.dim_out)).max() <= tol)
+        return self.unital_defect() <= tol
 
     def is_trace_preserving(self, tol: float = TOL_FLAGS) -> bool:
-        # Tr(F(e_ij)) must equal delta_ij; partial trace over the output leg.
-        tr_blocks = np.einsum("ikjk->ij", self.choi_blocks())
-        return bool(np.abs(tr_blocks - np.eye(self.dim_in)).max() <= tol)
+        return self.trace_defect() <= tol
 
     def __add__(self, other: "CpMap") -> "CpMap":
         _check_same_dims(self, other)
@@ -216,8 +224,8 @@ def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
     return CpMap(f.dim_in, f.dim_out, m)
 
 
-def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> bool:
-    """Block-matrix certificate: True iff [[C_F, C_T], [C_T, C_G]] is PSD.
+def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> Verdict:
+    """Block-matrix certificate: ``psd_verdict`` of [[C_F, C_T], [C_T, C_G]].
 
     Holds for theta = geometric mean (and anything below it), fails for any
     strictly larger candidate; this is the maximality characterization.
@@ -226,7 +234,7 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> b
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
     block = np.block([[cf, ct], [ct.conj().T, cg]])
-    return is_psd(block, tol)
+    return psd_verdict(block, tol)
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

@@ -12,6 +12,8 @@ once and cached, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
@@ -89,20 +91,18 @@ class HermitianMatrix:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix admitted as positive semidefinite.
 
-    Admission requires min eigenvalue >= -tol * max(1, spectral norm); small
-    negative eigenvalues are tolerated here and clamped to zero by the matrix
-    functions below.
+    Admission is ``psd_verdict`` at TOL_PSD; small negative eigenvalues are
+    tolerated here and clamped to zero by the matrix functions below.
     """
 
     __slots__ = ()
 
-    def __init__(self, entries, tol: float = TOL_PSD):
+    def __init__(self, entries):
         super().__init__(entries)
-        w, _ = self.eig()
-        if w[0] < -tol * max(1.0, self.norm()):
+        v = psd_verdict(self)
+        if not v:
             raise InvalidInput(
-                f"matrix is not PSD within tolerance (min eigenvalue {w[0]:.3e})"
-            )
+                f"matrix is not PSD within tolerance (min eigenvalue {-v.residual:.3e})")
 
     @classmethod
     def clamped(cls, entries, tol: float = TOL_PSD, scale: float | None = None) -> "PsdMatrix":
@@ -142,8 +142,8 @@ class Projection(PsdMatrix):
 
     __slots__ = ()
 
-    def __init__(self, entries, tol: float = TOL_PSD):
-        super().__init__(entries, tol=tol)
+    def __init__(self, entries):
+        super().__init__(entries)
         m = self.entries
         scale = max(1.0, self.norm())
         if np.abs(m @ m - m).max() > TOL_RECON * scale:
@@ -161,9 +161,9 @@ def as_hermitian(x) -> HermitianMatrix:
     return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
 
 
-def as_psd(x, tol: float = TOL_PSD) -> PsdMatrix:
+def as_psd(x) -> PsdMatrix:
     """Coerce an array-like or PsdMatrix to PsdMatrix."""
-    return x if isinstance(x, PsdMatrix) else PsdMatrix(x, tol=tol)
+    return x if isinstance(x, PsdMatrix) else PsdMatrix(x)
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
@@ -176,21 +176,37 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return as_hermitian(h).eig()
 
 
+class Verdict(NamedTuple):
+    """A check's residual against its bound; truthy iff ``residual <= bound``."""
+
+    residual: float
+    bound: float
+
+    def __bool__(self) -> bool:
+        return bool(self.residual <= self.bound)
+
+
+def psd_verdict(h, tol: float = TOL_PSD) -> Verdict:
+    """``max(0, -min eigenvalue)`` against ``tol * max(1, spectral norm)``, from
+    the cached eig: h is PSD within tol iff the verdict holds."""
+    hm = as_hermitian(h)
+    return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * max(1.0, hm.norm()))
+
+
 def psd_signs(h, tol: float = TOL_PSD) -> tuple[bool, bool]:
     """``(is_psd(h, tol), is_psd(-h, tol))`` from one eigendecomposition of h.
 
-    The spectrum of -h is the negated spectrum of h and the bound
-    ``tol * max(1, spectral norm)`` is the same for both.
+    The spectrum of -h is the negated spectrum of h, so its verdict reads the
+    largest eigenvalue of h against the same bound.
     """
     hm = as_hermitian(h)
-    w, _ = hm.eig()
-    bound = -tol * max(1.0, hm.norm())
-    return bool(w[0] >= bound), bool(-w[-1] >= bound)
+    v = psd_verdict(hm, tol)
+    return bool(v), max(0.0, float(hm.eig()[0][-1])) <= v.bound
 
 
 def is_psd(h, tol: float = TOL_PSD) -> bool:
-    """True iff the minimum eigenvalue is >= -tol * max(1, spectral norm)."""
-    return psd_signs(h, tol)[0]
+    """``psd_verdict(h, tol)`` as a bool."""
+    return bool(psd_verdict(h, tol))
 
 
 def psd_sqrt(a) -> PsdMatrix:

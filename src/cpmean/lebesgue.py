@@ -26,6 +26,8 @@ from .opmeans import parallel_sum
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
 # (the CLI compares oracle and split within the same TOL_LIM ||C_G||).
 TOL_LIM = 1e-6
+# Bound on the scale-free singularity and absolute-continuity residuals.
+TOL_SPLIT = 1e-8
 
 _RICHARDSON_DEPTH = 4
 
@@ -92,8 +94,10 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     n = 2^k, from the first k with n at least twice that radius (at most
     log2(n_max) - 2) up to n_max, feed a Richardson table of depth 4; the
     result is returned once two successive differences of its diagonal are
-    within TOL_LIM ||C_G||.  Raises NonConvergence, carrying the last estimate,
-    if that never happens or the extrapolant is not PSD within the same gate.
+    within TOL_LIM ||C_G||.  Raises NonConvergence if that never happens, with
+    the larger of the last two differences as its estimate, or if the
+    extrapolant is not PSD within the same gate, with ``-lambda_min``; either
+    estimate exceeds the gate.
     """
     _check_same_dims(f, g)
     if n_max < 8:
@@ -104,7 +108,7 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     lam = f.choi.support()[0]
     ratio = 2.0 * gnorm / lam[0] if lam.size else 0.0
     k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), steps - 2)
-    row, best, est, ok = [], None, math.inf, 0
+    row, best, moves, ok = [], None, [math.inf], 0
     for k in range(k0, steps + 1):
         x = parallel_sum(PsdMatrix._trusted((2.0 ** k) * f.choi.entries), g.choi).entries
         new = [x]
@@ -112,11 +116,12 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
             new.append(new[-1] + (new[-1] - r) / (2.0 ** j - 1.0))
         row, prev, best = new, best, new[-1]
         if prev is not None:
-            est = float(np.abs(best - prev).max())
-            ok = ok + 1 if est <= tol else 0
+            moves.append(float(np.abs(best - prev).max()))
+            ok = ok + 1 if moves[-1] <= tol else 0
             if ok == 2:
                 break
     else:
+        est = max(moves[-2:])
         raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** steps}, "
                              f"tolerance {tol:.3e}", est)
     w, u = HermitianMatrix(best).eig()
@@ -157,7 +162,7 @@ def singular_residual(f: CpMap, g: CpMap) -> float:
     return float((t * (1.0 - t)).max(initial=0.0))
 
 
-def is_singular(f: CpMap, g: CpMap, tol: float = 1e-8) -> bool:
+def is_singular(f: CpMap, g: CpMap, tol: float = TOL_SPLIT) -> bool:
     """True iff F and G are mutually singular: ``singular_residual(f, g) <= tol``."""
     return singular_residual(f, g) <= tol
 
@@ -174,7 +179,7 @@ def abs_continuity_residual(g: CpMap, f: CpMap) -> float:
     return float(sing) / total
 
 
-def is_abs_continuous(g: CpMap, f: CpMap, tol: float = 1e-8) -> bool:
+def is_abs_continuous(g: CpMap, f: CpMap, tol: float = TOL_SPLIT) -> bool:
     """True iff G is F-absolutely continuous: ``abs_continuity_residual(g, f) <= tol``.
 
     The equivalent range criterion supp(B') <= supp(A') in the RN picture is

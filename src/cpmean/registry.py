@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cpmaps, lebesgue, opmeans
 from .cpmaps import (
-    channel_flags,
+    TOL_FLAGS,
     cond_exp_diag,
     cond_exp_rotated,
     cond_exp_tensor,
@@ -30,8 +30,7 @@ from .cpmaps import (
     unitary_conj,
 )
 from .errors import UnknownExample
-from .hermlinalg import PsdMatrix, pinv_psd
-from .opmeans import GEO, HARM, geometric_mean, parallel_sum
+from .opmeans import GEO, HARM, ConnectionRep, connection_apply, geometric_mean, parallel_sum
 from .report import Report
 
 
@@ -57,11 +56,8 @@ def example_quantum_channels(d: int | None = None) -> Report:
     for dd in dims:
         ident = identity(dd)
         depol = depolarizing(dd)
-        flags_i = channel_flags(ident)
-        flags_d = channel_flags(depol)
-        rep.record(f"d={dd}: id and depol unital CP",
-                   flags_i.is_cp and flags_i.is_unital and flags_d.is_cp
-                   and flags_d.is_unital, 0.0, 0.0)
+        rep.check(f"d={dd}: id and depol unital",
+                  max(ident.unital_defect(), depol.unital_defect()), TOL_FLAGS)
         geo = mean_cp(GEO, ident, depol)
         rep.check(f"d={dd}: id#depol = (1/d) id",
                   _max_abs(geo.choi.entries - ident.choi.entries / dd), 1e-8)
@@ -77,9 +73,7 @@ def example_non_unital(_: None = None) -> Report:
     rep = Report("example non-unital")
     phi = identity(2)
     psi = unitary_conj(np.diag([1.0, -1.0]))
-    rep.record("both maps unital",
-               channel_flags(phi).is_unital and channel_flags(psi).is_unital,
-               0.0, 0.0)
+    rep.check("both maps unital", max(phi.unital_defect(), psi.unital_defect()), TOL_FLAGS)
     geo = mean_cp(GEO, phi, psi)
     rep.check("id # conj(diag(1,-1)) = 0", _max_abs(geo.choi.entries), 1e-8)
     return rep
@@ -246,19 +240,24 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
         phi_a = from_choi(1, 4, a)
         phi_b = from_choi(1, 4, b)
 
-        # parallel sum against the pseudo-inverse formula evaluated directly
-        ps = parallel_sum(PsdMatrix(a), PsdMatrix(b)).entries
-        direct = a @ pinv_psd(PsdMatrix(a + b)).entries @ b
-        worst_par = max(worst_par, _max_abs(ps - 0.5 * (direct + direct.conj().T)))
+        # parallel sum against the connection of t/(1+t) on the spectral pair
+        ps = parallel_sum(phi_a.choi, phi_b.choi).entries
+        atom = connection_apply(_PARALLEL_ATOM, phi_a.choi, phi_b.choi).entries
+        worst_par = max(worst_par, _max_abs(ps - atom))
 
         # ac part against the support-compression of the commuting derivatives
         got = lebesgue.ac_part(phi_a, phi_b).choi.entries
         want = _direct_ac(a, b)
         worst_ac = max(worst_ac, _max_abs(got - want))
-    rep.check(f"parallel sum = A(A+B)^+ B over {count} pairs in M4", worst_par, 1e-9)
+    rep.check(f"parallel sum = connection of t/(1+t) over {count} pairs in M4",
+              worst_par, 1e-9)
     rep.check(f"ac part = support-compressed derivative over {count} pairs",
               worst_ac, 1e-6)
     return rep
+
+
+# One atom (l, w) = (1, 1/2): g(t) = t/(1+t), the function of the parallel sum.
+_PARALLEL_ATOM = ConnectionRep(0.0, 0.0, ((1.0, 0.5),))
 
 
 def _rand_low_rank(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
@@ -311,8 +310,3 @@ def run_example(name: str, **params) -> Report:
     except TypeError as exc:
         raise UnknownExample(f"example {name!r} rejects parameters "
                              f"{sorted(params)}: {exc}") from exc
-
-
-def run_all() -> list[Report]:
-    """Run the full registry in declaration order."""
-    return [REGISTRY[name]() for name in REGISTRY]

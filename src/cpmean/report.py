@@ -44,11 +44,13 @@ class Report:
         self.inputs.append(entry)
 
     def check(self, name: str, residual: float, tolerance: float) -> bool:
+        """Record a check that passes iff ``residual <= tolerance``; return the verdict."""
         ok = bool(residual <= tolerance)
-        self.checks.append(Check(name, ok, float(residual), float(tolerance)))
+        self.record(name, ok, residual, tolerance)
         return ok
 
     def record(self, name: str, passed: bool, residual: float, tolerance: float):
+        """Append a check as given; ``check`` is its one caller in the package."""
         self.checks.append(Check(name, bool(passed), float(residual), float(tolerance)))
 
     @property

@@ -20,7 +20,7 @@ from cpmean.cpmaps import (
     kraus_decompose,
     unitary_conj,
 )
-from cpmean.errors import NotCompletelyPositive, ParseError
+from cpmean.errors import NonConvergence, NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import TOL_RECON
 from cpmean.report import Report
 
@@ -406,6 +406,68 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{source} must be a finite number >= 0, got '{value}'" in captured.err
+
+
+def _reports_keeping_the_rule(text):
+    """The JSON reports of one run, each check passed iff residual <= tolerance."""
+    reports = json.loads(text)
+    reports = reports if isinstance(reports, list) else [reports]
+    for rep in reports:
+        for c in rep["checks"]:
+            assert c["passed"] == (c["residual"] <= c["tolerance"]), (rep["command"], c)
+        assert rep["passed"] == all(c["passed"] for c in rep["checks"])
+    return reports
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--kind", "geo", "{id2}", "{dep2}"],
+        ["mean", "--kind", "harm", "{id2}", "{dep2}"],
+        ["verify", "{dep2}"],
+        ["verify", "{half_id2}"],
+        ["order", "{half_id2}", "{id2}"],
+        ["index", "{dep3}"],
+        ["example", "--all"],
+    ])
+    def test_every_check(self, channel_files, capsys, argv):
+        code = main(["--format", "json", *(a.format(**channel_files) for a in argv)])
+        reports = _reports_keeping_the_rule(capsys.readouterr().out)
+        assert code == (0 if all(r["passed"] for r in reports) else 3)
+
+    def test_verify_reports_the_bound_it_decides_with(self, tmp_path, capsys):
+        # within the admission bound 1e-9 * ||C|| = 1e-7, far outside a bare 1e-9
+        p = tmp_path / "c.json"
+        save_channel(from_choi(2, 2, np.diag([-5e-8, 1.0, 10.0, 100.0])), p)
+        assert main(["--format", "json", "verify", str(p)]) == 3  # not unital
+        (rep,) = _reports_keeping_the_rule(capsys.readouterr().out)
+        cp = rep["checks"][0]
+        assert cp["name"] == "completely positive" and rep["outputs"]["flags"]["is_cp"]
+        assert (cp["residual"], cp["tolerance"]) == (5e-8, 1e-9 * 100.0)
+
+    def test_lebesgue(self, tmp_path, capsys, monkeypatch):
+        # short schedules stop the oracle with NonConvergence on ordinary pairs
+        rng = np.random.default_rng(7)
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        real, stopped = cli.lebesgue.ac_part_oracle, []
+
+        def oracle(f, g, n_max):
+            try:
+                return real(f, g, n_max=n_max)
+            except NonConvergence:
+                stopped.append(n_max)
+                raise
+
+        for _ in range(6):
+            d = int(rng.integers(2, 4))
+            save_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), phi)
+            save_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), psi)
+            for k in (None, *range(3, 12)):
+                monkeypatch.setattr(cli.lebesgue, "ac_part_oracle",
+                                    real if k is None else lambda f, g, k=k: oracle(f, g, 2 ** k))
+                code = main(["--format", "json", "lebesgue", str(phi), str(psi)])
+                (rep,) = _reports_keeping_the_rule(capsys.readouterr().out)
+                assert code == (0 if rep["passed"] else 3)
+        assert len(stopped) >= 10
 
 
 class TestCliErrorPaths:

@@ -29,7 +29,7 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_RECON, pinv_psd, support_projection
+from cpmean.hermlinalg import RANK_RTOL, TOL_PSD, TOL_RECON, pinv_psd, support_projection
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
@@ -236,6 +236,12 @@ class TestGeoCertificate:
         g = random_cp(rng, 2, 2)
         theta = mean_cp(GEO, f, g)
         assert geo_certificate(f, g, theta)
+        residual, bound = geo_certificate(f, g, theta)
+        block = np.block([[f.choi.entries, theta.choi.entries],
+                          [theta.choi.entries, g.choi.entries]])
+        norm = np.linalg.norm(block, 2)
+        assert abs(residual - max(0.0, -min_eig(block))) <= 1e-13 * norm
+        assert bound == pytest.approx(TOL_PSD * max(1.0, norm), rel=1e-12)
 
     def test_zero_passes(self, rng):
         f = random_cp(rng, 2, 2)
@@ -247,7 +253,8 @@ class TestGeoCertificate:
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2)
         theta = 1.01 * mean_cp(GEO, f, g)
-        assert not geo_certificate(f, g, theta)
+        verdict = geo_certificate(f, g, theta)
+        assert not verdict and verdict.residual > verdict.bound
 
 
 class TestTensorCompose:
@@ -446,6 +453,28 @@ class TestZoo:
         assert channel_flags(depolarizing(2)).is_trace_preserving
         f = channel_flags(functional(np.eye(2)))
         assert f.is_cp and not f.is_unital
+
+    def test_defects_decide_unital_and_trace_preserving(self, rng):
+        maps = [identity(3), depolarizing(2), cond_exp_diag(3), functional(np.eye(2)),
+                0.5 * identity(2), random_cp(rng, 2, 3), random_cp(rng, 3, 2, rank=2)]
+        for f in maps:
+            # oracles from a Kraus list: F(1) = sum K K*, Tr F(e_ij) = (sum K* K)_ji
+            ks = kraus_decompose(f)
+            one = sum(k @ k.conj().T for k in ks)
+            tr = sum(k.conj().T @ k for k in ks)
+            scale = max(1.0, f.choi.norm())
+            assert abs(f.unital_defect() - max_abs(one - np.eye(f.dim_out))) <= 1e-12 * scale
+            assert abs(f.trace_defect() - max_abs(tr - np.eye(f.dim_in))) <= 1e-12 * scale
+            for u_tol, t_tol in ((f.unital_defect(), f.trace_defect()), (1e-8, 1e-8)):
+                for tol in (u_tol, np.nextafter(u_tol, -1.0)):
+                    assert f.is_unital(tol) == (f.unital_defect() <= tol)
+                for tol in (t_tol, np.nextafter(t_tol, -1.0)):
+                    assert f.is_trace_preserving(tol) == (f.trace_defect() <= tol)
+        assert (identity(3).unital_defect(), identity(3).trace_defect()) == (0.0, 0.0)
+        assert functional(np.eye(2)).unital_defect() == 1.0
+        assert functional(np.eye(2)).trace_defect() == 0.0
+        assert (0.5 * identity(2)).unital_defect() == 0.5
+        assert (0.5 * identity(2)).trace_defect() == 0.5
 
 
 class TestConditionalExpectationMeans:

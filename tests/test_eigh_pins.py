@@ -35,7 +35,17 @@ PINS = [
     # 2 input admissions, geo 4, certificate 1, harm 3 for the chain checks,
     # whose two eigvalsh bound the dips of geo - harm and arith - geo
     ("cli mean --kind geo -o", (10, 2)),
+    ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
+    ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
 ]
+
+# argv and exit code of each CLI row, over the paths (f, g, geo); F is a random
+# CP map, neither unital nor trace preserving, so verify fails its checks.
+CLI = {
+    "cli mean --kind geo -o": (lambda f, g, geo: ["mean", "--kind", "geo", f, g, "-o", geo], 0),
+    "cli verify": (lambda f, g, geo: ["verify", f], 3),
+    "cli order": (lambda f, g, geo: ["order", f, g], 0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +60,12 @@ def pair(tmp_path_factory):
 
 
 def _operation(name, f, g, geo, paths):
-    if name.startswith("cli "):
-        argv = ["--format", "json", "mean", "--kind", "geo", *paths[:2], "-o", paths[2]]
+    if name in CLI:
+        args, code = CLI[name]
+        argv = ["--format", "json", *args(*paths)]
 
         def run():
-            assert cli.main(argv) == 0
+            assert cli.main(argv) == code
         return run
     if name.startswith("mean custom"):
         transform = {"custom": lambda r: r, "adjoint": opmeans.adjoint_rep,

@@ -8,6 +8,7 @@ from cpmean.hermlinalg import (
     HermitianMatrix,
     Projection,
     PsdMatrix,
+    Verdict,
     eigh,
     frac_power_psd,
     is_psd,
@@ -15,6 +16,7 @@ from cpmean.hermlinalg import (
     psd_signs,
     proj_intersection,
     psd_sqrt,
+    psd_verdict,
     support_projection,
 )
 
@@ -112,6 +114,21 @@ class TestIsPsd:
         for h in mats:
             for tol in (1e-9, 1.0):
                 assert psd_signs(h, tol) == (is_psd(h, tol), is_psd(-h, tol))
+
+    def test_verdict_is_the_eigenvalue_bound(self):
+        # diagonal spectra are exact, so each verdict sits on its bound
+        bound = TOL_PSD * 100.0
+        for low in (-5e-8, -bound, np.nextafter(-bound, -1.0), 0.0, 1e-3):
+            h = np.diag([low, 1.0, 10.0, 100.0])
+            v = psd_verdict(h)
+            assert v == Verdict(max(0.0, -low), bound)
+            assert bool(v) == (low >= -bound) == is_psd(h) == (v.residual <= v.bound)
+            if v:
+                PsdMatrix(h)
+            else:
+                with pytest.raises(InvalidInput):
+                    PsdMatrix(h)
+        assert not Verdict(float("nan"), 1.0) and Verdict(0.0, 0.0)
 
 
 class TestPsdSqrt:

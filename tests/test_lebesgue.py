@@ -164,6 +164,22 @@ class TestOracle:
         with pytest.raises(DomainError):
             ac_part_oracle(f, f, n_max=1)
 
+    def test_nonconvergence_estimate_exceeds_the_gate(self):
+        # Short schedules stop the oracle on ordinary pairs; whatever stops it,
+        # the estimate it carries is what failed the TOL_LIM ||C_G|| gate.
+        rng = np.random.default_rng(7)
+        raised = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 4))
+            f = random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1)))
+            g = random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1)))
+            try:
+                ac_part_oracle(f, g, n_max=2 ** int(rng.integers(3, 12)))
+            except NonConvergence as exc:
+                raised += 1
+                assert exc.estimate > TOL_LIM * g.choi.norm()
+        assert raised >= 20
+
 
 class TestDecompose:
     def test_scalar_case(self):

@@ -1,8 +1,11 @@
-"""Source guard: one rank cutoff and one route to eigendecompositions.
+"""Source guard: one rank cutoff, one route to eigendecompositions, one verdict rule.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg`` and in two independent checks that must not share its code.
+Reports take checks only through ``Report.check``, which passes a check iff
+its residual is within its tolerance: no ``.record(`` call outside
+``report.py`` can pass a verdict of its own.
 """
 
 import ast
@@ -41,6 +44,11 @@ def _raw_eig_sites(name: str, text: str) -> set[tuple[str, str]]:
     return sites
 
 
+def _record_calls(text: str) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "record" for node in ast.walk(ast.parse(text)))
+
+
 def test_rank_cutoff_only_in_hermlinalg():
     offenders = [name for name, text in _sources()
                  if "RANK_RTOL * max(" in text and name != "hermlinalg.py"]
@@ -61,3 +69,14 @@ def test_guard_sees_a_copy():
     assert _raw_eig_sites("x.py", text) == {("x.py", "f")}
     assert _raw_eig_sites("y.py", "from numpy.linalg import eigvalsh\n") == {("y.py", "<module>")}
     assert _raw_eig_sites("z.py", "from numpy.linalg import norm\n") == set()
+
+
+def test_checks_recorded_only_by_report_check():
+    offenders = [name for name, text in _sources()
+                 if name != "report.py" and _record_calls(text)]
+    assert offenders == []
+
+
+def test_record_guard_sees_a_call():
+    assert _record_calls("rep.record('x', True, 0.0, 0.0)\n") == 1
+    assert _record_calls("rep.check('x', 0.0, 0.0)\nrecord = 1\n") == 0
