@@ -20,22 +20,16 @@ from .errors import (
     InvalidInput,
     NonConvergence,
     NotCompletelyPositive,
-    NumericalError,
     ParseError,
     ShapeError,
     UnknownExample,
 )
 from .hermlinalg import (
     HermitianMatrix,
-    Projection,
     PsdMatrix,
-    eigh,
-    frac_power_psd,
     is_psd,
     pinv_psd,
-    proj_intersection,
     psd_sqrt,
-    support_projection,
 )
 from .opmeans import (
     ConnectionRep,
@@ -49,17 +43,12 @@ from .opmeans import (
     log_mean,
     mean,
     parallel_sum,
-    power_atoms,
     power_mean,
     power_rep,
     transpose_rep,
 )
 from .cpmaps import (
-    ChannelFlags,
     CpMap,
-    DensityFunctional,
-    apply,
-    channel_flags,
     choi_from_action,
     compose,
     cond_exp_diag,
@@ -82,13 +71,11 @@ from .cpmaps import (
 )
 from .lebesgue import (
     LebesgueSplit,
-    RnPair,
     ac_part,
     ac_part_oracle,
     decompose,
     is_abs_continuous,
     is_singular,
-    rn_pair,
 )
 from .channeldoc import load_channel, save_channel
 

@@ -26,13 +26,13 @@ from .errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
 from .hermlinalg import (
     RANK_RTOL,
     TOL_PSD,
+    HermitianMatrix,
     PsdMatrix,
     Verdict,
     as_psd,
     is_psd,
     psd_signs,
     psd_sqrt,
-    psd_verdict,
 )
 from . import opmeans
 from .opmeans import MeanKind
@@ -90,38 +90,15 @@ class CpMap:
     def __add__(self, other: "CpMap") -> "CpMap":
         _check_same_dims(self, other)
         return CpMap(self.dim_in, self.dim_out,
-                     PsdMatrix(self.choi.entries + other.choi.entries))
+                     PsdMatrix._trusted(self.choi.entries + other.choi.entries))
 
     def __rmul__(self, scalar: float) -> "CpMap":
         if scalar < 0:
             raise DomainError("CP maps admit only nonnegative scaling")
-        return CpMap(self.dim_in, self.dim_out, PsdMatrix(scalar * self.choi.entries))
+        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(scalar * self.choi.entries))
 
     def __repr__(self):
         return f"CpMap({self.dim_in} -> {self.dim_out})"
-
-
-@dataclass(frozen=True)
-class ChannelFlags:
-    """Structural flags of a channel at a stated tolerance."""
-
-    is_cp: bool
-    is_unital: bool
-    is_trace_preserving: bool
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class DensityFunctional:
-    """Positive functional x -> Tr(rho x) on M_dim, carried by its density matrix."""
-
-    rho: PsdMatrix
-    dim: int
-
-    @classmethod
-    def of(cls, rho) -> "DensityFunctional":
-        rho = as_psd(rho)
-        return cls(rho, rho.dim)
 
 
 def _check_same_dims(f: CpMap, g: CpMap):
@@ -196,11 +173,6 @@ def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     return ops
 
 
-def apply(f: CpMap, x) -> np.ndarray:
-    """Evaluate F(x); module-level alias of CpMap.apply."""
-    return f.apply(x)
-
-
 def leq_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> bool:
     """CP order: F <= G iff C_G - C_F is PSD."""
     return order_cp(f, g, tol)[0]
@@ -225,16 +197,18 @@ def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
 
 
 def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> Verdict:
-    """Block-matrix certificate: ``psd_verdict`` of [[C_F, C_T], [C_T, C_G]].
+    """Block-matrix certificate of [[C_F, C_T], [C_T, C_G]] >= 0.
 
-    Holds for theta = geometric mean (and anything below it), fails for any
-    strictly larger candidate; this is the maximality characterization.
+    ``max(0, -lambda_min)`` of the block against ``tol * ||block||``, both from
+    its one eigendecomposition, so the verdict does not change under joint
+    scaling.  Holds for theta = geometric mean (and anything below it), fails
+    for any strictly larger candidate; this is the maximality characterization.
     """
     _check_same_dims(f, g)
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
-    block = np.block([[cf, ct], [ct.conj().T, cg]])
-    return psd_verdict(block, tol)
+    block = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]]))
+    return Verdict(max(0.0, -float(block.eig()[0][0])), tol * block.norm())
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:
@@ -244,7 +218,7 @@ def tensor(f: CpMap, g: CpMap) -> CpMap:
     t = t.reshape(m1, n1, m2, n2, m1, n1, m2, n2)
     t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     mn = m1 * m2 * n1 * n2
-    return CpMap(m1 * m2, n1 * n2, PsdMatrix(t.reshape(mn, mn)))
+    return CpMap(m1 * m2, n1 * n2, PsdMatrix._trusted(t.reshape(mn, mn)))
 
 
 def compose(after: CpMap, first: CpMap) -> CpMap:
@@ -258,7 +232,7 @@ def compose(after: CpMap, first: CpMap) -> CpMap:
     x4 = after.choi_blocks()
     out = np.einsum("ikjl,kplq->ipjq", c4, x4)
     mn = first.dim_in * after.dim_out
-    return from_choi(first.dim_in, after.dim_out, out.reshape(mn, mn))
+    return CpMap(first.dim_in, after.dim_out, PsdMatrix._trusted(out.reshape(mn, mn)))
 
 
 def _max_entangled_vec(n: int) -> np.ndarray:
@@ -283,16 +257,6 @@ def index_cp(f: CpMap) -> float:
     if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
         return math.inf
     return float(np.sum(np.abs(y) ** 2 / w))
-
-
-def channel_flags(f: CpMap, tol: float = TOL_FLAGS) -> ChannelFlags:
-    """CP/unital/trace-preserving flags at the stated tolerance."""
-    return ChannelFlags(
-        is_cp=is_psd(f.choi, tol),
-        is_unital=f.is_unital(tol),
-        is_trace_preserving=f.is_trace_preserving(tol),
-        tolerance=tol,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +354,6 @@ def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
 
 def functional(rho) -> CpMap:
     """CP functional x -> Tr(rho x) as a map M_n -> M_1; Choi is rho^T."""
-    if isinstance(rho, DensityFunctional):
-        rho = rho.rho
     rho = as_psd(rho)
     return from_choi(rho.dim, 1, rho.entries.T)
 
@@ -409,10 +371,6 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
     sigma rho^{1/2})); the chain gm <= sqrt <= fidelity always holds, with
     equality iff the states commute.
     """
-    if isinstance(rho, DensityFunctional):
-        rho = rho.rho
-    if isinstance(sigma, DensityFunctional):
-        sigma = sigma.rho
     rho = as_psd(rho)
     sigma = as_psd(sigma)
     if rho.dim != sigma.dim:

@@ -29,10 +29,6 @@ class NotCompletelyPositive(CpMeanError):
     """A candidate Choi matrix fails the positivity test."""
 
 
-class NumericalError(CpMeanError):
-    """A quantity that is positive in exact arithmetic drifted beyond tolerance."""
-
-
 class ParseError(CpMeanError):
     """A serialized channel document is malformed."""
 

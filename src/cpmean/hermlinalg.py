@@ -1,10 +1,11 @@
 """Dense Hermitian/PSD linear algebra kernel with an explicit tolerance policy.
 
 Everything in this package runs through the small set of primitives below:
-spectral decompositions, matrix functions of PSD matrices, Moore-Penrose
-pseudo-inverses, support projections, projection intersections, and the
-``SpectralPair`` on which every mean, connection and Lebesgue split is
-evaluated.  The rank cutoff lives in one place, ``HermitianMatrix.support``.
+the cached spectral decomposition of a ``HermitianMatrix`` and its rank
+cutoff ``support()``, PSD admission and its verdict ``psd_verdict``, the PSD
+square root and Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on
+which every mean, connection and Lebesgue split is evaluated.  The rank
+cutoff lives in one place, ``HermitianMatrix.support``.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and spectral data is computed
 once and cached, so instances are safe to share across threads.
@@ -22,7 +23,6 @@ from .errors import InvalidInput, ShapeError
 # residuals at these sizes; the defaults keep two safety decades.
 TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
 TOL_HERM = 1e-10    # Hermiticity admission for external data
-TOL_RECON = 1e-8    # reconstruction residual, relative to max(1, norm)
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
 _PAIR_SNAP = 1e-12  # SpectralPair: least snap of t onto 0 and 1
@@ -124,9 +124,11 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def _trusted(cls, entries) -> "PsdMatrix":
-        """Admit a result PSD by construction (``U f(w) U*`` with f >= 0, or a
-        nonnegative combination of admitted matrices) without the admission
-        eigendecomposition; eig stays lazy.  Never for external data."""
+        """Admit a result PSD by construction without the admission
+        eigendecomposition; eig stays lazy.  PSD by construction means ``U f(w)
+        U*`` with f >= 0, or a sum, nonnegative scaling, Kronecker product or
+        composition (Choi of a composed map) of admitted matrices.  Non-finite
+        entries still raise InvalidInput.  Never for external data."""
         out = cls.__new__(cls)
         HermitianMatrix.__init__(out, entries)
         return out
@@ -137,25 +139,6 @@ class PsdMatrix(HermitianMatrix):
         return cls._trusted((x * h) @ x.conj().T)
 
 
-class Projection(PsdMatrix):
-    """Orthogonal projection: idempotent PSD matrix with spectrum in {0, 1}."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        m = self.entries
-        scale = max(1.0, self.norm())
-        if np.abs(m @ m - m).max() > TOL_RECON * scale:
-            raise InvalidInput("matrix is not idempotent within tolerance")
-        w, _ = self.eig()
-        if np.abs(w - np.round(w)).max() > TOL_PSD * scale:
-            raise InvalidInput("projection spectrum is not within {0, 1}")
-
-    def rank(self) -> int:
-        return int(round(float(np.trace(self.entries).real)))
-
-
 def as_hermitian(x) -> HermitianMatrix:
     """Coerce an array-like or HermitianMatrix to HermitianMatrix."""
     return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
@@ -164,16 +147,6 @@ def as_hermitian(x) -> HermitianMatrix:
 def as_psd(x) -> PsdMatrix:
     """Coerce an array-like or PsdMatrix to PsdMatrix."""
     return x if isinstance(x, PsdMatrix) else PsdMatrix(x)
-
-
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending eigenvalues and a unitary matrix of eigenvector columns
-    such that ``H = U diag(w) U*``.  Deterministic for identical input bits on
-    a fixed platform; no tie-breaking is guaranteed for degenerate spectra.
-    """
-    return as_hermitian(h).eig()
 
 
 class Verdict(NamedTuple):
@@ -219,41 +192,6 @@ def pinv_psd(a) -> PsdMatrix:
     """Moore-Penrose inverse: the eigenvalues ``support()`` keeps are inverted."""
     w, u = as_psd(a).support()
     return PsdMatrix._gram(u, 1.0 / w)
-
-
-def support_projection(a) -> Projection:
-    """Projection onto the span of the eigenvectors ``support()`` keeps."""
-    _, u = as_psd(a).support()
-    return Projection(u @ u.conj().T)
-
-
-def frac_power_psd(a, p: float) -> PsdMatrix:
-    """Fractional power with eigenvalues mapped by ``w -> w**p`` and 0 fixed.
-
-    For p <= 0, where the scalar map is discontinuous at 0, the power is taken
-    on the support only: eigenvalues below the rank cutoff map to 0.
-    """
-    a = as_psd(a)
-    w, u = a.eig() if p > 0.0 else a.support()
-    return PsdMatrix._gram(u, np.clip(w, 0.0, None) ** p)
-
-
-def proj_intersection(p, q) -> Projection:
-    """Projection onto ran(P) ∩ ran(Q).
-
-    Computed as the projection onto the common null space of (I - P) and
-    (I - Q), i.e. the zero eigenspace of their sum.
-    """
-    p = as_psd(p)
-    q = as_psd(q)
-    if p.dim != q.dim:
-        raise ShapeError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    eye = np.eye(p.dim)
-    gap = HermitianMatrix((eye - p.entries) + (eye - q.entries))
-    w, u = gap.eig()
-    keep = w <= RANK_RTOL * max(1.0, w[-1])
-    us = u[:, keep]
-    return Projection(us @ us.conj().T)
 
 
 class SpectralPair:

@@ -6,9 +6,10 @@ C^{+1/2}`` satisfies ``A' + B' = supp(C)``, so the two derivatives commute.
 This is the ``hermlinalg.SpectralPair`` of (C_F, C_G) that the operator means
 use, and every quantity here is one of its Gram forms ``C^{1/2} h(A') C^{1/2}``:
 the absolutely continuous part of G takes ``h = 1[t>0] (1-t)``, the singular
-part ``h = 1[t=0] (1-t)``.  The parallel-sum limit ``lim_n (nF : G)`` is
-retained as the independent oracle, Richardson-extrapolated along the doubling
-schedule.
+part ``h = 1[t=0] (1-t)``.  ``decompose`` returns both parts with
+``alpha_min`` and the verdict of their sum against C_G.  The parallel-sum
+limit ``lim_n (nF : G)`` is retained as the independent oracle,
+Richardson-extrapolated along the doubling schedule.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
-from .errors import DomainError, NonConvergence, NumericalError
-from .hermlinalg import TOL_RECON, HermitianMatrix, Projection, PsdMatrix, SpectralPair
+from .errors import DomainError, NonConvergence
+from .hermlinalg import HermitianMatrix, PsdMatrix, SpectralPair, Verdict
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
@@ -28,36 +29,24 @@ from .opmeans import parallel_sum
 TOL_LIM = 1e-6
 # Bound on the scale-free singularity and absolute-continuity residuals.
 TOL_SPLIT = 1e-8
+# Bound on max |ac + sing - C_G|, relative to max(||C_F||, ||C_G||).
+TOL_ADD = 1e-9
 
 _RICHARDSON_DEPTH = 4
-
-
-@dataclass(frozen=True)
-class RnPair:
-    """Radon-Nikodym derivatives of a pair of maps in their joint representation.
-
-    c_half is the PSD square root of C_F + C_G; a_prime and b_prime are the
-    commuting derivatives with a_prime + b_prime = support; sandwiching either
-    derivative with c_half recovers the corresponding Choi matrix.
-    """
-
-    c_half: PsdMatrix
-    a_prime: PsdMatrix
-    b_prime: PsdMatrix
-    support: Projection
 
 
 @dataclass(frozen=True)
 class LebesgueSplit:
     """Decomposition G = ac + sing with ac absolutely continuous and sing singular.
 
-    alpha_min is the least alpha with C_ac <= alpha * C_F (0 when ac vanishes).
+    alpha_min is the least alpha with C_ac <= alpha * C_F (0 when ac vanishes);
+    recon is ``max |C_ac + C_sing - C_G|`` against ``TOL_ADD max(||C_F||, ||C_G||)``.
     """
 
     ac: CpMap
     sing: CpMap
-    phi_support: Projection
     alpha_min: float
+    recon: Verdict
 
 
 def _pair(f: CpMap, g: CpMap) -> SpectralPair:
@@ -70,14 +59,6 @@ def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on phi (absolutely continuous) and off it (singular)."""
     phi = p.t > 0.0
     return phi, np.where(phi, 1.0 - p.t, 0.0), np.where(phi, 0.0, 1.0 - p.t)
-
-
-def rn_pair(f: CpMap, g: CpMap) -> RnPair:
-    """Construct the commuting Radon-Nikodym pair for (F, G)."""
-    p = _pair(f, g)
-    uv = p.u @ p.v
-    return RnPair(PsdMatrix._gram(p.u, np.sqrt(p.w)), PsdMatrix._gram(uv, p.t),
-                  PsdMatrix._gram(uv, 1.0 - p.t), Projection._gram(p.u))
 
 
 def ac_part(f: CpMap, g: CpMap) -> CpMap:
@@ -135,23 +116,20 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     """Lebesgue decomposition of G relative to F.
 
     ac and sing are Gram forms of the one spectral pair, so both are PSD by
-    construction; their sum must reproduce C_G within TOL_RECON times
-    max(||C_F||, ||C_G||), else NumericalError.  alpha_min is the largest
+    construction; how closely their sum reproduces C_G is the split's recon
+    verdict, returned whether or not it holds.  alpha_min is the largest
     ``(1 - t) / t`` over the support of A', hence invariant under joint scaling.
     """
     p = _pair(f, g)
     phi, h_ac, h_sing = _split(p)
     ac, sing = PsdMatrix._gram(p.z, h_ac), PsdMatrix._gram(p.z, h_sing)
     resid = float(np.abs(ac.entries + sing.entries - g.choi.entries).max())
-    bound = TOL_RECON * max(f.choi.norm(), g.choi.norm())
-    if resid > bound:
-        raise NumericalError(f"ac + sing misses C_G by {resid:.3e}, tolerance {bound:.3e}")
     tp = p.t[phi]
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        phi_support=Projection._gram(p.u @ p.v[:, phi]),
         alpha_min=float(((1.0 - tp) / tp).max(initial=0.0)),
+        recon=Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm())),
     )
 
 

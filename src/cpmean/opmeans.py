@@ -7,9 +7,9 @@ on the spectrum of A' (Kubo-Ando 1980).  The geometric, power and logarithmic
 means and every ``ConnectionRep``, transformed or not, take this route: the
 pair's two eigendecompositions and the final clamp's two whatever the kernel,
 exact for singular inputs.  The power and logarithmic kernels are in closed
-form; the Gauss-Jacobi atom sum ``power_atoms`` (the one user of scipy), the
-epsilon-regularized limit and the per-atom parallel-sum formula of a
-``ConnectionRep`` are test oracles only.
+form; the Gauss-Jacobi atom sum of t^alpha, the epsilon-regularized limit and
+the per-atom parallel-sum formula of a ``ConnectionRep`` are test oracles
+only.
 ``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``; the
 arithmetic mean is a plain sum, with no eigendecomposition.
 
@@ -27,8 +27,10 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .hermlinalg import PsdMatrix, SpectralPair, as_psd, pinv_psd
 
-TOL_MEAN = 1e-7   # mean identities, relative to max(1, ||A||, ||B||)
-TOL_QUAD = 1e-6   # scalar quadrature accuracy of power_atoms
+# Round-off bound of a mean.  Its clamp is relative to max(1, ||result||) for
+# the kernel means and to ||A + B|| for parallel_sum; the CLI's mean checks
+# take it relative to their operands.
+TOL_MEAN = 1e-7
 
 
 def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
@@ -282,39 +284,8 @@ def power_rep(alpha: float) -> ConnectionRep:
     alpha)``.  The family is closed under the transforms, which stay exact
     flag flips: the transpose and the dual represent ``t^(1-alpha)``, the
     adjoint ``t^alpha`` itself, and all vanish where those functions do.
-    ``power_atoms`` is its finite discretization.
     """
     return ConnectionRep(0.0, 0.0, (), label=f"power({alpha})", power=alpha)
-
-
-def power_atoms(alpha: float, nodes: int = 64) -> ConnectionRep:
-    """Discretize the representing measure of t^alpha into ``nodes`` atoms.
-
-    The measure density is sin(a pi)/pi * l^(a-1) / (1 + l) dl on (0, inf).
-    Under l = u/(1-u) this becomes sin(a pi)/pi * u^(a-1) (1-u)^(-a) du on
-    (0, 1), whose endpoint singularities defeat plain Gauss-Legendre; the
-    nodes are therefore taken from the Gauss-Jacobi rule with exactly that
-    weight, which integrates the remaining analytic kernel to near machine
-    precision.  Needs scipy (``roots_jacobi``); ``power_rep`` does not.
-
-    A finite atom sum has ``g(inf) = sum_k w_k (1 + l_k) < inf``, so the
-    adjoint and the dual leak ``1/g(inf)`` (1/128 at alpha = 1/2) onto ker B,
-    where those of t^alpha vanish: this is the test oracle of the atom
-    kernel, not a substitute for ``power_rep``.
-    """
-    from scipy.special import roots_jacobi
-
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"power_atoms requires alpha in (0, 1), got {alpha}")
-    if nodes < 4:
-        raise DomainError("power_atoms requires at least 4 quadrature nodes")
-    with np.errstate(invalid="ignore"):
-        x, wj = roots_jacobi(nodes, -alpha, alpha - 1.0)
-    u = 0.5 * (x + 1.0)
-    lam = u / (1.0 - u)
-    wt = np.sin(alpha * np.pi) / np.pi * wj
-    atoms = tuple((float(l), float(w)) for l, w in zip(lam, wt) if w > 0.0)
-    return ConnectionRep(0.0, 0.0, atoms, label=f"power_atoms({alpha}, {nodes})")
 
 
 def transpose_rep(rep: ConnectionRep) -> ConnectionRep:

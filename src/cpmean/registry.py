@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import cpmaps, lebesgue, opmeans
+from . import cpmaps, lebesgue
 from .cpmaps import (
     TOL_FLAGS,
     cond_exp_diag,

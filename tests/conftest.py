@@ -3,6 +3,11 @@ import pytest
 
 from cpmean.cpmaps import CpMap, from_choi
 
+# Reconstruction budget of the tests' residual checks, relative to max(1, norm).
+TOL_RECON = 1e-8
+# Rank cutoff of the raw-numpy range oracles, relative to the largest eigenvalue.
+RANK_CUT = 1e-10
+
 
 def random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -37,6 +42,24 @@ def max_abs(a):
 def min_eig(a):
     a = np.asarray(a)
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+
+
+def support_proj(a):
+    """Raw-numpy projection onto ran A: eigenvectors above RANK_CUT * lambda_max."""
+    a = np.asarray(a)
+    w, u = np.linalg.eigh(0.5 * (a + a.conj().T))
+    us = u[:, w > RANK_CUT * max(float(w[-1]), 0.0)]
+    return us @ us.conj().T
+
+
+def meet_proj(p, q):
+    """Raw-numpy projection onto ran P ∩ ran Q for orthogonal projections P, Q:
+    the zero eigenspace of (I - P) + (I - Q)."""
+    p, q = np.asarray(p), np.asarray(q)
+    eye = np.eye(len(p))
+    w, u = np.linalg.eigh((eye - p) + (eye - q))
+    us = u[:, w <= RANK_CUT * max(1.0, float(w[-1]))]
+    return us @ us.conj().T
 
 
 @pytest.fixture

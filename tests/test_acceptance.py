@@ -39,12 +39,12 @@ from cpmean.opmeans import (
     dual_rep,
     geometric_mean,
     parallel_sum,
-    power_atoms,
     power_mean,
     transpose_rep,
 )
 
 from conftest import max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
+from jacobi import power_atoms
 from test_lebesgue import direct_rn_compression, planted_pair, shorted_to_subspace
 
 

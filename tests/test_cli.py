@@ -21,10 +21,9 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import NonConvergence, NotCompletelyPositive, ParseError
-from cpmean.hermlinalg import TOL_RECON
 from cpmean.report import Report
 
-from conftest import max_abs, random_cp, random_unitary
+from conftest import TOL_RECON, max_abs, random_cp, random_unitary
 
 
 @pytest.fixture
@@ -468,6 +467,63 @@ class TestVerdictRule:
                 (rep,) = _reports_keeping_the_rule(capsys.readouterr().out)
                 assert code == (0 if rep["passed"] else 3)
         assert len(stopped) >= 10
+
+
+def _failed_checks(out: str) -> list[str]:
+    (rep,) = _reports_keeping_the_rule(out)
+    return [c["name"] for c in rep["checks"] if not c["passed"]]
+
+
+class TestChecksAtJointScale:
+    """Mean and Lebesgue checks are relative to the operands at every scale."""
+
+    @pytest.fixture
+    def scaled_files(self, tmp_path):
+        def write(s, f, g):
+            paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
+            save_channel(s * f, paths[0])
+            save_channel(s * g, paths[1])
+            return paths
+        return write
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e12])
+    def test_geo_certificate_rejects_twice_the_mean(self, scaled_files, capsys, monkeypatch, s):
+        rng = np.random.default_rng(44)
+        argv = ["--format", "json", "mean", "--kind", "geo",
+                *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
+        assert main(argv) == 0
+        assert _failed_checks(capsys.readouterr().out) == []
+        real = cli.mean_cp
+        monkeypatch.setattr(cli, "mean_cp", lambda kind, f, g: 2.0 * real(kind, f, g))
+        assert main(argv) == 3
+        assert _failed_checks(capsys.readouterr().out) == [
+            "block certificate [[A,G],[G,B]] PSD"]
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e12])
+    def test_chain_check_rejects_twice_the_harmonic_mean(self, scaled_files, capsys,
+                                                         monkeypatch, s):
+        rng = np.random.default_rng(45)
+        argv = ["--format", "json", "mean", "--kind", "geo",
+                *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
+        real = cli.mean_cp
+
+        def doubled_harm(kind, f, g):
+            return (2.0 if kind.tag == "harm" else 1.0) * real(kind, f, g)
+
+        monkeypatch.setattr(cli, "mean_cp", doubled_harm)
+        assert main(argv) == 3
+        assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
+
+    def test_lebesgue_reports_a_missed_sum_as_a_failed_check(self, tmp_path, capsys):
+        from test_lebesgue import nearly_parallel_pair
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        f, g = nearly_parallel_pair(np.random.default_rng(7), 1e-6)
+        save_channel(f, phi)
+        save_channel(g, psi)
+        assert main(["--format", "json", "lebesgue", str(phi), str(psi)]) == 3
+        out, err = capsys.readouterr()
+        assert "ac + sing = psi" in _failed_checks(out)
+        assert "numeric failure" not in err
 
 
 class TestCliErrorPaths:

@@ -9,7 +9,6 @@ import pytest
 from cpmean.cpmaps import mean_cp
 from cpmean.errors import DomainError
 from cpmean.opmeans import (
-    TOL_QUAD,
     ConnectionRep,
     MeanKind,
     adjoint_rep,
@@ -20,13 +19,13 @@ from cpmean.opmeans import (
     harmonic_mean,
     mean,
     parallel_sum,
-    power_atoms,
     power_mean,
     power_rep,
     transpose_rep,
 )
 
 from conftest import max_abs, random_cp, random_psd
+from jacobi import TOL_QUAD, power_atoms
 
 TGRID = 2.0 ** np.arange(-4, 5, dtype=float)
 

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from cpmean.cpmaps import (
-    ChannelFlags,
-    DensityFunctional,
-    channel_flags,
     choi_from_action,
     compose,
     cond_exp_diag,
@@ -29,10 +26,19 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_PSD, TOL_RECON, pinv_psd, support_projection
+from cpmean.hermlinalg import RANK_RTOL, TOL_PSD, is_psd, pinv_psd
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
-from conftest import max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
+from conftest import (
+    TOL_RECON,
+    max_abs,
+    min_eig,
+    random_cp,
+    random_density,
+    random_psd,
+    random_unitary,
+    support_proj,
+)
 
 
 def entangled_vec(d):
@@ -318,8 +324,8 @@ class TestTensorCompose:
 def index_oracle(f):
     """<v, C^+ v> through a support projection and a pseudo-inverse."""
     v = entangled_vec(f.dim_in)
-    supp = support_projection(f.choi)
-    if np.linalg.norm(v - supp.entries @ v) > RANK_RTOL * np.linalg.norm(v):
+    supp = support_proj(f.choi.entries)
+    if np.linalg.norm(v - supp @ v) > RANK_RTOL * np.linalg.norm(v):
         return math.inf
     return float(np.real(v.conj() @ pinv_psd(f.choi).entries @ v))
 
@@ -428,11 +434,6 @@ class TestZoo:
         x = random_psd(rng, 3)
         assert abs(f.apply(x)[0, 0] - np.trace(rho @ x)) < 1e-12
 
-    def test_density_functional_wrapper(self, rng):
-        df = DensityFunctional.of(random_density(rng, 2))
-        f = functional(df)
-        assert f.dim_out == 1
-
     def test_schur_requires_psd_symbol(self):
         with pytest.raises(DomainError):
             schur(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -448,11 +449,11 @@ class TestZoo:
             cond_exp_tensor(1, (0.5, -0.5))
 
     def test_flags(self):
-        flags = channel_flags(identity(3))
-        assert flags == ChannelFlags(True, True, True, flags.tolerance)
-        assert channel_flags(depolarizing(2)).is_trace_preserving
-        f = channel_flags(functional(np.eye(2)))
-        assert f.is_cp and not f.is_unital
+        ident = identity(3)
+        assert is_psd(ident.choi) and ident.is_unital() and ident.is_trace_preserving()
+        assert depolarizing(2).is_trace_preserving()
+        f = functional(np.eye(2))
+        assert is_psd(f.choi) and not f.is_unital()
 
     def test_defects_decide_unital_and_trace_preserving(self, rng):
         maps = [identity(3), depolarizing(2), cond_exp_diag(3), functional(np.eye(2)),

@@ -24,7 +24,6 @@ PINS = [
     ("mean custom adjoint", (4, 0)),
     ("mean custom dual", (4, 0)),
     ("decompose", (2, 0)),        # eig C, eig A'
-    ("rn_pair", (2, 0)),
     ("ac_part", (2, 0)),
     ("singular_residual", (2, 0)),
     ("abs_continuity_residual", (2, 0)),
@@ -32,6 +31,12 @@ PINS = [
     ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
     ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
+    # sums, scalings, tensor products and compositions of admitted maps are
+    # PSD by construction: no admission
+    ("CpMap +", (0, 0)),
+    ("CpMap scalar *", (0, 0)),
+    ("tensor", (0, 0)),
+    ("compose", (0, 0)),
     # 2 input admissions, geo 4, certificate 1, harm 3 for the chain checks,
     # whose two eigvalsh bound the dips of geo - harm and arith - geo
     ("cli mean --kind geo -o", (10, 2)),
@@ -77,7 +82,6 @@ def _operation(name, f, g, geo, paths):
         return lambda: cpmaps.mean_cp(kind, f, g)
     return {
         "decompose": lambda: lebesgue.decompose(f, g),
-        "rn_pair": lambda: lebesgue.rn_pair(f, g),
         "ac_part": lambda: lebesgue.ac_part(f, g),
         "singular_residual": lambda: lebesgue.singular_residual(f, g),
         "abs_continuity_residual": lambda: lebesgue.abs_continuity_residual(g, f),
@@ -85,6 +89,10 @@ def _operation(name, f, g, geo, paths):
         "kraus_decompose": lambda: cpmaps.kraus_decompose(f),
         "order_cp": lambda: cpmaps.order_cp(f, g),
         "geo_certificate": lambda: cpmaps.geo_certificate(f, g, geo),
+        "CpMap +": lambda: f + g,
+        "CpMap scalar *": lambda: 2.5 * f,
+        "tensor": lambda: cpmaps.tensor(f, g),
+        "compose": lambda: cpmaps.compose(f, g),
     }[name]
 
 

@@ -4,23 +4,23 @@ import pytest
 from cpmean.errors import InvalidInput, ShapeError
 from cpmean.hermlinalg import (
     TOL_PSD,
-    TOL_RECON,
     HermitianMatrix,
-    Projection,
     PsdMatrix,
     Verdict,
-    eigh,
-    frac_power_psd,
     is_psd,
     pinv_psd,
     psd_signs,
-    proj_intersection,
     psd_sqrt,
     psd_verdict,
-    support_projection,
 )
 
-from conftest import max_abs, random_psd, random_unitary
+from conftest import TOL_RECON, max_abs, meet_proj, random_psd, random_unitary
+
+
+def support_of(a):
+    """Projection onto the eigenvectors ``PsdMatrix(a).support()`` keeps."""
+    _, u = PsdMatrix(a).support()
+    return u @ u.conj().T
 
 
 class TestTypes:
@@ -58,23 +58,15 @@ class TestTypes:
         with pytest.raises(InvalidInput):
             PsdMatrix.clamped(np.diag([1.0, -1e-3]))
 
-    def test_projection_validates(self):
-        Projection(np.diag([1.0, 0.0, 1.0]))
-        with pytest.raises(InvalidInput):
-            Projection(np.diag([0.5, 1.0]))
-
-    def test_projection_rank(self):
-        assert Projection(np.diag([1.0, 0.0, 1.0])).rank() == 2
-
 
 class TestEigh:
     def test_diagonal(self):
-        w, u = eigh(np.diag([3.0, 1.0]))
+        w, u = HermitianMatrix(np.diag([3.0, 1.0])).eig()
         assert np.allclose(w, [1.0, 3.0])
         assert max_abs(np.abs(u) - np.eye(2)[:, ::-1]) < 1e-14
 
     def test_pauli_x(self):
-        w, _ = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, _ = HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]).eig()
         assert np.allclose(w, [-1.0, 1.0])
 
     def test_reconstruction_residual(self, rng):
@@ -93,8 +85,8 @@ class TestEigh:
     def test_deterministic_for_identical_bits(self, rng):
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         m = g + g.conj().T
-        w1, u1 = eigh(m.copy())
-        w2, u2 = eigh(m.copy())
+        w1, u1 = HermitianMatrix(m.copy()).eig()
+        w2, u2 = HermitianMatrix(m.copy()).eig()
         assert np.array_equal(w1, w2) and np.array_equal(u1, u2)
 
 
@@ -166,80 +158,55 @@ class TestPinv:
     def test_product_is_support(self, rng):
         a = random_psd(rng, 6, rank=3)
         ap = pinv_psd(PsdMatrix(a)).entries
-        supp = support_projection(PsdMatrix(a)).entries
-        assert max_abs(a @ ap - supp) <= TOL_RECON
+        assert max_abs(a @ ap - support_of(a)) <= TOL_RECON
 
 
 class TestSupport:
     def test_diagonal(self):
-        p = support_projection(PsdMatrix(np.diag([1.0, 0.0, 2.0])))
-        assert max_abs(p.entries - np.diag([1.0, 0.0, 1.0])) < 1e-14
+        w, _ = PsdMatrix(np.diag([1.0, 0.0, 2.0])).support()
+        assert w.tolist() == [1.0, 2.0]
+        assert max_abs(support_of(np.diag([1.0, 0.0, 2.0])) - np.diag([1.0, 0.0, 1.0])) < 1e-14
 
     def test_zero(self):
-        assert support_projection(PsdMatrix(np.zeros((2, 2)))).rank() == 0
+        w, u = PsdMatrix(np.zeros((2, 2))).support()
+        assert w.shape == (0,) and u.shape == (2, 0)
 
     def test_rank_one(self, rng):
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        p = support_projection(PsdMatrix(np.outer(v, v.conj())))
-        assert max_abs(p.entries - np.outer(v, v.conj()) / (np.abs(v) ** 2).sum()) < 1e-13
+        p = support_of(np.outer(v, v.conj()))
+        assert max_abs(p - np.outer(v, v.conj()) / (np.abs(v) ** 2).sum()) < 1e-13
 
     def test_absorbs(self, rng):
         a = random_psd(rng, 6, rank=4)
-        p = support_projection(PsdMatrix(a)).entries
-        assert max_abs(p @ a - a) <= TOL_RECON * max(1.0, max_abs(a))
-
-
-class TestFracPower:
-    def test_half_power_on_singular(self):
-        got = frac_power_psd(PsdMatrix(np.diag([4.0, 0.0])), 0.5)
-        assert max_abs(got.entries - np.diag([2.0, 0.0])) < 1e-14
-
-    def test_identity_any_power(self):
-        for p in (-1.0, -0.5, 0.0, 0.3, 1.0):
-            assert max_abs(frac_power_psd(PsdMatrix(np.eye(3)), p).entries - np.eye(3)) < 1e-14
-
-    def test_negative_power_scalars(self):
-        got = frac_power_psd(PsdMatrix(np.diag([2.0, 8.0])), -0.5)
-        want = np.diag([1.0 / np.sqrt(2.0), 1.0 / (2.0 * np.sqrt(2.0))])
-        assert max_abs(got.entries - want) < 1e-14
-
-    def test_negative_power_restricted_to_support(self):
-        got = frac_power_psd(PsdMatrix(np.diag([2.0, 0.0])), -1.0)
-        assert max_abs(got.entries - np.diag([0.5, 0.0])) < 1e-14
+        assert max_abs(support_of(a) @ a - a) <= TOL_RECON * max(1.0, max_abs(a))
 
 
 class TestProjIntersection:
+    """``conftest.meet_proj``, the raw-numpy oracle of the range checks
+    ``ran(A # B) = ran A ∩ ran B`` and ``ran(A : B) = ran A ∩ ran B``."""
+
     def test_equal_projections(self, rng):
         q = random_unitary(rng, 4)[:, :2]
-        p = Projection(q @ q.conj().T)
-        assert max_abs(proj_intersection(p, p).entries - p.entries) < 1e-12
+        p = q @ q.conj().T
+        assert max_abs(meet_proj(p, p) - p) < 1e-12
 
     def test_orthogonal_rank_one(self):
-        p = Projection(np.diag([1.0, 0.0]))
-        q = Projection(np.diag([0.0, 1.0]))
-        assert max_abs(proj_intersection(p, q).entries) < 1e-14
+        assert max_abs(meet_proj(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))) < 1e-14
 
     def test_basis_overlap(self):
-        p = Projection(np.diag([1.0, 1.0, 0.0]))
-        q = Projection(np.diag([0.0, 1.0, 1.0]))
-        got = proj_intersection(p, q)
-        assert max_abs(got.entries - np.diag([0.0, 1.0, 0.0])) < 1e-13
+        got = meet_proj(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]))
+        assert max_abs(got - np.diag([0.0, 1.0, 0.0])) < 1e-13
 
     def test_commutative_idempotent_monotone(self, rng):
         u = random_unitary(rng, 5)
-        p = Projection(u[:, :3] @ u[:, :3].conj().T)
+        p = u[:, :3] @ u[:, :3].conj().T
         v = random_unitary(rng, 5)
-        q = Projection(v[:, :3] @ v[:, :3].conj().T)
-        meet_pq = proj_intersection(p, q).entries
-        meet_qp = proj_intersection(q, p).entries
-        assert max_abs(meet_pq - meet_qp) < 1e-10
+        q = v[:, :3] @ v[:, :3].conj().T
+        meet_pq = meet_proj(p, q)
+        assert max_abs(meet_pq - meet_proj(q, p)) < 1e-10
         # idempotent against itself and monotone: ran(P^Q) inside ran(P)
-        assert max_abs(proj_intersection(p, p).entries - p.entries) < 1e-10
-        assert max_abs(p.entries @ meet_pq - meet_pq) < 1e-10
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            proj_intersection(Projection(np.eye(2)), Projection(np.eye(3)))
+        assert max_abs(meet_proj(p, p) - p) < 1e-10
+        assert max_abs(p @ meet_pq - meet_pq) < 1e-10
 
 
 class TestInvariants:

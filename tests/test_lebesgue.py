@@ -5,8 +5,9 @@ import pytest
 
 from cpmean.cpmaps import from_choi, functional
 from cpmean.errors import DomainError, NonConvergence, ShapeError
-from cpmean.hermlinalg import PsdMatrix, is_psd, support_projection
+from cpmean.hermlinalg import PsdMatrix, SpectralPair, Verdict, is_psd
 from cpmean.lebesgue import (
+    TOL_ADD,
     TOL_LIM,
     abs_continuity_residual,
     ac_part,
@@ -14,14 +15,13 @@ from cpmean.lebesgue import (
     decompose,
     is_abs_continuous,
     is_singular,
-    rn_pair,
     singular_residual,
 )
 from cpmean import lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import leq_cp
 
-from conftest import max_abs, min_eig, random_cp, random_psd, random_unitary
+from conftest import max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj
 
 
 def planted_pair(rng, m, n, lo=0.2, hi=0.25):
@@ -56,6 +56,13 @@ def planted_pair(rng, m, n, lo=0.2, hi=0.25):
     return from_choi(m, n, choi_a), from_choi(m, n, choi_b)
 
 
+def nearly_parallel_pair(rng, theta):
+    """Rank-one maps vv* and ww* on M_2 -> M_2 with unit v, w at angle theta."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    v, w = q[:, 0], np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, 1]
+    return from_choi(2, 2, np.outer(v, v.conj())), from_choi(2, 2, np.outer(w, w.conj()))
+
+
 def shorted_to_subspace(x, basis):
     """Independent oracle: generalized Schur complement of x onto span(basis)."""
     d = x.shape[0]
@@ -71,39 +78,44 @@ def shorted_to_subspace(x, basis):
     return 0.5 * (back + back.conj().T)
 
 
+def rn_matrices(f, g):
+    """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
+    (C_F, C_G), as matrices in the original basis."""
+    p = SpectralPair(f.choi, g.choi)
+    uv = p.u @ p.v
+    return ((uv * p.t) @ uv.conj().T, (uv * (1.0 - p.t)) @ uv.conj().T,
+            p.u @ p.u.conj().T, (p.u * np.sqrt(p.w)) @ p.u.conj().T)
+
+
 class TestRnPair:
     def test_equal_maps(self, rng):
         f = from_choi(1, 3, random_psd(rng, 3, rank=2))
-        pair = rn_pair(f, f)
-        assert max_abs(pair.a_prime.entries - pair.support.entries / 2) < 1e-10
-        assert max_abs(pair.b_prime.entries - pair.support.entries / 2) < 1e-10
+        a_prime, b_prime, support, _ = rn_matrices(f, f)
+        assert max_abs(a_prime - support / 2) < 1e-10
+        assert max_abs(b_prime - support / 2) < 1e-10
 
     def test_orthogonal_supports(self):
         f = from_choi(1, 2, np.diag([1.0, 0.0]))
         g = from_choi(1, 2, np.diag([0.0, 1.0]))
-        pair = rn_pair(f, g)
-        assert max_abs(pair.a_prime.entries - np.diag([1.0, 0.0])) < 1e-12
-        assert max_abs(pair.b_prime.entries - np.diag([0.0, 1.0])) < 1e-12
+        a_prime, b_prime, _, _ = rn_matrices(f, g)
+        assert max_abs(a_prime - np.diag([1.0, 0.0])) < 1e-12
+        assert max_abs(b_prime - np.diag([0.0, 1.0])) < 1e-12
 
     def test_reconstruction_invariants(self, rng):
         for _ in range(8):
             f, g = planted_pair(rng, 2, 2)
-            pair = rn_pair(f, g)
-            ch = pair.c_half.entries
+            a_prime, b_prime, support, ch = rn_matrices(f, g)
             scale = max(1.0, f.choi.norm(), g.choi.norm())
-            assert max_abs(pair.a_prime.entries + pair.b_prime.entries
-                           - pair.support.entries) < 1e-8
-            assert max_abs(ch @ pair.a_prime.entries @ ch - f.choi.entries) \
-                < 1e-8 * scale
-            assert max_abs(ch @ pair.b_prime.entries @ ch - g.choi.entries) \
-                < 1e-8 * scale
-            comm = (pair.a_prime.entries @ pair.b_prime.entries
-                    - pair.b_prime.entries @ pair.a_prime.entries)
-            assert max_abs(comm) < 1e-8
+            assert max_abs(a_prime + b_prime - support) < 1e-8
+            assert max_abs(ch @ a_prime @ ch - f.choi.entries) < 1e-8 * scale
+            assert max_abs(ch @ b_prime @ ch - g.choi.entries) < 1e-8 * scale
+            assert max_abs(a_prime @ b_prime - b_prime @ a_prime) < 1e-8
 
     def test_shape_error(self, rng):
-        with pytest.raises(ShapeError):
-            rn_pair(from_choi(1, 2, np.eye(2)), from_choi(1, 3, np.eye(3)))
+        f, g = from_choi(1, 2, np.eye(2)), from_choi(1, 3, np.eye(3))
+        for call in (decompose, ac_part, singular_residual):
+            with pytest.raises(ShapeError):
+                call(f, g)
 
 
 class TestAcPart:
@@ -261,7 +273,8 @@ class TestDecompose:
         assert max_abs(split.ac.choi.entries) == 0.0
         assert max_abs(split.sing.choi.entries) == 0.0
         assert split.alpha_min == 0.0
-        assert rn_pair(zero, zero).support.rank() == 0
+        assert split.recon == Verdict(0.0, 0.0) and split.recon
+        assert SpectralPair(z, z).t.shape == (0,)
 
     def test_additivity_and_mutual_singularity(self, rng):
         for _ in range(10):
@@ -274,6 +287,23 @@ class TestDecompose:
             assert resid <= 1e-9 * max(1.0, g.choi.norm())
             assert is_singular(f, split.sing)
             assert is_abs_continuous(split.ac, f)
+
+    def test_recon_is_the_sum_residual(self):
+        for f, g in generic_pairs(64):
+            split = decompose(f, g)
+            resid = max_abs(split.ac.choi.entries + split.sing.choi.entries - g.choi.entries)
+            assert split.recon == Verdict(resid, 1e-9 * max(f.choi.norm(), g.choi.norm()))
+            assert split.recon
+
+    def test_nearly_parallel_rank_one_pairs_return_a_split(self):
+        """The recon verdict is returned, not raised, however it comes out."""
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            f, g = nearly_parallel_pair(rng, 10.0 ** rng.uniform(-7.0, -5.0))
+            split = decompose(f, g)
+            resid = max_abs(split.ac.choi.entries + split.sing.choi.entries - g.choi.entries)
+            assert split.recon == Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm()))
+            assert is_psd(split.ac.choi) and is_psd(split.sing.choi)
 
     def test_alpha_min_by_bisection(self, rng):
         # independent oracle: bisect the least alpha with alpha*C_F - C_ac PSD
@@ -331,9 +361,8 @@ class TestPredicates:
     def test_singularity_matches_support_criterion(self, rng):
         for _ in range(8):
             f, g = planted_pair(rng, 2, 2)
-            pair = rn_pair(f, g)
-            pa = support_projection(pair.a_prime).entries
-            pb = support_projection(pair.b_prime).entries
+            a_prime, b_prime, _, _ = rn_matrices(f, g)
+            pa, pb = support_proj(a_prime), support_proj(b_prime)
             support_orthogonal = max_abs(pa @ pb) < 1e-8
             assert is_singular(f, g) == support_orthogonal
 
@@ -349,9 +378,9 @@ class TestPredicates:
     def test_abs_continuity_matches_range_criterion(self, rng):
         for _ in range(8):
             f, g = planted_pair(rng, 1, 3)
-            pair = rn_pair(f, g)
-            pa = support_projection(pair.a_prime).entries
-            outside = (np.eye(3) - pa) @ pair.b_prime.entries @ (np.eye(3) - pa)
+            a_prime, b_prime, _, _ = rn_matrices(f, g)
+            pa = support_proj(a_prime)
+            outside = (np.eye(3) - pa) @ b_prime @ (np.eye(3) - pa)
             range_ok = max_abs(outside) < 1e-8
             assert is_abs_continuous(g, f) == range_ok
 

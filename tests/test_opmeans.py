@@ -6,13 +6,7 @@ import pytest
 
 from cpmean import opmeans
 from cpmean.errors import DomainError, InvalidInput, ShapeError
-from cpmean.hermlinalg import (
-    Projection,
-    PsdMatrix,
-    is_psd,
-    proj_intersection,
-    support_projection,
-)
+from cpmean.hermlinalg import PsdMatrix, is_psd
 from cpmean.opmeans import (
     ARITH,
     GEO,
@@ -30,7 +24,8 @@ from cpmean.opmeans import (
     power_mean,
 )
 
-from conftest import max_abs, min_eig, random_psd, random_unitary
+from conftest import max_abs, meet_proj, min_eig, random_psd, random_unitary, support_proj
+from jacobi import power_atoms
 
 
 def closed_form_geo(a, b):
@@ -48,9 +43,7 @@ def closed_form_geo(a, b):
 def eps_limit_geo(a, b, k_lo=6, k_hi=12):
     """Regularized-limit oracle (A+eps)#(B+eps), compressed to the common range."""
     d = len(a)
-    pi = proj_intersection(
-        support_projection(PsdMatrix(a)), support_projection(PsdMatrix(b))
-    ).entries
+    pi = meet_proj(support_proj(a), support_proj(b))
     scale = max(1.0, max_abs(a), max_abs(b))
     g = None
     for k in range(k_lo, k_hi + 1):
@@ -92,10 +85,8 @@ class TestParallelSum:
         big_a = u[:, :3] @ a @ u[:, :3].conj().T
         big_b = u[:, 1:4] @ b @ u[:, 1:4].conj().T
         p = parallel_sum(big_a, big_b)
-        meet = proj_intersection(
-            support_projection(PsdMatrix(big_a)), support_projection(PsdMatrix(big_b))
-        )
-        assert max_abs(support_projection(p).entries - meet.entries) < 1e-8
+        meet = meet_proj(support_proj(big_a), support_proj(big_b))
+        assert max_abs(support_proj(p.entries) - meet) < 1e-8
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
@@ -129,7 +120,7 @@ class TestHarmonicArithmetic:
         q = q_basis @ q_basis.conj().T
         r, s = 3.0, 5.0
         got = harmonic_mean(r * p, s * q).entries
-        meet = proj_intersection(Projection(p), Projection(q)).entries
+        meet = meet_proj(p, q)
         assert max_abs(got - 2 * r * s / (r + s) * meet) < 1e-10
 
     def test_scalar_harmonic(self):
@@ -161,7 +152,7 @@ class TestGeometricMean:
         q = q_basis @ q_basis.conj().T
         r, s = 0.5, 8.0
         got = geometric_mean(r * p, s * q).entries
-        meet = proj_intersection(Projection(p), Projection(q)).entries
+        meet = meet_proj(p, q)
         assert max_abs(got - np.sqrt(r * s) * meet) < 1e-10
 
     def test_orthogonal_rank_one(self):
@@ -323,7 +314,6 @@ class TestMeanDispatch:
 
 class TestStructuralProperties:
     def test_monotonicity(self, rng):
-        from cpmean.opmeans import power_atoms
         kinds = [ARITH, GEO, HARM, PARALLEL, LOG, MeanKind.power(0.3),
                  MeanKind.custom(power_atoms(0.6, 16))]
         for _ in range(10):
@@ -388,9 +378,8 @@ class TestStructuralProperties:
         a = u[:, :3] @ random_psd(rng, 3) @ u[:, :3].conj().T
         b = u[:, 1:5] @ random_psd(rng, 4) @ u[:, 1:5].conj().T
         g = geometric_mean(a, b)
-        want = proj_intersection(support_projection(PsdMatrix(a)),
-                                 support_projection(PsdMatrix(b)))
-        assert max_abs(support_projection(g).entries - want.entries) < 1e-8
+        want = meet_proj(support_proj(a), support_proj(b))
+        assert max_abs(support_proj(g.entries) - want) < 1e-8
 
     def test_downward_continuity(self, rng):
         a = random_psd(rng, 4, rank=2)

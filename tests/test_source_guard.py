@@ -1,15 +1,20 @@
-"""Source guard: one rank cutoff, one route to eigendecompositions, one verdict rule.
+"""Source guard: one rank cutoff, one route to eigendecompositions, one verdict
+rule, numpy as the only dependency, and a pinned public surface.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg`` and in two independent checks that must not share its code.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
-``report.py`` can pass a verdict of its own.
+``report.py`` can pass a verdict of its own.  No module imports a third-party
+package but numpy, at module or function level.  The public names of
+``import cpmean`` are pinned, so adding or removing one shows in this file.
 """
 
 import ast
+import inspect
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpmean"
 
@@ -80,3 +85,55 @@ def test_checks_recorded_only_by_report_check():
 def test_record_guard_sees_a_call():
     assert _record_calls("rep.record('x', True, 0.0, 0.0)\n") == 1
     assert _record_calls("rep.check('x', 0.0, 0.0)\nrecord = 1\n") == 0
+
+
+def _third_party_imports(text: str) -> set[str]:
+    """Top-level packages of the absolute imports anywhere in the source that
+    are neither in the standard library nor numpy."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"numpy"}
+
+
+def test_numpy_is_the_only_third_party_import():
+    offenders = {name: found for name, text in _sources()
+                 if (found := _third_party_imports(text))}
+    assert offenders == {}
+
+
+def test_import_guard_sees_a_copy():
+    text = "import json\n\ndef f():\n    from scipy.special import roots_jacobi\n"
+    assert _third_party_imports(text) == {"scipy"}
+    assert _third_party_imports("import scipy.linalg as sl\n") == {"scipy"}
+    clean = "from __future__ import annotations\nimport numpy.linalg\nfrom . import cpmaps\n"
+    assert _third_party_imports(clean) == set()
+
+
+PUBLIC_NAMES = [
+    "ConnectionRep", "CpMap", "CpMeanError", "DomainError", "HermitianMatrix",
+    "InvalidInput", "LebesgueSplit", "MeanKind", "NonConvergence",
+    "NotCompletelyPositive", "ParseError", "PsdMatrix", "ShapeError",
+    "UnknownExample", "ac_part", "ac_part_oracle", "adjoint_rep",
+    "arithmetic_mean", "choi_from_action", "compose", "cond_exp_diag",
+    "cond_exp_rotated", "cond_exp_tensor", "connection_apply", "decompose",
+    "depolarizing", "dual_rep", "from_choi", "from_kraus", "functional",
+    "geo_certificate", "geometric_mean", "harmonic_mean", "identity",
+    "index_cp", "is_abs_continuous", "is_psd", "is_singular",
+    "kraus_decompose", "leq_cp", "load_channel", "log_mean", "mean", "mean_cp",
+    "parallel_sum", "pinv_psd", "power_mean", "power_rep", "psd_sqrt",
+    "save_channel", "schur", "state_mean_quantities", "tensor",
+    "transpose_rep", "unitary_conj",
+]
+
+
+def test_public_names_are_pinned():
+    import cpmean
+
+    # submodules become attributes as they are imported, so they are left out
+    names = sorted(n for n, v in vars(cpmean).items()
+                   if not n.startswith("_") and not inspect.ismodule(v))
+    assert names == PUBLIC_NAMES
