@@ -25,7 +25,6 @@ TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
 TOL_HERM = 1e-10    # Hermiticity admission for external data
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
-_PAIR_SNAP = 1e-12  # SpectralPair: least snap of t onto 0 and 1
 
 
 class HermitianMatrix:
@@ -195,30 +194,33 @@ def pinv_psd(a) -> PsdMatrix:
 
 
 class SpectralPair:
-    """The commuting Radon-Nikodym pair of PSD A and B on ran C, C = A + B.
+    """The commuting Radon-Nikodym pair of PSD A and B, folded to unit scale.
 
-    With ``C = U diag(w) U*`` on its support, ``A' = W^{-1/2} U* A U W^{-1/2}
-    = V diag(t) V*`` and ``B' = I - A'`` commute, and every connection and
-    Lebesgue part is a Gram form ``C^{1/2} h(A') C^{1/2} = Z diag(h(t)) Z*``
-    with ``Z = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped
-    onto {0, 1} within its own rounding error, so rank-deficient directions
-    carry no eigensolver noise into the kernels.  Costs two eigendecompositions,
-    of C and of the r x r A'; an empty support gives 0-column arrays.
+    The operands are folded by their largest entry modulus ``s_A = max |A_ij|``
+    (1 for a zero operand), which takes no eigendecomposition and cannot
+    overflow.  With ``Ĉ = A/s_A + B/s_B = U diag(w) U*`` on its support, ``A'
+    = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'``
+    commute, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*`` with ``Z
+    = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
+    1} within its own rounding error, so rank-deficient directions carry no
+    eigensolver noise.  Two eigendecompositions, of Ĉ and of the r x r A'; an
+    empty support gives 0-column arrays.
     """
 
-    __slots__ = ("u", "w", "v", "t", "z")
+    __slots__ = ("sa", "sb", "u", "w", "v", "t", "z")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
-        self.w, self.u = HermitianMatrix(a.entries + b.entries).support()
+        self.sa, self.sb = (float(np.abs(x.entries).max()) or 1.0 for x in (a, b))
+        ah = a.entries / self.sa
+        self.w, self.u = HermitianMatrix(ah + b.entries / self.sb).support()
         x = self.u / np.sqrt(self.w)
-        ap = x.conj().T @ a.entries @ x
+        ap = x.conj().T @ ah @ x
         t, self.v = np.linalg.eigh(0.5 * (ap + ap.conj().T))
-        # Rounding in the product (n eps ||A||) and in the eigenvectors of C
-        # (n eps ||C||, times t_i) reaches t_i as n eps (||A|| + t_i ||C||)
-        # sum_j |V_ji|^2 / w_j: above _PAIR_SNAP only where C is small.
-        snap = np.maximum(_PAIR_SNAP, self.u.shape[0] * _EPS
-                          * (np.linalg.norm(a.entries) + t * np.linalg.norm(self.w))
-                          * ((np.abs(self.v) ** 2).T @ (1.0 / self.w)))
+        # Rounding in the product (n eps ||Â||) and in the eigenvectors of Ĉ
+        # (n eps ||Ĉ||, times t_i) reaches t_i as n eps (||Â|| + t_i ||Ĉ||)
+        # sum_j |V_ji|^2 / w_j.
+        snap = (self.u.shape[0] * _EPS * (np.linalg.norm(ah) + t * np.linalg.norm(self.w))
+                * ((np.abs(self.v) ** 2).T @ (1.0 / self.w)))
         t[t < snap] = 0.0
         t[t > 1.0 - snap] = 1.0
         self.t = t

@@ -1,15 +1,13 @@
 """Lebesgue-type decomposition of CP maps with respect to a reference map.
 
-Everything happens at the Choi level.  With ``C = C_F + C_G`` the
-Radon-Nikodym pair ``A' = C^{+1/2} C_F C^{+1/2}`` and ``B' = C^{+1/2} C_G
-C^{+1/2}`` satisfies ``A' + B' = supp(C)``, so the two derivatives commute.
-This is the ``hermlinalg.SpectralPair`` of (C_F, C_G) that the operator means
-use, and every quantity here is one of its Gram forms ``C^{1/2} h(A') C^{1/2}``:
-the absolutely continuous part of G takes ``h = 1[t>0] (1-t)``, the singular
-part ``h = 1[t=0] (1-t)``.  ``decompose`` returns both parts with
+Everything is read from the ``hermlinalg.SpectralPair`` of (C_F, C_G) that
+the operator means use, ``C_F = s_F Z diag(t) Z*`` and ``C_G = s_G Z diag(1 -
+t) Z*``: the absolutely continuous part of G is ``s_G Z diag(1[t>0] (1-t))
+Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
+(s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose`` returns both parts with
 ``alpha_min`` and the verdict of their sum against C_G.  The parallel-sum
-limit ``lim_n (nF : G)`` is retained as the independent oracle,
-Richardson-extrapolated along the doubling schedule.
+limit ``lim_n (nF : G)``, on the pseudo-inverse ``opmeans.parallel_sum``, is
+kept as the independent oracle, Richardson-extrapolated along n = 2^k.
 """
 
 from __future__ import annotations
@@ -55,10 +53,10 @@ def _pair(f: CpMap, g: CpMap) -> SpectralPair:
 
 
 def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support rule phi = 1[t > 0] and the kernels of G's two parts: 1 - t
-    on phi (absolutely continuous) and off it (singular)."""
-    phi = p.t > 0.0
-    return phi, np.where(phi, 1.0 - p.t, 0.0), np.where(phi, 0.0, 1.0 - p.t)
+    """The support rule phi = 1[t > 0] and the kernels of G's two parts:
+    ``s_G (1 - t)`` on phi (absolutely continuous) and off it (singular)."""
+    phi, h = p.t > 0.0, p.sb * (1.0 - p.t)
+    return phi, np.where(phi, h, 0.0), np.where(phi, 0.0, h)
 
 
 def ac_part(f: CpMap, g: CpMap) -> CpMap:
@@ -117,8 +115,9 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
 
     ac and sing are Gram forms of the one spectral pair, so both are PSD by
     construction; how closely their sum reproduces C_G is the split's recon
-    verdict, returned whether or not it holds.  alpha_min is the largest
-    ``(1 - t) / t`` over the support of A', hence invariant under joint scaling.
+    verdict, returned whether or not it holds.  alpha_min is ``s_G/s_F`` times
+    the largest ``(1 - t) / t`` over the support of A': it scales by s/c when
+    F and G are scaled by c and s.
     """
     p = _pair(f, g)
     phi, h_ac, h_sing = _split(p)
@@ -128,14 +127,15 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        alpha_min=float(((1.0 - tp) / tp).max(initial=0.0)),
+        alpha_min=p.sb / p.sa * float(((1.0 - tp) / tp).max(initial=0.0)),
         recon=Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm())),
     )
 
 
 def singular_residual(f: CpMap, g: CpMap) -> float:
     """``max t (1 - t)`` over the spectrum of A': 0 iff F and G are mutually
-    singular (``F : G = C^{1/2} A' B' C^{1/2}``); invariant under joint scaling."""
+    singular.  A' is that of the folded pair, so scaling F or G leaves the
+    residual as it is."""
     t = _pair(f, g).t
     return float((t * (1.0 - t)).max(initial=0.0))
 
@@ -148,7 +148,7 @@ def is_singular(f: CpMap, g: CpMap, tol: float = TOL_SPLIT) -> bool:
 def abs_continuity_residual(g: CpMap, f: CpMap) -> float:
     """Share of tr C_G carried by the t = 0 directions of A' (the trace of the
     singular part over that of C_G): 0 iff G is F-absolutely continuous;
-    invariant under joint scaling."""
+    invariant under scaling F and G."""
     p = _pair(f, g)
     total = float(np.trace(g.choi.entries).real)
     if not total > 0.0:

@@ -1,17 +1,14 @@
 """Operator means and Kubo-Ando connections on the PSD cone.
 
-Connections are evaluated on ``hermlinalg.SpectralPair``, the commuting pair
-``A' = C^{+1/2} A C^{+1/2}``, ``B' = Π - A'`` on ran(A+B) with ``C = A + B``:
-``A σ_f B = C^{1/2} h(A') C^{1/2}`` with the scalar kernel ``h(t) = t f((1-t)/t)``
-on the spectrum of A' (Kubo-Ando 1980).  The geometric, power and logarithmic
-means and every ``ConnectionRep``, transformed or not, take this route: the
-pair's two eigendecompositions and the final clamp's two whatever the kernel,
-exact for singular inputs.  The power and logarithmic kernels are in closed
-form; the Gauss-Jacobi atom sum of t^alpha, the epsilon-regularized limit and
-the per-atom parallel-sum formula of a ``ConnectionRep`` are test oracles
-only.
-``parallel_sum`` (and the harmonic mean) use the exact ``A (A+B)^+ B``; the
-arithmetic mean is a plain sum, with no eigendecomposition.
+Every connection but the arithmetic mean (a plain sum) is evaluated on
+``hermlinalg.SpectralPair``, the commuting pair of the operands folded to
+unit scale, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*``.  A
+connection acts on commuting operands as its jointly homogeneous function of
+two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A``
+(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales,
+at the pair's two eigendecompositions and the final clamp's two.
+``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
+independent reference of the parallel-sum limit.
 
 Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 ``a`` on B, so commuting scalars give ``r**(1-a) * s**a``.
@@ -20,7 +17,6 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -28,8 +24,8 @@ from .errors import DomainError, ShapeError
 from .hermlinalg import PsdMatrix, SpectralPair, as_psd, pinv_psd
 
 # Round-off bound of a mean.  Its clamp is relative to max(1, ||result||) for
-# the kernel means and to ||A + B|| for parallel_sum; the CLI's mean checks
-# take it relative to their operands.
+# the connections on the spectral pair and to ||A + B|| for parallel_sum; the
+# CLI's mean checks take it relative to their operands.
 TOL_MEAN = 1e-7
 
 
@@ -41,17 +37,40 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
     return a, b
 
 
-def _kernel_mean(a, b, h: Callable[[np.ndarray], np.ndarray]) -> PsdMatrix:
-    """The connection with kernel h: pair, kernel on the spectrum t of A', clamp."""
+def _connect(a, b, sigma) -> PsdMatrix:
+    """``A σ B = s_A Z diag(t σ r(1-t)) Z*`` from the folded pair, then the clamp.
+
+    sigma connects two scalars u, v >= 0, not both zero.  The ratio r keeps
+    both within range, where the product of the two scales would underflow.
+    """
     p = SpectralPair(*_check_pair(a, b))
-    return PsdMatrix.clamped((p.z * h(p.t)) @ p.z.conj().T, tol=TOL_MEAN)
+    d = sigma(p.t, (p.sb / p.sa) * (1.0 - p.t))
+    return PsdMatrix.clamped(p.sa * ((p.z * d) @ p.z.conj().T), tol=TOL_MEAN)
+
+
+def _parallel(u, v):
+    return u * (v / (u + v))
+
+
+def _log(u, v):
+    """``(u - v)/(log u - log v)``, 0 where u or v is, u where they are equal.
+
+    As ``m (1 - q)/(-log q)``, m = max(u, v), q = min/max: 1 - q is exact for
+    q >= 1/2 and log q is taken of q itself, so nothing cancels.
+    """
+    m = np.maximum(u, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.minimum(u, v) / m
+        out = m * (1.0 - q) / -np.log(q)
+    return np.where(q == 1.0, m, np.where(q > 0.0, out, 0.0))
 
 
 def parallel_sum(a, b) -> PsdMatrix:
     """Parallel sum ``A : B = A (A+B)^+ B``, the operator analog of parallel resistors.
 
-    Exact in finite dimensions; the range of the result is ran(A) ∩ ran(B) and
-    ``A : B <= A, B`` in the PSD order.
+    The pseudo-inverse formula, independent of the spectral pair that
+    ``mean(PARALLEL, A, B)`` uses: the reference of ``ac_part_oracle`` and the
+    worked examples.  Its range is ran(A) ∩ ran(B), and ``A : B <= A, B``.
     """
     a, b = _check_pair(a, b)
     c = PsdMatrix(a.entries + b.entries)
@@ -62,9 +81,8 @@ def parallel_sum(a, b) -> PsdMatrix:
 
 
 def harmonic_mean(a, b) -> PsdMatrix:
-    """Harmonic mean ``2 (A : B)``."""
-    p = parallel_sum(a, b)
-    return PsdMatrix._trusted(2.0 * p.entries)
+    """Harmonic mean ``2 (A : B)``, the connection ``2uv/(u + v)``."""
+    return _connect(a, b, lambda u, v: 2.0 * _parallel(u, v))
 
 
 def arithmetic_mean(a, b) -> PsdMatrix:
@@ -80,7 +98,7 @@ def geometric_mean(a, b) -> PsdMatrix:
     inputs; for singular inputs it is the maximal X with
     ``[[A, X], [X, B]] >= 0``, whose range is ran(A) ∩ ran(B).
     """
-    return _kernel_mean(a, b, lambda t: np.sqrt(t * (1.0 - t)))
+    return _connect(a, b, lambda u, v: np.sqrt(u) * np.sqrt(v))
 
 
 def power_mean(a, b, alpha: float) -> PsdMatrix:
@@ -96,32 +114,17 @@ def power_mean(a, b, alpha: float) -> PsdMatrix:
         return a
     if alpha == 1.0:
         return b
-    return _kernel_mean(a, b, power_rep(alpha).kernel)
-
-
-def _log_kernel(t):
-    """``h(t) = (2t - 1)/(log t - log(1 - t))``, the kernel of ``(x - 1)/log x``.
-
-    Near t = 1/2 the denominator is ``2 artanh(2t - 1)``, free of the
-    cancellation of the two logarithms; elsewhere ``log1p(-t)`` gives
-    log(1 - t) without rounding 1 - t, which near t = 0 would lose t (as
-    ``2t - 1`` does there).  h(0) = h(1) = 0 and h(1/2) = 1/2.
-    """
-    t = np.asarray(t, dtype=float)
-    x = 2.0 * t - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(np.abs(x) < 0.5, 2.0 * np.arctanh(x), np.log(t) - np.log1p(-t))
-        return np.where(x == 0.0, 0.5, x / d)
+    return _connect(a, b, power_rep(alpha)._pair)
 
 
 def log_mean(a, b) -> PsdMatrix:
     """Logarithmic mean, the connection of ``(x - 1)/log x``.
 
-    Evaluated from its kernel in closed form; it equals the integral of the
-    power mean over its weight in (0, 1), and the scalar mean
-    ``(r - s)/(log r - log s)`` on commuting pairs.
+    Evaluated in closed form; it equals the integral of the power mean over
+    its weight in (0, 1), and the scalar mean ``(r - s)/(log r - log s)`` on
+    commuting pairs.
     """
-    return _kernel_mean(a, b, _log_kernel)
+    return _connect(a, b, _log)
 
 
 @dataclass(frozen=True)
@@ -192,16 +195,6 @@ class ConnectionRep:
         """Evaluate f(t) for scalar or array t >= 0."""
         return self._pair(1.0, t)
 
-    def kernel(self, t):
-        """The kernel ``h(t) = t f((1-t)/t)`` on the spectrum t in [0, 1] of A'.
-
-        For g it is ``a t + b (1-t) + sum_k w_k (1+l_k) t (1-t) / (l_k t + 1 - t)``,
-        for t^p ``t^(1-p) (1-t)^p``; the transpose takes h(1-t), the adjoint
-        ``t (1-t) / h(1-t)``.
-        """
-        t = np.asarray(t, dtype=float)
-        return self._pair(t, 1.0 - t)
-
 
 @dataclass(frozen=True)
 class MeanKind:
@@ -260,7 +253,7 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
     if kind.tag == "harm":
         return harmonic_mean(a, b)
     if kind.tag == "parallel":
-        return parallel_sum(a, b)
+        return _connect(a, b, _parallel)
     if kind.tag == "power":
         return power_mean(a, b, kind.alpha)
     if kind.tag == "log":
@@ -269,19 +262,19 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
 
 
 def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:
-    """Connection of ``rep`` on (A, B) through ``rep.kernel``, as ``mean`` does.
+    """Connection of ``rep`` on (A, B) from its two-scalar form ``rep._pair``.
 
     Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``,
     or ``power_mean(A, B, p)`` for a power connection.
     """
-    return _kernel_mean(a, b, rep.kernel)
+    return _connect(a, b, rep._pair)
 
 
 def power_rep(alpha: float) -> ConnectionRep:
     """The power connection ``t^alpha``, 0 < alpha < 1, in closed form.
 
-    Its kernel ``t^(1-alpha) (1-t)^alpha`` is that of ``power_mean(A, B,
-    alpha)``.  The family is closed under the transforms, which stay exact
+    Its two-scalar form ``u^(1-alpha) v^alpha`` is that of ``power_mean(A,
+    B, alpha)``.  The family is closed under the transforms, which stay exact
     flag flips: the transpose and the dual represent ``t^(1-alpha)``, the
     adjoint ``t^alpha`` itself, and all vanish where those functions do.
     """

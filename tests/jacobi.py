@@ -1,4 +1,4 @@
-"""Gauss-Jacobi atoms of t^alpha: the test oracle of the ConnectionRep atom kernel.
+"""Gauss-Jacobi atoms of t^alpha: the test oracle of the ConnectionRep atom sum.
 
 ``cpmean.power_rep`` is t^alpha in closed form; this finite discretization of
 its representing measure exercises the atom sum of ``ConnectionRep`` instead.
@@ -26,7 +26,7 @@ def power_atoms(alpha: float, nodes: int = 64) -> ConnectionRep:
 
     A finite atom sum has ``g(inf) = sum_k w_k (1 + l_k) < inf``, so the
     adjoint and the dual leak ``1/g(inf)`` (1/128 at alpha = 1/2) onto ker B,
-    where those of t^alpha vanish: an oracle of the atom kernel, not a
+    where those of t^alpha vanish: an oracle of the atom sum, not a
     substitute for ``power_rep``.
     """
     if not 0.0 < alpha < 1.0:

@@ -230,16 +230,18 @@ class TestTransforms:
         assert np.abs(adjoint_rep(rep).scalar(TGRID) - want).max() < 1e-12 * want.max()
 
     def test_adjoint_kernel_endpoints(self):
+        # the connection of the commuting pair (t, 1 - t) at t = 0 and t = 1
         t = np.array([0.0, 1.0])
         mixed = ConnectionRep(0.0, 0.0, ((0.5, 2.0), (4.0, 1.0)))
         want = [1.0 / sum(w * (1.0 + l) / l for l, w in mixed.atoms),
                 1.0 / sum(w * (1.0 + l) for l, w in mixed.atoms)]
-        assert np.abs(adjoint_rep(mixed).kernel(t) - want).max() < 1e-15
-        assert adjoint_rep(ConnectionRep(1.0, 0.0, mixed.atoms)).kernel(t)[0] == 0.0
-        assert adjoint_rep(ConnectionRep(0.0, 1.0, mixed.atoms)).kernel(t)[1] == 0.0
-        # the adjoint of the arithmetic mean has the harmonic kernel 2t(1-t)
+        assert np.abs(adjoint_rep(mixed)._pair(t, 1.0 - t) - want).max() < 1e-15
+        assert adjoint_rep(ConnectionRep(1.0, 0.0, mixed.atoms))._pair(t, 1.0 - t)[0] == 0.0
+        assert adjoint_rep(ConnectionRep(0.0, 1.0, mixed.atoms))._pair(t, 1.0 - t)[1] == 0.0
+        # the adjoint of the arithmetic mean is the harmonic mean 2t(1-t)
         t = np.linspace(0.0, 1.0, 33)
-        assert np.abs(adjoint_rep(ARITH_REP).kernel(t) - 2.0 * t * (1.0 - t)).max() < 1e-15
+        got = adjoint_rep(ARITH_REP)._pair(t, 1.0 - t)
+        assert np.abs(got - 2.0 * t * (1.0 - t)).max() < 1e-15
 
     def test_adjoint_of_arithmetic_is_harmonic_on_rank_deficient_pair(self, rng):
         a = random_psd(rng, 9, rank=4)
@@ -322,7 +324,8 @@ class TestExactPowerRep:
         for r, p in ((rep, alpha), (adjoint_rep(rep), alpha), (transpose_rep(rep), 1.0 - alpha),
                      (dual_rep(rep), 1.0 - alpha)):
             assert np.abs(r.scalar(TGRID) - TGRID ** p).max() < 1e-15 * TGRID.max()
-            assert np.array_equal(r.kernel(np.array([0.0, 1.0])), [0.0, 0.0])
+            assert np.array_equal(r._pair(np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+                                  [0.0, 0.0])
 
     def test_domain_errors(self):
         for alpha in (0.0, 1.0, -0.5, float("nan")):

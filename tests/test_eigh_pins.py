@@ -15,11 +15,11 @@ from conftest import random_cp
 # (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
 PINS = [
     ("mean arith", (0, 0)),       # (A + B)/2 is PSD by construction
-    ("mean harm", (3, 0)),        # admit A + B, then the clamp's two
-    ("mean parallel", (3, 0)),
-    ("mean geo", (4, 0)),         # eig C, eig A', and the clamp's two
+    ("mean harm", (4, 0)),        # eig C, eig A', and the clamp's two
+    ("mean parallel", (4, 0)),
+    ("mean geo", (4, 0)),
     ("mean power:0.3", (4, 0)),
-    ("mean log", (4, 0)),         # its kernel is in closed form
+    ("mean log", (4, 0)),         # its two-scalar form is closed
     ("mean custom", (4, 0)),
     ("mean custom adjoint", (4, 0)),
     ("mean custom dual", (4, 0)),
@@ -37,9 +37,9 @@ PINS = [
     ("CpMap scalar *", (0, 0)),
     ("tensor", (0, 0)),
     ("compose", (0, 0)),
-    # 2 input admissions, geo 4, certificate 1, harm 3 for the chain checks,
+    # 2 input admissions, geo 4, certificate 1, harm 4 for the chain checks,
     # whose two eigvalsh bound the dips of geo - harm and arith - geo
-    ("cli mean --kind geo -o", (10, 2)),
+    ("cli mean --kind geo -o", (11, 2)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
 ]

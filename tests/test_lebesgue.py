@@ -80,7 +80,8 @@ def shorted_to_subspace(x, basis):
 
 def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
-    (C_F, C_G), as matrices in the original basis."""
+    (C_F, C_G), as matrices in the original basis; C is the sum of the
+    folded operands ``C_F/s_F + C_G/s_G``."""
     p = SpectralPair(f.choi, g.choi)
     uv = p.u @ p.v
     return ((uv * p.t) @ uv.conj().T, (uv * (1.0 - p.t)) @ uv.conj().T,
@@ -105,10 +106,11 @@ class TestRnPair:
         for _ in range(8):
             f, g = planted_pair(rng, 2, 2)
             a_prime, b_prime, support, ch = rn_matrices(f, g)
-            scale = max(1.0, f.choi.norm(), g.choi.norm())
+            # the pair is built on the operands folded by their largest entries
+            sf, sg = max_abs(f.choi.entries), max_abs(g.choi.entries)
             assert max_abs(a_prime + b_prime - support) < 1e-8
-            assert max_abs(ch @ a_prime @ ch - f.choi.entries) < 1e-8 * scale
-            assert max_abs(ch @ b_prime @ ch - g.choi.entries) < 1e-8 * scale
+            assert max_abs(sf * ch @ a_prime @ ch - f.choi.entries) < 1e-12 * sf
+            assert max_abs(sg * ch @ b_prime @ ch - g.choi.entries) < 1e-12 * sg
             assert max_abs(a_prime @ b_prime - b_prime @ a_prime) < 1e-8
 
     def test_shape_error(self, rng):
@@ -550,3 +552,31 @@ class TestEighCount:
         monkeypatch.setattr(lebesgue, "parallel_sum", counting)
         eigh, eigvalsh = eigh_calls(lambda: ac_part_oracle(f, g))
         assert sums and (eigh, eigvalsh) == (1 + 3 * len(sums), 0)
+
+
+class TestIndependentScales:
+    """F and G scaled apart: the split reads the folded pair, so the support
+    rule and alpha_min do not depend on the ratio of the two scales."""
+
+    def test_tiny_reference_dominates_a_huge_target(self):
+        e11 = np.zeros((4, 4))
+        e11[0, 0] = 1e12
+        f, g = from_choi(2, 2, 1e-12 * np.eye(4)), from_choi(2, 2, e11)
+        split = decompose(f, g)
+        assert max_abs(split.ac.choi.entries - e11) <= 1e-14 * 1e12
+        assert max_abs(split.sing.choi.entries) <= 1e-14 * 1e12
+        assert split.alpha_min == pytest.approx(1e24, rel=1e-12)
+        assert is_abs_continuous(g, f)
+
+    def test_full_rank_reference_takes_all_of_the_target(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            rank = int(rng.integers(1, 17))
+            cf, cg = 10.0 ** rng.uniform(-12.0, 12.0, size=2)
+            f = from_choi(4, 4, cf * random_psd(rng, 16))
+            g = from_choi(4, 4, cg * random_psd(rng, 16, rank=rank))
+            split = decompose(f, g)
+            gmax = max_abs(g.choi.entries)
+            assert max_abs(split.ac.choi.entries - g.choi.entries) <= 1e-12 * gmax, rank
+            assert max_abs(split.sing.choi.entries) <= 1e-12 * gmax, rank
+            assert is_abs_continuous(g, f)

@@ -238,22 +238,32 @@ class TestLogMean:
     @pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-12, 1e-3, 0.5 - 1e-9, 0.5 + 1e-9,
                                    1.0 - 1e-12])
     def test_kernel_is_the_scalar_log_mean(self, t):
-        # h(t) is the log mean of the commuting pair (t, 1 - t), taken exactly:
-        # 1 - t in 50-digit decimals, where float logs near t = 1/2 would cancel.
-        a = Decimal(t)
+        # the two-scalar log mean of the pair (t, 1 - t) the spectral pair
+        # feeds it, against 50-digit decimals, where float logs of nearly
+        # equal arguments would cancel
+        u, v = t, 1.0 - t
+        a, b = Decimal(u), Decimal(v)
         with localcontext() as ctx:
             ctx.prec = 50
-            want = float((a - (1 - a)) / (a.ln() - (1 - a).ln()))
-        assert abs(opmeans._log_kernel(t) - want) <= 4e-16 * want
+            want = float((a - b) / (a.ln() - b.ln()))
+        assert abs(opmeans._log(u, v) - want) <= 4e-16 * want
 
     def test_kernel_symmetry_and_endpoints(self):
         t = np.arange(1, 1024) / 1024.0   # dyadic, so 1 - t is exact
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h = opmeans._log_kernel(t)
-            ends = opmeans._log_kernel(np.array([0.0, 1.0, 0.5]))
-        assert max_abs(h - opmeans._log_kernel(1.0 - t)) <= 4e-16 * h.max()
-        assert ends.tolist() == [0.0, 0.0, 0.5]
+            h = opmeans._log(t, 1.0 - t)
+            ends = opmeans._log(np.array([0.0, 1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.5, 0.0]))
+        assert max_abs(h - opmeans._log(1.0 - t, t)) == 0.0
+        assert ends.tolist() == [0.0, 0.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("r", [1e-250, 1e-24, 1e-12, 1.0, 1e12, 1e24, 1e250])
+    def test_two_scalar_form_at_every_ratio(self, r):
+        # (u - v)/(log u - log v) = v (x - 1)/log x with x = u/v, for x far
+        # from 1 where nothing cancels
+        for x in (1e-30, 1e-3, 0.25, 7.0, 1e30):
+            want = r * (x - 1.0) / np.log(x)
+            assert abs(opmeans._log(x * r, r) / want - 1.0) <= 1e-15
 
     def test_commuting_pairs(self):
         # (a - 1)/log a is accurate in floats: a - 1 is exact near 1 and log a
@@ -289,6 +299,24 @@ class TestLogMean:
             assert min_eig(m - l) > -1e-7 * scale
 
 
+class TestExtremeScales:
+    """The spectral pair folds each operand by its largest entry, so no norm
+    of the raw operands is formed and the scales enter only as their ratio."""
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-12, 1e12, 1e160, 1e300])
+    def test_joint_scale(self, s):
+        a, b = np.diag([1.0, 2.0]), np.diag([4.0, 8.0])
+        want = {"geo": [2.0, 4.0], "log": [3.0 / np.log(4.0), 6.0 / np.log(4.0)],
+                "harm": [1.6, 3.2], "power:0.25": [2.0 ** 0.5, 2.0 ** 1.5]}
+        for text, w in want.items():
+            got = mean(MeanKind.parse(text), s * a, s * b).entries / s
+            assert max_abs(got - np.diag(w)) <= 1e-14 * max(w), text
+
+    def test_log_mean_of_unbalanced_scalars(self):
+        got = log_mean(np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
+        assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)
+
+
 class TestMeanDispatch:
     def test_kinds(self, rng):
         a = random_psd(rng, 3)
@@ -296,7 +324,10 @@ class TestMeanDispatch:
         assert max_abs(mean(ARITH, a, b).entries - arithmetic_mean(a, b).entries) == 0
         assert max_abs(mean(GEO, a, b).entries - geometric_mean(a, b).entries) == 0
         assert max_abs(mean(HARM, a, b).entries - harmonic_mean(a, b).entries) == 0
-        assert max_abs(mean(PARALLEL, a, b).entries - parallel_sum(a, b).entries) == 0
+        # the parallel kind is the connection uv/(u + v) on the spectral pair;
+        # parallel_sum is the pseudo-inverse formula
+        par = parallel_sum(a, b).entries
+        assert max_abs(mean(PARALLEL, a, b).entries - par) <= 1e-12 * max_abs(par)
         assert max_abs(mean(LOG, a, b).entries - log_mean(a, b).entries) == 0
         assert max_abs(mean(MeanKind.power(0.25), a, b).entries
                        - power_mean(a, b, 0.25).entries) == 0
@@ -415,7 +446,7 @@ class TestStructuralProperties:
 class TestEighCount:
     @pytest.mark.parametrize("fn, count", [
         (parallel_sum, 3),      # admit A + B, then the final clamp's two
-        (harmonic_mean, 3),     # 2 (A : B) is PSD by construction
+        (harmonic_mean, 4),     # eig C, eig A', and the clamp's two
         (geometric_mean, 4),    # eig C, eig A', and the clamp's two
     ])
     def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):

@@ -1,0 +1,146 @@
+"""Seeded invariance properties of the means, connections and Lebesgue split.
+
+Each operand is scaled by its own factor drawn from 10^[-12, 12], and ranks
+run from 1 to full.  Every tolerance is relative to the operands or to the
+exact result; none has an absolute floor.
+"""
+
+import numpy as np
+import pytest
+
+from cpmean.cpmaps import from_choi
+from cpmean.lebesgue import abs_continuity_residual, decompose, singular_residual
+from cpmean.opmeans import (
+    ConnectionRep,
+    MeanKind,
+    adjoint_rep,
+    connection_apply,
+    dual_rep,
+    mean,
+    power_rep,
+    transpose_rep,
+)
+
+from conftest import random_psd, random_unitary
+
+# f(t) = 0.2 + 0.1 t + sum_k w_k t (1 + l_k)/(t + l_k): f(0) > 0 and f(inf) = inf
+MIXED = ConnectionRep(0.2, 0.1, ((0.3, 1.5), (7.0, 0.25)), label="mixed")
+
+
+def f_mixed(t):
+    return 0.2 + 0.1 * t + sum(w * t * (1.0 + l) / (t + l) for l, w in MIXED.atoms)
+
+
+# kind and its connection of two scalars x, y > 0, written as x f(y/x)
+CASES = {
+    "arith": (MeanKind("arith"), lambda x, y: 0.5 * (x + y)),
+    "geo": (MeanKind("geo"), lambda x, y: np.sqrt(x * y)),
+    "harm": (MeanKind("harm"), lambda x, y: 2.0 * x * y / (x + y)),
+    "parallel": (MeanKind("parallel"), lambda x, y: x * y / (x + y)),
+    "log": (MeanKind("log"), lambda x, y: (x - y) / (np.log(x) - np.log(y))),
+    "power": (MeanKind.power(0.3), lambda x, y: x ** 0.7 * y ** 0.3),
+    "custom": (MeanKind.custom(power_rep(0.7)), lambda x, y: x ** 0.3 * y ** 0.7),
+    "mixed": (MeanKind.custom(MIXED), lambda x, y: x * f_mixed(y / x)),
+    # the adjoint 1/f(1/t) and the dual t/f(t)
+    "adjoint": (MeanKind.custom(adjoint_rep(MIXED)), lambda x, y: x / f_mixed(x / y)),
+    "dual": (MeanKind.custom(dual_rep(MIXED)), lambda x, y: y / f_mixed(y / x)),
+}
+SYMMETRIC = ["arith", "geo", "harm", "parallel", "log"]
+
+
+def scale_pairs(rng, n):
+    """n pairs (c, s) of independent factors, each log-uniform on 10^[-12, 12]."""
+    return 10.0 ** rng.uniform(-12.0, 12.0, size=(n, 2))
+
+
+def rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def pairs(rng, d, n):
+    """n scaled pairs (cA, sB) of Choi size d with rank(A) + rank(B) > d, so
+    every mean is nonzero; the ranks run from 1 to full."""
+    out = []
+    for i in range(n):
+        ra = 1 + i % d
+        rb = int(rng.integers(d + 1 - ra, d + 1))
+        c, s = scale_pairs(rng, 1)[0]
+        out.append((c * random_psd(rng, d, rank=ra), s * random_psd(rng, d, rank=rb)))
+    return out
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_scale_law_on_commuting_diagonals(name):
+    # diag(x) σ diag(y) = diag(x_i σ y_i), each entry within 1e-12 of its
+    # own value, whatever the two scales
+    kind, sigma = CASES[name]
+    rng = np.random.default_rng(11)
+    for c, s in scale_pairs(rng, 30):
+        x, y = c * rng.uniform(0.25, 4.0, 6), s * rng.uniform(0.25, 4.0, 6)
+        got = mean(kind, np.diag(x), np.diag(y)).entries
+        d = np.sqrt(sigma(x, y))
+        assert np.abs(got / np.outer(d, d) - np.eye(6)).max() <= 1e-12, (c, s)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.8])
+def test_scale_law_of_power_means_on_general_pairs(alpha):
+    # (cA) #_a (sB) = c^(1-a) s^a (A #_a B), with ranks 1 to full
+    kind = MeanKind.power(alpha)
+    rng = np.random.default_rng(12)
+    for i, (c, s) in enumerate(scale_pairs(rng, 16)):
+        a, b = random_psd(rng, 9, rank=1 + i % 9), random_psd(rng, 9)
+        want = c ** (1.0 - alpha) * s ** alpha * mean(kind, a, b).entries
+        assert rel(mean(kind, c * a, s * b).entries, want) <= 1e-10, (i, c, s)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_unitary_covariance(name):
+    kind = CASES[name][0]
+    rng = np.random.default_rng(13)
+    for a, b in pairs(rng, 6, 12):
+        u = random_unitary(rng, 6)
+        want = u @ mean(kind, a, b).entries @ u.conj().T
+        got = mean(kind, u @ a @ u.conj().T, u @ b @ u.conj().T).entries
+        assert rel(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_swap_symmetry(name):
+    kind = CASES[name][0]
+    rng = np.random.default_rng(14)
+    for a, b in pairs(rng, 6, 12):
+        want = mean(kind, a, b).entries
+        assert rel(mean(kind, b, a).entries, want) <= 1e-9
+
+
+@pytest.mark.parametrize("rep", [power_rep(0.3), MIXED, adjoint_rep(MIXED), dual_rep(MIXED)],
+                         ids=["power", "mixed", "adjoint", "dual"])
+def test_transpose_is_an_argument_swap(rep):
+    rng = np.random.default_rng(15)
+    for a, b in pairs(rng, 6, 12):
+        want = connection_apply(rep, b, a).entries
+        assert rel(connection_apply(transpose_rep(rep), a, b).entries, want) <= 1e-9
+    for a, b in pairs(rng, 6, 4):
+        want = mean(MeanKind.power(0.7), a, b).entries
+        got = connection_apply(transpose_rep(power_rep(0.7)), b, a).entries
+        assert rel(got, want) <= 1e-9
+
+
+def test_lebesgue_split_under_independent_scales():
+    # ac(cF, sG) = s ac(F, G), alpha_min(cF, sG) = (s/c) alpha_min(F, G), and
+    # neither residual moves
+    rng = np.random.default_rng(16)
+    for i, (c, s) in enumerate(scale_pairs(rng, 48)):
+        rf, rg = 1 + i % 16, 1 + (5 * i) % 16
+        f = from_choi(4, 4, random_psd(rng, 16, rank=rf))
+        g = from_choi(4, 4, random_psd(rng, 16, rank=rg))
+        base, split = decompose(f, g), decompose(c * f, s * g)
+        gnorm = np.linalg.norm(g.choi.entries)
+        assert np.linalg.norm(split.ac.choi.entries - s * base.ac.choi.entries) \
+            <= 1e-12 * s * gnorm, (rf, rg)
+        assert np.linalg.norm(split.sing.choi.entries - s * base.sing.choi.entries) \
+            <= 1e-12 * s * gnorm, (rf, rg)
+        assert split.alpha_min == pytest.approx(s / c * base.alpha_min, rel=1e-10, abs=0.0)
+        assert abs(singular_residual(c * f, s * g) - singular_residual(f, g)) <= 1e-12
+        assert abs(abs_continuity_residual(s * g, c * f)
+                   - abs_continuity_residual(g, f)) <= 1e-12

@@ -1,9 +1,13 @@
-"""Source guard: one rank cutoff, one route to eigendecompositions, one verdict
-rule, numpy as the only dependency, and a pinned public surface.
+"""Source guard: one rank cutoff, one route to eigendecompositions, one
+spectral pair, one verdict rule, numpy as the only dependency, and a pinned
+public surface.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg`` and in two independent checks that must not share its code.
+Every connection and the Lebesgue split build their ``SpectralPair`` in one
+place each, and the pseudo-inverse is taken only by the reference formula
+``opmeans.parallel_sum``.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -15,6 +19,8 @@ import ast
 import inspect
 import pathlib
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpmean"
 
@@ -74,6 +80,45 @@ def test_guard_sees_a_copy():
     assert _raw_eig_sites("x.py", text) == {("x.py", "f")}
     assert _raw_eig_sites("y.py", "from numpy.linalg import eigvalsh\n") == {("y.py", "<module>")}
     assert _raw_eig_sites("z.py", "from numpy.linalg import norm\n") == set()
+
+
+# callee -> the (file, top-level function) allowed to call it
+CALL_SITES = {
+    "SpectralPair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
+    "pinv_psd": {("opmeans.py", "parallel_sum")},
+}
+
+
+def _call_sites(name: str, text: str, callee: str) -> set[tuple[str, str]]:
+    """(file, enclosing top-level function or class, or '<module>') of each
+    call of ``callee``, by plain or attribute name."""
+    sites = set()
+    for top in ast.parse(text).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == callee:
+                    sites.add((name, owner))
+    return sites
+
+
+@pytest.mark.parametrize("callee", sorted(CALL_SITES))
+def test_pair_and_pseudo_inverse_have_one_caller_each(callee):
+    sites = set()
+    for name, text in _sources():
+        sites |= _call_sites(name, text, callee)
+    assert sites == CALL_SITES[callee]
+
+
+def test_call_guard_sees_a_planted_call():
+    text = ("from .hermlinalg import SpectralPair, pinv_psd\n\n"
+            "def harmonic_mean(a, b):\n    return a @ pinv_psd(a + b).entries @ b\n\n"
+            "class X:\n    def f(self, a, b):\n        return hermlinalg.SpectralPair(a, b)\n")
+    assert _call_sites("x.py", text, "pinv_psd") == {("x.py", "harmonic_mean")}
+    assert _call_sites("x.py", text, "SpectralPair") == {("x.py", "X")}
+    assert _call_sites("x.py", "pinv = pinv_psd\n", "pinv_psd") == set()
 
 
 def test_checks_recorded_only_by_report_check():
