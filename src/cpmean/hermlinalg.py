@@ -8,11 +8,13 @@ which every mean, connection and Lebesgue split is evaluated.  The rank
 cutoff lives in one place, ``HermitianMatrix.support``.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and spectral data is computed
-once and cached, so instances are safe to share across threads.
+once and cached, so instances are safe to share across threads; ``_shared_pair``
+keeps the last spectral pair and its two operands (1-2 MB at Choi 144).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -204,7 +206,8 @@ class SpectralPair:
     = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
     1} within its own rounding error, so rank-deficient directions carry no
     eigensolver noise.  Two eigendecompositions, of Ĉ and of the r x r A'; an
-    empty support gives 0-column arrays.
+    empty support gives 0-column arrays.  The arrays are read-only: the last
+    pair built is shared by every caller of ``_shared_pair`` on its operands.
     """
 
     __slots__ = ("sa", "sb", "u", "w", "v", "t", "z")
@@ -225,3 +228,12 @@ class SpectralPair:
         t[t > 1.0 - snap] = 1.0
         self.t = t
         self.z = (self.u * np.sqrt(self.w)) @ self.v
+        for x in (self.u, self.w, self.v, self.t, self.z):
+            x.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_pair(a: HermitianMatrix, b: HermitianMatrix) -> SpectralPair:
+    """``SpectralPair(a, b)``, kept for the next call on the same two objects:
+    keyed by identity, as entries are read-only and the cache holds both."""
+    return SpectralPair(a, b)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
 from .errors import DomainError, NonConvergence
-from .hermlinalg import HermitianMatrix, PsdMatrix, SpectralPair, Verdict
+from .hermlinalg import HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _shared_pair
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
@@ -49,7 +49,7 @@ class LebesgueSplit:
 
 def _pair(f: CpMap, g: CpMap) -> SpectralPair:
     _check_same_dims(f, g)
-    return SpectralPair(f.choi, g.choi)
+    return _shared_pair(f.choi, g.choi)
 
 
 def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

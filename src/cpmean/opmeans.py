@@ -5,8 +5,10 @@ Every connection but the arithmetic mean (a plain sum) is evaluated on
 unit scale, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*``.  A
 connection acts on commuting operands as its jointly homogeneous function of
 two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A``
-(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales,
-at the pair's two eigendecompositions and the final clamp's two.
+(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales.
+The last pair built is shared (``hermlinalg._shared_pair``): the first
+connection of two operand objects costs the pair's two eigendecompositions
+and the final clamp's two, each next one on the same objects the clamp's.
 ``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
 independent reference of the parallel-sum limit.
 
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .hermlinalg import PsdMatrix, SpectralPair, as_psd, pinv_psd
+from .hermlinalg import PsdMatrix, _shared_pair, as_psd, pinv_psd
 
-# Round-off bound of a mean.  Its clamp is relative to max(1, ||result||) for
-# the connections on the spectral pair and to ||A + B|| for parallel_sum; the
-# CLI's mean checks take it relative to their operands.
+# Round-off bound of a mean.  Its clamp is relative to the result's largest
+# entry modulus for the connections on the spectral pair and to ||A + B|| for
+# parallel_sum; the CLI's mean checks take it relative to their operands.
 TOL_MEAN = 1e-7
 
 
@@ -43,9 +45,10 @@ def _connect(a, b, sigma) -> PsdMatrix:
     sigma connects two scalars u, v >= 0, not both zero.  The ratio r keeps
     both within range, where the product of the two scales would underflow.
     """
-    p = SpectralPair(*_check_pair(a, b))
+    p = _shared_pair(*_check_pair(a, b))
     d = sigma(p.t, (p.sb / p.sa) * (1.0 - p.t))
-    return PsdMatrix.clamped(p.sa * ((p.z * d) @ p.z.conj().T), tol=TOL_MEAN)
+    out = p.sa * ((p.z * d) @ p.z.conj().T)
+    return PsdMatrix.clamped(out, tol=TOL_MEAN, scale=float(np.abs(out).max()))
 
 
 def _parallel(u, v):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpmean import hermlinalg
 from cpmean.cpmaps import CpMap, from_choi
 
 # Reconstruction budget of the tests' residual checks, relative to max(1, norm).
@@ -69,9 +70,14 @@ def rng():
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """``count(call)``: the (eigh, eigvalsh) calls into numpy.linalg that call() makes."""
+    """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
+    that call() makes, after the shared spectral pair is dropped and warm(), if
+    given, has run uncounted.  Without warm the count is a cold one."""
 
-    def count(call) -> tuple[int, int]:
+    def count(call, warm=None) -> tuple[int, int]:
+        hermlinalg._shared_pair.cache_clear()
+        if warm is not None:
+            warm()
         calls = {"eigh": 0, "eigvalsh": 0}
         with monkeypatch.context() as m:
             for name in calls:

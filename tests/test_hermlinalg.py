@@ -1,20 +1,26 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from cpmean import cpmaps, lebesgue, opmeans
 from cpmean.errors import InvalidInput, ShapeError
 from cpmean.hermlinalg import (
     TOL_PSD,
     HermitianMatrix,
     PsdMatrix,
     Verdict,
+    _shared_pair,
     is_psd,
     pinv_psd,
     psd_signs,
     psd_sqrt,
     psd_verdict,
 )
+from cpmean.opmeans import MeanKind
 
-from conftest import TOL_RECON, max_abs, meet_proj, random_psd, random_unitary
+from conftest import TOL_RECON, max_abs, meet_proj, random_cp, random_psd, random_unitary
 
 
 def support_of(a):
@@ -217,3 +223,112 @@ class TestInvariants:
             assert is_psd(a, TOL_PSD)
             s = psd_sqrt(PsdMatrix(a)).entries
             assert max_abs(s @ s - a) <= TOL_RECON * max(1.0, max_abs(a))
+
+
+def _pair_reads(f, g) -> dict:
+    """Every public result read from the spectral pair of (C_F, C_G), as calls
+    returning arrays or floats."""
+    transforms = {"": lambda r: r, "transpose ": opmeans.transpose_rep,
+                  "adjoint ": opmeans.adjoint_rep, "dual ": opmeans.dual_rep}
+    reps = {"power(0.3)": opmeans.power_rep(0.3),
+            "atoms": opmeans.ConnectionRep(0.5, 0.2, ((1.0, 0.3), (4.0, 0.7)))}
+    kinds = {k: MeanKind.parse(k) for k in ("arith", "harm", "parallel", "geo", "power:0.3", "log")}
+    kinds |= {t + r: MeanKind.custom(fn(rep)) for t, fn in transforms.items()
+              for r, rep in reps.items()}
+    reads = {k: lambda k=k: cpmaps.mean_cp(kinds[k], f, g).choi.entries for k in kinds}
+    reads |= {
+        "decompose ac": lambda: lebesgue.decompose(f, g).ac.choi.entries,
+        "decompose sing": lambda: lebesgue.decompose(f, g).sing.choi.entries,
+        "alpha_min": lambda: lebesgue.decompose(f, g).alpha_min,
+        "ac_part": lambda: lebesgue.ac_part(f, g).choi.entries,
+        "singular_residual": lambda: lebesgue.singular_residual(f, g),
+        "abs_continuity_residual": lambda: lebesgue.abs_continuity_residual(g, f),
+    }
+    return reads
+
+
+def _cold(call):
+    _shared_pair.cache_clear()
+    return call()
+
+
+class TestSharedPair:
+    """The last spectral pair built is shared by the next call on the same two
+    operand objects; sharing changes no bit of any result."""
+
+    # (rank of F, rank of G, scale of F, scale of G) at Choi 9
+    CASES = [(9, 1, 1e-12, 1e-12), (4, 6, 1.0, 1.0), (9, 9, 1e12, 1e12),
+             (9, 3, 1e-12, 1e12), (2, 9, 1e12, 1e-12), (5, 5, 1e-6, 1e6),
+             (1, 1, 1e3, 1e-9), (7, 8, 1e-12, 1.0)]
+
+    @pytest.mark.parametrize("rank_f, rank_g, sf, sg", CASES)
+    def test_warm_results_equal_cold_ones_bit_for_bit(self, rng, rank_f, rank_g, sf, sg):
+        f = sf * random_cp(rng, 3, 3, rank=rank_f)
+        g = sg * random_cp(rng, 3, 3, rank=rank_g)
+        reads = _pair_reads(f, g)
+        cold = {name: _cold(call) for name, call in reads.items()}
+        _cold(lambda: cpmaps.mean_cp(opmeans.HARM, f, g))
+        hits = _shared_pair.cache_info().hits
+        for name, call in reads.items():
+            assert np.array_equal(call(), cold[name]), name
+        # every read but arith took the pair from the memo
+        assert _shared_pair.cache_info().hits - hits == len(reads) - 1
+
+    def test_shared_arrays_are_read_only(self, rng):
+        a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
+        p = _shared_pair(a, b)
+        assert _shared_pair(a, b) is p
+        for name in ("u", "w", "v", "t", "z"):
+            with pytest.raises(ValueError):
+                getattr(p, name)[...] = 0.0
+
+    def test_swapped_and_new_operands_are_not_mistaken_for_shared_ones(self, rng):
+        a, b = PsdMatrix(random_psd(rng, 5)), PsdMatrix(random_psd(rng, 5, rank=3))
+        opmeans.geometric_mean(a, b)
+        want = _cold(lambda: opmeans.power_mean(b, a, 0.3)).entries
+        opmeans.power_mean(a, b, 0.3)
+        assert np.array_equal(opmeans.power_mean(b, a, 0.3).entries, want)
+        # equal entries in a new object: a new key, the same pair
+        want = _cold(lambda: opmeans.power_mean(a, b, 0.3)).entries
+        same = PsdMatrix(a.entries.copy())
+        assert np.array_equal(opmeans.power_mean(same, b, 0.3).entries, want)
+        # the memo holds its operands, so a new matrix cannot take a freed id
+        key = id(same)
+        del same
+        other = PsdMatrix(random_psd(rng, 5))
+        assert id(other) != key
+        want = _cold(lambda: opmeans.power_mean(other, b, 0.3)).entries
+        opmeans.power_mean(a, b, 0.3)
+        assert np.array_equal(opmeans.power_mean(other, b, 0.3).entries, want)
+
+    def test_one_slot(self, rng, eigh_calls):
+        f, g, h, k = (random_cp(rng, 2, 2, rank=r) for r in (4, 2, 3, 4))
+
+        def split(x, y):
+            return lambda: lebesgue.decompose(x, y)
+
+        assert eigh_calls(split(f, g)) == (2, 0)
+        assert eigh_calls(split(f, g), warm=split(f, g)) == (0, 0)
+        assert eigh_calls(split(h, k), warm=split(f, g)) == (2, 0)
+        assert eigh_calls(lambda: [split(f, g)(), split(h, k)(), split(f, g)()]) == (6, 0)
+
+    def test_threads_match_serial_results(self, rng):
+        pairs = [(PsdMatrix(random_psd(rng, 16)), PsdMatrix(random_psd(rng, 16, rank=r)))
+                 for r in range(1, 17, 2)]
+        kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
+
+        def means(pair):
+            return [opmeans.mean(kind, *pair).entries for kind in kinds]
+
+        serial = [_cold(lambda p=p: means(p)) for p in pairs]
+        # more threads than cores, switching often: each evicts the others' pair
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(means, p) for _ in range(3) for p in pairs]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for out, want in zip(got, 3 * serial):
+            assert all(np.array_equal(x, y) for x, y in zip(out, want))

@@ -312,6 +312,16 @@ class TestExtremeScales:
             got = mean(MeanKind.parse(text), s * a, s * b).entries / s
             assert max_abs(got - np.diag(w)) <= 1e-14 * max(w), text
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_clamp_verdict_does_not_depend_on_joint_scale(self, rng, s):
+        # sqrt(uv) - 0.45 (u + v) is no connection: its weights reach -0.45.
+        # The clamp is relative to the result itself, so it raises at every s;
+        # relative to max(1, ||result||) it clamped silently at s = 1e-12.
+        a, b = random_psd(rng, 4), random_psd(rng, 4, rank=2)
+        with pytest.raises(InvalidInput):
+            opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
+                             lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
+
     def test_log_mean_of_unbalanced_scalars(self):
         got = log_mean(np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)

@@ -5,9 +5,9 @@ public surface.
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg`` and in two independent checks that must not share its code.
-Every connection and the Lebesgue split build their ``SpectralPair`` in one
-place each, and the pseudo-inverse is taken only by the reference formula
-``opmeans.parallel_sum``.
+A ``SpectralPair`` is built only by the one-slot memo ``hermlinalg._shared_pair``,
+which every connection and the Lebesgue split call in one place each, and the
+pseudo-inverse is taken only by the reference formula ``opmeans.parallel_sum``.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -84,7 +84,8 @@ def test_guard_sees_a_copy():
 
 # callee -> the (file, top-level function) allowed to call it
 CALL_SITES = {
-    "SpectralPair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
+    "SpectralPair": {("hermlinalg.py", "_shared_pair")},
+    "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "pinv_psd": {("opmeans.py", "parallel_sum")},
 }
 
