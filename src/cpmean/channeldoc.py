@@ -83,8 +83,7 @@ def doc_to_channel(doc) -> CpMap:
     if kind == "choi":
         mat = _rows_to_matrix(data, (m * n, m * n))
         herm_defect = np.abs(mat - mat.conj().T).max()
-        scale = max(1.0, float(np.abs(mat).max()))
-        if herm_defect > TOL_HERM * scale:
+        if herm_defect > TOL_HERM * np.abs(mat).max():
             raise ParseError(f"choi data is not Hermitian (defect {herm_defect:.3e})")
         return from_choi(m, n, mat)
     if kind == "kraus":

@@ -8,9 +8,10 @@
     cpmean example <name> [key=value ...] | --all
 
 Global flags (accepted before or after the subcommand): --format text|json
-and --tol FLOAT, the PSD tolerance of order/verify.  Without --tol the
-environment variable CPMEAN_DEFAULT_TOL, when set, supplies it.  Either must
-be a finite number >= 0; any other value exits 2.
+and --tol FLOAT, the PSD tolerance of order/verify, which verify also takes as
+the absolute bound on the unital and trace-preserving defects.  Without --tol
+the environment variable CPMEAN_DEFAULT_TOL, when set, supplies it.  Either
+must be a finite number >= 0; any other value exits 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 numeric failure.
 """
@@ -54,7 +55,8 @@ def _globals_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default=None,
                    help="report format (default: text)")
     p.add_argument("--tol", default=None,
-                   help="PSD tolerance for order/verify, finite and >= 0")
+                   help="PSD tolerance for order/verify and verify's absolute bound "
+                        "on the unital and trace defects, finite and >= 0")
     return p
 
 
@@ -180,7 +182,7 @@ def cmd_verify(args, tol: float) -> list[Report]:
     rep = Report("verify")
     rep.add_input(name, args.path)
     rep.outputs["flags"] = {
-        "is_cp": rep.check("completely positive", *hermlinalg.psd_verdict(f.choi, tol)),
+        "is_cp": rep.check("completely positive", *hermlinalg.is_psd(f.choi, tol)),
         "is_unital": rep.check("unital", f.unital_defect(), tol),
         "is_trace_preserving": rep.check("trace preserving", f.trace_defect(), tol),
         "tolerance": tol,
@@ -200,10 +202,8 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
     rep.outputs["ac_choi"] = split.ac.choi.entries
     rep.outputs["sing_choi"] = split.sing.choi.entries
     rep.check("ac + sing = psi", *split.recon)
-    rep.check("sing is phi-singular", lebesgue.singular_residual(phi, split.sing),
-              lebesgue.TOL_SPLIT)
-    rep.check("ac is phi-absolutely continuous",
-              lebesgue.abs_continuity_residual(split.ac, phi), lebesgue.TOL_SPLIT)
+    rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
+    rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
     try:
         oracle = lebesgue.ac_part_oracle(phi, psi)
     except NonConvergence as exc:  # its estimate exceeds the same bound

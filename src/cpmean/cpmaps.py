@@ -31,7 +31,6 @@ from .hermlinalg import (
     Verdict,
     as_psd,
     is_psd,
-    psd_signs,
     psd_sqrt,
 )
 from . import opmeans
@@ -80,12 +79,6 @@ class CpMap:
         """``max |Tr F(e_ij) - delta_ij|``: the partial trace over the output leg."""
         tr_blocks = np.einsum("ikjk->ij", self.choi_blocks())
         return float(np.abs(tr_blocks - np.eye(self.dim_in)).max())
-
-    def is_unital(self, tol: float = TOL_FLAGS) -> bool:
-        return self.unital_defect() <= tol
-
-    def is_trace_preserving(self, tol: float = TOL_FLAGS) -> bool:
-        return self.trace_defect() <= tol
 
     def __add__(self, other: "CpMap") -> "CpMap":
         _check_same_dims(self, other)
@@ -173,9 +166,10 @@ def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     return ops
 
 
-def leq_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> bool:
-    """CP order: F <= G iff C_G - C_F is PSD."""
-    return order_cp(f, g, tol)[0]
+def leq_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> Verdict:
+    """CP order: F <= G iff C_G - C_F is PSD, decided by ``is_psd`` of that difference."""
+    _check_same_dims(f, g)
+    return is_psd(g.choi.entries - f.choi.entries, tol)
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[bool, bool]:
@@ -186,7 +180,9 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[bool, bool]:
     the same matrix, up to sign, round differently at the bound.
     """
     _check_same_dims(f, g)
-    return psd_signs(g.choi.entries - f.choi.entries, tol)
+    h = HermitianMatrix(g.choi.entries - f.choi.entries)
+    v = is_psd(h, tol)
+    return bool(v), max(0.0, float(h.eig()[0][-1])) <= v.bound
 
 
 def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
@@ -379,6 +375,6 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
     rh = psd_sqrt(rho).entries
     sh = psd_sqrt(sigma).entries
     sqrt_trace = float(np.trace(rh @ sh).real)
-    inner = PsdMatrix.clamped(rh @ sigma.entries @ rh)
-    fidelity = float(np.trace(psd_sqrt(inner).entries).real)
+    # rho^{1/2} sigma rho^{1/2} is the Gram form of rho^{1/2} sigma^{1/2}
+    fidelity = float(np.trace(psd_sqrt(PsdMatrix._gram(rh @ sh)).entries).real)
     return StateMeanQuantities(gm, sqrt_trace, fidelity)

@@ -2,7 +2,7 @@
 
 Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix`` and its rank
-cutoff ``support()``, PSD admission and its verdict ``psd_verdict``, the PSD
+cutoff ``support()``, PSD admission and its verdict ``is_psd``, the PSD
 square root and Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on
 which every mean, connection and Lebesgue split is evaluated.  The rank
 cutoff lives in one place, ``HermitianMatrix.support``.
@@ -24,7 +24,7 @@ from .errors import InvalidInput, ShapeError
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
 TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
-TOL_HERM = 1e-10    # Hermiticity admission for external data
+TOL_HERM = 1e-10    # Hermiticity admission for external data, relative to max abs entry
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -92,7 +92,7 @@ class HermitianMatrix:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix admitted as positive semidefinite.
 
-    Admission is ``psd_verdict`` at TOL_PSD; small negative eigenvalues are
+    Admission is ``is_psd`` at TOL_PSD; small negative eigenvalues are
     tolerated here and clamped to zero by the matrix functions below.
     """
 
@@ -100,24 +100,24 @@ class PsdMatrix(HermitianMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        v = psd_verdict(self)
+        v = is_psd(self)
         if not v:
             raise InvalidInput(
                 f"matrix is not PSD within tolerance (min eigenvalue {-v.residual:.3e})")
 
     @classmethod
-    def clamped(cls, entries, tol: float = TOL_PSD, scale: float | None = None) -> "PsdMatrix":
-        """Project onto the PSD cone by zeroing small negative eigenvalues.
+    def clamped(cls, entries, bound: float) -> "PsdMatrix":
+        """Project onto the PSD cone by zeroing negative eigenvalues down to -bound.
 
-        Eigenvalues below -tol * scale raise InvalidInput instead of being
-        silently absorbed; scale defaults to max(1, norm), and a caller whose
-        round-off is relative to its operands passes their norm.
+        An eigenvalue below -bound raises InvalidInput instead of being
+        silently absorbed; the caller sets the bound from the round-off of the
+        computation that produced the entries.
         """
         h = HermitianMatrix(entries)
         w, u = h.eig()
         if w[0] >= 0.0:
             return cls(h.entries)
-        if w[0] < -tol * (max(1.0, h.norm()) if scale is None else scale):
+        if w[0] < -bound:
             raise InvalidInput(
                 f"negative eigenvalue {w[0]:.3e} exceeds clamping tolerance"
             )
@@ -160,27 +160,11 @@ class Verdict(NamedTuple):
         return bool(self.residual <= self.bound)
 
 
-def psd_verdict(h, tol: float = TOL_PSD) -> Verdict:
+def is_psd(h, tol: float = TOL_PSD) -> Verdict:
     """``max(0, -min eigenvalue)`` against ``tol * max(1, spectral norm)``, from
     the cached eig: h is PSD within tol iff the verdict holds."""
     hm = as_hermitian(h)
     return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * max(1.0, hm.norm()))
-
-
-def psd_signs(h, tol: float = TOL_PSD) -> tuple[bool, bool]:
-    """``(is_psd(h, tol), is_psd(-h, tol))`` from one eigendecomposition of h.
-
-    The spectrum of -h is the negated spectrum of h, so its verdict reads the
-    largest eigenvalue of h against the same bound.
-    """
-    hm = as_hermitian(h)
-    v = psd_verdict(hm, tol)
-    return bool(v), max(0.0, float(hm.eig()[0][-1])) <= v.bound
-
-
-def is_psd(h, tol: float = TOL_PSD) -> bool:
-    """``psd_verdict(h, tol)`` as a bool."""
-    return bool(psd_verdict(h, tol))
 
 
 def psd_sqrt(a) -> PsdMatrix:

@@ -5,7 +5,8 @@ the operator means use, ``C_F = s_F Z diag(t) Z*`` and ``C_G = s_G Z diag(1 -
 t) Z*``: the absolutely continuous part of G is ``s_G Z diag(1[t>0] (1-t))
 Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
 (s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose`` returns both parts with
-``alpha_min`` and the verdict of their sum against C_G.  The parallel-sum
+``alpha_min`` and the verdict of their sum against C_G; ``is_singular`` and
+``is_abs_continuous`` return their Verdict at TOL_SPLIT.  The parallel-sum
 limit ``lim_n (nF : G)``, on the pseudo-inverse ``opmeans.parallel_sum``, is
 kept as the independent oracle, Richardson-extrapolated along n = 2^k.
 """
@@ -132,35 +133,25 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     )
 
 
-def singular_residual(f: CpMap, g: CpMap) -> float:
-    """``max t (1 - t)`` over the spectrum of A': 0 iff F and G are mutually
-    singular.  A' is that of the folded pair, so scaling F or G leaves the
-    residual as it is."""
+def is_singular(f: CpMap, g: CpMap) -> Verdict:
+    """``max t (1 - t)`` over the spectrum of A' against TOL_SPLIT: the residual
+    is 0 iff F and G are mutually singular.  A' is that of the folded pair, so
+    scaling F or G leaves the residual as it is."""
     t = _pair(f, g).t
-    return float((t * (1.0 - t)).max(initial=0.0))
+    return Verdict(float((t * (1.0 - t)).max(initial=0.0)), TOL_SPLIT)
 
 
-def is_singular(f: CpMap, g: CpMap, tol: float = TOL_SPLIT) -> bool:
-    """True iff F and G are mutually singular: ``singular_residual(f, g) <= tol``."""
-    return singular_residual(f, g) <= tol
-
-
-def abs_continuity_residual(g: CpMap, f: CpMap) -> float:
+def is_abs_continuous(g: CpMap, f: CpMap) -> Verdict:
     """Share of tr C_G carried by the t = 0 directions of A' (the trace of the
-    singular part over that of C_G): 0 iff G is F-absolutely continuous;
-    invariant under scaling F and G."""
-    p = _pair(f, g)
-    total = float(np.trace(g.choi.entries).real)
-    if not total > 0.0:
-        return 0.0
-    sing = _split(p)[2] @ (np.abs(p.z) ** 2).sum(axis=0)
-    return float(sing) / total
-
-
-def is_abs_continuous(g: CpMap, f: CpMap, tol: float = TOL_SPLIT) -> bool:
-    """True iff G is F-absolutely continuous: ``abs_continuity_residual(g, f) <= tol``.
+    singular part over that of C_G) against TOL_SPLIT: the residual is 0 iff G
+    is F-absolutely continuous, and invariant under scaling F and G.
 
     The equivalent range criterion supp(B') <= supp(A') in the RN picture is
     exercised by the test suite.
     """
-    return abs_continuity_residual(g, f) <= tol
+    p = _pair(f, g)
+    total = float(np.trace(g.choi.entries).real)
+    if not total > 0.0:
+        return Verdict(0.0, TOL_SPLIT)
+    sing = _split(p)[2] @ (np.abs(p.z) ** 2).sum(axis=0)
+    return Verdict(float(sing) / total, TOL_SPLIT)

@@ -48,7 +48,7 @@ def _connect(a, b, sigma) -> PsdMatrix:
     p = _shared_pair(*_check_pair(a, b))
     d = sigma(p.t, (p.sb / p.sa) * (1.0 - p.t))
     out = p.sa * ((p.z * d) @ p.z.conj().T)
-    return PsdMatrix.clamped(out, tol=TOL_MEAN, scale=float(np.abs(out).max()))
+    return PsdMatrix.clamped(out, TOL_MEAN * float(np.abs(out).max()))
 
 
 def _parallel(u, v):
@@ -80,7 +80,7 @@ def parallel_sum(a, b) -> PsdMatrix:
     out = a.entries @ pinv_psd(c).entries @ b.entries
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.
-    return PsdMatrix.clamped(out, tol=TOL_MEAN, scale=c.norm())
+    return PsdMatrix.clamped(out, TOL_MEAN * c.norm())
 
 
 def harmonic_mean(a, b) -> PsdMatrix:

@@ -40,6 +40,12 @@ def max_abs(a):
     return float(np.abs(np.asarray(a)).max())
 
 
+def clamp_psd(x, tol=hermlinalg.TOL_PSD) -> hermlinalg.PsdMatrix:
+    """``PsdMatrix.clamped`` at the bound ``tol * max(1, ||x||)``, for a
+    product that is PSD up to its round-off."""
+    return hermlinalg.PsdMatrix.clamped(x, tol * max(1.0, hermlinalg.HermitianMatrix(x).norm()))
+
+
 def min_eig(a):
     a = np.asarray(a)
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])

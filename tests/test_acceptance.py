@@ -28,7 +28,7 @@ from cpmean.cpmaps import (
     tensor,
     unitary_conj,
 )
-from cpmean.hermlinalg import PsdMatrix, is_psd
+from cpmean.hermlinalg import is_psd
 from cpmean.lebesgue import ac_part_oracle, decompose
 from cpmean.opmeans import (
     ARITH,
@@ -43,7 +43,7 @@ from cpmean.opmeans import (
     transpose_rep,
 )
 
-from conftest import max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
+from conftest import clamp_psd, max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
 from jacobi import power_atoms
 from test_lebesgue import direct_rn_compression, planted_pair, shorted_to_subspace
 
@@ -256,9 +256,9 @@ def test_criterion_09_lebesgue_suite():
             for _ in range(20):
                 r = int(rng.integers(1, cols.shape[1] + 1))
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
-                theta = from_choi(m, n, PsdMatrix.clamped(
+                theta = from_choi(m, n, clamp_psd(
                     shorted_to_subspace(g.choi.entries, mix), tol=1e-7).entries)
-                maximality_ok &= leq_cp(theta, split.ac, tol=1e-7)
+                maximality_ok &= bool(leq_cp(theta, split.ac, tol=1e-7))
         # alpha_min minimality within 1e-6 relative, by bisection
         if split.alpha_min > 0.0 and not math.isinf(split.alpha_min):
             lo, hi = 0.0, 2.0 * split.alpha_min + 1.0

@@ -475,7 +475,7 @@ def _failed_checks(out: str) -> list[str]:
 
 
 class TestChecksAtJointScale:
-    """Mean and Lebesgue checks are relative to the operands at every scale."""
+    """Admission, mean and Lebesgue checks are relative to the operands at every scale."""
 
     @pytest.fixture
     def scaled_files(self, tmp_path):
@@ -513,6 +513,25 @@ class TestChecksAtJointScale:
         monkeypatch.setattr(cli, "mean_cp", doubled_harm)
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6])
+    def test_verify_rejects_an_anti_hermitian_choi_at_every_scale(self, tmp_path, capsys, s):
+        # C[1, 0] = -C[0, 1] is wholly anti-Hermitian off the diagonal; the
+        # Hermiticity defect is bounded relative to the largest entry
+        for sign, herm in ((-1.0, False), (1.0, True)):
+            c = s * np.eye(4, dtype=complex)
+            c[0, 1], c[1, 0] = 0.5 * s, sign * 0.5 * s
+            path = tmp_path / f"c{sign:+.0f}.json"
+            data = np.stack([c.real, c.imag], axis=-1).tolist()
+            path.write_text(json.dumps(
+                {"dim_in": 2, "dim_out": 2, "repr": "choi", "data": data}))
+            code = main(["--format", "json", "verify", str(path)])
+            out, err = capsys.readouterr()
+            if herm:
+                assert code == 3  # loaded; F(1) = s [[2, 1/2], [1/2, 2]] is not unital
+                assert json.loads(out)["outputs"]["flags"]["is_cp"] is True
+            else:
+                assert code == 2 and "not Hermitian" in err
 
     def test_lebesgue_reports_a_missed_sum_as_a_failed_check(self, tmp_path, capsys):
         from test_lebesgue import nearly_parallel_pair

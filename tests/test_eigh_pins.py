@@ -32,11 +32,12 @@ PINS = [
     ("lib-means bundle", (10, 0)),  # arith 0, harm 4, geo, power:0.3 and log 2 each
     ("decompose", (2, 0)),        # eig C, eig A'
     ("ac_part", (2, 0)),
-    ("singular_residual", (2, 0)),
-    ("abs_continuity_residual", (2, 0)),
+    ("is_singular", (2, 0)),
+    ("is_abs_continuous", (2, 0)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
     ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
+    ("leq_cp", (1, 0)),           # likewise
     ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
     # sums, scalings, tensor products and compositions of admitted maps are
     # PSD by construction: no admission
@@ -44,6 +45,8 @@ PINS = [
     ("CpMap scalar *", (0, 0)),
     ("tensor", (0, 0)),
     ("compose", (0, 0)),
+    # 2 input admissions, geo 4, and the square root of the fidelity's Gram form
+    ("state_mean_quantities", (7, 0)),
     # 2 input admissions, geo 4, certificate 1, and the clamp of the chain
     # checks' harm, which reuses geo's pair; their two eigvalsh bound the dips
     # of geo - harm and arith - geo
@@ -94,16 +97,19 @@ def _operation(name, f, g, geo, paths):
     return {
         "decompose": lambda: lebesgue.decompose(f, g),
         "ac_part": lambda: lebesgue.ac_part(f, g),
-        "singular_residual": lambda: lebesgue.singular_residual(f, g),
-        "abs_continuity_residual": lambda: lebesgue.abs_continuity_residual(g, f),
+        "is_singular": lambda: lebesgue.is_singular(f, g),
+        "is_abs_continuous": lambda: lebesgue.is_abs_continuous(g, f),
         "index_cp": lambda: cpmaps.index_cp(f),
         "kraus_decompose": lambda: cpmaps.kraus_decompose(f),
         "order_cp": lambda: cpmaps.order_cp(f, g),
+        "leq_cp": lambda: cpmaps.leq_cp(f, g),
         "geo_certificate": lambda: cpmaps.geo_certificate(f, g, geo),
         "CpMap +": lambda: f + g,
         "CpMap scalar *": lambda: 2.5 * f,
         "tensor": lambda: cpmaps.tensor(f, g),
         "compose": lambda: cpmaps.compose(f, g),
+        "state_mean_quantities": lambda: cpmaps.state_mean_quantities(
+            *(c.choi.entries / np.trace(c.choi.entries).real for c in (f, g))),
     }[name]
 
 

@@ -14,9 +14,7 @@ from cpmean.hermlinalg import (
     _shared_pair,
     is_psd,
     pinv_psd,
-    psd_signs,
     psd_sqrt,
-    psd_verdict,
 )
 from cpmean.opmeans import MeanKind
 
@@ -56,13 +54,14 @@ class TestTypes:
         PsdMatrix(np.diag([1.0, -1e-12]))
 
     def test_clamped_zeroes_small_negatives(self):
-        a = PsdMatrix.clamped(np.diag([1.0, -1e-12]))
-        w, _ = a.eig()
-        assert w[0] == 0.0
+        for low in (-1e-12, -TOL_PSD):  # down to the bound itself
+            w, _ = PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD).eig()
+            assert w[0] == 0.0
 
     def test_clamped_rejects_large_negatives(self):
-        with pytest.raises(InvalidInput):
-            PsdMatrix.clamped(np.diag([1.0, -1e-3]))
+        for low in (-1e-3, np.nextafter(-TOL_PSD, -1.0)):
+            with pytest.raises(InvalidInput):
+                PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD)
 
 
 class TestEigh:
@@ -106,21 +105,27 @@ class TestIsPsd:
         assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_signs_are_is_psd_of_both_signs(self, rng):
+        # order_cp(f, g) reads both signs of C_G - C_F from one eigendecomposition
         mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([-1.0, -1e-12]),
                 np.array([[1.0, 2.0], [2.0, 1.0]]), random_psd(rng, 4, rank=2)]
         mats.append(-mats[-1])
         for h in mats:
+            n = h.shape[0]
+            shift = (1.0 + max(0.0, -float(np.linalg.eigvalsh(h)[0]))) * np.eye(n)
+            f, g = cpmaps.from_choi(1, n, shift), cpmaps.from_choi(1, n, shift + h)
+            d = g.choi.entries - f.choi.entries
             for tol in (1e-9, 1.0):
-                assert psd_signs(h, tol) == (is_psd(h, tol), is_psd(-h, tol))
+                assert cpmaps.order_cp(f, g, tol) == (bool(is_psd(d, tol)),
+                                                      bool(is_psd(-d, tol)))
 
     def test_verdict_is_the_eigenvalue_bound(self):
         # diagonal spectra are exact, so each verdict sits on its bound
         bound = TOL_PSD * 100.0
         for low in (-5e-8, -bound, np.nextafter(-bound, -1.0), 0.0, 1e-3):
             h = np.diag([low, 1.0, 10.0, 100.0])
-            v = psd_verdict(h)
-            assert v == Verdict(max(0.0, -low), bound)
-            assert bool(v) == (low >= -bound) == is_psd(h) == (v.residual <= v.bound)
+            v = is_psd(h)
+            assert type(v) is Verdict and v == Verdict(max(0.0, -low), bound)
+            assert bool(v) == (low >= -bound) == (v.residual <= v.bound)
             if v:
                 PsdMatrix(h)
             else:
@@ -241,8 +246,8 @@ def _pair_reads(f, g) -> dict:
         "decompose sing": lambda: lebesgue.decompose(f, g).sing.choi.entries,
         "alpha_min": lambda: lebesgue.decompose(f, g).alpha_min,
         "ac_part": lambda: lebesgue.ac_part(f, g).choi.entries,
-        "singular_residual": lambda: lebesgue.singular_residual(f, g),
-        "abs_continuity_residual": lambda: lebesgue.abs_continuity_residual(g, f),
+        "is_singular": lambda: lebesgue.is_singular(f, g).residual,
+        "is_abs_continuous": lambda: lebesgue.is_abs_continuous(g, f).residual,
     }
     return reads
 

@@ -5,23 +5,22 @@ import pytest
 
 from cpmean.cpmaps import from_choi, functional
 from cpmean.errors import DomainError, NonConvergence, ShapeError
-from cpmean.hermlinalg import PsdMatrix, SpectralPair, Verdict, is_psd
+from cpmean.hermlinalg import SpectralPair, Verdict, is_psd
 from cpmean.lebesgue import (
     TOL_ADD,
     TOL_LIM,
-    abs_continuity_residual,
+    TOL_SPLIT,
     ac_part,
     ac_part_oracle,
     decompose,
     is_abs_continuous,
     is_singular,
-    singular_residual,
 )
 from cpmean import lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import leq_cp
 
-from conftest import max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj
+from conftest import clamp_psd, max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj
 
 
 def planted_pair(rng, m, n, lo=0.2, hi=0.25):
@@ -115,7 +114,7 @@ class TestRnPair:
 
     def test_shape_error(self, rng):
         f, g = from_choi(1, 2, np.eye(2)), from_choi(1, 3, np.eye(3))
-        for call in (decompose, ac_part, singular_residual):
+        for call in (decompose, ac_part, is_singular):
             with pytest.raises(ShapeError):
                 call(f, g)
 
@@ -342,7 +341,7 @@ class TestDecompose:
                 r = int(rng.integers(1, cols.shape[1] + 1))
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
                 theta_choi = shorted_to_subspace(g.choi.entries, mix)
-                theta = from_choi(1, 4, PsdMatrix.clamped(theta_choi, tol=1e-7).entries)
+                theta = from_choi(1, 4, clamp_psd(theta_choi, tol=1e-7).entries)
                 assert leq_cp(theta, g, tol=1e-7)
                 assert leq_cp(theta, split.ac, tol=1e-7)
 
@@ -366,7 +365,7 @@ class TestPredicates:
             a_prime, b_prime, _, _ = rn_matrices(f, g)
             pa, pb = support_proj(a_prime), support_proj(b_prime)
             support_orthogonal = max_abs(pa @ pb) < 1e-8
-            assert is_singular(f, g) == support_orthogonal
+            assert bool(is_singular(f, g)) == support_orthogonal
 
     def test_abs_continuous_examples(self, rng):
         f = from_choi(2, 2, random_psd(rng, 4, rank=3))
@@ -377,6 +376,13 @@ class TestPredicates:
         zero = from_choi(1, 2, np.zeros((2, 2)))
         assert is_abs_continuous(zero, a)
 
+    def test_predicates_return_their_verdict_at_tol_split(self, rng):
+        f, g = random_cp(rng, 2, 2, rank=3), random_cp(rng, 2, 2, rank=2)
+        for v in (is_singular(f, g), is_singular(g, g), is_abs_continuous(g, f),
+                  is_abs_continuous(f, g), is_abs_continuous(0.0 * g, f)):
+            assert type(v) is Verdict and v.bound == TOL_SPLIT
+            assert bool(v) == (v.residual <= TOL_SPLIT)
+
     def test_abs_continuity_matches_range_criterion(self, rng):
         for _ in range(8):
             f, g = planted_pair(rng, 1, 3)
@@ -384,7 +390,7 @@ class TestPredicates:
             pa = support_proj(a_prime)
             outside = (np.eye(3) - pa) @ b_prime @ (np.eye(3) - pa)
             range_ok = max_abs(outside) < 1e-8
-            assert is_abs_continuous(g, f) == range_ok
+            assert bool(is_abs_continuous(g, f)) == range_ok
 
 
 class TestNormalFunctionalSpecialization:
@@ -516,11 +522,11 @@ class TestScaleFreeSingularity:
         f, g = random_cp(rng, 2, 2, rank=3), random_cp(rng, 2, 2, rank=3)
         f, g = s * f, s * g
         assert not is_singular(f, g)
-        assert singular_residual(f, g) > 1e-3
+        assert is_singular(f, g).residual > 1e-3
         assert is_singular(f, decompose(f, g).sing)
         orth_f = from_choi(1, 2, s * np.diag([1.0, 0.0]))
         orth_g = from_choi(1, 2, s * np.diag([0.0, 2.0]))
-        assert singular_residual(orth_f, orth_g) == 0.0
+        assert is_singular(orth_f, orth_g) == Verdict(0.0, TOL_SPLIT)
 
 
 class TestScaleFreeAbsContinuity:
@@ -532,10 +538,10 @@ class TestScaleFreeAbsContinuity:
         assert not is_abs_continuous(g, f)
         assert not is_abs_continuous(split.sing, f)
         assert is_abs_continuous(split.ac, f)
-        assert abs_continuity_residual(g, f) > 1e-3
-        assert abs(abs_continuity_residual(split.sing, f) - 1.0) < 1e-10
-        assert abs_continuity_residual(split.ac, f) <= 1e-12
-        assert abs_continuity_residual(0.0 * g, f) == 0.0
+        assert is_abs_continuous(g, f).residual > 1e-3
+        assert abs(is_abs_continuous(split.sing, f).residual - 1.0) < 1e-10
+        assert is_abs_continuous(split.ac, f).residual <= 1e-12
+        assert is_abs_continuous(0.0 * g, f) == Verdict(0.0, TOL_SPLIT)
 
 
 class TestEighCount:

@@ -24,7 +24,7 @@ from cpmean.opmeans import (
     power_mean,
 )
 
-from conftest import max_abs, meet_proj, min_eig, random_psd, random_unitary, support_proj
+from conftest import clamp_psd, max_abs, meet_proj, min_eig, random_psd, random_unitary, support_proj
 from jacobi import power_atoms
 
 
@@ -378,8 +378,8 @@ class TestStructuralProperties:
                 c[:, 0] = c[:, 1]  # exercise the singular case too
             for kind in kinds:
                 lhs = c @ mean(kind, a, b).entries @ c.conj().T
-                rhs = mean(kind, PsdMatrix.clamped(c @ a @ c.conj().T),
-                           PsdMatrix.clamped(c @ b @ c.conj().T)).entries
+                rhs = mean(kind, clamp_psd(c @ a @ c.conj().T),
+                           clamp_psd(c @ b @ c.conj().T)).entries
                 scale = max(1.0, max_abs(rhs))
                 assert min_eig(rhs - lhs) > -1e-8 * scale, kind.tag
 
@@ -388,8 +388,8 @@ class TestStructuralProperties:
         b = random_psd(rng, 4)
         c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # a.s. invertible
         lhs = c @ geometric_mean(a, b).entries @ c.conj().T
-        rhs = geometric_mean(PsdMatrix.clamped(c @ a @ c.conj().T),
-                             PsdMatrix.clamped(c @ b @ c.conj().T)).entries
+        rhs = geometric_mean(clamp_psd(c @ a @ c.conj().T),
+                             clamp_psd(c @ b @ c.conj().T)).entries
         assert max_abs(lhs - rhs) < TOL_MEAN * max(1.0, max_abs(rhs))
 
     def test_concavity(self, rng):

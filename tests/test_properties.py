@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cpmean.cpmaps import from_choi
-from cpmean.lebesgue import abs_continuity_residual, decompose, singular_residual
+from cpmean.lebesgue import decompose, is_abs_continuous, is_singular
 from cpmean.opmeans import (
     ConnectionRep,
     MeanKind,
@@ -141,6 +141,6 @@ def test_lebesgue_split_under_independent_scales():
         assert np.linalg.norm(split.sing.choi.entries - s * base.sing.choi.entries) \
             <= 1e-12 * s * gnorm, (rf, rg)
         assert split.alpha_min == pytest.approx(s / c * base.alpha_min, rel=1e-10, abs=0.0)
-        assert abs(singular_residual(c * f, s * g) - singular_residual(f, g)) <= 1e-12
-        assert abs(abs_continuity_residual(s * g, c * f)
-                   - abs_continuity_residual(g, f)) <= 1e-12
+        assert abs(is_singular(c * f, s * g).residual - is_singular(f, g).residual) <= 1e-12
+        assert abs(is_abs_continuous(s * g, c * f).residual
+                   - is_abs_continuous(g, f).residual) <= 1e-12

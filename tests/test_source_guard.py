@@ -11,8 +11,9 @@ pseudo-inverse is taken only by the reference formula ``opmeans.parallel_sum``.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
-package but numpy, at module or function level.  The public names of
-``import cpmean`` are pinned, so adding or removing one shows in this file.
+package but numpy, at module or function level, and every module-level import
+is used.  The public names of ``import cpmean`` and the parameter names of each
+are pinned, so adding or removing a name or a knob shows in this file.
 """
 
 import ast
@@ -159,6 +160,33 @@ def test_import_guard_sees_a_copy():
     assert _third_party_imports(clean) == set()
 
 
+def _unused_imports(text: str) -> set[str]:
+    """Names bound by the module-level imports of a source that it never reads."""
+    tree = ast.parse(text)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports to re-export
+    offenders = {name: found for name, text in _sources()
+                 if name != "__init__.py" and (found := _unused_imports(text))}
+    assert offenders == {}
+
+
+def test_unused_import_guard_sees_a_copy():
+    text = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+            "from .hermlinalg import TOL_PSD, is_psd, psd_signs as signs\n\n"
+            "def f(h: np.ndarray, tol=TOL_PSD):\n    return os.path.sep, is_psd(h, tol)\n")
+    assert _unused_imports(text) == {"signs"}
+    assert _unused_imports("import numpy.linalg\n") == {"numpy"}
+
+
 PUBLIC_NAMES = [
     "ConnectionRep", "CpMap", "CpMeanError", "DomainError", "HermitianMatrix",
     "InvalidInput", "LebesgueSplit", "MeanKind", "NonConvergence",
@@ -176,6 +204,73 @@ PUBLIC_NAMES = [
 ]
 
 
+# parameter names of each public name, and of PsdMatrix.clamped; None for an
+# exception that takes the built-in ``*args``
+SIGNATURES = {
+    "ConnectionRep": ("a", "b", "atoms", "label", "transposed", "adjoint", "power"),
+    "CpMap": ("dim_in", "dim_out", "choi", "kraus"),
+    "CpMeanError": None, "DomainError": None,
+    "HermitianMatrix": ("entries",),
+    "InvalidInput": None,
+    "LebesgueSplit": ("ac", "sing", "alpha_min", "recon"),
+    "MeanKind": ("tag", "alpha", "rep"),
+    "NonConvergence": ("message", "estimate"),
+    "NotCompletelyPositive": None, "ParseError": None,
+    "PsdMatrix": ("entries",),
+    "PsdMatrix.clamped": ("entries", "bound"),
+    "ShapeError": None, "UnknownExample": None,
+    "ac_part": ("f", "g"),
+    "ac_part_oracle": ("f", "g", "n_max"),
+    "adjoint_rep": ("rep",),
+    "arithmetic_mean": ("a", "b"),
+    "choi_from_action": ("dim_in", "dim_out", "action"),
+    "compose": ("after", "first"),
+    "cond_exp_diag": ("d",),
+    "cond_exp_rotated": ("theta",),
+    "cond_exp_tensor": ("factor", "weights"),
+    "connection_apply": ("rep", "a", "b"),
+    "decompose": ("f", "g"),
+    "depolarizing": ("d",),
+    "dual_rep": ("rep",),
+    "from_choi": ("dim_in", "dim_out", "choi", "kraus"),
+    "from_kraus": ("ops", "dim_in", "dim_out"),
+    "functional": ("rho",),
+    "geo_certificate": ("f", "g", "theta", "tol"),
+    "geometric_mean": ("a", "b"),
+    "harmonic_mean": ("a", "b"),
+    "identity": ("d",),
+    "index_cp": ("f",),
+    "is_abs_continuous": ("g", "f"),
+    "is_psd": ("h", "tol"),
+    "is_singular": ("f", "g"),
+    "kraus_decompose": ("f",),
+    "leq_cp": ("f", "g", "tol"),
+    "load_channel": ("path",),
+    "log_mean": ("a", "b"),
+    "mean": ("kind", "a", "b"),
+    "mean_cp": ("kind", "f", "g"),
+    "parallel_sum": ("a", "b"),
+    "pinv_psd": ("a",),
+    "power_mean": ("a", "b", "alpha"),
+    "power_rep": ("alpha",),
+    "psd_sqrt": ("a",),
+    "save_channel": ("f", "path", "repr_kind", "name"),
+    "schur": ("a",),
+    "state_mean_quantities": ("rho", "sigma"),
+    "tensor": ("f", "g"),
+    "transpose_rep": ("rep",),
+    "unitary_conj": ("u",),
+}
+
+
+def _params(obj) -> tuple[str, ...] | None:
+    """Parameter names of a callable; None where Python gives no signature."""
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:
+        return None
+
+
 def test_public_names_are_pinned():
     import cpmean
 
@@ -183,3 +278,22 @@ def test_public_names_are_pinned():
     names = sorted(n for n, v in vars(cpmean).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
     assert names == PUBLIC_NAMES
+
+
+def test_public_signatures_are_pinned():
+    import cpmean
+
+    found = {name: _params(getattr(cpmean, name)) for name in PUBLIC_NAMES}
+    found["PsdMatrix.clamped"] = _params(cpmean.PsdMatrix.clamped)
+    assert found == SIGNATURES
+
+
+def test_signature_guard_sees_a_planted_knob():
+    def is_psd(h, tol=1e-9, scale=None):
+        return h
+
+    class Planted(Exception):
+        pass
+
+    assert _params(is_psd) == ("h", "tol", "scale") != SIGNATURES["is_psd"]
+    assert _params(Planted) is None
