@@ -101,18 +101,19 @@ def _check_same_dims(f: CpMap, g: CpMap):
         )
 
 
-def from_choi(dim_in: int, dim_out: int, choi, kraus=None) -> CpMap:
-    """Build a CpMap from Choi data, verifying complete positivity."""
+def from_choi(dim_in: int, dim_out: int, choi) -> CpMap:
+    """Build a CpMap from outside Choi data admitted by ``as_psd``; data that
+    is not Hermitian or not PSD raises NotCompletelyPositive."""
     try:
-        mat = as_psd(choi)
+        return CpMap(dim_in, dim_out, as_psd(choi))
     except InvalidInput as exc:
         raise NotCompletelyPositive(str(exc)) from exc
-    return CpMap(dim_in, dim_out, mat, tuple(kraus) if kraus else None)
 
 
 def choi_from_action(dim_in: int, dim_out: int,
                      action: Callable[[np.ndarray], np.ndarray]) -> CpMap:
-    """Assemble the Choi matrix of a map given by its action on matrix units."""
+    """Choi matrix of a map from its action on matrix units, admitted by
+    ``from_choi``: a map that does not preserve Hermiticity is rejected."""
     m, n = dim_in, dim_out
     c = np.zeros((m * n, m * n), dtype=np.complex128)
     for i in range(m):
@@ -123,7 +124,7 @@ def choi_from_action(dim_in: int, dim_out: int,
             if block.shape != (n, n):
                 raise ShapeError(f"action must return {n} x {n} matrices")
             c[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
-    return from_choi(m, n, 0.5 * (c + c.conj().T))
+    return from_choi(m, n, c)
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
@@ -137,7 +138,8 @@ def _unvec(v: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
                dim_out: int | None = None) -> CpMap:
-    """Build a CpMap from Kraus operators (each dim_out x dim_in)."""
+    """Build a CpMap from Kraus operators (each dim_out x dim_in); its Choi
+    matrix, a Gram form, is PSD by construction, so no admission runs."""
     ops = [np.asarray(k, dtype=np.complex128) for k in ops]
     if not ops:
         if dim_in is None or dim_out is None:
@@ -154,7 +156,7 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
     # columns of v are the vec(K), so C = sum_K vec(K) vec(K)* = v v*
     v = np.array([_vec(k) for k in ops], dtype=np.complex128)
     v = v.reshape(len(ops), dim_in * dim_out).T
-    return from_choi(dim_in, dim_out, v @ v.conj().T, kraus=ops)
+    return CpMap(dim_in, dim_out, PsdMatrix._gram(v), tuple(ops) or None)
 
 
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
@@ -231,13 +233,6 @@ def compose(after: CpMap, first: CpMap) -> CpMap:
     return CpMap(first.dim_in, after.dim_out, PsdMatrix._trusted(out.reshape(mn, mn)))
 
 
-def _max_entangled_vec(n: int) -> np.ndarray:
-    v = np.zeros(n * n, dtype=np.complex128)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    return v
-
-
 def index_cp(f: CpMap) -> float:
     """Pimsner-Popa index: the least lam > 0 with lam*F - id completely positive.
 
@@ -247,7 +242,7 @@ def index_cp(f: CpMap) -> float:
     """
     if f.dim_in != f.dim_out:
         raise ShapeError("index is defined for square maps only")
-    v = _max_entangled_vec(f.dim_in)
+    v = _vec(np.eye(f.dim_in))
     w, u = f.choi.support()
     y = u.conj().T @ v  # v in the eigenbasis of C on its support
     if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
@@ -260,14 +255,13 @@ def index_cp(f: CpMap) -> float:
 # ---------------------------------------------------------------------------
 
 def identity(d: int) -> CpMap:
-    """Identity channel on M_d; Choi is the unnormalized maximally entangled vv*."""
-    v = _max_entangled_vec(d)
-    return from_choi(d, d, np.outer(v, v.conj()), kraus=[np.eye(d)])
+    """Identity channel on M_d, Kraus map of 1; Choi is the maximally entangled vv*."""
+    return from_kraus([np.eye(d)])
 
 
 def depolarizing(d: int) -> CpMap:
     """Completely depolarizing channel x -> Tr(x)/d; Choi is I/d."""
-    return from_choi(d, d, np.eye(d * d) / d)
+    return CpMap(d, d, PsdMatrix._trusted(np.eye(d * d) / d))
 
 
 def unitary_conj(u) -> CpMap:
@@ -282,76 +276,61 @@ def unitary_conj(u) -> CpMap:
 
 
 def schur(a) -> CpMap:
-    """Schur (entrywise) multiplier x -> A ∘ x; CP iff A is PSD."""
-    a = np.asarray(a, dtype=np.complex128)
-    if not is_psd(0.5 * (a + a.conj().T), TOL_PSD):
-        raise DomainError("Schur multiplier is CP only for PSD symbols")
-    n = a.shape[0]
+    """Schur (entrywise) multiplier x -> A ∘ x; CP iff A is PSD.
+
+    A symbol that ``as_psd`` does not admit raises DomainError; the Choi
+    matrix holds A on rows and columns i*n + i, so it is PSD with A."""
+    try:
+        a = as_psd(a)
+    except InvalidInput as exc:
+        raise DomainError(f"Schur multiplier is CP only for PSD symbols: {exc}") from exc
+    n = a.dim
+    diag = np.arange(n) * (n + 1)
     c = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            c[i * n + i, j * n + j] = a[i, j]
-    return from_choi(n, n, c)
+    c[np.ix_(diag, diag)] = a.entries
+    return CpMap(n, n, PsdMatrix._trusted(c))
 
 
 def cond_exp_diag(d: int) -> CpMap:
-    """Conditional expectation of M_d onto its diagonal subalgebra."""
-
-    def action(unit):
-        return np.diag(np.diag(unit)).astype(np.complex128)
-
-    return choi_from_action(d, d, action)
+    """Conditional expectation of M_d onto its diagonal: Kraus operators |i><i|."""
+    return from_kraus([np.diag(e) for e in np.eye(d)])
 
 
 def cond_exp_rotated(theta: float) -> CpMap:
     """Conditional expectation of M_2 onto the rotated diagonal subalgebra.
 
-    The subalgebra is u diag(...) u* for the rotation u by angle theta.
+    The subalgebra is u diag(...) u* for the rotation u by angle theta, the
+    Kraus operators are u|i><i|u*.
     """
     u = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
         dtype=np.complex128,
     )
-
-    def action(unit):
-        inner = u.conj().T @ unit @ u
-        return u @ np.diag(np.diag(inner)) @ u.conj().T
-
-    return choi_from_action(2, 2, action)
+    return from_kraus([np.outer(col, col.conj()) for col in u.T])
 
 
 def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
     """Slice conditional expectation of M_n ⊗ M_n onto one tensor factor.
 
     ``factor=1`` keeps the first leg and averages the second against the state
-    with the given diagonal weights: ``x1 ⊗ x2 -> x1 ⊗ Tr(diag(w) x2) 1``;
-    ``factor=2`` is the mirror image.  Weights must be positive; a genuine
-    state has them summing to 1.
+    with the given diagonal weights: ``x1 ⊗ x2 -> x1 ⊗ Tr(diag(w) x2) 1``,
+    the Kraus map of ``1 ⊗ sqrt(w_j)|k><j|``; ``factor=2`` is the mirror
+    image.  Weights must be positive; a genuine state has them summing to 1.
     """
     if factor not in (1, 2):
         raise DomainError("factor must be 1 or 2")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) < 1 or np.any(w <= 0.0):
         raise DomainError("weights must be a nonempty positive vector")
-    n = len(w)
-    state = np.diag(w).astype(np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-
-    def action(unit):
-        x = unit.reshape(n, n, n, n)  # (i1, i2, j1, j2) of e_{(i1 i2),(j1 j2)}
-        if factor == 1:
-            kept = np.einsum("abcd,bd->ac", x, state.T)
-            return np.kron(kept, eye)
-        kept = np.einsum("abcd,ac->bd", x, state.T)
-        return np.kron(eye, kept)
-
-    return choi_from_action(n * n, n * n, action)
+    eye = np.eye(len(w))
+    slices = [np.sqrt(wj) * np.outer(ek, ej) for ej, wj in zip(eye, w) for ek in eye]
+    return from_kraus([np.kron(eye, k) if factor == 1 else np.kron(k, eye) for k in slices])
 
 
 def functional(rho) -> CpMap:
     """CP functional x -> Tr(rho x) as a map M_n -> M_1; Choi is rho^T."""
     rho = as_psd(rho)
-    return from_choi(rho.dim, 1, rho.entries.T)
+    return CpMap(rho.dim, 1, PsdMatrix._trusted(rho.entries.T))
 
 
 class StateMeanQuantities(NamedTuple):

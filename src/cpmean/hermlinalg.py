@@ -2,7 +2,7 @@
 
 Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix`` and its rank
-cutoff ``support()``, PSD admission and its verdict ``is_psd``, the PSD
+cutoff ``support()``, ``as_psd``, the admission of outside data, ``is_psd``, the PSD
 square root and Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on
 which every mean, connection and Lebesgue split is evaluated.  The rank
 cutoff lives in one place, ``HermitianMatrix.support``.
@@ -24,9 +24,19 @@ from .errors import InvalidInput, ShapeError
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
 TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
-TOL_HERM = 1e-10    # Hermiticity admission for external data, relative to max abs entry
+TOL_HERM = 1e-10    # Hermiticity of outside data in as_psd, relative to max abs entry
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _square(entries) -> np.ndarray:
+    """A finite square complex128 copy of entries."""
+    m = np.array(entries, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix entries must be finite")
+    return m
 
 
 class HermitianMatrix:
@@ -40,11 +50,7 @@ class HermitianMatrix:
     __slots__ = ("_m", "_eig")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InvalidInput("matrix entries must be finite")
+        m = _square(entries)
         mh = m.conj().T
         if not (m == mh).all():
             # Halved as real arrays: a complex product by 0.5 would turn some
@@ -92,8 +98,9 @@ class HermitianMatrix:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix admitted as positive semidefinite.
 
-    Admission is ``is_psd`` at TOL_PSD; small negative eigenvalues are
-    tolerated here and clamped to zero by the matrix functions below.
+    The constructor is the internal admission, ``is_psd`` at TOL_PSD of the
+    symmetrized entries; outside data enters through ``as_psd``.  Small
+    negative eigenvalues are tolerated here and clamped to zero below.
     """
 
     __slots__ = ()
@@ -135,9 +142,10 @@ class PsdMatrix(HermitianMatrix):
         return out
 
     @classmethod
-    def _gram(cls, x: np.ndarray, h=1.0) -> "PsdMatrix":
-        """``X diag(h) X*`` for h >= 0, admitted as PSD by construction."""
-        return cls._trusted((x * h) @ x.conj().T)
+    def _gram(cls, x: np.ndarray, h=None) -> "PsdMatrix":
+        """``X diag(h) X*`` for h >= 0, or ``X X*`` without h, admitted as PSD
+        by construction."""
+        return cls._trusted((x if h is None else x * h) @ x.conj().T)
 
 
 def as_hermitian(x) -> HermitianMatrix:
@@ -146,8 +154,16 @@ def as_hermitian(x) -> HermitianMatrix:
 
 
 def as_psd(x) -> PsdMatrix:
-    """Coerce an array-like or PsdMatrix to PsdMatrix."""
-    return x if isinstance(x, PsdMatrix) else PsdMatrix(x)
+    """Coerce an array-like or PsdMatrix to PsdMatrix: the admission of
+    outside data.  An array-like must be Hermitian within ``TOL_HERM`` of its
+    largest entry modulus, else InvalidInput, before ``PsdMatrix`` admits it."""
+    if isinstance(x, PsdMatrix):
+        return x
+    m = _square(x)
+    defect = np.abs(m - m.conj().T).max()
+    if defect > TOL_HERM * np.abs(m).max():
+        raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
+    return PsdMatrix(m)
 
 
 class Verdict(NamedTuple):

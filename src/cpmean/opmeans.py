@@ -18,7 +18,7 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,13 +140,12 @@ class ConnectionRep:
     finite atom sum is (their g(inf) is finite).  The represented f is g, or
     with ``transposed`` ``t g(1/t)``, with ``adjoint`` ``1/g(1/t)``, with both
     the dual ``t / g(t)``: the transforms flip flags, so they are exact and
-    compose exactly.  The label takes no part in equality.
+    compose exactly.
     """
 
     a: float
     b: float
     atoms: tuple[tuple[float, float], ...]
-    label: str = field(default="", compare=False)
     transposed: bool = False
     adjoint: bool = False
     power: float | None = None
@@ -228,16 +227,15 @@ class MeanKind:
 
     @classmethod
     def parse(cls, text: str) -> "MeanKind":
-        """Parse a CLI-style kind: geo|arith|harm|parallel|log|power:<alpha>."""
+        """Parse a CLI-style kind: geo|arith|harm|parallel|log|power:<alpha>;
+        any other text is a tag, checked as ``MeanKind(text)`` checks it."""
         if text.startswith("power:"):
             try:
                 alpha = float(text.split(":", 1)[1])
             except ValueError as exc:
                 raise DomainError(f"bad power mean weight in {text!r}") from exc
             return cls.power(alpha)
-        if text in ("arith", "geo", "harm", "parallel", "log"):
-            return cls(text)
-        raise DomainError(f"unknown mean kind {text!r}")
+        return cls(text)
 
 
 ARITH = MeanKind("arith")
@@ -281,19 +279,19 @@ def power_rep(alpha: float) -> ConnectionRep:
     flag flips: the transpose and the dual represent ``t^(1-alpha)``, the
     adjoint ``t^alpha`` itself, and all vanish where those functions do.
     """
-    return ConnectionRep(0.0, 0.0, (), label=f"power({alpha})", power=alpha)
+    return ConnectionRep(0.0, 0.0, (), power=alpha)
 
 
 def transpose_rep(rep: ConnectionRep) -> ConnectionRep:
     """Transpose transform, representing ``t f(1/t)``; realizes argument swap."""
-    return replace(rep, transposed=not rep.transposed, label=f"transpose({rep.label})")
+    return replace(rep, transposed=not rep.transposed)
 
 
 def adjoint_rep(rep: ConnectionRep) -> ConnectionRep:
     """Adjoint transform ``f(1/t)^(-1)``: exact; DomainError if f vanishes identically."""
-    return replace(rep, adjoint=not rep.adjoint, label=f"adjoint({rep.label})")
+    return replace(rep, adjoint=not rep.adjoint)
 
 
 def dual_rep(rep: ConnectionRep) -> ConnectionRep:
     """Dual transform ``t / f(t)``, the adjoint of the transpose; exact, like it."""
-    return replace(adjoint_rep(transpose_rep(rep)), label=f"dual({rep.label})")
+    return adjoint_rep(transpose_rep(rep))

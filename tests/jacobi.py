@@ -39,4 +39,4 @@ def power_atoms(alpha: float, nodes: int = 64) -> ConnectionRep:
     lam = u / (1.0 - u)
     wt = np.sin(alpha * np.pi) / np.pi * wj
     atoms = tuple((float(l), float(w)) for l, w in zip(lam, wt) if w > 0.0)
-    return ConnectionRep(0.0, 0.0, atoms, label=f"power_atoms({alpha}, {nodes})")
+    return ConnectionRep(0.0, 0.0, atoms)

@@ -96,9 +96,10 @@ class TestChannelDoc:
             doc_to_channel(doc)
 
     def test_non_hermitian_rejected(self):
+        # the Hermiticity rule of every outside matrix, applied by from_choi
         doc = channel_to_doc(identity(2))
         doc["data"][0][1] = [0.7, 0.0]
-        with pytest.raises(ParseError):
+        with pytest.raises(NotCompletelyPositive, match="not Hermitian"):
             doc_to_channel(doc)
 
     def test_non_psd_rejected(self):

@@ -29,8 +29,8 @@ from jacobi import TOL_QUAD, power_atoms
 
 TGRID = 2.0 ** np.arange(-4, 5, dtype=float)
 
-ARITH_REP = ConnectionRep(0.5, 0.5, (), label="arith")
-HARM_REP = ConnectionRep(0.0, 0.0, ((1.0, 1.0),), label="harm")
+ARITH_REP = ConnectionRep(0.5, 0.5, ())
+HARM_REP = ConnectionRep(0.0, 0.0, ((1.0, 1.0),))
 
 
 def atom_oracle(rep, a, b):

@@ -26,8 +26,8 @@ from cpmean.cpmaps import (
     tensor,
     unitary_conj,
 )
-from cpmean.errors import DomainError, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_PSD, Verdict, is_psd, pinv_psd
+from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
+from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, is_psd, pinv_psd
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import (
@@ -71,6 +71,71 @@ class TestChoiConstruction:
     def test_wrong_block_shape(self):
         with pytest.raises(ShapeError):
             choi_from_action(2, 2, lambda e: np.zeros((3, 3)))
+
+
+# A symbol whose Hermitian part is the identity, and one Hermitian within TOL_HERM.
+SKEW = np.array([[1.0, 0.9], [-0.9, 1.0]], dtype=complex)
+NEARLY = np.array([[1.0, 0.9 + 0.01 * TOL_HERM], [0.9, 1.0]], dtype=complex)
+SCALES = [1e-12, 1.0, 1e12]
+
+
+def skew_action(s, eps):
+    """``x -> s (x + eps/2 (x01 - x10) 1)``: its Choi matrix has Hermiticity
+    defect ``s eps`` against largest entry ``s``, and Hermitian part s vv*."""
+    return lambda x: s * (x + 0.5 * eps * (x[0, 1] - x[1, 0]) * np.eye(2))
+
+
+class TestHermiticityRule:
+    """Every outside matrix must be Hermitian within TOL_HERM of its largest
+    entry modulus; none is replaced by its Hermitian part."""
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_schur_rejects_a_non_hermitian_symbol(self, s):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            schur(s * SKEW)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_schur_accepts_a_symbol_hermitian_within_tolerance(self, s):
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        got = schur(s * NEARLY).apply(e01)
+        assert max_abs(got - s * 0.9 * e01) <= 1e-12 * s
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_choi_from_action_rejects_a_map_that_breaks_hermiticity(self, s):
+        with pytest.raises(NotCompletelyPositive, match="not Hermitian"):
+            choi_from_action(2, 2, skew_action(s, 1.0))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_choi_from_action_accepts_a_map_hermitian_within_tolerance(self, s):
+        got = choi_from_action(2, 2, skew_action(s, 0.01 * TOL_HERM)).choi.entries
+        assert max_abs(got - s * identity(2).choi.entries) <= 1e-12 * s
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_from_choi_rejects_a_non_hermitian_choi(self, s):
+        c = s * np.eye(4, dtype=complex)
+        c[0, 1], c[1, 0] = 0.5 * s, -0.5 * s
+        with pytest.raises(NotCompletelyPositive, match="not Hermitian"):
+            from_choi(2, 2, c)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_from_choi_accepts_a_choi_hermitian_within_tolerance(self, s):
+        c = s * np.eye(4, dtype=complex)
+        c[0, 1], c[1, 0] = 0.5 * s, 0.5 * s * (1.0 + 0.01 * TOL_HERM)
+        assert max_abs(from_choi(2, 2, c).choi.entries - c) <= 1e-12 * s
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_geometric_mean_rejects_a_raw_non_hermitian_operand(self, s):
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            geometric_mean(s * SKEW, s * np.eye(2))
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            geometric_mean(s * np.eye(2), s * SKEW)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_geometric_mean_accepts_an_operand_hermitian_within_tolerance(self, s):
+        herm = 0.5 * (NEARLY + NEARLY.conj().T)
+        got = geometric_mean(s * NEARLY, s * np.eye(2)).entries
+        want = geometric_mean(s * herm, s * np.eye(2)).entries
+        assert max_abs(got - want) <= 1e-12 * s
 
 
 class TestKraus:

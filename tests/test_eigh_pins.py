@@ -45,6 +45,16 @@ PINS = [
     ("CpMap scalar *", (0, 0)),
     ("tensor", (0, 0)),
     ("compose", (0, 0)),
+    # the zoo and Kraus maps are Gram forms or trusted Choi matrices: no admission
+    ("identity", (0, 0)),
+    ("depolarizing", (0, 0)),
+    ("unitary_conj", (0, 0)),
+    ("cond_exp_diag", (0, 0)),
+    ("cond_exp_rotated", (0, 0)),
+    ("cond_exp_tensor", (0, 0)),
+    ("from_kraus", (0, 0)),
+    ("schur", (1, 0)),            # the admission of its outside symbol
+    ("functional", (1, 0)),       # likewise of rho
     # 2 input admissions, geo 4, and the square root of the fidelity's Gram form
     ("state_mean_quantities", (7, 0)),
     # 2 input admissions, geo 4, certificate 1, and the clamp of the chain
@@ -53,14 +63,18 @@ PINS = [
     ("cli mean --kind geo -o", (9, 2)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
+    ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms
 ]
 
-# argv and exit code of each CLI row, over the paths (f, g, geo); F is a random
-# CP map, neither unital nor trace preserving, so verify fails its checks.
+# argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk
+# and gk the Kraus documents of f and g; F is a random CP map, neither unital
+# nor trace preserving, so verify fails its checks.
 CLI = {
-    "cli mean --kind geo -o": (lambda f, g, geo: ["mean", "--kind", "geo", f, g, "-o", geo], 0),
-    "cli verify": (lambda f, g, geo: ["verify", f], 3),
-    "cli order": (lambda f, g, geo: ["order", f, g], 0),
+    "cli mean --kind geo -o": (lambda f, g, geo, fk, gk: ["mean", "--kind", "geo", f, g,
+                                                           "-o", geo], 0),
+    "cli verify": (lambda f, g, geo, fk, gk: ["verify", f], 3),
+    "cli order": (lambda f, g, geo, fk, gk: ["order", f, g], 0),
+    "cli order kraus": (lambda f, g, geo, fk, gk: ["order", fk, gk], 0),
 }
 
 
@@ -69,9 +83,11 @@ def pair(tmp_path_factory):
     rng = np.random.default_rng(1616)
     f, g = random_cp(rng, 4, 4), random_cp(rng, 4, 4, rank=8)
     tmp = tmp_path_factory.mktemp("pins")
-    paths = [str(tmp / "f.json"), str(tmp / "g.json"), str(tmp / "geo.json")]
+    paths = [str(tmp / name) for name in ("f.json", "g.json", "geo.json", "fk.json", "gk.json")]
     save_channel(f, paths[0])
     save_channel(g, paths[1])
+    save_channel(f, paths[3], repr_kind="kraus")
+    save_channel(g, paths[4], repr_kind="kraus")
     return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g), paths
 
 
@@ -94,7 +110,19 @@ def _operation(name, f, g, geo, paths):
     if name.startswith("mean "):
         kind = MeanKind.parse(name.split()[1])
         return lambda: cpmaps.mean_cp(kind, f, g)
+    ops = cpmaps.kraus_decompose(f)
+    block = np.array(f.choi.entries[:4, :4])  # a principal block of C_F: PSD
+    u = np.linalg.qr(g.choi.entries[:4, :4])[0]
     return {
+        "identity": lambda: cpmaps.identity(4),
+        "depolarizing": lambda: cpmaps.depolarizing(4),
+        "unitary_conj": lambda: cpmaps.unitary_conj(u),
+        "cond_exp_diag": lambda: cpmaps.cond_exp_diag(4),
+        "cond_exp_rotated": lambda: cpmaps.cond_exp_rotated(0.3),
+        "cond_exp_tensor": lambda: cpmaps.cond_exp_tensor(2, [0.25, 0.75]),
+        "from_kraus": lambda: cpmaps.from_kraus(ops),
+        "schur": lambda: cpmaps.schur(block),
+        "functional": lambda: cpmaps.functional(block),
         "decompose": lambda: lebesgue.decompose(f, g),
         "ac_part": lambda: lebesgue.ac_part(f, g),
         "is_singular": lambda: lebesgue.is_singular(f, g),

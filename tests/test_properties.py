@@ -24,7 +24,7 @@ from cpmean.opmeans import (
 from conftest import random_psd, random_unitary
 
 # f(t) = 0.2 + 0.1 t + sum_k w_k t (1 + l_k)/(t + l_k): f(0) > 0 and f(inf) = inf
-MIXED = ConnectionRep(0.2, 0.1, ((0.3, 1.5), (7.0, 0.25)), label="mixed")
+MIXED = ConnectionRep(0.2, 0.1, ((0.3, 1.5), (7.0, 0.25)))
 
 
 def f_mixed(t):

@@ -1,6 +1,6 @@
 """Source guard: one rank cutoff, one route to eigendecompositions, one
-spectral pair, one verdict rule, numpy as the only dependency, and a pinned
-public surface.
+spectral pair, one verdict rule, one Hermiticity rule, numpy as the only
+dependency, and a pinned public surface.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
@@ -8,6 +8,9 @@ The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 A ``SpectralPair`` is built only by the one-slot memo ``hermlinalg._shared_pair``,
 which every connection and the Lebesgue split call in one place each, and the
 pseudo-inverse is taken only by the reference formula ``opmeans.parallel_sum``.
+Outside Choi data is admitted by ``from_choi`` only where it comes in (a
+document, an action, an example's random matrices), and ``TOL_HERM``, the
+Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -88,6 +91,8 @@ CALL_SITES = {
     "SpectralPair": {("hermlinalg.py", "_shared_pair")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "pinv_psd": {("opmeans.py", "parallel_sum")},
+    "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
+                  ("registry.py", "example_ando_recovery")},
 }
 
 
@@ -121,6 +126,26 @@ def test_call_guard_sees_a_planted_call():
     assert _call_sites("x.py", text, "pinv_psd") == {("x.py", "harmonic_mean")}
     assert _call_sites("x.py", text, "SpectralPair") == {("x.py", "X")}
     assert _call_sites("x.py", "pinv = pinv_psd\n", "pinv_psd") == set()
+
+
+def _reads(text: str, name: str) -> bool:
+    """Whether a source imports or reads ``name``, plainly or as an attribute."""
+    return any((isinstance(node, ast.Name) and node.id == name)
+               or (isinstance(node, ast.Attribute) and node.attr == name)
+               or (isinstance(node, ast.alias) and node.name == name)
+               for node in ast.walk(ast.parse(text)))
+
+
+def test_hermiticity_rule_read_only_in_hermlinalg():
+    offenders = [name for name, text in _sources()
+                 if name != "hermlinalg.py" and _reads(text, "TOL_HERM")]
+    assert offenders == []
+
+
+def test_hermiticity_guard_sees_a_planted_copy():
+    assert _reads("from .hermlinalg import TOL_HERM\n", "TOL_HERM")
+    assert _reads("def f(m):\n    return hermlinalg.TOL_HERM * abs(m).max()\n", "TOL_HERM")
+    assert not _reads("TOL = 1e-10  # TOL_HERM\nx = 'TOL_HERM'\n", "TOL_HERM")
 
 
 def test_checks_recorded_only_by_report_check():
@@ -207,7 +232,7 @@ PUBLIC_NAMES = [
 # parameter names of each public name, and of PsdMatrix.clamped; None for an
 # exception that takes the built-in ``*args``
 SIGNATURES = {
-    "ConnectionRep": ("a", "b", "atoms", "label", "transposed", "adjoint", "power"),
+    "ConnectionRep": ("a", "b", "atoms", "transposed", "adjoint", "power"),
     "CpMap": ("dim_in", "dim_out", "choi", "kraus"),
     "CpMeanError": None, "DomainError": None,
     "HermitianMatrix": ("entries",),
@@ -232,7 +257,7 @@ SIGNATURES = {
     "decompose": ("f", "g"),
     "depolarizing": ("d",),
     "dual_rep": ("rep",),
-    "from_choi": ("dim_in", "dim_out", "choi", "kraus"),
+    "from_choi": ("dim_in", "dim_out", "choi"),
     "from_kraus": ("ops", "dim_in", "dim_out"),
     "functional": ("rho",),
     "geo_certificate": ("f", "g", "theta", "tol"),
