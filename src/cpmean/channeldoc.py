@@ -12,11 +12,15 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
 
 Floats are emitted by Python's shortest round-trip repr (at most 17
 significant digits), so a choi document of an exactly Hermitian matrix
-survives save/load bit-exactly, signed zeros included.
+survives save/load bit-exactly, signed zeros included.  The text of the
+last two Choi matrices written is kept, so a ``-o`` document and the report
+that names it encode their Choi matrix once.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 
@@ -24,12 +28,31 @@ import numpy as np
 
 from .cpmaps import CpMap, from_choi, from_kraus, kraus_decompose
 from .errors import ParseError, ShapeError
+from .hermlinalg import HermitianMatrix
 
 
 def _to_pairs(a) -> list:
     """Nested lists of [re, im] floats, one pair per entry of a complex array."""
     a = np.asarray(a, dtype=np.complex128)
     return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+@functools.lru_cache(maxsize=2)
+def _matrix_text(h: HermitianMatrix) -> str:
+    """``json.dumps`` of the [re, im] pairs of h, kept for the next call on the
+    same object: keyed by identity, as entries are read-only and the cache
+    holds h.  Two slots, so the ac and sing parts of a split each encode once."""
+    return json.dumps(_to_pairs(h.entries))
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj)``, where a HermitianMatrix value of obj or of a dict
+    in it stands for its [re, im] pairs and takes its memoized text."""
+    if isinstance(obj, HermitianMatrix):
+        return _matrix_text(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)
 
 
 def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
@@ -50,8 +73,16 @@ def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
 
 def channel_to_doc(f: CpMap, repr_kind: str = "choi", name: str | None = None) -> dict:
     """Serialize a CpMap to a JSON-ready document."""
+    doc = _doc(f, repr_kind, name)
     if repr_kind == "choi":
-        data = _to_pairs(f.choi.entries)
+        doc["data"] = _to_pairs(f.choi.entries)
+    return doc
+
+
+def _doc(f: CpMap, repr_kind: str, name: str | None) -> dict:
+    """The document of f, with a choi document's data left as ``f.choi``."""
+    if repr_kind == "choi":
+        data = f.choi
     elif repr_kind == "kraus":
         ops = f.kraus if f.kraus is not None else kraus_decompose(f)
         data = [_to_pairs(k) for k in ops]
@@ -88,30 +119,31 @@ def doc_to_channel(doc) -> CpMap:
 
 def save_channel(f: CpMap, path: str | os.PathLike, repr_kind: str = "choi",
                  name: str | None = None) -> None:
-    """Write a channel document to a file."""
-    doc = channel_to_doc(f, repr_kind=repr_kind, name=name)
-    text = json.dumps(doc)  # json.dump would take the pure-Python encoder
+    """Write a channel document to a file: the text of ``channel_to_doc``."""
+    text = _dumps(_doc(f, repr_kind, name))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
-def read_doc(path: str | os.PathLike) -> dict:
-    """Read a raw document object from a JSON file."""
+def read_doc(path: str | os.PathLike) -> tuple[dict, str]:
+    """Read a raw document object from a JSON file, with the SHA-256 of the
+    bytes it was parsed from; the file is read once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("channel document must be a JSON object")
-    return doc
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
 def load_channel(path: str | os.PathLike) -> CpMap:
     """Read and verify a channel document from a file."""
-    doc = read_doc(path)
+    doc, _ = read_doc(path)
     try:
         return doc_to_channel(doc)
     except ShapeError as exc:

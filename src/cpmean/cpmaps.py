@@ -198,15 +198,15 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     """Block-matrix certificate of [[C_F, C_T], [C_T, C_G]] >= 0.
 
     ``max(0, -lambda_min)`` of the block against ``tol * ||block||``, both from
-    its one eigendecomposition, so the verdict does not change under joint
+    its eigenvalues alone, so the verdict does not change under joint
     scaling.  Holds for theta = geometric mean (and anything below it), fails
     for any strictly larger candidate; this is the maximality characterization.
     """
     _check_same_dims(f, g)
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
-    block = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]]))
-    return Verdict(max(0.0, -float(block.eig()[0][0])), tol * block.norm())
+    w = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
+    return Verdict(max(0.0, -float(w[0])), tol * float(max(abs(w[0]), abs(w[-1]))))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

@@ -1,8 +1,8 @@
 """Dense Hermitian/PSD linear algebra kernel with an explicit tolerance policy.
 
 Everything in this package runs through the small set of primitives below:
-the cached spectral decomposition of a ``HermitianMatrix`` and its rank
-cutoff ``support()``, ``as_psd``, the admission of outside data, ``is_psd``, the PSD
+the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
+alone (``eigvals()``) and its rank cutoff ``support()``, ``as_psd``, the admission of outside data, ``is_psd``, the PSD
 square root and Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on
 which every mean, connection and Lebesgue split is evaluated.  The rank
 cutoff lives in one place, ``HermitianMatrix.support``.
@@ -43,11 +43,12 @@ class HermitianMatrix:
     """Complex Hermitian matrix, symmetrized once at construction.
 
     Entries are stored row-major as a read-only complex128 array.  The
-    eigendecomposition is computed lazily and cached; concurrent readers may
-    race to fill the cache but the filled value is identical either way.
+    eigendecomposition, or the eigenvalues alone, are computed lazily and
+    cached; concurrent readers may race to fill the cache but the filled value
+    is identical either way.
     """
 
-    __slots__ = ("_m", "_eig")
+    __slots__ = ("_m", "_eig", "_w")
 
     def __init__(self, entries):
         m = _square(entries)
@@ -60,6 +61,7 @@ class HermitianMatrix:
         m.flags.writeable = False
         self._m = m
         self._eig = None
+        self._w = None
 
     @property
     def dim(self) -> int:
@@ -78,6 +80,17 @@ class HermitianMatrix:
             u.flags.writeable = False
             self._eig = (w, u)
         return self._eig
+
+    def eigvals(self) -> np.ndarray:
+        """Ascending eigenvalues: those of the cached ``eig()`` if there is one,
+        else one ``eigvalsh``, cached without the vectors."""
+        if self._eig is not None:
+            return self._eig[0]
+        if self._w is None:
+            w = np.linalg.eigvalsh(self._m)
+            w.flags.writeable = False
+            self._w = w
+        return self._w
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``: views
@@ -154,12 +167,13 @@ def as_hermitian(x) -> HermitianMatrix:
 
 
 def as_psd(x) -> PsdMatrix:
-    """Coerce an array-like or PsdMatrix to PsdMatrix: the admission of
+    """Coerce an array-like or HermitianMatrix to PsdMatrix: the admission of
     outside data.  An array-like must be Hermitian within ``TOL_HERM`` of its
-    largest entry modulus, else InvalidInput, before ``PsdMatrix`` admits it."""
+    largest entry modulus, else InvalidInput, before ``PsdMatrix`` admits it;
+    a HermitianMatrix is admitted from its entries."""
     if isinstance(x, PsdMatrix):
         return x
-    m = _square(x)
+    m = _square(x.entries if isinstance(x, HermitianMatrix) else x)
     defect = np.abs(m - m.conj().T).max()
     if defect > TOL_HERM * np.abs(m).max():
         raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")

@@ -3,18 +3,18 @@
 Reports render either as human-readable text or as compact, single-line,
 schema-stable JSON: the same command always emits the same fields, every
 numeric check carries its residual and tolerance, and floats are serialized
-at full precision.
+at full precision.  A ``HermitianMatrix`` output is written as its [re, im]
+pairs, from the text a ``-o`` document of the same matrix already encoded.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channeldoc import _to_pairs
+from .channeldoc import _dumps, _to_pairs
+from .hermlinalg import HermitianMatrix
 
 
 @dataclass
@@ -32,15 +32,13 @@ class Report:
     outputs: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
 
-    def add_input(self, name: str, path: str | None = None):
+    def add_input(self, name: str, path: str | None = None, sha256: str | None = None):
+        """Name an input; one read from a file gives its path and the SHA-256
+        of the bytes that were parsed."""
         entry = {"name": name}
         if path is not None:
             entry["path"] = str(path)
-            try:
-                with open(path, "rb") as fh:
-                    entry["sha256"] = hashlib.sha256(fh.read()).hexdigest()
-            except OSError:
-                entry["sha256"] = None
+            entry["sha256"] = sha256
         self.inputs.append(entry)
 
     def check(self, name: str, residual: float, tolerance: float) -> bool:
@@ -58,10 +56,18 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_obj(self) -> dict:
+        return self._obj(keep=False)
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_obj())``, with each HermitianMatrix output
+        from its memoized text."""
+        return _dumps(self._obj(keep=True))
+
+    def _obj(self, keep: bool) -> dict:
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "outputs": _jsonable(self.outputs),
+            "outputs": _jsonable(self.outputs, keep),
             "checks": [
                 {
                     "name": c.name,
@@ -73,9 +79,6 @@ class Report:
             ],
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
 
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]
@@ -95,9 +98,13 @@ class Report:
         return "\n".join(lines)
 
 
-def _jsonable(value):
+def _jsonable(value, keep: bool = False):
+    """value in JSON types; a HermitianMatrix becomes its [re, im] pairs, or,
+    with keep and as a dict value, stays for ``_dumps`` to write."""
+    if isinstance(value, HermitianMatrix):
+        return value if keep else _to_pairs(value.entries)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, keep) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -114,6 +121,8 @@ def _jsonable(value):
 def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, HermitianMatrix):
+        value = value.entries
     if isinstance(value, np.ndarray):
         with np.printoptions(precision=6, suppress=True, linewidth=120):
             return "\n" + str(np.round(value, 10))

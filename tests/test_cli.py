@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cpmean import cli
+from cpmean import cli, lebesgue
 from cpmean.channeldoc import (
+    _matrix_text,
     channel_to_doc,
     doc_to_channel,
     load_channel,
@@ -21,6 +22,7 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import NonConvergence, NotCompletelyPositive, ParseError
+from cpmean.hermlinalg import Verdict
 from cpmean.report import Report
 
 from conftest import TOL_RECON, max_abs, random_cp, random_unitary
@@ -601,3 +603,180 @@ class TestCliErrorPaths:
         monkeypatch.setitem(registry.REGISTRY, "broken", failing)
         assert main(["example", "broken"]) == 3
         assert "CHECKS FAILED" in capsys.readouterr().out
+
+
+def _tricky_map(d: int, rng, shift: float = 0.0):
+    """A d -> d map whose Choi matrix holds -0.0 and 5e-324 entries, PSD by
+    diagonal dominance and kept bit for bit by its admission."""
+    n = d * d
+    c = np.diag(n + shift + rng.uniform(0.0, 1.0, n)).astype(np.complex128)
+    upper = np.triu_indices(n, 1)
+    c[upper] = rng.normal(size=upper[0].size) + 1j * rng.normal(size=upper[0].size)
+    c[0, 1], c[0, 2] = complex(5e-324, -0.0), complex(-0.0, 5e-324)
+    c[np.tril_indices(n, -1)] = c.T.conj()[np.tril_indices(n, -1)]
+    return from_choi(d, d, c)
+
+
+class TestEncodeOnce:
+    """A ``-o`` document and the JSON report that names it share one encoding
+    of each Choi matrix, and both keep the bytes of ``json.dumps``."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        reports = []
+        real = cli._emit
+
+        def keep(reps, fmt):
+            reports.extend(reps)
+            real(reps, fmt)
+
+        monkeypatch.setattr(cli, "_emit", keep)
+        return reports
+
+    def _docs(self, tmp_path, d, rng):
+        paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
+        save_channel(random_cp(rng, d, d), paths[0], name="f")
+        save_channel(random_cp(rng, d, d, rank=d), paths[1], name="g")
+        return paths
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_mean_document_and_report_keep_the_json_dumps_bytes(
+            self, tmp_path, rng, monkeypatch, capsys, emitted, d):
+        a, b = self._docs(tmp_path, d, rng)
+        result = _tricky_map(d, rng)
+        monkeypatch.setattr(cli, "mean_cp", lambda kind, f, g: result)
+        _matrix_text.cache_clear()
+        out = str(tmp_path / "geo.json")
+        main(["--format", "json", "mean", "--kind", "geo", a, b, "-o", out])
+        text = (tmp_path / "geo.json").read_text()
+        assert text == json.dumps(channel_to_doc(result, name="geo(f,g)")) + "\n"
+        assert '[5e-324, -0.0]' in text and '[-0.0, 5e-324]' in text
+        assert capsys.readouterr().out == json.dumps(emitted[0].to_obj()) + "\n"
+        # the document encoded the Choi matrix; the report reused its text
+        assert _matrix_text.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_lebesgue_documents_and_report_keep_the_json_dumps_bytes(
+            self, tmp_path, rng, monkeypatch, capsys, emitted, d):
+        phi, psi = self._docs(tmp_path, d, rng)
+        ac, sing = _tricky_map(d, rng), _tricky_map(d, rng, shift=1.0)
+        split = lebesgue.LebesgueSplit(ac, sing, 1.0, Verdict(0.0, 1.0))
+        monkeypatch.setattr(cli.lebesgue, "decompose", lambda f, g: split)
+        monkeypatch.setattr(cli.lebesgue, "ac_part_oracle", lambda f, g: ac)
+        _matrix_text.cache_clear()
+        prefix = str(tmp_path / "split")
+        main(["--format", "json", "lebesgue", phi, psi, "-o", prefix])
+        for part, chan in (("ac", ac), ("sing", sing)):
+            text = (tmp_path / f"split.{part}.json").read_text()
+            assert text == json.dumps(channel_to_doc(chan, name=f"{part}(g|f)")) + "\n"
+        assert capsys.readouterr().out == json.dumps(emitted[0].to_obj()) + "\n"
+        assert _matrix_text.cache_info()[:2] == (2, 2)  # two slots: ac and sing
+
+    def test_results_in_a_row_each_get_their_own_text(self, tmp_path, rng, monkeypatch,
+                                                       capsys, emitted):
+        a, b = self._docs(tmp_path, 2, rng)
+        for i in range(3):
+            result = _tricky_map(2, rng, shift=float(i))
+            monkeypatch.setattr(cli, "mean_cp", lambda kind, f, g: result)
+            out = tmp_path / f"mean{i}.json"
+            main(["--format", "json", "mean", "--kind", "harm", a, b, "-o", str(out)])
+            doc = channel_to_doc(result, name="harm(f,g)")
+            assert out.read_text() == json.dumps(doc) + "\n"
+            report = capsys.readouterr().out
+            assert report == json.dumps(emitted[i].to_obj()) + "\n"
+            assert json.loads(report)["outputs"]["choi"] == doc["data"]
+
+    def test_save_channel_after_another_matrix(self, tmp_path, rng):
+        f, g = _tricky_map(2, rng), _tricky_map(2, rng, shift=1.0)
+        for i, chan in enumerate((f, g, f, g)):
+            p = tmp_path / f"{i}.json"
+            save_channel(chan, p)
+            assert p.read_text() == json.dumps(channel_to_doc(chan)) + "\n"
+
+    def test_example_list_is_the_json_dumps_of_its_reports(self, capsys, emitted):
+        assert main(["--format", "json", "example", "--all"]) == 0
+        assert capsys.readouterr().out == json.dumps([r.to_obj() for r in emitted]) + "\n"
+
+
+class TestReusedParsers:
+    ARGVS = [
+        ["verify", "@id2"],
+        ["--format", "json", "order", "@id2", "@dep2"],
+        ["mean", "--kind", "geo", "@id2", "@nope", "--bogus"],  # argparse: exit 2
+        ["index", "@dep3"],                                      # text again
+        ["--tol", "1e-3", "verify", "@half_id2"],
+        ["verify", "@half_id2", "--format", "json"],             # default tol again
+        ["mean", "--kind", "harm", "@id2", "@dep2"],
+        ["example"],                                             # no name: exit 2
+        ["--format", "json", "example", "rotation", "theta=0.5"],
+    ]
+
+    def _run(self, channel_files, capsys):
+        runs = []
+        for argv in self.ARGVS:
+            argv = [channel_files[a[1:]] if a[:1] == "@" and a[1:] in channel_files else a
+                    for a in argv]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            runs.append((code, *capsys.readouterr()))
+        return runs
+
+    def test_repeated_main_calls_match_fresh_parsers(self, channel_files, capsys, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._globals_parser() is cli._globals_parser()
+        reused = self._run(channel_files, capsys)
+        assert [r[0] for r in reused] == [0, 0, ("exit", 2), 0, 3, 3, 0, 2, 0]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_globals_parser", cli._globals_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert self._run(channel_files, capsys) == reused
+
+    def test_a_patched_command_runs_through_the_kept_parser(self, channel_files,
+                                                           monkeypatch, capsys):
+        assert main(["index", channel_files["dep3"]]) == 0
+        seen = []
+        real = cli.cmd_index
+
+        def spy(args, tol):
+            seen.append(args.path)
+            return real(args, tol)
+
+        monkeypatch.setattr(cli, "cmd_index", spy)
+        assert main(["index", channel_files["dep3"]]) == 0
+        assert seen == [channel_files["dep3"]]
+
+
+class TestInputHash:
+    def test_hash_is_of_the_bytes_that_were_parsed(self, channel_files, tmp_path,
+                                                   monkeypatch, capsys):
+        import hashlib
+
+        paths = [channel_files["id2"], channel_files["dep2"]]
+        before = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+        loads = []
+        real = cli.read_doc
+
+        def read_then_rewrite(path):
+            got = real(path)
+            loads.append(path)
+            save_channel(identity(2), path, name="rewritten")
+            return got
+
+        monkeypatch.setattr(cli, "read_doc", read_then_rewrite)
+        assert main(["--format", "json", "order", *paths]) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert loads == paths  # one read per input
+        assert [e["name"] for e in inputs] == ["id2", "dep2"]
+        assert [e["sha256"] for e in inputs] == before
+        after = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+        assert after[1] != before[1]
+
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(json.dumps(channel_to_doc(identity(2), name="x")).encode()
+                      .replace(b'"x"', b'"\xe9"'))
+        assert main(["verify", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err and "internal error" not in err

@@ -321,6 +321,20 @@ class TestGeoCertificate:
         zero = from_choi(2, 2, np.zeros((4, 4)))
         assert geo_certificate(f, g, zero)
 
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_verdict_from_eigenvalues_at_joint_scale(self, rng, s):
+        # holds on the mean, fails on twice the mean, at every joint scale
+        f = s * random_cp(rng, 3, 3)
+        g = s * random_cp(rng, 3, 3, rank=4)
+        theta = mean_cp(GEO, f, g)
+        verdict = geo_certificate(f, g, theta)
+        block = np.block([[f.choi.entries, theta.choi.entries],
+                          [theta.choi.entries, g.choi.entries]])
+        w = np.linalg.eigvalsh(block)
+        assert verdict and verdict.bound == TOL_PSD * max(-w[0], w[-1])
+        doubled = geo_certificate(f, g, 2.0 * theta)
+        assert not doubled and doubled.residual > 1e3 * doubled.bound
+
     def test_inflated_mean_fails(self, rng):
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2)

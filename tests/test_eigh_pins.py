@@ -38,7 +38,8 @@ PINS = [
     ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
     ("leq_cp", (1, 0)),           # likewise
-    ("geo_certificate", (1, 0)),  # eig of the 2mn block matrix
+    # down from (1, 0): the verdict reads only the 2mn block's eigenvalues
+    ("geo_certificate", (0, 1)),
     # sums, scalings, tensor products and compositions of admitted maps are
     # PSD by construction: no admission
     ("CpMap +", (0, 0)),
@@ -57,10 +58,10 @@ PINS = [
     ("functional", (1, 0)),       # likewise of rho
     # 2 input admissions, geo 4, and the square root of the fidelity's Gram form
     ("state_mean_quantities", (7, 0)),
-    # 2 input admissions, geo 4, certificate 1, and the clamp of the chain
-    # checks' harm, which reuses geo's pair; their two eigvalsh bound the dips
-    # of geo - harm and arith - geo
-    ("cli mean --kind geo -o", (9, 2)),
+    # 2 input admissions, geo 4, and the clamp of the chain checks' harm, which
+    # reuses geo's pair; their two eigvalsh bound the dips of geo - harm and
+    # arith - geo.  Down from (9, 2): the certificate is one eigvalsh, not an eigh
+    ("cli mean --kind geo -o", (8, 3)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
     ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms

@@ -12,6 +12,7 @@ from cpmean.hermlinalg import (
     PsdMatrix,
     Verdict,
     _shared_pair,
+    as_psd,
     is_psd,
     pinv_psd,
     psd_sqrt,
@@ -93,6 +94,40 @@ class TestEigh:
         w1, u1 = HermitianMatrix(m.copy()).eig()
         w2, u2 = HermitianMatrix(m.copy()).eig()
         assert np.array_equal(w1, w2) and np.array_equal(u1, u2)
+
+
+class TestEigvals:
+    def test_one_eigvalsh_kept_without_vectors(self, rng, eigh_calls):
+        h = HermitianMatrix(random_psd(rng, 6, rank=3) - random_psd(rng, 6, rank=2))
+        assert eigh_calls(h.eigvals) == (0, 1)
+        assert eigh_calls(h.eigvals) == (0, 0)  # cached
+        w = h.eigvals()
+        assert not w.flags.writeable and np.all(np.diff(w) >= 0)
+        assert max_abs(w - np.linalg.eigvalsh(h.entries)) == 0.0
+        assert max_abs(w - h.eig()[0]) <= 1e-14 * h.norm()
+
+    def test_reads_a_cached_eig(self, rng, eigh_calls):
+        h = HermitianMatrix(random_psd(rng, 5))
+        w, _ = h.eig()
+        assert eigh_calls(h.eigvals) == (0, 0)
+        assert h.eigvals() is w
+
+
+class TestAsPsd:
+    """A HermitianMatrix is admitted from its entries, like any outside matrix."""
+
+    def test_hermitian_identity_gives_the_identity(self):
+        got = opmeans.geometric_mean(HermitianMatrix(np.eye(2)), np.eye(2))
+        assert max_abs(got.entries - np.eye(2)) <= 1e-15
+        admitted = as_psd(HermitianMatrix(np.eye(3)))
+        assert type(admitted) is PsdMatrix and np.array_equal(admitted.entries, np.eye(3))
+
+    def test_hermitian_but_not_psd_raises_invalid_input(self):
+        h = HermitianMatrix(np.diag([1.0, -1.0]))
+        with pytest.raises(InvalidInput, match="not PSD"):
+            as_psd(h)
+        with pytest.raises(InvalidInput, match="not PSD"):
+            opmeans.geometric_mean(h, np.eye(2))
 
 
 class TestIsPsd:

@@ -31,7 +31,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpmean"
 # (file, top-level function) outside hermlinalg allowed a raw eigensolver call.
 RAW_EIG_ALLOWED = {
     ("registry.py", "_direct_ac"),    # raw-numpy oracle of the ac part
-    ("cli.py", "_chain_checks"),      # harmonic <= geometric <= arithmetic check
 }
 
 
