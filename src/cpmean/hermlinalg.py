@@ -2,10 +2,12 @@
 
 Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
-alone (``eigvals()``) and its rank cutoff ``support()``, ``as_psd``, the admission of outside data, ``is_psd``, the PSD
-square root and Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on
-which every mean, connection and Lebesgue split is evaluated.  The rank
-cutoff lives in one place, ``HermitianMatrix.support``.
+alone (``eigvals()``) and its rank cutoff ``support()``, ``as_psd``, the
+admission of outside data, ``is_psd``, the PSD square root and Moore-Penrose
+pseudo-inverse, and the ``SpectralPair`` on which every mean, connection and
+Lebesgue split is evaluated.  The rank cutoff lives in one place,
+``HermitianMatrix.support``; ``lebesgue._ando_ac``, the closed form that
+checks the split, reads ``RANK_RTOL`` for a kernel of its own.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and spectral data is computed
 once and cached, so instances are safe to share across threads; ``_shared_pair``
@@ -24,7 +26,7 @@ from .errors import InvalidInput, ShapeError
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
 TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
-TOL_HERM = 1e-10    # Hermiticity of outside data in as_psd, relative to max abs entry
+TOL_HERM = 1e-10    # Hermiticity of outside arrays in _admit, relative to max abs entry
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -161,23 +163,25 @@ class PsdMatrix(HermitianMatrix):
         return cls._trusted((x if h is None else x * h) @ x.conj().T)
 
 
-def as_hermitian(x) -> HermitianMatrix:
-    """Coerce an array-like or HermitianMatrix to HermitianMatrix."""
-    return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+def _admit(x, cls):
+    """x if it is a cls, else x as a cls: a HermitianMatrix from its entries,
+    an array-like once it is Hermitian within ``TOL_HERM`` of its largest entry
+    modulus, else InvalidInput."""
+    if isinstance(x, cls):
+        return x
+    if isinstance(x, HermitianMatrix):
+        return cls(x.entries)
+    m = _square(x)
+    defect = np.abs(m - m.conj().T).max()
+    if defect > TOL_HERM * np.abs(m).max():
+        raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
+    return cls(m)
 
 
 def as_psd(x) -> PsdMatrix:
     """Coerce an array-like or HermitianMatrix to PsdMatrix: the admission of
-    outside data.  An array-like must be Hermitian within ``TOL_HERM`` of its
-    largest entry modulus, else InvalidInput, before ``PsdMatrix`` admits it;
-    a HermitianMatrix is admitted from its entries."""
-    if isinstance(x, PsdMatrix):
-        return x
-    m = _square(x.entries if isinstance(x, HermitianMatrix) else x)
-    defect = np.abs(m - m.conj().T).max()
-    if defect > TOL_HERM * np.abs(m).max():
-        raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
-    return PsdMatrix(m)
+    outside data, by ``_admit``'s Hermiticity rule and then ``PsdMatrix``."""
+    return _admit(x, PsdMatrix)
 
 
 class Verdict(NamedTuple):
@@ -192,8 +196,9 @@ class Verdict(NamedTuple):
 
 def is_psd(h, tol: float = TOL_PSD) -> Verdict:
     """``max(0, -min eigenvalue)`` against ``tol * max(1, spectral norm)``, from
-    the cached eig: h is PSD within tol iff the verdict holds."""
-    hm = as_hermitian(h)
+    the cached eig: h is PSD within tol iff the verdict holds.  An array-like h
+    meets ``_admit``'s Hermiticity rule first."""
+    hm = _admit(h, HermitianMatrix)
     return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * max(1.0, hm.norm()))
 
 

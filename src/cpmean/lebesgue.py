@@ -6,9 +6,11 @@ t) Z*``: the absolutely continuous part of G is ``s_G Z diag(1[t>0] (1-t))
 Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
 (s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose`` returns both parts with
 ``alpha_min`` and the verdict of their sum against C_G; ``is_singular`` and
-``is_abs_continuous`` return their Verdict at TOL_SPLIT.  The parallel-sum
-limit ``lim_n (nF : G)``, on the pseudo-inverse ``opmeans.parallel_sum``, is
-kept as the independent oracle, Richardson-extrapolated along n = 2^k.
+``is_abs_continuous`` return their Verdict at TOL_SPLIT.  ``_ando_ac``,
+Ando's closed form of the ac part, checks the split without the pair; the
+parallel-sum limit ``lim_n (nF : G)``, on the pseudo-inverse
+``opmeans.parallel_sum`` and Richardson-extrapolated along n = 2^k, is kept as
+library API and test oracle only.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
 from .errors import DomainError, NonConvergence
-from .hermlinalg import HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _shared_pair
+from .hermlinalg import (
+    RANK_RTOL, HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _shared_pair, psd_sqrt)
 from .opmeans import parallel_sum
 
-# Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||
-# (the CLI compares oracle and split within the same TOL_LIM ||C_G||).
+# Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
 TOL_LIM = 1e-6
-# Bound on the scale-free singularity and absolute-continuity residuals.
+# Bound on the scale-free singularity and absolute-continuity residuals, and
+# on the split's ac against ``_ando_ac`` relative to ||C_G||.
 TOL_SPLIT = 1e-8
 # Bound on max |ac + sing - C_G|, relative to max(||C_F||, ||C_G||).
 TOL_ADD = 1e-9
@@ -64,6 +67,21 @@ def ac_part(f: CpMap, g: CpMap) -> CpMap:
     """Absolutely continuous part of G with respect to F (the maximal one)."""
     p = _pair(f, g)
     return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(p.z, _split(p)[1]))
+
+
+def _ando_ac(f: CpMap, g: CpMap) -> CpMap:
+    """Ando's closed form of the absolutely continuous part of G, independent
+    of the spectral pair: ``C_G^{1/2} P C_G^{1/2}``, P the projection onto
+    ``ker M`` for ``M = U_0* C_G^{1/2}`` and U_0 the kernel columns of the
+    cached eig of C_F (Ando 1976).  ker M is the eigenspace of M*M at or below
+    ``RANK_RTOL ||C_G||``: one eigh."""
+    _check_same_dims(f, g)
+    u = f.choi.eig()[1]
+    half = psd_sqrt(g.choi).entries
+    m = u[:, :u.shape[1] - f.choi.support()[0].size].conj().T @ half
+    w, v = HermitianMatrix(m.conj().T @ m).eig()
+    kernel = v[:, w <= RANK_RTOL * g.choi.norm()]
+    return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(half @ kernel))
 
 
 def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:

@@ -245,14 +245,14 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
         atom = connection_apply(_PARALLEL_ATOM, phi_a.choi, phi_b.choi).entries
         worst_par = max(worst_par, _max_abs(ps - atom))
 
-        # ac part against the support-compression of the commuting derivatives
+        # ac part of the spectral pair against Ando's closed form, relative to B
         got = lebesgue.ac_part(phi_a, phi_b).choi.entries
-        want = _direct_ac(a, b)
-        worst_ac = max(worst_ac, _max_abs(got - want))
+        want = lebesgue._ando_ac(phi_a, phi_b).choi.entries
+        worst_ac = max(worst_ac, _max_abs(got - want) / phi_b.choi.norm())
     rep.check(f"parallel sum = connection of t/(1+t) over {count} pairs in M4",
               worst_par, 1e-9)
-    rep.check(f"ac part = support-compressed derivative over {count} pairs",
-              worst_ac, 1e-6)
+    rep.check(f"ac part = Ando's closed form (relative) over {count} pairs",
+              worst_ac, lebesgue.TOL_SPLIT)
     return rep
 
 
@@ -266,25 +266,6 @@ def _rand_low_rank(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     w = rng.uniform(0.4, 1.5, size=rank)
     m = (q[:, :rank] * w) @ q[:, :rank].conj().T
     return 0.5 * (m + m.conj().T)
-
-
-def _direct_ac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Textbook oracle in raw numpy: compress B's derivative onto A's support.
-
-    The rank cutoff is applied to the eigenvalues of a+b (not of its square
-    root, whose noise floor sits at the square root of machine precision).
-    """
-    c = a + b
-    w, u = np.linalg.eigh(0.5 * (c + c.conj().T))
-    keep = w > 1e-10 * max(float(w[-1]), 0.0)
-    half = (u[:, keep] * np.sqrt(w[keep])) @ u[:, keep].conj().T
-    inv_half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
-    ha = inv_half @ a @ inv_half
-    wa, ua = np.linalg.eigh(0.5 * (ha + ha.conj().T))
-    e = (ua[:, wa > 1e-10]) @ (ua[:, wa > 1e-10]).conj().T
-    hb = inv_half @ b @ inv_half
-    out = half @ (e @ hb @ e) @ half
-    return 0.5 * (out + out.conj().T)
 
 
 REGISTRY: dict[str, Callable[..., Report]] = {

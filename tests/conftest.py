@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpmean import hermlinalg
-from cpmean.cpmaps import CpMap, from_choi
+from cpmean.cpmaps import CpMap, from_choi, from_kraus
 
 # Reconstruction budget of the tests' residual checks, relative to max(1, norm).
 TOL_RECON = 1e-8
@@ -34,6 +34,15 @@ def random_density(rng, dim):
 
 def random_cp(rng, m, n, rank=None, lo=0.25, hi=4.0) -> CpMap:
     return from_choi(m, n, random_psd(rng, m * n, rank=rank, lo=lo, hi=hi))
+
+
+def gaussian_cp(rng, m, n, scale=1.0) -> CpMap:
+    """A map m -> n of rank uniform on 0..mn whose Kraus operators are complex
+    Gaussian times sqrt(scale): its Choi matrix is a Wishart matrix, often
+    ill-conditioned, and the map keeps its operators for a kraus document."""
+    rank = int(rng.integers(0, m * n + 1))
+    ops = np.sqrt(scale) * (rng.normal(size=(rank, n, m)) + 1j * rng.normal(size=(rank, n, m)))
+    return from_kraus(list(ops), dim_in=m, dim_out=n)
 
 
 def max_abs(a):

@@ -65,6 +65,12 @@ PINS = [
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
     ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms
+    # 2 input admissions, the split 2, the two predicates 2 each on their own
+    # pairs, and the eigh of M*M in Ando's closed form, which reads the
+    # admissions' eigs.  Down from (17, 0): the parallel-sum limit is gone
+    ("cli lebesgue", (9, 0)),
+    # no admission, so the closed form pays for the eigs of C_F and C_G
+    ("cli lebesgue kraus", (9, 0)),
 ]
 
 # argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk
@@ -76,6 +82,8 @@ CLI = {
     "cli verify": (lambda f, g, geo, fk, gk: ["verify", f], 3),
     "cli order": (lambda f, g, geo, fk, gk: ["order", f, g], 0),
     "cli order kraus": (lambda f, g, geo, fk, gk: ["order", fk, gk], 0),
+    "cli lebesgue": (lambda f, g, geo, fk, gk: ["lebesgue", f, g], 0),
+    "cli lebesgue kraus": (lambda f, g, geo, fk, gk: ["lebesgue", fk, gk], 0),
 }
 
 

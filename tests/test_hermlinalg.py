@@ -7,6 +7,7 @@ import pytest
 from cpmean import cpmaps, lebesgue, opmeans
 from cpmean.errors import InvalidInput, ShapeError
 from cpmean.hermlinalg import (
+    TOL_HERM,
     TOL_PSD,
     HermitianMatrix,
     PsdMatrix,
@@ -138,6 +139,18 @@ class TestIsPsd:
     def test_hand_computed_indefinite(self):
         # eigenvalues -1 and 3
         assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_raw_input_meets_the_hermiticity_rule(self, s):
+        # the Hermitian part of this matrix is s I: is_psd must not judge it
+        skew = s * np.array([[1.0, 0.9], [-0.9, 1.0]])
+        for check in (is_psd, as_psd):
+            with pytest.raises(InvalidInput, match="not Hermitian"):
+                check(skew)
+        nearly = s * np.array([[1.0, 0.9 + 0.01 * TOL_HERM], [0.9, 1.0]])
+        assert is_psd(nearly) and type(as_psd(nearly)) is PsdMatrix
+        # a HermitianMatrix is judged as it is
+        assert is_psd(HermitianMatrix(skew)) == Verdict(0.0, TOL_PSD * max(1.0, s))
 
     def test_signs_are_is_psd_of_both_signs(self, rng):
         # order_cp(f, g) reads both signs of C_G - C_F from one eigendecomposition

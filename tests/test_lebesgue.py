@@ -20,7 +20,8 @@ from cpmean import lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import leq_cp
 
-from conftest import clamp_psd, max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj
+from conftest import (
+    clamp_psd, gaussian_cp, max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj)
 
 
 def planted_pair(rng, m, n, lo=0.2, hi=0.25):
@@ -514,6 +515,33 @@ class TestGenericPairs:
         with pytest.raises(NonConvergence) as info:
             ac_part_oracle(f, g)
         assert info.value.estimate > TOL_LIM
+
+
+class TestAndoClosedForm:
+    """``lebesgue._ando_ac``, the closed form ``cpmean lebesgue`` checks its
+    split against, on generic pairs: Gaussian Kraus operators, m, n in 1..3."""
+
+    def test_decompose_matches_it_across_48_decades_of_scale_ratio(self):
+        rng = np.random.default_rng(4848)
+        for _ in range(300):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            s_f = 10.0 ** rng.uniform(-12.0, 12.0)
+            f = gaussian_cp(rng, m, n, s_f)
+            g = gaussian_cp(rng, m, n, s_f * 10.0 ** rng.uniform(-24.0, 24.0))
+            got = decompose(f, g).ac.choi.entries
+            want = lebesgue._ando_ac(f, g).choi.entries
+            assert max_abs(got - want) <= 1e-8 * g.choi.norm()
+
+    def test_it_is_the_short_of_g_to_the_range_of_f(self):
+        # Ando's ac part is the shorted operator of C_G to ran C_F
+        rng = np.random.default_rng(4849)
+        for _ in range(200):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            f, g = gaussian_cp(rng, m, n), gaussian_cp(rng, m, n)
+            w, u = np.linalg.eigh(support_proj(f.choi.entries))
+            want = shorted_to_subspace(g.choi.entries, u[:, w > 0.5])
+            got = lebesgue._ando_ac(f, g).choi.entries
+            assert max_abs(got - want) <= 1e-8 * g.choi.norm()
 
 
 class TestScaleFreeSingularity:

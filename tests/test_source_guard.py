@@ -4,10 +4,13 @@ dependency, and a pinned public surface.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
-``hermlinalg`` and in two independent checks that must not share its code.
-A ``SpectralPair`` is built only by the one-slot memo ``hermlinalg._shared_pair``,
-which every connection and the Lebesgue split call in one place each, and the
-pseudo-inverse is taken only by the reference formula ``opmeans.parallel_sum``.
+``hermlinalg``.  A ``SpectralPair`` is built only by the one-slot memo
+``hermlinalg._shared_pair``, which every connection and the Lebesgue split call
+in one place each, and the pseudo-inverse is taken only by the reference
+formula ``opmeans.parallel_sum``.  No command runs the parallel-sum limit
+``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
+the split against Ando's closed form ``lebesgue._ando_ac``, and
+``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
@@ -29,9 +32,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpmean"
 
 # (file, top-level function) outside hermlinalg allowed a raw eigensolver call.
-RAW_EIG_ALLOWED = {
-    ("registry.py", "_direct_ac"),    # raw-numpy oracle of the ac part
-}
+RAW_EIG_ALLOWED = set()
 
 
 def _sources():
@@ -90,6 +91,9 @@ CALL_SITES = {
     "SpectralPair": {("hermlinalg.py", "_shared_pair")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "pinv_psd": {("opmeans.py", "parallel_sum")},
+    "ac_part_oracle": set(),
+    "parallel_sum": {("lebesgue.py", "ac_part_oracle"), ("registry.py", "example_ando_recovery")},
+    "_ando_ac": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
 }
