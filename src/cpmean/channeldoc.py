@@ -15,6 +15,14 @@ significant digits), so a choi document of an exactly Hermitian matrix
 survives save/load bit-exactly, signed zeros included.  The text of the
 last two Choi matrices written is kept, so a ``-o`` document and the report
 that names it encode their Choi matrix once.
+
+Each document is decoded and admitted once per process.  The last three
+documents read or written are kept as (map, name) by the SHA-256 of their
+bytes: ``read_doc`` reads a file once and hashes it, and decodes only bytes
+it has not seen lately; ``save_channel`` of a choi document keeps the map it
+wrote, which a fresh parse would rebuild bit for bit.  A Kraus document is
+not kept on save, as its reload rebuilds ``V V*`` from the written operators.
+A document that fails to parse is never kept.
 """
 
 from __future__ import annotations
@@ -23,12 +31,40 @@ import functools
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 
 from .cpmaps import CpMap, from_choi, from_kraus, kraus_decompose
 from .errors import ParseError, ShapeError
-from .hermlinalg import HermitianMatrix
+from .hermlinalg import HermitianMatrix, PsdMatrix
+
+_DOC_SLOTS = 3
+# SHA-256 of a document's bytes -> (map, name), least recently used first
+_doc_memo: dict[str, tuple[CpMap, str | None]] = {}
+_doc_memo_lock = threading.Lock()
+
+
+def _remember(sha256: str, chan: CpMap, name) -> tuple[CpMap, str | None]:
+    """Keep (chan, name) for the bytes of hash sha256, dropping the least
+    recently used entry beyond ``_DOC_SLOTS``; an empty name is kept as None."""
+    entry = (chan, str(name) if name else None)
+    with _doc_memo_lock:
+        _doc_memo.pop(sha256, None)
+        _doc_memo[sha256] = entry
+        while len(_doc_memo) > _DOC_SLOTS:
+            del _doc_memo[next(iter(_doc_memo))]
+    return entry
+
+
+def _recall(sha256: str) -> tuple[CpMap, str | None] | None:
+    """The kept (map, name) of the bytes of hash sha256, now the most recently
+    used, or None."""
+    with _doc_memo_lock:
+        entry = _doc_memo.pop(sha256, None)
+        if entry is not None:
+            _doc_memo[sha256] = entry
+    return entry
 
 
 def _to_pairs(a) -> list:
@@ -119,32 +155,40 @@ def doc_to_channel(doc) -> CpMap:
 
 def save_channel(f: CpMap, path: str | os.PathLike, repr_kind: str = "choi",
                  name: str | None = None) -> None:
-    """Write a channel document to a file: the text of ``channel_to_doc``."""
-    text = _dumps(_doc(f, repr_kind, name))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    """Write a channel document to a file: the text of ``channel_to_doc``.  A
+    choi document of an admitted map is kept in the memo under the hash of
+    the bytes written, as reading them back gives its Choi matrix bit for bit."""
+    raw = (_dumps(_doc(f, repr_kind, name)) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    if repr_kind == "choi" and isinstance(f.choi, PsdMatrix):
+        _remember(hashlib.sha256(raw).hexdigest(), CpMap(f.dim_in, f.dim_out, f.choi), name)
 
 
-def read_doc(path: str | os.PathLike) -> tuple[dict, str]:
-    """Read a raw document object from a JSON file, with the SHA-256 of the
-    bytes it was parsed from; the file is read once."""
+def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:
+    """The verified map of a channel document file, its name (None when the
+    document has none) and the SHA-256 of its bytes.  The file is read once;
+    its bytes are decoded and admitted only when the memo does not hold them."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("channel document must be a JSON object")
-    return doc, hashlib.sha256(raw).hexdigest()
+    sha256 = hashlib.sha256(raw).hexdigest()
+    entry = _recall(sha256)
+    if entry is None:
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+        try:
+            chan = doc_to_channel(doc)
+        except ShapeError as exc:
+            raise ParseError(f"inconsistent shapes in {path}: {exc}") from exc
+        entry = _remember(sha256, chan, doc.get("name"))
+    return (*entry, sha256)
 
 
 def load_channel(path: str | os.PathLike) -> CpMap:
     """Read and verify a channel document from a file."""
-    doc, _ = read_doc(path)
-    try:
-        return doc_to_channel(doc)
-    except ShapeError as exc:
-        raise ParseError(f"inconsistent shapes in {path}: {exc}") from exc
+    return read_doc(path)[0]

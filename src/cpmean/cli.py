@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import hermlinalg, lebesgue, opmeans
-from .channeldoc import doc_to_channel, read_doc, save_channel
+from .channeldoc import read_doc, save_channel
 from .cpmaps import CpMap, geo_certificate, index_cp, mean_cp, order_cp
 from .errors import CpMeanError, DomainError, UnknownExample
 from .opmeans import MeanKind
@@ -112,9 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(rep: Report, path: str) -> tuple[CpMap, str]:
     """The channel and name of a document, added to rep's inputs with the
     hash of the bytes it was parsed from."""
-    doc, sha256 = read_doc(path)
-    chan = doc_to_channel(doc)
-    name = str(doc.get("name") or os.path.basename(path))
+    chan, name, sha256 = read_doc(path)
+    name = name or os.path.basename(path)
     rep.add_input(name, path, sha256)
     return chan, name
 

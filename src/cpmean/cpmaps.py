@@ -139,8 +139,9 @@ def _unvec(v: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
                dim_out: int | None = None) -> CpMap:
     """Build a CpMap from Kraus operators (each dim_out x dim_in); its Choi
-    matrix, a Gram form, is PSD by construction, so no admission runs."""
-    ops = [np.asarray(k, dtype=np.complex128) for k in ops]
+    matrix, a Gram form, is PSD by construction, so no admission runs.  The
+    map keeps read-only copies of the operators."""
+    ops = [np.array(k, dtype=np.complex128) for k in ops]
     if not ops:
         if dim_in is None or dim_out is None:
             raise ShapeError("empty Kraus list requires explicit dimensions")
@@ -153,6 +154,7 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise ShapeError("inconsistent Kraus operator shapes")
+        k.flags.writeable = False
     # columns of v are the vec(K), so C = sum_K vec(K) vec(K)* = v v*
     v = np.array([_vec(k) for k in ops], dtype=np.complex128)
     v = v.reshape(len(ops), dim_in * dim_out).T

@@ -74,11 +74,15 @@ def _ando_ac(f: CpMap, g: CpMap) -> CpMap:
     of the spectral pair: ``C_G^{1/2} P C_G^{1/2}``, P the projection onto
     ``ker M`` for ``M = U_0* C_G^{1/2}`` and U_0 the kernel columns of the
     cached eig of C_F (Ando 1976).  ker M is the eigenspace of M*M at or below
-    ``RANK_RTOL ||C_G||``: one eigh."""
+    ``RANK_RTOL ||C_G||``: one eigh.  A full-rank C_F has U_0 empty, so P = I
+    and the answer is G itself, with no eigh."""
     _check_same_dims(f, g)
+    rank = f.choi.support()[0].size
+    if rank == f.choi.dim:
+        return g
     u = f.choi.eig()[1]
     half = psd_sqrt(g.choi).entries
-    m = u[:, :u.shape[1] - f.choi.support()[0].size].conj().T @ half
+    m = u[:, :u.shape[1] - rank].conj().T @ half
     w, v = HermitianMatrix(m.conj().T @ m).eig()
     kernel = v[:, w <= RANK_RTOL * g.choi.norm()]
     return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(half @ kernel))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpmean import hermlinalg
+from cpmean import channeldoc, hermlinalg
 from cpmean.cpmaps import CpMap, from_choi, from_kraus
 
 # Reconstruction budget of the tests' residual checks, relative to max(1, norm).
@@ -86,11 +86,13 @@ def rng():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
-    that call() makes, after the shared spectral pair is dropped and warm(), if
-    given, has run uncounted.  Without warm the count is a cold one."""
+    that call() makes, after the shared spectral pair and the document memo are
+    dropped and warm(), if given, has run uncounted.  Without warm the count is
+    a cold one."""
 
     def count(call, warm=None) -> tuple[int, int]:
         hermlinalg._shared_pair.cache_clear()
+        channeldoc._doc_memo.clear()
         if warm is not None:
             warm()
         calls = {"eigh": 0, "eigvalsh": 0}

@@ -1,15 +1,17 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cpmean import cli, lebesgue
+from cpmean import channeldoc, cli, lebesgue
 from cpmean.channeldoc import (
     _matrix_text,
     channel_to_doc,
     doc_to_channel,
     load_channel,
+    read_doc,
     save_channel,
 )
 from cpmean.cli import main
@@ -25,7 +27,7 @@ from cpmean.errors import NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import Verdict
 from cpmean.report import Report
 
-from conftest import TOL_RECON, max_abs, random_cp, random_unitary
+from conftest import TOL_RECON, gaussian_cp, max_abs, random_cp, random_unitary
 
 
 @pytest.fixture
@@ -48,6 +50,7 @@ class TestChannelDoc:
         f = random_cp(rng, 2, 3)
         p = tmp_path / "chan.json"
         save_channel(f, p, name="random")
+        channeldoc._doc_memo.clear()  # decode the file, not the map it was written from
         g = load_channel(p)
         assert np.array_equal(g.choi.entries, f.choi.entries)
         # a second hop stays byte-identical
@@ -181,6 +184,7 @@ class TestChannelDoc:
         assert f.choi.entries.tobytes() == c.tobytes()
         p, p2 = tmp_path / "tricky.json", tmp_path / "tricky2.json"
         save_channel(f, p)
+        channeldoc._doc_memo.clear()
         g = load_channel(p)
         assert g.choi.entries.tobytes() == c.tobytes()
         save_channel(g, p2)
@@ -774,3 +778,149 @@ class TestInputHash:
         assert main(["verify", str(p)]) == 2
         err = capsys.readouterr().err
         assert "malformed JSON" in err and "internal error" not in err
+
+
+def _memo_free_read(path):
+    channeldoc._doc_memo.clear()
+    return read_doc(path)
+
+
+def _assert_same_load(got, want):
+    """Two ``read_doc`` results give the same Choi bits, Kraus operators,
+    dimensions, name and hash."""
+    (f, name, sha), (g, name_g, sha_g) = got, want
+    assert (f.dim_in, f.dim_out, name, sha) == (g.dim_in, g.dim_out, name_g, sha_g)
+    assert f.choi.entries.tobytes() == g.choi.entries.tobytes()
+    assert (f.kraus is None) == (g.kraus is None)
+    if f.kraus is not None:
+        assert [k.tobytes() for k in f.kraus] == [k.tobytes() for k in g.kraus]
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The documents decoded from here on, one entry per ``doc_to_channel`` call."""
+    seen = []
+    real = channeldoc.doc_to_channel
+
+    def counting(doc):
+        seen.append(doc.get("name") if isinstance(doc, dict) else None)
+        return real(doc)
+
+    monkeypatch.setattr(channeldoc, "doc_to_channel", counting)
+    return seen
+
+
+class TestDocumentMemo:
+    def test_a_choi_save_is_kept_and_reads_as_a_fresh_parse(self, tmp_path, rng):
+        f = gaussian_cp(rng, 2, 3)  # keeps Kraus operators, which a choi document drops
+        p = tmp_path / "f.json"
+        save_channel(f, p, name="f")
+        hit = read_doc(p)
+        assert hit[0].choi is f.choi  # the map written, not a decode
+        _assert_same_load(hit, _memo_free_read(p))
+
+    def test_a_kraus_load_is_kept_and_reads_as_a_fresh_parse(self, tmp_path, rng, decodes):
+        f = gaussian_cp(rng, 3, 2)
+        p = tmp_path / "f.json"
+        save_channel(f, p, repr_kind="kraus", name="f")
+        first = read_doc(p)  # a Kraus save is not kept: this decodes
+        hit = read_doc(p)
+        assert hit[0] is first[0] and decodes == ["f"]
+        _assert_same_load(hit, _memo_free_read(p))
+
+    def test_a_document_without_a_name_is_named_by_its_path(self, tmp_path, channel_files,
+                                                            capsys):
+        p = tmp_path / "anonymous.json"
+        save_channel(identity(2), p)
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(p.read_bytes())
+        assert read_doc(p)[1] is None
+        assert main(["--format", "json", "order", str(p), str(copy)]) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert [e["name"] for e in inputs] == ["anonymous.json", "copy.json"]
+
+    @pytest.mark.parametrize("make", [
+        *(["mean", "--kind", kind] for kind in ("arith", "harm", "parallel", "geo",
+                                                "power:0.3", "log")),
+        ["lebesgue"],
+    ], ids=lambda argv: argv[-1])
+    def test_reports_on_written_documents_do_not_depend_on_the_memo(
+            self, tmp_path, rng, capsys, make):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_channel(random_cp(rng, 3, 3, rank=5), a, name="a")
+        save_channel(gaussian_cp(rng, 3, 3), b, repr_kind="kraus", name="b")
+        if make[0] == "lebesgue":
+            outs = [str(tmp_path / "split.ac.json"), str(tmp_path / "split.sing.json")]
+            write = [*make, a, b, "-o", str(tmp_path / "split")]
+        else:
+            outs = [str(tmp_path / "mean.json")]
+            write = [*make, a, b, "-o", outs[0]]
+        argvs = [write] + [[cmd, out] for out in outs for cmd in ("verify", "index")] + [
+            ["order", out, a] for out in outs]
+
+        def run(clear_each):
+            channeldoc._doc_memo.clear()
+            got = []
+            for argv in argvs:
+                if clear_each:
+                    channeldoc._doc_memo.clear()
+                code = main(["--format", "json", *argv])
+                got.append((code, capsys.readouterr().out))
+            return got, [open(out, "rb").read() for out in outs]
+
+        assert run(clear_each=False) == run(clear_each=True)
+
+    def test_a_rewritten_file_is_parsed_afresh(self, tmp_path):
+        p = tmp_path / "chan.json"
+        save_channel(identity(2), p, name="first")
+        assert read_doc(p)[1] == "first"
+        p.write_text(json.dumps(channel_to_doc(depolarizing(2), name="second")))
+        chan, name, sha = read_doc(p)
+        assert name == "second"
+        assert np.array_equal(chan.choi.entries, depolarizing(2).choi.entries)
+        assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("text", [
+        '{"dim_in": 2,',
+        json.dumps({**channel_to_doc(identity(2)), "data": [[[-5.0, 0.0]] * 4] * 4}),
+        json.dumps({"dim_in": 2, "dim_out": 2, "repr": "kraus", "data": [[[1, 0]]]}),
+        "[1, 2]",
+    ], ids=["json", "not-cp", "shape", "not-an-object"])
+    def test_a_malformed_document_exits_2_every_time(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        channeldoc._doc_memo.clear()
+        for _ in range(3):
+            assert main(["verify", str(p)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert channeldoc._doc_memo == {}
+
+    def test_the_memo_keeps_the_last_three_documents(self, tmp_path, decodes):
+        paths = [tmp_path / f"{i}.json" for i in range(5)]
+        for i, p in enumerate(paths):
+            save_channel((i + 1.0) * identity(2), p, repr_kind="kraus", name=str(i))
+        channeldoc._doc_memo.clear()
+        for p in paths:
+            read_doc(p)
+            assert len(channeldoc._doc_memo) <= 3
+        assert decodes == ["0", "1", "2", "3", "4"]
+        for p in paths[2:]:  # the last three are hits
+            read_doc(p)
+        assert len(decodes) == 5
+        read_doc(paths[0])  # evicted, so decoded again
+        assert decodes[5:] == ["0"]
+        for i, p in enumerate(paths):  # choi saves are kept under the same bound
+            save_channel((i + 1.0) * depolarizing(2), p)
+            assert len(channeldoc._doc_memo) <= 3
+
+    def test_mean_verify_index_order_decode_two_documents(self, tmp_path, rng, decodes,
+                                                           capsys):
+        a, b, m = (str(tmp_path / f"{tag}.json") for tag in ("a", "b", "mean"))
+        save_channel(random_cp(rng, 3, 3), a, name="a")
+        save_channel(gaussian_cp(rng, 3, 3), b, repr_kind="kraus", name="b")
+        channeldoc._doc_memo.clear()
+        for argv in (["mean", "--kind", "geo", a, b, "-o", m], ["verify", m],
+                     ["index", a], ["order", a, b]):
+            assert main(["--format", "json", *argv]) in (0, 3)
+        capsys.readouterr()
+        assert decodes == ["a", "b"]

@@ -175,6 +175,15 @@ class TestKraus:
             got = from_kraus(ops).choi.entries
             assert max_abs(got - want) <= 1e-14 * k * max_abs(want)
 
+    def test_operators_are_read_only_copies(self):
+        op = np.eye(2)
+        f = from_kraus([op])
+        with pytest.raises(ValueError):
+            f.kraus[0][0, 0] = 5
+        op[0, 0] = 5  # the caller's array is not the map's
+        assert f.kraus[0][0, 0] == 1.0
+        assert f.choi.entries[0, 0] == 1.0
+
     def test_kraus_consistency_invariant(self, rng):
         f = random_cp(rng, 2, 3)
         ops = kraus_decompose(f)

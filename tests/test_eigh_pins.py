@@ -1,9 +1,11 @@
 """Eigendecompositions per public operation, pinned on one Choi-16 pair.
 
-Each count starts with no spectral pair shared, so a plain row is a cold
-count.  A row ``X after k`` counts X after ``mean k`` ran uncounted on the
-same two operands and left its pair shared.  A change that moves a count
-restates its row here and says why.
+Each count starts with no spectral pair shared and no document in the
+memo, so a plain row is a cold count.  A row ``X after k`` counts X after
+``mean k`` ran uncounted on the same two operands and left its pair shared;
+a row ``X after cli ...`` counts X after that command ran uncounted and left
+its documents in the memo.  A change that moves a count restates its row
+here and says why.
 """
 
 import numpy as np
@@ -63,14 +65,21 @@ PINS = [
     # arith - geo.  Down from (9, 2): the certificate is one eigvalsh, not an eigh
     ("cli mean --kind geo -o", (8, 3)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
+    ("cli index", (1, 0)),        # likewise, the index reads it
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
     ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms
-    # 2 input admissions, the split 2, the two predicates 2 each on their own
-    # pairs, and the eigh of M*M in Ando's closed form, which reads the
-    # admissions' eigs.  Down from (17, 0): the parallel-sum limit is gone
-    ("cli lebesgue", (9, 0)),
-    # no admission, so the closed form pays for the eigs of C_F and C_G
-    ("cli lebesgue kraus", (9, 0)),
+    # the memo holds the -o document as the mean wrote it, with its eig, and
+    # both inputs as admitted: no decoding and no admission
+    ("cli verify geo.json after cli mean --kind geo -o", (0, 0)),
+    ("cli index after cli mean --kind geo -o", (0, 0)),
+    ("cli order after cli mean --kind geo -o", (1, 0)),  # eig of C_G - C_F
+    # 2 input admissions, the split 2 and the two predicates 2 each on their
+    # own pairs; C_F is full rank, so Ando's closed form is G itself and reads
+    # only C_F's eig.  Down from (9, 0): the eigh of the zero matrix M*M is gone
+    ("cli lebesgue", (8, 0)),
+    # no admission, so the closed form pays for the eig of C_F; down from
+    # (9, 0) likewise
+    ("cli lebesgue kraus", (8, 0)),
 ]
 
 # argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk
@@ -80,6 +89,8 @@ CLI = {
     "cli mean --kind geo -o": (lambda f, g, geo, fk, gk: ["mean", "--kind", "geo", f, g,
                                                            "-o", geo], 0),
     "cli verify": (lambda f, g, geo, fk, gk: ["verify", f], 3),
+    "cli verify geo.json": (lambda f, g, geo, fk, gk: ["verify", geo], 3),
+    "cli index": (lambda f, g, geo, fk, gk: ["index", f], 0),
     "cli order": (lambda f, g, geo, fk, gk: ["order", f, g], 0),
     "cli order kraus": (lambda f, g, geo, fk, gk: ["order", fk, gk], 0),
     "cli lebesgue": (lambda f, g, geo, fk, gk: ["lebesgue", f, g], 0),
@@ -153,5 +164,5 @@ def _operation(name, f, g, geo, paths):
 @pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
 def test_pinned_counts(pair, eigh_calls, name, counts):
     name, _, first = name.partition(" after ")
-    warm = _operation(f"mean {first}", *pair) if first else None
+    warm = _operation(first if first in CLI else f"mean {first}", *pair) if first else None
     assert eigh_calls(_operation(name, *pair), warm) == counts

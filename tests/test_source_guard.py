@@ -14,6 +14,7 @@ the split against Ando's closed form ``lebesgue._ando_ac``, and
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
+Only ``channeldoc`` reads or writes its document memo.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -149,6 +150,24 @@ def test_hermiticity_guard_sees_a_planted_copy():
     assert _reads("from .hermlinalg import TOL_HERM\n", "TOL_HERM")
     assert _reads("def f(m):\n    return hermlinalg.TOL_HERM * abs(m).max()\n", "TOL_HERM")
     assert not _reads("TOL = 1e-10  # TOL_HERM\nx = 'TOL_HERM'\n", "TOL_HERM")
+
+
+# the document memo of channeldoc and the two functions that read and write it
+DOC_MEMO = ("_doc_memo", "_recall", "_remember")
+
+
+def test_document_memo_used_only_in_channeldoc():
+    offenders = {name: found for name, text in _sources()
+                 if name != "channeldoc.py"
+                 and (found := [n for n in DOC_MEMO if _reads(text, n)])}
+    assert offenders == {}
+
+
+def test_document_memo_guard_sees_a_planted_copy():
+    assert _reads("from .channeldoc import _remember\n", "_remember")
+    assert _reads("def f(h):\n    return channeldoc._doc_memo.get(h)\n", "_doc_memo")
+    assert _reads("def f(h):\n    return _recall(h)\n", "_recall")
+    assert not _reads("memo = {}  # _doc_memo\nx = '_recall'\n", "_doc_memo")
 
 
 def test_checks_recorded_only_by_report_check():
