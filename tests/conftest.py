@@ -78,6 +78,27 @@ def meet_proj(p, q):
     return us @ us.conj().T
 
 
+def write_channel(f: CpMap, path, repr_kind: str = "choi", name: str | None = None) -> None:
+    """``save_channel``, then drop the document memo: the next load of path
+    decodes and admits its bytes, as it would for a file another process wrote."""
+    channeldoc.save_channel(f, path, repr_kind=repr_kind, name=name)
+    channeldoc._doc_memo.clear()
+
+
+def read_channel(path) -> CpMap:
+    """``load_channel`` with the document memo dropped first: the map decoded
+    and admitted from the file's bytes, not one kept from its save."""
+    channeldoc._doc_memo.clear()
+    return channeldoc.load_channel(path)
+
+
+@pytest.fixture(autouse=True)
+def _empty_doc_memo():
+    """Every test starts with an empty document memo, so what it decodes does
+    not depend on the tests run before it."""
+    channeldoc._doc_memo.clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from cpmean.channeldoc import channel_to_doc, load_channel, save_channel
+from cpmean.channeldoc import channel_to_doc, load_channel
 from cpmean.cli import main as cli_main
 from cpmean.cpmaps import (
     compose,
@@ -43,7 +43,16 @@ from cpmean.opmeans import (
     transpose_rep,
 )
 
-from conftest import clamp_psd, max_abs, min_eig, random_cp, random_density, random_psd, random_unitary
+from conftest import (
+    clamp_psd,
+    max_abs,
+    min_eig,
+    random_cp,
+    random_density,
+    random_psd,
+    random_unitary,
+    write_channel,
+)
 from jacobi import power_atoms
 from test_lebesgue import direct_rn_compression, planted_pair, shorted_to_subspace
 
@@ -323,7 +332,7 @@ def test_criterion_12_cli(tmp_path):
     code_all = cli_main(["example", "--all"])
     f = random_cp(np.random.default_rng(12), 2, 2)
     p = tmp_path / "chan.json"
-    save_channel(f, p)
+    write_channel(f, p)
     round_trip_exact = np.array_equal(load_channel(p).choi.entries, f.choi.entries)
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim_in": 2,')

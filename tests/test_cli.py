@@ -27,7 +27,15 @@ from cpmean.errors import NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import Verdict
 from cpmean.report import Report
 
-from conftest import TOL_RECON, gaussian_cp, max_abs, random_cp, random_unitary
+from conftest import (
+    TOL_RECON,
+    gaussian_cp,
+    max_abs,
+    random_cp,
+    random_unitary,
+    read_channel,
+    write_channel,
+)
 
 
 @pytest.fixture
@@ -40,7 +48,7 @@ def channel_files(tmp_path):
         ("half_id2", 0.5 * identity(2)),
     ]:
         p = tmp_path / f"{name}.json"
-        save_channel(chan, p, name=name)
+        write_channel(chan, p, name=name)
         paths[name] = str(p)
     return paths
 
@@ -49,8 +57,7 @@ class TestChannelDoc:
     def test_choi_round_trip_bit_exact(self, tmp_path, rng):
         f = random_cp(rng, 2, 3)
         p = tmp_path / "chan.json"
-        save_channel(f, p, name="random")
-        channeldoc._doc_memo.clear()  # decode the file, not the map it was written from
+        write_channel(f, p, name="random")
         g = load_channel(p)
         assert np.array_equal(g.choi.entries, f.choi.entries)
         # a second hop stays byte-identical
@@ -183,8 +190,7 @@ class TestChannelDoc:
         f = from_choi(1, 3, c)
         assert f.choi.entries.tobytes() == c.tobytes()
         p, p2 = tmp_path / "tricky.json", tmp_path / "tricky2.json"
-        save_channel(f, p)
-        channeldoc._doc_memo.clear()
+        write_channel(f, p)
         g = load_channel(p)
         assert g.choi.entries.tobytes() == c.tobytes()
         save_channel(g, p2)
@@ -229,7 +235,7 @@ class TestCliCommands:
         code = main(["mean", "--kind", "geo", channel_files["id2"],
                      channel_files["dep2"], "-o", out])
         assert code == 0
-        got = load_channel(out)
+        got = read_channel(out)
         want = identity(2).choi.entries / 2.0
         assert max_abs(got.choi.entries - want) < 1e-10
         text = capsys.readouterr().out
@@ -242,15 +248,15 @@ class TestCliCommands:
                      channel_files["dep2"], "-o", out_a]) == 0
         assert main(["mean", "--kind", "geo", channel_files["id2"],
                      channel_files["dep2"], "-o", out_b]) == 0
-        a = load_channel(out_a).choi.entries
-        b = load_channel(out_b).choi.entries
+        a = read_channel(out_a).choi.entries
+        b = read_channel(out_b).choi.entries
         assert max_abs(a - b) < 1e-7
 
     def test_mean_harm_value(self, channel_files, tmp_path):
         out = str(tmp_path / "h.json")
         assert main(["mean", "--kind", "harm", channel_files["id2"],
                      channel_files["dep2"], "-o", out]) == 0
-        got = load_channel(out).choi.entries
+        got = read_channel(out).choi.entries
         assert max_abs(got - 0.4 * identity(2).choi.entries) < 1e-10
 
     def test_order(self, channel_files, capsys):
@@ -269,7 +275,7 @@ class TestCliCommands:
     def test_index_infinite(self, tmp_path, capsys):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         p = tmp_path / "conj.json"
-        save_channel(unitary_conj(h), p)
+        write_channel(unitary_conj(h), p)
         assert main(["index", str(p)]) == 0
         assert "infinite" in capsys.readouterr().out
 
@@ -315,12 +321,12 @@ class TestCliCommands:
         phi = tmp_path / "phi.json"
         psi = tmp_path / "psi.json"
         from cpmean.cpmaps import functional
-        save_channel(functional(np.diag([1.0, 0.0])), phi, name="phi")
-        save_channel(functional(np.diag([0.5, 0.5])), psi, name="psi")
+        write_channel(functional(np.diag([1.0, 0.0])), phi, name="phi")
+        write_channel(functional(np.diag([0.5, 0.5])), psi, name="psi")
         prefix = str(tmp_path / "split")
         assert main(["lebesgue", str(phi), str(psi), "-o", prefix]) == 0
-        ac = load_channel(prefix + ".ac.json").choi.entries
-        sing = load_channel(prefix + ".sing.json").choi.entries
+        ac = read_channel(prefix + ".ac.json").choi.entries
+        sing = read_channel(prefix + ".sing.json").choi.entries
         assert max_abs(ac - np.diag([0.5, 0.0])) < 1e-10
         assert max_abs(sing - np.diag([0.0, 0.5])) < 1e-10
         assert "alpha_min" in capsys.readouterr().out
@@ -331,23 +337,23 @@ class TestCliCommands:
         # NonConvergence; the closed form takes no limit, and ac = I passes
         u = random_unitary(np.random.default_rng(5), 4)
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
-        save_channel(from_choi(2, 2, (u * np.array([1e-8, 0.5, 1.0, 2.0])) @ u.conj().T),
-                     phi, name="phi")
-        save_channel(from_choi(2, 2, np.eye(4)), psi, name="psi")
+        write_channel(from_choi(2, 2, (u * np.array([1e-8, 0.5, 1.0, 2.0])) @ u.conj().T),
+                      phi, name="phi")
+        write_channel(from_choi(2, 2, np.eye(4)), psi, name="psi")
         prefix = str(tmp_path / "split")
         assert main(["--format", "json", "lebesgue", str(phi), str(psi), "-o", prefix]) == 0
         out = json.loads(capsys.readouterr().out)
         checks = {c["name"]: c for c in out["checks"]}
         assert all(c["passed"] for c in checks.values())
         assert checks["ac = Ando closed form"]["residual"] <= 1e-14
-        assert max_abs(load_channel(prefix + ".ac.json").choi.entries - np.eye(4)) < 1e-14
+        assert max_abs(read_channel(prefix + ".ac.json").choi.entries - np.eye(4)) < 1e-14
 
     @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
     def test_lebesgue_checks_are_scale_free(self, tmp_path, capsys, monkeypatch, s):
         rng = np.random.default_rng(11)
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
-        save_channel(s * random_cp(rng, 2, 2, rank=3), phi, name="phi")
-        save_channel(s * random_cp(rng, 2, 2, rank=3), psi, name="psi")
+        write_channel(s * random_cp(rng, 2, 2, rank=3), phi, name="phi")
+        write_channel(s * random_cp(rng, 2, 2, rank=3), psi, name="psi")
         argv = ["--format", "json", "lebesgue", str(phi), str(psi)]
         assert main(argv) == 0
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -442,7 +448,7 @@ class TestVerdictRule:
     def test_verify_reports_the_bound_it_decides_with(self, tmp_path, capsys):
         # within the admission bound 1e-9 * ||C|| = 1e-7, far outside a bare 1e-9
         p = tmp_path / "c.json"
-        save_channel(from_choi(2, 2, np.diag([-5e-8, 1.0, 10.0, 100.0])), p)
+        write_channel(from_choi(2, 2, np.diag([-5e-8, 1.0, 10.0, 100.0])), p)
         assert main(["--format", "json", "verify", str(p)]) == 3  # not unital
         (rep,) = _reports_keeping_the_rule(capsys.readouterr().out)
         cp = rep["checks"][0]
@@ -457,8 +463,8 @@ class TestVerdictRule:
         real, failed = cli.lebesgue._ando_ac, 0
         for _ in range(6):
             d = int(rng.integers(2, 4))
-            save_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), phi)
-            save_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), psi)
+            write_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), phi)
+            write_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), psi)
             for factor in (1.0, 2.0):
                 monkeypatch.setattr(cli.lebesgue, "_ando_ac",
                                     lambda f, g, c=factor: c * real(f, g))
@@ -482,8 +488,8 @@ class TestChecksAtJointScale:
     def scaled_files(self, tmp_path):
         def write(s, f, g):
             paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
-            save_channel(s * f, paths[0])
-            save_channel(s * g, paths[1])
+            write_channel(s * f, paths[0])
+            write_channel(s * g, paths[1])
             return paths
         return write
 
@@ -538,8 +544,8 @@ class TestChecksAtJointScale:
         from test_lebesgue import nearly_parallel_pair
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
         f, g = nearly_parallel_pair(np.random.default_rng(7), 1e-6)
-        save_channel(f, phi)
-        save_channel(g, psi)
+        write_channel(f, phi)
+        write_channel(g, psi)
         assert main(["--format", "json", "lebesgue", str(phi), str(psi)]) == 3
         out, err = capsys.readouterr()
         assert "ac + sing = psi" in _failed_checks(out)
@@ -633,8 +639,8 @@ class TestEncodeOnce:
 
     def _docs(self, tmp_path, d, rng):
         paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
-        save_channel(random_cp(rng, d, d), paths[0], name="f")
-        save_channel(random_cp(rng, d, d, rank=d), paths[1], name="g")
+        write_channel(random_cp(rng, d, d), paths[0], name="f")
+        write_channel(random_cp(rng, d, d, rank=d), paths[1], name="g")
         return paths
 
     @pytest.mark.parametrize("d", [2, 3, 8])

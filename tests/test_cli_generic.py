@@ -3,7 +3,8 @@
 Each pair is drawn once per seed and run as drawn: dimensions 1-3 on each side,
 ranks uniform on 0..mn, Gaussian Kraus operators, choi or kraus form, and
 log10 scales independent on [-12, 12].  Every run must exit 0 with every check
-passed; no input is dropped, rescaled or redrawn.
+passed; no input is dropped, rescaled or redrawn.  Each document is decoded
+and admitted from its file, not taken from the memo its save fills.
 """
 
 import json
@@ -11,10 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from cpmean.channeldoc import save_channel
 from cpmean.cli import main
 
-from conftest import gaussian_cp
+from conftest import gaussian_cp, write_channel
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -26,7 +26,7 @@ def test_lebesgue_passes_on_generic_document_pairs(tmp_path, capsys, seed):
         m, n = (int(x) for x in rng.integers(1, 4, size=2))
         for path in paths:
             f = gaussian_cp(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
-            save_channel(f, path, repr_kind=("choi", "kraus")[int(rng.integers(2))])
+            write_channel(f, path, repr_kind=("choi", "kraus")[int(rng.integers(2))])
         code = main(["--format", "json", "lebesgue", *paths])
         out, err = capsys.readouterr()
         checks = json.loads(out)["checks"] if out else []
