@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -92,16 +93,19 @@ def _dumps(obj) -> str:
 
 
 def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
-    """Complex matrix of the given shape from nested [re, im] pairs, bit for bit."""
+    """Complex matrix of the given shape from nested [re, im] pairs, bit for bit.
+    A boolean is not a number, alone or beside numbers that would absorb it."""
     try:
         arr = np.asarray(rows)
         if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
             arr = arr.astype(np.float64)  # integer literals beyond 64 bits
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"complex matrix data is malformed: {exc}") from exc
-    if arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+    if arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf":
         raise ParseError(f"expected {shape[0]} x {shape[1]} [re, im] pairs of numbers, "
                          f"got shape {arr.shape} of {arr.dtype}")
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
+        raise ParseError("boolean entries are not permitted in documents")
     if not np.isfinite(arr).all():
         raise ParseError("non-finite entries are not permitted in documents")
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
@@ -141,7 +145,7 @@ def doc_to_channel(doc) -> CpMap:
         data = doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing document field {exc}") from exc
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not all(type(x) is int and x >= 1 for x in (m, n)):
         raise ParseError("dim_in and dim_out must be positive integers")
     if kind == "choi":
         return from_choi(m, n, _rows_to_matrix(data, (m * n, m * n)))

@@ -2,15 +2,15 @@
 
 Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
-alone (``eigvals()``) and its rank cutoff ``support()``, ``as_psd``, the
-admission of outside data, ``is_psd``, the PSD square root and Moore-Penrose
-pseudo-inverse, and the ``SpectralPair`` on which every mean, connection and
-Lebesgue split is evaluated.  The rank cutoff lives in one place,
+alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
+the admission of outside data, ``is_psd``, the PSD square root and
+Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on which every mean,
+connection and Lebesgue split is evaluated.  The rank cutoff lives in one place,
 ``HermitianMatrix.support``; ``lebesgue._ando_ac``, the closed form that
 checks the split, reads ``RANK_RTOL`` for a kernel of its own.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
-all values are immutable after construction and spectral data is computed
-once and cached, so instances are safe to share across threads; ``_shared_pair``
+all values are immutable after construction and each eig is computed once
+and cached, so instances are safe to share across threads; ``_shared_pair``
 keeps the last spectral pair and its two operands (1-2 MB at Choi 144).
 """
 
@@ -45,12 +45,11 @@ class HermitianMatrix:
     """Complex Hermitian matrix, symmetrized once at construction.
 
     Entries are stored row-major as a read-only complex128 array.  The
-    eigendecomposition, or the eigenvalues alone, are computed lazily and
-    cached; concurrent readers may race to fill the cache but the filled value
-    is identical either way.
+    eigendecomposition is computed lazily and cached; concurrent readers may
+    race to fill the cache but the filled value is identical either way.
     """
 
-    __slots__ = ("_m", "_eig", "_w")
+    __slots__ = ("_m", "_eig")
 
     def __init__(self, entries):
         m = _square(entries)
@@ -63,7 +62,6 @@ class HermitianMatrix:
         m.flags.writeable = False
         self._m = m
         self._eig = None
-        self._w = None
 
     @property
     def dim(self) -> int:
@@ -85,14 +83,8 @@ class HermitianMatrix:
 
     def eigvals(self) -> np.ndarray:
         """Ascending eigenvalues: those of the cached ``eig()`` if there is one,
-        else one ``eigvalsh``, cached without the vectors."""
-        if self._eig is not None:
-            return self._eig[0]
-        if self._w is None:
-            w = np.linalg.eigvalsh(self._m)
-            w.flags.writeable = False
-            self._w = w
-        return self._w
+        else one uncached ``eigvalsh``."""
+        return np.linalg.eigvalsh(self._m) if self._eig is None else self._eig[0]
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``: views

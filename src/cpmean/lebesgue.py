@@ -9,8 +9,8 @@ Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
 ``is_abs_continuous`` return their Verdict at TOL_SPLIT.  ``_ando_ac``,
 Ando's closed form of the ac part, checks the split without the pair; the
 parallel-sum limit ``lim_n (nF : G)``, on the pseudo-inverse
-``opmeans.parallel_sum`` and Richardson-extrapolated along n = 2^k, is kept as
-library API and test oracle only.
+``opmeans.parallel_sum`` and Richardson-extrapolated along n = 2^k up to a
+fixed budget of 2^20, is kept as library API and test oracle only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
-from .errors import DomainError, NonConvergence
+from .errors import NonConvergence
 from .hermlinalg import (
     RANK_RTOL, HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _shared_pair, psd_sqrt)
 from .opmeans import parallel_sum
@@ -34,6 +34,8 @@ TOL_SPLIT = 1e-8
 # Bound on max |ac + sing - C_G|, relative to max(||C_F||, ||C_G||).
 TOL_ADD = 1e-9
 
+# The oracle's schedule: n = 2^k up to 2^_ORACLE_STEPS, Richardson depth 4.
+_ORACLE_STEPS = 20
 _RICHARDSON_DEPTH = 4
 
 
@@ -88,13 +90,13 @@ def _ando_ac(f: CpMap, g: CpMap) -> CpMap:
     return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(half @ kernel))
 
 
-def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
+def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     """Parallel-sum-limit construction of the absolutely continuous part.
 
     ``n F : G`` is a rational function of n, analytic at n = infinity, whose
     1/n series converges for n > ||C_G|| / lambda_min^+(C_F).  The iterates at
-    n = 2^k, from the first k with n at least twice that radius (at most
-    log2(n_max) - 2) up to n_max, feed a Richardson table of depth 4; the
+    n = 2^k, from the first k with n at least twice that radius (at most 18)
+    up to the fixed budget n = 2^20, feed a Richardson table of depth 4; the
     result is returned once two successive differences of its diagonal are
     within TOL_LIM ||C_G||.  Raises NonConvergence if that never happens, with
     the larger of the last two differences as its estimate, or if the
@@ -102,16 +104,13 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
     estimate exceeds the gate.
     """
     _check_same_dims(f, g)
-    if n_max < 8:
-        raise DomainError("oracle needs n_max >= 8")
-    steps = int(math.floor(math.log2(n_max)))
     gnorm = g.choi.norm()
     tol = TOL_LIM * gnorm
     lam = f.choi.support()[0]
     ratio = 2.0 * gnorm / lam[0] if lam.size else 0.0
-    k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), steps - 2)
+    k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), _ORACLE_STEPS - 2)
     row, best, moves, ok = [], None, [math.inf], 0
-    for k in range(k0, steps + 1):
+    for k in range(k0, _ORACLE_STEPS + 1):
         x = parallel_sum(PsdMatrix._trusted((2.0 ** k) * f.choi.entries), g.choi).entries
         new = [x]
         for j, r in enumerate(row[:_RICHARDSON_DEPTH - 1], start=1):
@@ -124,7 +123,7 @@ def ac_part_oracle(f: CpMap, g: CpMap, n_max: int = 2 ** 20) -> CpMap:
                 break
     else:
         est = max(moves[-2:])
-        raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** steps}, "
+        raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** _ORACLE_STEPS}, "
                              f"tolerance {tol:.3e}", est)
     w, u = HermitianMatrix(best).eig()
     if w[0] < -tol:

@@ -2,7 +2,8 @@
 
 Each entry recomputes one scenario from scratch and checks the known
 closed-form result at a fixed tolerance, reporting residuals.  Parameters
-(dimension, angle, weights, seeds) have defaults and accept overrides.
+(dimension, angle, weights, seeds) have defaults and accept overrides; a
+count or dimension must be an integer >= 1 and a seed an integer >= 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .cpmaps import (
     tensor,
     unitary_conj,
 )
-from .errors import UnknownExample
+from .errors import DomainError, UnknownExample
 from .opmeans import GEO, HARM, ConnectionRep, connection_apply, geometric_mean, parallel_sum
 from .report import Report
 
@@ -38,11 +39,20 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-def _rand_psd(rng: np.random.Generator, dim: int, lo: float = 0.25, hi: float = 4.0,
-              trace_one: bool = False) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _whole(key: str, value, least: int) -> int:
+    """value as an int >= least; a float, a boolean or a smaller value is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _rand_psd(rng: np.random.Generator, dim: int, rank: int | None = None, lo: float = 0.25,
+              hi: float = 4.0, trace_one: bool = False) -> np.ndarray:
+    """Random PSD of the given rank (default dim), nonzero eigenvalues on [lo, hi]."""
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     q, _ = np.linalg.qr(g)
-    w = rng.uniform(lo, hi, size=dim)
+    w = rng.uniform(lo, hi, size=rank)
     m = (q * w) @ q.conj().T
     if trace_one:
         m = m / np.trace(m).real
@@ -52,7 +62,7 @@ def _rand_psd(rng: np.random.Generator, dim: int, lo: float = 0.25, hi: float = 
 def example_quantum_channels(d: int | None = None) -> Report:
     """Geometric and harmonic means of the identity and depolarizing channels."""
     rep = Report("example quantum-channels")
-    dims = [int(d)] if d else [2, 3, 4]
+    dims = [2, 3, 4] if d is None else [_whole("d", d, 1)]
     for dd in dims:
         ident = identity(dd)
         depol = depolarizing(dd)
@@ -82,7 +92,7 @@ def example_non_unital(_: None = None) -> Report:
 def example_states(seed: int = 11) -> Report:
     """Means of positive functionals reduce to means of their density matrices."""
     rep = Report("example states")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole("seed", seed, 0))
     pairs = [
         ("commuting", np.diag([0.5, 0.5]), np.diag([0.9, 0.1])),
         ("random qubit", _rand_psd(rng, 2, trace_one=True),
@@ -104,9 +114,10 @@ def example_states(seed: int = 11) -> Report:
 def example_schur_multiplier(seed: int = 5, count: int = 20) -> Report:
     """Schur multipliers: the mean of multipliers is the multiplier of the mean."""
     rep = Report("example schur-multiplier")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole("seed", seed, 0))
+    count = _whole("count", count, 1)
     worst = 0.0
-    for _ in range(int(count)):
+    for _ in range(count):
         a = _rand_psd(rng, 3)
         b = _rand_psd(rng, 3)
         lhs = mean_cp(GEO, schur(a), schur(b)).choi.entries
@@ -184,7 +195,7 @@ def example_rotation(theta: float | None = None) -> Report:
     e1 = cond_exp_diag(2)
     generic = [math.pi / 6, math.pi / 4, 1.0] if theta is None else [float(theta)]
     degenerate = [0.0, math.pi / 2] if theta is None else []
-    for th in generic:
+    for th in generic + degenerate:
         e2 = cond_exp_rotated(th)
         geo = mean_cp(GEO, e1, e2)
         if abs(math.sin(2 * th)) > 1e-3:
@@ -194,20 +205,16 @@ def example_rotation(theta: float | None = None) -> Report:
         else:
             rep.check(f"theta={th:.4f}: E1#E2 = E1",
                       _max_abs(geo.choi.entries - e1.choi.entries), 1e-8)
-    for th in degenerate:
-        e2 = cond_exp_rotated(th)
-        geo = mean_cp(GEO, e1, e2)
-        rep.check(f"theta={th:.4f}: E1#E2 = E1",
-                  _max_abs(geo.choi.entries - e1.choi.entries), 1e-8)
     return rep
 
 
 def example_kosaki_fidelity(seed: int = 23, count: int = 20) -> Report:
     """Trace-quantity chain between the geometric mean and Uhlmann fidelity."""
     rep = Report("example kosaki-fidelity")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole("seed", seed, 0))
+    count = _whole("count", count, 1)
     worst_slack = 0.0
-    for _ in range(int(count)):
+    for _ in range(count):
         dim = int(rng.integers(2, 4))
         rho = _rand_psd(rng, dim, trace_one=True)
         sigma = _rand_psd(rng, dim, trace_one=True)
@@ -229,14 +236,15 @@ def example_kosaki_fidelity(seed: int = 23, count: int = 20) -> Report:
 def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
     """Scalar-domain maps recover the classical operator decomposition."""
     rep = Report("example ando-recovery")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole("seed", seed, 0))
+    count = _whole("count", count, 1)
     worst_par = 0.0
     worst_ac = 0.0
-    for _ in range(int(count)):
+    for _ in range(count):
         rank_a = int(rng.integers(1, 5))
         rank_b = int(rng.integers(1, 5))
-        a = _rand_low_rank(rng, 4, rank_a)
-        b = _rand_low_rank(rng, 4, rank_b)
+        a = _rand_psd(rng, 4, rank_a, 0.4, 1.5)
+        b = _rand_psd(rng, 4, rank_b, 0.4, 1.5)
         phi_a = from_choi(1, 4, a)
         phi_b = from_choi(1, 4, b)
 
@@ -258,14 +266,6 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
 
 # One atom (l, w) = (1, 1/2): g(t) = t/(1+t), the function of the parallel sum.
 _PARALLEL_ATOM = ConnectionRep(0.0, 0.0, ((1.0, 0.5),))
-
-
-def _rand_low_rank(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    q, _ = np.linalg.qr(g)
-    w = rng.uniform(0.4, 1.5, size=rank)
-    m = (q[:, :rank] * w) @ q[:, :rank].conj().T
-    return 0.5 * (m + m.conj().T)
 
 
 REGISTRY: dict[str, Callable[..., Report]] = {

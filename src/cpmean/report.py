@@ -2,9 +2,10 @@
 
 Reports render either as human-readable text or as compact, single-line,
 schema-stable JSON: the same command always emits the same fields, every
-numeric check carries its residual and tolerance, and floats are serialized
-at full precision.  A ``HermitianMatrix`` output is written as its [re, im]
-pairs, from the text a ``-o`` document of the same matrix already encoded.
+input names its file and the SHA-256 of its bytes, every numeric check
+carries its residual and tolerance, and floats are serialized at full
+precision.  An output is a JSON value or a ``HermitianMatrix``, written as its
+[re, im] pairs from the text a ``-o`` document of it already encoded.
 """
 
 from __future__ import annotations
@@ -32,14 +33,10 @@ class Report:
     outputs: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
 
-    def add_input(self, name: str, path: str | None = None, sha256: str | None = None):
-        """Name an input; one read from a file gives its path and the SHA-256
-        of the bytes that were parsed."""
-        entry = {"name": name}
-        if path is not None:
-            entry["path"] = str(path)
-            entry["sha256"] = sha256
-        self.inputs.append(entry)
+    def add_input(self, name: str, path: str, sha256: str):
+        """Name an input read from the file at path, with the SHA-256 of the
+        bytes that were parsed."""
+        self.inputs.append({"name": name, "path": str(path), "sha256": sha256})
 
     def check(self, name: str, residual: float, tolerance: float) -> bool:
         """Record a check that passes iff ``residual <= tolerance``; return the verdict."""
@@ -83,9 +80,7 @@ class Report:
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]
         for entry in self.inputs:
-            path = entry.get("path")
-            suffix = f" ({path})" if path else ""
-            lines.append(f"input: {entry['name']}{suffix}")
+            lines.append(f"input: {entry['name']} ({entry['path']})")
         for key, value in self.outputs.items():
             lines.append(f"{key}: {_format_value(value)}")
         for c in self.checks:
@@ -107,14 +102,6 @@ def _jsonable(value, keep: bool = False):
         return {k: _jsonable(v, keep) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return _to_pairs(np.atleast_2d(value))
-        return value.tolist()
-    if isinstance(value, complex):
-        return _to_pairs(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -122,8 +109,6 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, HermitianMatrix):
-        value = value.entries
-    if isinstance(value, np.ndarray):
         with np.printoptions(precision=6, suppress=True, linewidth=120):
-            return "\n" + str(np.round(value, 10))
+            return "\n" + str(np.round(value.entries, 10))
     return str(value)

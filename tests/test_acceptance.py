@@ -253,7 +253,7 @@ def test_criterion_09_lebesgue_suite():
         split = decompose(f, g)
         worst_add = max(worst_add, max_abs(
             split.ac.choi.entries + split.sing.choi.entries - g.choi.entries) / scale)
-        oracle = ac_part_oracle(f, g, n_max=2 ** 20)
+        oracle = ac_part_oracle(f, g)
         worst_oracle = max(worst_oracle, max_abs(
             oracle.choi.entries - split.ac.choi.entries) / scale)
         worst_sing = max(worst_sing,

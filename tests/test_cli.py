@@ -25,7 +25,7 @@ from cpmean.cpmaps import (
 )
 from cpmean.errors import NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import Verdict
-from cpmean.report import Report
+from cpmean.registry import run_example
 
 from conftest import (
     TOL_RECON,
@@ -129,6 +129,7 @@ class TestChannelDoc:
     @pytest.mark.parametrize("cell", [
         "1.0", None, [1.0, None], ["1", 0.0], [1.0, 0.0, 0.0], [[1.0, 0.0]],
         {"re": 1.0}, [10**400, 0.0], [float("nan"), 0.0], [0.0, float("-inf")],
+        [1.0, False], [True, 0.0],
     ])
     def test_bad_cell_rejected(self, cell):
         doc = channel_to_doc(identity(2))
@@ -167,11 +168,15 @@ class TestChannelDoc:
         assert not f.choi.entries.any()
 
     def test_integer_and_boolean_cells(self):
-        # 10**20 is beyond 64-bit integers but within a double
+        # 10**20 is beyond 64-bit integers but within a double; a boolean is
+        # not a number, even beside integers that would absorb it
         doc = {"dim_in": 1, "dim_out": 2, "repr": "choi",
-               "data": [[[10**20, 0], [True, False]], [[1, 0], [3, 0]]]}
+               "data": [[[10**20, 0], [1, 0]], [[1, 0], [3, 0]]]}
         got = doc_to_channel(doc).choi.entries
         assert np.array_equal(got, np.array([[1e20, 1.0], [1.0, 3.0]]))
+        doc["data"][0][1] = [True, False]
+        with pytest.raises(ParseError, match="boolean"):
+            doc_to_channel(doc)
 
     def test_round_trip_keeps_every_bit(self, tmp_path):
         tricky = [-0.0, 5e-324, -5e-324, 0.30000000000000004, 0.12345678901234568,
@@ -212,21 +217,6 @@ class TestChannelDoc:
         want = [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in mats]
         data = json.loads(text)["data"]
         assert (data if repr_kind == "kraus" else [data]) == want
-
-    def test_report_arrays_match_cell_oracle(self, rng):
-        m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        rep = Report("arrays")
-        rep.outputs.update(matrix=m, vector=m[1], view=m.T, scalar=complex(m[0, 0]))
-        out = rep.to_obj()["outputs"]
-
-        def cells(a):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-        assert out["matrix"] == cells(m)
-        assert out["vector"] == cells([m[1]])
-        assert out["view"] == cells(m.T)
-        assert out["scalar"] == [float(m[0, 0].real), float(m[0, 0].imag)]
-        assert json.loads(rep.to_json()) == rep.to_obj()
 
 
 class TestCliCommands:
@@ -385,6 +375,28 @@ class TestCliCommands:
 
     def test_unknown_example_parameter(self):
         assert main(["example", "rotation", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["states", "seed=-1"], ["states", "seed=2.5"],
+        ["quantum-channels", "d=-1"], ["quantum-channels", "d=0"],
+        ["quantum-channels", "d=2.5"],
+        ["schur-multiplier", "count=0"], ["schur-multiplier", "count=-3"],
+        ["schur-multiplier", "count=2.5"], ["schur-multiplier", "seed=-1"],
+        ["kosaki-fidelity", "count=0"], ["kosaki-fidelity", "seed=-2"],
+        ["ando-recovery", "count=0"], ["ando-recovery", "seed=0.5"],
+    ], ids=" ".join)
+    def test_bad_count_dimension_or_seed_exits_2(self, capsys, argv):
+        # a DomainError, not a numpy ValueError escaping as an internal error
+        key = argv[1].partition("=")[0]
+        assert main(["example", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+
+    def test_smallest_count_dimension_and_seed_pass(self):
+        for name, params in (("quantum-channels", {"d": 1}), ("states", {"seed": 0}),
+                             ("schur-multiplier", {"seed": 0, "count": 1}),
+                             ("kosaki-fidelity", {"seed": 0, "count": 1}),
+                             ("ando-recovery", {"seed": 0, "count": 1})):
+            assert run_example(name, **params).passed
 
     def test_globals_anywhere(self, channel_files, capsys):
         assert main(["--format", "json", "order", channel_files["id2"],
@@ -574,6 +586,22 @@ class TestCliErrorPaths:
         p.write_text(text.replace("[1.0, 0.0]", "[1" + "0" * 400 + ", 0]", 1))
         assert main(["verify", str(p)]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"dim_in": True, "dim_out": 2, "repr": "choi",
+         "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"dim_in": 1, "dim_out": 2, "repr": "choi",
+         "data": [[[True, False], [False, False]], [[False, False], [True, False]]]},
+        {"dim_in": 1, "dim_out": 2, "repr": "choi",
+         "data": [[[1, 0], [0, False]], [[0, 0], [1, 0]]]},
+    ], ids=["boolean-dim", "boolean-cells", "boolean-beside-numbers"])
+    def test_boolean_document_exits_2(self, tmp_path, capsys, doc):
+        with pytest.raises(ParseError):
+            doc_to_channel(doc)
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(doc))
+        assert main(["verify", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_dim_mismatch_exits_2(self, channel_files):
         assert main(["order", channel_files["id2"], channel_files["dep3"]]) == 2

@@ -99,12 +99,15 @@ class TestEigh:
 
 class TestEigvals:
     def test_one_eigvalsh_kept_without_vectors(self, rng, eigh_calls):
+        """Without a cached eig, each call is one eigvalsh, and neither the
+        values nor any vectors are kept."""
         h = HermitianMatrix(random_psd(rng, 6, rank=3) - random_psd(rng, 6, rank=2))
         assert eigh_calls(h.eigvals) == (0, 1)
-        assert eigh_calls(h.eigvals) == (0, 0)  # cached
+        assert eigh_calls(h.eigvals) == (0, 1)  # not cached
         w = h.eigvals()
-        assert not w.flags.writeable and np.all(np.diff(w) >= 0)
+        assert np.all(np.diff(w) >= 0) and np.array_equal(w, h.eigvals())
         assert max_abs(w - np.linalg.eigvalsh(h.entries)) == 0.0
+        assert eigh_calls(h.eig) == (1, 0)  # no vectors were kept
         assert max_abs(w - h.eig()[0]) <= 1e-14 * h.norm()
 
     def test_reads_a_cached_eig(self, rng, eigh_calls):

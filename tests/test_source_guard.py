@@ -20,7 +20,9 @@ its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
 package but numpy, at module or function level, and every module-level import
 is used.  The public names of ``import cpmean`` and the parameter names of each
-are pinned, so adding or removing a name or a knob shows in this file.
+are pinned, as are those of ``Report.add_input`` and the slots of
+``HermitianMatrix``, so adding or removing a name, a knob or a cache shows in
+this file.
 """
 
 import ast
@@ -265,9 +267,10 @@ SIGNATURES = {
     "NotCompletelyPositive": None, "ParseError": None,
     "PsdMatrix": ("entries",),
     "PsdMatrix.clamped": ("entries", "bound"),
+    "Report.add_input": ("self", "name", "path", "sha256"),
     "ShapeError": None, "UnknownExample": None,
     "ac_part": ("f", "g"),
-    "ac_part_oracle": ("f", "g", "n_max"),
+    "ac_part_oracle": ("f", "g"),
     "adjoint_rep": ("rep",),
     "arithmetic_mean": ("a", "b"),
     "choi_from_action": ("dim_in", "dim_out", "action"),
@@ -329,10 +332,18 @@ def test_public_names_are_pinned():
 
 def test_public_signatures_are_pinned():
     import cpmean
+    from cpmean.report import Report
 
     found = {name: _params(getattr(cpmean, name)) for name in PUBLIC_NAMES}
     found["PsdMatrix.clamped"] = _params(cpmean.PsdMatrix.clamped)
+    found["Report.add_input"] = _params(Report.add_input)
     assert found == SIGNATURES
+
+
+def test_hermitian_matrix_caches_only_its_eig():
+    import cpmean
+
+    assert cpmean.HermitianMatrix.__slots__ == ("_m", "_eig")
 
 
 def test_signature_guard_sees_a_planted_knob():
