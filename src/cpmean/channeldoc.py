@@ -12,9 +12,8 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
 
 Floats are emitted by Python's shortest round-trip repr (at most 17
 significant digits), so a choi document of an exactly Hermitian matrix
-survives save/load bit-exactly, signed zeros included.  The text of the
-last two Choi matrices written is kept, so a ``-o`` document and the report
-that names it encode their Choi matrix once.
+survives save/load bit-exactly, signed zeros included.  ``save_channel``
+returns the SHA-256 of the bytes it writes, by which a ``-o`` report names them.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
@@ -27,7 +26,6 @@ A document that fails to parse is never kept.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -38,7 +36,7 @@ import numpy as np
 
 from .cpmaps import CpMap, from_choi, from_kraus, kraus_decompose
 from .errors import ParseError, ShapeError
-from .hermlinalg import HermitianMatrix, PsdMatrix
+from .hermlinalg import PsdMatrix
 
 _DOC_SLOTS = 3
 # SHA-256 of a document's bytes -> (map, name), least recently used first
@@ -74,24 +72,6 @@ def _to_pairs(a) -> list:
     return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-@functools.lru_cache(maxsize=2)
-def _matrix_text(h: HermitianMatrix) -> str:
-    """``json.dumps`` of the [re, im] pairs of h, kept for the next call on the
-    same object: keyed by identity, as entries are read-only and the cache
-    holds h.  Two slots, so the ac and sing parts of a split each encode once."""
-    return json.dumps(_to_pairs(h.entries))
-
-
-def _dumps(obj) -> str:
-    """``json.dumps(obj)``, where a HermitianMatrix value of obj or of a dict
-    in it stands for its [re, im] pairs and takes its memoized text."""
-    if isinstance(obj, HermitianMatrix):
-        return _matrix_text(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in obj.items()) + "}"
-    return json.dumps(obj)
-
-
 def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
     """Complex matrix of the given shape from nested [re, im] pairs, bit for bit.
     A boolean is not a number, alone or beside numbers that would absorb it."""
@@ -113,16 +93,8 @@ def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
 
 def channel_to_doc(f: CpMap, repr_kind: str = "choi", name: str | None = None) -> dict:
     """Serialize a CpMap to a JSON-ready document."""
-    doc = _doc(f, repr_kind, name)
     if repr_kind == "choi":
-        doc["data"] = _to_pairs(f.choi.entries)
-    return doc
-
-
-def _doc(f: CpMap, repr_kind: str, name: str | None) -> dict:
-    """The document of f, with a choi document's data left as ``f.choi``."""
-    if repr_kind == "choi":
-        data = f.choi
+        data = _to_pairs(f.choi.entries)
     elif repr_kind == "kraus":
         ops = f.kraus if f.kraus is not None else kraus_decompose(f)
         data = [_to_pairs(k) for k in ops]
@@ -158,15 +130,18 @@ def doc_to_channel(doc) -> CpMap:
 
 
 def save_channel(f: CpMap, path: str | os.PathLike, repr_kind: str = "choi",
-                 name: str | None = None) -> None:
-    """Write a channel document to a file: the text of ``channel_to_doc``.  A
-    choi document of an admitted map is kept in the memo under the hash of
-    the bytes written, as reading them back gives its Choi matrix bit for bit."""
-    raw = (_dumps(_doc(f, repr_kind, name)) + "\n").encode("utf-8")
+                 name: str | None = None) -> str:
+    """Write a channel document to a file, the text of ``channel_to_doc``, and
+    return the SHA-256 of the bytes written.  A choi document of an admitted
+    map is kept in the memo under that hash, as reading the bytes back gives
+    its Choi matrix bit for bit."""
+    raw = (json.dumps(channel_to_doc(f, repr_kind, name)) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(raw)
+    sha256 = hashlib.sha256(raw).hexdigest()
     if repr_kind == "choi" and isinstance(f.choi, PsdMatrix):
-        _remember(hashlib.sha256(raw).hexdigest(), CpMap(f.dim_in, f.dim_out, f.choi), name)
+        _remember(sha256, CpMap(f.dim_in, f.dim_out, f.choi), name)
+    return sha256
 
 
 def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:

@@ -4,8 +4,11 @@
     cpmean order A.json B.json
     cpmean index A.json
     cpmean verify A.json
-    cpmean lebesgue PHI.json PSI.json [-o PREFIX]
+    cpmean lebesgue PHI.json PSI.json [-o PREFIX]   # PREFIX.ac.json, PREFIX.sing.json
     cpmean example <name> [key=value ...] | --all
+
+With -o, the report names each document written by its path and the SHA-256
+of its bytes ("written") in place of the Choi matrix it holds.
 
 Global flags (accepted before or after the subcommand): --format text|json
 and --tol FLOAT, the PSD tolerance of order/verify, which verify also takes as
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -118,6 +122,11 @@ def _load(rep: Report, path: str) -> tuple[CpMap, str]:
     return chan, name
 
 
+def _write(f: CpMap, path: str, name: str) -> dict:
+    """Write the choi document of f; its path and the SHA-256 of its bytes."""
+    return {"path": path, "sha256": save_channel(f, path, name=name)}
+
+
 def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float, known: dict[str, CpMap]):
     """Record how far each step of harmonic <= geometric <= arithmetic dips,
     against ``tol * max(||C_F||, ||C_G||)``.
@@ -141,15 +150,14 @@ def cmd_mean(args, tol: float) -> list[Report]:
     result = mean_cp(kind, f, g)
     rep.outputs["dim_in"] = result.dim_in
     rep.outputs["dim_out"] = result.dim_out
-    rep.outputs["choi"] = result.choi
     if kind.tag == "geo":
         rep.check("block certificate [[A,G],[G,B]] PSD",
                   *geo_certificate(f, g, result, tol=opmeans.TOL_MEAN))
     _chain_checks(rep, f, g, opmeans.TOL_MEAN, {kind.tag: result})
     if args.out:
-        save_channel(result, args.out,
-                     name=f"{args.kind}({name_a},{name_b})")
-        rep.outputs["written"] = args.out
+        rep.outputs["written"] = _write(result, args.out, f"{args.kind}({name_a},{name_b})")
+    else:
+        rep.outputs["choi"] = result.choi
     return [rep]
 
 
@@ -192,20 +200,18 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
     split = lebesgue.decompose(phi, psi)
     rep.outputs["alpha_min"] = (
         "infinite" if math.isinf(split.alpha_min) else split.alpha_min)
-    rep.outputs["ac_choi"] = split.ac.choi
-    rep.outputs["sing_choi"] = split.sing.choi
     rep.check("ac + sing = psi", *split.recon)
     rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
     rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
     ando = lebesgue._ando_ac(phi, psi).choi.entries
     rep.check("ac = Ando closed form", float(np.abs(split.ac.choi.entries - ando).max()),
               lebesgue.TOL_SPLIT * psi.choi.norm())
+    parts = (("ac", split.ac), ("sing", split.sing))
     if args.out:
-        ac_path = f"{args.out}.ac.json"
-        sing_path = f"{args.out}.sing.json"
-        save_channel(split.ac, ac_path, name=f"ac({name_psi}|{name_phi})")
-        save_channel(split.sing, sing_path, name=f"sing({name_psi}|{name_phi})")
-        rep.outputs["written"] = [ac_path, sing_path]
+        rep.outputs["written"] = [_write(part, f"{args.out}.{tag}.json",
+                                         f"{tag}({name_psi}|{name_phi})") for tag, part in parts]
+    else:
+        rep.outputs.update((f"{tag}_choi", part.choi) for tag, part in parts)
     return [rep]
 
 
@@ -242,10 +248,8 @@ def cmd_example(args, tol: float) -> list[Report]:
 
 def _emit(reports: list[Report], fmt: str) -> None:
     if fmt == "json":
-        if len(reports) == 1:
-            print(reports[0].to_json())
-        else:  # the text of json.dumps of the list of report objects
-            print("[" + ", ".join(r.to_json() for r in reports) + "]")
+        print(reports[0].to_json() if len(reports) == 1
+              else json.dumps([r.to_obj() for r in reports]))
     else:
         for rep in reports:
             print(rep.to_text())

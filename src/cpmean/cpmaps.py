@@ -304,6 +304,8 @@ def cond_exp_rotated(theta: float) -> CpMap:
     The subalgebra is u diag(...) u* for the rotation u by angle theta, the
     Kraus operators are u|i><i|u*.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     u = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
         dtype=np.complex128,
@@ -317,13 +319,13 @@ def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
     ``factor=1`` keeps the first leg and averages the second against the state
     with the given diagonal weights: ``x1 ⊗ x2 -> x1 ⊗ Tr(diag(w) x2) 1``,
     the Kraus map of ``1 ⊗ sqrt(w_j)|k><j|``; ``factor=2`` is the mirror
-    image.  Weights must be positive; a genuine state has them summing to 1.
+    image.  Weights must be finite and positive; a genuine state has them summing to 1.
     """
     if factor not in (1, 2):
         raise DomainError("factor must be 1 or 2")
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(w) < 1 or np.any(w <= 0.0):
-        raise DomainError("weights must be a nonempty positive vector")
+    if w.ndim != 1 or len(w) < 1 or not np.all(np.isfinite(w) & (w > 0.0)):
+        raise DomainError("weights must be a nonempty vector of finite positive numbers")
     eye = np.eye(len(w))
     slices = [np.sqrt(wj) * np.outer(ek, ej) for ej, wj in zip(eye, w) for ek in eye]
     return from_kraus([np.kron(eye, k) if factor == 1 else np.kron(k, eye) for k in slices])

@@ -153,6 +153,8 @@ def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
     rep = Report("example ce-tensor")
     rho = tuple(float(x) for x in np.atleast_1d(rho))
     sigma = tuple(float(x) for x in np.atleast_1d(sigma))
+    if len(rho) != len(sigma):
+        raise DomainError(f"rho and sigma must have the same length, got {rho} and {sigma}")
     n = len(rho)
     e1 = cond_exp_tensor(1, sigma)
     e2 = cond_exp_tensor(2, rho)

@@ -5,16 +5,17 @@ schema-stable JSON: the same command always emits the same fields, every
 input names its file and the SHA-256 of its bytes, every numeric check
 carries its residual and tolerance, and floats are serialized at full
 precision.  An output is a JSON value or a ``HermitianMatrix``, written as its
-[re, im] pairs from the text a ``-o`` document of it already encoded.
+[re, im] pairs; one written to a ``-o`` document is named by path and SHA-256.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channeldoc import _dumps, _to_pairs
+from .channeldoc import _to_pairs
 from .hermlinalg import HermitianMatrix
 
 
@@ -53,18 +54,10 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_obj(self) -> dict:
-        return self._obj(keep=False)
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_obj())``, with each HermitianMatrix output
-        from its memoized text."""
-        return _dumps(self._obj(keep=True))
-
-    def _obj(self, keep: bool) -> dict:
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "outputs": _jsonable(self.outputs, keep),
+            "outputs": _jsonable(self.outputs),
             "checks": [
                 {
                     "name": c.name,
@@ -76,6 +69,9 @@ class Report:
             ],
             "passed": self.passed,
         }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj())
 
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]
@@ -93,13 +89,12 @@ class Report:
         return "\n".join(lines)
 
 
-def _jsonable(value, keep: bool = False):
-    """value in JSON types; a HermitianMatrix becomes its [re, im] pairs, or,
-    with keep and as a dict value, stays for ``_dumps`` to write."""
+def _jsonable(value):
+    """value in JSON types; a HermitianMatrix becomes its [re, im] pairs."""
     if isinstance(value, HermitianMatrix):
-        return value if keep else _to_pairs(value.entries)
+        return _to_pairs(value.entries)
     if isinstance(value, dict):
-        return {k: _jsonable(v, keep) for k, v in value.items()}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value

@@ -1,13 +1,13 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cpmean import channeldoc, cli, lebesgue
 from cpmean.channeldoc import (
-    _matrix_text,
     channel_to_doc,
     doc_to_channel,
     load_channel,
@@ -398,6 +398,21 @@ class TestCliCommands:
                              ("ando-recovery", {"seed": 0, "count": 1})):
             assert run_example(name, **params).passed
 
+    @pytest.mark.parametrize("argv", [
+        ["ce-tensor", "rho=0.5", "sigma=0.2,0.3,0.5"],
+        ["ce-tensor", "rho=0.5,0.5", "sigma=0.2,0.3,0.5"],
+        ["rotation", "theta=inf"], ["rotation", "theta=-inf"], ["rotation", "theta=nan"],
+        ["ce-tensor", "sigma=inf,1"], ["ce-tensor", "sigma=nan,1"],
+        ["ce-tensor", "rho=0.5,-inf"],
+    ], ids=" ".join)
+    def test_bad_weights_or_angle_exit_2_with_one_error_line(self, capsys, argv):
+        # a numpy warning raised as an error would escape as an internal error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["example", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_globals_anywhere(self, channel_files, capsys):
         assert main(["--format", "json", "order", channel_files["id2"],
                      channel_files["id2"]]) == 0
@@ -650,8 +665,9 @@ def _tricky_map(d: int, rng, shift: float = 0.0):
 
 
 class TestEncodeOnce:
-    """A ``-o`` document and the JSON report that names it share one encoding
-    of each Choi matrix, and both keep the bytes of ``json.dumps``."""
+    """Each result matrix is encoded once: with ``-o`` into its document, which
+    the report names by path and SHA-256; without ``-o`` into the report.
+    Documents and reports keep the bytes of ``json.dumps``."""
 
     @pytest.fixture
     def emitted(self, monkeypatch):
@@ -671,21 +687,31 @@ class TestEncodeOnce:
         write_channel(random_cp(rng, d, d, rank=d), paths[1], name="g")
         return paths
 
+    @staticmethod
+    def _assert_names_its_document(written, path, capsys):
+        """The report's entry for a written document gives its path and the
+        SHA-256 of its bytes, the hash ``verify`` reports for the same file."""
+        sha256 = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert written == {"path": path, "sha256": sha256}
+        main(["--format", "json", "verify", path])
+        assert json.loads(capsys.readouterr().out)["inputs"][0]["sha256"] == sha256
+
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_mean_document_and_report_keep_the_json_dumps_bytes(
             self, tmp_path, rng, monkeypatch, capsys, emitted, d):
         a, b = self._docs(tmp_path, d, rng)
         result = _tricky_map(d, rng)
         monkeypatch.setattr(cli, "mean_cp", lambda kind, f, g: result)
-        _matrix_text.cache_clear()
         out = str(tmp_path / "geo.json")
         main(["--format", "json", "mean", "--kind", "geo", a, b, "-o", out])
         text = (tmp_path / "geo.json").read_text()
         assert text == json.dumps(channel_to_doc(result, name="geo(f,g)")) + "\n"
         assert '[5e-324, -0.0]' in text and '[-0.0, 5e-324]' in text
-        assert capsys.readouterr().out == json.dumps(emitted[0].to_obj()) + "\n"
-        # the document encoded the Choi matrix; the report reused its text
-        assert _matrix_text.cache_info()[:2] == (1, 1)
+        report = capsys.readouterr().out
+        assert report == json.dumps(emitted[0].to_obj()) + "\n"
+        outputs = json.loads(report)["outputs"]
+        assert sorted(outputs) == ["dim_in", "dim_out", "written"]
+        self._assert_names_its_document(outputs["written"], out, capsys)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_lebesgue_documents_and_report_keep_the_json_dumps_bytes(
@@ -695,14 +721,22 @@ class TestEncodeOnce:
         split = lebesgue.LebesgueSplit(ac, sing, 1.0, Verdict(0.0, 1.0))
         monkeypatch.setattr(cli.lebesgue, "decompose", lambda f, g: split)
         monkeypatch.setattr(cli.lebesgue, "_ando_ac", lambda f, g: ac)
-        _matrix_text.cache_clear()
         prefix = str(tmp_path / "split")
         main(["--format", "json", "lebesgue", phi, psi, "-o", prefix])
-        for part, chan in (("ac", ac), ("sing", sing)):
-            text = (tmp_path / f"split.{part}.json").read_text()
+        report = capsys.readouterr().out
+        assert report == json.dumps(emitted[0].to_obj()) + "\n"
+        outputs = json.loads(report)["outputs"]
+        assert sorted(outputs) == ["alpha_min", "written"]
+        for written, (part, chan) in zip(outputs["written"], (("ac", ac), ("sing", sing)),
+                                         strict=True):
+            path = f"{prefix}.{part}.json"
+            text = open(path).read()
             assert text == json.dumps(channel_to_doc(chan, name=f"{part}(g|f)")) + "\n"
-        assert capsys.readouterr().out == json.dumps(emitted[0].to_obj()) + "\n"
-        assert _matrix_text.cache_info()[:2] == (2, 2)  # two slots: ac and sing
+            self._assert_names_its_document(written, path, capsys)
+        main(["--format", "json", "lebesgue", phi, psi])
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["ac_choi"] == channel_to_doc(ac)["data"]
+        assert outputs["sing_choi"] == channel_to_doc(sing)["data"]
 
     def test_results_in_a_row_each_get_their_own_text(self, tmp_path, rng, monkeypatch,
                                                        capsys, emitted):
@@ -714,16 +748,20 @@ class TestEncodeOnce:
             main(["--format", "json", "mean", "--kind", "harm", a, b, "-o", str(out)])
             doc = channel_to_doc(result, name="harm(f,g)")
             assert out.read_text() == json.dumps(doc) + "\n"
+            written = json.loads(capsys.readouterr().out)["outputs"]["written"]
+            assert written["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+            main(["--format", "json", "mean", "--kind", "harm", a, b])
             report = capsys.readouterr().out
-            assert report == json.dumps(emitted[i].to_obj()) + "\n"
+            assert report == json.dumps(emitted[-1].to_obj()) + "\n"
             assert json.loads(report)["outputs"]["choi"] == doc["data"]
 
     def test_save_channel_after_another_matrix(self, tmp_path, rng):
         f, g = _tricky_map(2, rng), _tricky_map(2, rng, shift=1.0)
         for i, chan in enumerate((f, g, f, g)):
             p = tmp_path / f"{i}.json"
-            save_channel(chan, p)
+            sha256 = save_channel(chan, p)
             assert p.read_text() == json.dumps(channel_to_doc(chan)) + "\n"
+            assert sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_example_list_is_the_json_dumps_of_its_reports(self, capsys, emitted):
         assert main(["--format", "json", "example", "--all"]) == 0

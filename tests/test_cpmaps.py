@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +537,16 @@ class TestZoo:
             cond_exp_tensor(3, (0.5, 0.5))
         with pytest.raises(DomainError):
             cond_exp_tensor(1, (0.5, -0.5))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_and_weights_rejected_without_warnings(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="theta must be finite"):
+                cond_exp_rotated(bad)
+            for weights in ((bad, 1.0), (0.5, bad)):
+                with pytest.raises(DomainError, match="finite positive"):
+                    cond_exp_tensor(1, weights)
 
     def test_flags(self):
         ident = identity(3)

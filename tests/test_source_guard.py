@@ -20,9 +20,9 @@ its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
 package but numpy, at module or function level, and every module-level import
 is used.  The public names of ``import cpmean`` and the parameter names of each
-are pinned, as are those of ``Report.add_input`` and the slots of
-``HermitianMatrix``, so adding or removing a name, a knob or a cache shows in
-this file.
+are pinned, as are those of ``Report.add_input``, the slots of
+``HermitianMatrix`` and the functions that ``functools.lru_cache`` keeps, so
+adding or removing a name, a knob or a cache shows in this file.
 """
 
 import ast
@@ -170,6 +170,42 @@ def test_document_memo_guard_sees_a_planted_copy():
     assert _reads("def f(h):\n    return channeldoc._doc_memo.get(h)\n", "_doc_memo")
     assert _reads("def f(h):\n    return _recall(h)\n", "_recall")
     assert not _reads("memo = {}  # _doc_memo\nx = '_recall'\n", "_doc_memo")
+
+
+# (file, top-level function) of each functools cache in src/: the two parsers
+# and the one-slot spectral pair
+LRU_CACHE_SITES = {("cli.py", "_build_parser"), ("cli.py", "_globals_parser"),
+                   ("hermlinalg.py", "_shared_pair")}
+
+
+def _cache_sites(name: str, text: str) -> set[tuple[str, str]]:
+    """(file, enclosing top-level function or class, or '<module>') of each
+    ``functools.lru_cache`` or ``functools.cache``, used or imported by name."""
+    caches = ("lru_cache", "cache")
+    sites = set()
+    for top in ast.parse(text).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr in caches
+                 and isinstance(node.value, ast.Name) and node.value.id == "functools")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                        and any(a.name in caches for a in node.names))):
+                sites.add((name, owner))
+    return sites
+
+
+def test_every_functools_cache_is_pinned():
+    sites = set()
+    for name, text in _sources():
+        sites |= _cache_sites(name, text)
+    assert sites == LRU_CACHE_SITES
+
+
+def test_cache_guard_sees_a_planted_cache():
+    text = "import functools\n\n@functools.lru_cache(maxsize=2)\ndef _text(h):\n    return h\n"
+    assert _cache_sites("x.py", text) == {("x.py", "_text")}
+    assert _cache_sites("y.py", "from functools import cache\n") == {("y.py", "<module>")}
+    assert _cache_sites("z.py", "cache = {}\n\ndef f(k):\n    return cache[k]\n") == set()
 
 
 def test_checks_recorded_only_by_report_check():
