@@ -1,6 +1,6 @@
 """Operator means and Lebesgue decomposition for completely positive maps.
 
-The public surface is organized in five layers:
+The package is organized in layers, each using only those above it:
 
 * :mod:`cpmean.hermlinalg` -- Hermitian/PSD matrix kernel (types, spectral
   primitives, tolerance policy).
@@ -10,8 +10,10 @@ The public surface is organized in five layers:
   and the channel zoo.
 * :mod:`cpmean.lebesgue` -- Lebesgue-type decomposition relative to a
   reference map.
-* :mod:`cpmean.cli` -- the ``cpmean`` command-line tool, channel documents,
-  and the worked-example registry.
+* :mod:`cpmean.channeldoc` -- channel documents (Choi or Kraus JSON).
+* :mod:`cpmean.report` -- command reports with per-check residuals.
+* :mod:`cpmean.registry` -- the worked-example registry.
+* :mod:`cpmean.cli` -- the ``cpmean`` command-line tool.
 """
 
 from .errors import (

@@ -142,6 +142,10 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
     matrix, a Gram form, is PSD by construction, so no admission runs.  The
     map keeps read-only copies of the operators."""
     ops = [np.array(k, dtype=np.complex128) for k in ops]
+    if any(k.ndim != 2 for k in ops):
+        raise ShapeError("Kraus operators must be 2-D arrays")
+    if not all(np.isfinite(k).all() for k in ops):
+        raise InvalidInput("Kraus operator entries must be finite")
     if not ops:
         if dim_in is None or dim_out is None:
             raise ShapeError("empty Kraus list requires explicit dimensions")

@@ -155,6 +155,10 @@ def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
     sigma = tuple(float(x) for x in np.atleast_1d(sigma))
     if len(rho) != len(sigma):
         raise DomainError(f"rho and sigma must have the same length, got {rho} and {sigma}")
+    for w in (rho, sigma):  # the closed forms below need both sums finite
+        if all(0.0 < x < math.inf for x in w) and not (
+                math.isfinite(sum(w)) and math.isfinite(sum(1.0 / x for x in w))):
+            raise DomainError(f"weights {w} and their reciprocals must have finite sums")
     n = len(rho)
     e1 = cond_exp_tensor(1, sigma)
     e2 = cond_exp_tensor(2, rho)

@@ -404,6 +404,9 @@ class TestCliCommands:
         ["rotation", "theta=inf"], ["rotation", "theta=-inf"], ["rotation", "theta=nan"],
         ["ce-tensor", "sigma=inf,1"], ["ce-tensor", "sigma=nan,1"],
         ["ce-tensor", "rho=0.5,-inf"],
+        # finite weights whose sum or sum of reciprocals is not
+        ["ce-tensor", "rho=1e-320,1"], ["ce-tensor", "sigma=1,5e-324"],
+        ["ce-tensor", "rho=1e308,1e308", "sigma=1e308,1e308"],
     ], ids=" ".join)
     def test_bad_weights_or_angle_exit_2_with_one_error_line(self, capsys, argv):
         # a numpy warning raised as an error would escape as an internal error

@@ -185,6 +185,22 @@ class TestKraus:
         assert f.kraus[0][0, 0] == 1.0
         assert f.choi.entries[0, 0] == 1.0
 
+    @pytest.mark.parametrize("ops", [[np.ones(3)], [np.array(1.0)], [np.eye(2), np.ones((2, 2, 2))]],
+                             ids=["1-D", "0-D", "3-D second"])
+    def test_operator_that_is_not_2d_raises_shape_error(self, ops):
+        with pytest.raises(ShapeError, match="2-D"):
+            from_kraus(ops)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_operator_raises_before_the_gram_product(self, bad):
+        # a RuntimeWarning of the Gram product would escape as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                from_kraus([np.eye(2), np.array([[1.0, 0.0], [bad, 1.0]])])
+            with pytest.raises(InvalidInput, match="finite"):
+                from_kraus([np.array([[bad]])])
+
     def test_kraus_consistency_invariant(self, rng):
         f = random_cp(rng, 2, 3)
         ops = kraus_decompose(f)
