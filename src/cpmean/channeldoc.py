@@ -10,18 +10,17 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
       "name": optional string
     }
 
-Floats are emitted by Python's shortest round-trip repr (at most 17
-significant digits), so a choi document of an exactly Hermitian matrix
+Both forms are read; the one written is choi, whose floats are Python's
+shortest round-trip repr, so a document of an exactly Hermitian matrix
 survives save/load bit-exactly, signed zeros included.  ``save_channel``
 returns the SHA-256 of the bytes it writes, by which a ``-o`` report names them.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
 bytes: ``read_doc`` reads a file once and hashes it, and decodes only bytes
-it has not seen lately; ``save_channel`` of a choi document keeps the map it
-wrote, which a fresh parse would rebuild bit for bit.  A Kraus document is
-not kept on save, as its reload rebuilds ``V V*`` from the written operators.
-A document that fails to parse is never kept.
+it has not seen lately; ``save_channel`` keeps the map it wrote, which a
+fresh parse would rebuild bit for bit.  A document that fails to parse is
+never kept.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from itertools import chain
 
 import numpy as np
 
-from .cpmaps import CpMap, from_choi, from_kraus, kraus_decompose
-from .errors import ParseError, ShapeError
+from .cpmaps import CpMap, from_choi, from_kraus
+from .errors import ParseError
 from .hermlinalg import PsdMatrix
 
 _DOC_SLOTS = 3
@@ -91,16 +90,10 @@ def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def channel_to_doc(f: CpMap, repr_kind: str = "choi", name: str | None = None) -> dict:
-    """Serialize a CpMap to a JSON-ready document."""
-    if repr_kind == "choi":
-        data = _to_pairs(f.choi.entries)
-    elif repr_kind == "kraus":
-        ops = f.kraus if f.kraus is not None else kraus_decompose(f)
-        data = [_to_pairs(k) for k in ops]
-    else:
-        raise ParseError(f"unknown representation {repr_kind!r}")
-    doc = {"dim_in": f.dim_in, "dim_out": f.dim_out, "repr": repr_kind, "data": data}
+def channel_to_doc(f: CpMap, name: str | None = None) -> dict:
+    """Serialize a CpMap to a JSON-ready choi document."""
+    doc = {"dim_in": f.dim_in, "dim_out": f.dim_out, "repr": "choi",
+           "data": _to_pairs(f.choi.entries)}
     if name is not None:
         doc["name"] = name
     return doc
@@ -129,18 +122,17 @@ def doc_to_channel(doc) -> CpMap:
     raise ParseError(f"unknown representation {kind!r}")
 
 
-def save_channel(f: CpMap, path: str | os.PathLike, repr_kind: str = "choi",
-                 name: str | None = None) -> str:
-    """Write a channel document to a file, the text of ``channel_to_doc``, and
-    return the SHA-256 of the bytes written.  A choi document of an admitted
-    map is kept in the memo under that hash, as reading the bytes back gives
-    its Choi matrix bit for bit."""
-    raw = (json.dumps(channel_to_doc(f, repr_kind, name)) + "\n").encode("utf-8")
+def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> str:
+    """Write the choi document of f, the text of ``channel_to_doc``, and
+    return the SHA-256 of the bytes written.  An admitted map is kept in the
+    memo under that hash, as reading the bytes back gives its Choi matrix
+    bit for bit."""
+    raw = (json.dumps(channel_to_doc(f, name)) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(raw)
     sha256 = hashlib.sha256(raw).hexdigest()
-    if repr_kind == "choi" and isinstance(f.choi, PsdMatrix):
-        _remember(sha256, CpMap(f.dim_in, f.dim_out, f.choi), name)
+    if isinstance(f.choi, PsdMatrix):
+        _remember(sha256, f, name)
     return sha256
 
 
@@ -160,11 +152,7 @@ def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:
             doc = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-        try:
-            chan = doc_to_channel(doc)
-        except ShapeError as exc:
-            raise ParseError(f"inconsistent shapes in {path}: {exc}") from exc
-        entry = _remember(sha256, chan, doc.get("name"))
+        entry = _remember(sha256, doc_to_channel(doc), doc.get("name"))
     return (*entry, sha256)
 
 

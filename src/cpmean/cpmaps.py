@@ -41,12 +41,11 @@ TOL_FLAGS = 1e-8  # absolute tolerance on ||F(1) - 1|| and ||Tr∘F - Tr||
 
 @dataclass(frozen=True)
 class CpMap:
-    """Completely positive map M_m -> M_n with Choi matrix and optional Kraus list."""
+    """Completely positive map M_m -> M_n, held as its Choi matrix alone."""
 
     dim_in: int
     dim_out: int
     choi: PsdMatrix
-    kraus: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
@@ -140,8 +139,8 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
                dim_out: int | None = None) -> CpMap:
     """Build a CpMap from Kraus operators (each dim_out x dim_in); its Choi
     matrix, a Gram form, is PSD by construction, so no admission runs.  The
-    map keeps read-only copies of the operators."""
-    ops = [np.array(k, dtype=np.complex128) for k in ops]
+    operators are not kept."""
+    ops = [np.asarray(k, dtype=np.complex128) for k in ops]
     if any(k.ndim != 2 for k in ops):
         raise ShapeError("Kraus operators must be 2-D arrays")
     if not all(np.isfinite(k).all() for k in ops):
@@ -155,14 +154,12 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
         dim_out = dim_out or n
         if (n, m) != (dim_out, dim_in):
             raise ShapeError("Kraus operators must be dim_out x dim_in")
-    for k in ops:
-        if k.shape != (dim_out, dim_in):
-            raise ShapeError("inconsistent Kraus operator shapes")
-        k.flags.writeable = False
+    if any(k.shape != (dim_out, dim_in) for k in ops):
+        raise ShapeError("inconsistent Kraus operator shapes")
     # columns of v are the vec(K), so C = sum_K vec(K) vec(K)* = v v*
     v = np.array([_vec(k) for k in ops], dtype=np.complex128)
     v = v.reshape(len(ops), dim_in * dim_out).T
-    return CpMap(dim_in, dim_out, PsdMatrix._gram(v), tuple(ops) or None)
+    return CpMap(dim_in, dim_out, PsdMatrix._gram(v))
 
 
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:

@@ -5,7 +5,8 @@ Every connection but the arithmetic mean (a plain sum) is evaluated on
 unit scale, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*``.  A
 connection acts on commuting operands as its jointly homogeneous function of
 two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A``
-(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales.
+(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales up
+to about 1.8e308 either way (r and 1/r finite); beyond it, DomainError.
 The last pair built is shared (``hermlinalg._shared_pair``): the first
 connection of two operand objects costs the pair's two eigendecompositions
 and the final clamp's two, each next one on the same objects the clamp's.
@@ -18,6 +19,7 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,10 +45,14 @@ def _connect(a, b, sigma) -> PsdMatrix:
     """``A σ B = s_A Z diag(t σ r(1-t)) Z*`` from the folded pair, then the clamp.
 
     sigma connects two scalars u, v >= 0, not both zero.  The ratio r keeps
-    both within range, where the product of the two scales would underflow.
+    both within range, where the product of the two scales would underflow;
+    where r or 1/r overflows, the smaller side would round away: DomainError.
     """
     p = _shared_pair(*_check_pair(a, b))
-    d = sigma(p.t, (p.sb / p.sa) * (1.0 - p.t))
+    r = p.sb / p.sa
+    if math.isinf(max(r, p.sa / p.sb)):
+        raise DomainError(f"scale ratio s_B/s_A = {p.sb:.3g}/{p.sa:.3g} is beyond double range")
+    d = sigma(p.t, r * (1.0 - p.t))
     out = p.sa * ((p.z * d) @ p.z.conj().T)
     return PsdMatrix.clamped(out, TOL_MEAN * float(np.abs(out).max()))
 

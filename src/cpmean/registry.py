@@ -171,10 +171,10 @@ def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
 
     closed_e1 = tensor(identity(n), trace_channel(sigma))
     closed_e2 = tensor(trace_channel(rho), identity(n))
-    rep.check("C of E1 matches permuted C_id (x) bold-sigma",
-              _max_abs(e1.choi.entries - closed_e1.choi.entries), 1e-12)
-    rep.check("C of E2 matches permuted bold-rho (x) C_id",
-              _max_abs(e2.choi.entries - closed_e2.choi.entries), 1e-12)
+    for label, got, closed in (("E1 matches permuted C_id (x) bold-sigma", e1, closed_e1),
+                               ("E2 matches permuted bold-rho (x) C_id", e2, closed_e2)):
+        want = closed.choi.entries  # relative to its largest entry, at every weight scale
+        rep.check(f"C of {label}", _max_abs(got.choi.entries - want) / _max_abs(want), 1e-12)
 
     inv_sum_rho = sum(1.0 / x for x in rho)
     inv_sum_sigma = sum(1.0 / x for x in sigma)
@@ -185,11 +185,11 @@ def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
               abs(index_cp(e2) - inv_sum_rho) / inv_sum_rho, 1e-9)
 
     geo = mean_cp(GEO, e1, e2)
-    want = math.sqrt(lam_rho * lam_sigma) * identity(n * n).choi.entries
+    # square roots taken before the products, which can leave the double range
+    lam = math.sqrt(lam_rho) * math.sqrt(lam_sigma)
     rep.check("E1 # E2 = sqrt(lam_rho lam_sigma) id (relative)",
-              _max_abs(geo.choi.entries - want) / math.sqrt(lam_rho * lam_sigma),
-              1e-7)
-    want_index = math.sqrt(inv_sum_rho * inv_sum_sigma)
+              _max_abs(geo.choi.entries - lam * identity(n * n).choi.entries) / lam, 1e-7)
+    want_index = math.sqrt(inv_sum_rho) * math.sqrt(inv_sum_sigma)
     rep.check("Ind(E1 # E2) = sqrt(sum(1/rho) sum(1/sigma)) (relative)",
               abs(index_cp(geo) - want_index) / want_index, 1e-7)
     return rep

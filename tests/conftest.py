@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,13 +38,18 @@ def random_cp(rng, m, n, rank=None, lo=0.25, hi=4.0) -> CpMap:
     return from_choi(m, n, random_psd(rng, m * n, rank=rank, lo=lo, hi=hi))
 
 
-def gaussian_cp(rng, m, n, scale=1.0) -> CpMap:
-    """A map m -> n of rank uniform on 0..mn whose Kraus operators are complex
-    Gaussian times sqrt(scale): its Choi matrix is a Wishart matrix, often
-    ill-conditioned, and the map keeps its operators for a kraus document."""
+def gaussian_kraus(rng, m, n, scale=1.0) -> list[np.ndarray]:
+    """Kraus operators of a map m -> n, of rank uniform on 0..mn: complex
+    Gaussian times sqrt(scale), so their Choi matrix is a Wishart matrix,
+    often ill-conditioned."""
     rank = int(rng.integers(0, m * n + 1))
-    ops = np.sqrt(scale) * (rng.normal(size=(rank, n, m)) + 1j * rng.normal(size=(rank, n, m)))
-    return from_kraus(list(ops), dim_in=m, dim_out=n)
+    return list(np.sqrt(scale) * (rng.normal(size=(rank, n, m))
+                                  + 1j * rng.normal(size=(rank, n, m))))
+
+
+def gaussian_cp(rng, m, n, scale=1.0) -> CpMap:
+    """The map of ``gaussian_kraus(rng, m, n, scale)``."""
+    return from_kraus(gaussian_kraus(rng, m, n, scale), dim_in=m, dim_out=n)
 
 
 def max_abs(a):
@@ -78,10 +85,28 @@ def meet_proj(p, q):
     return us @ us.conj().T
 
 
-def write_channel(f: CpMap, path, repr_kind: str = "choi", name: str | None = None) -> None:
-    """``save_channel``, then drop the document memo: the next load of path
-    decodes and admits its bytes, as it would for a file another process wrote."""
-    channeldoc.save_channel(f, path, repr_kind=repr_kind, name=name)
+def write_kraus(ops, path, dim_in: int, dim_out: int, name: str | None = None) -> None:
+    """Write the kraus document of the operators ops (each dim_out x dim_in):
+    ``json.dumps`` of its object and a newline, the form ``save_channel``
+    gives choi documents.  Pass the operators a map was built from, or
+    ``kraus_decompose`` of it."""
+    data = [np.ascontiguousarray(k, dtype=np.complex128).view(np.float64)
+            .reshape(dim_out, dim_in, 2).tolist() for k in ops]
+    doc = {"dim_in": dim_in, "dim_out": dim_out, "repr": "kraus", "data": data}
+    if name is not None:
+        doc["name"] = name
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(doc) + "\n").encode("utf-8"))
+
+
+def write_channel(f: CpMap, path, name: str | None = None, kraus=None) -> None:
+    """``save_channel`` of f, or with kraus, f's operators, ``write_kraus`` of
+    them; then drop the document memo: the next load of path decodes and
+    admits its bytes, as it would for a file another process wrote."""
+    if kraus is None:
+        channeldoc.save_channel(f, path, name=name)
+    else:
+        write_kraus(kraus, path, f.dim_in, f.dim_out, name)
     channeldoc._doc_memo.clear()
 
 

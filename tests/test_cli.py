@@ -30,11 +30,13 @@ from cpmean.registry import run_example
 from conftest import (
     TOL_RECON,
     gaussian_cp,
+    gaussian_kraus,
     max_abs,
     random_cp,
     random_unitary,
     read_channel,
     write_channel,
+    write_kraus,
 )
 
 
@@ -69,7 +71,7 @@ class TestChannelDoc:
         u = random_unitary(rng, 2)
         f = unitary_conj(u)
         p = tmp_path / "kraus.json"
-        save_channel(f, p, repr_kind="kraus", name="conj")
+        write_kraus([u], p, 2, 2, name="conj")
         g = load_channel(p)
         scale = max(1.0, f.choi.norm())
         assert max_abs(g.choi.entries - f.choi.entries) <= TOL_RECON * scale
@@ -157,7 +159,9 @@ class TestChannelDoc:
                 doc_to_channel({"dim_in": 1, "dim_out": 1, "repr": kind, "data": data})
 
     def test_kraus_operator_of_wrong_shape_rejected(self):
-        doc = channel_to_doc(unitary_conj(np.eye(2)), repr_kind="kraus")
+        doc = {"dim_in": 2, "dim_out": 2, "repr": "kraus",
+               "data": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+        doc_to_channel(doc)
         doc["data"].append([[[1.0, 0.0], [0.0, 0.0]]])  # 1 x 2 instead of 2 x 2
         with pytest.raises(ParseError):
             doc_to_channel(doc)
@@ -179,14 +183,13 @@ class TestChannelDoc:
             doc_to_channel(doc)
 
     def test_round_trip_keeps_every_bit(self, tmp_path):
-        tricky = [-0.0, 5e-324, -5e-324, 0.30000000000000004, 0.12345678901234568,
-                  1.2345678901234567e100]
-        # Kraus operators are kept as parsed, so the whole codec shows here,
-        # the sign of each zero included
-        doc = {"dim_in": len(tricky), "dim_out": 1, "repr": "kraus",
-               "data": [[[[x, -x] for x in tricky]], [[[0.0, x] for x in tricky]]]}
-        text = json.dumps(doc)
-        assert json.dumps(channel_to_doc(doc_to_channel(doc), repr_kind="kraus")) == text
+        # an exactly Hermitian choi document is kept as parsed, so the whole
+        # codec shows here, the sign of each zero included
+        doc = {"dim_in": 1, "dim_out": 3, "repr": "choi", "data": [
+            [[1.2345678901234567e100, -0.0], [5e-324, -5e-324], [-0.0, 0.30000000000000004]],
+            [[5e-324, 5e-324], [0.12345678901234568, 0.0], [-5e-324, -0.0]],
+            [[-0.0, -0.30000000000000004], [-5e-324, 0.0], [0.30000000000000004, -0.0]]]}
+        assert json.dumps(channel_to_doc(doc_to_channel(doc))) == json.dumps(doc)
         # a choi document goes through the Hermitian symmetrization and back
         c = np.diag([1.0, 0.12345678901234568, 2.0]).astype(np.complex128)
         c[0, 1] = complex(5e-324, -0.30000000000000004)
@@ -206,17 +209,14 @@ class TestChannelDoc:
                "data": [[[1.0, 0.0], [-0.0, -0.001]], [[-0.0, 0.001], [1.0, -0.0]]]}
         assert json.dumps(channel_to_doc(doc_to_channel(doc))) == json.dumps(doc)
 
-    @pytest.mark.parametrize("repr_kind", ["choi", "kraus"])
-    def test_saved_text_matches_cell_oracle(self, tmp_path, rng, repr_kind):
+    def test_saved_text_matches_cell_oracle(self, tmp_path, rng):
         f = random_cp(rng, 2, 3)
         p = tmp_path / "chan.json"
-        save_channel(f, p, repr_kind=repr_kind, name="random")
+        save_channel(f, p, name="random")
         text = p.read_text()
-        assert text == json.dumps(channel_to_doc(f, repr_kind=repr_kind, name="random")) + "\n"
-        mats = kraus_decompose(f) if repr_kind == "kraus" else [f.choi.entries]
-        want = [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in mats]
-        data = json.loads(text)["data"]
-        assert (data if repr_kind == "kraus" else [data]) == want
+        assert text == json.dumps(channel_to_doc(f, name="random")) + "\n"
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in f.choi.entries]
+        assert json.loads(text)["data"] == want
 
 
 class TestCliCommands:
@@ -416,6 +416,40 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("weights", ["1e100", "1e160", "1e200"])
+    def test_ce_tensor_passes_at_extreme_weight_scales(self, capsys, weights):
+        # closed forms relative to their scale, square roots before products
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["example", "ce-tensor", f"rho={weights},{weights}",
+                         f"sigma={weights},{weights}"])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize("params", [["theta"], ["theta=abc"]], ids=" ".join)
+    def test_malformed_example_parameter_exits_2(self, capsys, params):
+        assert main(["example", "rotation", *params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_exits_3_with_one_internal_error_line(
+            self, channel_files, capsys, monkeypatch):
+        def broken(args, tol):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(cli, "cmd_index", broken)
+        assert main(["index", channel_files["dep3"]]) == 3
+        assert capsys.readouterr() == ("", "internal error: broken command\n")
+
+    def test_scale_ratio_beyond_the_double_range_exits_2(self, tmp_path, capsys):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_channel(from_choi(1, 2, 1e-10 * np.eye(2)), a)
+        write_channel(from_choi(1, 2, 1e300 * np.eye(2)), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean", "--kind", "log", a, b]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale ratio") and err.count("\n") == 1
+
     def test_globals_anywhere(self, channel_files, capsys):
         assert main(["--format", "json", "order", channel_files["id2"],
                      channel_files["id2"]]) == 0
@@ -436,7 +470,7 @@ class TestCliCommands:
         assert "equal" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["--tol", "CPMEAN_DEFAULT_TOL"])
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
     def test_bad_tol_exits_2(self, channel_files, capsys, monkeypatch, source, value):
         argv = ["order", channel_files["id2"], channel_files["id2"]]
         if source == "--tol":
@@ -861,14 +895,10 @@ def _memo_free_read(path):
 
 
 def _assert_same_load(got, want):
-    """Two ``read_doc`` results give the same Choi bits, Kraus operators,
-    dimensions, name and hash."""
+    """Two ``read_doc`` results give the same Choi bits, dimensions, name and hash."""
     (f, name, sha), (g, name_g, sha_g) = got, want
     assert (f.dim_in, f.dim_out, name, sha) == (g.dim_in, g.dim_out, name_g, sha_g)
     assert f.choi.entries.tobytes() == g.choi.entries.tobytes()
-    assert (f.kraus is None) == (g.kraus is None)
-    if f.kraus is not None:
-        assert [k.tobytes() for k in f.kraus] == [k.tobytes() for k in g.kraus]
 
 
 @pytest.fixture
@@ -887,18 +917,17 @@ def decodes(monkeypatch):
 
 class TestDocumentMemo:
     def test_a_choi_save_is_kept_and_reads_as_a_fresh_parse(self, tmp_path, rng):
-        f = gaussian_cp(rng, 2, 3)  # keeps Kraus operators, which a choi document drops
+        f = gaussian_cp(rng, 2, 3)
         p = tmp_path / "f.json"
         save_channel(f, p, name="f")
         hit = read_doc(p)
-        assert hit[0].choi is f.choi  # the map written, not a decode
+        assert hit[0] is f  # the map written, not a decode
         _assert_same_load(hit, _memo_free_read(p))
 
     def test_a_kraus_load_is_kept_and_reads_as_a_fresh_parse(self, tmp_path, rng, decodes):
-        f = gaussian_cp(rng, 3, 2)
         p = tmp_path / "f.json"
-        save_channel(f, p, repr_kind="kraus", name="f")
-        first = read_doc(p)  # a Kraus save is not kept: this decodes
+        write_kraus(gaussian_kraus(rng, 3, 2), p, 3, 2, name="f")
+        first = read_doc(p)  # a file the library did not write: this decodes
         hit = read_doc(p)
         assert hit[0] is first[0] and decodes == ["f"]
         _assert_same_load(hit, _memo_free_read(p))
@@ -923,7 +952,7 @@ class TestDocumentMemo:
             self, tmp_path, rng, capsys, make):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_channel(random_cp(rng, 3, 3, rank=5), a, name="a")
-        save_channel(gaussian_cp(rng, 3, 3), b, repr_kind="kraus", name="b")
+        write_kraus(gaussian_kraus(rng, 3, 3), b, 3, 3, name="b")
         if make[0] == "lebesgue":
             outs = [str(tmp_path / "split.ac.json"), str(tmp_path / "split.sing.json")]
             write = [*make, a, b, "-o", str(tmp_path / "split")]
@@ -973,7 +1002,7 @@ class TestDocumentMemo:
     def test_the_memo_keeps_the_last_three_documents(self, tmp_path, decodes):
         paths = [tmp_path / f"{i}.json" for i in range(5)]
         for i, p in enumerate(paths):
-            save_channel((i + 1.0) * identity(2), p, repr_kind="kraus", name=str(i))
+            write_kraus(kraus_decompose((i + 1.0) * identity(2)), p, 2, 2, name=str(i))
         channeldoc._doc_memo.clear()
         for p in paths:
             read_doc(p)
@@ -992,7 +1021,7 @@ class TestDocumentMemo:
                                                            capsys):
         a, b, m = (str(tmp_path / f"{tag}.json") for tag in ("a", "b", "mean"))
         save_channel(random_cp(rng, 3, 3), a, name="a")
-        save_channel(gaussian_cp(rng, 3, 3), b, repr_kind="kraus", name="b")
+        write_kraus(gaussian_kraus(rng, 3, 3), b, 3, 3, name="b")
         channeldoc._doc_memo.clear()
         for argv in (["mean", "--kind", "geo", a, b, "-o", m], ["verify", m],
                      ["index", a], ["order", a, b]):

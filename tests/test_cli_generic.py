@@ -19,7 +19,7 @@ import pytest
 from cpmean.cli import main
 from cpmean.cpmaps import from_kraus
 
-from conftest import gaussian_cp, random_unitary, write_channel
+from conftest import gaussian_kraus, random_unitary, write_channel
 
 KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
 
@@ -29,8 +29,9 @@ def _generic_pairs(rng, paths):
     for i in range(300):
         m, n = (int(x) for x in rng.integers(1, 4, size=2))
         for path in paths:
-            f = gaussian_cp(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
-            write_channel(f, path, repr_kind=("choi", "kraus")[int(rng.integers(2))])
+            ops = gaussian_kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
+            write_channel(from_kraus(ops, dim_in=m, dim_out=n), path,
+                          kraus=ops if rng.integers(2) else None)
         yield i, m, n
 
 
@@ -45,9 +46,10 @@ def _failure(capsys, argv):
 
 
 def _unitary_mixture(rng, d):
-    """A convex combination of 1-4 random unitary conjugations of M_d."""
+    """Kraus operators of a convex combination of 1-4 random unitary
+    conjugations of M_d."""
     p = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
-    return from_kraus([np.sqrt(w) * random_unitary(rng, d) for w in p], dim_in=d, dim_out=d)
+    return [np.sqrt(w) * random_unitary(rng, d) for w in p]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -68,8 +70,9 @@ def test_every_command_passes_on_generic_document_pairs(tmp_path, capsys, seed):
         runs = [["mean", "--kind", kind, *paths] for kind in KINDS] + [["order", *paths]]
         if m == n:
             runs += [["index", path] for path in paths]
-        write_channel(_unitary_mixture(mix_rng, n), mix,
-                      repr_kind=("choi", "kraus")[int(mix_rng.integers(2))])
+        ops = _unitary_mixture(mix_rng, n)
+        write_channel(from_kraus(ops, dim_in=n, dim_out=n), mix,
+                      kraus=ops if mix_rng.integers(2) else None)
         runs += [["verify", mix], ["index", mix]]
         failures += [(i, argv, bad) for argv in runs if (bad := _failure(capsys, argv))]
     assert failures == []

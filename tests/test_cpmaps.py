@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from cpmean.cpmaps import (
     TOL_FLAGS,
+    CpMap,
     choi_from_action,
     compose,
     cond_exp_diag,
@@ -28,7 +30,7 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, is_psd, pinv_psd
+from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, as_psd, is_psd, pinv_psd
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import (
@@ -72,6 +74,26 @@ class TestChoiConstruction:
     def test_wrong_block_shape(self):
         with pytest.raises(ShapeError):
             choi_from_action(2, 2, lambda e: np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dims, size, match", [
+        ((0, 1), 1, "dimensions must be positive"),
+        ((2, 2), 3, "Choi matrix has size 3, expected 4"),
+    ], ids=["dimension 0", "wrong size"])
+    def test_dimensions_that_do_not_fit_the_choi_matrix_raise_shape_error(
+            self, dims, size, match):
+        with pytest.raises(ShapeError, match=match):
+            CpMap(*dims, as_psd(np.eye(size)))
+
+    def test_negative_scaling_raises_domain_error(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            -1 * identity(2)
+
+    def test_a_map_is_its_choi_matrix_and_hashable(self):
+        f = identity(2)
+        assert [field.name for field in dataclasses.fields(f)] == ["dim_in", "dim_out", "choi"]
+        assert hash(f) == hash(CpMap(2, 2, f.choi))
+        assert {f, CpMap(2, 2, f.choi)} == {f}
+        assert CpMap(2, 2, f.choi) != identity(2)  # another Choi matrix object
 
 
 # A symbol whose Hermitian part is the identity, and one Hermitian within TOL_HERM.
@@ -176,14 +198,21 @@ class TestKraus:
             got = from_kraus(ops).choi.entries
             assert max_abs(got - want) <= 1e-14 * k * max_abs(want)
 
-    def test_operators_are_read_only_copies(self):
-        op = np.eye(2)
+    def test_the_map_does_not_alias_the_operators(self):
+        op = np.eye(2, dtype=np.complex128)
         f = from_kraus([op])
-        with pytest.raises(ValueError):
-            f.kraus[0][0, 0] = 5
-        op[0, 0] = 5  # the caller's array is not the map's
-        assert f.kraus[0][0, 0] == 1.0
+        op[0, 0] = 5
         assert f.choi.entries[0, 0] == 1.0
+
+    @pytest.mark.parametrize("ops, dims, match", [
+        ([], {}, "explicit dimensions"),
+        ([], {"dim_in": 2}, "explicit dimensions"),
+        ([np.eye(2)], {"dim_in": 3, "dim_out": 2}, "dim_out x dim_in"),
+        ([np.eye(2), np.ones((2, 3))], {}, "inconsistent"),
+    ], ids=["empty", "empty with dim_in", "first off the dimensions", "two shapes"])
+    def test_operators_off_their_dimensions_raise_shape_error(self, ops, dims, match):
+        with pytest.raises(ShapeError, match=match):
+            from_kraus(ops, **dims)
 
     @pytest.mark.parametrize("ops", [[np.ones(3)], [np.array(1.0)], [np.eye(2), np.ones((2, 2, 2))]],
                              ids=["1-D", "0-D", "3-D second"])
@@ -379,6 +408,10 @@ class TestTensorCompose:
         got = compose(identity(3), f)
         assert max_abs(got.choi.entries - f.choi.entries) < 1e-13
 
+    def test_compose_of_maps_that_do_not_chain_raises_shape_error(self, rng):
+        with pytest.raises(ShapeError, match="cannot compose 2->2 after 2->3"):
+            compose(identity(2), random_cp(rng, 2, 3))
+
     def test_compose_matches_apply(self, rng):
         f = random_cp(rng, 2, 3)
         g = random_cp(rng, 3, 2)
@@ -547,6 +580,11 @@ class TestZoo:
     def test_unitary_conj_requires_unitary(self):
         with pytest.raises(DomainError):
             unitary_conj(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("u", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "1-D"])
+    def test_unitary_conj_requires_a_square_matrix(self, u):
+        with pytest.raises(DomainError, match="square"):
+            unitary_conj(u)
 
     def test_cond_exp_tensor_validation(self):
         with pytest.raises(DomainError):

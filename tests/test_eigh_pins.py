@@ -15,7 +15,7 @@ from cpmean import cli, cpmaps, lebesgue, opmeans
 from cpmean.channeldoc import save_channel
 from cpmean.opmeans import MeanKind
 
-from conftest import random_cp
+from conftest import random_cp, write_kraus
 
 # (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
 PINS = [
@@ -106,8 +106,8 @@ def pair(tmp_path_factory):
     paths = [str(tmp / name) for name in ("f.json", "g.json", "geo.json", "fk.json", "gk.json")]
     save_channel(f, paths[0])
     save_channel(g, paths[1])
-    save_channel(f, paths[3], repr_kind="kraus")
-    save_channel(g, paths[4], repr_kind="kraus")
+    write_kraus(cpmaps.kraus_decompose(f), paths[3], 4, 4)
+    write_kraus(cpmaps.kraus_decompose(g), paths[4], 4, 4)
     return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g), paths
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cpmean.cpmaps import from_choi, functional
 from cpmean.errors import NonConvergence, ShapeError
-from cpmean.hermlinalg import SpectralPair, Verdict, is_psd
+from cpmean.hermlinalg import HermitianMatrix, SpectralPair, Verdict, is_psd
 from cpmean.lebesgue import (
     TOL_ADD,
     TOL_LIM,
@@ -173,6 +173,16 @@ class TestOracle:
         monkeypatch.setattr(lebesgue, "parallel_sum", recording)
         assert max_abs(ac_part_oracle(f, g).choi.entries) < 1e-14
         assert stages and max(max_abs(x) for x in stages) < 1e-14
+
+    def test_extrapolant_that_is_not_psd_raises_with_its_lowest_eigenvalue(self, monkeypatch):
+        # every stage returns one indefinite matrix, so the table converges at
+        # once and its extrapolant is that matrix, with eigenvalue -0.5
+        f = from_choi(1, 2, np.eye(2))
+        monkeypatch.setattr(lebesgue, "parallel_sum",
+                            lambda a, b: HermitianMatrix(np.diag([1.0, -0.5])))
+        with pytest.raises(NonConvergence, match="extrapolated limit") as info:
+            ac_part_oracle(f, f)
+        assert info.value.estimate == 0.5
 
     def test_planted_pairs(self, rng):
         for _ in range(10):

@@ -1,10 +1,11 @@
+import math
 import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from cpmean import opmeans
+from cpmean import cpmaps, opmeans
 from cpmean.errors import DomainError, InvalidInput, ShapeError
 from cpmean.hermlinalg import PsdMatrix, is_psd
 from cpmean.opmeans import (
@@ -14,6 +15,7 @@ from cpmean.opmeans import (
     LOG,
     PARALLEL,
     TOL_MEAN,
+    ConnectionRep,
     MeanKind,
     arithmetic_mean,
     geometric_mean,
@@ -326,6 +328,39 @@ class TestExtremeScales:
         got = log_mean(np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)
 
+    # the scalar mean u σ v of each kind, and of one custom connection, 0.5u
+    # + 0.25v + 3uv/(2u + v), each formed so that no step leaves the double range
+    SCALAR = {
+        "arith": lambda u, v: 0.5 * u + 0.5 * v,
+        "geo": lambda u, v: math.sqrt(u) * math.sqrt(v),
+        "harm": lambda u, v: 2.0 * u * (v / (u + v)),
+        "parallel": lambda u, v: u * (v / (u + v)),
+        "log": lambda u, v: (u - v) / (math.log(u) - math.log(v)),
+        "power:0.3": lambda u, v: u ** 0.7 * v ** 0.3,
+        "custom": lambda u, v: 0.5 * u + 0.25 * v + 3.0 * u * (v / (2.0 * u + v)),
+    }
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
+    @pytest.mark.parametrize("large", [1e297, 1e300])
+    @pytest.mark.parametrize("text", list(SCALAR))
+    def test_scale_ratio_beyond_the_double_range_is_a_domain_error(self, text, large, swap):
+        # s_B/s_A = 1e307 is a double, 1e310 is not: the mean matches the
+        # scalar mean or raises DomainError, and never writes a warning
+        u, v = (large, 1e-10) if swap else (1e-10, large)
+        kind = (MeanKind.custom(ConnectionRep(0.5, 0.25, ((2.0, 1.0),))) if text == "custom"
+                else MeanKind.parse(text))
+        f, g = (cpmaps.from_choi(1, 2, x * np.eye(2)) for x in (u, v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = cpmaps.mean_cp(kind, f, g).choi.entries
+            except DomainError as exc:
+                assert large == 1e300 and text != "arith"
+                assert "scale ratio" in str(exc)
+                return
+        want = self.SCALAR[text](u, v)
+        assert max_abs(got - want * np.eye(2)) <= 1e-12 * want
+
 
 class TestMeanDispatch:
     def test_kinds(self, rng):
@@ -341,6 +376,10 @@ class TestMeanDispatch:
         assert max_abs(mean(LOG, a, b).entries - log_mean(a, b).entries) == 0
         assert max_abs(mean(MeanKind.power(0.25), a, b).entries
                        - power_mean(a, b, 0.25).entries) == 0
+
+    def test_custom_kind_requires_a_rep(self):
+        with pytest.raises(DomainError, match="requires a ConnectionRep"):
+            MeanKind("custom")
 
     def test_parse(self):
         assert MeanKind.parse("geo").tag == "geo"

@@ -293,7 +293,7 @@ PUBLIC_NAMES = [
 # exception that takes the built-in ``*args``
 SIGNATURES = {
     "ConnectionRep": ("a", "b", "atoms", "transposed", "adjoint", "power"),
-    "CpMap": ("dim_in", "dim_out", "choi", "kraus"),
+    "CpMap": ("dim_in", "dim_out", "choi"),
     "CpMeanError": None, "DomainError": None,
     "HermitianMatrix": ("entries",),
     "InvalidInput": None,
@@ -340,7 +340,7 @@ SIGNATURES = {
     "power_mean": ("a", "b", "alpha"),
     "power_rep": ("alpha",),
     "psd_sqrt": ("a",),
-    "save_channel": ("f", "path", "repr_kind", "name"),
+    "save_channel": ("f", "path", "name"),
     "schur": ("a",),
     "state_mean_quantities": ("rho", "sigma"),
     "tensor": ("f", "g"),
