@@ -64,8 +64,8 @@ from .cpmaps import (
     identity,
     index_cp,
     kraus_decompose,
-    leq_cp,
     mean_cp,
+    order_cp,
     schur,
     state_mean_quantities,
     tensor,
@@ -79,6 +79,6 @@ from .lebesgue import (
     is_abs_continuous,
     is_singular,
 )
-from .channeldoc import load_channel, save_channel
+from .channeldoc import read_doc, save_channel
 
 __version__ = "0.1.0"

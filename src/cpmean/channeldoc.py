@@ -154,8 +154,3 @@ def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:
             raise ParseError(f"malformed JSON in {path}: {exc}") from exc
         entry = _remember(sha256, doc_to_channel(doc), doc.get("name"))
     return (*entry, sha256)
-
-
-def load_channel(path: str | os.PathLike) -> CpMap:
-    """Read and verify a channel document from a file."""
-    return read_doc(path)[0]

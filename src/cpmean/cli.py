@@ -11,10 +11,9 @@ With -o, the report names each document written by its path and the SHA-256
 of its bytes ("written") in place of the Choi matrix it holds.
 
 Global flags (accepted before or after the subcommand): --format text|json
-and --tol FLOAT, the PSD tolerance of order/verify, which verify also takes as
-the absolute bound on the unital and trace-preserving defects.  Without --tol
-the environment variable CPMEAN_DEFAULT_TOL, when set, supplies it.  Either
-must be a finite number >= 0; any other value exits 2.
+and --tol FLOAT, the PSD tolerance of order/verify (default 1e-9), which
+verify also takes as the absolute bound on the unital and trace-preserving
+defects.  It must be a finite number >= 0; any other value exits 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 a failed check or an
 internal error.
@@ -41,18 +40,15 @@ from .report import Report
 
 
 def _tolerance(flag: str | None) -> float:
-    """The PSD tolerance: --tol, else CPMEAN_DEFAULT_TOL if set, else ``TOL_PSD``."""
-    source, text = "--tol", flag
-    if text is None:
-        source, text = "CPMEAN_DEFAULT_TOL", os.environ.get("CPMEAN_DEFAULT_TOL")
-        if not text:
-            return hermlinalg.TOL_PSD
+    """The PSD tolerance: --tol if given, else ``TOL_PSD``."""
+    if flag is None:
+        return hermlinalg.TOL_PSD
     try:
-        val = float(text)
+        val = float(flag)
     except ValueError:
         val = math.nan
     if not (math.isfinite(val) and val >= 0.0):
-        raise DomainError(f"{source} must be a finite number >= 0, got {text!r}")
+        raise DomainError(f"--tol must be a finite number >= 0, got {flag!r}")
     return val
 
 
@@ -167,7 +163,7 @@ def cmd_order(args, tol: float) -> list[Report]:
     g, _ = _load(rep, args.path_b)
     le, ge = order_cp(f, g, tol)
     verdict = {(True, True): "equal", (True, False): "<=cp",
-               (False, True): ">=cp", (False, False): "incomparable"}[(le, ge)]
+               (False, True): ">=cp", (False, False): "incomparable"}[(bool(le), bool(ge))]
     rep.outputs["order"] = verdict
     rep.outputs["tolerance"] = tol
     return [rep]
@@ -239,11 +235,7 @@ def cmd_example(args, tol: float) -> list[Report]:
         return [run_example(name) for name in REGISTRY]
     if not args.name:
         raise UnknownExample("example requires a name or --all")
-    # tolerate a single quoted argument like "rotation theta=0.5"
-    pieces = args.name.split()
-    name, inline = pieces[0], pieces[1:]
-    params = _parse_params(list(inline) + list(args.params))
-    return [run_example(name, **params)]
+    return [run_example(args.name, **_parse_params(args.params))]
 
 
 def _emit(reports: list[Report], fmt: str) -> None:

@@ -171,23 +171,16 @@ def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     return ops
 
 
-def leq_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> Verdict:
-    """CP order: F <= G iff C_G - C_F is PSD, decided by ``is_psd`` of that difference."""
-    _check_same_dims(f, g)
-    return is_psd(g.choi.entries - f.choi.entries, tol)
-
-
-def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[bool, bool]:
+def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
     """``(F <= G, G <= F)`` in the CP order from one eigendecomposition of C_G - C_F.
 
-    The second verdict reads the spectrum of C_G - C_F negated, so it can
-    differ from ``leq_cp(g, f, tol)`` only where two eigendecompositions of
-    the same matrix, up to sign, round differently at the bound.
+    F <= G is ``is_psd`` of C_G - C_F; G <= F reads the same spectrum negated,
+    ``max(0, lambda_max)`` against the same bound.
     """
     _check_same_dims(f, g)
     h = HermitianMatrix(g.choi.entries - f.choi.entries)
-    v = is_psd(h, tol)
-    return bool(v), max(0.0, float(h.eig()[0][-1])) <= v.bound
+    le = is_psd(h, tol)
+    return le, Verdict(max(0.0, float(h.eig()[0][-1])), le.bound)
 
 
 def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:

@@ -17,11 +17,12 @@ keeps the last spectral pair and its two operands (1-2 MB at Choi 144).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError
+from .errors import DomainError, InvalidInput, ShapeError
 
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
@@ -241,6 +242,14 @@ class SpectralPair:
         self.z = (self.u * np.sqrt(self.w)) @ self.v
         for x in (self.u, self.w, self.v, self.t, self.z):
             x.flags.writeable = False
+
+    def ratio(self) -> float:
+        """``s_B/s_A``; DomainError where it or 1/it overflows: one side would round away."""
+        r = self.sb / self.sa
+        if math.isinf(max(r, self.sa / self.sb)):
+            raise DomainError(f"scale ratio s_B/s_A = {self.sb:.3g}/{self.sa:.3g} "
+                              "is beyond double range")
+        return r
 
 
 @functools.lru_cache(maxsize=1)

@@ -139,7 +139,7 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     construction; how closely their sum reproduces C_G is the split's recon
     verdict, returned whether or not it holds.  alpha_min is ``s_G/s_F`` times
     the largest ``(1 - t) / t`` over the support of A': it scales by s/c when
-    F and G are scaled by c and s.
+    F and G are scaled by c and s.  DomainError where s_G/s_F or s_F/s_G overflows.
     """
     p = _pair(f, g)
     phi, h_ac, h_sing = _split(p)
@@ -149,7 +149,7 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        alpha_min=p.sb / p.sa * float(((1.0 - tp) / tp).max(initial=0.0)),
+        alpha_min=p.ratio() * float(((1.0 - tp) / tp).max(initial=0.0)),
         recon=Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm())),
     )
 

@@ -19,7 +19,6 @@ Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,13 +45,10 @@ def _connect(a, b, sigma) -> PsdMatrix:
 
     sigma connects two scalars u, v >= 0, not both zero.  The ratio r keeps
     both within range, where the product of the two scales would underflow;
-    where r or 1/r overflows, the smaller side would round away: DomainError.
+    ``SpectralPair.ratio`` raises DomainError where r or 1/r overflows.
     """
     p = _shared_pair(*_check_pair(a, b))
-    r = p.sb / p.sa
-    if math.isinf(max(r, p.sa / p.sb)):
-        raise DomainError(f"scale ratio s_B/s_A = {p.sb:.3g}/{p.sa:.3g} is beyond double range")
-    d = sigma(p.t, r * (1.0 - p.t))
+    d = sigma(p.t, p.ratio() * (1.0 - p.t))
     out = p.sa * ((p.z * d) @ p.z.conj().T)
     return PsdMatrix.clamped(out, TOL_MEAN * float(np.abs(out).max()))
 

@@ -76,6 +76,7 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, HermitianMatrix):
+        e = value.entries  # np.round(e, 10) scales by 1e10, which overflows above 1.8e298
         with np.printoptions(precision=6, suppress=True, linewidth=120):
-            return "\n" + str(np.round(value.entries, 10))
+            return "\n" + str(np.round(e, 10) if np.abs(e).max() < 1e298 else e)
     return str(value)

@@ -111,10 +111,10 @@ def write_channel(f: CpMap, path, name: str | None = None, kraus=None) -> None:
 
 
 def read_channel(path) -> CpMap:
-    """``load_channel`` with the document memo dropped first: the map decoded
+    """``read_doc(path)[0]`` with the document memo dropped first: the map decoded
     and admitted from the file's bytes, not one kept from its save."""
     channeldoc._doc_memo.clear()
-    return channeldoc.load_channel(path)
+    return channeldoc.read_doc(path)[0]
 
 
 @pytest.fixture(autouse=True)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from cpmean.channeldoc import channel_to_doc, load_channel
+from cpmean.channeldoc import channel_to_doc, read_doc
 from cpmean.cli import main as cli_main
 from cpmean.cpmaps import (
     compose,
@@ -21,8 +21,8 @@ from cpmean.cpmaps import (
     from_choi,
     identity,
     index_cp,
-    leq_cp,
     mean_cp,
+    order_cp,
     schur,
     state_mean_quantities,
     tensor,
@@ -267,7 +267,7 @@ def test_criterion_09_lebesgue_suite():
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
                 theta = from_choi(m, n, clamp_psd(
                     shorted_to_subspace(g.choi.entries, mix), tol=1e-7).entries)
-                maximality_ok &= bool(leq_cp(theta, split.ac, tol=1e-7))
+                maximality_ok &= bool(order_cp(theta, split.ac, tol=1e-7)[0])
         # alpha_min minimality within 1e-6 relative, by bisection
         if split.alpha_min > 0.0 and not math.isinf(split.alpha_min):
             lo, hi = 0.0, 2.0 * split.alpha_min + 1.0
@@ -333,7 +333,7 @@ def test_criterion_12_cli(tmp_path):
     f = random_cp(np.random.default_rng(12), 2, 2)
     p = tmp_path / "chan.json"
     write_channel(f, p)
-    round_trip_exact = np.array_equal(load_channel(p).choi.entries, f.choi.entries)
+    round_trip_exact = np.array_equal(read_doc(p)[0].choi.entries, f.choi.entries)
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim_in": 2,')
     code_bad = cli_main(["verify", str(bad)])

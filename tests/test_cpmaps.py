@@ -21,7 +21,6 @@ from cpmean.cpmaps import (
     identity,
     index_cp,
     kraus_decompose,
-    leq_cp,
     mean_cp,
     order_cp,
     schur,
@@ -266,27 +265,25 @@ class TestApply:
 class TestOrder:
     def test_reflexive_and_scaled(self, rng):
         f = random_cp(rng, 2, 2)
-        assert leq_cp(f, f) == Verdict(0.0, TOL_PSD)  # C_F - C_F = 0, bound tol max(1, 0)
-        assert leq_cp(0.5 * f, f)
+        assert order_cp(f, f)[0] == Verdict(0.0, TOL_PSD)  # C_F - C_F = 0, bound tol max(1, 0)
+        assert order_cp(0.5 * f, f)[0]
 
     def test_id_not_below_depolarizing(self):
-        assert not leq_cp(identity(2), depolarizing(2))
+        assert not order_cp(identity(2), depolarizing(2))[0]
 
     def test_matches_apply_level_domination(self, rng):
         f = random_cp(rng, 2, 2, lo=0.1, hi=1.0)
         g = f + random_cp(rng, 2, 2, lo=0.1, hi=1.0)
-        assert leq_cp(f, g)
+        assert order_cp(f, g)[0]
         for _ in range(5):
             x = random_psd(rng, 2)
             assert min_eig(g.apply(x) - f.apply(x)) > -1e-9
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            leq_cp(identity(2), identity(3))
-        with pytest.raises(ShapeError):
             order_cp(identity(2), identity(3))
 
-    def test_order_cp_matches_two_leq_cp(self, rng):
+    def test_order_cp_matches_is_psd_of_both_differences(self, rng):
         f = random_cp(rng, 2, 3)
         pairs = [
             (f, f),
@@ -301,9 +298,11 @@ class TestOrder:
         for tol in (1e-9, 10.0):
             seen = set()
             for a, b in pairs:
-                both = order_cp(a, b, tol)
-                assert both == (bool(leq_cp(a, b, tol)), bool(leq_cp(b, a, tol)))
-                seen.add(both)
+                le, ge = order_cp(a, b, tol)
+                d = b.choi.entries - a.choi.entries
+                assert le == is_psd(d, tol)  # the same eigendecomposition
+                assert bool(ge) == bool(is_psd(-d, tol))
+                seen.add((bool(le), bool(ge)))
             if tol == 1e-9:  # equal, <=, >= and incomparable all occur
                 assert len(seen) == 4
 
@@ -444,10 +443,10 @@ class TestTensorCompose:
         xi = random_cp(rng, 2, 2)
         left = compose(xi, mean_cp(GEO, f, g))
         right = mean_cp(GEO, compose(xi, f), compose(xi, g))
-        assert leq_cp(left, right, tol=1e-8)
+        assert order_cp(left, right, tol=1e-8)[0]
         left2 = compose(mean_cp(GEO, f, g), xi)
         right2 = mean_cp(GEO, compose(f, xi), compose(g, xi))
-        assert leq_cp(left2, right2, tol=1e-8)
+        assert order_cp(left2, right2, tol=1e-8)[0]
 
     def test_automorphism_covariance(self, rng):
         f = random_cp(rng, 2, 2)

@@ -39,7 +39,6 @@ PINS = [
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
     ("kraus_decompose", (0, 0)),  # likewise
     ("order_cp", (1, 0)),         # eig of C_G - C_F
-    ("leq_cp", (1, 0)),           # likewise
     # down from (1, 0): the verdict reads only the 2mn block's eigenvalues
     ("geo_certificate", (0, 1)),
     # sums, scalings, tensor products and compositions of admitted maps are
@@ -150,7 +149,6 @@ def _operation(name, f, g, geo, paths):
         "index_cp": lambda: cpmaps.index_cp(f),
         "kraus_decompose": lambda: cpmaps.kraus_decompose(f),
         "order_cp": lambda: cpmaps.order_cp(f, g),
-        "leq_cp": lambda: cpmaps.leq_cp(f, g),
         "geo_certificate": lambda: cpmaps.geo_certificate(f, g, geo),
         "CpMap +": lambda: f + g,
         "CpMap scalar *": lambda: 2.5 * f,

@@ -166,8 +166,9 @@ class TestIsPsd:
             f, g = cpmaps.from_choi(1, n, shift), cpmaps.from_choi(1, n, shift + h)
             d = g.choi.entries - f.choi.entries
             for tol in (1e-9, 1.0):
-                assert cpmaps.order_cp(f, g, tol) == (bool(is_psd(d, tol)),
-                                                      bool(is_psd(-d, tol)))
+                le, ge = cpmaps.order_cp(f, g, tol)
+                assert le == is_psd(d, tol)
+                assert (bool(ge), ge.bound) == (bool(is_psd(-d, tol)), le.bound)
 
     def test_verdict_is_the_eigenvalue_bound(self):
         # diagonal spectra are exact, so each verdict sits on its bound

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpmean.cpmaps import from_choi, functional
-from cpmean.errors import NonConvergence, ShapeError
+from cpmean.errors import DomainError, NonConvergence, ShapeError
 from cpmean.hermlinalg import HermitianMatrix, SpectralPair, Verdict, is_psd
 from cpmean.lebesgue import (
     TOL_ADD,
@@ -18,7 +18,7 @@ from cpmean.lebesgue import (
 )
 from cpmean import lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
-from cpmean.cpmaps import leq_cp
+from cpmean.cpmaps import order_cp
 
 from conftest import (
     clamp_psd, gaussian_cp, max_abs, min_eig, random_cp, random_psd, random_unitary, support_proj)
@@ -140,7 +140,7 @@ class TestAcPart:
 
     def test_dominated_by_target(self, rng):
         f, g = planted_pair(rng, 1, 4)
-        assert leq_cp(ac_part(f, g), g, tol=1e-8)
+        assert order_cp(ac_part(f, g), g, tol=1e-8)[0]
 
 
 class TestOracle:
@@ -358,8 +358,8 @@ class TestDecompose:
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
                 theta_choi = shorted_to_subspace(g.choi.entries, mix)
                 theta = from_choi(1, 4, clamp_psd(theta_choi, tol=1e-7).entries)
-                assert leq_cp(theta, g, tol=1e-7)
-                assert leq_cp(theta, split.ac, tol=1e-7)
+                assert order_cp(theta, g, tol=1e-7)[0]
+                assert order_cp(theta, split.ac, tol=1e-7)[0]
 
 
 class TestPredicates:
@@ -616,6 +616,21 @@ class TestIndependentScales:
         assert max_abs(split.sing.choi.entries) <= 1e-14 * 1e12
         assert split.alpha_min == pytest.approx(1e24, rel=1e-12)
         assert is_abs_continuous(g, f)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
+    @pytest.mark.parametrize("large", [1e297, 1e300])
+    def test_scale_ratio_beyond_the_double_range_is_a_domain_error(self, large, swap):
+        # s_G/s_F = 1e307 is a double, 1e310 is not: alpha_min, the least alpha
+        # with C_G <= alpha C_F, or DomainError in place of inf or a subnormal
+        small = from_choi(1, 2, 1e-10 * np.eye(2))
+        big = from_choi(1, 2, large * np.array([[1.0, 0.5], [0.5, 1.0]]))
+        f, g = (big, small) if swap else (small, big)
+        if large == 1e300:
+            with pytest.raises(DomainError, match="scale ratio"):
+                decompose(f, g)
+        else:
+            want = 1e-10 / (0.5 * large) if swap else 1.5 * large / 1e-10
+            assert decompose(f, g).alpha_min == pytest.approx(want, rel=1e-15)
 
     def test_full_rank_reference_takes_all_of_the_target(self):
         rng = np.random.default_rng(2026)

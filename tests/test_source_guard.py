@@ -14,7 +14,8 @@ the split against Ando's closed form ``lebesgue._ando_ac``, and
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
-Only ``channeldoc`` reads or writes its document memo.
+Only ``channeldoc`` reads or writes its document memo, and no module reads
+the environment: ``--tol`` alone sets the tolerance.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -172,6 +173,23 @@ def test_document_memo_guard_sees_a_planted_copy():
     assert not _reads("memo = {}  # _doc_memo\nx = '_recall'\n", "_doc_memo")
 
 
+# os.environ and os.getenv, used or imported by name
+ENV_READS = ("environ", "getenv")
+
+
+def test_no_module_reads_the_environment():
+    offenders = {name: found for name, text in _sources()
+                 if (found := [n for n in ENV_READS if _reads(text, n)])}
+    assert offenders == {}
+
+
+def test_environment_guard_sees_a_planted_read():
+    assert _reads('def _tol():\n    return os.environ.get("CPMEAN_DEFAULT_TOL")\n', "environ")
+    assert _reads('tol = os.getenv("CPMEAN_DEFAULT_TOL", "1e-9")\n', "getenv")
+    assert _reads("from os import environ\n", "environ")
+    assert not _reads("import os\nx = 'os.environ'  # getenv\n", "environ")
+
+
 # (file, top-level function) of each functools cache in src/: the two parsers
 # and the one-slot spectral pair
 LRU_CACHE_SITES = {("cli.py", "_build_parser"), ("cli.py", "_globals_parser"),
@@ -282,9 +300,9 @@ PUBLIC_NAMES = [
     "depolarizing", "dual_rep", "from_choi", "from_kraus", "functional",
     "geo_certificate", "geometric_mean", "harmonic_mean", "identity",
     "index_cp", "is_abs_continuous", "is_psd", "is_singular",
-    "kraus_decompose", "leq_cp", "load_channel", "log_mean", "mean", "mean_cp",
+    "kraus_decompose", "log_mean", "mean", "mean_cp", "order_cp",
     "parallel_sum", "pinv_psd", "power_mean", "power_rep", "psd_sqrt",
-    "save_channel", "schur", "state_mean_quantities", "tensor",
+    "read_doc", "save_channel", "schur", "state_mean_quantities", "tensor",
     "transpose_rep", "unitary_conj",
 ]
 
@@ -330,16 +348,16 @@ SIGNATURES = {
     "is_psd": ("h", "tol"),
     "is_singular": ("f", "g"),
     "kraus_decompose": ("f",),
-    "leq_cp": ("f", "g", "tol"),
-    "load_channel": ("path",),
     "log_mean": ("a", "b"),
     "mean": ("kind", "a", "b"),
     "mean_cp": ("kind", "f", "g"),
+    "order_cp": ("f", "g", "tol"),
     "parallel_sum": ("a", "b"),
     "pinv_psd": ("a",),
     "power_mean": ("a", "b", "alpha"),
     "power_rep": ("alpha",),
     "psd_sqrt": ("a",),
+    "read_doc": ("path",),
     "save_channel": ("f", "path", "name"),
     "schur": ("a",),
     "state_mean_quantities": ("rho", "sigma"),
