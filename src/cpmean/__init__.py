@@ -37,15 +37,10 @@ from .opmeans import (
     ConnectionRep,
     MeanKind,
     adjoint_rep,
-    arithmetic_mean,
-    connection_apply,
     dual_rep,
     geometric_mean,
-    harmonic_mean,
-    log_mean,
     mean,
     parallel_sum,
-    power_mean,
     power_rep,
     transpose_rep,
 )

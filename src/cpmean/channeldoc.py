@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .cpmaps import CpMap, from_choi, from_kraus
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .hermlinalg import PsdMatrix
 
 _DOC_SLOTS = 3
@@ -43,10 +43,10 @@ _doc_memo: dict[str, tuple[CpMap, str | None]] = {}
 _doc_memo_lock = threading.Lock()
 
 
-def _remember(sha256: str, chan: CpMap, name) -> tuple[CpMap, str | None]:
+def _remember(sha256: str, chan: CpMap, name: str | None) -> tuple[CpMap, str | None]:
     """Keep (chan, name) for the bytes of hash sha256, dropping the least
     recently used entry beyond ``_DOC_SLOTS``; an empty name is kept as None."""
-    entry = (chan, str(name) if name else None)
+    entry = (chan, name or None)
     with _doc_memo_lock:
         _doc_memo.pop(sha256, None)
         _doc_memo[sha256] = entry
@@ -126,7 +126,9 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     """Write the choi document of f, the text of ``channel_to_doc``, and
     return the SHA-256 of the bytes written.  An admitted map is kept in the
     memo under that hash, as reading the bytes back gives its Choi matrix
-    bit for bit."""
+    bit for bit.  A name must be a string."""
+    if name is not None and not isinstance(name, str):
+        raise DomainError(f"document name must be a string, got {type(name).__name__}")
     raw = (json.dumps(channel_to_doc(f, name)) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(raw)
@@ -152,5 +154,9 @@ def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:
             doc = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-        entry = _remember(sha256, doc_to_channel(doc), doc.get("name"))
+        chan = doc_to_channel(doc)
+        name = doc.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ParseError(f"document name must be a string, got {type(name).__name__}")
+        entry = _remember(sha256, chan, name)
     return (*entry, sha256)

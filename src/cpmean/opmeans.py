@@ -13,8 +13,9 @@ and the final clamp's two, each next one on the same objects the clamp's.
 ``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
 independent reference of the parallel-sum limit.
 
-Scale convention for the power mean: ``power_mean(A, B, a)`` carries weight
-``a`` on B, so commuting scalars give ``r**(1-a) * s**a``.
+Every mean is evaluated by ``mean(kind, A, B)``.  Scale convention for the
+power mean: ``MeanKind.power(a)`` carries weight ``a`` on B, so commuting
+scalars r (A) and s (B) give ``r**(1-a) * s**a``.
 """
 
 from __future__ import annotations
@@ -85,17 +86,6 @@ def parallel_sum(a, b) -> PsdMatrix:
     return PsdMatrix.clamped(out, TOL_MEAN * c.norm())
 
 
-def harmonic_mean(a, b) -> PsdMatrix:
-    """Harmonic mean ``2 (A : B)``, the connection ``2uv/(u + v)``."""
-    return _connect(a, b, lambda u, v: 2.0 * _parallel(u, v))
-
-
-def arithmetic_mean(a, b) -> PsdMatrix:
-    """Arithmetic mean ``(A + B) / 2``."""
-    a, b = _check_pair(a, b)
-    return PsdMatrix._trusted(0.5 * (a.entries + b.entries))
-
-
 def geometric_mean(a, b) -> PsdMatrix:
     """Operator geometric mean A # B.
 
@@ -104,32 +94,6 @@ def geometric_mean(a, b) -> PsdMatrix:
     ``[[A, X], [X, B]] >= 0``, whose range is ran(A) ∩ ran(B).
     """
     return _connect(a, b, lambda u, v: np.sqrt(u) * np.sqrt(v))
-
-
-def power_mean(a, b, alpha: float) -> PsdMatrix:
-    """Weighted geometric (power) mean with weight alpha on the second argument.
-
-    alpha = 0 returns A, alpha = 1 returns B, alpha = 1/2 is the geometric
-    mean.  Raises DomainError for alpha outside [0, 1].
-    """
-    a, b = _check_pair(a, b)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"power mean weight must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return a
-    if alpha == 1.0:
-        return b
-    return _connect(a, b, power_rep(alpha)._pair)
-
-
-def log_mean(a, b) -> PsdMatrix:
-    """Logarithmic mean, the connection of ``(x - 1)/log x``.
-
-    Evaluated in closed form; it equals the integral of the power mean over
-    its weight in (0, 1), and the scalar mean ``(r - s)/(log r - log s)`` on
-    commuting pairs.
-    """
-    return _connect(a, b, _log)
 
 
 @dataclass(frozen=True)
@@ -153,8 +117,9 @@ class ConnectionRep:
     power: float | None = None
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise DomainError("constant and linear coefficients must be nonnegative")
+        if not (0.0 <= self.a < np.inf and 0.0 <= self.b < np.inf):
+            raise DomainError("constant and linear coefficients must be finite and "
+                              f"nonnegative, got {self.a} and {self.b}")
         for lam, wt in self.atoms:
             if not (lam > 0.0 and np.isfinite(lam)):
                 raise DomainError(f"atom location must be positive, got {lam}")
@@ -202,7 +167,10 @@ class ConnectionRep:
 
 @dataclass(frozen=True)
 class MeanKind:
-    """Tagged selector for a mean: arith, geo, harm, parallel, power, log, custom."""
+    """Tagged selector for a mean: arith, geo, harm, parallel, power, log, custom.
+
+    ``alpha`` is given with power alone and ``rep`` with custom alone.
+    """
 
     tag: str
     alpha: float | None = None
@@ -216,8 +184,13 @@ class MeanKind:
         if self.tag == "power":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise DomainError("power mean requires alpha in [0, 1]")
-        if self.tag == "custom" and self.rep is None:
-            raise DomainError("custom mean requires a ConnectionRep")
+        elif self.alpha is not None:
+            raise DomainError(f"{self.tag} mean takes no alpha")
+        if self.tag == "custom":
+            if self.rep is None:
+                raise DomainError("custom mean requires a ConnectionRep")
+        elif self.rep is not None:
+            raise DomainError(f"{self.tag} mean takes no ConnectionRep")
 
     @classmethod
     def power(cls, alpha: float) -> "MeanKind":
@@ -246,40 +219,44 @@ HARM = MeanKind("harm")
 PARALLEL = MeanKind("parallel")
 LOG = MeanKind("log")
 
+# The two-scalar function u σ v of each fixed kind that ``_connect`` evaluates.
+_SIGMA = {"harm": lambda u, v: 2.0 * _parallel(u, v), "parallel": _parallel, "log": _log}
+
 
 def mean(kind: MeanKind, a, b) -> PsdMatrix:
-    """Dispatch a mean/connection by kind."""
+    """The mean or connection ``A σ B`` of the given kind.
+
+    arith is ``(A + B)/2``, harm ``2 (A : B)``, parallel ``A : B``, log the
+    connection of ``(x - 1)/log x`` (the integral of the power mean over its
+    weight in (0, 1)).  ``power(alpha)`` carries weight alpha on B and returns
+    the admitted A or B itself at alpha 0 or 1.  A custom kind evaluates its
+    ConnectionRep; without flags that is
+    ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``.
+    """
     if kind.tag == "arith":
-        return arithmetic_mean(a, b)
+        a, b = _check_pair(a, b)
+        return PsdMatrix._trusted(0.5 * (a.entries + b.entries))
     if kind.tag == "geo":
         return geometric_mean(a, b)
-    if kind.tag == "harm":
-        return harmonic_mean(a, b)
-    if kind.tag == "parallel":
-        return _connect(a, b, _parallel)
     if kind.tag == "power":
-        return power_mean(a, b, kind.alpha)
-    if kind.tag == "log":
-        return log_mean(a, b)
-    return connection_apply(kind.rep, a, b)
-
-
-def connection_apply(rep: ConnectionRep, a, b) -> PsdMatrix:
-    """Connection of ``rep`` on (A, B) from its two-scalar form ``rep._pair``.
-
-    Without flags it equals ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``,
-    or ``power_mean(A, B, p)`` for a power connection.
-    """
-    return _connect(a, b, rep._pair)
+        if kind.alpha in (0.0, 1.0):
+            return _check_pair(a, b)[int(kind.alpha)]
+        sigma = power_rep(kind.alpha)._pair
+    elif kind.tag == "custom":
+        sigma = kind.rep._pair
+    else:
+        sigma = _SIGMA[kind.tag]
+    return _connect(a, b, sigma)
 
 
 def power_rep(alpha: float) -> ConnectionRep:
     """The power connection ``t^alpha``, 0 < alpha < 1, in closed form.
 
-    Its two-scalar form ``u^(1-alpha) v^alpha`` is that of ``power_mean(A,
-    B, alpha)``.  The family is closed under the transforms, which stay exact
-    flag flips: the transpose and the dual represent ``t^(1-alpha)``, the
-    adjoint ``t^alpha`` itself, and all vanish where those functions do.
+    Its two-scalar form ``u^(1-alpha) v^alpha`` is that of
+    ``MeanKind.power(alpha)``.  The family is closed under the transforms,
+    which stay exact flag flips: the transpose and the dual represent
+    ``t^(1-alpha)``, the adjoint ``t^alpha`` itself, and all vanish where
+    those functions do.
     """
     return ConnectionRep(0.0, 0.0, (), power=alpha)
 

@@ -31,7 +31,7 @@ from .cpmaps import (
     unitary_conj,
 )
 from .errors import DomainError, UnknownExample
-from .opmeans import GEO, HARM, ConnectionRep, connection_apply, geometric_mean, parallel_sum
+from .opmeans import GEO, HARM, ConnectionRep, MeanKind, geometric_mean, mean, parallel_sum
 from .report import Report
 
 
@@ -256,7 +256,7 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
 
         # parallel sum against the connection of t/(1+t) on the spectral pair
         ps = parallel_sum(phi_a.choi, phi_b.choi).entries
-        atom = connection_apply(_PARALLEL_ATOM, phi_a.choi, phi_b.choi).entries
+        atom = mean(MeanKind.custom(_PARALLEL_ATOM), phi_a.choi, phi_b.choi).entries
         worst_par = max(worst_par, _max_abs(ps - atom))
 
         # ac part of the spectral pair against Ando's closed form, relative to B

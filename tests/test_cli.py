@@ -22,7 +22,7 @@ from cpmean.cpmaps import (
     kraus_decompose,
     unitary_conj,
 )
-from cpmean.errors import NotCompletelyPositive, ParseError
+from cpmean.errors import DomainError, NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import Verdict
 from cpmean.registry import run_example
 
@@ -937,6 +937,28 @@ class TestDocumentMemo:
         assert main(["--format", "json", "order", str(p), str(copy)]) == 0
         inputs = json.loads(capsys.readouterr().out)["inputs"]
         assert [e["name"] for e in inputs] == ["anonymous.json", "copy.json"]
+        empty = tmp_path / "empty.json"
+        save_channel(identity(2), empty, name="")
+        assert read_doc(empty)[1] is None
+
+    @pytest.mark.parametrize("name", [[1, {"a": 2}], 7, True, {"n": "x"}],
+                             ids=["list", "int", "bool", "object"])
+    def test_a_non_string_name_exits_2_and_is_never_kept(self, tmp_path, capsys, name):
+        p = tmp_path / "named.json"
+        p.write_text(json.dumps({**channel_to_doc(identity(2)), "name": name}))
+        for _ in range(2):  # a second read finds no memo entry to hit
+            with pytest.raises(ParseError, match="name must be a string"):
+                read_doc(p)
+        assert channeldoc._doc_memo == {}
+        assert main(["--format", "json", "index", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "name must be a string" in err and "internal error" not in err
+
+    def test_save_rejects_a_non_string_name(self, tmp_path):
+        p = tmp_path / "f.json"
+        with pytest.raises(DomainError, match="name must be a string"):
+            save_channel(identity(2), p, name=[1, {"a": 2}])
+        assert not p.exists() and channeldoc._doc_memo == {}
 
     @pytest.mark.parametrize("make", [
         *(["mean", "--kind", kind] for kind in ("arith", "harm", "parallel", "geo",

@@ -9,17 +9,15 @@ import pytest
 from cpmean.cpmaps import mean_cp
 from cpmean.errors import DomainError
 from cpmean.opmeans import (
+    ARITH,
+    HARM,
     ConnectionRep,
     MeanKind,
     adjoint_rep,
-    arithmetic_mean,
-    connection_apply,
     dual_rep,
     geometric_mean,
-    harmonic_mean,
     mean,
     parallel_sum,
-    power_mean,
     power_rep,
     transpose_rep,
 )
@@ -56,7 +54,7 @@ def rel_err(got, want):
 
 def scalar_apply(rep, t):
     """Connection of the scalar pair (1, t) computed through matrices."""
-    got = connection_apply(rep, np.array([[1.0]]), np.array([[float(t)]]))
+    got = mean(MeanKind.custom(rep), np.array([[1.0]]), np.array([[float(t)]]))
     return float(got.entries[0, 0].real)
 
 
@@ -64,6 +62,11 @@ class TestConnectionRep:
     def test_validation(self):
         with pytest.raises(DomainError):
             ConnectionRep(-0.1, 0.0, ())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                ConnectionRep(bad, 0.0, ())
+            with pytest.raises(DomainError, match="finite"):
+                ConnectionRep(0.0, bad, ())
         with pytest.raises(DomainError):
             ConnectionRep(0.0, 0.0, ((-1.0, 1.0),))
         with pytest.raises(DomainError):
@@ -78,18 +81,18 @@ class TestConnectionApply:
     def test_arithmetic_rep(self, rng):
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        got = connection_apply(ARITH_REP, a, b)
-        assert max_abs(got.entries - arithmetic_mean(a, b).entries) < 1e-12
+        got = mean(MeanKind.custom(ARITH_REP), a, b)
+        assert max_abs(got.entries - mean(ARITH, a, b).entries) < 1e-12
 
     def test_single_atom_is_harmonic(self, rng):
         a = random_psd(rng, 3, rank=2)
         b = random_psd(rng, 3)
-        got = connection_apply(HARM_REP, a, b)
-        assert max_abs(got.entries - harmonic_mean(a, b).entries) < 1e-12
+        got = mean(MeanKind.custom(HARM_REP), a, b)
+        assert max_abs(got.entries - mean(HARM, a, b).entries) < 1e-12
 
     def test_power_rep_matrix_closed_form(self):
         rep = power_atoms(0.5, 64)
-        got = connection_apply(rep, np.diag([1.0, 9.0]), np.diag([9.0, 1.0]))
+        got = mean(MeanKind.custom(rep), np.diag([1.0, 9.0]), np.diag([9.0, 1.0]))
         assert max_abs(got.entries - 3.0 * np.eye(2)) < TOL_QUAD
 
     def test_custom_kind_dispatch(self, rng):
@@ -97,7 +100,7 @@ class TestConnectionApply:
         b = random_psd(rng, 3)
         rep = power_atoms(0.3, 64)
         got = mean(MeanKind.custom(rep), a, b)
-        want = power_mean(a, b, 0.3)
+        want = mean(MeanKind.power(0.3), a, b)
         assert max_abs(got.entries - want.entries) < TOL_QUAD
 
 
@@ -114,7 +117,7 @@ class TestKernelRoute:
             a = random_psd(rng, dim, rank=ra)
             b = random_psd(rng, dim, rank=rb)
             rep = transform(power_atoms(float(rng.uniform(0.1, 0.9)), 16))
-            got = connection_apply(rep, a, b).entries
+            got = mean(MeanKind.custom(rep), a, b).entries
             assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10, (ra, rb)
 
     def test_custom_kind_matches_atom_formula(self, rng):
@@ -132,7 +135,7 @@ class TestKernelRoute:
         rep = power_atoms(0.3, 16)
         base = rep if transform is adjoint_rep else transpose_rep(rep)
         want = np.linalg.inv(atom_oracle(base, np.linalg.inv(a), np.linalg.inv(b)))
-        got = connection_apply(transform(rep), a, b).entries
+        got = mean(MeanKind.custom(transform(rep)), a, b).entries
         assert rel_err(got, want) < 1e-10
 
 
@@ -175,8 +178,8 @@ class TestTransforms:
         rep = power_atoms(0.3, 32)
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        lhs = connection_apply(transpose_rep(rep), a, b).entries
-        rhs = connection_apply(rep, b, a).entries
+        lhs = mean(MeanKind.custom(transpose_rep(rep)), a, b).entries
+        rhs = mean(MeanKind.custom(rep), b, a).entries
         assert max_abs(lhs - rhs) < 1e-10
 
     def test_adjoint_of_arithmetic_is_harmonic(self):
@@ -246,15 +249,15 @@ class TestTransforms:
     def test_adjoint_of_arithmetic_is_harmonic_on_rank_deficient_pair(self, rng):
         a = random_psd(rng, 9, rank=4)
         b = random_psd(rng, 9, rank=7)
-        got = connection_apply(adjoint_rep(ARITH_REP), a, b).entries
-        assert rel_err(got, harmonic_mean(a, b).entries) < 1e-12
+        got = mean(MeanKind.custom(adjoint_rep(ARITH_REP)), a, b).entries
+        assert rel_err(got, mean(HARM, a, b).entries) < 1e-12
 
     def test_transformed_mean_on_matrices(self, rng):
         # adjoint of arithmetic applied to matrices reproduces the harmonic mean
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        got = connection_apply(adjoint_rep(ARITH_REP), a, b).entries
-        want = harmonic_mean(a, b).entries
+        got = mean(MeanKind.custom(adjoint_rep(ARITH_REP)), a, b).entries
+        want = mean(HARM, a, b).entries
         scale = max(1.0, max_abs(want))
         assert max_abs(got - want) < 1e-5 * scale
 
@@ -277,7 +280,7 @@ class TestGeometricMeanViaConnection:
         rep = power_atoms(0.5, 64)
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        got = connection_apply(rep, a, b).entries
+        got = mean(MeanKind.custom(rep), a, b).entries
         assert max_abs(got - geometric_mean(a, b).entries) < TOL_QUAD
 
 
@@ -312,10 +315,10 @@ class TestExactPowerRep:
             b = random_psd(rng, dim, rank=rb)
             alpha = float(rng.uniform(0.1, 0.9))
             rep = power_rep(alpha)
-            got = connection_apply(adjoint_rep(rep), a, b).entries
-            assert rel_err(got, power_mean(a, b, alpha).entries) < 1e-12, (ra, rb)
-            got = connection_apply(dual_rep(rep), a, b).entries
-            assert rel_err(got, power_mean(a, b, 1.0 - alpha).entries) < 1e-12, (ra, rb)
+            got = mean(MeanKind.custom(adjoint_rep(rep)), a, b).entries
+            assert rel_err(got, mean(MeanKind.power(alpha), a, b).entries) < 1e-12, (ra, rb)
+            got = mean(MeanKind.custom(dual_rep(rep)), a, b).entries
+            assert rel_err(got, mean(MeanKind.power(1.0 - alpha), a, b).entries) < 1e-12, (ra, rb)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
     def test_scalar_and_kernel_values(self, alpha):

@@ -24,6 +24,8 @@ PINS = [
     ("mean parallel", (4, 0)),
     ("mean geo", (4, 0)),
     ("mean power:0.3", (4, 0)),
+    ("mean power:0", (0, 0)),     # the admitted operand itself
+    ("mean power:1", (0, 0)),
     ("mean log", (4, 0)),         # its two-scalar form is closed
     ("mean custom", (4, 0)),
     ("mean custom adjoint", (4, 0)),
@@ -164,3 +166,10 @@ def test_pinned_counts(pair, eigh_calls, name, counts):
     name, _, first = name.partition(" after ")
     warm = _operation(first if first in CLI else f"mean {first}", *pair) if first else None
     assert eigh_calls(_operation(name, *pair), warm) == counts
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_power_mean_at_an_end_weight_is_the_operand_itself(pair, alpha):
+    f, g, _, _ = pair
+    got = cpmaps.mean_cp(MeanKind.power(alpha), f, g)
+    assert got.choi is (f, g)[alpha].choi

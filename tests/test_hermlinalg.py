@@ -342,21 +342,21 @@ class TestSharedPair:
     def test_swapped_and_new_operands_are_not_mistaken_for_shared_ones(self, rng):
         a, b = PsdMatrix(random_psd(rng, 5)), PsdMatrix(random_psd(rng, 5, rank=3))
         opmeans.geometric_mean(a, b)
-        want = _cold(lambda: opmeans.power_mean(b, a, 0.3)).entries
-        opmeans.power_mean(a, b, 0.3)
-        assert np.array_equal(opmeans.power_mean(b, a, 0.3).entries, want)
+        want = _cold(lambda: opmeans.mean(MeanKind.power(0.3), b, a)).entries
+        opmeans.mean(MeanKind.power(0.3), a, b)
+        assert np.array_equal(opmeans.mean(MeanKind.power(0.3), b, a).entries, want)
         # equal entries in a new object: a new key, the same pair
-        want = _cold(lambda: opmeans.power_mean(a, b, 0.3)).entries
+        want = _cold(lambda: opmeans.mean(MeanKind.power(0.3), a, b)).entries
         same = PsdMatrix(a.entries.copy())
-        assert np.array_equal(opmeans.power_mean(same, b, 0.3).entries, want)
+        assert np.array_equal(opmeans.mean(MeanKind.power(0.3), same, b).entries, want)
         # the memo holds its operands, so a new matrix cannot take a freed id
         key = id(same)
         del same
         other = PsdMatrix(random_psd(rng, 5))
         assert id(other) != key
-        want = _cold(lambda: opmeans.power_mean(other, b, 0.3)).entries
-        opmeans.power_mean(a, b, 0.3)
-        assert np.array_equal(opmeans.power_mean(other, b, 0.3).entries, want)
+        want = _cold(lambda: opmeans.mean(MeanKind.power(0.3), other, b)).entries
+        opmeans.mean(MeanKind.power(0.3), a, b)
+        assert np.array_equal(opmeans.mean(MeanKind.power(0.3), other, b).entries, want)
 
     def test_one_slot(self, rng, eigh_calls):
         f, g, h, k = (random_cp(rng, 2, 2, rank=r) for r in (4, 2, 3, 4))

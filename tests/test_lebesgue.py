@@ -281,8 +281,8 @@ class TestDecompose:
         """C = 0: the shared pair has an empty support, so every Gram form is 0."""
         zero = from_choi(2, 2, np.zeros((4, 4)))
         z = zero.choi
-        means = [opmeans.geometric_mean(z, z), opmeans.power_mean(z, z, 0.3),
-                 opmeans.log_mean(z, z),
+        means = [opmeans.geometric_mean(z, z), opmeans.mean(opmeans.MeanKind.power(0.3), z, z),
+                 opmeans.mean(opmeans.LOG, z, z),
                  opmeans.mean(opmeans.MeanKind.custom(opmeans.power_rep(0.3)), z, z)]
         for m in means:
             assert max_abs(m.entries) == 0.0

@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,13 +18,10 @@ from cpmean.opmeans import (
     TOL_MEAN,
     ConnectionRep,
     MeanKind,
-    arithmetic_mean,
     geometric_mean,
-    harmonic_mean,
-    log_mean,
     mean,
     parallel_sum,
-    power_mean,
+    power_rep,
 )
 
 from conftest import clamp_psd, max_abs, meet_proj, min_eig, random_psd, random_unitary, support_proj
@@ -112,7 +110,7 @@ class TestParallelSum:
 class TestHarmonicArithmetic:
     def test_harmonic_self(self, rng):
         a = random_psd(rng, 3)
-        assert max_abs(harmonic_mean(a, a).entries - a) < 1e-12
+        assert max_abs(mean(HARM, a, a).entries - a) < 1e-12
 
     def test_weighted_projections(self, rng):
         # r P ! s Q = (2rs/(r+s)) (P ^ Q)
@@ -121,21 +119,21 @@ class TestHarmonicArithmetic:
         q_basis = np.column_stack([u[:, 0], (u[:, 1] + u[:, 3]) / np.sqrt(2)])
         q = q_basis @ q_basis.conj().T
         r, s = 3.0, 5.0
-        got = harmonic_mean(r * p, s * q).entries
+        got = mean(HARM, r * p, s * q).entries
         meet = meet_proj(p, q)
         assert max_abs(got - 2 * r * s / (r + s) * meet) < 1e-10
 
     def test_scalar_harmonic(self):
-        got = harmonic_mean(np.diag([1.0, 2.0]), np.diag([3.0, 2.0]))
+        got = mean(HARM, np.diag([1.0, 2.0]), np.diag([3.0, 2.0]))
         assert max_abs(got.entries - np.diag([1.5, 2.0])) < 1e-13
 
     def test_arithmetic(self, rng):
         a = random_psd(rng, 3)
-        assert max_abs(arithmetic_mean(a, a).entries - a) < 1e-14
-        got = arithmetic_mean(np.diag([1.0, 3.0]), np.diag([3.0, 1.0]))
+        assert max_abs(mean(ARITH, a, a).entries - a) < 1e-14
+        got = mean(ARITH, np.diag([1.0, 3.0]), np.diag([3.0, 1.0]))
         assert max_abs(got.entries - 2 * np.eye(2)) < 1e-14
         b = random_psd(rng, 3)
-        assert max_abs(arithmetic_mean(np.zeros((3, 3)), b).entries - b / 2) < 1e-14
+        assert max_abs(mean(ARITH, np.zeros((3, 3)), b).entries - b / 2) < 1e-14
 
 
 class TestGeometricMean:
@@ -202,38 +200,38 @@ class TestPowerMean:
     def test_endpoints(self, rng):
         a = random_psd(rng, 4, rank=2)
         b = random_psd(rng, 4, rank=3)
-        assert max_abs(power_mean(a, b, 0.0).entries - a) < 1e-13
-        assert max_abs(power_mean(a, b, 1.0).entries - b) < 1e-13
+        assert max_abs(mean(MeanKind.power(0.0), a, b).entries - a) < 1e-13
+        assert max_abs(mean(MeanKind.power(1.0), a, b).entries - b) < 1e-13
 
     def test_half_is_geometric(self, rng):
         a = random_psd(rng, 4)
         b = random_psd(rng, 4)
-        assert max_abs(power_mean(a, b, 0.5).entries
+        assert max_abs(mean(MeanKind.power(0.5), a, b).entries
                        - geometric_mean(a, b).entries) < 1e-12
 
     def test_scalar_oracle(self):
-        got = power_mean(np.diag([1.0, 4.0]), np.diag([4.0, 1.0]), 0.5)
+        got = mean(MeanKind.power(0.5), np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))
         assert max_abs(got.entries - 2 * np.eye(2)) < 1e-13
         # commuting scalars follow r^(1-a) s^a
-        got = power_mean(np.diag([8.0, 1.0]), np.diag([1.0, 1.0]), 1.0 / 3.0)
+        got = mean(MeanKind.power(1.0 / 3.0), np.diag([8.0, 1.0]), np.diag([1.0, 1.0]))
         assert max_abs(got.entries - np.diag([4.0, 1.0])) < 1e-12
 
     def test_domain_error(self, rng):
         a = random_psd(rng, 2)
         with pytest.raises(DomainError):
-            power_mean(a, a, 1.5)
+            mean(MeanKind.power(1.5), a, a)
         with pytest.raises(DomainError):
-            power_mean(a, a, -0.1)
+            mean(MeanKind.power(-0.1), a, a)
 
 
 class TestLogMean:
     def test_self(self, rng):
         a = random_psd(rng, 3)
-        assert max_abs(log_mean(a, a).entries - a) < 1e-10
+        assert max_abs(mean(LOG, a, a).entries - a) < 1e-10
 
     def test_scalar_oracle(self):
         t = np.exp(2.0)
-        got = log_mean(np.eye(2), np.diag([t, 1.0]))
+        got = mean(LOG, np.eye(2), np.diag([t, 1.0]))
         want = np.diag([(t - 1.0) / 2.0, 1.0])
         assert max_abs(got.entries - want) < 1e-6
 
@@ -271,7 +269,7 @@ class TestLogMean:
         # (a - 1)/log a is accurate in floats: a - 1 is exact near 1 and log a
         # is taken of an exact input
         a = np.array([1e-3, 0.25, 1.0 - 4e-9, 1.0 + 4e-9, 7.0])
-        got = np.diag(log_mean(np.diag(a), np.eye(len(a))).entries).real
+        got = np.diag(mean(LOG, np.diag(a), np.eye(len(a))).entries).real
         want = (a - 1.0) / np.log(a)
         assert np.abs(got / want - 1.0).max() <= 1e-14
 
@@ -282,20 +280,20 @@ class TestLogMean:
         a = random_psd(rng, dim, rank=ranks[0])
         b = random_psd(rng, dim, rank=ranks[1])
         x, w = np.polynomial.legendre.leggauss(64)
-        want = sum(0.5 * wk * power_mean(a, b, 0.5 * (xk + 1.0)).entries
+        want = sum(0.5 * wk * mean(MeanKind.power(0.5 * (xk + 1.0)), a, b).entries
                    for xk, wk in zip(x, w))
         scale = max(max_abs(a), max_abs(b))
-        assert max_abs(log_mean(a, b).entries - want) <= 1e-12 * scale
+        assert max_abs(mean(LOG, a, b).entries - want) <= 1e-12 * scale
 
     def test_ordering_with_neighbors(self, rng):
         for _ in range(5):
             a = random_psd(rng, 4)
             b = random_psd(rng, 4)
             scale = max(1.0, max_abs(a), max_abs(b))
-            h = harmonic_mean(a, b).entries
+            h = mean(HARM, a, b).entries
             g = geometric_mean(a, b).entries
-            l = log_mean(a, b).entries
-            m = arithmetic_mean(a, b).entries
+            l = mean(LOG, a, b).entries
+            m = mean(ARITH, a, b).entries
             assert min_eig(g - h) > -1e-7 * scale
             assert min_eig(l - g) > -1e-7 * scale
             assert min_eig(m - l) > -1e-7 * scale
@@ -325,7 +323,7 @@ class TestExtremeScales:
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
 
     def test_log_mean_of_unbalanced_scalars(self):
-        got = log_mean(np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
+        got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)
 
     # the scalar mean u σ v of each kind, and of one custom connection, 0.5u
@@ -366,20 +364,40 @@ class TestMeanDispatch:
     def test_kinds(self, rng):
         a = random_psd(rng, 3)
         b = random_psd(rng, 3)
-        assert max_abs(mean(ARITH, a, b).entries - arithmetic_mean(a, b).entries) == 0
+        assert max_abs(mean(ARITH, a, b).entries - 0.5 * (a + b)) <= 1e-15 * max_abs(a + b)
         assert max_abs(mean(GEO, a, b).entries - geometric_mean(a, b).entries) == 0
-        assert max_abs(mean(HARM, a, b).entries - harmonic_mean(a, b).entries) == 0
-        # the parallel kind is the connection uv/(u + v) on the spectral pair;
-        # parallel_sum is the pseudo-inverse formula
+        # the parallel and harmonic kinds are uv/(u + v) and twice it on the
+        # spectral pair; parallel_sum is the pseudo-inverse formula
         par = parallel_sum(a, b).entries
         assert max_abs(mean(PARALLEL, a, b).entries - par) <= 1e-12 * max_abs(par)
-        assert max_abs(mean(LOG, a, b).entries - log_mean(a, b).entries) == 0
+        assert max_abs(mean(HARM, a, b).entries - 2.0 * par) <= 1e-12 * max_abs(par)
         assert max_abs(mean(MeanKind.power(0.25), a, b).entries
-                       - power_mean(a, b, 0.25).entries) == 0
+                       - mean(MeanKind.custom(power_rep(0.25)), a, b).entries) == 0
+
+    @pytest.mark.parametrize("text", list(TestExtremeScales.SCALAR))
+    def test_each_kind_is_its_scalar_mean_on_a_commuting_pair(self, rng, text):
+        kind = (MeanKind.custom(ConnectionRep(0.5, 0.25, ((2.0, 1.0),))) if text == "custom"
+                else MeanKind.parse(text))
+        u = random_unitary(rng, 3)
+        x, y = rng.uniform(0.25, 4.0, size=(2, 3))
+        want = (u * [TestExtremeScales.SCALAR[text](*p) for p in zip(x, y)]) @ u.conj().T
+        got = mean(kind, (u * x) @ u.conj().T, (u * y) @ u.conj().T).entries
+        assert max_abs(got - want) <= 1e-12 * max_abs(want)
 
     def test_custom_kind_requires_a_rep(self):
         with pytest.raises(DomainError, match="requires a ConnectionRep"):
             MeanKind("custom")
+
+    @pytest.mark.parametrize("tag", [t for t in MeanKind._TAGS if t != "power"])
+    def test_only_a_power_kind_takes_alpha(self, tag):
+        with pytest.raises(DomainError, match="takes no alpha"):
+            MeanKind(tag, alpha=0.3)
+
+    @pytest.mark.parametrize("tag", [t for t in MeanKind._TAGS if t != "custom"])
+    def test_only_a_custom_kind_takes_a_rep(self, tag):
+        # power 0.3 with a rep of f(t) = 1 would read one of the two silently
+        with pytest.raises(DomainError, match="takes no ConnectionRep"):
+            MeanKind(tag, alpha=0.3 if tag == "power" else None, rep=ConnectionRep(1.0, 0.0, ()))
 
     def test_parse(self):
         assert MeanKind.parse("geo").tag == "geo"
@@ -446,11 +464,11 @@ class TestStructuralProperties:
         a = random_psd(rng, 4)
         b = random_psd(rng, 4)
         scale = max(1.0, max_abs(a), max_abs(b))
-        gap = max_abs(arithmetic_mean(a, b).entries - geometric_mean(a, b).entries)
+        gap = max_abs(mean(ARITH, a, b).entries - geometric_mean(a, b).entries)
         if gap <= TOL_MEAN * scale:
             assert max_abs(a - b) <= 10 * TOL_MEAN * scale
         # the forced case
-        gap = max_abs(arithmetic_mean(a, a).entries - geometric_mean(a, a).entries)
+        gap = max_abs(mean(ARITH, a, a).entries - geometric_mean(a, a).entries)
         assert gap <= TOL_MEAN * scale
 
     def test_range_identity(self, rng):
@@ -484,10 +502,10 @@ class TestStructuralProperties:
         b = random_psd(rng, 4)
         scale = max(1.0, max_abs(a), max_abs(b))
         for alpha in (0.2, 0.5, 0.8):
-            fwd = power_mean(a, b, alpha).entries
-            rev = power_mean(b, a, alpha).entries
+            fwd = mean(MeanKind.power(alpha), a, b).entries
+            rev = mean(MeanKind.power(alpha), b, a).entries
             assert min_eig((a + b) - (fwd + rev)) > -1e-9 * scale
-            dual = power_mean(a, b, 1.0 - alpha).entries
+            dual = mean(MeanKind.power(1.0 - alpha), a, b).entries
             lhs = geometric_mean(PsdMatrix(fwd), PsdMatrix(dual)).entries
             assert max_abs(lhs - geometric_mean(a, b).entries) < TOL_MEAN * scale
 
@@ -495,7 +513,7 @@ class TestStructuralProperties:
 class TestEighCount:
     @pytest.mark.parametrize("fn, count", [
         (parallel_sum, 3),      # admit A + B, then the final clamp's two
-        (harmonic_mean, 4),     # eig C, eig A', and the clamp's two
+        pytest.param(partial(mean, HARM), 4, id="mean_harm-4"),  # eig C, eig A', the clamp's two
         (geometric_mean, 4),    # eig C, eig A', and the clamp's two
     ])
     def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):

@@ -6,8 +6,9 @@ The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg``.  A ``SpectralPair`` is built only by the one-slot memo
 ``hermlinalg._shared_pair``, which every connection and the Lebesgue split call
-in one place each, and the pseudo-inverse is taken only by the reference
-formula ``opmeans.parallel_sum``.  No command runs the parallel-sum limit
+in one place each.  Every connection is taken by ``opmeans._connect``, which
+only ``mean`` and ``geometric_mean`` call, and the pseudo-inverse is taken only
+by the reference formula ``opmeans.parallel_sum``.  No command runs the parallel-sum limit
 ``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
 the split against Ando's closed form ``lebesgue._ando_ac``, and
 ``parallel_sum`` has no caller but the limit and that example.
@@ -93,6 +94,7 @@ def test_guard_sees_a_copy():
 # callee -> the (file, top-level function) allowed to call it
 CALL_SITES = {
     "SpectralPair": {("hermlinalg.py", "_shared_pair")},
+    "_connect": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "pinv_psd": {("opmeans.py", "parallel_sum")},
     "ac_part_oracle": set(),
@@ -291,18 +293,17 @@ def test_unused_import_guard_sees_a_copy():
 
 
 PUBLIC_NAMES = [
-    "ConnectionRep", "CpMap", "CpMeanError", "DomainError", "HermitianMatrix",
-    "InvalidInput", "LebesgueSplit", "MeanKind", "NonConvergence",
-    "NotCompletelyPositive", "ParseError", "PsdMatrix", "ShapeError",
-    "UnknownExample", "ac_part", "ac_part_oracle", "adjoint_rep",
-    "arithmetic_mean", "choi_from_action", "compose", "cond_exp_diag",
-    "cond_exp_rotated", "cond_exp_tensor", "connection_apply", "decompose",
-    "depolarizing", "dual_rep", "from_choi", "from_kraus", "functional",
-    "geo_certificate", "geometric_mean", "harmonic_mean", "identity",
-    "index_cp", "is_abs_continuous", "is_psd", "is_singular",
-    "kraus_decompose", "log_mean", "mean", "mean_cp", "order_cp",
-    "parallel_sum", "pinv_psd", "power_mean", "power_rep", "psd_sqrt",
-    "read_doc", "save_channel", "schur", "state_mean_quantities", "tensor",
+    "ConnectionRep", "CpMap", "CpMeanError", "DomainError",
+    "HermitianMatrix", "InvalidInput", "LebesgueSplit", "MeanKind",
+    "NonConvergence", "NotCompletelyPositive", "ParseError", "PsdMatrix",
+    "ShapeError", "UnknownExample", "ac_part", "ac_part_oracle",
+    "adjoint_rep", "choi_from_action", "compose", "cond_exp_diag",
+    "cond_exp_rotated", "cond_exp_tensor", "decompose", "depolarizing",
+    "dual_rep", "from_choi", "from_kraus", "functional", "geo_certificate",
+    "geometric_mean", "identity", "index_cp", "is_abs_continuous", "is_psd",
+    "is_singular", "kraus_decompose", "mean", "mean_cp", "order_cp",
+    "parallel_sum", "pinv_psd", "power_rep", "psd_sqrt", "read_doc",
+    "save_channel", "schur", "state_mean_quantities", "tensor",
     "transpose_rep", "unitary_conj",
 ]
 
@@ -326,13 +327,11 @@ SIGNATURES = {
     "ac_part": ("f", "g"),
     "ac_part_oracle": ("f", "g"),
     "adjoint_rep": ("rep",),
-    "arithmetic_mean": ("a", "b"),
     "choi_from_action": ("dim_in", "dim_out", "action"),
     "compose": ("after", "first"),
     "cond_exp_diag": ("d",),
     "cond_exp_rotated": ("theta",),
     "cond_exp_tensor": ("factor", "weights"),
-    "connection_apply": ("rep", "a", "b"),
     "decompose": ("f", "g"),
     "depolarizing": ("d",),
     "dual_rep": ("rep",),
@@ -341,20 +340,17 @@ SIGNATURES = {
     "functional": ("rho",),
     "geo_certificate": ("f", "g", "theta", "tol"),
     "geometric_mean": ("a", "b"),
-    "harmonic_mean": ("a", "b"),
     "identity": ("d",),
     "index_cp": ("f",),
     "is_abs_continuous": ("g", "f"),
     "is_psd": ("h", "tol"),
     "is_singular": ("f", "g"),
     "kraus_decompose": ("f",),
-    "log_mean": ("a", "b"),
     "mean": ("kind", "a", "b"),
     "mean_cp": ("kind", "f", "g"),
     "order_cp": ("f", "g", "tol"),
     "parallel_sum": ("a", "b"),
     "pinv_psd": ("a",),
-    "power_mean": ("a", "b", "alpha"),
     "power_rep": ("alpha",),
     "psd_sqrt": ("a",),
     "read_doc": ("path",),
