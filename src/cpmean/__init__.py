@@ -20,7 +20,6 @@ from .errors import (
     CpMeanError,
     DomainError,
     InvalidInput,
-    NonConvergence,
     NotCompletelyPositive,
     ParseError,
     ShapeError,
@@ -30,7 +29,6 @@ from .hermlinalg import (
     HermitianMatrix,
     PsdMatrix,
     is_psd,
-    pinv_psd,
     psd_sqrt,
 )
 from .opmeans import (
@@ -68,8 +66,6 @@ from .cpmaps import (
 )
 from .lebesgue import (
     LebesgueSplit,
-    ac_part,
-    ac_part_oracle,
     decompose,
     is_abs_continuous,
     is_singular,

@@ -126,12 +126,16 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     """Write the choi document of f, the text of ``channel_to_doc``, and
     return the SHA-256 of the bytes written.  An admitted map is kept in the
     memo under that hash, as reading the bytes back gives its Choi matrix
-    bit for bit.  A name must be a string."""
+    bit for bit.  A name must be a string; a path that cannot be written
+    raises DomainError."""
     if name is not None and not isinstance(name, str):
         raise DomainError(f"document name must be a string, got {type(name).__name__}")
     raw = (json.dumps(channel_to_doc(f, name)) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(raw)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
     sha256 = hashlib.sha256(raw).hexdigest()
     if isinstance(f.choi, PsdMatrix):
         _remember(sha256, f, name)

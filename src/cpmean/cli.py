@@ -241,7 +241,7 @@ def cmd_example(args, tol: float) -> list[Report]:
 def _emit(reports: list[Report], fmt: str) -> None:
     if fmt == "json":
         print(reports[0].to_json() if len(reports) == 1
-              else json.dumps([r.to_obj() for r in reports]))
+              else json.dumps([r.to_obj() for r in reports], allow_nan=False))
     else:
         for rep in reports:
             print(rep.to_text())
@@ -256,13 +256,13 @@ def main(argv=None) -> int:
         # cmd_<command> is looked up at each call, not kept in the parser,
         # which is built once: a wrapped or patched command is the one that runs
         reports = globals()[f"cmd_{args.command}"](args, _tolerance(gargs.tol))
+        _emit(reports, fmt)  # strict JSON: a non-finite value is an internal error
     except CpMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # malformed input must never produce a traceback
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    _emit(reports, fmt)
     return 0 if all(r.passed for r in reports) else 3
 
 

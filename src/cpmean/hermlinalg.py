@@ -11,7 +11,7 @@ checks the split, reads ``RANK_RTOL`` for a kernel of its own.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and each eig is computed once
 and cached, so instances are safe to share across threads; ``_shared_pair``
-keeps the last spectral pair and its two operands (1-2 MB at Choi 144).
+keeps the last spectral pair and its operands (1.0-1.7 MB at Choi 144).
 """
 
 from __future__ import annotations
@@ -218,29 +218,29 @@ class SpectralPair:
     = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
     1} within its own rounding error, so rank-deficient directions carry no
     eigensolver noise.  Two eigendecompositions, of Ĉ and of the r x r A'; an
-    empty support gives 0-column arrays.  The arrays are read-only: the last
+    empty support gives 0-column arrays.  It keeps (s_A, s_B, t, Z) alone, as
+    ``Z Z* = Ĉ`` and ``Z*Z = V* diag(w) V``; t and Z are read-only, as the last
     pair built is shared by every caller of ``_shared_pair`` on its operands.
     """
 
-    __slots__ = ("sa", "sb", "u", "w", "v", "t", "z")
+    __slots__ = ("sa", "sb", "t", "z")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
         self.sa, self.sb = (float(np.abs(x.entries).max()) or 1.0 for x in (a, b))
         ah = a.entries / self.sa
-        self.w, self.u = HermitianMatrix(ah + b.entries / self.sb).support()
-        x = self.u / np.sqrt(self.w)
+        w, u = HermitianMatrix(ah + b.entries / self.sb).support()
+        x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
-        t, self.v = np.linalg.eigh(0.5 * (ap + ap.conj().T))
+        t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))
         # Rounding in the product (n eps ||Â||) and in the eigenvectors of Ĉ
         # (n eps ||Ĉ||, times t_i) reaches t_i as n eps (||Â|| + t_i ||Ĉ||)
         # sum_j |V_ji|^2 / w_j.
-        snap = (self.u.shape[0] * _EPS * (np.linalg.norm(ah) + t * np.linalg.norm(self.w))
-                * ((np.abs(self.v) ** 2).T @ (1.0 / self.w)))
+        snap = (u.shape[0] * _EPS * (np.linalg.norm(ah) + t * np.linalg.norm(w))
+                * ((np.abs(v) ** 2).T @ (1.0 / w)))
         t[t < snap] = 0.0
         t[t > 1.0 - snap] = 1.0
-        self.t = t
-        self.z = (self.u * np.sqrt(self.w)) @ self.v
-        for x in (self.u, self.w, self.v, self.t, self.z):
+        self.t, self.z = t, (u * np.sqrt(w)) @ v
+        for x in (self.t, self.z):
             x.flags.writeable = False
 
     def ratio(self) -> float:

@@ -4,13 +4,13 @@ Everything is read from the ``hermlinalg.SpectralPair`` of (C_F, C_G) that
 the operator means use, ``C_F = s_F Z diag(t) Z*`` and ``C_G = s_G Z diag(1 -
 t) Z*``: the absolutely continuous part of G is ``s_G Z diag(1[t>0] (1-t))
 Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
-(s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose`` returns both parts with
-``alpha_min`` and the verdict of their sum against C_G; ``is_singular`` and
-``is_abs_continuous`` return their Verdict at TOL_SPLIT.  ``_ando_ac``,
-Ando's closed form of the ac part, checks the split without the pair; the
-parallel-sum limit ``lim_n (nF : G)``, on the pseudo-inverse
-``opmeans.parallel_sum`` and Richardson-extrapolated along n = 2^k up to a
-fixed budget of 2^20, is kept as library API and test oracle only.
+(s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose``, the one route to the
+parts, returns both with ``alpha_min`` and the verdict of their sum against
+C_G; ``is_singular`` and ``is_abs_continuous`` return their Verdict at
+TOL_SPLIT.  ``_ando_ac``, Ando's closed form of the ac part, checks the split
+without the pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF :
+G)`` on the pseudo-inverse ``opmeans.parallel_sum``, Richardson-extrapolated
+along n = 2^k up to 2^20, is a test oracle the package does not export.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``s_G (1 - t)`` on phi (absolutely continuous) and off it (singular)."""
     phi, h = p.t > 0.0, p.sb * (1.0 - p.t)
     return phi, np.where(phi, h, 0.0), np.where(phi, 0.0, h)
-
-
-def ac_part(f: CpMap, g: CpMap) -> CpMap:
-    """Absolutely continuous part of G with respect to F (the maximal one)."""
-    p = _pair(f, g)
-    return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(p.z, _split(p)[1]))
 
 
 def _ando_ac(f: CpMap, g: CpMap) -> CpMap:

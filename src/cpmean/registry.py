@@ -260,7 +260,7 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
         worst_par = max(worst_par, _max_abs(ps - atom))
 
         # ac part of the spectral pair against Ando's closed form, relative to B
-        got = lebesgue.ac_part(phi_a, phi_b).choi.entries
+        got = lebesgue.decompose(phi_a, phi_b).ac.choi.entries
         want = lebesgue._ando_ac(phi_a, phi_b).choi.entries
         worst_ac = max(worst_ac, _max_abs(got - want) / phi_b.choi.norm())
     rep.check(f"parallel sum = connection of t/(1+t) over {count} pairs in M4",

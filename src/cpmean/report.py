@@ -2,17 +2,19 @@
 
 A report holds the JSON it writes: each input is ``{"name", "path",
 "sha256"}``, naming its file and the SHA-256 of its bytes, and each check is
-``{"name", "passed", "residual", "tolerance"}``, in that order.  It renders
-either as human-readable text or as compact, single-line JSON; the same
-command always emits the same fields, and floats are serialized at full
-precision.  An output is a JSON value, or at the top level a
-``HermitianMatrix`` (``choi``, ``ac_choi``, ``sing_choi``), written as its
-[re, im] pairs; one written to a ``-o`` document is named by path and SHA-256.
+``{"name", "passed", "residual", "tolerance"}``, in that order, a non-finite
+residual written as "infinite".  It renders either as human-readable text or
+as compact, single-line strict JSON; the same command always emits the same
+fields, and floats are serialized at full precision.  An output is a JSON
+value, or at the top level a ``HermitianMatrix`` (``choi``, ``ac_choi``,
+``sing_choi``), written as its [re, im] pairs; one written to a ``-o``
+document is named by path and SHA-256.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +53,13 @@ class Report:
     def to_obj(self) -> dict:
         outputs = {key: _to_pairs(value.entries) if isinstance(value, HermitianMatrix)
                    else value for key, value in self.outputs.items()}
+        checks = [c if math.isfinite(c["residual"]) else c | {"residual": "infinite"}
+                  for c in self.checks]
         return {"command": self.command, "inputs": self.inputs, "outputs": outputs,
-                "checks": self.checks, "passed": self.passed}
+                "checks": checks, "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj())
+        return json.dumps(self.to_obj(), allow_nan=False)
 
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]

@@ -292,8 +292,7 @@ def test_criterion_10_ando_kosaki_recovery():
         a = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
         b = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
         phi, psi = from_choi(1, 4, a), from_choi(1, 4, b)
-        from cpmean.lebesgue import ac_part
-        got = ac_part(phi, psi).choi.entries
+        got = decompose(phi, psi).ac.choi.entries
         worst_ac = max(worst_ac, max_abs(got - direct_rn_compression(a, b)))
         ps = parallel_sum(phi.choi, psi.choi).entries
         w, u = np.linalg.eigh(a + b)

@@ -203,6 +203,12 @@ class TestChannelDoc:
         save_channel(g, p2)
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_unwritable_path_raises_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot write"):
+            save_channel(identity(2), tmp_path)
+        with pytest.raises(DomainError, match="cannot write"):
+            save_channel(identity(2), tmp_path / "missing" / "x.json")
+
     def test_choi_round_trip_keeps_signed_zeros(self):
         doc = {"dim_in": 1, "dim_out": 2, "repr": "choi",
                "data": [[[1.0, 0.0], [-0.0, -0.001]], [[-0.0, 0.001], [1.0, -0.0]]]}
@@ -434,6 +440,18 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "cmd_index", broken)
         assert main(["index", channel_files["dep3"]]) == 3
         assert capsys.readouterr() == ("", "internal error: broken command\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--kind", "geo", "A", "B", "-o", "{tmp}/missing/x.json"],
+        ["lebesgue", "A", "B", "-o", "{tmp}/missing/p"],
+        ["mean", "--kind", "geo", "A", "B", "-o", "{tmp}"],
+    ], ids=["mean-missing-dir", "lebesgue-missing-dir", "mean-to-a-directory"])
+    def test_unwritable_output_exits_2_with_one_error_line(self, channel_files, tmp_path,
+                                                           capsys, argv):
+        docs = {"A": channel_files["id2"], "B": channel_files["dep2"]}
+        assert main([docs.get(a) or a.format(tmp=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
     @pytest.mark.parametrize("command", [["mean", "--kind", "log"], ["lebesgue"]],

@@ -35,7 +35,6 @@ PINS = [
     ("decompose after geo", (0, 0)),
     ("lib-means bundle", (10, 0)),  # arith 0, harm 4, geo, power:0.3 and log 2 each
     ("decompose", (2, 0)),        # eig C, eig A'
-    ("ac_part", (2, 0)),
     ("is_singular", (2, 0)),
     ("is_abs_continuous", (2, 0)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
@@ -145,7 +144,6 @@ def _operation(name, f, g, geo, paths):
         "schur": lambda: cpmaps.schur(block),
         "functional": lambda: cpmaps.functional(block),
         "decompose": lambda: lebesgue.decompose(f, g),
-        "ac_part": lambda: lebesgue.ac_part(f, g),
         "is_singular": lambda: lebesgue.is_singular(f, g),
         "is_abs_continuous": lambda: lebesgue.is_abs_continuous(g, f),
         "index_cp": lambda: cpmaps.index_cp(f),

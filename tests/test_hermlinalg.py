@@ -297,7 +297,6 @@ def _pair_reads(f, g) -> dict:
         "decompose ac": lambda: lebesgue.decompose(f, g).ac.choi.entries,
         "decompose sing": lambda: lebesgue.decompose(f, g).sing.choi.entries,
         "alpha_min": lambda: lebesgue.decompose(f, g).alpha_min,
-        "ac_part": lambda: lebesgue.ac_part(f, g).choi.entries,
         "is_singular": lambda: lebesgue.is_singular(f, g).residual,
         "is_abs_continuous": lambda: lebesgue.is_abs_continuous(g, f).residual,
     }
@@ -335,7 +334,7 @@ class TestSharedPair:
         a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
         p = _shared_pair(a, b)
         assert _shared_pair(a, b) is p
-        for name in ("u", "w", "v", "t", "z"):
+        for name in ("t", "z"):
             with pytest.raises(ValueError):
                 getattr(p, name)[...] = 0.0
 

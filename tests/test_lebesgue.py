@@ -10,7 +10,6 @@ from cpmean.lebesgue import (
     TOL_ADD,
     TOL_LIM,
     TOL_SPLIT,
-    ac_part,
     ac_part_oracle,
     decompose,
     is_abs_continuous,
@@ -81,11 +80,15 @@ def shorted_to_subspace(x, basis):
 def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
     (C_F, C_G), as matrices in the original basis; C is the sum of the
-    folded operands ``C_F/s_F + C_G/s_G``."""
+    folded operands ``C_F/s_F + C_G/s_G``.  The pair keeps t and ``Z = U
+    W^{1/2} V`` alone: ``Z Z* = C`` and ``Z*Z = V* W V``, so with the SVD ``Z =
+    X S Y*``, ``C^{1/2} = X S X*`` with support projection ``X X*``, and the
+    polar factor ``X Y*`` of Z is the basis UV in which A' is ``diag(t)``."""
     p = SpectralPair(f.choi, g.choi)
-    uv = p.u @ p.v
+    x, s, yh = np.linalg.svd(p.z, full_matrices=False)
+    uv = x @ yh
     return ((uv * p.t) @ uv.conj().T, (uv * (1.0 - p.t)) @ uv.conj().T,
-            p.u @ p.u.conj().T, (p.u * np.sqrt(p.w)) @ p.u.conj().T)
+            x @ x.conj().T, (x * s) @ x.conj().T)
 
 
 class TestRnPair:
@@ -115,7 +118,7 @@ class TestRnPair:
 
     def test_shape_error(self, rng):
         f, g = from_choi(1, 2, np.eye(2)), from_choi(1, 3, np.eye(3))
-        for call in (decompose, ac_part, is_singular):
+        for call in (decompose, is_singular):
             with pytest.raises(ShapeError):
                 call(f, g)
 
@@ -124,23 +127,23 @@ class TestAcPart:
     def test_dominated_map_is_fully_ac(self, rng):
         f = from_choi(2, 2, random_psd(rng, 4, rank=3))
         g = 0.5 * f
-        got = ac_part(f, g)
+        got = decompose(f, g).ac
         assert max_abs(got.choi.entries - g.choi.entries) < 1e-10
 
     def test_scalar_supports(self):
         f = from_choi(1, 2, np.diag([1.0, 0.0]))
         g = from_choi(1, 2, np.diag([1.0, 1.0]))
-        got = ac_part(f, g)
+        got = decompose(f, g).ac
         assert max_abs(got.choi.entries - np.diag([1.0, 0.0])) < 1e-12
 
     def test_orthogonal_supports_vanish(self):
         f = from_choi(1, 2, np.diag([1.0, 0.0]))
         g = from_choi(1, 2, np.diag([0.0, 1.0]))
-        assert max_abs(ac_part(f, g).choi.entries) < 1e-14
+        assert max_abs(decompose(f, g).ac.choi.entries) < 1e-14
 
     def test_dominated_by_target(self, rng):
         f, g = planted_pair(rng, 1, 4)
-        assert order_cp(ac_part(f, g), g, tol=1e-8)[0]
+        assert order_cp(decompose(f, g).ac, g, tol=1e-8)[0]
 
 
 class TestOracle:
@@ -152,7 +155,7 @@ class TestOracle:
         f = from_choi(2, 2, random_psd(rng, 4, rank=2))
         cases.append((f, 0.5 * f))
         for phi, psi in cases:
-            a = ac_part(phi, psi).choi.entries
+            a = decompose(phi, psi).ac.choi.entries
             b = ac_part_oracle(phi, psi).choi.entries
             assert max_abs(a - b) <= TOL_LIM * max(1.0, psi.choi.norm())
 
@@ -187,7 +190,7 @@ class TestOracle:
     def test_planted_pairs(self, rng):
         for _ in range(10):
             f, g = planted_pair(rng, 1, 3)
-            a = ac_part(f, g).choi.entries
+            a = decompose(f, g).ac.choi.entries
             b = ac_part_oracle(f, g).choi.entries
             assert max_abs(a - b) <= 1e-5 * max(1.0, g.choi.norm())
 
@@ -459,7 +462,7 @@ class TestAndoRecovery:
             direct = a @ pinv @ b
             assert max_abs(ps - 0.5 * (direct + direct.conj().T)) < 1e-9
             # ac part against the direct matrix-level compression
-            got = ac_part(phi, psi).choi.entries
+            got = decompose(phi, psi).ac.choi.entries
             assert max_abs(got - direct_rn_compression(a, b)) \
                 < 1e-6 * max(1.0, max_abs(b))
 

@@ -3,15 +3,18 @@
 A report is ``{command, inputs, outputs, checks, passed}``; each input is
 ``{name, path, sha256}``, each check ``{name, passed, residual, tolerance}``
 and each document a ``-o`` run writes ``{path, sha256}``, in that order.  The
-outputs of each command are pinned by name as well.
+outputs of each command are pinned by name as well.  Reports are strict
+JSON: a non-finite residual is written "infinite".
 """
 
 import json
+import math
 
 import pytest
 
 from cpmean.cli import main
 from cpmean.cpmaps import depolarizing, identity
+from cpmean.report import Report
 
 from conftest import write_channel
 
@@ -44,11 +47,18 @@ def _assert_report(rep: dict, n_inputs: int) -> None:
     assert rep["passed"] is all(c["passed"] for c in rep["checks"])
 
 
+def _strict(text: str):
+    """text parsed as strict JSON (RFC 8259): the tokens Infinity and NaN raise."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(argv: list[str], capsys):
     assert main(["--format", "json", *argv]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 1
-    return json.loads(out)
+    return _strict(out)
 
 
 @pytest.mark.parametrize("kind", ["geo", "harm"])
@@ -99,3 +109,22 @@ def test_example_all(capsys):
     for rep in reps:
         _assert_report(rep, 0)
         assert rep["outputs"] == {} and rep["checks"]
+
+
+def test_non_finite_residual_is_written_infinite(capsys):
+    # the index of this mean reads inf on rounding noise (ROADMAP item 13)
+    code = main(["--format", "json", "example", "ce-tensor", "rho=1e-6,1"])
+    rep = _strict(capsys.readouterr().out)
+    assert code == (0 if rep["passed"] else 3)
+    assert list(rep) == REPORT_KEYS and all(list(c) == CHECK_KEYS for c in rep["checks"])
+    assert [c["residual"] for c in rep["checks"]
+            if not isinstance(c["residual"], float)] == ["infinite"]
+
+
+def test_report_keeps_its_residuals_and_writes_them_strictly():
+    rep = Report("planted")
+    rep.check("finite", 0.5, 1.0)
+    rep.check("infinite", math.inf, 1.0)
+    assert [c["residual"] for c in _strict(rep.to_json())["checks"]] == [0.5, "infinite"]
+    assert rep.checks[1]["residual"] == math.inf and not rep.passed
+    assert "residual inf (tol" in rep.to_text()

@@ -23,13 +23,16 @@ its residual is within its tolerance: no ``.record(`` call outside
 package but numpy, at module or function level, and every module-level import
 is used.  The public names of ``import cpmean`` and the parameter names of each
 are pinned, as are those of ``Report.add_input``, the slots of
-``HermitianMatrix`` and the functions that ``functools.lru_cache`` keeps, so
-adding or removing a name, a knob or a cache shows in this file.
+``HermitianMatrix`` and ``SpectralPair`` and the functions that
+``functools.lru_cache`` keeps, so adding or removing a name, a knob, a field
+or a cache shows in this file; README's list of the public names is checked
+against the pinned one.
 """
 
 import ast
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -292,18 +295,19 @@ def test_unused_import_guard_sees_a_copy():
     assert _unused_imports("import numpy.linalg\n") == {"numpy"}
 
 
+# The oracles ac_part_oracle, pinv_psd and NonConvergence import from their
+# modules (cpmean.lebesgue, cpmean.hermlinalg, cpmean.errors) only.
 PUBLIC_NAMES = [
     "ConnectionRep", "CpMap", "CpMeanError", "DomainError",
     "HermitianMatrix", "InvalidInput", "LebesgueSplit", "MeanKind",
-    "NonConvergence", "NotCompletelyPositive", "ParseError", "PsdMatrix",
-    "ShapeError", "UnknownExample", "ac_part", "ac_part_oracle",
-    "adjoint_rep", "choi_from_action", "compose", "cond_exp_diag",
-    "cond_exp_rotated", "cond_exp_tensor", "decompose", "depolarizing",
-    "dual_rep", "from_choi", "from_kraus", "functional", "geo_certificate",
-    "geometric_mean", "identity", "index_cp", "is_abs_continuous", "is_psd",
-    "is_singular", "kraus_decompose", "mean", "mean_cp", "order_cp",
-    "parallel_sum", "pinv_psd", "power_rep", "psd_sqrt", "read_doc",
-    "save_channel", "schur", "state_mean_quantities", "tensor",
+    "NotCompletelyPositive", "ParseError", "PsdMatrix", "ShapeError",
+    "UnknownExample", "adjoint_rep", "choi_from_action", "compose",
+    "cond_exp_diag", "cond_exp_rotated", "cond_exp_tensor", "decompose",
+    "depolarizing", "dual_rep", "from_choi", "from_kraus", "functional",
+    "geo_certificate", "geometric_mean", "identity", "index_cp",
+    "is_abs_continuous", "is_psd", "is_singular", "kraus_decompose", "mean",
+    "mean_cp", "order_cp", "parallel_sum", "power_rep", "psd_sqrt",
+    "read_doc", "save_channel", "schur", "state_mean_quantities", "tensor",
     "transpose_rep", "unitary_conj",
 ]
 
@@ -318,14 +322,11 @@ SIGNATURES = {
     "InvalidInput": None,
     "LebesgueSplit": ("ac", "sing", "alpha_min", "recon"),
     "MeanKind": ("tag", "alpha", "rep"),
-    "NonConvergence": ("message", "estimate"),
     "NotCompletelyPositive": None, "ParseError": None,
     "PsdMatrix": ("entries",),
     "PsdMatrix.clamped": ("entries", "bound"),
     "Report.add_input": ("self", "name", "path", "sha256"),
     "ShapeError": None, "UnknownExample": None,
-    "ac_part": ("f", "g"),
-    "ac_part_oracle": ("f", "g"),
     "adjoint_rep": ("rep",),
     "choi_from_action": ("dim_in", "dim_out", "action"),
     "compose": ("after", "first"),
@@ -350,7 +351,6 @@ SIGNATURES = {
     "mean_cp": ("kind", "f", "g"),
     "order_cp": ("f", "g", "tol"),
     "parallel_sum": ("a", "b"),
-    "pinv_psd": ("a",),
     "power_rep": ("alpha",),
     "psd_sqrt": ("a",),
     "read_doc": ("path",),
@@ -394,6 +394,50 @@ def test_hermitian_matrix_caches_only_its_eig():
     import cpmean
 
     assert cpmean.HermitianMatrix.__slots__ == ("_m", "_eig")
+
+
+def test_spectral_pair_keeps_only_its_factorization():
+    from cpmean.hermlinalg import SpectralPair
+
+    # (s_A, s_B, t, Z): U, w and V are locals of the construction
+    assert SpectralPair.__slots__ == ("sa", "sb", "t", "z")
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def _readme_public_list(text: str) -> set[str]:
+    """The backticked spans of the list that follows the README line
+    "`import cpmean` exposes", up to the list's first blank line."""
+    body = text[text.index("`import cpmean` exposes"):].split("\n\n")[1]
+    return set(re.findall(r"`([^`]+)`", body))
+
+
+def _defined_public_names() -> set[str]:
+    """Public names that a module of the package defines at its top level."""
+    names = set()
+    for _, text in _sources():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_readme_lists_exactly_the_public_names():
+    listed = _readme_public_list(README.read_text(encoding="utf-8"))
+    assert set(PUBLIC_NAMES) - listed == set()
+    assert (listed & _defined_public_names()) - set(PUBLIC_NAMES) == set()
+
+
+def test_readme_guard_sees_a_planted_name():
+    text = ("`import cpmean` exposes:\n\n* matrices: `pinv_psd`, `is_psd(h, tol)`,\n"
+            "  `ac`;\n\nLater, `mean`.\n")
+    listed = _readme_public_list(text)
+    assert listed == {"pinv_psd", "is_psd(h, tol)", "ac"}
+    assert listed & _defined_public_names() == {"pinv_psd"}
 
 
 def test_signature_guard_sees_a_planted_knob():
