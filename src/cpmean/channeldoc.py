@@ -17,10 +17,10 @@ returns the SHA-256 of the bytes it writes, by which a ``-o`` report names them.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
-bytes: ``read_doc`` reads a file once and hashes it, and decodes only bytes
-it has not seen lately; ``save_channel`` keeps the map it wrote, which a
-fresh parse would rebuild bit for bit.  A document that fails to parse is
-never kept.
+bytes, in the slots ``docs`` of the run ``hermlinalg._RUN`` under its lock:
+``read_doc`` reads a file once and hashes it, and decodes only bytes it has
+not seen lately; ``save_channel`` keeps the map it wrote, which a fresh parse
+would rebuild bit for bit.  A document that fails to parse is never kept.
 """
 
 from __future__ import annotations
@@ -28,40 +28,38 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from itertools import chain
 
 import numpy as np
 
+from . import hermlinalg
 from .cpmaps import CpMap, from_choi, from_kraus
 from .errors import DomainError, ParseError
-from .hermlinalg import PsdMatrix
 
 _DOC_SLOTS = 3
-# SHA-256 of a document's bytes -> (map, name), least recently used first
-_doc_memo: dict[str, tuple[CpMap, str | None]] = {}
-_doc_memo_lock = threading.Lock()
 
 
 def _remember(sha256: str, chan: CpMap, name: str | None) -> tuple[CpMap, str | None]:
     """Keep (chan, name) for the bytes of hash sha256, dropping the least
     recently used entry beyond ``_DOC_SLOTS``; an empty name is kept as None."""
     entry = (chan, name or None)
-    with _doc_memo_lock:
-        _doc_memo.pop(sha256, None)
-        _doc_memo[sha256] = entry
-        while len(_doc_memo) > _DOC_SLOTS:
-            del _doc_memo[next(iter(_doc_memo))]
+    run = hermlinalg._RUN
+    with run.lock:
+        run.docs.pop(sha256, None)
+        run.docs[sha256] = entry
+        while len(run.docs) > _DOC_SLOTS:
+            del run.docs[next(iter(run.docs))]
     return entry
 
 
 def _recall(sha256: str) -> tuple[CpMap, str | None] | None:
     """The kept (map, name) of the bytes of hash sha256, now the most recently
     used, or None."""
-    with _doc_memo_lock:
-        entry = _doc_memo.pop(sha256, None)
+    run = hermlinalg._RUN
+    with run.lock:
+        entry = run.docs.pop(sha256, None)
         if entry is not None:
-            _doc_memo[sha256] = entry
+            run.docs[sha256] = entry
     return entry
 
 
@@ -137,7 +135,7 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
     sha256 = hashlib.sha256(raw).hexdigest()
-    if isinstance(f.choi, PsdMatrix):
+    if isinstance(f.choi, hermlinalg.PsdMatrix):
         _remember(sha256, f, name)
     return sha256
 

@@ -204,8 +204,16 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
               lebesgue.TOL_SPLIT * psi.choi.norm())
     parts = (("ac", split.ac), ("sing", split.sing))
     if args.out:
-        rep.outputs["written"] = [_write(part, f"{args.out}.{tag}.json",
-                                         f"{tag}({name_psi}|{name_phi})") for tag, part in parts]
+        written = []
+        try:
+            for tag, part in parts:
+                written.append(_write(part, f"{args.out}.{tag}.json",
+                                      f"{tag}({name_psi}|{name_phi})"))
+        except CpMeanError:
+            for entry in written:  # no half of a split is left behind
+                os.remove(entry["path"])
+            raise
+        rep.outputs["written"] = written
     else:
         rep.outputs.update((f"{tag}_choi", part.choi) for tag, part in parts)
     return [rep]
@@ -217,6 +225,9 @@ def _parse_params(items) -> dict:
         if "=" not in item:
             raise DomainError(f"example parameters take the form key=value, got {item!r}")
         key, _, raw = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise DomainError(f"example parameter {key!r} is given twice")
         vals = []
         for piece in raw.split(","):
             try:
@@ -226,12 +237,14 @@ def _parse_params(items) -> dict:
                     vals.append(float(piece))
                 except ValueError:
                     raise DomainError(f"cannot parse parameter value {raw!r}")
-        out[key.strip()] = vals[0] if len(vals) == 1 else tuple(vals)
+        out[key] = vals[0] if len(vals) == 1 else tuple(vals)
     return out
 
 
 def cmd_example(args, tol: float) -> list[Report]:
     if args.run_all:
+        if args.name or args.params:
+            raise UnknownExample("--all takes no name or parameters")
         return [run_example(name) for name in REGISTRY]
     if not args.name:
         raise UnknownExample("example requires a name or --all")

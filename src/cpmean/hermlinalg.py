@@ -10,14 +10,14 @@ connection and Lebesgue split is evaluated.  The rank cutoff lives in one place,
 checks the split, reads ``RANK_RTOL`` for a kernel of its own.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and each eig is computed once
-and cached, so instances are safe to share across threads; ``_shared_pair``
-keeps the last spectral pair and its operands (1.0-1.7 MB at Choi 144).
+and cached, so instances are safe to share across threads.  ``_RUN`` keeps the
+last pair (1.0-1.7 MB at Choi 144) and the document slots for every thread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -252,8 +252,24 @@ class SpectralPair:
         return r
 
 
-@functools.lru_cache(maxsize=1)
+class _Run:
+    """What calls keep for later calls: ``pair``, the last spectral pair as (a,
+    b, SpectralPair), and channeldoc's ``docs`` slots, which ``lock`` guards."""
+
+    __slots__ = ("pair", "docs", "lock")
+
+    def __init__(self):
+        self.pair, self.docs, self.lock = None, {}, threading.Lock()
+
+
+_RUN = _Run()  # the process's run; readers look it up at each call
+
+
 def _shared_pair(a: HermitianMatrix, b: HermitianMatrix) -> SpectralPair:
-    """``SpectralPair(a, b)``, kept for the next call on the same two objects:
-    keyed by identity, as entries are read-only and the cache holds both."""
-    return SpectralPair(a, b)
+    """``SpectralPair(a, b)``, kept in the run for the next call on the same two
+    objects: keyed by identity, as entries are read-only and the run holds both.
+    The slot is read once, so a thread replacing it cannot swap this pair."""
+    kept = _RUN.pair
+    if kept is None or kept[0] is not a or kept[1] is not b:
+        kept = _RUN.pair = (a, b, SpectralPair(a, b))
+    return kept[2]

@@ -101,27 +101,28 @@ def write_kraus(ops, path, dim_in: int, dim_out: int, name: str | None = None) -
 
 def write_channel(f: CpMap, path, name: str | None = None, kraus=None) -> None:
     """``save_channel`` of f, or with kraus, f's operators, ``write_kraus`` of
-    them; then drop the document memo: the next load of path decodes and
-    admits its bytes, as it would for a file another process wrote."""
+    them; then start a fresh run: the next load of path decodes and admits its
+    bytes, as it would for a file another process wrote."""
     if kraus is None:
         channeldoc.save_channel(f, path, name=name)
     else:
         write_kraus(kraus, path, f.dim_in, f.dim_out, name)
-    channeldoc._doc_memo.clear()
+    hermlinalg._RUN = hermlinalg._Run()
 
 
 def read_channel(path) -> CpMap:
-    """``read_doc(path)[0]`` with the document memo dropped first: the map decoded
-    and admitted from the file's bytes, not one kept from its save."""
-    channeldoc._doc_memo.clear()
+    """``read_doc(path)[0]`` in a fresh run: the map decoded and admitted from
+    the file's bytes, not one kept from its save."""
+    hermlinalg._RUN = hermlinalg._Run()
     return channeldoc.read_doc(path)[0]
 
 
 @pytest.fixture(autouse=True)
-def _empty_doc_memo():
-    """Every test starts with an empty document memo, so what it decodes does
-    not depend on the tests run before it."""
-    channeldoc._doc_memo.clear()
+def _fresh_run(monkeypatch):
+    """Every test starts on a fresh run, with no spectral pair and no document
+    kept, so what it computes does not depend on the tests run before it; the
+    default run is put back afterwards."""
+    monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
 
 
 @pytest.fixture
@@ -132,13 +133,11 @@ def rng():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
-    that call() makes, after the shared spectral pair and the document memo are
-    dropped and warm(), if given, has run uncounted.  Without warm the count is
-    a cold one."""
+    that call() makes on a fresh run, after warm(), if given, has run uncounted.
+    Without warm the count is a cold one."""
 
     def count(call, warm=None) -> tuple[int, int]:
-        hermlinalg._shared_pair.cache_clear()
-        channeldoc._doc_memo.clear()
+        monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
         if warm is not None:
             warm()
         calls = {"eigh": 0, "eigvalsh": 0}

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpmean import channeldoc, cli, lebesgue
+from cpmean import channeldoc, cli, hermlinalg, lebesgue
 from cpmean.channeldoc import (
     channel_to_doc,
     doc_to_channel,
@@ -367,6 +367,17 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert out.count("==") >= 9
 
+    @pytest.mark.parametrize("args", [["rotation"], ["rotation", "theta=1"]], ids=" ".join)
+    def test_example_all_with_a_name_exits_2(self, capsys, args):
+        assert main(["example", "--all", *args]) == 2
+        assert capsys.readouterr() == ("", "error: --all takes no name or parameters\n")
+
+    def test_a_repeated_example_parameter_exits_2(self, capsys):
+        assert main(["example", "rotation", "theta=1", "theta=2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: example parameter 'theta' is given twice")
+
     def test_example_with_params(self, capsys):
         assert main(["example", "quantum-channels", "d=3"]) == 0
         assert "d=3" in capsys.readouterr().out
@@ -452,6 +463,16 @@ class TestCliCommands:
         assert main([docs.get(a) or a.format(tmp=tmp_path) for a in argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_lebesgue_leaves_no_half_split_when_a_part_cannot_be_written(
+            self, channel_files, tmp_path, capsys):
+        (tmp_path / "q.sing.json").mkdir()
+        prefix = str(tmp_path / "q")
+        argv = ["lebesgue", channel_files["id2"], channel_files["dep2"], "-o", prefix]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert not (tmp_path / "q.ac.json").exists()
 
     @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
     @pytest.mark.parametrize("command", [["mean", "--kind", "log"], ["lebesgue"]],
@@ -903,7 +924,7 @@ class TestInputHash:
 
 
 def _memo_free_read(path):
-    channeldoc._doc_memo.clear()
+    hermlinalg._RUN = hermlinalg._Run()
     return read_doc(path)
 
 
@@ -967,7 +988,7 @@ class TestDocumentMemo:
         for _ in range(2):  # a second read finds no memo entry to hit
             with pytest.raises(ParseError, match="name must be a string"):
                 read_doc(p)
-        assert channeldoc._doc_memo == {}
+        assert hermlinalg._RUN.docs == {}
         assert main(["--format", "json", "index", str(p)]) == 2
         err = capsys.readouterr().err
         assert "name must be a string" in err and "internal error" not in err
@@ -976,7 +997,7 @@ class TestDocumentMemo:
         p = tmp_path / "f.json"
         with pytest.raises(DomainError, match="name must be a string"):
             save_channel(identity(2), p, name=[1, {"a": 2}])
-        assert not p.exists() and channeldoc._doc_memo == {}
+        assert not p.exists() and hermlinalg._RUN.docs == {}
 
     @pytest.mark.parametrize("make", [
         *(["mean", "--kind", kind] for kind in ("arith", "harm", "parallel", "geo",
@@ -998,11 +1019,11 @@ class TestDocumentMemo:
             ["order", out, a] for out in outs]
 
         def run(clear_each):
-            channeldoc._doc_memo.clear()
+            hermlinalg._RUN = hermlinalg._Run()
             got = []
             for argv in argvs:
                 if clear_each:
-                    channeldoc._doc_memo.clear()
+                    hermlinalg._RUN = hermlinalg._Run()
                 code = main(["--format", "json", *argv])
                 got.append((code, capsys.readouterr().out))
             return got, [open(out, "rb").read() for out in outs]
@@ -1028,20 +1049,20 @@ class TestDocumentMemo:
     def test_a_malformed_document_exits_2_every_time(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)
-        channeldoc._doc_memo.clear()
+        hermlinalg._RUN = hermlinalg._Run()
         for _ in range(3):
             assert main(["verify", str(p)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
-        assert channeldoc._doc_memo == {}
+        assert hermlinalg._RUN.docs == {}
 
     def test_the_memo_keeps_the_last_three_documents(self, tmp_path, decodes):
         paths = [tmp_path / f"{i}.json" for i in range(5)]
         for i, p in enumerate(paths):
             write_kraus(kraus_decompose((i + 1.0) * identity(2)), p, 2, 2, name=str(i))
-        channeldoc._doc_memo.clear()
+        hermlinalg._RUN = hermlinalg._Run()
         for p in paths:
             read_doc(p)
-            assert len(channeldoc._doc_memo) <= 3
+            assert len(hermlinalg._RUN.docs) <= 3
         assert decodes == ["0", "1", "2", "3", "4"]
         for p in paths[2:]:  # the last three are hits
             read_doc(p)
@@ -1050,14 +1071,14 @@ class TestDocumentMemo:
         assert decodes[5:] == ["0"]
         for i, p in enumerate(paths):  # choi saves are kept under the same bound
             save_channel((i + 1.0) * depolarizing(2), p)
-            assert len(channeldoc._doc_memo) <= 3
+            assert len(hermlinalg._RUN.docs) <= 3
 
     def test_mean_verify_index_order_decode_two_documents(self, tmp_path, rng, decodes,
                                                            capsys):
         a, b, m = (str(tmp_path / f"{tag}.json") for tag in ("a", "b", "mean"))
         save_channel(random_cp(rng, 3, 3), a, name="a")
         write_kraus(gaussian_kraus(rng, 3, 3), b, 3, 3, name="b")
-        channeldoc._doc_memo.clear()
+        hermlinalg._RUN = hermlinalg._Run()
         for argv in (["mean", "--kind", "geo", a, b, "-o", m], ["verify", m],
                      ["index", a], ["order", a, b]):
             assert main(["--format", "json", *argv]) in (0, 3)

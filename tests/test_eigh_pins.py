@@ -1,17 +1,18 @@
 """Eigendecompositions per public operation, pinned on one Choi-16 pair.
 
-Each count starts with no spectral pair shared and no document in the
-memo, so a plain row is a cold count.  A row ``X after k`` counts X after
-``mean k`` ran uncounted on the same two operands and left its pair shared;
-a row ``X after cli ...`` counts X after that command ran uncounted and left
-its documents in the memo.  A change that moves a count restates its row
-here and says why.
+Each count starts on a fresh run (``hermlinalg._Run()``), with no spectral
+pair shared and no document kept, so a plain row is a cold count.  A row ``X
+after k`` counts X after ``mean k`` ran uncounted on the same two operands
+and left its pair in the run; a row ``X after cli ...`` counts X after that
+command ran uncounted and left its documents in the run.  A row ending ``in
+a fresh run`` starts a fresh run between the two, so it reads the cold count.
+A change that moves a count restates its row here and says why.
 """
 
 import numpy as np
 import pytest
 
-from cpmean import cli, cpmaps, lebesgue, opmeans
+from cpmean import cli, cpmaps, hermlinalg, lebesgue, opmeans
 from cpmean.channeldoc import save_channel
 from cpmean.opmeans import MeanKind
 
@@ -32,6 +33,7 @@ PINS = [
     ("mean custom dual", (4, 0)),
     # the last spectral pair is shared: a next mean pays only its clamp
     ("mean geo after harm", (2, 0)),
+    ("mean geo after harm in a fresh run", (4, 0)),  # the run, not the process, shares
     ("decompose after geo", (0, 0)),
     ("lib-means bundle", (10, 0)),  # arith 0, harm 4, geo, power:0.3 and log 2 each
     ("decompose", (2, 0)),        # eig C, eig A'
@@ -68,7 +70,7 @@ PINS = [
     ("cli index", (1, 0)),        # likewise, the index reads it
     ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
     ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms
-    # the memo holds the -o document as the mean wrote it, with its eig, and
+    # the run holds the -o document as the mean wrote it, with its eig, and
     # both inputs as admitted: no decoding and no admission
     ("cli verify geo.json after cli mean --kind geo -o", (0, 0)),
     ("cli index after cli mean --kind geo -o", (0, 0)),
@@ -160,9 +162,14 @@ def _operation(name, f, g, geo, paths):
 
 
 @pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
-def test_pinned_counts(pair, eigh_calls, name, counts):
+def test_pinned_counts(pair, eigh_calls, monkeypatch, name, counts):
     name, _, first = name.partition(" after ")
+    first, fresh = first.removesuffix(" in a fresh run"), first.endswith(" in a fresh run")
     warm = _operation(first if first in CLI else f"mean {first}", *pair) if first else None
+    if fresh:
+        def warm(run=warm):
+            run()
+            monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
     assert eigh_calls(_operation(name, *pair), warm) == counts
 
 

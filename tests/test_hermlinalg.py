@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cpmean import cpmaps, lebesgue, opmeans
+from cpmean import cpmaps, hermlinalg, lebesgue, opmeans
 from cpmean.errors import InvalidInput, ShapeError
 from cpmean.hermlinalg import (
     TOL_HERM,
@@ -304,7 +304,7 @@ def _pair_reads(f, g) -> dict:
 
 
 def _cold(call):
-    _shared_pair.cache_clear()
+    hermlinalg._RUN.pair = None
     return call()
 
 
@@ -324,11 +324,11 @@ class TestSharedPair:
         reads = _pair_reads(f, g)
         cold = {name: _cold(call) for name, call in reads.items()}
         _cold(lambda: cpmaps.mean_cp(opmeans.HARM, f, g))
-        hits = _shared_pair.cache_info().hits
+        shared = hermlinalg._RUN.pair[2]
         for name, call in reads.items():
             assert np.array_equal(call(), cold[name]), name
-        # every read but arith took the pair from the memo
-        assert _shared_pair.cache_info().hits - hits == len(reads) - 1
+            # every read takes the pair from the run (arith reads none)
+            assert hermlinalg._RUN.pair[2] is shared, name
 
     def test_shared_arrays_are_read_only(self, rng):
         a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
@@ -348,7 +348,7 @@ class TestSharedPair:
         want = _cold(lambda: opmeans.mean(MeanKind.power(0.3), a, b)).entries
         same = PsdMatrix(a.entries.copy())
         assert np.array_equal(opmeans.mean(MeanKind.power(0.3), same, b).entries, want)
-        # the memo holds its operands, so a new matrix cannot take a freed id
+        # the run holds its operands, so a new matrix cannot take a freed id
         key = id(same)
         del same
         other = PsdMatrix(random_psd(rng, 5))
@@ -367,6 +367,17 @@ class TestSharedPair:
         assert eigh_calls(split(f, g), warm=split(f, g)) == (0, 0)
         assert eigh_calls(split(h, k), warm=split(f, g)) == (2, 0)
         assert eigh_calls(lambda: [split(f, g)(), split(h, k)(), split(f, g)()]) == (6, 0)
+
+    def test_a_worker_thread_shares_the_callers_run(self, rng, eigh_calls):
+        a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
+        with ThreadPoolExecutor(1) as pool:
+            def warm():
+                pool.submit(opmeans.mean, opmeans.HARM, a, b).result(timeout=60)
+
+            # the geometric mean pays only its clamp: the worker's pair is kept
+            assert eigh_calls(lambda: opmeans.geometric_mean(a, b), warm) == (2, 0)
+        kept = hermlinalg._RUN.pair
+        assert kept[0] is a and kept[1] is b
 
     def test_threads_match_serial_results(self, rng):
         pairs = [(PsdMatrix(random_psd(rng, 16)), PsdMatrix(random_psd(rng, 16, rank=r)))

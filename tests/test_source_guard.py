@@ -1,13 +1,14 @@
 """Source guard: one rank cutoff, one route to eigendecompositions, one
-spectral pair, one verdict rule, one Hermiticity rule, numpy as the only
-dependency, and a pinned public surface.
+spectral pair, one owner of cross-call state, one verdict rule, one
+Hermiticity rule, numpy as the only dependency, and a pinned public surface.
 
 The support cutoff ``RANK_RTOL * max(...)`` is computed only in
 ``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
-``hermlinalg``.  A ``SpectralPair`` is built only by the one-slot memo
-``hermlinalg._shared_pair``, which every connection and the Lebesgue split call
-in one place each.  Every connection is taken by ``opmeans._connect``, which
-only ``mean`` and ``geometric_mean`` call, and the pseudo-inverse is taken only
+``hermlinalg``.  A ``SpectralPair`` is built only by
+``hermlinalg._shared_pair``, which keeps the last one in the run and which
+every connection and the Lebesgue split call in one place each.  Every
+connection is taken by ``opmeans._connect``, which only ``mean`` and
+``geometric_mean`` call, and the pseudo-inverse is taken only
 by the reference formula ``opmeans.parallel_sum``.  No command runs the parallel-sum limit
 ``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
 the split against Ando's closed form ``lebesgue._ando_ac``, and
@@ -15,8 +16,12 @@ the split against Ando's closed form ``lebesgue._ando_ac``, and
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
-Only ``channeldoc`` reads or writes its document memo, and no module reads
-the environment: ``--tol`` alone sets the tolerance.
+State that calls keep for later calls has one owner, the run
+``hermlinalg._RUN``: no other module-level name is bound to a mutable value
+but the constant tables ``opmeans._SIGMA`` and ``registry.REGISTRY``, and only
+``channeldoc`` reads the run's document slots ``docs`` or calls the two
+functions that keep them.  No module reads the environment: ``--tol`` alone
+sets the tolerance.
 Reports take checks only through ``Report.check``, which passes a check iff
 its residual is within its tolerance: no ``.record(`` call outside
 ``report.py`` can pass a verdict of its own.  No module imports a third-party
@@ -24,9 +29,9 @@ package but numpy, at module or function level, and every module-level import
 is used.  The public names of ``import cpmean`` and the parameter names of each
 are pinned, as are those of ``Report.add_input``, the slots of
 ``HermitianMatrix`` and ``SpectralPair`` and the functions that
-``functools.lru_cache`` keeps, so adding or removing a name, a knob, a field
-or a cache shows in this file; README's list of the public names is checked
-against the pinned one.
+``functools.lru_cache`` keeps (the two CLI parsers), so adding or removing a
+name, a knob, a field or a cache shows in this file; README's list of the
+public names is checked against the pinned one.
 """
 
 import ast
@@ -160,22 +165,74 @@ def test_hermiticity_guard_sees_a_planted_copy():
     assert not _reads("TOL = 1e-10  # TOL_HERM\nx = 'TOL_HERM'\n", "TOL_HERM")
 
 
-# the document memo of channeldoc and the two functions that read and write it
-DOC_MEMO = ("_doc_memo", "_recall", "_remember")
+# (file, name) of each module-level name bound to a mutable value: the one
+# run and two constant tables
+MUTABLE_GLOBALS = {("hermlinalg.py", "_RUN"), ("opmeans.py", "_SIGMA"),
+                   ("registry.py", "REGISTRY")}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = ("dict", "list", "set", "Lock", "_Run")
 
 
-def test_document_memo_used_only_in_channeldoc():
-    offenders = {name: found for name, text in _sources()
+def _is_mutable(value) -> bool:
+    """Whether an expression is a dict, list or set display or comprehension,
+    a call of one of ``MUTABLE_CALLS`` by plain or attribute name, or a tuple
+    holding one."""
+    if isinstance(value, ast.Tuple):
+        return any(map(_is_mutable, value.elts))
+    func = getattr(value, "func", None)
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return isinstance(value, MUTABLE_DISPLAYS) or called in MUTABLE_CALLS
+
+
+def _mutable_globals(name: str, text: str) -> set[tuple[str, str]]:
+    """(file, name) of each name a module-level assignment of a mutable value binds."""
+    found = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_mutable(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {(name, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return found
+
+
+def test_the_run_is_the_only_module_level_mutable_state():
+    found = set()
+    for name, text in _sources():
+        found |= _mutable_globals(name, text)
+    assert found == MUTABLE_GLOBALS
+
+
+def test_mutable_state_guard_sees_a_planted_global():
+    text = ("import threading\n\n_memo: dict[str, int] = {}\n_lock = threading.Lock()\n"
+            "_seen = set()\n_RUN2 = hermlinalg._Run()\n_SLOTS = 3\n_KINDS = ('a', 'b')\n"
+            "class X:\n    cache = {}\n")
+    assert _mutable_globals("x.py", text) == {("x.py", n) for n in ("_memo", "_lock", "_seen",
+                                                                     "_RUN2")}
+    assert _mutable_globals("y.py", "a, b = [], 0\n") == {("y.py", "a"), ("y.py", "b")}
+    assert _mutable_globals("z.py", "def f():\n    memo = {}\n    return memo\n") == set()
+
+
+def _reads_attribute(text: str, attr: str) -> bool:
+    """Whether a source reads ``.attr`` of any object."""
+    return any(isinstance(node, ast.Attribute) and node.attr == attr
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(ast.parse(text)))
+
+
+def test_document_slots_used_only_in_channeldoc():
+    offenders = [name for name, text in _sources()
                  if name != "channeldoc.py"
-                 and (found := [n for n in DOC_MEMO if _reads(text, n)])}
-    assert offenders == {}
+                 and (_reads_attribute(text, "docs")
+                      or any(_reads(text, n) for n in ("_recall", "_remember")))]
+    assert offenders == []
 
 
-def test_document_memo_guard_sees_a_planted_copy():
+def test_document_slots_guard_sees_a_planted_read():
+    assert _reads_attribute("def f(h):\n    return hermlinalg._RUN.docs.get(h)\n", "docs")
+    assert _reads_attribute("def f(run, h):\n    del run.docs[h]\n", "docs")
+    assert not _reads_attribute("def f(self):\n    self.docs = {}\n", "docs")
+    assert not _reads_attribute("docs = 'run.docs'\n", "docs")
     assert _reads("from .channeldoc import _remember\n", "_remember")
-    assert _reads("def f(h):\n    return channeldoc._doc_memo.get(h)\n", "_doc_memo")
     assert _reads("def f(h):\n    return _recall(h)\n", "_recall")
-    assert not _reads("memo = {}  # _doc_memo\nx = '_recall'\n", "_doc_memo")
 
 
 # os.environ and os.getenv, used or imported by name
@@ -196,9 +253,7 @@ def test_environment_guard_sees_a_planted_read():
 
 
 # (file, top-level function) of each functools cache in src/: the two parsers
-# and the one-slot spectral pair
-LRU_CACHE_SITES = {("cli.py", "_build_parser"), ("cli.py", "_globals_parser"),
-                   ("hermlinalg.py", "_shared_pair")}
+LRU_CACHE_SITES = {("cli.py", "_build_parser"), ("cli.py", "_globals_parser")}
 
 
 def _cache_sites(name: str, text: str) -> set[tuple[str, str]]:
