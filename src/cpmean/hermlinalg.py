@@ -124,9 +124,11 @@ class PsdMatrix(HermitianMatrix):
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
         """Project onto the PSD cone by zeroing negative eigenvalues down to -bound.
 
-        An eigenvalue below -bound raises InvalidInput instead of being
-        silently absorbed; the caller sets the bound from the round-off of the
-        computation that produced the entries.
+        An eigenvalue below -bound raises InvalidInput; the caller sets the
+        bound from the round-off of the computation that produced the entries.
+        All eigenvalues >= 0: the entries are admitted again, a second eigh.
+        Else the Gram form ``U max(w, 0) U*`` (Higham 1988) keeps its eig lazy:
+        one eigh, so a rank-deficient result's cost follows its rounding.
         """
         h = HermitianMatrix(entries)
         w, u = h.eig()
@@ -136,7 +138,7 @@ class PsdMatrix(HermitianMatrix):
             raise InvalidInput(
                 f"negative eigenvalue {w[0]:.3e} exceeds clamping tolerance"
             )
-        return cls((u * np.clip(w, 0.0, None)) @ u.conj().T)
+        return cls._gram(u, np.clip(w, 0.0, None))
 
     @classmethod
     def _trusted(cls, entries) -> "PsdMatrix":

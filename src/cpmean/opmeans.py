@@ -9,7 +9,7 @@ two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A`
 to about 1.8e308 either way (r and 1/r finite); beyond it, DomainError.
 The last pair built is shared (``hermlinalg._shared_pair``): the first
 connection of two operand objects costs the pair's two eigendecompositions
-and the final clamp's two, each next one on the same objects the clamp's.
+and the clamp's one or two (``PsdMatrix.clamped``), each next one the clamp's.
 ``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
 independent reference of the parallel-sum limit.
 

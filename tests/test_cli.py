@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,7 +763,7 @@ class TestEncodeOnce:
     def _assert_names_its_document(written, path, capsys):
         """The report's entry for a written document gives its path and the
         SHA-256 of its bytes, the hash ``verify`` reports for the same file."""
-        sha256 = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert written == {"path": path, "sha256": sha256}
         main(["--format", "json", "verify", path])
         assert json.loads(capsys.readouterr().out)["inputs"][0]["sha256"] == sha256
@@ -801,7 +802,7 @@ class TestEncodeOnce:
         for written, (part, chan) in zip(outputs["written"], (("ac", ac), ("sing", sing)),
                                          strict=True):
             path = f"{prefix}.{part}.json"
-            text = open(path).read()
+            text = Path(path).read_text()
             assert text == json.dumps(channel_to_doc(chan, name=f"{part}(g|f)")) + "\n"
             self._assert_names_its_document(written, path, capsys)
         main(["--format", "json", "lebesgue", phi, psi])
@@ -895,7 +896,7 @@ class TestInputHash:
         import hashlib
 
         paths = [channel_files["id2"], channel_files["dep2"]]
-        before = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+        before = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
         loads = []
         real = cli.read_doc
 
@@ -911,7 +912,7 @@ class TestInputHash:
         assert loads == paths  # one read per input
         assert [e["name"] for e in inputs] == ["id2", "dep2"]
         assert [e["sha256"] for e in inputs] == before
-        after = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+        after = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
         assert after[1] != before[1]
 
     def test_invalid_utf8_exits_2(self, tmp_path, capsys):
@@ -1026,7 +1027,7 @@ class TestDocumentMemo:
                     hermlinalg._RUN = hermlinalg._Run()
                 code = main(["--format", "json", *argv])
                 got.append((code, capsys.readouterr().out))
-            return got, [open(out, "rb").read() for out in outs]
+            return got, [Path(out).read_bytes() for out in outs]
 
         assert run(clear_each=False) == run(clear_each=True)
 

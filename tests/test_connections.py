@@ -264,15 +264,23 @@ class TestTransforms:
 
 class TestEighCount:
     @pytest.mark.parametrize("nodes", [16, 64])
-    def test_custom_mean_costs_as_much_as_geo(self, rng, eigh_calls, nodes):
+    def test_custom_mean_costs_as_much_as_geo(self, rng, eigh_calls, clamp_costs, nodes):
+        # each costs the pair's 2 plus its clamp's branch: a result of nullity
+        # 2 takes either branch, as the sign of its rounding-level eigenvalues
+        # falls (Choi 4, G rank 2: geo projects, the custom means need not)
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-        geo = eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g))
+
+        def beyond_clamp(kind):
+            clamp_costs.clear()
+            eigh, eigvalsh = eigh_calls(lambda: mean_cp(kind, f, g))
+            return eigh - sum(clamp_costs), eigvalsh, len(clamp_costs)
+
+        assert beyond_clamp(MeanKind("geo")) == (2, 0, 1)
         rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
         for transform in (lambda r: r, transpose_rep, adjoint_rep, dual_rep):
-            got = eigh_calls(lambda: mean_cp(MeanKind.custom(transform(rep)), f, g))
-            assert got == geo
+            assert beyond_clamp(MeanKind.custom(transform(rep))) == (2, 0, 1)
 
 
 class TestGeometricMeanViaConnection:

@@ -66,6 +66,58 @@ class TestTypes:
                 PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+class TestClamped:
+    """Both branches of ``PsdMatrix.clamped`` on rank-deficient results at
+    joint scales: a result whose computed eigenvalues are all >= 0 is
+    admitted as it is, at 2 eigh; any other within the bound is projected to
+    ``U max(w, 0) U*``, a Gram form admitted without a second eigh."""
+
+    @staticmethod
+    def _result(rng, scale, w):
+        q = random_unitary(rng, len(w))
+        return scale * ((q * np.asarray(w)) @ q.conj().T)
+
+    def test_projection_is_the_gram_form_of_the_clipped_eig(self, rng, scale):
+        x = self._result(rng, scale, [-1e-13, -1e-14, 0.0, 1.0, 2.0, 3.0])
+        w, u = HermitianMatrix(x).eig()
+        assert w[0] < 0.0  # the projecting branch
+        got = PsdMatrix.clamped(x, 1e-9 * scale)
+        want = PsdMatrix((u * np.clip(w, 0.0, None)) @ u.conj().T)
+        assert type(got) is PsdMatrix and _bits(got.entries) == _bits(want.entries)
+
+    def test_projection_keeps_its_eig_lazy(self, rng, scale, eigh_calls):
+        x = self._result(rng, scale, [-1e-13, 0.0, 0.0, 1.0, 2.0])
+        got = []
+        assert eigh_calls(lambda: got.append(PsdMatrix.clamped(x, 1e-9 * scale))) == (1, 0)
+        out = got[0]
+        assert out._eig is None
+        assert eigh_calls(out.eig) == (1, 0)
+        for have, fresh in zip(out.eig(), np.linalg.eigh(out.entries)):
+            assert _bits(have) == _bits(fresh)
+
+    def test_psd_branch_admits_the_result_again(self, rng, scale, eigh_calls):
+        # a diagonal result of rank 2 has exact zero eigenvalues; a positive
+        # definite one has none near 0
+        for x in (scale * np.diag([0.0, 0.0, 1.0, 2.0]),
+                  self._result(rng, scale, [0.5, 1.0, 2.0, 3.0])):
+            h = HermitianMatrix(x)
+            assert h.eig()[0][0] >= 0.0  # the PSD branch
+            got = []
+            assert eigh_calls(lambda: got.append(PsdMatrix.clamped(x, 1e-9 * scale))) == (2, 0)
+            assert _bits(got[0].entries) == _bits(h.entries)
+            assert eigh_calls(got[0].eig) == (0, 0)  # filled by the admission
+
+    def test_eigenvalue_below_the_bound_raises(self, rng, scale):
+        x = self._result(rng, scale, [-1e-6, 0.0, 1.0, 2.0])
+        with pytest.raises(InvalidInput, match="exceeds clamping tolerance"):
+            PsdMatrix.clamped(x, 1e-9 * scale)
+
+
 class TestEigh:
     def test_diagonal(self):
         w, u = HermitianMatrix(np.diag([3.0, 1.0])).eig()
@@ -368,14 +420,17 @@ class TestSharedPair:
         assert eigh_calls(split(h, k), warm=split(f, g)) == (2, 0)
         assert eigh_calls(lambda: [split(f, g)(), split(h, k)(), split(f, g)()]) == (6, 0)
 
-    def test_a_worker_thread_shares_the_callers_run(self, rng, eigh_calls):
+    def test_a_worker_thread_shares_the_callers_run(self, rng, eigh_calls, clamp_costs):
         a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
         with ThreadPoolExecutor(1) as pool:
             def warm():
                 pool.submit(opmeans.mean, opmeans.HARM, a, b).result(timeout=60)
+                clamp_costs.clear()
 
-            # the geometric mean pays only its clamp: the worker's pair is kept
-            assert eigh_calls(lambda: opmeans.geometric_mean(a, b), warm) == (2, 0)
+            # the geometric mean pays only its clamp, whose branch a result of
+            # nullity 2 takes by rounding: the worker's pair is kept
+            got = eigh_calls(lambda: opmeans.geometric_mean(a, b), warm)
+            assert len(clamp_costs) == 1 and got == (clamp_costs[0], 0)
         kept = hermlinalg._RUN.pair
         assert kept[0] is a and kept[1] is b
 

@@ -512,9 +512,11 @@ class TestStructuralProperties:
 
 class TestEighCount:
     @pytest.mark.parametrize("fn, count", [
-        (parallel_sum, 3),      # admit A + B, then the final clamp's two
-        pytest.param(partial(mean, HARM), 4, id="mean_harm-4"),  # eig C, eig A', the clamp's two
-        (geometric_mean, 4),    # eig C, eig A', and the clamp's two
+        # each result has nullity 5 and is projected by the final clamp, one
+        # eigh; down by one each from the clamp's re-admission of its Gram form
+        (parallel_sum, 2),      # admit A + B, then the final clamp's one
+        pytest.param(partial(mean, HARM), 3, id="mean_harm-3"),  # eig C, eig A', the clamp's one
+        (geometric_mean, 3),    # eig C, eig A', and the clamp's one
     ])
     def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):
         a = PsdMatrix(random_psd(rng, 9))
