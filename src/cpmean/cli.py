@@ -11,9 +11,9 @@ With -o, the report names each document written by its path and the SHA-256
 of its bytes ("written") in place of the Choi matrix it holds.
 
 Global flags (accepted before or after the subcommand): --format text|json
-and --tol FLOAT, the PSD tolerance of order/verify (default 1e-9), which
-verify also takes as the absolute bound on the unital and trace-preserving
-defects.  It must be a finite number >= 0; any other value exits 2.
+and --tol FLOAT, the PSD tolerance of order/verify (default 1e-9) times the
+largest Choi entry modulus, and verify's absolute bound on the unital and
+trace-preserving defects.  It must be a finite number >= 0, else exit 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 a failed check or an
 internal error.
@@ -27,8 +27,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import hermlinalg, lebesgue, opmeans
 from .channeldoc import read_doc, save_channel
@@ -124,18 +122,15 @@ def _write(f: CpMap, path: str, name: str) -> dict:
 
 
 def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float, known: dict[str, CpMap]):
-    """Record how far each step of harmonic <= geometric <= arithmetic dips,
-    against ``tol * max(||C_F||, ||C_G||)``.
-
-    `known` maps a mean tag to a result the caller already computed.
-    """
+    """Record how far each step of harmonic <= geometric <= arithmetic dips, against
+    ``tol * _max_abs(C_F, C_G)``; `known` maps a mean tag to a result already computed."""
     harm, geo, arith = (
         (known[tag] if tag in known else mean_cp(MeanKind(tag), f, g)).choi.entries
         for tag in ("harm", "geo", "arith"))
-    scale = max(f.choi.norm(), g.choi.norm())
+    bound = tol * hermlinalg._max_abs(f.choi.entries, g.choi.entries)
     for label, diff in (("geo - harm", geo - harm), ("arith - geo", arith - geo)):
         low = float(hermlinalg.HermitianMatrix(diff).eigvals()[0])
-        rep.check(f"chain {label} >= 0", max(0.0, -low), tol * scale)
+        rep.check(f"chain {label} >= 0", max(0.0, -low), bound)
 
 
 def cmd_mean(args, tol: float) -> list[Report]:
@@ -200,8 +195,8 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
     rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
     rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
     ando = lebesgue._ando_ac(phi, psi).choi.entries
-    rep.check("ac = Ando closed form", float(np.abs(split.ac.choi.entries - ando).max()),
-              lebesgue.TOL_SPLIT * psi.choi.norm())
+    rep.check("ac = Ando closed form", hermlinalg._max_abs(split.ac.choi.entries - ando),
+              lebesgue.TOL_SPLIT * hermlinalg._max_abs(psi.choi.entries))
     parts = (("ac", split.ac), ("sing", split.sing))
     if args.out:
         written = []

@@ -29,8 +29,8 @@ from .hermlinalg import (
     HermitianMatrix,
     PsdMatrix,
     Verdict,
+    _max_abs,
     as_psd,
-    is_psd,
     psd_sqrt,
 )
 from . import opmeans
@@ -85,8 +85,8 @@ class CpMap:
                      PsdMatrix._trusted(self.choi.entries + other.choi.entries))
 
     def __rmul__(self, scalar: float) -> "CpMap":
-        if scalar < 0:
-            raise DomainError("CP maps admit only nonnegative scaling")
+        if np.iscomplexobj(scalar) or scalar < 0:
+            raise DomainError(f"CP maps admit only nonnegative real scaling, got {scalar!r}")
         return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(scalar * self.choi.entries))
 
     def __repr__(self):
@@ -150,8 +150,8 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
             raise ShapeError("empty Kraus list requires explicit dimensions")
     else:
         n, m = ops[0].shape
-        dim_in = dim_in or m
-        dim_out = dim_out or n
+        dim_in = m if dim_in is None else dim_in
+        dim_out = n if dim_out is None else dim_out
         if (n, m) != (dim_out, dim_in):
             raise ShapeError("Kraus operators must be dim_out x dim_in")
     if any(k.shape != (dim_out, dim_in) for k in ops):
@@ -172,15 +172,13 @@ def kraus_decompose(f: CpMap) -> list[np.ndarray]:
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
-    """``(F <= G, G <= F)`` in the CP order from one eigendecomposition of C_G - C_F.
-
-    F <= G is ``is_psd`` of C_G - C_F; G <= F reads the same spectrum negated,
-    ``max(0, lambda_max)`` against the same bound.
-    """
+    """``(F <= G, G <= F)`` in the CP order from one eigendecomposition of C_G - C_F:
+    ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
+    largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
-    h = HermitianMatrix(g.choi.entries - f.choi.entries)
-    le = is_psd(h, tol)
-    return le, Verdict(max(0.0, float(h.eig()[0][-1])), le.bound)
+    w = HermitianMatrix(g.choi.entries - f.choi.entries).eig()[0]
+    bound = tol * _max_abs(f.choi.entries, g.choi.entries)
+    return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
 
 def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
@@ -193,8 +191,8 @@ def mean_cp(kind: MeanKind, f: CpMap, g: CpMap) -> CpMap:
 def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> Verdict:
     """Block-matrix certificate of [[C_F, C_T], [C_T, C_G]] >= 0.
 
-    ``max(0, -lambda_min)`` of the block against ``tol * ||block||``, both from
-    its eigenvalues alone, so the verdict does not change under joint
+    ``max(0, -lambda_min)`` of the block, from its eigenvalues alone, against
+    ``tol * max |block_ij|``, so the verdict does not change under joint
     scaling.  Holds for theta = geometric mean (and anything below it), fails
     for any strictly larger candidate; this is the maximality characterization.
     """
@@ -202,7 +200,7 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
     w = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
-    return Verdict(max(0.0, -float(w[0])), tol * float(max(abs(w[0]), abs(w[-1]))))
+    return Verdict(max(0.0, -float(w[0])), tol * _max_abs(cf, cg, ct))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

@@ -26,10 +26,15 @@ from .errors import DomainError, InvalidInput, ShapeError
 
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
-TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max(1, norm)
+TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max |h_ij|
 TOL_HERM = 1e-10    # Hermiticity of outside arrays in _admit, relative to max abs entry
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _max_abs(*arrays) -> float:
+    """The largest entry modulus of the arrays, the scale of every verdict's bound."""
+    return max(float(np.abs(x).max()) for x in arrays)
 
 
 def _square(entries) -> np.ndarray:
@@ -167,8 +172,8 @@ def _admit(x, cls):
     if isinstance(x, HermitianMatrix):
         return cls(x.entries)
     m = _square(x)
-    defect = np.abs(m - m.conj().T).max()
-    if defect > TOL_HERM * np.abs(m).max():
+    defect = _max_abs(m - m.conj().T)
+    if defect > TOL_HERM * _max_abs(m):
         raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
     return cls(m)
 
@@ -190,11 +195,11 @@ class Verdict(NamedTuple):
 
 
 def is_psd(h, tol: float = TOL_PSD) -> Verdict:
-    """``max(0, -min eigenvalue)`` against ``tol * max(1, spectral norm)``, from
-    the cached eig: h is PSD within tol iff the verdict holds.  An array-like h
-    meets ``_admit``'s Hermiticity rule first."""
+    """``max(0, -min eigenvalue)`` from the cached eig against ``tol * max
+    |h_ij|``: h is PSD within tol iff the verdict holds, at every scale.  An
+    array-like h meets ``_admit``'s Hermiticity rule first."""
     hm = _admit(h, HermitianMatrix)
-    return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * max(1.0, hm.norm()))
+    return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * _max_abs(hm.entries))
 
 
 def psd_sqrt(a) -> PsdMatrix:
@@ -228,7 +233,7 @@ class SpectralPair:
     __slots__ = ("sa", "sb", "t", "z")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
-        self.sa, self.sb = (float(np.abs(x.entries).max()) or 1.0 for x in (a, b))
+        self.sa, self.sb = (_max_abs(x.entries) or 1.0 for x in (a, b))
         ah = a.entries / self.sa
         w, u = HermitianMatrix(ah + b.entries / self.sb).support()
         x = u / np.sqrt(w)

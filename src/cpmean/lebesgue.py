@@ -23,15 +23,16 @@ import numpy as np
 from .cpmaps import CpMap, _check_same_dims
 from .errors import NonConvergence
 from .hermlinalg import (
-    RANK_RTOL, HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _shared_pair, psd_sqrt)
+    RANK_RTOL, HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _max_abs, _shared_pair,
+    psd_sqrt)
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
 TOL_LIM = 1e-6
 # Bound on the scale-free singularity and absolute-continuity residuals, and
-# on the split's ac against ``_ando_ac`` relative to ||C_G||.
+# on the split's ac against ``_ando_ac`` relative to the largest entry of C_G.
 TOL_SPLIT = 1e-8
-# Bound on max |ac + sing - C_G|, relative to max(||C_F||, ||C_G||).
+# Bound on max |ac + sing - C_G|, relative to the largest entry of C_F and C_G.
 TOL_ADD = 1e-9
 
 # The oracle's schedule: n = 2^k up to 2^_ORACLE_STEPS, Richardson depth 4.
@@ -44,7 +45,7 @@ class LebesgueSplit:
     """Decomposition G = ac + sing with ac absolutely continuous and sing singular.
 
     alpha_min is the least alpha with C_ac <= alpha * C_F (0 when ac vanishes);
-    recon is ``max |C_ac + C_sing - C_G|`` against ``TOL_ADD max(||C_F||, ||C_G||)``.
+    recon is ``max |C_ac + C_sing - C_G|`` against ``TOL_ADD * _max_abs(C_F, C_G)``.
     """
 
     ac: CpMap
@@ -138,13 +139,13 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     p = _pair(f, g)
     phi, h_ac, h_sing = _split(p)
     ac, sing = PsdMatrix._gram(p.z, h_ac), PsdMatrix._gram(p.z, h_sing)
-    resid = float(np.abs(ac.entries + sing.entries - g.choi.entries).max())
+    resid = _max_abs(ac.entries + sing.entries - g.choi.entries)
     tp = p.t[phi]
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
         alpha_min=p.ratio() * float(((1.0 - tp) / tp).max(initial=0.0)),
-        recon=Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm())),
+        recon=Verdict(resid, TOL_ADD * _max_abs(f.choi.entries, g.choi.entries)),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .hermlinalg import PsdMatrix, _shared_pair, as_psd, pinv_psd
+from .hermlinalg import PsdMatrix, _max_abs, _shared_pair, as_psd, pinv_psd
 
 # Round-off bound of a mean.  Its clamp is relative to the result's largest
 # entry modulus for the connections on the spectral pair and to ||A + B|| for
@@ -51,7 +51,7 @@ def _connect(a, b, sigma) -> PsdMatrix:
     p = _shared_pair(*_check_pair(a, b))
     d = sigma(p.t, p.ratio() * (1.0 - p.t))
     out = p.sa * ((p.z * d) @ p.z.conj().T)
-    return PsdMatrix.clamped(out, TOL_MEAN * float(np.abs(out).max()))
+    return PsdMatrix.clamped(out, TOL_MEAN * _max_abs(out))
 
 
 def _parallel(u, v):
@@ -120,7 +120,11 @@ class ConnectionRep:
         if not (0.0 <= self.a < np.inf and 0.0 <= self.b < np.inf):
             raise DomainError("constant and linear coefficients must be finite and "
                               f"nonnegative, got {self.a} and {self.b}")
-        for lam, wt in self.atoms:
+        try:
+            atoms = [(lam, wt) for lam, wt in self.atoms]
+        except (TypeError, ValueError):
+            raise DomainError(f"atoms must be (l, w) pairs, got {self.atoms}") from None
+        for lam, wt in atoms:
             if not (lam > 0.0 and np.isfinite(lam)):
                 raise DomainError(f"atom location must be positive, got {lam}")
             if not (wt > 0.0 and np.isfinite(wt)):

@@ -22,13 +22,11 @@ from cpmean.cpmaps import (
     identity,
     index_cp,
     mean_cp,
-    order_cp,
     schur,
     state_mean_quantities,
     tensor,
     unitary_conj,
 )
-from cpmean.hermlinalg import is_psd
 from cpmean.lebesgue import ac_part_oracle, decompose
 from cpmean.opmeans import (
     ARITH,
@@ -54,7 +52,9 @@ from conftest import (
     write_channel,
 )
 from jacobi import power_atoms
-from test_lebesgue import direct_rn_compression, planted_pair, shorted_to_subspace
+from test_lebesgue import (
+    alpha_by_bisection, alpha_closed_form, below, direct_rn_compression, planted_pair,
+    shorted_to_subspace)
 
 
 def report(num: int, label: str, ok: bool):
@@ -242,7 +242,7 @@ def test_criterion_08_connection_engine():
 
 def test_criterion_09_lebesgue_suite():
     rng = np.random.default_rng(909)
-    worst_add = worst_oracle = worst_sing = worst_alpha = 0.0
+    worst_add = worst_oracle = worst_sing = worst_alpha = worst_closed = 0.0
     maximality_ok = True
     for _ in range(100):
         m = int(rng.integers(1, 4))
@@ -264,25 +264,23 @@ def test_criterion_09_lebesgue_suite():
             for _ in range(20):
                 r = int(rng.integers(1, cols.shape[1] + 1))
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
-                theta = from_choi(m, n, clamp_psd(
-                    shorted_to_subspace(g.choi.entries, mix), tol=1e-7).entries)
-                maximality_ok &= bool(order_cp(theta, split.ac, tol=1e-7)[0])
-        # alpha_min minimality within 1e-6 relative, by bisection
+                theta = clamp_psd(shorted_to_subspace(g.choi.entries, mix), tol=1e-7).entries
+                maximality_ok &= below(theta, g.choi.entries, g)
+                maximality_ok &= below(theta, split.ac.choi.entries, g)
+        # alpha_min minimality within 1e-6 relative, by bisection in the CP
+        # order, and within 1e-9 of the closed form
         if split.alpha_min > 0.0 and not math.isinf(split.alpha_min):
-            lo, hi = 0.0, 2.0 * split.alpha_min + 1.0
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if is_psd(mid * f.choi.entries - split.ac.choi.entries, tol=1e-11):
-                    hi = mid
-                else:
-                    lo = mid
+            hi = alpha_by_bisection(f, split.ac, 2.0 * split.alpha_min + 1.0, 50)
             worst_alpha = max(worst_alpha,
                               abs(hi - split.alpha_min) / split.alpha_min)
+            worst_closed = max(worst_closed, abs(alpha_closed_form(f, split.ac)
+                                                 - split.alpha_min) / split.alpha_min)
     ok = (worst_add <= 1e-9 and worst_oracle <= 1e-5 and worst_sing <= 1e-8
-          and maximality_ok and worst_alpha <= 1e-6)
+          and maximality_ok and worst_alpha <= 1e-6 and worst_closed <= 1e-9)
     report(9, f"Lebesgue suite on 100 planted pairs (add {worst_add:.2e} <= 1e-9, "
               f"oracle {worst_oracle:.2e} <= 1e-5, sing {worst_sing:.2e} <= 1e-8, "
-              f"maximality {maximality_ok}, alpha {worst_alpha:.2e} <= 1e-6)", ok)
+              f"maximality {maximality_ok}, alpha {worst_alpha:.2e} <= 1e-6, "
+              f"closed form {worst_closed:.2e} <= 1e-9)", ok)
 
 
 def test_criterion_10_ando_kosaki_recovery():

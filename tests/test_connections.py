@@ -72,6 +72,12 @@ class TestConnectionRep:
         with pytest.raises(DomainError):
             ConnectionRep(0.0, 0.0, ((1.0, 0.0),))
 
+    @pytest.mark.parametrize("atoms", [((1.0,),), ((1.0, 0.5, 2.0),), (1.0,), 1.0],
+                             ids=["one number", "three numbers", "bare number", "no tuple"])
+    def test_an_atom_that_is_not_a_pair_raises_domain_error(self, atoms):
+        with pytest.raises(DomainError, match="pairs"):
+            ConnectionRep(0.0, 0.0, atoms)
+
     def test_scalar_evaluation(self):
         assert ARITH_REP.scalar(3.0) == pytest.approx(2.0)
         assert HARM_REP.scalar(1.0) == pytest.approx(1.0)

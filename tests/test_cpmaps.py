@@ -87,6 +87,11 @@ class TestChoiConstruction:
         with pytest.raises(DomainError, match="nonnegative"):
             -1 * identity(2)
 
+    @pytest.mark.parametrize("scalar", [1j, 2.0 + 0j, np.complex128(1.0)])
+    def test_complex_scaling_raises_domain_error(self, scalar):
+        with pytest.raises(DomainError, match="real"):
+            scalar * identity(2)
+
     def test_a_map_is_its_choi_matrix_and_hashable(self):
         f = identity(2)
         assert [field.name for field in dataclasses.fields(f)] == ["dim_in", "dim_out", "choi"]
@@ -207,8 +212,11 @@ class TestKraus:
         ([], {}, "explicit dimensions"),
         ([], {"dim_in": 2}, "explicit dimensions"),
         ([np.eye(2)], {"dim_in": 3, "dim_out": 2}, "dim_out x dim_in"),
+        ([np.eye(2)], {"dim_in": 0, "dim_out": 2}, "dim_out x dim_in"),
+        ([np.eye(2)], {"dim_in": 2, "dim_out": 0}, "dim_out x dim_in"),
         ([np.eye(2), np.ones((2, 3))], {}, "inconsistent"),
-    ], ids=["empty", "empty with dim_in", "first off the dimensions", "two shapes"])
+    ], ids=["empty", "empty with dim_in", "first off the dimensions", "explicit dim_in 0",
+            "explicit dim_out 0", "two shapes"])
     def test_operators_off_their_dimensions_raise_shape_error(self, ops, dims, match):
         with pytest.raises(ShapeError, match=match):
             from_kraus(ops, **dims)
@@ -265,7 +273,8 @@ class TestApply:
 class TestOrder:
     def test_reflexive_and_scaled(self, rng):
         f = random_cp(rng, 2, 2)
-        assert order_cp(f, f)[0] == Verdict(0.0, TOL_PSD)  # C_F - C_F = 0, bound tol max(1, 0)
+        # C_F - C_F = 0, bound tol max |C_F|
+        assert order_cp(f, f) == (Verdict(0.0, TOL_PSD * max_abs(f.choi.entries)),) * 2
         assert order_cp(0.5 * f, f)[0]
 
     def test_id_not_below_depolarizing(self):
@@ -300,8 +309,11 @@ class TestOrder:
             for a, b in pairs:
                 le, ge = order_cp(a, b, tol)
                 d = b.choi.entries - a.choi.entries
-                assert le == is_psd(d, tol)  # the same eigendecomposition
-                assert bool(ge) == bool(is_psd(-d, tol))
+                # the residuals of is_psd, bounded by the operands, not by d
+                bound = tol * max(max_abs(a.choi.entries), max_abs(b.choi.entries))
+                assert le.bound == ge.bound == bound
+                assert le.residual == is_psd(d, tol).residual  # the same eigendecomposition
+                assert bool(ge) == (is_psd(-d, tol).residual <= bound)
                 seen.add((bool(le), bool(ge)))
             if tol == 1e-9:  # equal, <=, >= and incomparable all occur
                 assert len(seen) == 4
@@ -367,7 +379,7 @@ class TestGeoCertificate:
                           [theta.choi.entries, g.choi.entries]])
         norm = np.linalg.norm(block, 2)
         assert abs(residual - max(0.0, -min_eig(block))) <= 1e-13 * norm
-        assert bound == pytest.approx(TOL_PSD * max(1.0, norm), rel=1e-12)
+        assert bound == TOL_PSD * max_abs(block)
 
     def test_zero_passes(self, rng):
         f = random_cp(rng, 2, 2)
@@ -384,8 +396,7 @@ class TestGeoCertificate:
         verdict = geo_certificate(f, g, theta)
         block = np.block([[f.choi.entries, theta.choi.entries],
                           [theta.choi.entries, g.choi.entries]])
-        w = np.linalg.eigvalsh(block)
-        assert verdict and verdict.bound == TOL_PSD * max(-w[0], w[-1])
+        assert verdict and verdict.bound == TOL_PSD * max_abs(block)
         doubled = geo_certificate(f, g, 2.0 * theta)
         assert not doubled and doubled.residual > 1e3 * doubled.bound
 

@@ -94,8 +94,9 @@ PINS = [
     # only C_F's eig.  Down from (9, 0): the eigh of the zero matrix M*M is gone
     ("cli lebesgue", (8, 0)),
     # no admission, so the closed form pays for the eig of C_F; down from
-    # (9, 0) likewise
-    ("cli lebesgue kraus", (8, 0)),
+    # (9, 0) likewise, and from (8, 0): the recon and Ando bounds read the
+    # largest entries of the operands, not the spectral norm of C_G
+    ("cli lebesgue kraus", (7, 0)),
     # the admission of A + B and the projecting clamp's one
     ("parallel_sum", (2, 0)),
     # parallel_sum's 2 for each of its 7 iterates on this pair, and the eig of

@@ -204,11 +204,12 @@ class TestIsPsd:
                 check(skew)
         nearly = s * np.array([[1.0, 0.9 + 0.01 * TOL_HERM], [0.9, 1.0]])
         assert is_psd(nearly) and type(as_psd(nearly)) is PsdMatrix
-        # a HermitianMatrix is judged as it is
-        assert is_psd(HermitianMatrix(skew)) == Verdict(0.0, TOL_PSD * max(1.0, s))
+        # a HermitianMatrix is judged as it is, relative to its largest entry
+        assert is_psd(HermitianMatrix(skew)) == Verdict(0.0, TOL_PSD * s)
 
     def test_signs_are_is_psd_of_both_signs(self, rng):
-        # order_cp(f, g) reads both signs of C_G - C_F from one eigendecomposition
+        # order_cp(f, g) reads both signs of C_G - C_F from one eigendecomposition,
+        # the residuals of is_psd of both signs, against a bound set by C_F and C_G
         mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([-1.0, -1e-12]),
                 np.array([[1.0, 2.0], [2.0, 1.0]]), random_psd(rng, 4, rank=2)]
         mats.append(-mats[-1])
@@ -219,8 +220,9 @@ class TestIsPsd:
             d = g.choi.entries - f.choi.entries
             for tol in (1e-9, 1.0):
                 le, ge = cpmaps.order_cp(f, g, tol)
-                assert le == is_psd(d, tol)
-                assert (bool(ge), ge.bound) == (bool(is_psd(-d, tol)), le.bound)
+                bound = tol * max(max_abs(f.choi.entries), max_abs(g.choi.entries))
+                assert le == Verdict(is_psd(d, tol).residual, bound)
+                assert (bool(ge), ge.bound) == (is_psd(-d, tol).residual <= bound, bound)
 
     def test_verdict_is_the_eigenvalue_bound(self):
         # diagonal spectra are exact, so each verdict sits on its bound

@@ -29,9 +29,8 @@ def planted_pair(rng, m, n, lo=0.2, hi=0.25):
     The exclusive and shared parts of each support carry independent
     non-commuting PSD weight blocks with eigenvalues in [lo, hi].  On the
     shared subspace the generalized eigenvalues of (C_F, C_F + C_G) then lie
-    in [lo/(lo+hi), hi/(lo+hi)], bounded away from 0 and 1, and the overall
-    scale stays below the max(1, norm) floor of the limit tolerance; together
-    this keeps the n = 2^20 parallel-sum limit within its drift budget.
+    in [lo/(lo+hi), hi/(lo+hi)], bounded away from 0 and 1, which keeps the
+    n = 2^20 parallel-sum limit within its drift budget.
     """
     d = m * n
     u = random_unitary(rng, d)
@@ -75,6 +74,33 @@ def shorted_to_subspace(x, basis):
     out[:r, :r] = comp
     back = q @ out @ q.conj().T
     return 0.5 * (back + back.conj().T)
+
+
+def alpha_by_bisection(f, ac, hi, steps):
+    """The least alpha in [0, hi] with ac <= alpha F in the CP order at tol
+    1e-11, a verdict at the scale of the operands, by bisection."""
+    lo = 0.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if order_cp(ac, mid * f, tol=1e-11)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def alpha_closed_form(f, ac):
+    """``lambda_max(C_F^{+1/2} C_ac C_F^{+1/2})``, C_F^{+1/2} on C_F's support."""
+    w, u = np.linalg.eigh(f.choi.entries)
+    keep = w > 1e-10 * w[-1]
+    half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
+    return float(np.linalg.eigvalsh(half @ ac.choi.entries @ half)[-1])
+
+
+def below(theta, x, g):
+    """theta <= x as PSD matrices within 1e-7 max |C_G|: theta is built from G,
+    so G's scale, not theta's, bounds its rounding."""
+    return min_eig(x - theta) >= -1e-7 * max_abs(g.choi.entries)
 
 
 def rn_matrices(f, g):
@@ -312,7 +338,8 @@ class TestDecompose:
         for f, g in generic_pairs(64):
             split = decompose(f, g)
             resid = max_abs(split.ac.choi.entries + split.sing.choi.entries - g.choi.entries)
-            assert split.recon == Verdict(resid, 1e-9 * max(f.choi.norm(), g.choi.norm()))
+            scale = max(max_abs(f.choi.entries), max_abs(g.choi.entries))
+            assert split.recon == Verdict(resid, 1e-9 * scale)
             assert split.recon
 
     def test_nearly_parallel_rank_one_pairs_return_a_split(self):
@@ -322,24 +349,20 @@ class TestDecompose:
             f, g = nearly_parallel_pair(rng, 10.0 ** rng.uniform(-7.0, -5.0))
             split = decompose(f, g)
             resid = max_abs(split.ac.choi.entries + split.sing.choi.entries - g.choi.entries)
-            assert split.recon == Verdict(resid, TOL_ADD * max(f.choi.norm(), g.choi.norm()))
+            scale = max(max_abs(f.choi.entries), max_abs(g.choi.entries))
+            assert split.recon == Verdict(resid, TOL_ADD * scale)
             assert is_psd(split.ac.choi) and is_psd(split.sing.choi)
 
     def test_alpha_min_by_bisection(self, rng):
-        # independent oracle: bisect the least alpha with alpha*C_F - C_ac PSD
+        # two independent oracles: the bisection in the CP order and the closed form
         for _ in range(5):
             f, g = planted_pair(rng, 1, 4)
             split = decompose(f, g)
             if split.alpha_min == 0.0:
                 continue
-            lo, hi = 0.0, 2.0 * split.alpha_min + 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if is_psd(mid * f.choi.entries - split.ac.choi.entries, tol=1e-11):
-                    hi = mid
-                else:
-                    lo = mid
+            hi = alpha_by_bisection(f, split.ac, 2.0 * split.alpha_min + 1.0, 60)
             assert hi == pytest.approx(split.alpha_min, rel=1e-6, abs=1e-9)
+            assert alpha_closed_form(f, split.ac) == pytest.approx(split.alpha_min, rel=1e-9)
 
     def test_alpha_min_dominates(self, rng):
         f, g = planted_pair(rng, 2, 2)
@@ -360,9 +383,9 @@ class TestDecompose:
                 r = int(rng.integers(1, cols.shape[1] + 1))
                 mix = cols @ random_unitary(rng, cols.shape[1])[:, :r]
                 theta_choi = shorted_to_subspace(g.choi.entries, mix)
-                theta = from_choi(1, 4, clamp_psd(theta_choi, tol=1e-7).entries)
-                assert order_cp(theta, g, tol=1e-7)[0]
-                assert order_cp(theta, split.ac, tol=1e-7)[0]
+                theta = clamp_psd(theta_choi, tol=1e-7).entries
+                assert below(theta, g.choi.entries, g)
+                assert below(theta, split.ac.choi.entries, g)
 
 
 class TestPredicates:

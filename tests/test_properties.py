@@ -1,14 +1,22 @@
-"""Seeded invariance properties of the means, connections and Lebesgue split.
+"""Seeded invariance properties of the means, connections, Lebesgue split and
+verdicts.
 
 Each operand is scaled by its own factor drawn from 10^[-12, 12], and ranks
 run from 1 to full.  Every tolerance is relative to the operands or to the
-exact result; none has an absolute floor.
+exact result; none has an absolute floor.  Every verdict, and every check of
+a report, keeps its truth value when both operands are scaled by 10^k.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from cpmean.cpmaps import from_choi
+from cpmean import cli
+from cpmean.channeldoc import save_channel
+from cpmean.cpmaps import from_choi, geo_certificate, identity, mean_cp, order_cp
+from cpmean.errors import NotCompletelyPositive
+from cpmean.hermlinalg import is_psd
 from cpmean.lebesgue import decompose, is_abs_continuous, is_singular
 from cpmean.opmeans import (
     ConnectionRep,
@@ -143,3 +151,98 @@ def test_lebesgue_split_under_independent_scales():
         assert abs(is_singular(c * f, s * g).residual - is_singular(f, g).residual) <= 1e-12
         assert abs(is_abs_continuous(s * g, c * f).residual
                    - is_abs_continuous(g, f).residual) <= 1e-12
+
+
+# Joint scales 10^k, k = -12..12: a verdict bounded by its operands keeps its truth value.
+JOINT = [10.0 ** k for k in range(-12, 13)]
+
+
+def verdict_pairs(rng):
+    """Choi-4 pairs at unit scale on which the verdicts below come out both
+    ways: random ranks 1 to full, F <= G, G <= F, and mutually singular maps."""
+    def cp(rank):
+        return from_choi(2, 2, random_psd(rng, 4, rank=rank))
+
+    out = [(cp(ra), cp(rb)) for ra, rb in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 4), (4, 4)]]
+    f = cp(2)
+    out += [(f, f + cp(1)), (f, 0.5 * f)]
+    q = random_unitary(rng, 4)
+    halves = [(q[:, cols] * w) @ q[:, cols].conj().T
+              for cols, w in ((slice(0, 2), [1.0, 3.0]), (slice(2, 4), [2.0, 0.5]))]
+    out.append(tuple(from_choi(2, 2, 0.5 * (h + h.conj().T)) for h in halves))
+    return out
+
+
+def verdicts(f, g):
+    """Every Verdict the library returns on (F, G), by name."""
+    geo = mean_cp(MeanKind("geo"), f, g)
+    split = decompose(f, g)
+    le, ge = order_cp(f, g)
+    return {
+        "is_psd C_F": is_psd(f.choi),
+        "is_psd C_G - C_F": is_psd(g.choi.entries - f.choi.entries),
+        "order_cp F <= G": le,
+        "order_cp G <= F": ge,
+        "geo_certificate": geo_certificate(f, g, geo),
+        "geo_certificate 2 geo": geo_certificate(f, g, 2.0 * geo),
+        "recon": split.recon,
+        "is_singular": is_singular(f, g),
+        "is_abs_continuous": is_abs_continuous(g, f),
+        "is_abs_continuous ac": is_abs_continuous(split.ac, f),
+    }
+
+
+def test_every_verdict_keeps_its_truth_value_under_joint_scaling():
+    rng = np.random.default_rng(17)
+    seen = {}
+    for f, g in verdict_pairs(rng):
+        unit = {name: bool(v) for name, v in verdicts(f, g).items()}
+        for name, truth in unit.items():
+            seen.setdefault(name, set()).add(truth)
+        for c in JOINT:
+            got = {name: bool(v) for name, v in verdicts(c * f, c * g).items()}
+            assert got == unit, c
+    # each verdict that can fail does so on some pair
+    assert {name for name, truths in seen.items() if truths == {True, False}} == {
+        "is_psd C_G - C_F", "order_cp F <= G", "order_cp G <= F",
+        "geo_certificate 2 geo", "is_singular", "is_abs_continuous"}
+
+
+def _report(argv, capsys):
+    assert cli.main(["--format", "json", *argv]) in (0, 3)
+    return json.loads(capsys.readouterr().out)
+
+
+def test_report_checks_keep_their_truth_values_under_joint_scaling(tmp_path, capsys):
+    rng = np.random.default_rng(18)
+    pairs = verdict_pairs(rng)
+    for i in (1, 4, 8):  # ranks 1 and 3, ranks 2 and 4, mutually singular
+        f, g = pairs[i]
+        first = None
+        for c in JOINT:
+            a, b = str(tmp_path / f"{i}.{c:g}.a.json"), str(tmp_path / f"{i}.{c:g}.b.json")
+            save_channel(c * f, a)
+            save_channel(c * g, b)
+            checks = [(check["name"], check["passed"])
+                      for argv in (["mean", "--kind", "geo", a, b], ["lebesgue", a, b])
+                      for check in _report(argv, capsys)["checks"]]
+            first = checks if first is None else first
+            assert checks == first, c
+
+
+@pytest.mark.parametrize("k", range(-12, 13))
+def test_a_negative_eigenvalue_is_judged_against_the_largest_entry(k):
+    # -100 s is a hundred times the largest positive entry, at every scale s
+    s = 10.0 ** k
+    with pytest.raises(NotCompletelyPositive, match="not PSD"):
+        from_choi(2, 2, s * np.diag([-100.0, 1.0, 1.0, 1.0]))
+    assert np.array_equal(from_choi(2, 2, s * np.diag([100.0, 1.0, 1.0, 1.0])).choi.entries,
+                          s * np.diag([100.0, 1.0, 1.0, 1.0]))
+
+
+def test_order_of_tiny_channels_is_not_equal(tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_channel(1e-12 * identity(2), a)
+    save_channel(2e-12 * identity(2), b)
+    assert _report(["order", a, b], capsys)["outputs"]["order"] == "<=cp"
+    assert _report(["order", b, a], capsys)["outputs"]["order"] == ">=cp"

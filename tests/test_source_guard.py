@@ -15,7 +15,10 @@ the split against Ando's closed form ``lebesgue._ando_ac``, and
 ``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), and ``TOL_HERM``, the
-Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.
+Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.  Every
+verdict is bounded by tol times ``hermlinalg._max_abs`` of its operands: no
+module has a ``max(1, ...)`` floor or a scale function of its own, and the
+norm is read only by the two oracle bounds and the rank and range decisions.
 State that calls keep for later calls has one owner, the run
 ``hermlinalg._RUN``: no other module-level name is bound to a mutable value
 but the constant tables ``opmeans._SIGMA`` and ``registry.REGISTRY``, and only
@@ -110,6 +113,11 @@ CALL_SITES = {
     "_ando_ac": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
+    # a norm bounds no verdict: it scales the two oracle bounds and the rank
+    # and range decisions (Ando's kernel, the index's range test, the snap)
+    "norm": {("opmeans.py", "parallel_sum"), ("lebesgue.py", "ac_part_oracle"),
+             ("lebesgue.py", "_ando_ac"), ("cpmaps.py", "index_cp"),
+             ("hermlinalg.py", "SpectralPair")},
 }
 
 
@@ -151,6 +159,27 @@ def _reads(text: str, name: str) -> bool:
                or (isinstance(node, ast.Attribute) and node.attr == name)
                or (isinstance(node, ast.alias) and node.name == name)
                for node in ast.walk(ast.parse(text)))
+
+
+def _floors_and_scales(name: str, text: str) -> set[tuple[str, str]]:
+    """(file, what) of each ``max(1...`` floor and each definition of a
+    ``_max_abs`` outside hermlinalg: a verdict scale of a module's own."""
+    found = {(name, "max(1") for _ in re.finditer(r"max\(1(\.0*)?,", text)}
+    if name != "hermlinalg.py":
+        found |= {(name, "_max_abs") for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_max_abs"}
+    return found
+
+
+def test_every_verdict_scale_is_hermlinalgs_largest_entry():
+    assert set().union(*(_floors_and_scales(name, text) for name, text in _sources())) == set()
+
+
+def test_scale_guard_sees_a_planted_floor_and_copy():
+    text = "def _max_abs(a):\n    return abs(a).max()\n\nb = 1e-9 * max(1.0, n)\n"
+    assert _floors_and_scales("x.py", text) == {("x.py", "max(1"), ("x.py", "_max_abs")}
+    assert _floors_and_scales("hermlinalg.py", text) == {("hermlinalg.py", "max(1")}
+    assert _floors_and_scales("y.py", "b = max(10.0, n) + max(abs(w))\n") == set()
 
 
 def test_hermiticity_rule_read_only_in_hermlinalg():
