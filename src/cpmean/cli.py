@@ -121,18 +121,6 @@ def _write(f: CpMap, path: str, name: str) -> dict:
     return {"path": path, "sha256": save_channel(f, path, name=name)}
 
 
-def _chain_checks(rep: Report, f: CpMap, g: CpMap, tol: float, known: dict[str, CpMap]):
-    """Record how far each step of harmonic <= geometric <= arithmetic dips, against
-    ``tol * _max_abs(C_F, C_G)``; `known` maps a mean tag to a result already computed."""
-    harm, geo, arith = (
-        (known[tag] if tag in known else mean_cp(MeanKind(tag), f, g)).choi.entries
-        for tag in ("harm", "geo", "arith"))
-    bound = tol * hermlinalg._max_abs(f.choi.entries, g.choi.entries)
-    for label, diff in (("geo - harm", geo - harm), ("arith - geo", arith - geo)):
-        low = float(hermlinalg.HermitianMatrix(diff).eigvals()[0])
-        rep.check(f"chain {label} >= 0", max(0.0, -low), bound)
-
-
 def cmd_mean(args, tol: float) -> list[Report]:
     kind = MeanKind.parse(args.kind)
     rep = Report(f"mean --kind {args.kind}")
@@ -144,7 +132,14 @@ def cmd_mean(args, tol: float) -> list[Report]:
     if kind.tag == "geo":
         rep.check("block certificate [[A,G],[G,B]] PSD",
                   *geo_certificate(f, g, result, tol=opmeans.TOL_MEAN))
-    _chain_checks(rep, f, g, opmeans.TOL_MEAN, {kind.tag: result})
+    # how far each step of harmonic <= geometric <= arithmetic dips, reusing result
+    harm, geo, arith = (
+        (result if tag == kind.tag else mean_cp(MeanKind(tag), f, g)).choi.entries
+        for tag in ("harm", "geo", "arith"))
+    bound = opmeans.TOL_MEAN * hermlinalg._max_abs(f.choi.entries, g.choi.entries)
+    for label, diff in (("geo - harm", geo - harm), ("arith - geo", arith - geo)):
+        low = float(hermlinalg.HermitianMatrix(diff).eigvals()[0])
+        rep.check(f"chain {label} >= 0", max(0.0, -low), bound)
     if args.out:
         rep.outputs["written"] = _write(result, args.out, f"{args.kind}({name_a},{name_b})")
     else:

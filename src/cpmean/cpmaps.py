@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
 from .hermlinalg import (
-    RANK_RTOL,
     TOL_PSD,
     HermitianMatrix,
     PsdMatrix,
@@ -236,12 +235,7 @@ def index_cp(f: CpMap) -> float:
     """
     if f.dim_in != f.dim_out:
         raise ShapeError("index is defined for square maps only")
-    v = _vec(np.eye(f.dim_in))
-    w, u = f.choi.support()
-    y = u.conj().T @ v  # v in the eigenbasis of C on its support
-    if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
-        return math.inf
-    return float(np.sum(np.abs(y) ** 2 / w))
+    return f.choi.pinv_form(_vec(np.eye(f.dim_in)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
 alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
 the admission of outside data, ``is_psd``, the PSD square root and
 Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on which every mean,
-connection and Lebesgue split is evaluated.  The rank cutoff lives in one place,
-``HermitianMatrix.support``; ``lebesgue._ando_ac``, the closed form that
-checks the split, reads ``RANK_RTOL`` for a kernel of its own.
+connection and Lebesgue split is evaluated.  Every rank, range and kernel
+decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range test
+``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.
 Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
 all values are immutable after construction and each eig is computed once
 and cached, so instances are safe to share across threads.  ``_RUN`` keeps the
@@ -98,6 +98,14 @@ class HermitianMatrix:
         w, u = self.eig()
         k = int(np.searchsorted(w, RANK_RTOL * max(float(w[-1]), 0.0), side="right"))
         return w[k:], u[:, k:]
+
+    def pinv_form(self, v: np.ndarray) -> float:
+        """``<v, C^+ v>`` on ``support()``; inf if v is off its range by > RANK_RTOL ||v||."""
+        w, u = self.support()
+        y = u.conj().T @ v  # v in the eigenbasis of C on its support
+        if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
+            return math.inf
+        return float(np.sum(np.abs(y) ** 2 / w))
 
     def norm(self) -> float:
         """Spectral norm."""
@@ -214,6 +222,20 @@ def pinv_psd(a) -> PsdMatrix:
     return PsdMatrix._gram(u, 1.0 / w)
 
 
+def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
+    """Ando's closed form ``cg^{1/2} P cg^{1/2}`` of the part of cg absolutely
+    continuous to cf (Ando 1976): P projects onto the eigenspace of M*M at or
+    below ``RANK_RTOL ||cg||``, one eigh, for ``M = U_0* cg^{1/2}`` and U_0 the
+    columns of cf's cached eig below ``support()``.  A full-rank cf returns cg."""
+    u0 = cf.eig()[1][:, :cf.dim - cf.support()[0].size]
+    if not u0.size:
+        return cg
+    half = psd_sqrt(cg).entries
+    m = u0.conj().T @ half
+    w, v = HermitianMatrix(m.conj().T @ m).eig()
+    return PsdMatrix._gram(half @ v[:, w <= RANK_RTOL * cg.norm()])
+
+
 class SpectralPair:
     """The commuting Radon-Nikodym pair of PSD A and B, folded to unit scale.
 
@@ -223,17 +245,19 @@ class SpectralPair:
     = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'``
     commute, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*`` with ``Z
     = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
-    1} within its own rounding error, so rank-deficient directions carry no
-    eigensolver noise.  Two eigendecompositions, of Ĉ and of the r x r A'; an
-    empty support gives 0-column arrays.  It keeps (s_A, s_B, t, Z) alone, as
-    ``Z Z* = Ĉ`` and ``Z*Z = V* diag(w) V``; t and Z are read-only, as the last
-    pair built is shared by every caller of ``_shared_pair`` on its operands.
+    1} within its own rounding error, and onto 1 where B = 0 (A = 0 gives 0),
+    so rank-deficient directions carry no eigensolver noise and a zero operand
+    gives exact zero connections.  Two eigendecompositions, of Ĉ and of the r
+    x r A'; an empty support gives 0-column arrays.  It keeps (s_A, s_B, t, Z)
+    alone, as ``Z Z* = Ĉ`` and ``Z*Z = V* diag(w) V``; t and Z are read-only,
+    as the last pair built is shared by every caller of ``_shared_pair``.
     """
 
     __slots__ = ("sa", "sb", "t", "z")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
-        self.sa, self.sb = (_max_abs(x.entries) or 1.0 for x in (a, b))
+        sa, sb = (_max_abs(x.entries) for x in (a, b))
+        self.sa, self.sb = sa or 1.0, sb or 1.0
         ah = a.entries / self.sa
         w, u = HermitianMatrix(ah + b.entries / self.sb).support()
         x = u / np.sqrt(w)
@@ -245,7 +269,7 @@ class SpectralPair:
         snap = (u.shape[0] * _EPS * (np.linalg.norm(ah) + t * np.linalg.norm(w))
                 * ((np.abs(v) ** 2).T @ (1.0 / w)))
         t[t < snap] = 0.0
-        t[t > 1.0 - snap] = 1.0
+        t[(t > 1.0 - snap) | (sb == 0.0)] = 1.0
         self.t, self.z = t, (u * np.sqrt(w)) @ v
         for x in (self.t, self.z):
             x.flags.writeable = False

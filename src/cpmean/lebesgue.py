@@ -23,8 +23,7 @@ import numpy as np
 from .cpmaps import CpMap, _check_same_dims
 from .errors import NonConvergence
 from .hermlinalg import (
-    RANK_RTOL, HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _max_abs, _shared_pair,
-    psd_sqrt)
+    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _ando_part, _max_abs, _shared_pair)
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
@@ -68,21 +67,9 @@ def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _ando_ac(f: CpMap, g: CpMap) -> CpMap:
     """Ando's closed form of the absolutely continuous part of G, independent
-    of the spectral pair: ``C_G^{1/2} P C_G^{1/2}``, P the projection onto
-    ``ker M`` for ``M = U_0* C_G^{1/2}`` and U_0 the kernel columns of the
-    cached eig of C_F (Ando 1976).  ker M is the eigenspace of M*M at or below
-    ``RANK_RTOL ||C_G||``: one eigh.  A full-rank C_F has U_0 empty, so P = I
-    and the answer is G itself, with no eigh."""
+    of the spectral pair: ``hermlinalg._ando_part`` of C_F and C_G."""
     _check_same_dims(f, g)
-    rank = f.choi.support()[0].size
-    if rank == f.choi.dim:
-        return g
-    u = f.choi.eig()[1]
-    half = psd_sqrt(g.choi).entries
-    m = u[:, :u.shape[1] - rank].conj().T @ half
-    w, v = HermitianMatrix(m.conj().T @ m).eig()
-    kernel = v[:, w <= RANK_RTOL * g.choi.norm()]
-    return CpMap(f.dim_in, f.dim_out, PsdMatrix._gram(half @ kernel))
+    return CpMap(f.dim_in, f.dim_out, _ando_part(f.choi, g.choi))
 
 
 def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:

@@ -75,7 +75,7 @@ def example_quantum_channels(d: int | None = None) -> Report:
     return rep
 
 
-def example_non_unital(_: None = None) -> Report:
+def example_non_unital() -> Report:
     """Unital inputs whose geometric mean vanishes (hence is not unital)."""
     rep = Report("example non-unital")
     phi = identity(2)
@@ -125,7 +125,7 @@ def example_schur_multiplier(seed: int = 5, count: int = 20) -> Report:
     return rep
 
 
-def example_adjoint_maps(_: None = None) -> Report:
+def example_adjoint_maps() -> Report:
     """Conjugation maps whose mean vanishes although the symbols have a mean."""
     rep = Report("example adjoint-maps")
     a = np.diag([2.0, 1.0])

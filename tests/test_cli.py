@@ -389,6 +389,12 @@ class TestCliCommands:
     def test_unknown_example_parameter(self):
         assert main(["example", "rotation", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("name", ["non-unital", "adjoint-maps"])
+    def test_an_example_without_parameters_rejects_every_key(self, capsys, name):
+        assert main(["example", name, "_=3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: example {name!r} rejects parameters")
+        assert main(["example", name]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["states", "seed=-1"], ["states", "seed=2.5"],
         ["quantum-channels", "d=-1"], ["quantum-channels", "d=0"],

@@ -76,3 +76,17 @@ def test_every_command_passes_on_generic_document_pairs(tmp_path, capsys, seed):
         runs += [["verify", mix], ["index", mix]]
         failures += [(i, argv, bad) for argv in runs if (bad := _failure(capsys, argv))]
     assert failures == []
+
+
+def test_a_zero_operand_gives_exact_zeros(tmp_path, capsys):
+    # seed 13, draw 77: F is a full-rank 1 -> 2 map and G = 0, on which the
+    # rounding of A' = I once left a log mean of 2.6% of max |C_F|
+    paths = [str(tmp_path / "f.json"), str(tmp_path / "zero.json")]
+    for i, m, n in _generic_pairs(np.random.default_rng(13), paths):
+        if i == 77:
+            break
+    assert (m, n) == (1, 2)
+    for argv in (paths, paths[::-1]):
+        assert main(["--format", "json", "mean", "--kind", "log", *argv]) == 0
+        assert not np.any(json.loads(capsys.readouterr().out)["outputs"]["choi"])
+    assert _failure(capsys, ["lebesgue", *paths]) is None

@@ -14,7 +14,8 @@ import pytest
 
 from cpmean import cli
 from cpmean.channeldoc import save_channel
-from cpmean.cpmaps import from_choi, geo_certificate, identity, mean_cp, order_cp
+from cpmean.cpmaps import (
+    from_choi, from_kraus, geo_certificate, identity, mean_cp, order_cp)
 from cpmean.errors import NotCompletelyPositive
 from cpmean.hermlinalg import is_psd
 from cpmean.lebesgue import decompose, is_abs_continuous, is_singular
@@ -118,6 +119,25 @@ def test_swap_symmetry(name):
     for a, b in pairs(rng, 6, 12):
         want = mean(kind, a, b).entries
         assert rel(mean(kind, b, a).entries, want) <= 1e-9
+
+
+def test_a_zero_operand_gives_exact_zero_means_and_split():
+    # F full rank, from Gaussian Kraus operators (a Wishart Choi matrix), and
+    # G = 0: A' = I exactly, so each symmetric mean is the same array both ways
+    # round, 0 but for arith, and both parts of G are exactly 0
+    rng = np.random.default_rng(77)
+    for i in range(100):
+        m, n = (int(x) for x in rng.integers(1, 4, size=2))
+        ops = np.sqrt(10.0 ** rng.uniform(-12.0, 12.0)) * (
+            rng.normal(size=(m * n, n, m)) + 1j * rng.normal(size=(m * n, n, m)))
+        f = from_kraus(list(ops), dim_in=m, dim_out=n)
+        zero = from_choi(m, n, np.zeros((m * n, m * n)))
+        for name in SYMMETRIC:
+            got = mean_cp(CASES[name][0], f, zero).choi.entries
+            assert np.array_equal(got, mean_cp(CASES[name][0], zero, f).choi.entries), (i, name)
+            assert name == "arith" or not got.any(), (i, name)
+        split = decompose(f, zero)
+        assert not (split.ac.choi.entries.any() or split.sing.choi.entries.any()), i
 
 
 @pytest.mark.parametrize("rep", [power_rep(0.3), MIXED, adjoint_rep(MIXED), dual_rep(MIXED)],

@@ -1,9 +1,12 @@
-"""Source guard: one rank cutoff, one route to eigendecompositions, one
+"""Source guard: one rank rule, one route to eigendecompositions, one
 spectral pair, one owner of cross-call state, one verdict rule, one
 Hermiticity rule, numpy as the only dependency, and a pinned public surface.
 
-The support cutoff ``RANK_RTOL * max(...)`` is computed only in
-``hermlinalg``, and raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
+Every rank, range and kernel decision sits in ``hermlinalg``, the one module
+that reads ``RANK_RTOL``: the support cutoff ``HermitianMatrix.support``, the
+index's range test ``HermitianMatrix.pinv_form`` and the kernel of Ando's
+closed form ``_ando_part``; a zero operand gives exact zero connections and an
+exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg``.  A ``SpectralPair`` is built only by
 ``hermlinalg._shared_pair``, which keeps the last one in the run and which
 every connection and the Lebesgue split call in one place each.  Every
@@ -80,10 +83,6 @@ def _record_calls(text: str) -> int:
                and node.func.attr == "record" for node in ast.walk(ast.parse(text)))
 
 
-def test_rank_cutoff_only_in_hermlinalg():
-    offenders = [name for name, text in _sources()
-                 if "RANK_RTOL * max(" in text and name != "hermlinalg.py"]
-    assert offenders == []
 
 
 def test_raw_eigensolvers_only_in_hermlinalg_and_the_oracles():
@@ -114,9 +113,10 @@ CALL_SITES = {
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
     # a norm bounds no verdict: it scales the two oracle bounds and the rank
-    # and range decisions (Ando's kernel, the index's range test, the snap)
+    # and range decisions, all in hermlinalg (Ando's kernel, the index's range
+    # test in HermitianMatrix.pinv_form, the snap)
     "norm": {("opmeans.py", "parallel_sum"), ("lebesgue.py", "ac_part_oracle"),
-             ("lebesgue.py", "_ando_ac"), ("cpmaps.py", "index_cp"),
+             ("hermlinalg.py", "_ando_part"), ("hermlinalg.py", "HermitianMatrix"),
              ("hermlinalg.py", "SpectralPair")},
 }
 
@@ -186,6 +186,19 @@ def test_hermiticity_rule_read_only_in_hermlinalg():
     offenders = [name for name, text in _sources()
                  if name != "hermlinalg.py" and _reads(text, "TOL_HERM")]
     assert offenders == []
+
+
+def test_rank_cutoff_only_in_hermlinalg():
+    offenders = [name for name, text in _sources()
+                 if name != "hermlinalg.py" and _reads(text, "RANK_RTOL")]
+    assert offenders == []
+
+
+def test_rank_guard_sees_a_planted_copy():
+    assert _reads("from .hermlinalg import RANK_RTOL, HermitianMatrix\n", "RANK_RTOL")
+    text = "def f(w, u):\n    return u[:, w <= hermlinalg.RANK_RTOL * w[-1]]\n"
+    assert _reads(text, "RANK_RTOL")
+    assert not _reads("TOL = 1e-10  # RANK_RTOL\nx = 'RANK_RTOL * max('\n", "RANK_RTOL")
 
 
 def test_hermiticity_guard_sees_a_planted_copy():
