@@ -35,7 +35,7 @@ from .hermlinalg import (
 from . import opmeans
 from .opmeans import MeanKind
 
-TOL_FLAGS = 1e-8  # absolute tolerance on ||F(1) - 1|| and ||Tr∘F - Tr||
+TOL_FLAGS = 1e-8  # absolute: max |U*U - I| in unitary_conj, the examples' unital defects
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,15 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
-        """Project onto the PSD cone by zeroing negative eigenvalues down to -bound.
-
-        An eigenvalue below -bound raises InvalidInput; the caller sets the
-        bound from the round-off of the computation that produced the entries.
-        All eigenvalues >= 0: the entries are admitted again, a second eigh.
-        Else the Gram form ``U max(w, 0) U*`` (Higham 1988) keeps its eig lazy:
-        one eigh, so a rank-deficient result's cost follows its rounding.
+        """Entries PSD up to bound, which the caller sets from the round-off of
+        the computation that produced them.  The smallest eigenvalue w_0 picks
+        the branch: above bound, the entries are admitted as computed, a second
+        eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham 1988),
+        whose eig stays lazy, one eigh in all; below -bound, InvalidInput.
         """
         h = HermitianMatrix(entries)
         w, u = h.eig()
-        if w[0] >= 0.0:
+        if w[0] > bound:
             return cls(h.entries)
         if w[0] < -bound:
             raise InvalidInput(

@@ -9,7 +9,8 @@ two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A`
 to about 1.8e308 either way (r and 1/r finite); beyond it, DomainError.
 The last pair built is shared (``hermlinalg._shared_pair``): the first
 connection of two operand objects costs the pair's two eigendecompositions
-and the clamp's one or two (``PsdMatrix.clamped``), each next one the clamp's.
+and the clamp's (``PsdMatrix.clamped``), each next one the clamp's alone:
+one for a rank-deficient result, two for one above the clamp's bound.
 ``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
 independent reference of the parallel-sum limit.
 
@@ -79,7 +80,7 @@ def parallel_sum(a, b) -> PsdMatrix:
     worked examples.  Its range is ran(A) ∩ ran(B), and ``A : B <= A, B``.
     """
     a, b = _check_pair(a, b)
-    c = PsdMatrix(a.entries + b.entries)
+    c = PsdMatrix._trusted(a.entries + b.entries)
     out = a.entries @ pinv_psd(c).entries @ b.entries
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.

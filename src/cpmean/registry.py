@@ -118,7 +118,7 @@ def example_schur_multiplier(seed: int = 5, count: int = 20) -> Report:
         a = _rand_psd(rng, 3)
         b = _rand_psd(rng, 3)
         lhs = mean_cp(GEO, schur(a), schur(b)).choi.entries
-        rhs = schur(geometric_mean(a, b).entries).choi.entries
+        rhs = schur(geometric_mean(a, b)).choi.entries
         worst = max(worst, _max_abs(lhs - rhs))
     rep.check(f"S_A # S_B = S_(A#B) over {count} random PSD pairs in M3",
               worst, 1e-7)

@@ -152,23 +152,3 @@ def eigh_calls(monkeypatch):
         return calls["eigh"], calls["eigvalsh"]
 
     return count
-
-
-@pytest.fixture
-def clamp_costs(monkeypatch):
-    """A list that gets, for each ``PsdMatrix.clamped`` call, the eigh calls of
-    the branch it took: 2 where the result's eigenvalues came out >= 0 and it
-    was admitted again, 1 where it was projected to a Gram form whose eig
-    stays lazy.  Which branch a result of nullity 1 or 2 takes depends on the
-    sign of a rounding-level eigenvalue, so a pin on such a result reads its
-    count as a fixed part plus the sum of this list."""
-    costs = []
-    real = hermlinalg.PsdMatrix.clamped.__func__
-
-    def clamped(cls, entries, bound):
-        out = real(cls, entries, bound)
-        costs.append(1 if out._eig is None else 2)
-        return out
-
-    monkeypatch.setattr(hermlinalg.PsdMatrix, "clamped", classmethod(clamped))
-    return costs

@@ -270,23 +270,20 @@ class TestTransforms:
 
 class TestEighCount:
     @pytest.mark.parametrize("nodes", [16, 64])
-    def test_custom_mean_costs_as_much_as_geo(self, rng, eigh_calls, clamp_costs, nodes):
-        # each costs the pair's 2 plus its clamp's branch: a result of nullity
-        # 2 takes either branch, as the sign of its rounding-level eigenvalues
-        # falls (Choi 4, G rank 2: geo projects, the custom means need not)
+    def test_custom_mean_costs_its_pair_and_clamp_at_any_atom_count(self, rng, eigh_calls, nodes):
+        # whatever the atom count, each costs the pair's 2 and its clamp's: 1
+        # where the result has G's nullity 2 (Choi 4, G rank 2) and is
+        # projected, 2 where the adjoint and the dual of the atom sum leak
+        # 1/g(inf) onto ker B, so their result is well conditioned and admitted
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-
-        def beyond_clamp(kind):
-            clamp_costs.clear()
-            eigh, eigvalsh = eigh_calls(lambda: mean_cp(kind, f, g))
-            return eigh - sum(clamp_costs), eigvalsh, len(clamp_costs)
-
-        assert beyond_clamp(MeanKind("geo")) == (2, 0, 1)
+        assert eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g)) == (3, 0)
         rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
-        for transform in (lambda r: r, transpose_rep, adjoint_rep, dual_rep):
-            assert beyond_clamp(MeanKind.custom(transform(rep))) == (2, 0, 1)
+        for transform, counts in ((lambda r: r, (3, 0)), (transpose_rep, (3, 0)),
+                                  (adjoint_rep, (4, 0)), (dual_rep, (4, 0))):
+            kind = MeanKind.custom(transform(rep))
+            assert eigh_calls(lambda: mean_cp(kind, f, g)) == counts
 
 
 class TestGeometricMeanViaConnection:

@@ -8,11 +8,13 @@ command ran uncounted and left its documents in the run.  A row ending ``in
 a fresh run`` starts a fresh run between the two, so it reads the cold count.
 A change that moves a count restates its row here and says why.
 
-A mean's clamp costs 1 eigh where its result is projected to the PSD cone
-(a Gram form whose eig stays lazy) and 2 where it is admitted as computed.
-G has Choi rank 8, so every mean and parallel sum of F and G has nullity 8
-and, with rounding-level eigenvalues of both signs, is projected; the mean
-of ``mean geo, full-rank operands`` is positive definite and is admitted.
+A mean's clamp picks its branch by its bound: a result whose smallest
+computed eigenvalue is within the bound is projected to the PSD cone (a Gram
+form whose eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above
+it is admitted as computed, 2 eigh.  G has Choi rank 8, so every mean and
+parallel sum of F and G has nullity 8 and is projected; the mean of ``mean
+geo, full-rank operands`` is well conditioned and is admitted.
+``test_cold_kernel_means_cost_3_or_4_by_rank`` checks the rule on seeded pairs.
 """
 
 import numpy as np
@@ -39,7 +41,7 @@ PINS = [
     ("mean custom", (3, 0)),
     ("mean custom adjoint", (3, 0)),
     ("mean custom dual", (3, 0)),
-    # a positive definite result takes the clamp's other branch: eig C, eig
+    # a well-conditioned result takes the clamp's admitting branch: eig C, eig
     # A', the clamp's eig and the admission's (perfbench pins the same count)
     ("mean geo, full-rank operands", (4, 0)),
     # the last spectral pair is shared: a next mean pays only its clamp
@@ -202,3 +204,27 @@ def test_power_mean_at_an_end_weight_is_the_operand_itself(pair, alpha):
     f, g, *_ = pair
     got = cpmaps.mean_cp(MeanKind.power(alpha), f, g)
     assert got.choi is (f, g)[alpha].choi
+
+
+KERNEL_KINDS = [*(MeanKind.parse(k) for k in ("geo", "harm", "parallel", "power:0.3", "log")),
+                MeanKind.custom(opmeans.dual_rep(opmeans.power_rep(0.3)))]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_cold_kernel_means_cost_3_or_4_by_rank(eigh_calls, scale):
+    """Every cold mean on the spectral pair costs the pair's 2 and its clamp's
+    1 where the result is rank-deficient, and 2 where it is well conditioned,
+    whatever the sign of the rounding in its zero eigenvalues.  F is full rank
+    and G has nullity 0-3 at Choi 4-16, both times scale: the results have G's
+    nullity, and with the operands' eigenvalues in [0.25, 4] a full-rank
+    result's smallest eigenvalue is at least scale/8, far above the clamp's
+    bound of TOL_MEAN times its largest entry."""
+    rng = np.random.default_rng(3131)
+    for draw in range(40):
+        m, n = rng.integers(2, 5, size=2)
+        nullity = draw % 4
+        f = scale * random_cp(rng, m, n)
+        g = scale * random_cp(rng, m, n, rank=m * n - nullity)
+        for kind in KERNEL_KINDS:
+            got = eigh_calls(lambda: cpmaps.mean_cp(kind, f, g))
+            assert got == ((3, 0) if nullity else (4, 0)), (draw, m * n, nullity, kind)

@@ -614,7 +614,7 @@ class TestScaleFreeAbsContinuity:
 
 
 class TestEighCount:
-    def test_pinned_eigh_counts(self, rng, eigh_calls, clamp_costs, monkeypatch):
+    def test_pinned_eigh_counts(self, rng, eigh_calls, monkeypatch):
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
         assert eigh_calls(lambda: decompose(f, g)) == (2, 0)
@@ -625,13 +625,10 @@ class TestEighCount:
             return parallel_sum(a, b)
 
         monkeypatch.setattr(lebesgue, "parallel_sum", counting)
-        clamp_costs.clear()
-        eigh, eigvalsh = eigh_calls(lambda: ac_part_oracle(f, g))
+        got = eigh_calls(lambda: ac_part_oracle(f, g))
         # the extrapolant's eig, and per sum the admission of nF + G and its
-        # clamp's branch: nF : G has nullity 2, so the clamp projects (1) or
-        # re-admits (2) as the signs of its rounding-level eigenvalues fall
-        assert sums and len(clamp_costs) == len(sums)
-        assert (eigh, eigvalsh) == (1 + len(sums) + sum(clamp_costs), 0)
+        # projecting clamp: nF : G has nullity 2, within the clamp's bound
+        assert sums and got == (1 + 2 * len(sums), 0)
 
 
 class TestIndependentScales:

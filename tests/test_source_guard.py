@@ -17,7 +17,8 @@ by the reference formula ``opmeans.parallel_sum``.  No command runs the parallel
 the split against Ando's closed form ``lebesgue._ando_ac``, and
 ``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
-document, an action, an example's random matrices), and ``TOL_HERM``, the
+document, an action, an example's random matrices), no module calls the
+``PsdMatrix`` admission by name, and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.  Every
 verdict is bounded by tol times ``hermlinalg._max_abs`` of its operands: no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
@@ -112,6 +113,9 @@ CALL_SITES = {
     "_ando_ac": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
+    # the admission runs only as cls(...), in _admit and in clamped's
+    # admitting branch: a sum or product the library built enters as trusted
+    "PsdMatrix": set(),
     # a norm bounds no verdict: it scales the two oracle bounds and the rank
     # and range decisions, all in hermlinalg (Ando's kernel, the index's range
     # test in HermitianMatrix.pinv_form, the snap)
