@@ -132,14 +132,15 @@ def cmd_mean(args, tol: float) -> list[Report]:
     if kind.tag == "geo":
         rep.check("block certificate [[A,G],[G,B]] PSD",
                   *geo_certificate(f, g, result, tol=opmeans.TOL_MEAN))
-    # how far each step of harmonic <= geometric <= arithmetic dips, reusing result
-    harm, geo, arith = (
-        (result if tag == kind.tag else mean_cp(MeanKind(tag), f, g)).choi.entries
-        for tag in ("harm", "geo", "arith"))
+    # how far each step of harm <= geo <= arith dips, reusing result; the log
+    # mean sits between geo and arith (Kubo-Ando), so its chain includes it
+    tags = ("harm", "geo", "log", "arith") if kind.tag == "log" else ("harm", "geo", "arith")
+    chain = [(tag, (result if tag == kind.tag else mean_cp(MeanKind(tag), f, g)).choi.entries)
+             for tag in tags]
     bound = opmeans.TOL_MEAN * hermlinalg._max_abs(f.choi.entries, g.choi.entries)
-    for label, diff in (("geo - harm", geo - harm), ("arith - geo", arith - geo)):
-        low = float(hermlinalg.HermitianMatrix(diff).eigvals()[0])
-        rep.check(f"chain {label} >= 0", max(0.0, -low), bound)
+    for (lo, below), (hi, above) in zip(chain, chain[1:]):
+        low = float(hermlinalg.HermitianMatrix(above - below).eigvals()[0])
+        rep.check(f"chain {hi} - {lo} >= 0", max(0.0, -low), bound)
     if args.out:
         rep.outputs["written"] = _write(result, args.out, f"{args.kind}({name_a},{name_b})")
     else:
@@ -189,7 +190,7 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
     rep.check("ac + sing = psi", *split.recon)
     rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
     rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
-    ando = lebesgue._ando_ac(phi, psi).choi.entries
+    ando = hermlinalg._ando_part(phi.choi, psi.choi).entries
     rep.check("ac = Ando closed form", hermlinalg._max_abs(split.ac.choi.entries - ando),
               lebesgue.TOL_SPLIT * hermlinalg._max_abs(psi.choi.entries))
     parts = (("ac", split.ac), ("sing", split.sing))

@@ -171,11 +171,11 @@ def kraus_decompose(f: CpMap) -> list[np.ndarray]:
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
-    """``(F <= G, G <= F)`` in the CP order from one eigendecomposition of C_G - C_F:
+    """``(F <= G, G <= F)`` in the CP order from the eigenvalues of C_G - C_F alone:
     ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
     largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
-    w = HermitianMatrix(g.choi.entries - f.choi.entries).eig()[0]
+    w = HermitianMatrix(g.choi.entries - f.choi.entries).eigvals()
     bound = tol * _max_abs(f.choi.entries, g.choi.entries)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
@@ -345,5 +345,6 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
     sh = psd_sqrt(sigma).entries
     sqrt_trace = float(np.trace(rh @ sh).real)
     # rho^{1/2} sigma rho^{1/2} is the Gram form of rho^{1/2} sigma^{1/2}
-    fidelity = float(np.trace(psd_sqrt(PsdMatrix._gram(rh @ sh)).entries).real)
+    w = PsdMatrix._gram(rh @ sh).eigvals()
+    fidelity = float(np.sqrt(np.clip(w, 0.0, None)).sum())
     return StateMeanQuantities(gm, sqrt_trace, fidelity)

@@ -3,15 +3,15 @@
 Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
 alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
-the admission of outside data, ``is_psd``, the PSD square root and
-Moore-Penrose pseudo-inverse, and the ``SpectralPair`` on which every mean,
-connection and Lebesgue split is evaluated.  Every rank, range and kernel
-decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range test
-``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.
-Matrices are small dense complex arrays (Choi matrices up to about 144 x 144);
-all values are immutable after construction and each eig is computed once
-and cached, so instances are safe to share across threads.  ``_RUN`` keeps the
-last pair (1.0-1.7 MB at Choi 144) and the document slots for every thread.
+the admission of outside data, ``is_psd``, the PSD square root, and the
+``SpectralPair`` on which every mean, connection and Lebesgue split is
+evaluated.  Every rank, range and kernel decision reads ``RANK_RTOL`` here
+alone: ``support()``, the index's range test ``pinv_form`` and the kernel of
+Ando's closed form ``_ando_part``.  Matrices are small dense complex arrays
+(Choi matrices up to about 144 x 144); all values are immutable after
+construction and each eig is computed once and cached, so instances are safe
+to share across threads.  ``_RUN`` keeps the last pair (about 1.0 MB at Choi
+144: 0.33 MB of ``t`` and ``Z``, the rest its operands) and the document slots.
 """
 
 from __future__ import annotations
@@ -212,12 +212,6 @@ def psd_sqrt(a) -> PsdMatrix:
     """PSD square root; negative eigenvalues within tolerance are clamped to 0."""
     w, u = as_psd(a).eig()
     return PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def pinv_psd(a) -> PsdMatrix:
-    """Moore-Penrose inverse: the eigenvalues ``support()`` keeps are inverted."""
-    w, u = as_psd(a).support()
-    return PsdMatrix._gram(u, 1.0 / w)
 
 
 def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:

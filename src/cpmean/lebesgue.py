@@ -7,7 +7,7 @@ Z*``, the singular part ``s_G Z diag(1[t=0] (1-t)) Z*``, and ``alpha_min =
 (s_G/s_F) max (1-t)/t`` over t > 0.  ``decompose``, the one route to the
 parts, returns both with ``alpha_min`` and the verdict of their sum against
 C_G; ``is_singular`` and ``is_abs_continuous`` return their Verdict at
-TOL_SPLIT.  ``_ando_ac``, Ando's closed form of the ac part, checks the split
+TOL_SPLIT.  Ando's closed form ``hermlinalg._ando_part`` checks the split
 without the pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF :
 G)`` on the pseudo-inverse ``opmeans.parallel_sum``, Richardson-extrapolated
 along n = 2^k up to 2^20, is a test oracle the package does not export.
@@ -23,13 +23,13 @@ import numpy as np
 from .cpmaps import CpMap, _check_same_dims
 from .errors import NonConvergence
 from .hermlinalg import (
-    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _ando_part, _max_abs, _shared_pair)
+    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _max_abs, _shared_pair)
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
 TOL_LIM = 1e-6
 # Bound on the scale-free singularity and absolute-continuity residuals, and
-# on the split's ac against ``_ando_ac`` relative to the largest entry of C_G.
+# on the split's ac against ``_ando_part`` relative to the largest entry of C_G.
 TOL_SPLIT = 1e-8
 # Bound on max |ac + sing - C_G|, relative to the largest entry of C_F and C_G.
 TOL_ADD = 1e-9
@@ -63,13 +63,6 @@ def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``s_G (1 - t)`` on phi (absolutely continuous) and off it (singular)."""
     phi, h = p.t > 0.0, p.sb * (1.0 - p.t)
     return phi, np.where(phi, h, 0.0), np.where(phi, 0.0, h)
-
-
-def _ando_ac(f: CpMap, g: CpMap) -> CpMap:
-    """Ando's closed form of the absolutely continuous part of G, independent
-    of the spectral pair: ``hermlinalg._ando_part`` of C_F and C_G."""
-    _check_same_dims(f, g)
-    return CpMap(f.dim_in, f.dim_out, _ando_part(f.choi, g.choi))
 
 
 def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:

@@ -11,8 +11,8 @@ The last pair built is shared (``hermlinalg._shared_pair``): the first
 connection of two operand objects costs the pair's two eigendecompositions
 and the clamp's (``PsdMatrix.clamped``), each next one the clamp's alone:
 one for a rank-deficient result, two for one above the clamp's bound.
-``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` as the
-independent reference of the parallel-sum limit.
+``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` on the
+``support()`` of A + B as the independent reference of the parallel-sum limit.
 
 Every mean is evaluated by ``mean(kind, A, B)``.  Scale convention for the
 power mean: ``MeanKind.power(a)`` carries weight ``a`` on B, so commuting
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .hermlinalg import PsdMatrix, _max_abs, _shared_pair, as_psd, pinv_psd
+from .hermlinalg import PsdMatrix, _max_abs, _shared_pair, as_psd
 
 # Round-off bound of a mean.  Its clamp is relative to the result's largest
 # entry modulus for the connections on the spectral pair and to ||A + B|| for
@@ -81,7 +81,8 @@ def parallel_sum(a, b) -> PsdMatrix:
     """
     a, b = _check_pair(a, b)
     c = PsdMatrix._trusted(a.entries + b.entries)
-    out = a.entries @ pinv_psd(c).entries @ b.entries
+    w, u = c.support()  # (A+B)^+ inverts the eigenvalues its support keeps
+    out = a.entries @ PsdMatrix._gram(u, 1.0 / w).entries @ b.entries
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.
     return PsdMatrix.clamped(out, TOL_MEAN * c.norm())

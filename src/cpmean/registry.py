@@ -31,7 +31,7 @@ from .cpmaps import (
     unitary_conj,
 )
 from .errors import DomainError, UnknownExample
-from .hermlinalg import _max_abs
+from .hermlinalg import _ando_part, _max_abs
 from .opmeans import GEO, HARM, ConnectionRep, MeanKind, geometric_mean, mean, parallel_sum
 from .report import Report
 
@@ -258,7 +258,7 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
 
         # ac part of the spectral pair against Ando's closed form, relative to B
         got = lebesgue.decompose(phi_a, phi_b).ac.choi.entries
-        want = lebesgue._ando_ac(phi_a, phi_b).choi.entries
+        want = _ando_part(phi_a.choi, phi_b.choi).entries
         worst_ac = max(worst_ac, _max_abs(got - want) / _max_abs(phi_b.choi.entries))
     rep.check(f"parallel sum = connection of t/(1+t) over {count} pairs in M4",
               worst_par, 1e-9)

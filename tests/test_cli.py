@@ -24,7 +24,7 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ParseError
-from cpmean.hermlinalg import Verdict
+from cpmean.hermlinalg import PsdMatrix, Verdict
 from cpmean.registry import run_example
 
 from conftest import (
@@ -356,8 +356,9 @@ class TestCliCommands:
         ac = checks["ac is phi-absolutely continuous"]
         assert ac["passed"] and ac["tolerance"] == 1e-8 and ac["residual"] <= 1e-12
         # a closed form off by a factor 2 fails at every scale, and only it fails
-        real = cli.lebesgue._ando_ac
-        monkeypatch.setattr(cli.lebesgue, "_ando_ac", lambda f, g: 2.0 * real(f, g))
+        real = cli.hermlinalg._ando_part
+        monkeypatch.setattr(cli.hermlinalg, "_ando_part",
+                            lambda cf, cg: PsdMatrix._trusted(2.0 * real(cf, cg).entries))
         assert main(argv) == 3
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == [
@@ -565,14 +566,14 @@ class TestVerdictRule:
         # fails wherever the ac part is not 0
         rng = np.random.default_rng(7)
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
-        real, failed = cli.lebesgue._ando_ac, 0
+        real, failed = cli.hermlinalg._ando_part, 0
         for _ in range(6):
             d = int(rng.integers(2, 4))
             write_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), phi)
             write_channel(random_cp(rng, d, d, rank=int(rng.integers(1, d * d + 1))), psi)
             for factor in (1.0, 2.0):
-                monkeypatch.setattr(cli.lebesgue, "_ando_ac",
-                                    lambda f, g, c=factor: c * real(f, g))
+                monkeypatch.setattr(cli.hermlinalg, "_ando_part", lambda cf, cg, c=factor:
+                                    PsdMatrix._trusted(c * real(cf, cg).entries))
                 code = main(["--format", "json", "lebesgue", str(phi), str(psi)])
                 (rep,) = _reports_keeping_the_rule(capsys.readouterr().out)
                 assert code == (0 if rep["passed"] else 3)
@@ -625,6 +626,23 @@ class TestChecksAtJointScale:
         monkeypatch.setattr(cli, "mean_cp", doubled_harm)
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e12])
+    def test_chain_check_rejects_twice_the_log_mean(self, scaled_files, capsys, monkeypatch, s):
+        # the log chain reads the mean it computed: doubled, only its top step fails
+        rng = np.random.default_rng(46)
+        argv = ["--format", "json", "mean", "--kind", "log",
+                *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
+        assert main(argv) == 0
+        assert _failed_checks(capsys.readouterr().out) == []
+        real = cli.mean_cp
+
+        def doubled_log(kind, f, g):
+            return (2.0 if kind.tag == "log" else 1.0) * real(kind, f, g)
+
+        monkeypatch.setattr(cli, "mean_cp", doubled_log)
+        assert main(argv) == 3
+        assert _failed_checks(capsys.readouterr().out) == ["chain arith - log >= 0"]
 
     @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6])
     def test_verify_rejects_an_anti_hermitian_choi_at_every_scale(self, tmp_path, capsys, s):
@@ -798,7 +816,7 @@ class TestEncodeOnce:
         ac, sing = _tricky_map(d, rng), _tricky_map(d, rng, shift=1.0)
         split = lebesgue.LebesgueSplit(ac, sing, 1.0, Verdict(0.0, 1.0))
         monkeypatch.setattr(cli.lebesgue, "decompose", lambda f, g: split)
-        monkeypatch.setattr(cli.lebesgue, "_ando_ac", lambda f, g: ac)
+        monkeypatch.setattr(cli.hermlinalg, "_ando_part", lambda cf, cg: ac.choi)
         prefix = str(tmp_path / "split")
         main(["--format", "json", "lebesgue", phi, psi, "-o", prefix])
         report = capsys.readouterr().out

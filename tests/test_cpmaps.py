@@ -29,7 +29,7 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, as_psd, is_psd, pinv_psd
+from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, as_psd, is_psd
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import (
@@ -312,7 +312,10 @@ class TestOrder:
                 # the residuals of is_psd, bounded by the operands, not by d
                 bound = tol * max(max_abs(a.choi.entries), max_abs(b.choi.entries))
                 assert le.bound == ge.bound == bound
-                assert le.residual == is_psd(d, tol).residual  # the same eigendecomposition
+                w = np.linalg.eigvalsh(d)  # the eigenvalues alone, which order_cp reads
+                assert (le.residual, ge.residual) == (max(0.0, -w[0]), max(0.0, w[-1]))
+                # is_psd reads them from the eigendecomposition: equal up to its round-off
+                assert abs(le.residual - is_psd(d, tol).residual) <= 1e-14 * max_abs(d)
                 assert bool(ge) == (is_psd(-d, tol).residual <= bound)
                 seen.add((bool(le), bool(ge)))
             if tol == 1e-9:  # equal, <=, >= and incomparable all occur
@@ -471,12 +474,14 @@ class TestTensorCompose:
 
 
 def index_oracle(f):
-    """<v, C^+ v> through a support projection and a pseudo-inverse."""
+    """<v, C^+ v> through a support projection and numpy's pseudo-inverse,
+    which share no code with ``HermitianMatrix.support``."""
     v = entangled_vec(f.dim_in)
     supp = support_proj(f.choi.entries)
     if np.linalg.norm(v - supp @ v) > RANK_RTOL * np.linalg.norm(v):
         return math.inf
-    return float(np.real(v.conj() @ pinv_psd(f.choi).entries @ v))
+    c_pinv = np.linalg.pinv(f.choi.entries, rcond=RANK_RTOL, hermitian=True)
+    return float(np.real(v.conj() @ c_pinv @ v))
 
 
 class TestIndex:

@@ -54,7 +54,8 @@ PINS = [
     ("is_abs_continuous", (2, 0)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
     ("kraus_decompose", (0, 0)),  # likewise
-    ("order_cp", (1, 0)),         # eig of C_G - C_F
+    # down from (1, 0): the two verdicts read only the eigenvalues of C_G - C_F
+    ("order_cp", (0, 1)),
     # down from (1, 0): the verdict reads only the 2mn block's eigenvalues
     ("geo_certificate", (0, 1)),
     # sums, scalings, tensor products and compositions of admitted maps are
@@ -73,8 +74,10 @@ PINS = [
     ("from_kraus", (0, 0)),
     ("schur", (1, 0)),            # the admission of its outside symbol
     ("functional", (1, 0)),       # likewise of rho
-    # 2 input admissions, geo 3, and the square root of the fidelity's Gram form
-    ("state_mean_quantities", (6, 0)),
+    # 2 input admissions, geo 3, and the eigenvalues of the fidelity's Gram
+    # form.  Down from (6, 0): the fidelity sums the roots of its eigenvalues
+    # and takes no square root of it
+    ("state_mean_quantities", (5, 1)),
     # 2 input admissions, geo 3, and the clamp of the chain checks' harm, which
     # reuses geo's pair; their two eigvalsh bound the dips of geo - harm and
     # arith - geo.  Down from (9, 2): the certificate is one eigvalsh, not an
@@ -82,15 +85,17 @@ PINS = [
     ("cli mean --kind geo -o", (6, 3)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli index", (1, 0)),        # likewise, the index reads it
-    ("cli order", (3, 0)),        # 2 input admissions and eig of C_G - C_F
-    ("cli order kraus", (1, 0)),  # Kraus documents load as Gram forms
+    # 2 input admissions and the eigenvalues of C_G - C_F.  Down from (3, 0)
+    # and (1, 0), as order_cp
+    ("cli order", (2, 1)),
+    ("cli order kraus", (0, 1)),  # Kraus documents load as Gram forms
     # the run holds the -o document as the mean wrote it and both inputs as
     # admitted: no decoding and no admission.  Up from (0, 0): the mean's
     # projected result keeps its eig lazy, so the CP check computes it; the
     # two commands together still drop from 8 to 7
     ("cli verify geo.json after cli mean --kind geo -o", (1, 0)),
     ("cli index after cli mean --kind geo -o", (0, 0)),
-    ("cli order after cli mean --kind geo -o", (1, 0)),  # eig of C_G - C_F
+    ("cli order after cli mean --kind geo -o", (0, 1)),  # as order_cp
     # 2 input admissions, the split 2 and the two predicates 2 each on their
     # own pairs; C_F is full rank, so Ando's closed form is G itself and reads
     # only C_F's eig.  Down from (9, 0): the eigh of the zero matrix M*M is gone

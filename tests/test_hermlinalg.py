@@ -15,7 +15,6 @@ from cpmean.hermlinalg import (
     _shared_pair,
     as_psd,
     is_psd,
-    pinv_psd,
     psd_sqrt,
 )
 from cpmean.opmeans import MeanKind
@@ -225,8 +224,9 @@ class TestIsPsd:
         assert is_psd(HermitianMatrix(skew)) == Verdict(0.0, TOL_PSD * s)
 
     def test_signs_are_is_psd_of_both_signs(self, rng):
-        # order_cp(f, g) reads both signs of C_G - C_F from one eigendecomposition,
-        # the residuals of is_psd of both signs, against a bound set by C_F and C_G
+        # order_cp(f, g) reads both signs of C_G - C_F from its eigenvalues alone:
+        # the residuals of is_psd of both signs, up to the round-off of is_psd's
+        # eigendecomposition, against a bound set by C_F and C_G
         mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([-1.0, -1e-12]),
                 np.array([[1.0, 2.0], [2.0, 1.0]]), random_psd(rng, 4, rank=2)]
         mats.append(-mats[-1])
@@ -238,7 +238,10 @@ class TestIsPsd:
             for tol in (1e-9, 1.0):
                 le, ge = cpmaps.order_cp(f, g, tol)
                 bound = tol * max(max_abs(f.choi.entries), max_abs(g.choi.entries))
-                assert le == Verdict(is_psd(d, tol).residual, bound)
+                w = np.linalg.eigvalsh(d)
+                assert le == Verdict(max(0.0, -w[0]), bound)
+                assert ge == Verdict(max(0.0, w[-1]), bound)
+                assert abs(le.residual - is_psd(d, tol).residual) <= 1e-14 * max_abs(d)
                 assert (bool(ge), ge.bound) == (is_psd(-d, tol).residual <= bound, bound)
 
     def test_verdict_is_the_eigenvalue_bound(self):
@@ -275,24 +278,6 @@ class TestPsdSqrt:
         a = random_psd(rng, 7)
         s = psd_sqrt(a).entries
         assert max_abs(s @ s - a) <= TOL_RECON * max(1.0, max_abs(a))
-
-
-class TestPinv:
-    def test_diagonal(self):
-        assert max_abs(pinv_psd(np.diag([2.0, 0.0])).entries - np.diag([0.5, 0.0])) < 1e-14
-        assert max_abs(pinv_psd(np.eye(3)).entries - np.eye(3)) < 1e-14
-
-    @pytest.mark.parametrize("rank", [0, 1, 3, 5])
-    def test_penrose_identities(self, rng, rank):
-        a = random_psd(rng, 5, rank=rank)
-        ap = pinv_psd(PsdMatrix(a)).entries
-        assert max_abs(a @ ap @ a - a) <= TOL_RECON * max(1.0, max_abs(a))
-        assert max_abs(ap @ a @ ap - ap) <= TOL_RECON * max(1.0, max_abs(ap))
-
-    def test_product_is_support(self, rng):
-        a = random_psd(rng, 6, rank=3)
-        ap = pinv_psd(PsdMatrix(a)).entries
-        assert max_abs(a @ ap - support_of(a)) <= TOL_RECON
 
 
 class TestSupport:

@@ -15,7 +15,7 @@ from cpmean.lebesgue import (
     is_abs_continuous,
     is_singular,
 )
-from cpmean import lebesgue, opmeans
+from cpmean import hermlinalg, lebesgue, opmeans
 from cpmean.opmeans import parallel_sum
 from cpmean.cpmaps import order_cp
 
@@ -559,7 +559,7 @@ class TestGenericPairs:
 
 
 class TestAndoClosedForm:
-    """``lebesgue._ando_ac``, the closed form ``cpmean lebesgue`` checks its
+    """``hermlinalg._ando_part``, the closed form ``cpmean lebesgue`` checks its
     split against, on generic pairs: Gaussian Kraus operators, m, n in 1..3."""
 
     def test_decompose_matches_it_across_48_decades_of_scale_ratio(self):
@@ -570,7 +570,7 @@ class TestAndoClosedForm:
             f = gaussian_cp(rng, m, n, s_f)
             g = gaussian_cp(rng, m, n, s_f * 10.0 ** rng.uniform(-24.0, 24.0))
             got = decompose(f, g).ac.choi.entries
-            want = lebesgue._ando_ac(f, g).choi.entries
+            want = hermlinalg._ando_part(f.choi, g.choi).entries
             assert max_abs(got - want) <= 1e-8 * g.choi.norm()
 
     def test_it_is_the_short_of_g_to_the_range_of_f(self):
@@ -581,7 +581,7 @@ class TestAndoClosedForm:
             f, g = gaussian_cp(rng, m, n), gaussian_cp(rng, m, n)
             w, u = np.linalg.eigh(support_proj(f.choi.entries))
             want = shorted_to_subspace(g.choi.entries, u[:, w > 0.5])
-            got = lebesgue._ando_ac(f, g).choi.entries
+            got = hermlinalg._ando_part(f.choi, g.choi).entries
             assert max_abs(got - want) <= 1e-8 * g.choi.norm()
 
 

@@ -94,12 +94,13 @@ class TestParallelSum:
 
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
     def test_clamp_is_relative_to_the_operands(self, monkeypatch, s):
-        # With A = B = s I and (A+B)^+ replaced by diag(1/(2s), -x/s), A S B has
-        # the eigenvalue -x s: clamped above -TOL_MEAN ||A + B||, raised below.
+        # With A = B = s I and the support of A + B faked as the eigenvalues
+        # (2s, -s/x) on the unit vectors, (A+B)^+ is diag(1/(2s), -x/s) and A S B
+        # has the eigenvalue -x s: clamped above -TOL_MEAN ||A + B||, raised below.
         a = b = PsdMatrix(s * np.eye(2))
         for x, raises in ((TOL_MEAN, False), (4.0 * TOL_MEAN, True)):
-            fake = PsdMatrix._trusted(np.diag([0.5 / s, -x / s]))
-            monkeypatch.setattr(opmeans, "pinv_psd", lambda c, fake=fake: fake)
+            fake = (np.array([2.0 * s, -s / x]), np.eye(2))
+            monkeypatch.setattr(PsdMatrix, "support", lambda c, fake=fake: fake)
             if raises:
                 with pytest.raises(InvalidInput):
                     parallel_sum(a, b)

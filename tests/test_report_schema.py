@@ -61,7 +61,7 @@ def _run(argv: list[str], capsys):
     return _strict(out)
 
 
-@pytest.mark.parametrize("kind", ["geo", "harm"])
+@pytest.mark.parametrize("kind", ["geo", "harm", "log"])
 @pytest.mark.parametrize("out", [False, True], ids=["report", "-o"])
 def test_mean(docs, tmp_path, capsys, kind, out):
     extra = ["-o", str(tmp_path / "m.json")] if out else []
@@ -71,8 +71,9 @@ def test_mean(docs, tmp_path, capsys, kind, out):
     if out:
         assert list(rep["outputs"]["written"]) == WRITTEN_KEYS
     names = [c["name"] for c in rep["checks"]]
-    assert names == (["block certificate [[A,G],[G,B]] PSD"] if kind == "geo" else []) + [
-        "chain geo - harm >= 0", "chain arith - geo >= 0"]
+    chain = {"log": ["chain geo - harm >= 0", "chain log - geo >= 0", "chain arith - log >= 0"]}
+    assert names == (["block certificate [[A,G],[G,B]] PSD"] if kind == "geo" else []) + (
+        chain.get(kind, ["chain geo - harm >= 0", "chain arith - geo >= 0"]))
 
 
 @pytest.mark.parametrize("argv, n_inputs, outputs, checks", [

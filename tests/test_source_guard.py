@@ -11,10 +11,11 @@ exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
 ``hermlinalg._shared_pair``, which keeps the last one in the run and which
 every connection and the Lebesgue split call in one place each.  Every
 connection is taken by ``opmeans._connect``, which only ``mean`` and
-``geometric_mean`` call, and the pseudo-inverse is taken only
-by the reference formula ``opmeans.parallel_sum``.  No command runs the parallel-sum limit
+``geometric_mean`` call.  No module defines a pseudo-inverse helper: the one
+pseudo-inverse is that of the reference formula ``opmeans.parallel_sum``,
+which inverts ``support()`` in place.  No command runs the parallel-sum limit
 ``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
-the split against Ando's closed form ``lebesgue._ando_ac``, and
+the split against Ando's closed form ``hermlinalg._ando_part``, and
 ``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), no module calls the
@@ -107,10 +108,9 @@ CALL_SITES = {
     "SpectralPair": {("hermlinalg.py", "_shared_pair")},
     "_connect": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
-    "pinv_psd": {("opmeans.py", "parallel_sum")},
     "ac_part_oracle": set(),
     "parallel_sum": {("lebesgue.py", "ac_part_oracle"), ("registry.py", "example_ando_recovery")},
-    "_ando_ac": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
+    "_ando_part": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
     # the admission runs only as cls(...), in _admit and in clamped's
@@ -155,6 +155,41 @@ def test_call_guard_sees_a_planted_call():
     assert _call_sites("x.py", text, "pinv_psd") == {("x.py", "harmonic_mean")}
     assert _call_sites("x.py", text, "SpectralPair") == {("x.py", "X")}
     assert _call_sites("x.py", "pinv = pinv_psd\n", "pinv_psd") == set()
+
+
+def _pseudo_inverse_helpers(name: str, text: str) -> set[tuple[str, str]]:
+    """(file, what) of each function or method named for a pseudo-inverse
+    (``pinv`` or ``pseudo`` in its name) but the index's range test
+    ``pinv_form``, and of each ``numpy.linalg.pinv`` used or imported by name."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.FunctionDef) and node.name != "pinv_form"
+                and ("pinv" in node.name.lower() or "pseudo" in node.name.lower())):
+            found.add((name, node.name))
+        elif ((isinstance(node, ast.Attribute) and node.attr == "pinv"
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+              or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                  and any(a.name == "pinv" for a in node.names))):
+            found.add((name, "linalg.pinv"))
+    return found
+
+
+def test_no_pseudo_inverse_helper():
+    found = set()
+    for name, text in _sources():
+        found |= _pseudo_inverse_helpers(name, text)
+    assert found == set()
+
+
+def test_pseudo_inverse_guard_sees_a_planted_helper():
+    text = ("def pinv_psd(a):\n    w, u = a.support()\n    return (u / w) @ u.conj().T\n\n"
+            "class H:\n    def pinv_form(self, v):\n        return v\n\n"
+            "    def _pseudo_inverse(self):\n        return np.linalg.pinv(self._m)\n")
+    assert _pseudo_inverse_helpers("x.py", text) == {
+        ("x.py", "pinv_psd"), ("x.py", "_pseudo_inverse"), ("x.py", "linalg.pinv")}
+    assert _pseudo_inverse_helpers("y.py", "from numpy.linalg import pinv\n") == {
+        ("y.py", "linalg.pinv")}
+    assert _pseudo_inverse_helpers("z.py", "x = 'pinv_psd'  # np.linalg.pinv\n") == set()
 
 
 def _reads(text: str, name: str) -> bool:
@@ -396,8 +431,8 @@ def test_unused_import_guard_sees_a_copy():
     assert _unused_imports("import numpy.linalg\n") == {"numpy"}
 
 
-# The oracles ac_part_oracle, pinv_psd and NonConvergence import from their
-# modules (cpmean.lebesgue, cpmean.hermlinalg, cpmean.errors) only.
+# The oracles ac_part_oracle and NonConvergence import from their modules
+# (cpmean.lebesgue, cpmean.errors) only.
 PUBLIC_NAMES = [
     "ConnectionRep", "CpMap", "CpMeanError", "DomainError",
     "HermitianMatrix", "InvalidInput", "LebesgueSplit", "MeanKind",
@@ -534,11 +569,11 @@ def test_readme_lists_exactly_the_public_names():
 
 
 def test_readme_guard_sees_a_planted_name():
-    text = ("`import cpmean` exposes:\n\n* matrices: `pinv_psd`, `is_psd(h, tol)`,\n"
+    text = ("`import cpmean` exposes:\n\n* matrices: `ac_part_oracle`, `is_psd(h, tol)`,\n"
             "  `ac`;\n\nLater, `mean`.\n")
     listed = _readme_public_list(text)
-    assert listed == {"pinv_psd", "is_psd(h, tol)", "ac"}
-    assert listed & _defined_public_names() == {"pinv_psd"}
+    assert listed == {"ac_part_oracle", "is_psd(h, tol)", "ac"}
+    assert listed & _defined_public_names() == {"ac_part_oracle"}
 
 
 def test_signature_guard_sees_a_planted_knob():
