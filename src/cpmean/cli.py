@@ -121,6 +121,26 @@ def _write(f: CpMap, path: str, name: str) -> dict:
     return {"path": path, "sha256": save_channel(f, path, name=name)}
 
 
+def _chain(kind: MeanKind, f: CpMap, g: CpMap, result: CpMap) -> list:
+    """(name, Choi entries) of means of f and g in ascending order (Kubo-Ando),
+    result among them, for the mean checks to bound each step: harm <= geo <=
+    arith, with log between geo and arith and parallel as half of harm; a
+    power mean between its weighted harmonic mean, the adjoint of its
+    weighted arithmetic mean, and that arithmetic mean."""
+    held = result.choi.entries
+    if kind.tag == "power":
+        w = kind.alpha
+        arith = opmeans.ConnectionRep(1.0 - w, w, ())
+        harm = mean_cp(MeanKind.custom(opmeans.adjoint_rep(arith)), f, g).choi.entries
+        return [(f"harm:{w}", harm), (f"power:{w}", held),
+                (f"arith:{w}", (1.0 - w) * f.choi.entries + w * g.choi.entries)]
+    if kind.tag == "parallel":
+        kind, held = MeanKind("harm"), 2.0 * held
+    tags = ("harm", "geo", "log", "arith") if kind.tag == "log" else ("harm", "geo", "arith")
+    return [(tag, held if tag == kind.tag else mean_cp(MeanKind(tag), f, g).choi.entries)
+            for tag in tags]
+
+
 def cmd_mean(args, tol: float) -> list[Report]:
     kind = MeanKind.parse(args.kind)
     rep = Report(f"mean --kind {args.kind}")
@@ -132,11 +152,7 @@ def cmd_mean(args, tol: float) -> list[Report]:
     if kind.tag == "geo":
         rep.check("block certificate [[A,G],[G,B]] PSD",
                   *geo_certificate(f, g, result, tol=opmeans.TOL_MEAN))
-    # how far each step of harm <= geo <= arith dips, reusing result; the log
-    # mean sits between geo and arith (Kubo-Ando), so its chain includes it
-    tags = ("harm", "geo", "log", "arith") if kind.tag == "log" else ("harm", "geo", "arith")
-    chain = [(tag, (result if tag == kind.tag else mean_cp(MeanKind(tag), f, g)).choi.entries)
-             for tag in tags]
+    chain = _chain(kind, f, g, result)
     bound = opmeans.TOL_MEAN * hermlinalg._max_abs(f.choi.entries, g.choi.entries)
     for (lo, below), (hi, above) in zip(chain, chain[1:]):
         low = float(hermlinalg.HermitianMatrix(above - below).eigvals()[0])

@@ -136,10 +136,12 @@ class PsdMatrix(HermitianMatrix):
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
         """Entries PSD up to bound, which the caller sets from the round-off of
-        the computation that produced them.  The smallest eigenvalue w_0 picks
-        the branch: above bound, the entries are admitted as computed, a second
-        eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham 1988),
-        whose eig stays lazy, one eigh in all; below -bound, InvalidInput.
+        the computation that produced them: ``parallel_sum``, and a connection
+        not rank-deficient by construction (``opmeans._connect``).  The
+        smallest eigenvalue w_0 picks the branch: above bound, the entries are
+        admitted as computed, a second eigh; within ±bound, the Gram form ``U
+        max(w, 0) U*`` (Higham 1988), whose eig stays lazy, one eigh in all;
+        below -bound, InvalidInput.
         """
         h = HermitianMatrix(entries)
         w, u = h.eig()

@@ -8,9 +8,10 @@ two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A`
 (Kubo-Ando 1980): exact for singular inputs and at every ratio of scales up
 to about 1.8e308 either way (r and 1/r finite); beyond it, DomainError.
 The last pair built is shared (``hermlinalg._shared_pair``): the first
-connection of two operand objects costs the pair's two eigendecompositions
-and the clamp's (``PsdMatrix.clamped``), each next one the clamp's alone:
-one for a rank-deficient result, two for one above the clamp's bound.
+connection of two operand objects costs the pair's two eigendecompositions,
+each next one none where its result is rank-deficient by construction, a
+Gram form, and otherwise the clamp's (``PsdMatrix.clamped``): two for a
+result above its bound.
 ``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` on the
 ``support()`` of A + B as the independent reference of the parallel-sum limit.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, InvalidInput, ShapeError
 from .hermlinalg import PsdMatrix, _max_abs, _shared_pair, as_psd
 
 # Round-off bound of a mean.  Its clamp is relative to the result's largest
@@ -43,14 +44,21 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
 
 
 def _connect(a, b, sigma) -> PsdMatrix:
-    """``A σ B = s_A Z diag(t σ r(1-t)) Z*`` from the folded pair, then the clamp.
+    """``A σ B = s_A Z diag(d) Z*``, ``d = t σ r(1-t)``, from the folded pair.
 
-    sigma connects two scalars u, v >= 0, not both zero.  The ratio r keeps
-    both within range, where the product of the two scales would underflow;
+    sigma connects two scalars u, v >= 0, not both zero; a negative d raises
+    InvalidInput.  A result rank-deficient by construction (a zero in d, or Z
+    with fewer columns than rows) is that Gram form, with no eigh; any other
+    goes through the clamp.  The ratio r keeps both scalars within range,
+    where the product of the two scales would underflow;
     ``SpectralPair.ratio`` raises DomainError where r or 1/r overflows.
     """
     p = _shared_pair(*_check_pair(a, b))
     d = sigma(p.t, p.ratio() * (1.0 - p.t))
+    if (d < 0.0).any():
+        raise InvalidInput(f"connection kernel is negative ({float(d.min()):.3e})")
+    if not d.all() or p.z.shape[1] < p.z.shape[0]:
+        return PsdMatrix._gram(p.z, p.sa * d)
     out = p.sa * ((p.z * d) @ p.z.conj().T)
     return PsdMatrix.clamped(out, TOL_MEAN * _max_abs(out))
 

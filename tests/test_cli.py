@@ -25,6 +25,7 @@ from cpmean.cpmaps import (
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import PsdMatrix, Verdict
+from cpmean.opmeans import MeanKind
 from cpmean.registry import run_example
 
 from conftest import (
@@ -288,8 +289,13 @@ class TestCliCommands:
         for check in obj["checks"]:
             assert set(check) == {"name", "passed", "residual", "tolerance"}
 
+    # the mean, then the chain's other means: parallel's harm is twice the
+    # result, and power's chain has its own ends, its weighted harmonic mean a
+    # custom connection and its weighted arithmetic mean a plain sum
     @pytest.mark.parametrize("kind, calls", [
-        ("geo", 3), ("harm", 3), ("arith", 3), ("power:0.3", 4)])
+        ("geo", ["geo", "harm", "arith"]), ("harm", ["harm", "geo", "arith"]),
+        ("arith", ["arith", "harm", "geo"]), ("parallel", ["parallel", "geo", "arith"]),
+        ("power:0.3", ["power", "custom"])], ids=["geo", "harm", "arith", "parallel", "power"])
     def test_mean_chain_checks_reuse_the_result(self, channel_files, monkeypatch,
                                                  capsys, kind, calls):
         seen = []
@@ -302,8 +308,7 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "mean_cp", counting)
         assert main(["mean", "--kind", kind, channel_files["id2"],
                      channel_files["dep2"]]) == 0
-        assert len(seen) == calls
-        assert sorted(set(seen) - {"power"}) == ["arith", "geo", "harm"]
+        assert seen == calls
 
     def test_json_reports_are_single_lines(self, channel_files, capsys):
         assert main(["--format", "json", "verify", channel_files["dep2"]]) == 0
@@ -643,6 +648,35 @@ class TestChecksAtJointScale:
         monkeypatch.setattr(cli, "mean_cp", doubled_log)
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == ["chain arith - log >= 0"]
+
+    @pytest.mark.parametrize("kind, factor, failed", [
+        ("geo", 2.0, ["block certificate [[A,G],[G,B]] PSD", "chain arith - geo >= 0"]),
+        ("harm", 2.0, ["chain geo - harm >= 0"]),
+        ("parallel", 2.0, ["chain geo - harm >= 0"]),
+        ("log", 2.0, ["chain arith - log >= 0"]),
+        ("power:0.3", 2.0, ["chain arith:0.3 - power:0.3 >= 0"]),
+        # arith tops its chain: only a result below geo can fail it
+        ("arith", 0.5, ["chain arith - geo >= 0"]),
+    ])
+    @pytest.mark.parametrize("rank", [4, 2])
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6, 1e12])
+    def test_chain_checks_read_the_mean_computed(self, scaled_files, capsys, monkeypatch,
+                                                 s, rank, kind, factor, failed):
+        # every kind's chain holds the mean itself, so a scaled result fails a
+        # step, on full-rank and rank-deficient operands alike
+        rng = np.random.default_rng(47)
+        argv = ["--format", "json", "mean", "--kind", kind,
+                *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2, rank=rank))]
+        assert main(argv) == 0
+        assert _failed_checks(capsys.readouterr().out) == []
+        real, want = cli.mean_cp, MeanKind.parse(kind)
+
+        def scaled(k, f, g):
+            return (factor if k == want else 1.0) * real(k, f, g)
+
+        monkeypatch.setattr(cli, "mean_cp", scaled)
+        assert main(argv) == 3
+        assert _failed_checks(capsys.readouterr().out) == failed
 
     @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6])
     def test_verify_rejects_an_anti_hermitian_choi_at_every_scale(self, tmp_path, capsys, s):

@@ -271,16 +271,18 @@ class TestTransforms:
 class TestEighCount:
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_custom_mean_costs_its_pair_and_clamp_at_any_atom_count(self, rng, eigh_calls, nodes):
-        # whatever the atom count, each costs the pair's 2 and its clamp's: 1
-        # where the result has G's nullity 2 (Choi 4, G rank 2) and is
-        # projected, 2 where the adjoint and the dual of the atom sum leak
-        # 1/g(inf) onto ker B, so their result is well conditioned and admitted
+        # whatever the atom count, each costs the pair's 2: alone where the
+        # result has G's nullity 2 (Choi 4, G rank 2) and is a Gram form, its
+        # kernel d zero where G is, down from 3 as it has no clamp; with the
+        # clamp's admitting 2 where the adjoint and the dual of the atom sum
+        # leak 1/g(inf) onto ker B, so their kernel d has no zero and their
+        # result is well conditioned and admitted
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-        assert eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g)) == (3, 0)
+        assert eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g)) == (2, 0)
         rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
-        for transform, counts in ((lambda r: r, (3, 0)), (transpose_rep, (3, 0)),
+        for transform, counts in ((lambda r: r, (2, 0)), (transpose_rep, (2, 0)),
                                   (adjoint_rep, (4, 0)), (dual_rep, (4, 0))):
             kind = MeanKind.custom(transform(rep))
             assert eigh_calls(lambda: mean_cp(kind, f, g)) == counts

@@ -8,13 +8,16 @@ command ran uncounted and left its documents in the run.  A row ending ``in
 a fresh run`` starts a fresh run between the two, so it reads the cold count.
 A change that moves a count restates its row here and says why.
 
-A mean's clamp picks its branch by its bound: a result whose smallest
-computed eigenvalue is within the bound is projected to the PSD cone (a Gram
-form whose eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above
-it is admitted as computed, 2 eigh.  G has Choi rank 8, so every mean and
-parallel sum of F and G has nullity 8 and is projected; the mean of ``mean
-geo, full-rank operands`` is well conditioned and is admitted.
-``test_cold_kernel_means_cost_3_or_4_by_rank`` checks the rule on seeded pairs.
+A mean on the spectral pair that is rank-deficient by construction (a zero
+in its kernel d, or fewer pair columns than rows) is the Gram form ``s_A Z
+diag(d) Z*``, no eigh past the pair's 2.  Any other goes through the clamp,
+which picks its branch by its bound: a result whose smallest computed
+eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
+eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above it is
+admitted as computed, 2 eigh.  G has Choi rank 8, so every mean of F and G
+has nullity 8 and is a Gram form, and their parallel sum is projected; the
+mean of ``mean geo, full-rank operands`` is well conditioned and is admitted.
+``test_cold_kernel_means_cost_2_or_4_by_rank`` checks the rule on seeded pairs.
 """
 
 import numpy as np
@@ -29,26 +32,30 @@ from conftest import random_cp, write_kraus
 # (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
 PINS = [
     ("mean arith", (0, 0)),       # (A + B)/2 is PSD by construction
-    # eig C, eig A', and the projecting clamp's one.  Down from (4, 0): the
-    # projection is admitted as a Gram form, not eigendecomposed again
-    ("mean harm", (3, 0)),
-    ("mean parallel", (3, 0)),
-    ("mean geo", (3, 0)),
-    ("mean power:0.3", (3, 0)),
+    # eig C and eig A'.  Down from (3, 0): the result is rank-deficient by
+    # construction (d is 0 on the 8 directions where G is), so it is the Gram
+    # form s_A Z diag(d) Z* and goes through no clamp
+    ("mean harm", (2, 0)),
+    ("mean parallel", (2, 0)),
+    ("mean geo", (2, 0)),
+    ("mean power:0.3", (2, 0)),
     ("mean power:0", (0, 0)),     # the admitted operand itself
     ("mean power:1", (0, 0)),
-    ("mean log", (3, 0)),         # its two-scalar form is closed
-    ("mean custom", (3, 0)),
-    ("mean custom adjoint", (3, 0)),
-    ("mean custom dual", (3, 0)),
+    ("mean log", (2, 0)),         # its two-scalar form is closed
+    ("mean custom", (2, 0)),
+    ("mean custom adjoint", (2, 0)),
+    ("mean custom dual", (2, 0)),
     # a well-conditioned result takes the clamp's admitting branch: eig C, eig
     # A', the clamp's eig and the admission's (perfbench pins the same count)
     ("mean geo, full-rank operands", (4, 0)),
-    # the last spectral pair is shared: a next mean pays only its clamp
-    ("mean geo after harm", (1, 0)),
-    ("mean geo after harm in a fresh run", (3, 0)),  # the run, not the process, shares
+    # the last spectral pair is shared, and a rank-deficient mean has no
+    # clamp: down from (1, 0)
+    ("mean geo after harm", (0, 0)),
+    ("mean geo after harm in a fresh run", (2, 0)),  # the run, not the process, shares
     ("decompose after geo", (0, 0)),
-    ("lib-means bundle", (6, 0)),  # arith 0, harm 3, geo, power:0.3 and log 1 each
+    # arith 0, harm 2, geo, power:0.3 and log 0 each.  Down from (6, 0): no
+    # rank-deficient mean goes through the clamp
+    ("lib-means bundle", (2, 0)),
     ("decompose", (2, 0)),        # eig C, eig A'
     ("is_singular", (2, 0)),
     ("is_abs_continuous", (2, 0)),
@@ -74,15 +81,17 @@ PINS = [
     ("from_kraus", (0, 0)),
     ("schur", (1, 0)),            # the admission of its outside symbol
     ("functional", (1, 0)),       # likewise of rho
-    # 2 input admissions, geo 3, and the eigenvalues of the fidelity's Gram
+    # 2 input admissions, geo 2, and the eigenvalues of the fidelity's Gram
     # form.  Down from (6, 0): the fidelity sums the roots of its eigenvalues
-    # and takes no square root of it
-    ("state_mean_quantities", (5, 1)),
-    # 2 input admissions, geo 3, and the clamp of the chain checks' harm, which
-    # reuses geo's pair; their two eigvalsh bound the dips of geo - harm and
-    # arith - geo.  Down from (9, 2): the certificate is one eigvalsh, not an
-    # eigh; down from (8, 3): each projecting clamp is one eigh
-    ("cli mean --kind geo -o", (6, 3)),
+    # and takes no square root of it; down from (5, 1): the rank-deficient geo
+    # has no clamp
+    ("state_mean_quantities", (4, 1)),
+    # 2 input admissions and geo 2; the chain checks' harm reuses geo's pair
+    # and, rank-deficient, has no clamp; their two eigvalsh bound the dips of
+    # geo - harm and arith - geo.  Down from (9, 2): the certificate is one
+    # eigvalsh, not an eigh; down from (8, 3): each projecting clamp is one
+    # eigh; down from (6, 3): neither mean goes through the clamp
+    ("cli mean --kind geo -o", (4, 3)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli index", (1, 0)),        # likewise, the index reads it
     # 2 input admissions and the eigenvalues of C_G - C_F.  Down from (3, 0)
@@ -91,8 +100,8 @@ PINS = [
     ("cli order kraus", (0, 1)),  # Kraus documents load as Gram forms
     # the run holds the -o document as the mean wrote it and both inputs as
     # admitted: no decoding and no admission.  Up from (0, 0): the mean's
-    # projected result keeps its eig lazy, so the CP check computes it; the
-    # two commands together still drop from 8 to 7
+    # Gram form keeps its eig lazy, so the CP check computes it; the two
+    # commands together drop from 8 to 5
     ("cli verify geo.json after cli mean --kind geo -o", (1, 0)),
     ("cli index after cli mean --kind geo -o", (0, 0)),
     ("cli order after cli mean --kind geo -o", (0, 1)),  # as order_cp
@@ -216,10 +225,11 @@ KERNEL_KINDS = [*(MeanKind.parse(k) for k in ("geo", "harm", "parallel", "power:
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-def test_cold_kernel_means_cost_3_or_4_by_rank(eigh_calls, scale):
-    """Every cold mean on the spectral pair costs the pair's 2 and its clamp's
-    1 where the result is rank-deficient, and 2 where it is well conditioned,
-    whatever the sign of the rounding in its zero eigenvalues.  F is full rank
+def test_cold_kernel_means_cost_2_or_4_by_rank(eigh_calls, scale):
+    """Every cold mean on the spectral pair costs the pair's 2 alone where the
+    result is rank-deficient, as the Gram form ``s_A Z diag(d) Z*`` goes
+    through no clamp, and 4 where it is well conditioned, with the clamp's eig
+    and its admission.  F is full rank
     and G has nullity 0-3 at Choi 4-16, both times scale: the results have G's
     nullity, and with the operands' eigenvalues in [0.25, 4] a full-rank
     result's smallest eigenvalue is at least scale/8, far above the clamp's
@@ -232,4 +242,4 @@ def test_cold_kernel_means_cost_3_or_4_by_rank(eigh_calls, scale):
         g = scale * random_cp(rng, m, n, rank=m * n - nullity)
         for kind in KERNEL_KINDS:
             got = eigh_calls(lambda: cpmaps.mean_cp(kind, f, g))
-            assert got == ((3, 0) if nullity else (4, 0)), (draw, m * n, nullity, kind)
+            assert got == ((2, 0) if nullity else (4, 0)), (draw, m * n, nullity, kind)

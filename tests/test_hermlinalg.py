@@ -430,9 +430,9 @@ class TestSharedPair:
             def warm():
                 pool.submit(opmeans.mean, opmeans.HARM, a, b).result(timeout=60)
 
-            # the geometric mean pays only its projecting clamp: the worker's
-            # pair is kept
-            assert eigh_calls(lambda: opmeans.geometric_mean(a, b), warm) == (1, 0)
+            # the worker's pair is kept, and the rank-deficient geometric mean
+            # is its Gram form: no eigh, down from the projecting clamp's one
+            assert eigh_calls(lambda: opmeans.geometric_mean(a, b), warm) == (0, 0)
         kept = hermlinalg._RUN.pair
         assert kept[0] is a and kept[1] is b
 

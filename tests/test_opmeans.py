@@ -8,7 +8,7 @@ import pytest
 
 from cpmean import cpmaps, opmeans
 from cpmean.errors import DomainError, InvalidInput, ShapeError
-from cpmean.hermlinalg import PsdMatrix, is_psd
+from cpmean.hermlinalg import PsdMatrix, _shared_pair, is_psd
 from cpmean.opmeans import (
     ARITH,
     GEO,
@@ -313,13 +313,21 @@ class TestExtremeScales:
             got = mean(MeanKind.parse(text), s * a, s * b).entries / s
             assert max_abs(got - np.diag(w)) <= 1e-14 * max(w), text
 
+    @pytest.mark.parametrize("lift", [0.0, 1e-3], ids=["Gram", "clamp"])
     @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e12])
-    def test_clamp_verdict_does_not_depend_on_joint_scale(self, rng, s):
+    def test_clamp_verdict_does_not_depend_on_joint_scale(self, rng, s, lift):
         # sqrt(uv) - 0.45 (u + v) is no connection: its weights reach -0.45.
-        # The clamp is relative to the result itself, so it raises at every s;
-        # relative to max(1, ||result||) it clamped silently at s = 1e-12.
-        a, b = random_psd(rng, 4), random_psd(rng, 4, rank=2)
-        with pytest.raises(InvalidInput):
+        # The kernel check reads d itself, so it raises at every s on both
+        # sides of the choice: a rank-2 G snaps t to 1 on its kernel, where a
+        # connection's d is 0 and its mean a Gram form; G lifted to full rank
+        # leaves every t in (0, 1), where d has no zero and the mean takes
+        # the clamp, with t near 1 where this kernel is near -0.45.  Relative
+        # to max(1, ||result||) the clamp once passed it silently at s = 1e-12.
+        a = random_psd(rng, 4)
+        b = random_psd(rng, 4, rank=2) + lift * random_psd(rng, 4)
+        t = _shared_pair(PsdMatrix(a), PsdMatrix(b)).t
+        assert (t == 1.0).any() == (lift == 0.0) and (t > 0.0).all()
+        with pytest.raises(InvalidInput, match="kernel is negative"):
             opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
 
@@ -513,13 +521,59 @@ class TestStructuralProperties:
 
 class TestEighCount:
     @pytest.mark.parametrize("fn, count", [
-        # each result has nullity 5 and is projected by the final clamp, one
-        # eigh; down by one each from the clamp's re-admission of its Gram form
+        # each result has nullity 5.  parallel_sum's is projected by its final
+        # clamp, one eigh, down by one from the clamp's re-admission of its
+        # Gram form; each mean's is the Gram form s_A Z diag(d) Z*, d zero on
+        # the 5 directions where B is, down by one more: it has no clamp
         (parallel_sum, 2),      # admit A + B, then the final clamp's one
-        pytest.param(partial(mean, HARM), 3, id="mean_harm-3"),  # eig C, eig A', the clamp's one
-        (geometric_mean, 3),    # eig C, eig A', and the clamp's one
+        pytest.param(partial(mean, HARM), 2, id="mean_harm-2"),  # eig C, eig A'
+        (geometric_mean, 2),    # eig C, eig A'
     ])
     def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):
         a = PsdMatrix(random_psd(rng, 9))
         b = PsdMatrix(random_psd(rng, 9, rank=4))
         assert eigh_calls(lambda: fn(a, b)) == (count, 0)
+
+
+class TestGramRoute:
+    """A mean rank-deficient by construction is the Gram form ``s_A Z diag(d)
+    Z*``; it matches the clamp of the same ``out = s_A (Z d) Z*``, the
+    reference route, entry for entry and in rank."""
+
+    # the two-scalar kernel of each kind, as ``mean`` evaluates it
+    DUAL = opmeans.dual_rep(power_rep(0.3))
+    SIGMA = {
+        GEO: lambda u, v: np.sqrt(u) * np.sqrt(v),
+        HARM: opmeans._SIGMA["harm"],
+        PARALLEL: opmeans._SIGMA["parallel"],
+        MeanKind.power(0.3): power_rep(0.3)._pair,
+        LOG: opmeans._SIGMA["log"],
+        MeanKind.custom(DUAL): DUAL._pair,
+    }
+
+    @staticmethod
+    def _pairs(rng):
+        """F full rank and G of nullity 1-3 at Choi 4-16; then F and G inside
+        one subspace of codimension 2, so that Ĉ is rank-deficient too."""
+        for draw in range(12):
+            dim = (4, 6, 8, 9, 12, 16)[draw % 6]
+            yield random_psd(rng, dim), random_psd(rng, dim, rank=dim - 1 - draw % 3)
+        for dim in (6, 9, 16):
+            q = random_unitary(rng, dim)[:, :dim - 2]
+            for rank_f, rank_g in ((dim - 2, dim - 3), (dim - 3, dim - 4)):
+                yield tuple(q @ random_psd(rng, dim - 2, rank=r) @ q.conj().T
+                            for r in (rank_f, rank_g))
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_gram_form_matches_the_clamp(self, rng, s):
+        for a, b in self._pairs(rng):
+            a, b = PsdMatrix(s * a), PsdMatrix(s * b)
+            p = _shared_pair(a, b)
+            for kind, sigma in self.SIGMA.items():
+                d = sigma(p.t, p.ratio() * (1.0 - p.t))
+                assert not d.all() or p.z.shape[1] < a.dim, kind
+                out = p.sa * ((p.z * d) @ p.z.conj().T)
+                want = PsdMatrix.clamped(out, TOL_MEAN * max_abs(out))
+                got = mean(kind, a, b)
+                assert max_abs(got.entries - want.entries) <= 1e-14 * max_abs(out), kind
+                assert got.support()[0].size == want.support()[0].size, kind

@@ -61,7 +61,7 @@ def _run(argv: list[str], capsys):
     return _strict(out)
 
 
-@pytest.mark.parametrize("kind", ["geo", "harm", "log"])
+@pytest.mark.parametrize("kind", ["geo", "harm", "parallel", "log", "power:0.3"])
 @pytest.mark.parametrize("out", [False, True], ids=["report", "-o"])
 def test_mean(docs, tmp_path, capsys, kind, out):
     extra = ["-o", str(tmp_path / "m.json")] if out else []
@@ -71,7 +71,8 @@ def test_mean(docs, tmp_path, capsys, kind, out):
     if out:
         assert list(rep["outputs"]["written"]) == WRITTEN_KEYS
     names = [c["name"] for c in rep["checks"]]
-    chain = {"log": ["chain geo - harm >= 0", "chain log - geo >= 0", "chain arith - log >= 0"]}
+    chain = {"log": ["chain geo - harm >= 0", "chain log - geo >= 0", "chain arith - log >= 0"],
+             "power:0.3": ["chain power:0.3 - harm:0.3 >= 0", "chain arith:0.3 - power:0.3 >= 0"]}
     assert names == (["block certificate [[A,G],[G,B]] PSD"] if kind == "geo" else []) + (
         chain.get(kind, ["chain geo - harm >= 0", "chain arith - geo >= 0"]))
 
