@@ -38,7 +38,6 @@ from .opmeans import (
     dual_rep,
     geometric_mean,
     mean,
-    parallel_sum,
     power_rep,
     transpose_rep,
 )

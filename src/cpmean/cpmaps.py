@@ -336,10 +336,7 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
     sigma rho^{1/2})); the chain gm <= sqrt <= fidelity always holds, with
     equality iff the states commute.
     """
-    rho = as_psd(rho)
-    sigma = as_psd(sigma)
-    if rho.dim != sigma.dim:
-        raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho, sigma = opmeans._check_pair(rho, sigma)
     gm = float(np.trace(opmeans.geometric_mean(rho, sigma).entries).real)
     rh = psd_sqrt(rho).entries
     sh = psd_sqrt(sigma).entries

@@ -12,8 +12,9 @@ connection of two operand objects costs the pair's two eigendecompositions,
 each next one none where its result is rank-deficient by construction, a
 Gram form, and otherwise the clamp's (``PsdMatrix.clamped``): two for a
 result above its bound.
-``parallel_sum`` keeps the pseudo-inverse formula ``A (A+B)^+ B`` on the
-``support()`` of A + B as the independent reference of the parallel-sum limit.
+``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B`` on ``support()``,
+is the limit oracle's reference, not package API (that is ``mean(PARALLEL)``):
+(A+B)^+ loses the smaller operand once the two scales lie over about 1e4 apart.
 
 Every mean is evaluated by ``mean(kind, A, B)``.  Scale convention for the
 power mean: ``MeanKind.power(a)`` carries weight ``a`` on B, so commuting
@@ -85,7 +86,9 @@ def parallel_sum(a, b) -> PsdMatrix:
 
     The pseudo-inverse formula, independent of the spectral pair that
     ``mean(PARALLEL, A, B)`` uses: the reference of ``ac_part_oracle`` and the
-    worked examples.  Its range is ran(A) ∩ ran(B), and ``A : B <= A, B``.
+    ``ando-recovery`` example, not package API.  Its range is ran(A) ∩ ran(B),
+    and ``A : B <= A, B``; it is exact to round-off only while the scales of A
+    and B are within about 1e4 of each other.
     """
     a, b = _check_pair(a, b)
     c = PsdMatrix._trusted(a.entries + b.entries)

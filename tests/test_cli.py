@@ -632,23 +632,6 @@ class TestChecksAtJointScale:
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
 
-    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e12])
-    def test_chain_check_rejects_twice_the_log_mean(self, scaled_files, capsys, monkeypatch, s):
-        # the log chain reads the mean it computed: doubled, only its top step fails
-        rng = np.random.default_rng(46)
-        argv = ["--format", "json", "mean", "--kind", "log",
-                *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
-        assert main(argv) == 0
-        assert _failed_checks(capsys.readouterr().out) == []
-        real = cli.mean_cp
-
-        def doubled_log(kind, f, g):
-            return (2.0 if kind.tag == "log" else 1.0) * real(kind, f, g)
-
-        monkeypatch.setattr(cli, "mean_cp", doubled_log)
-        assert main(argv) == 3
-        assert _failed_checks(capsys.readouterr().out) == ["chain arith - log >= 0"]
-
     @pytest.mark.parametrize("kind, factor, failed", [
         ("geo", 2.0, ["block certificate [[A,G],[G,B]] PSD", "chain arith - geo >= 0"]),
         ("harm", 2.0, ["chain geo - harm >= 0"]),

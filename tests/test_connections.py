@@ -279,7 +279,6 @@ class TestEighCount:
         # result is well conditioned and admitted
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-        assert eigh_calls(lambda: mean_cp(MeanKind("geo"), f, g)) == (2, 0)
         rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
         for transform, counts in ((lambda r: r, (2, 0)), (transpose_rep, (2, 0)),

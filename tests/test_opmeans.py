@@ -1,7 +1,6 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
-from functools import partial
 
 import numpy as np
 import pytest
@@ -331,6 +330,26 @@ class TestExtremeScales:
             opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
 
+    @pytest.mark.parametrize("shared", [0, 1], ids=["ranges-meet-in-0", "one-shared-direction"])
+    def test_parallel_kinds_at_independent_scales(self, rng, shared):
+        # generic non-commuting A and B at Choi 3-9, each scaled by its own
+        # 10^[-12, 12]: ranges that meet only in 0 give A : B = 0 and a zero
+        # harmonic mean, exactly; one planted shared direction v gives both
+        # rank 1 at every ratio of the scales, as the pair folds each operand
+        for _ in range(150):
+            n = int(rng.integers(3, 10))
+            ra = int(rng.integers(1, n - shared))
+            rb = int(rng.integers(1, n - shared - ra + 1))
+            v = random_unitary(rng, n)[:, :shared]
+            a, b = (random_psd(rng, n, rank=r) + v @ v.conj().T for r in (ra, rb))
+            sa, sb = 10.0 ** rng.uniform(-12.0, 12.0, size=2)
+            for kind in (PARALLEL, HARM):
+                out = mean(kind, sa * a, sb * b)
+                if shared:
+                    assert out.support()[0].size == 1
+                else:
+                    assert not out.entries.any()
+
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)
@@ -517,22 +536,6 @@ class TestStructuralProperties:
             dual = mean(MeanKind.power(1.0 - alpha), a, b).entries
             lhs = geometric_mean(PsdMatrix(fwd), PsdMatrix(dual)).entries
             assert max_abs(lhs - geometric_mean(a, b).entries) < TOL_MEAN * scale
-
-
-class TestEighCount:
-    @pytest.mark.parametrize("fn, count", [
-        # each result has nullity 5.  parallel_sum's is projected by its final
-        # clamp, one eigh, down by one from the clamp's re-admission of its
-        # Gram form; each mean's is the Gram form s_A Z diag(d) Z*, d zero on
-        # the 5 directions where B is, down by one more: it has no clamp
-        (parallel_sum, 2),      # admit A + B, then the final clamp's one
-        pytest.param(partial(mean, HARM), 2, id="mean_harm-2"),  # eig C, eig A'
-        (geometric_mean, 2),    # eig C, eig A'
-    ])
-    def test_pinned_eigh_count(self, rng, eigh_calls, fn, count):
-        a = PsdMatrix(random_psd(rng, 9))
-        b = PsdMatrix(random_psd(rng, 9, rank=4))
-        assert eigh_calls(lambda: fn(a, b)) == (count, 0)
 
 
 class TestGramRoute:

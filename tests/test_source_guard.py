@@ -431,8 +431,9 @@ def test_unused_import_guard_sees_a_copy():
     assert _unused_imports("import numpy.linalg\n") == {"numpy"}
 
 
-# The oracles ac_part_oracle and NonConvergence import from their modules
-# (cpmean.lebesgue, cpmean.errors) only.
+# The oracles ac_part_oracle, NonConvergence and the pseudo-inverse reference
+# parallel_sum import from their modules (cpmean.lebesgue, cpmean.errors,
+# cpmean.opmeans) only; the one public parallel sum is mean(PARALLEL, ...).
 PUBLIC_NAMES = [
     "ConnectionRep", "CpMap", "CpMeanError", "DomainError",
     "HermitianMatrix", "InvalidInput", "LebesgueSplit", "MeanKind",
@@ -442,8 +443,8 @@ PUBLIC_NAMES = [
     "depolarizing", "dual_rep", "from_choi", "from_kraus", "functional",
     "geo_certificate", "geometric_mean", "identity", "index_cp",
     "is_abs_continuous", "is_psd", "is_singular", "kraus_decompose", "mean",
-    "mean_cp", "order_cp", "parallel_sum", "power_rep", "psd_sqrt",
-    "read_doc", "save_channel", "schur", "state_mean_quantities", "tensor",
+    "mean_cp", "order_cp", "power_rep", "psd_sqrt", "read_doc",
+    "save_channel", "schur", "state_mean_quantities", "tensor",
     "transpose_rep", "unitary_conj",
 ]
 
@@ -486,7 +487,6 @@ SIGNATURES = {
     "mean": ("kind", "a", "b"),
     "mean_cp": ("kind", "f", "g"),
     "order_cp": ("f", "g", "tol"),
-    "parallel_sum": ("a", "b"),
     "power_rep": ("alpha",),
     "psd_sqrt": ("a",),
     "read_doc": ("path",),
