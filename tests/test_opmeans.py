@@ -330,14 +330,14 @@ class TestExtremeScales:
             opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
 
+    @pytest.mark.parametrize("n", range(3, 10))
     @pytest.mark.parametrize("shared", [0, 1], ids=["ranges-meet-in-0", "one-shared-direction"])
-    def test_parallel_kinds_at_independent_scales(self, rng, shared):
-        # generic non-commuting A and B at Choi 3-9, each scaled by its own
+    def test_parallel_kinds_at_independent_scales(self, rng, shared, n):
+        # generic non-commuting A and B at Choi n, each scaled by its own
         # 10^[-12, 12]: ranges that meet only in 0 give A : B = 0 and a zero
         # harmonic mean, exactly; one planted shared direction v gives both
         # rank 1 at every ratio of the scales, as the pair folds each operand
-        for _ in range(150):
-            n = int(rng.integers(3, 10))
+        for _ in range(25):
             ra = int(rng.integers(1, n - shared))
             rb = int(rng.integers(1, n - shared - ra + 1))
             v = random_unitary(rng, n)[:, :shared]
