@@ -10,10 +10,14 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
       "name": optional string
     }
 
-Both forms are read; the one written is choi, whose floats are Python's
-shortest round-trip repr, so a document of an exactly Hermitian matrix
-survives save/load bit-exactly, signed zeros included.  ``save_channel``
-returns the SHA-256 of the bytes it writes, by which a ``-o`` report names them.
+Both forms are read, each in one numpy conversion of all its cells, a Kraus
+list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite or
+too large cell is a ParseError, and a float64 comes through bit for bit.  The
+form written is choi, whose floats are Python's shortest round-trip repr, so a
+document of an exactly Hermitian matrix survives save/load bit-exactly,
+signed zeros included.  ``save_channel`` returns the SHA-256 of the bytes it
+writes, by which a ``-o`` report names them; they are encoded with no cycle
+check, as a freshly built document has no cycles.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
@@ -69,9 +73,10 @@ def _to_pairs(a) -> list:
     return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
-    """Complex matrix of the given shape from nested [re, im] pairs, bit for bit.
-    A boolean is not a number, alone or beside numbers that would absorb it."""
+def _rows_to_matrix(rows, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array of any shape, (mn, mn) for a Choi matrix or (k, n, m) for
+    k Kraus operators, from nested [re, im] pairs in one conversion, bit for
+    bit.  A boolean is not a number, alone or beside numbers that would absorb it."""
     try:
         arr = np.asarray(rows)
         if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
@@ -79,9 +84,12 @@ def _rows_to_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"complex matrix data is malformed: {exc}") from exc
     if arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf":
-        raise ParseError(f"expected {shape[0]} x {shape[1]} [re, im] pairs of numbers, "
+        raise ParseError(f"expected {' x '.join(map(str, shape))} [re, im] pairs of numbers, "
                          f"got shape {arr.shape} of {arr.dtype}")
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
+    numbers = rows
+    for _ in shape:
+        numbers = chain.from_iterable(numbers)
+    if bool in set(map(type, numbers)):
         raise ParseError("boolean entries are not permitted in documents")
     if not np.isfinite(arr).all():
         raise ParseError("non-finite entries are not permitted in documents")
@@ -115,7 +123,7 @@ def doc_to_channel(doc) -> CpMap:
     if kind == "kraus":
         if not isinstance(data, list):
             raise ParseError("kraus data must be a list of operators")
-        ops = [_rows_to_matrix(entry, (n, m)) for entry in data]
+        ops = _rows_to_matrix(data, (len(data), n, m)) if data else []
         return from_kraus(ops, dim_in=m, dim_out=n)
     raise ParseError(f"unknown representation {kind!r}")
 
@@ -128,7 +136,7 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     raises DomainError."""
     if name is not None and not isinstance(name, str):
         raise DomainError(f"document name must be a string, got {type(name).__name__}")
-    raw = (json.dumps(channel_to_doc(f, name)) + "\n").encode("utf-8")
+    raw = (json.dumps(channel_to_doc(f, name), check_circular=False) + "\n").encode("utf-8")
     try:
         with open(path, "wb") as fh:
             fh.write(raw)

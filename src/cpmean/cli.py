@@ -201,8 +201,7 @@ def cmd_lebesgue(args, tol: float) -> list[Report]:
     phi, name_phi = _load(rep, args.path_phi)
     psi, name_psi = _load(rep, args.path_psi)
     split = lebesgue.decompose(phi, psi)
-    rep.outputs["alpha_min"] = (
-        "infinite" if math.isinf(split.alpha_min) else split.alpha_min)
+    rep.outputs["alpha_min"] = split.alpha_min
     rep.check("ac + sing = psi", *split.recon)
     rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
     rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
@@ -261,7 +260,8 @@ def cmd_example(args, tol: float) -> list[Report]:
 def _emit(reports: list[Report], fmt: str) -> None:
     if fmt == "json":
         print(reports[0].to_json() if len(reports) == 1
-              else json.dumps([r.to_obj() for r in reports], allow_nan=False))
+              else json.dumps([r.to_obj() for r in reports], allow_nan=False,
+                              check_circular=False))
     else:
         for rep in reports:
             print(rep.to_text())

@@ -28,6 +28,7 @@ from .hermlinalg import (
     HermitianMatrix,
     PsdMatrix,
     Verdict,
+    _as_array,
     _max_abs,
     as_psd,
     psd_sqrt,
@@ -62,7 +63,7 @@ class CpMap:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an m x m matrix."""
-        x = np.asarray(x, dtype=np.complex128)
+        x = _as_array(x)
         if x.shape != (self.dim_in, self.dim_in):
             raise ShapeError(
                 f"input must be {self.dim_in} x {self.dim_in}, got {x.shape}"
@@ -118,56 +119,46 @@ def choi_from_action(dim_in: int, dim_out: int,
         for j in range(m):
             unit = np.zeros((m, m), dtype=np.complex128)
             unit[i, j] = 1.0
-            block = np.asarray(action(unit), dtype=np.complex128)
+            block = _as_array(action(unit))
             if block.shape != (n, n):
                 raise ShapeError(f"action must return {n} x {n} matrices")
             c[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
     return from_choi(m, n, c)
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vec: vec(A)[i*n + k] = A[k, i] for A of shape (n, m)."""
-    return a.T.reshape(-1)
-
-
-def _unvec(v: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    return v.reshape(dim_in, dim_out).T
-
-
 def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
                dim_out: int | None = None) -> CpMap:
-    """Build a CpMap from Kraus operators (each dim_out x dim_in); its Choi
-    matrix, a Gram form, is PSD by construction, so no admission runs.  The
-    operators are not kept."""
-    ops = [np.asarray(k, dtype=np.complex128) for k in ops]
-    if any(k.ndim != 2 for k in ops):
-        raise ShapeError("Kraus operators must be 2-D arrays")
-    if not all(np.isfinite(k).all() for k in ops):
-        raise InvalidInput("Kraus operator entries must be finite")
-    if not ops:
+    """Build a CpMap from Kraus operators (each dim_out x dim_in), converted as
+    one (k, dim_out, dim_in) stack; its Choi matrix, a Gram form, is PSD by
+    construction, so no admission runs.  The operators are not kept."""
+    try:
+        ks = _as_array(ops)
+    except ShapeError as exc:
+        raise ShapeError(f"inconsistent Kraus operator shapes (each must be a 2-D "
+                         f"dim_out x dim_in array): {exc}") from exc
+    if ks.shape[:1] == (0,):
         if dim_in is None or dim_out is None:
             raise ShapeError("empty Kraus list requires explicit dimensions")
-    else:
-        n, m = ops[0].shape
-        dim_in = m if dim_in is None else dim_in
-        dim_out = n if dim_out is None else dim_out
-        if (n, m) != (dim_out, dim_in):
-            raise ShapeError("Kraus operators must be dim_out x dim_in")
-    if any(k.shape != (dim_out, dim_in) for k in ops):
-        raise ShapeError("inconsistent Kraus operator shapes")
-    # columns of v are the vec(K), so C = sum_K vec(K) vec(K)* = v v*
-    v = np.array([_vec(k) for k in ops], dtype=np.complex128)
-    v = v.reshape(len(ops), dim_in * dim_out).T
+        ks = np.zeros((0, dim_out, dim_in), dtype=np.complex128)
+    if ks.ndim != 3:
+        raise ShapeError("Kraus operators must be 2-D arrays")
+    if not np.isfinite(ks).all():
+        raise InvalidInput("Kraus operator entries must be finite")
+    n, m = ks.shape[1:]
+    dim_in = m if dim_in is None else dim_in
+    dim_out = n if dim_out is None else dim_out
+    if (n, m) != (dim_out, dim_in):
+        raise ShapeError("Kraus operators must be dim_out x dim_in")
+    # the rows vec(K) = K^T.reshape(-1), transposed: C = sum_K vec(K) vec(K)* = v v*
+    v = np.ascontiguousarray(ks.transpose(0, 2, 1)).reshape(len(ks), dim_in * dim_out).T
     return CpMap(dim_in, dim_out, PsdMatrix._gram(v))
 
 
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
-    """Kraus operators from the spectral decomposition of the Choi matrix."""
+    """Kraus operators from the spectral decomposition of the Choi matrix: the
+    columns of ``U W^{1/2}`` on its support are their vec(K), as in ``from_kraus``."""
     w, u = f.choi.support()
-    ops = []
-    for idx in range(w.size):
-        ops.append(_unvec(np.sqrt(w[idx]) * u[:, idx], f.dim_in, f.dim_out))
-    return ops
+    return list((u * np.sqrt(w)).T.reshape(-1, f.dim_in, f.dim_out).transpose(0, 2, 1))
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
@@ -235,7 +226,7 @@ def index_cp(f: CpMap) -> float:
     """
     if f.dim_in != f.dim_out:
         raise ShapeError("index is defined for square maps only")
-    return f.choi.pinv_form(_vec(np.eye(f.dim_in)))
+    return f.choi.pinv_form(np.eye(f.dim_in).reshape(-1))  # v = vec(1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,7 @@ def depolarizing(d: int) -> CpMap:
 
 def unitary_conj(u) -> CpMap:
     """Unitary conjugation x -> U x U*."""
-    u = np.asarray(u, dtype=np.complex128)
+    u = _as_array(u, error=DomainError)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError("conjugation requires a square matrix")
     d = u.shape[0]
@@ -309,7 +300,7 @@ def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
     """
     if factor not in (1, 2):
         raise DomainError("factor must be 1 or 2")
-    w = np.asarray(weights, dtype=float)
+    w = _as_array(weights, float, DomainError)
     if w.ndim != 1 or len(w) < 1 or not np.all(np.isfinite(w) & (w > 0.0)):
         raise DomainError("weights must be a nonempty vector of finite positive numbers")
     eye = np.eye(len(w))

@@ -37,9 +37,26 @@ def _max_abs(*arrays) -> float:
     return max(float(np.abs(x).max()) for x in arrays)
 
 
+def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
+    """A new array of x.  Where numpy cannot convert it, ShapeError for ragged
+    data and InvalidInput for an entry that is no number in range, or error
+    for both, in place of numpy's ValueError or TypeError."""
+    try:
+        return np.array(x, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
+        try:  # ragged: a sequence where numpy expects a number
+            ragged = any(isinstance(e, (list, tuple, np.ndarray))
+                         for e in np.array(x, dtype=object).flat)
+        except ValueError:
+            ragged = True
+        if ragged:
+            raise (error or ShapeError)(f"array data is ragged: {exc}") from exc
+        raise (error or InvalidInput)(f"array entries must be numbers: {exc}") from exc
+
+
 def _square(entries) -> np.ndarray:
     """A finite square complex128 copy of entries."""
-    m = np.array(entries, dtype=np.complex128)
+    m = _as_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -100,12 +117,17 @@ class HermitianMatrix:
         return w[k:], u[:, k:]
 
     def pinv_form(self, v: np.ndarray) -> float:
-        """``<v, C^+ v>`` on ``support()``; inf if v is off its range by > RANK_RTOL ||v||."""
+        """``<v, C^+ v>`` on ``support()``; inf if v is off its range by > RANK_RTOL
+        ||v||, DomainError where the form on the range overflows."""
         w, u = self.support()
         y = u.conj().T @ v  # v in the eigenbasis of C on its support
         if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
             return math.inf
-        return float(np.sum(np.abs(y) ** 2 / w))
+        with np.errstate(over="ignore"):
+            form = float(np.sum(np.abs(y) ** 2 / w))
+        if math.isinf(form):  # finite, but inf would read as off the range
+            raise DomainError("<v, C^+ v> is beyond double range")
+        return form
 
     def norm(self) -> float:
         """Spectral norm."""
@@ -230,12 +252,19 @@ def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
     return PsdMatrix._gram(half @ v[:, w <= RANK_RTOL * cg.norm()])
 
 
+def _fold(x: np.ndarray, s: float) -> np.ndarray:
+    """x / s, dividing the float64 view: numpy divides a complex array by a
+    real scalar as a product with 1/s."""
+    return (np.ascontiguousarray(x).view(np.float64) / s).view(np.complex128)
+
+
 class SpectralPair:
     """The commuting Radon-Nikodym pair of PSD A and B, folded to unit scale.
 
     The operands are folded by their largest entry modulus ``s_A = max |A_ij|``
     (1 for a zero operand), which takes no eigendecomposition and cannot
-    overflow.  With ``Ĉ = A/s_A + B/s_B = U diag(w) U*`` on its support, ``A'
+    overflow: each real and imaginary part is divided by s_A, correctly
+    rounded, with no reciprocal 1/s_A, which is inf for a subnormal s_A.  With ``Ĉ = A/s_A + B/s_B = U diag(w) U*`` on its support, ``A'
     = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'``
     commute, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*`` with ``Z
     = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
@@ -252,8 +281,8 @@ class SpectralPair:
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
         sa, sb = (_max_abs(x.entries) for x in (a, b))
         self.sa, self.sb = sa or 1.0, sb or 1.0
-        ah = a.entries / self.sa
-        w, u = HermitianMatrix(ah + b.entries / self.sb).support()
+        ah = _fold(a.entries, self.sa)
+        w, u = HermitianMatrix(ah + _fold(b.entries, self.sb)).support()
         x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
         t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))

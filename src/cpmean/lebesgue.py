@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 from .hermlinalg import (
     HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _max_abs, _shared_pair)
 from .opmeans import parallel_sum
@@ -114,17 +114,21 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     construction; how closely their sum reproduces C_G is the split's recon
     verdict, returned whether or not it holds.  alpha_min is ``s_G/s_F`` times
     the largest ``(1 - t) / t`` over the support of A': it scales by s/c when
-    F and G are scaled by c and s.  DomainError where s_G/s_F or s_F/s_G overflows.
+    F and G are scaled by c and s.  DomainError where s_G/s_F, s_F/s_G or
+    alpha_min itself overflows.
     """
     p = _pair(f, g)
     phi, h_ac, h_sing = _split(p)
+    tp = p.t[phi]
+    r, q = p.ratio(), float(((1.0 - tp) / tp).max(initial=0.0))
+    if math.isinf(r * q):
+        raise DomainError(f"alpha_min = {r:.3g} * {q:.3g} is beyond double range")
     ac, sing = PsdMatrix._gram(p.z, h_ac), PsdMatrix._gram(p.z, h_sing)
     resid = _max_abs(ac.entries + sing.entries - g.choi.entries)
-    tp = p.t[phi]
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
-        alpha_min=p.ratio() * float(((1.0 - tp) / tp).max(initial=0.0)),
+        alpha_min=r * q,
         recon=Verdict(resid, TOL_ADD * _max_abs(f.choi.entries, g.choi.entries)),
     )
 

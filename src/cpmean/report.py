@@ -59,7 +59,7 @@ class Report:
                 "checks": checks, "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), allow_nan=False)
+        return json.dumps(self.to_obj(), allow_nan=False, check_circular=False)
 
     def to_text(self) -> str:
         lines = [f"== {self.command} =="]

@@ -225,6 +225,47 @@ class TestChannelDoc:
         want = [[[float(z.real), float(z.imag)] for z in row] for row in f.choi.entries]
         assert json.loads(text)["data"] == want
 
+    # the bad operator of a kraus document of five, and its fault
+    BAD_OPERATOR = {
+        "wrong shape": lambda op: op.pop(),
+        "boolean": lambda op: op[1].__setitem__(0, [True, 0.0]),
+        "string": lambda op: op[0].__setitem__(1, ["0.5", 0.0]),
+        "null": lambda op: op[1].__setitem__(1, [0.5, None]),
+        "NaN": lambda op: op[0].__setitem__(0, [float("nan"), 0.0]),
+    }
+
+    @pytest.mark.parametrize("fault", BAD_OPERATOR)
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_a_bad_kraus_operator_exits_2(self, tmp_path, capsys, rng, at, fault):
+        ops = [(random_unitary(rng, 2) / 5.0).view(np.float64).reshape(2, 2, 2).tolist()
+               for _ in range(5)]
+        self.BAD_OPERATOR[fault](ops[at])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dim_in": 2, "dim_out": 2, "repr": "kraus", "data": ops}))
+        assert main(["verify", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_kraus_document_converts_its_cells_once(self, tmp_path, rng, monkeypatch):
+        calls = []
+        real = channeldoc._rows_to_matrix
+        monkeypatch.setattr(channeldoc, "_rows_to_matrix",
+                            lambda rows, shape: calls.append(shape) or real(rows, shape))
+        p = tmp_path / "k.json"
+        write_kraus([random_unitary(rng, 3) / 3.0 for _ in range(7)], p, 3, 3)
+        read_doc(p)
+        assert calls == [(7, 3, 3)]
+
+    def test_kraus_decode_matches_cell_oracle(self, tmp_path, rng):
+        for m, n, k in ((2, 3, 1), (3, 2, 4), (2, 2, 7)):
+            p = tmp_path / f"k{m}{n}{k}.json"
+            write_kraus([rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+                         for _ in range(k)], p, m, n)
+            cells = json.loads(p.read_text())["data"]
+            ops = [np.array([[complex(re, im) for re, im in row] for row in op]) for op in cells]
+            got = read_doc(p)[0].choi.entries
+            assert got.tobytes() == from_kraus(ops).choi.entries.tobytes()
+
 
 class TestCliCommands:
     def test_mean_geo_writes_output(self, channel_files, tmp_path, capsys):
@@ -499,6 +540,30 @@ class TestCliCommands:
             assert main([*command, *((b, a) if swap else (a, b))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: scale ratio") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["index"], ["lebesgue", "b"]],
+                             ids=["index", "lebesgue"])
+    def test_a_result_beyond_the_double_range_exits_2(self, tmp_path, capsys, rng, command):
+        # finite index and alpha_min beyond DBL_MAX, at s_B/s_A within it
+        u = random_unitary(rng, 4)
+        a, b = ((u * w) @ u.conj().T for w in ([1.0, 1.0, 1.0, 0.1], [0.5, 0.5, 0.5, 1.0]))
+        paths = {"a": str(tmp_path / "a.json"), "b": str(tmp_path / "b.json")}
+        write_channel(from_choi(2, 2, 1e-308 * a), paths["a"])
+        write_channel(from_choi(2, 2, b), paths["b"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], paths["a"], *(paths[x] for x in command[1:])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond double range" in err
+        assert err.count("\n") == 1 and "scale ratio" not in err
+
+    def test_a_subnormal_document_has_its_geometric_mean(self, tmp_path, capsys):
+        # 1/5e-324 overflows: the fold divides by the scale itself
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"dim_in": 1, "dim_out": 1, "repr": "choi",
+                                 "data": [[[5e-324, 0.0]]]}))
+        assert main(["--format", "json", "mean", "--kind", "geo", str(p), str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["choi"] == [[[5e-324, 0.0]]]
 
     def test_text_report_of_a_huge_matrix_is_finite(self, tmp_path, capsys):
         # rounding 1e300 to 10 decimals would overflow: a warning and "inf"

@@ -29,7 +29,8 @@ from cpmean.cpmaps import (
     unitary_conj,
 )
 from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
-from cpmean.hermlinalg import RANK_RTOL, TOL_HERM, TOL_PSD, Verdict, as_psd, is_psd
+from cpmean.hermlinalg import (
+    RANK_RTOL, TOL_HERM, TOL_PSD, HermitianMatrix, Verdict, as_psd, is_psd, psd_sqrt)
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import (
@@ -531,6 +532,19 @@ class TestIndex:
         with pytest.raises(ShapeError):
             index_cp(random_cp(rng, 2, 3))
 
+    def test_an_index_beyond_double_range_raises(self, rng):
+        # finite, but inf would read as "v lies off the range"
+        a = random_psd(rng, 4, lo=0.1, hi=0.5)  # index >= 2 / 0.5
+        assert math.isinf(index_cp(from_choi(2, 2, a)) * 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond double range"):
+                index_cp(from_choi(2, 2, 1e-308 * a))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_off_the_range_still_reads_infinite(self, s):
+        assert math.isinf(index_cp(schur(s * np.diag([1.0, 0.0]))))
+
     def test_geometric_mean_index_bound(self, rng):
         pairs = [
             (identity(2), depolarizing(2)),
@@ -711,3 +725,35 @@ class TestStateQuantities:
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
             state_mean_quantities(np.eye(2), np.eye(3))
+
+
+class TestUnconvertibleArrays:
+    """An array argument numpy cannot convert raises a package error: ShapeError
+    where it is ragged, InvalidInput where an entry is no number, DomainError
+    where the function raises it for any bad value of that argument."""
+
+    RAGGED, WORDS = [[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]]
+
+    @pytest.mark.parametrize("call, ragged, words", [
+        (lambda x: from_choi(1, 2, x), ShapeError, NotCompletelyPositive),
+        (HermitianMatrix, ShapeError, InvalidInput),
+        (is_psd, ShapeError, InvalidInput),
+        (psd_sqrt, ShapeError, InvalidInput),
+        (lambda x: geometric_mean(x, np.eye(2)), ShapeError, InvalidInput),
+        (schur, ShapeError, DomainError),
+        (functional, ShapeError, InvalidInput),
+        (lambda x: state_mean_quantities(np.eye(2), x), ShapeError, InvalidInput),
+        (lambda x: identity(2).apply(x), ShapeError, InvalidInput),
+        (unitary_conj, DomainError, DomainError),
+        (lambda x: cond_exp_tensor(1, x), DomainError, DomainError),
+        (lambda x: choi_from_action(1, 2, lambda unit: x), ShapeError, InvalidInput),
+        (lambda x: from_kraus([np.eye(2), x]), ShapeError, InvalidInput),
+        (lambda x: from_kraus([x]), ShapeError, InvalidInput),
+    ], ids=["from_choi", "HermitianMatrix", "is_psd", "psd_sqrt", "geometric_mean",
+            "schur", "functional", "state_mean_quantities", "apply", "unitary_conj",
+            "cond_exp_tensor", "choi_from_action", "from_kraus-second", "from_kraus-only"])
+    def test_ragged_and_non_numeric(self, call, ragged, words):
+        with pytest.raises(ragged):
+            call(self.RAGGED)
+        with pytest.raises(words):
+            call(self.WORDS)

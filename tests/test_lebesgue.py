@@ -659,6 +659,26 @@ class TestIndependentScales:
             want = 1e-10 / (0.5 * large) if swap else 1.5 * large / 1e-10
             assert decompose(f, g).alpha_min == pytest.approx(want, rel=1e-15)
 
+    def test_a_subnormal_joint_scale_splits_as_at_unit_scale(self, rng):
+        s = 1e-310  # below 1/DBL_MAX: folding by 1/s would overflow
+        a, b = random_psd(rng, 4), random_psd(rng, 4, rank=3)
+        want = decompose(from_choi(2, 2, a), from_choi(2, 2, b))
+        got = decompose(from_choi(2, 2, s * a), from_choi(2, 2, s * b))
+        for part in ("ac", "sing"):
+            w = getattr(want, part).choi.entries
+            assert max_abs(getattr(got, part).choi.entries - s * w) <= 1e-12 * s * max_abs(b)
+        assert got.alpha_min == pytest.approx(want.alpha_min, rel=1e-12)
+
+    def test_alpha_min_beyond_double_range_is_a_domain_error(self, rng):
+        # s_G/s_F stays a double; alpha_min, 10 times it, does not
+        u = random_unitary(rng, 4)
+        a, b = ((u * w) @ u.conj().T for w in ([1.0, 1.0, 1.0, 0.1], [0.5, 0.5, 0.5, 1.0]))
+        f, g = from_choi(2, 2, 1e-308 * a), from_choi(2, 2, b)
+        assert decompose(from_choi(2, 2, a), g).alpha_min == pytest.approx(10.0)
+        assert not math.isinf(max_abs(b) / max_abs(f.choi.entries))
+        with pytest.raises(DomainError, match="alpha_min .* beyond double range"):
+            decompose(f, g)
+
     def test_full_rank_reference_takes_all_of_the_target(self):
         rng = np.random.default_rng(2026)
         for _ in range(200):

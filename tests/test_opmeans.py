@@ -350,6 +350,20 @@ class TestExtremeScales:
                 else:
                     assert not out.entries.any()
 
+    def test_a_subnormal_scale_folds_without_overflow(self):
+        # 1/5e-324 overflows: the fold divides by the scale, not by its reciprocal
+        assert np.array_equal(geometric_mean([[5e-324]], [[5e-324]]).entries, [[5e-324]])
+
+    @pytest.mark.parametrize("text", ["geo", "harm", "log", "parallel", "power:0.3"])
+    def test_kernel_kinds_at_a_subnormal_joint_scale(self, rng, text):
+        # 1e-310 is below 1/DBL_MAX; the result is compared at that scale, as
+        # dividing it by 1e-310 would overflow the same way
+        s, kind = 1e-310, MeanKind.parse(text)
+        a, b = random_psd(rng, 4), random_psd(rng, 4)
+        want = s * mean(kind, a, b).entries
+        got = mean(kind, s * a, s * b).entries
+        assert max_abs(got - want) <= 1e-12 * max_abs(want)
+
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)
