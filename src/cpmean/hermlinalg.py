@@ -264,7 +264,8 @@ class SpectralPair:
     The operands are folded by their largest entry modulus ``s_A = max |A_ij|``
     (1 for a zero operand), which takes no eigendecomposition and cannot
     overflow: each real and imaginary part is divided by s_A, correctly
-    rounded, with no reciprocal 1/s_A, which is inf for a subnormal s_A.  With ``Ĉ = A/s_A + B/s_B = U diag(w) U*`` on its support, ``A'
+    rounded, with no reciprocal 1/s_A, which is inf for a subnormal s_A.
+    With ``Ĉ = A/s_A + B/s_B = U diag(w) U*`` on its support, ``A'
     = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'``
     commute, ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*`` with ``Z
     = U W^{1/2} V`` (Kubo-Ando 1980, Ando 1976).  Each t_i is snapped onto {0,
