@@ -9,9 +9,9 @@ two scalars u σ v, so ``A σ B = s_A Z diag(t σ r(1 - t)) Z*``, ``r = s_B/s_A`
 to about 1.8e308 either way (r and 1/r finite); beyond it, DomainError.
 The last pair built is shared (``hermlinalg._shared_pair``): the first
 connection of two operand objects costs the pair's two eigendecompositions,
-each next one none where its result is rank-deficient by construction, a
-Gram form, and otherwise the clamp's (``PsdMatrix.clamped``): two for a
-result above its bound.
+or one SVD where it is factored from cached eigs, each next one none where
+its result is rank-deficient by construction, a Gram form, and otherwise the
+clamp's (``PsdMatrix.clamped``): two for a result above its bound.
 ``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B`` on ``support()``,
 is the limit oracle's reference, not package API (that is ``mean(PARALLEL)``):
 (A+B)^+ loses the smaller operand once the two scales lie over about 1e4 apart.

@@ -133,14 +133,15 @@ def rng():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
-    that call() makes on a fresh run, after warm(), if given, has run uncounted.
-    Without warm the count is a cold one."""
+    that call() makes on a fresh run, after warm(), if given, has run uncounted,
+    and its svd calls as a third count where it makes any, so a 2-tuple says
+    no svd ran.  Without warm the count is a cold one."""
 
-    def count(call, warm=None) -> tuple[int, int]:
+    def count(call, warm=None) -> tuple[int, ...]:
         monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
         if warm is not None:
             warm()
-        calls = {"eigh": 0, "eigvalsh": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
         with monkeypatch.context() as m:
             for name in calls:
                 def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -149,6 +150,6 @@ def eigh_calls(monkeypatch):
 
                 m.setattr(np.linalg, name, counting)
             call()
-        return calls["eigh"], calls["eigvalsh"]
+        return (calls["eigh"], calls["eigvalsh"]) + ((calls["svd"],) if calls["svd"] else ())
 
     return count

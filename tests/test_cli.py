@@ -557,6 +557,23 @@ class TestCliCommands:
         assert err.startswith("error: ") and "beyond double range" in err
         assert err.count("\n") == 1 and "scale ratio" not in err
 
+    @pytest.mark.parametrize("k, code", [(1018, 0), (1020, 2)])
+    @pytest.mark.parametrize("command", [["index"], ["lebesgue", "b"]],
+                             ids=["index", "lebesgue"])
+    def test_a_largest_eigenvalue_beyond_the_double_range_exits_2(
+            self, tmp_path, capsys, command, k, code):
+        # 5 J + I, full rank, has entries up to 6 and largest eigenvalue 21:
+        # times 2^1020 its entries are finite and that eigenvalue is not, so
+        # the rank cutoff of support() is lost; times 2^1018 both are finite
+        paths = {"a": str(tmp_path / "a.json"), "b": str(tmp_path / "b.json")}
+        write_channel(from_choi(2, 2, 2.0 ** k * (5.0 * np.ones((4, 4)) + np.eye(4))),
+                      paths["a"])
+        write_channel(depolarizing(2), paths["b"])
+        assert main([command[0], paths["a"], *(paths[x] for x in command[1:])]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       "error: largest eigenvalue beyond double range\n")
+
     def test_a_subnormal_document_has_its_geometric_mean(self, tmp_path, capsys):
         # 1/5e-324 overflows: the fold divides by the scale itself
         p = tmp_path / "t.json"

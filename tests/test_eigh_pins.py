@@ -6,11 +6,18 @@ after k`` counts X after ``mean k`` ran uncounted on the same two operands
 and left its pair in the run; a row ``X after cli ...`` counts X after that
 command ran uncounted and left its documents in the run.  A row ending ``in
 a fresh run`` starts a fresh run between the two, so it reads the cold count.
-A change that moves a count restates its row here and says why.
+A change that moves a count restates its row here and says why.  A count
+is (eigh, eigvalsh), with the svd calls as a third entry where there are any.
+
+F is invertible and G rank-deficient, and both were admitted with their eig
+cached, so their spectral pair is the factored one: one SVD of the n x r
+factor ``X_F^{-1} Y_G`` and no eigh (``SpectralPair._factored``).  A pair
+with an operand whose eig is not cached, or of two full-rank operands, costs
+the eigh route's 2.
 
 A mean on the spectral pair that is rank-deficient by construction (a zero
 in its kernel d, or fewer pair columns than rows) is the Gram form ``s_A Z
-diag(d) Z*``, no eigh past the pair's 2.  Any other goes through the clamp,
+diag(d) Z*``, no eigh past the pair's.  Any other goes through the clamp,
 which picks its branch by its bound: a result whose smallest computed
 eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
 eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above it is
@@ -29,36 +36,43 @@ from cpmean.opmeans import MeanKind
 
 from conftest import random_cp, write_kraus
 
-# (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls))
+# (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls[, svd calls]))
 PINS = [
     ("mean arith", (0, 0)),       # (A + B)/2 is PSD by construction
-    # eig C and eig A'.  Down from (3, 0): the result is rank-deficient by
-    # construction (d is 0 on the 8 directions where G is), so it is the Gram
-    # form s_A Z diag(d) Z* and goes through no clamp
-    ("mean harm", (2, 0)),
-    ("mean parallel", (2, 0)),
-    ("mean geo", (2, 0)),
-    ("mean power:0.3", (2, 0)),
+    # the factored pair's SVD.  Down from (3, 0): the result is rank-deficient
+    # by construction (d is 0 on the 8 directions where G is), so it is the
+    # Gram form s_A Z diag(d) Z* and goes through no clamp; from (2, 0) to
+    # (0, 0, 1): the pair is factored from the cached eigs of F and G, one SVD
+    # in place of eig C and eig A'
+    ("mean harm", (0, 0, 1)),
+    ("mean parallel", (0, 0, 1)),
+    ("mean geo", (0, 0, 1)),
+    ("mean power:0.3", (0, 0, 1)),
     ("mean power:0", (0, 0)),     # the admitted operand itself
     ("mean power:1", (0, 0)),
-    ("mean log", (2, 0)),         # its two-scalar form is closed
-    ("mean custom", (2, 0)),
-    ("mean custom adjoint", (2, 0)),
-    ("mean custom dual", (2, 0)),
+    ("mean log", (0, 0, 1)),      # its two-scalar form is closed
+    ("mean custom", (0, 0, 1)),
+    ("mean custom adjoint", (0, 0, 1)),
+    ("mean custom dual", (0, 0, 1)),
     # a well-conditioned result takes the clamp's admitting branch: eig C, eig
-    # A', the clamp's eig and the admission's (perfbench pins the same count)
+    # A', the clamp's eig and the admission's (perfbench pins the same count);
+    # two full-rank operands take the eigh route, no SVD
     ("mean geo, full-rank operands", (4, 0)),
+    ("mean harm, full-rank operands", (4, 0)),
     # the last spectral pair is shared, and a rank-deficient mean has no
     # clamp: down from (1, 0)
     ("mean geo after harm", (0, 0)),
-    ("mean geo after harm in a fresh run", (2, 0)),  # the run, not the process, shares
+    # the run, not the process, shares; from (2, 0) as mean geo
+    ("mean geo after harm in a fresh run", (0, 0, 1)),
     ("decompose after geo", (0, 0)),
-    # arith 0, harm 2, geo, power:0.3 and log 0 each.  Down from (6, 0): no
-    # rank-deficient mean goes through the clamp
-    ("lib-means bundle", (2, 0)),
-    ("decompose", (2, 0)),        # eig C, eig A'
-    ("is_singular", (2, 0)),
-    ("is_abs_continuous", (2, 0)),
+    # arith 0, harm the pair's SVD, geo, power:0.3 and log 0 each.  Down from
+    # (6, 0): no rank-deficient mean goes through the clamp; from (2, 0) to
+    # (0, 0, 1) as mean harm
+    ("lib-means bundle", (0, 0, 1)),
+    # the factored pair's SVD, from (2, 0): eig C and eig A'
+    ("decompose", (0, 0, 1)),
+    ("is_singular", (0, 0, 1)),
+    ("is_abs_continuous", (0, 0, 1)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
     ("kraus_decompose", (0, 0)),  # likewise
     # down from (1, 0): the two verdicts read only the eigenvalues of C_G - C_F
@@ -81,17 +95,19 @@ PINS = [
     ("from_kraus", (0, 0)),
     ("schur", (1, 0)),            # the admission of its outside symbol
     ("functional", (1, 0)),       # likewise of rho
-    # 2 input admissions, geo 2, and the eigenvalues of the fidelity's Gram
-    # form.  Down from (6, 0): the fidelity sums the roots of its eigenvalues
-    # and takes no square root of it; down from (5, 1): the rank-deficient geo
-    # has no clamp
-    ("state_mean_quantities", (4, 1)),
-    # 2 input admissions and geo 2; the chain checks' harm reuses geo's pair
+    # 2 input admissions, geo's SVD, and the eigenvalues of the fidelity's
+    # Gram form.  Down from (6, 0): the fidelity sums the roots of its
+    # eigenvalues and takes no square root of it; down from (5, 1): the
+    # rank-deficient geo has no clamp; from (4, 1): geo's pair is factored
+    # from the admissions' eigs
+    ("state_mean_quantities", (2, 1, 1)),
+    # 2 input admissions and geo's SVD; the chain checks' harm reuses geo's pair
     # and, rank-deficient, has no clamp; their two eigvalsh bound the dips of
     # geo - harm and arith - geo.  Down from (9, 2): the certificate is one
     # eigvalsh, not an eigh; down from (8, 3): each projecting clamp is one
-    # eigh; down from (6, 3): neither mean goes through the clamp
-    ("cli mean --kind geo -o", (4, 3)),
+    # eigh; down from (6, 3): neither mean goes through the clamp; from (4,
+    # 3): geo's pair is factored from the admissions' eigs, one SVD
+    ("cli mean --kind geo -o", (2, 3, 1)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli index", (1, 0)),        # likewise, the index reads it
     # 2 input admissions and the eigenvalues of C_G - C_F.  Down from (3, 0)
@@ -105,10 +121,12 @@ PINS = [
     ("cli verify geo.json after cli mean --kind geo -o", (1, 0)),
     ("cli index after cli mean --kind geo -o", (0, 0)),
     ("cli order after cli mean --kind geo -o", (0, 1)),  # as order_cp
-    # 2 input admissions, the split 2 and the two predicates 2 each on their
-    # own pairs; C_F is full rank, so Ando's closed form is G itself and reads
-    # only C_F's eig.  Down from (9, 0): the eigh of the zero matrix M*M is gone
-    ("cli lebesgue", (8, 0)),
+    # 2 input admissions, the split's SVD and the two predicates 2 each on
+    # their own pairs, whose parts have no cached eig; C_F is full rank, so
+    # Ando's closed form is G itself and reads only C_F's eig.  Down from (9,
+    # 0): the eigh of the zero matrix M*M is gone; from (8, 0): the split's
+    # pair is factored from the admissions' eigs
+    ("cli lebesgue", (6, 0, 1)),
     # no admission, so the closed form pays for the eig of C_F; down from
     # (9, 0) likewise, and from (8, 0): the recon and Ando bounds read the
     # largest entries of the operands, not the spectral norm of C_G
@@ -160,8 +178,9 @@ def _operation(name, f, g, geo, paths, h):
     if name == "lib-means bundle":
         kinds = [MeanKind.parse(k) for k in ("arith", "harm", "geo", "power:0.3", "log")]
         return lambda: [cpmaps.mean_cp(kind, f, g) for kind in kinds]
-    if name == "mean geo, full-rank operands":
-        return lambda: cpmaps.mean_cp(MeanKind("geo"), f, h)
+    if name.endswith(", full-rank operands"):
+        kind = MeanKind.parse(name.split()[1].rstrip(","))
+        return lambda: cpmaps.mean_cp(kind, f, h)
     if name.startswith("mean custom"):
         transform = {"custom": lambda r: r, "adjoint": opmeans.adjoint_rep,
                      "dual": opmeans.dual_rep}[name.split()[-1]]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpmean import cpmaps, hermlinalg, lebesgue, opmeans
-from cpmean.errors import InvalidInput, ShapeError
+from cpmean.errors import DomainError, InvalidInput, ShapeError
 from cpmean.hermlinalg import (
     TOL_HERM,
     TOL_PSD,
@@ -299,6 +299,13 @@ class TestSupport:
         a = random_psd(rng, 6, rank=4)
         assert max_abs(support_of(a) @ a - a) <= TOL_RECON * max(1.0, max_abs(a))
 
+    def test_an_overflowed_largest_eigenvalue_raises(self):
+        # 5 J + I: finite entries up to 6 * 2^1020, largest eigenvalue 21 * 2^1020
+        c = PsdMatrix(2.0 ** 1020 * (5.0 * np.ones((4, 4)) + np.eye(4)))
+        assert c.eig()[0][-1] == np.inf
+        with pytest.raises(DomainError, match="largest eigenvalue beyond double range"):
+            c.support()
+
 
 class TestProjIntersection:
     """``conftest.meet_proj``, the raw-numpy oracle of the range checks
@@ -419,10 +426,12 @@ class TestSharedPair:
         def split(x, y):
             return lambda: lebesgue.decompose(x, y)
 
-        assert eigh_calls(split(f, g)) == (2, 0)
+        # each pair has one invertible and one rank-deficient operand, both
+        # admitted: the factored pair's one SVD, from (2, 0), (2, 0) and (6, 0)
+        assert eigh_calls(split(f, g)) == (0, 0, 1)
         assert eigh_calls(split(f, g), warm=split(f, g)) == (0, 0)
-        assert eigh_calls(split(h, k), warm=split(f, g)) == (2, 0)
-        assert eigh_calls(lambda: [split(f, g)(), split(h, k)(), split(f, g)()]) == (6, 0)
+        assert eigh_calls(split(h, k), warm=split(f, g)) == (0, 0, 1)
+        assert eigh_calls(lambda: [split(f, g)(), split(h, k)(), split(f, g)()]) == (0, 0, 3)
 
     def test_a_worker_thread_shares_the_callers_run(self, rng, eigh_calls):
         a, b = PsdMatrix(random_psd(rng, 4)), PsdMatrix(random_psd(rng, 4, rank=2))
@@ -456,3 +465,138 @@ class TestSharedPair:
             sys.setswitchinterval(interval)
         for out, want in zip(got, 3 * serial):
             assert all(np.array_equal(x, y) for x, y in zip(out, want))
+
+
+def _exact_congruence(rng, n, cond):
+    """(S, root): S times 64 a complex integer matrix, cond(S S*) about cond,
+    and root in {0, 1/2, 1, 3/2, 2} with r in 1..n-1 nonzeros.  Each real
+    product in ``A = S S*`` and ``B = T T*``, ``T = S diag(root)``, is a
+    multiple of 2^-14 below 2^32, and an entry sums 2n = 32 of them: no
+    rounding, so ``S f(root²) S*`` is the exact mean of the stored A and B."""
+    s = random_unitary(rng, n) * np.sqrt(np.geomspace(1.0, cond, n)) @ random_unitary(rng, n)
+    r = int(rng.integers(1, n))
+    root = rng.permutation(np.r_[rng.integers(1, 5, r) / 2.0, np.zeros(n - r)])
+    return np.round(64.0 * s) / 64.0, root
+
+
+def _log_kernel(d):
+    return np.array([x if x in (0.0, 1.0) else (x - 1) / np.log(x) for x in d])
+
+
+class TestFactoredPair:
+    """An invertible operand and a rank-deficient one, both admitted with their
+    eig cached, give the pair factored from those eigs with one SVD; the eigh
+    route (``_trusted`` operands, whose eig is lazy) is the reference."""
+
+    # 1 σ d on long doubles, the kernel of A σ B for A = S S*, B = S D S*
+    KERNELS = {"geo": np.sqrt, "harm": lambda d: 2.0 * d / (1.0 + d), "log": _log_kernel}
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
+    def test_no_less_accurate_than_the_eigh_route(self, cond):
+        # on exact congruence pairs the factored route's largest error is at
+        # most the eigh route's; at cond 1 both are at round-off, a few eps,
+        # and which is smaller is chance, so there 4 n eps bounds it
+        n, rng = 16, np.random.default_rng(36)
+        worst = {name: [0.0, 0.0] for name in self.KERNELS}
+        for _ in range(30):
+            s, root = _exact_congruence(rng, n, cond)
+            t = s * root
+            a, b = s @ s.conj().T, t @ t.conj().T
+            sl = s.astype(np.clongdouble)
+            assert np.array_equal(a, sl @ sl.conj().T)  # no rounding in the inputs
+            assert np.array_equal(b, (sl * root) @ (sl * root).conj().T)
+            d = (root * root).astype(np.longdouble)
+            for name, kernel in self.KERNELS.items():
+                exact = ((sl * kernel(d)) @ sl.conj().T).astype(np.complex128)
+                for i, admit in enumerate((PsdMatrix, PsdMatrix._trusted)):
+                    got = opmeans.mean(MeanKind(name), admit(a), admit(b)).entries
+                    err = max_abs(got - exact) / max_abs(exact)
+                    worst[name][i] = max(worst[name][i], err)
+        for name, (factored, eigh) in worst.items():
+            assert factored <= max(eigh, 4 * n * np.finfo(float).eps), (name, factored, eigh)
+
+    def test_both_orientations_agree_with_the_kernel_transposed(self, rng, eigh_calls):
+        # (thin A, invertible B) is (invertible B, thin A) with u σ v read as
+        # v σ u; against an invertible F the singular part is exactly 0
+        mixed = opmeans.ConnectionRep(0.2, 0.1, ((0.3, 1.5), (7.0, 0.25)))
+        kinds = [(MeanKind.parse(k), MeanKind.parse(k)) for k in ("geo", "harm", "log")]
+        kinds += [(MeanKind.power(0.3), MeanKind.power(0.7))]
+        kinds += [(MeanKind.custom(fn(mixed)), MeanKind.custom(opmeans.transpose_rep(fn(mixed))))
+                  for fn in (lambda r: r, opmeans.adjoint_rep, opmeans.dual_rep)]
+        for i in range(24):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            c, s = 10.0 ** rng.uniform(-12.0, 12.0, size=2)
+            f = cpmaps.from_choi(m, n, c * random_psd(rng, m * n))
+            g = cpmaps.from_choi(m, n, s * random_psd(rng, m * n, rank=i % (m * n)))
+            assert eigh_calls(lambda: lebesgue.decompose(f, g)) == (0, 0, 1)
+            assert not lebesgue.decompose(f, g).sing.choi.entries.any(), i
+            for kind, swapped in kinds:
+                want = cpmaps.mean_cp(kind, f, g).choi.entries
+                got = cpmaps.mean_cp(swapped, g, f).choi.entries
+                assert max_abs(got - want) <= 1e-12 * max_abs(want), (i, kind)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_a_zero_operand(self, rng, eigh_calls, n):
+        one, zero = PsdMatrix(random_psd(rng, n)), PsdMatrix(np.zeros((n, n)))
+        kinds = [MeanKind.parse(k) for k in ("geo", "harm", "parallel", "log", "power:0.3")]
+        for a, b, t in ((one, zero, 1.0), (zero, one, 0.0)):
+            assert eigh_calls(lambda: _shared_pair(a, b)) == (0, 0, 1)
+            p = _shared_pair(a, b)
+            assert np.array_equal(p.t, np.full(n, t)) and p.z.shape == (n, n)
+            for kind in kinds:
+                assert not opmeans.mean(kind, a, b).entries.any(), (t, kind)
+            # G = 0 splits into two exact zeros, and G against F = 0 is all singular
+            split = lebesgue.decompose(*(cpmaps.from_choi(1, n, x) for x in (a, b)))
+            assert not split.ac.choi.entries.any() and split.recon
+            assert t == 0.0 or not split.sing.choi.entries.any()
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_within_1e_12_of_the_eigh_route_on_choi_64_pairs(self, rng, scale):
+        kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
+        for rank in (1, 16, 48, 63):
+            f, g = scale * random_psd(rng, 64), scale * random_psd(rng, 64, rank=rank)
+            for kind in kinds:
+                want = opmeans.mean(kind, PsdMatrix._trusted(f), PsdMatrix._trusted(g)).entries
+                got = opmeans.mean(kind, PsdMatrix(f), PsdMatrix(g)).entries
+                assert max_abs(got - want) <= 1e-12 * max_abs(want), (rank, kind)
+
+    @pytest.mark.parametrize("k", [-298, 484])
+    def test_joint_scaling_by_two_to_the_k_is_bit_exact(self, rng, eigh_calls, k):
+        # largest entries in (1/2, 1], so 2^k s stays where eigh does not
+        # rescale: each eig scales bit for bit, and so does every result.  (At
+        # 2^-484 zsteqr rescales the tridiagonal blocks of a Choi 9 matrix.)
+        f, g = (x / max_abs(x) for x in (random_psd(rng, 9), random_psd(rng, 9, rank=4)))
+        kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
+
+        def reads(k, out):
+            a, b = PsdMatrix(2.0 ** k * f), PsdMatrix(2.0 ** k * g)
+            split = lebesgue.decompose(*(cpmaps.from_choi(3, 3, x) for x in (a, b)))
+            out += [opmeans.mean(kind, a, b).entries for kind in kinds]
+            out += [split.ac.choi.entries, split.sing.choi.entries]
+
+        want, got = [], []
+        reads(0, want)
+        # the two admissions, then the one factored pair that every read shares
+        assert eigh_calls(lambda: reads(k, got)) == (2, 0, 1)
+        assert all(np.array_equal(x, 2.0 ** k * y) for x, y in zip(got, want, strict=True))
+
+    def test_a_singular_value_within_the_svd_rounding_is_zero(self, monkeypatch):
+        # below n = 671 RANK_RTOL keeps every sigma_min / sigma_max above 1e-10
+        # / n > n eps; a support of its own width lets one reach the snap
+        monkeypatch.setattr(hermlinalg, "RANK_RTOL", 0.0)
+        a, b = PsdMatrix(np.diag([1e-33, 1.0, 0.0, 0.0])), PsdMatrix(np.eye(4))
+        assert sorted(_shared_pair(a, b).t) == [0.0, 0.0, 0.0, 0.5]
+
+    @pytest.mark.parametrize("k", [-484, 1020])
+    def test_beyond_the_unscaled_range_the_eigh_route_runs(self, rng, eigh_calls, k):
+        # outside [2^-299, 2^484] the pair is the eigh route's, bit for bit; at
+        # 2^1020 the cached eig of G, rank 3 with largest eigenvalue 21 * 2^1020,
+        # has overflowed, so the factored pair would lose G altogether
+        g0 = 5.0 * np.ones((4, 4)) + np.diag([1.0, 1.0, 0.0, 0.0])
+        f = cpmaps.from_choi(2, 2, 2.0 ** k * random_psd(rng, 4))
+        g = cpmaps.from_choi(2, 2, 2.0 ** k * g0)
+        assert (g.choi.eig()[0][-1] == np.inf) == (k == 1020)
+        assert eigh_calls(lambda: cpmaps.mean_cp(MeanKind("geo"), f, g)) == (2, 0)  # no SVD
+        want = opmeans.mean(MeanKind("geo"), *(PsdMatrix._trusted(x.choi.entries) for x in (f, g)))
+        assert np.array_equal(cpmaps.mean_cp(MeanKind("geo"), f, g).choi.entries, want.entries)
+        assert lebesgue.decompose(f, g).recon

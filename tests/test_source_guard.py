@@ -6,8 +6,8 @@ Every rank, range and kernel decision sits in ``hermlinalg``, the one module
 that reads ``RANK_RTOL``: the support cutoff ``HermitianMatrix.support``, the
 index's range test ``HermitianMatrix.pinv_form`` and the kernel of Ando's
 closed form ``_ando_part``; a zero operand gives exact zero connections and an
-exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh`` calls sit only in
-``hermlinalg``.  A ``SpectralPair`` is built only by
+exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh``/``svd``/``cholesky``
+calls sit only in ``hermlinalg``.  A ``SpectralPair`` is built only by
 ``hermlinalg._shared_pair``, which keeps the last one in the run and which
 every connection and the Lebesgue split call in one place each.  Every
 connection is taken by ``opmeans._connect``, which only ``mean`` and
@@ -54,6 +54,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cpmean"
 
 # (file, top-level function) outside hermlinalg allowed a raw eigensolver call.
 RAW_EIG_ALLOWED = set()
+# the numpy.linalg factorizations that decide a spectrum, a rank or a range
+RAW_SOLVERS = ("eigh", "eigvalsh", "svd", "cholesky")
 
 
 def _sources():
@@ -65,8 +67,8 @@ def _sources():
 def _is_raw_eig(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.module == "numpy.linalg" and any(
-            a.name in ("eigh", "eigvalsh") for a in node.names)
-    return (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+            a.name in RAW_SOLVERS for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in RAW_SOLVERS
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
 
 
@@ -101,6 +103,14 @@ def test_guard_sees_a_copy():
     assert _raw_eig_sites("x.py", text) == {("x.py", "f")}
     assert _raw_eig_sites("y.py", "from numpy.linalg import eigvalsh\n") == {("y.py", "<module>")}
     assert _raw_eig_sites("z.py", "from numpy.linalg import norm\n") == set()
+
+
+def test_guard_sees_a_copy_of_svd_or_cholesky():
+    """The scan counts the SVD and the Cholesky factorization as raw solvers."""
+    text = "import numpy as np\n\nclass P:\n    def f(self, m):\n        return np.linalg.svd(m)\n"
+    assert _raw_eig_sites("x.py", text) == {("x.py", "P")}
+    assert _raw_eig_sites("y.py", "from numpy.linalg import cholesky\n") == {("y.py", "<module>")}
+    assert _raw_eig_sites("z.py", "import numpy as np\nq = np.linalg.qr\n") == set()
 
 
 # callee -> the (file, top-level function) allowed to call it
