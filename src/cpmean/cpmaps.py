@@ -29,7 +29,7 @@ from .hermlinalg import (
     PsdMatrix,
     Verdict,
     _as_array,
-    _max_abs,
+    _bound,
     as_psd,
     psd_sqrt,
 )
@@ -167,7 +167,7 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict
     largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
     w = HermitianMatrix(g.choi.entries - f.choi.entries).eigvals()
-    bound = tol * _max_abs(f.choi.entries, g.choi.entries)
+    bound = _bound(tol, f.choi.entries, g.choi.entries)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
 
@@ -190,7 +190,7 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
     w = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
-    return Verdict(max(0.0, -float(w[0])), tol * _max_abs(cf, cg, ct))
+    return Verdict(max(0.0, -float(w[0])), _bound(tol, cf, cg, ct))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

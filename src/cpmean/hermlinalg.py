@@ -38,6 +38,12 @@ def _max_abs(*arrays) -> float:
     return max(float(np.abs(x).max()) for x in arrays)
 
 
+def _bound(tol: float, *arrays) -> float:
+    """``tol * _max_abs(*arrays)``, but never below ``d * 2^-1074``, d the
+    largest dimension of the arrays: a residual carries a rounding unit."""
+    return max(tol * _max_abs(*arrays), max(max(np.shape(x)) for x in arrays) * 2.0 ** -1074)
+
+
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
     """A new array of x.  Where numpy cannot convert it, ShapeError for ragged
     data and InvalidInput for an entry that is no number in range, or error
@@ -162,8 +168,8 @@ class PsdMatrix(HermitianMatrix):
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
         """Entries PSD up to bound, which the caller sets from the round-off of
-        the computation that produced them: ``parallel_sum``, and a connection
-        not rank-deficient by construction (``opmeans._connect``).  The
+        the computation that produced them: a connection not rank-deficient by
+        construction (``opmeans._connect``), its one caller.  The
         smallest eigenvalue w_0 picks the branch: above bound, the entries are
         admitted as computed, a second eigh; within ±bound, the Gram form ``U
         max(w, 0) U*`` (Higham 1988), whose eig stays lazy, one eigh in all;
@@ -229,11 +235,11 @@ class Verdict(NamedTuple):
 
 
 def is_psd(h, tol: float = TOL_PSD) -> Verdict:
-    """``max(0, -min eigenvalue)`` from the cached eig against ``tol * max
-    |h_ij|``: h is PSD within tol iff the verdict holds, at every scale.  An
+    """``max(0, -min eigenvalue)`` from the cached eig against ``_bound(tol,
+    h)``: h is PSD within tol iff the verdict holds, at every scale.  An
     array-like h meets ``_admit``'s Hermiticity rule first."""
     hm = _admit(h, HermitianMatrix)
-    return Verdict(max(0.0, -float(hm.eig()[0][0])), tol * _max_abs(hm.entries))
+    return Verdict(max(0.0, -float(hm.eig()[0][0])), _bound(tol, hm.entries))
 
 
 def psd_sqrt(a) -> PsdMatrix:

@@ -23,7 +23,7 @@ import numpy as np
 from .cpmaps import CpMap, _check_same_dims
 from .errors import DomainError, NonConvergence
 from .hermlinalg import (
-    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _max_abs, _shared_pair)
+    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _bound, _max_abs, _shared_pair)
 from .opmeans import parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
@@ -44,7 +44,7 @@ class LebesgueSplit:
     """Decomposition G = ac + sing with ac absolutely continuous and sing singular.
 
     alpha_min is the least alpha with C_ac <= alpha * C_F (0 when ac vanishes);
-    recon is ``max |C_ac + C_sing - C_G|`` against ``TOL_ADD * _max_abs(C_F, C_G)``.
+    recon is ``max |C_ac + C_sing - C_G|`` against ``_bound(TOL_ADD, C_F, C_G)``.
     """
 
     ac: CpMap
@@ -58,13 +58,6 @@ def _pair(f: CpMap, g: CpMap) -> SpectralPair:
     return _shared_pair(f.choi, g.choi)
 
 
-def _split(p: SpectralPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support rule phi = 1[t > 0] and the kernels of G's two parts:
-    ``s_G (1 - t)`` on phi (absolutely continuous) and off it (singular)."""
-    phi, h = p.t > 0.0, p.sb * (1.0 - p.t)
-    return phi, np.where(phi, h, 0.0), np.where(phi, 0.0, h)
-
-
 def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     """Parallel-sum-limit construction of the absolutely continuous part.
 
@@ -76,7 +69,9 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     within TOL_LIM ||C_G||.  Raises NonConvergence if that never happens, with
     the larger of the last two differences as its estimate, or if the
     extrapolant is not PSD within the same gate, with ``-lambda_min``; either
-    estimate exceeds the gate.
+    estimate exceeds the gate.  Each iterate is ``parallel_sum``'s, one eigh
+    and one eigvalsh, unclipped; the extrapolant alone is gated and clipped to
+    the PSD cone, one eigh more.
     """
     _check_same_dims(f, g)
     gnorm = g.choi.norm()
@@ -118,18 +113,20 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     alpha_min itself overflows.
     """
     p = _pair(f, g)
-    phi, h_ac, h_sing = _split(p)
+    # the support rule phi = 1[t > 0]: G's kernel s_G (1 - t) on phi is ac, off it sing
+    phi, h = p.t > 0.0, p.sb * (1.0 - p.t)
     tp = p.t[phi]
     r, q = p.ratio(), float(((1.0 - tp) / tp).max(initial=0.0))
     if math.isinf(r * q):
         raise DomainError(f"alpha_min = {r:.3g} * {q:.3g} is beyond double range")
-    ac, sing = PsdMatrix._gram(p.z, h_ac), PsdMatrix._gram(p.z, h_sing)
+    ac = PsdMatrix._gram(p.z, np.where(phi, h, 0.0))
+    sing = PsdMatrix._gram(p.z, np.where(phi, 0.0, h))
     resid = _max_abs(ac.entries + sing.entries - g.choi.entries)
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
         alpha_min=r * q,
-        recon=Verdict(resid, TOL_ADD * _max_abs(f.choi.entries, g.choi.entries)),
+        recon=Verdict(resid, _bound(TOL_ADD, f.choi.entries, g.choi.entries)),
     )
 
 
@@ -150,8 +147,9 @@ def is_abs_continuous(g: CpMap, f: CpMap) -> Verdict:
     exercised by the test suite.
     """
     p = _pair(f, g)
-    total = float(np.trace(g.choi.entries).real)
+    # in the pair's folded units, where neither trace overflows
+    total = float((np.diagonal(g.choi.entries).real / p.sb).sum())
     if not total > 0.0:
         return Verdict(0.0, TOL_SPLIT)
-    sing = _split(p)[2] @ (np.abs(p.z) ** 2).sum(axis=0)
+    sing = np.where(p.t > 0.0, 0.0, 1.0 - p.t) @ (np.abs(p.z) ** 2).sum(axis=0)
     return Verdict(float(sing) / total, TOL_SPLIT)

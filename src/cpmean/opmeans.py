@@ -13,8 +13,9 @@ or one SVD where it is factored from cached eigs, each next one none where
 its result is rank-deficient by construction, a Gram form, and otherwise the
 clamp's (``PsdMatrix.clamped``): two for a result above its bound.
 ``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B`` on ``support()``,
-is the limit oracle's reference, not package API (that is ``mean(PARALLEL)``):
-(A+B)^+ loses the smaller operand once the two scales lie over about 1e4 apart.
+one eigh and an eigenvalue check with no clip, is the limit oracle's reference,
+not package API (that is ``mean(PARALLEL)``): (A+B)^+ loses the smaller
+operand once the two scales lie over about 1e4 apart.
 
 Every mean is evaluated by ``mean(kind, A, B)``.  Scale convention for the
 power mean: ``MeanKind.power(a)`` carries weight ``a`` on B, so commuting
@@ -28,11 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, InvalidInput, ShapeError
-from .hermlinalg import PsdMatrix, _max_abs, _shared_pair, as_psd
+from .hermlinalg import HermitianMatrix, PsdMatrix, _max_abs, _shared_pair, as_psd
 
 # Round-off bound of a mean.  Its clamp is relative to the result's largest
-# entry modulus for the connections on the spectral pair and to ||A + B|| for
-# parallel_sum; the CLI's mean checks take it relative to their operands.
+# entry modulus for the connections on the spectral pair, parallel_sum's PSD
+# check to ||A + B||; the CLI's mean checks take it relative to their operands.
 TOL_MEAN = 1e-7
 
 
@@ -81,22 +82,27 @@ def _log(u, v):
     return np.where(q == 1.0, m, np.where(q > 0.0, out, 0.0))
 
 
-def parallel_sum(a, b) -> PsdMatrix:
+def parallel_sum(a, b) -> HermitianMatrix:
     """Parallel sum ``A : B = A (A+B)^+ B``, the operator analog of parallel resistors.
 
     The pseudo-inverse formula, independent of the spectral pair that
     ``mean(PARALLEL, A, B)`` uses: the reference of ``ac_part_oracle`` and the
     ``ando-recovery`` example, not package API.  Its range is ran(A) ∩ ran(B),
     and ``A : B <= A, B``; it is exact to round-off only while the scales of A
-    and B are within about 1e4 of each other.
+    and B are within about 1e4 of each other.  One eigh, of A + B, and one
+    eigvalsh: the symmetrized formula is returned as computed, not clipped to
+    the PSD cone, once its smallest eigenvalue is within -TOL_MEAN ||A + B||.
     """
     a, b = _check_pair(a, b)
     c = PsdMatrix._trusted(a.entries + b.entries)
     w, u = c.support()  # (A+B)^+ inverts the eigenvalues its support keeps
-    out = a.entries @ PsdMatrix._gram(u, 1.0 / w).entries @ b.entries
+    out = HermitianMatrix((a.entries @ (u / w)) @ (u.conj().T @ b.entries))
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.
-    return PsdMatrix.clamped(out, TOL_MEAN * c.norm())
+    low, bound = float(out.eigvals()[0]), TOL_MEAN * c.norm()
+    if low < -bound:
+        raise InvalidInput(f"negative eigenvalue {low:.3e} exceeds tolerance {bound:.3e}")
+    return out
 
 
 def geometric_mean(a, b) -> PsdMatrix:

@@ -582,6 +582,20 @@ class TestCliCommands:
         assert main(["--format", "json", "mean", "--kind", "geo", str(p), str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["outputs"]["choi"] == [[[5e-324, 0.0]]]
 
+    @pytest.mark.parametrize("command", [
+        *(["mean", "--kind", kind] for kind in
+          ("arith", "geo", "harm", "parallel", "log", "power:0.3")), ["lebesgue"]],
+        ids=lambda c: c[-1])
+    def test_the_smallest_subnormal_document_passes_every_check(self, tmp_path, capsys, command):
+        # TOL * 5e-324 rounds to 0, while the parallel sum's chain doubles a
+        # result one rounding left at 5e-324: no bound is below a rounding unit
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"dim_in": 1, "dim_out": 1, "repr": "choi",
+                                 "data": [[[5e-324, 0.0]]]}))
+        assert main(["--format", "json", *command, str(p), str(p)]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks and all(c["tolerance"] >= 5e-324 for c in checks)
+
     def test_text_report_of_a_huge_matrix_is_finite(self, tmp_path, capsys):
         # rounding 1e300 to 10 decimals would overflow: a warning and "inf"
         a = str(tmp_path / "a.json")

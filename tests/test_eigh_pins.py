@@ -22,8 +22,9 @@ which picks its branch by its bound: a result whose smallest computed
 eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
 eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above it is
 admitted as computed, 2 eigh.  G has Choi rank 8, so every mean of F and G
-has nullity 8 and is a Gram form, and their parallel sum is projected; the
-mean of ``mean geo, full-rank operands`` is well conditioned and is admitted.
+has nullity 8 and is a Gram form; the mean of ``mean geo, full-rank
+operands`` is well conditioned and is admitted.  The reference formula
+``opmeans.parallel_sum`` takes no clamp: one eigh and one eigvalsh.
 ``test_cold_kernel_means_cost_2_or_4_by_rank`` checks the rule on seeded pairs.
 """
 
@@ -131,11 +132,13 @@ PINS = [
     # (9, 0) likewise, and from (8, 0): the recon and Ando bounds read the
     # largest entries of the operands, not the spectral norm of C_G
     ("cli lebesgue kraus", (7, 0)),
-    # the admission of A + B and the projecting clamp's one
-    ("parallel_sum", (2, 0)),
-    # parallel_sum's 2 for each of its 7 iterates on this pair, and the eig of
-    # the extrapolant; C_F's eig is cached from its admission
-    ("ac_part_oracle", (15, 0)),
+    # the eig of A + B and the eigenvalues of the result, its PSD check.  From
+    # (2, 0): the result is returned as computed, with no clamp's eig
+    ("parallel_sum", (1, 1)),
+    # parallel_sum's (1, 1) for each of its 7 iterates on this pair, and the
+    # eig of the extrapolant; C_F's eig is cached from its admission.  From
+    # (15, 0), as parallel_sum
+    ("ac_part_oracle", (8, 7)),
 ]
 
 # argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk

@@ -259,6 +259,14 @@ class TestIsPsd:
                     PsdMatrix(h)
         assert not Verdict(float("nan"), 1.0) and Verdict(0.0, 0.0)
 
+    def test_bound_keeps_a_rounding_unit_per_dimension(self):
+        # tol * 5e-324 rounds to 0: the bound is d units of 2^-1074 there, and
+        # tol times the largest entry wherever that is larger
+        tiny = 5e-324 * np.eye(3)
+        assert is_psd(tiny, 1e-9) == Verdict(0.0, 3 * 5e-324)
+        assert hermlinalg._bound(1e-9, np.zeros((2, 2)), tiny) == 3 * 5e-324
+        assert hermlinalg._bound(1e-9, 1e-300 * np.eye(2)) == 1e-9 * 1e-300
+
 
 class TestPsdSqrt:
     def test_diagonal(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,7 +320,8 @@ class TestDecompose:
         assert max_abs(split.ac.choi.entries) == 0.0
         assert max_abs(split.sing.choi.entries) == 0.0
         assert split.alpha_min == 0.0
-        assert split.recon == Verdict(0.0, 0.0) and split.recon
+        # the bound never falls below a rounding unit per dimension: 4 x 2^-1074
+        assert split.recon == Verdict(0.0, 4 * 2.0 ** -1074) and split.recon
         assert SpectralPair(z, z).t.shape == (0,)
 
     def test_additivity_and_mutual_singularity(self, rng):
@@ -612,6 +614,18 @@ class TestScaleFreeAbsContinuity:
         assert is_abs_continuous(split.ac, f).residual <= 1e-12
         assert is_abs_continuous(0.0 * g, f) == Verdict(0.0, TOL_SPLIT)
 
+    def test_a_trace_beyond_double_range_reads_as_at_unit_scale(self):
+        # tr C_G = 24 x 2^1020 overflows, but not in the pair's folded units.
+        # Both scaled copies have no cached eig, so both pairs take the eigh
+        # route on the same folded entries: the residuals agree bit for bit
+        g, f = (from_choi(2, 2, c) for c in (5.0 * np.ones((4, 4)) + np.eye(4),
+                                            np.diag([1.0, 2.0, 0.0, 0.0])))
+        want = is_abs_continuous(1.0 * g, 1.0 * f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = is_abs_continuous(2.0 ** 1020 * g, 2.0 ** 1020 * f)
+        assert got == want and want.residual == pytest.approx(29 / 33, rel=1e-14)
+
 
 class TestEighCount:
     def test_pinned_eigh_counts(self, rng, eigh_calls, monkeypatch):
@@ -625,9 +639,9 @@ class TestEighCount:
 
         monkeypatch.setattr(lebesgue, "parallel_sum", counting)
         got = eigh_calls(lambda: ac_part_oracle(f, g))
-        # the extrapolant's eig, and per sum the admission of nF + G and its
-        # projecting clamp: nF : G has nullity 2, within the clamp's bound
-        assert sums and got == (1 + 2 * len(sums), 0)
+        # the extrapolant's eig, and per sum the eig of nF + G and the
+        # eigenvalues of nF : G, its PSD check
+        assert sums and got == (1 + len(sums), len(sums))
 
 
 class TestIndependentScales:

@@ -70,6 +70,19 @@ class TestParallelSum:
             want = np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
             assert max_abs(parallel_sum(a, b).entries - want) < 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("ranks", [(5, 5), (5, 3), (3, 4), (2, 2)],
+                             ids=["full-full", "full-3", "3-4", "2-2"])
+    def test_pinv_formula_at_joint_scales(self, rng, scale, ranks):
+        # independent formula: numpy's own pseudo-inverse, cut at the package's
+        # rank rule; 2 + 2 of 5 meet in 0, 3 + 4 in a plane
+        for _ in range(5):
+            a = scale * random_psd(rng, 5, rank=ranks[0])
+            b = scale * random_psd(rng, 5, rank=ranks[1])
+            want = a @ np.linalg.pinv(a + b, rcond=1e-10, hermitian=True) @ b
+            got = parallel_sum(a, b).entries
+            assert max_abs(got - want) <= 1e-12 * np.linalg.norm(a + b, 2)
+
     def test_dominated_by_both(self, rng):
         a = random_psd(rng, 5, rank=3)
         b = random_psd(rng, 5, rank=4)
@@ -95,7 +108,8 @@ class TestParallelSum:
     def test_clamp_is_relative_to_the_operands(self, monkeypatch, s):
         # With A = B = s I and the support of A + B faked as the eigenvalues
         # (2s, -s/x) on the unit vectors, (A+B)^+ is diag(1/(2s), -x/s) and A S B
-        # has the eigenvalue -x s: clamped above -TOL_MEAN ||A + B||, raised below.
+        # has the eigenvalue -x s: returned as computed, not clipped, above
+        # -TOL_MEAN ||A + B||, raised below.
         a = b = PsdMatrix(s * np.eye(2))
         for x, raises in ((TOL_MEAN, False), (4.0 * TOL_MEAN, True)):
             fake = (np.array([2.0 * s, -s / x]), np.eye(2))
@@ -104,7 +118,11 @@ class TestParallelSum:
                 with pytest.raises(InvalidInput):
                     parallel_sum(a, b)
             else:
-                assert np.array_equal(parallel_sum(a, b).entries, np.diag([0.5 * s, 0.0]))
+                # s (1/(-s/x)) s rounds to one unit off -x s at s = 1e6
+                got = parallel_sum(a, b).entries
+                assert got[0, 1] == got[1, 0] == 0.0
+                assert np.diag(got).real == pytest.approx([0.5 * s, -TOL_MEAN * s],
+                                                          rel=np.finfo(float).eps, abs=0.0)
 
 
 class TestHarmonicArithmetic:

@@ -21,7 +21,8 @@ Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), no module calls the
 ``PsdMatrix`` admission by name, and ``TOL_HERM``, the
 Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.  Every
-verdict is bounded by tol times ``hermlinalg._max_abs`` of its operands: no
+verdict is bounded by tol times ``hermlinalg._max_abs`` of its operands,
+floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
 norm is read only by the two oracle bounds and the rank and range decisions.
 State that calls keep for later calls has one owner, the run
