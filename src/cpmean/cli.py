@@ -10,10 +10,10 @@
 With -o, the report names each document written by its path and the SHA-256
 of its bytes ("written") in place of the Choi matrix it holds.
 
-Global flags (accepted before or after the subcommand): --format text|json
-and --tol FLOAT, the PSD tolerance of order/verify (default 1e-9) times the
-largest Choi entry modulus, and verify's absolute bound on the unital and
-trace-preserving defects.  It must be a finite number >= 0, else exit 2.
+Global flags (before or after the subcommand; the last one wins): --format
+text|json and --tol FLOAT, the PSD tolerance of order/verify (default 1e-9)
+times the largest Choi entry modulus and verify's absolute bound on the
+unital and trace-preserving defects, a finite number >= 0 or else exit 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 a failed check or an
 internal error.
@@ -47,57 +47,52 @@ def _tolerance(flag: str | None) -> float:
         val = math.nan
     if not (math.isfinite(val) and val >= 0.0):
         raise DomainError(f"--tol must be a finite number >= 0, got {flag!r}")
-    return val
+    return val or 0.0  # -0.0 is echoed as 0
 
 
-# Each parser is built once per process: parsing keeps no state in it.
-@functools.lru_cache(maxsize=None)
-def _globals_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=("text", "json"), default=None,
-                   help="report format (default: text)")
-    p.add_argument("--tol", default=None,
-                   help="PSD tolerance for order/verify and verify's absolute bound "
-                        "on the unital and trace defects, finite and >= 0")
-    return p
-
-
+# The parser is built once per process: parsing keeps no state in it.
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # the global flags, on the top-level parser and on each subcommand; an
+    # absent flag sets nothing, so one after the subcommand wins over one before
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
+                       help="report format (default: text)")
+    flags.add_argument("--tol", default=argparse.SUPPRESS,
+                       help="PSD tolerance for order/verify and verify's absolute bound "
+                            "on the unital and trace defects, finite and >= 0")
     parser = argparse.ArgumentParser(
-        prog="cpmean",
+        prog="cpmean", parents=[flags],
         description="Operator means, CP order, indices and Lebesgue "
                     "decomposition of channels.",
-        epilog="Global flags --format text|json and --tol FLOAT may appear "
-               "anywhere on the command line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[flags])
 
-    p_mean = sub.add_parser("mean", help="mean of two channels")
+    p_mean = command("mean", help="mean of two channels")
     p_mean.add_argument("--kind", required=True,
                         help="geo|arith|harm|parallel|power:<alpha>|log")
     p_mean.add_argument("path_a")
     p_mean.add_argument("path_b")
     p_mean.add_argument("-o", "--out", default=None, help="write result document")
 
-    p_order = sub.add_parser("order", help="compare two channels in the CP order")
+    p_order = command("order", help="compare two channels in the CP order")
     p_order.add_argument("path_a")
     p_order.add_argument("path_b")
 
-    p_index = sub.add_parser("index", help="Pimsner-Popa index of a channel")
+    p_index = command("index", help="Pimsner-Popa index of a channel")
     p_index.add_argument("path")
 
-    p_verify = sub.add_parser("verify", help="CP/unital/trace-preserving flags")
+    p_verify = command("verify", help="CP/unital/trace-preserving flags")
     p_verify.add_argument("path")
 
-    p_leb = sub.add_parser("lebesgue",
-                           help="Lebesgue decomposition of PSI relative to PHI")
+    p_leb = command("lebesgue", help="Lebesgue decomposition of PSI relative to PHI")
     p_leb.add_argument("path_phi")
     p_leb.add_argument("path_psi")
     p_leb.add_argument("-o", "--out", default=None,
                        help="prefix for the ac/sing output documents")
 
-    p_ex = sub.add_parser("example", help="recompute a worked example by name")
+    p_ex = command("example", help="recompute a worked example by name")
     p_ex.add_argument("name", nargs="?", default=None)
     p_ex.add_argument("params", nargs="*", default=[],
                       help="key=value parameter overrides")
@@ -141,7 +136,7 @@ def _chain(kind: MeanKind, f: CpMap, g: CpMap, result: CpMap) -> list:
             for tag in tags]
 
 
-def cmd_mean(args, tol: float) -> list[Report]:
+def cmd_mean(args) -> list[Report]:
     kind = MeanKind.parse(args.kind)
     rep = Report(f"mean --kind {args.kind}")
     f, name_a = _load(rep, args.path_a)
@@ -164,19 +159,19 @@ def cmd_mean(args, tol: float) -> list[Report]:
     return [rep]
 
 
-def cmd_order(args, tol: float) -> list[Report]:
+def cmd_order(args) -> list[Report]:
     rep = Report("order")
     f, _ = _load(rep, args.path_a)
     g, _ = _load(rep, args.path_b)
-    le, ge = order_cp(f, g, tol)
+    le, ge = order_cp(f, g, args.tol)
     verdict = {(True, True): "equal", (True, False): "<=cp",
                (False, True): ">=cp", (False, False): "incomparable"}[(bool(le), bool(ge))]
     rep.outputs["order"] = verdict
-    rep.outputs["tolerance"] = tol
+    rep.outputs["tolerance"] = args.tol
     return [rep]
 
 
-def cmd_index(args, tol: float) -> list[Report]:
+def cmd_index(args) -> list[Report]:
     rep = Report("index")
     f, _ = _load(rep, args.path)
     value = index_cp(f)
@@ -184,19 +179,19 @@ def cmd_index(args, tol: float) -> list[Report]:
     return [rep]
 
 
-def cmd_verify(args, tol: float) -> list[Report]:
+def cmd_verify(args) -> list[Report]:
     rep = Report("verify")
     f, _ = _load(rep, args.path)
     rep.outputs["flags"] = {
-        "is_cp": rep.check("completely positive", *hermlinalg.is_psd(f.choi, tol)),
-        "is_unital": rep.check("unital", f.unital_defect(), tol),
-        "is_trace_preserving": rep.check("trace preserving", f.trace_defect(), tol),
-        "tolerance": tol,
+        "is_cp": rep.check("completely positive", *hermlinalg.is_psd(f.choi, args.tol)),
+        "is_unital": rep.check("unital", f.unital_defect(), args.tol),
+        "is_trace_preserving": rep.check("trace preserving", f.trace_defect(), args.tol),
+        "tolerance": args.tol,
     }
     return [rep]
 
 
-def cmd_lebesgue(args, tol: float) -> list[Report]:
+def cmd_lebesgue(args) -> list[Report]:
     rep = Report("lebesgue")
     phi, name_phi = _load(rep, args.path_phi)
     psi, name_psi = _load(rep, args.path_psi)
@@ -247,7 +242,7 @@ def _parse_params(items) -> dict:
     return out
 
 
-def cmd_example(args, tol: float) -> list[Report]:
+def cmd_example(args) -> list[Report]:
     if args.run_all:
         if args.name or args.params:
             raise UnknownExample("--all takes no name or parameters")
@@ -268,15 +263,14 @@ def _emit(reports: list[Report], fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    gargs, rest = _globals_parser().parse_known_args(argv)
-    args = _build_parser().parse_args(rest)
-    fmt = gargs.format or "text"
+    args = _build_parser().parse_args(argv)  # sys.argv[1:] if None
     try:
+        args.tol = _tolerance(getattr(args, "tol", None))
         # cmd_<command> is looked up at each call, not kept in the parser,
         # which is built once: a wrapped or patched command is the one that runs
-        reports = globals()[f"cmd_{args.command}"](args, _tolerance(gargs.tol))
-        _emit(reports, fmt)  # strict JSON: a non-finite value is an internal error
+        reports = globals()[f"cmd_{args.command}"](args)
+        # strict JSON: a non-finite value is an internal error
+        _emit(reports, getattr(args, "format", "text"))
     except CpMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Registry of worked examples with closed-form answers, runnable by name.
 
-Each entry recomputes one scenario from scratch and checks the known
-closed-form result at a fixed tolerance, reporting residuals.  Parameters
-(dimension, angle, weights, seeds) have defaults and accept overrides; a
-count or dimension must be an integer >= 1 and a seed an integer >= 0.
+Each entry is a function of ``(rep, **params)`` that recomputes one scenario
+from scratch and checks the known closed-form result at a fixed tolerance on
+``rep``, the report ``run_example`` names ``example <key>``.  Parameters
+(dimension, angle, weights, seeds) have defaults and accept overrides; a count
+or dimension must be an integer >= 1 and a seed an integer >= 0.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ def _rand_psd(rng: np.random.Generator, dim: int, rank: int | None = None, lo: f
     return 0.5 * (m + m.conj().T)
 
 
-def example_quantum_channels(d: int | None = None) -> Report:
+def example_quantum_channels(rep: Report, d: int | None = None) -> None:
     """Geometric and harmonic means of the identity and depolarizing channels."""
-    rep = Report("example quantum-channels")
     dims = [2, 3, 4] if d is None else [_whole("d", d, 1)]
     for dd in dims:
         ident = identity(dd)
@@ -72,23 +72,19 @@ def example_quantum_channels(d: int | None = None) -> Report:
         rep.check(f"d={dd}: id!depol = 2/(d^2+1) id",
                   _max_abs(harm.choi.entries
                            - 2.0 / (dd * dd + 1) * ident.choi.entries), 1e-8)
-    return rep
 
 
-def example_non_unital() -> Report:
+def example_non_unital(rep: Report) -> None:
     """Unital inputs whose geometric mean vanishes (hence is not unital)."""
-    rep = Report("example non-unital")
     phi = identity(2)
     psi = unitary_conj(np.diag([1.0, -1.0]))
     rep.check("both maps unital", max(phi.unital_defect(), psi.unital_defect()), TOL_FLAGS)
     geo = mean_cp(GEO, phi, psi)
     rep.check("id # conj(diag(1,-1)) = 0", _max_abs(geo.choi.entries), 1e-8)
-    return rep
 
 
-def example_states(seed: int = 11) -> Report:
+def example_states(rep: Report, seed: int = 11) -> None:
     """Means of positive functionals reduce to means of their density matrices."""
-    rep = Report("example states")
     rng = np.random.default_rng(_whole("seed", seed, 0))
     pairs = [
         ("commuting", np.diag([0.5, 0.5]), np.diag([0.9, 0.1])),
@@ -105,12 +101,10 @@ def example_states(seed: int = 11) -> Report:
     rep.check("commuting pair: all three trace quantities equal sqrt(.45)+sqrt(.05)",
               max(abs(q.gm_trace - want), abs(q.sqrt_trace - want),
                   abs(q.fidelity - want)), 1e-8)
-    return rep
 
 
-def example_schur_multiplier(seed: int = 5, count: int = 20) -> Report:
+def example_schur_multiplier(rep: Report, seed: int = 5, count: int = 20) -> None:
     """Schur multipliers: the mean of multipliers is the multiplier of the mean."""
-    rep = Report("example schur-multiplier")
     rng = np.random.default_rng(_whole("seed", seed, 0))
     count = _whole("count", count, 1)
     worst = 0.0
@@ -122,12 +116,10 @@ def example_schur_multiplier(seed: int = 5, count: int = 20) -> Report:
         worst = max(worst, _max_abs(lhs - rhs))
     rep.check(f"S_A # S_B = S_(A#B) over {count} random PSD pairs in M3",
               worst, 1e-7)
-    return rep
 
 
-def example_adjoint_maps() -> Report:
+def example_adjoint_maps(rep: Report) -> None:
     """Conjugation maps whose mean vanishes although the symbols have a mean."""
-    rep = Report("example adjoint-maps")
     a = np.diag([2.0, 1.0])
     b = np.diag([1.0, 2.0])
     psi_a = cpmaps.from_kraus([a])
@@ -141,13 +133,11 @@ def example_adjoint_maps() -> Report:
     psi_c = cpmaps.from_kraus([c])
     rep.check("conjugation by A#B is 2*id (so the two routes differ)",
               _max_abs(psi_c.choi.entries - 2.0 * identity(2).choi.entries), 1e-12)
-    return rep
 
 
-def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
-                      sigma: tuple[float, ...] = (0.5, 0.5)) -> Report:
+def example_ce_tensor(rep: Report, rho: tuple[float, ...] = (0.75, 0.25),
+                      sigma: tuple[float, ...] = (0.5, 0.5)) -> None:
     """Tensor-slice conditional expectations: mean and index closed forms."""
-    rep = Report("example ce-tensor")
     rho = tuple(float(x) for x in np.atleast_1d(rho))
     sigma = tuple(float(x) for x in np.atleast_1d(sigma))
     if len(rho) != len(sigma):
@@ -189,12 +179,10 @@ def example_ce_tensor(rho: tuple[float, ...] = (0.75, 0.25),
     want_index = math.sqrt(inv_sum_rho) * math.sqrt(inv_sum_sigma)
     rep.check("Ind(E1 # E2) = sqrt(sum(1/rho) sum(1/sigma)) (relative)",
               abs(index_cp(geo) - want_index) / want_index, 1e-7)
-    return rep
 
 
-def example_rotation(theta: float | None = None) -> Report:
+def example_rotation(rep: Report, theta: float | None = None) -> None:
     """Conditional expectations onto rotated diagonals: mean collapses to id/2."""
-    rep = Report("example rotation")
     e1 = cond_exp_diag(2)
     generic = [math.pi / 6, math.pi / 4, 1.0] if theta is None else [float(theta)]
     degenerate = [0.0, math.pi / 2] if theta is None else []
@@ -208,12 +196,10 @@ def example_rotation(theta: float | None = None) -> Report:
         else:
             rep.check(f"theta={th:.4f}: E1#E2 = E1",
                       _max_abs(geo.choi.entries - e1.choi.entries), 1e-8)
-    return rep
 
 
-def example_kosaki_fidelity(seed: int = 23, count: int = 20) -> Report:
+def example_kosaki_fidelity(rep: Report, seed: int = 23, count: int = 20) -> None:
     """Trace-quantity chain between the geometric mean and Uhlmann fidelity."""
-    rep = Report("example kosaki-fidelity")
     rng = np.random.default_rng(_whole("seed", seed, 0))
     count = _whole("count", count, 1)
     worst_slack = 0.0
@@ -233,12 +219,10 @@ def example_kosaki_fidelity(seed: int = 23, count: int = 20) -> Report:
         q = state_mean_quantities(np.diag(d / d.sum()), np.diag(e / e.sum()))
         worst_eq = max(worst_eq, abs(q.gm_trace - q.fidelity))
     rep.check("equality of the chain on commuting pairs", worst_eq, 1e-8)
-    return rep
 
 
-def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
+def example_ando_recovery(rep: Report, seed: int = 31, count: int = 10) -> None:
     """Scalar-domain maps recover the classical operator decomposition."""
-    rep = Report("example ando-recovery")
     rng = np.random.default_rng(_whole("seed", seed, 0))
     count = _whole("count", count, 1)
     worst_par = 0.0
@@ -264,14 +248,13 @@ def example_ando_recovery(seed: int = 31, count: int = 10) -> Report:
               worst_par, 1e-9)
     rep.check(f"ac part = Ando's closed form (relative) over {count} pairs",
               worst_ac, lebesgue.TOL_SPLIT)
-    return rep
 
 
 # One atom (l, w) = (1, 1/2): g(t) = t/(1+t), the function of the parallel sum.
 _PARALLEL_ATOM = ConnectionRep(0.0, 0.0, ((1.0, 0.5),))
 
 
-REGISTRY: dict[str, Callable[..., Report]] = {
+REGISTRY: dict[str, Callable[..., None]] = {
     "quantum-channels": example_quantum_channels,
     "non-unital": example_non_unital,
     "states": example_states,
@@ -285,12 +268,14 @@ REGISTRY: dict[str, Callable[..., Report]] = {
 
 
 def run_example(name: str, **params) -> Report:
-    """Run one registry entry by name with optional parameter overrides."""
+    """The report of one registry entry, run with optional parameter overrides."""
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownExample(f"unknown example {name!r}; known: {known}")
+    rep = Report(f"example {name}")
     try:
-        return REGISTRY[name](**params)
+        REGISTRY[name](rep, **params)
     except TypeError as exc:
         raise UnknownExample(f"example {name!r} rejects parameters "
                              f"{sorted(params)}: {exc}") from exc
+    return rep

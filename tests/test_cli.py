@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpmean import channeldoc, cli, hermlinalg, lebesgue
+from cpmean import channeldoc, cli, hermlinalg, lebesgue, registry
 from cpmean.channeldoc import (
     channel_to_doc,
     doc_to_channel,
@@ -267,6 +267,19 @@ class TestChannelDoc:
             assert got.tobytes() == from_kraus(ops).choi.entries.tobytes()
 
 
+# each subcommand's argv and the indices where a global flag can sit: before
+# the subcommand, between its options and after its positionals
+GLOBAL_SITES = {
+    "mean": (["mean", "--kind", "geo", "@id2", "@dep2", "-o", "{tmp}/m.json"],
+             [0, 1, 3, 4, 5, 7]),
+    "order": (["order", "@half_id2", "@id2"], [0, 1, 2, 3]),
+    "index": (["index", "@dep3"], [0, 1, 2]),
+    "verify": (["verify", "@half_id2"], [0, 1, 2]),
+    "lebesgue": (["lebesgue", "@id2", "@dep2", "-o", "{tmp}/split"], [0, 1, 2, 3, 5]),
+    "example": (["example", "rotation", "theta=0.5"], [0, 1, 3]),
+}
+
+
 class TestCliCommands:
     def test_mean_geo_writes_output(self, channel_files, tmp_path, capsys):
         out = str(tmp_path / "geo.json")
@@ -499,7 +512,7 @@ class TestCliCommands:
 
     def test_unexpected_exception_exits_3_with_one_internal_error_line(
             self, channel_files, capsys, monkeypatch):
-        def broken(args, tol):
+        def broken(args):
             raise RuntimeError("broken command")
 
         monkeypatch.setattr(cli, "cmd_index", broken)
@@ -604,13 +617,58 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert err == "" and "inf" not in out and "1.e+300" in out
 
-    def test_globals_anywhere(self, channel_files, capsys):
-        assert main(["--format", "json", "order", channel_files["id2"],
-                     channel_files["id2"]]) == 0
-        json.loads(capsys.readouterr().out)
-        assert main(["order", channel_files["id2"], channel_files["id2"],
-                     "--format", "json"]) == 0
-        json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("command", GLOBAL_SITES)
+    def test_globals_anywhere(self, channel_files, tmp_path, capsys, command):
+        # a global flag before the subcommand, between its options or after its
+        # positionals gives the same run; given twice, the last value wins
+        argv, sites = GLOBAL_SITES[command]
+        argv = [channel_files.get(a[1:]) or a.format(tmp=tmp_path) for a in argv]
+
+        def run(*placed):  # (site, flag, value), inserted from the last site back
+            line = list(argv)
+            for site, *flag in sorted(placed, key=lambda p: p[0], reverse=True):
+                line[site:site] = flag
+            return main(line), capsys.readouterr().out
+
+        for flag, first, last in (("--format", "text", "json"), ("--tol", "10", "1e-9")):
+            want = run((0, flag, last))
+            if flag == "--format" or command in ("order", "verify"):
+                assert run((0, flag, first)) != want
+            for i in sites:
+                assert run((i, flag, last)) == want, (flag, i)
+                for j in sites[sites.index(i):]:
+                    # at one site, the first value goes before the last
+                    assert run((j, flag, last), (i, flag, first)) == want, (flag, i, j)
+
+    @pytest.mark.parametrize("command", GLOBAL_SITES)
+    def test_every_subcommand_help_lists_the_global_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--format {text,json}" in out and "--tol TOL" in out
+
+    def test_global_sites_cover_every_subcommand(self):
+        assert set(GLOBAL_SITES) == {name[4:] for name in dir(cli) if name.startswith("cmd_")}
+
+    def test_example_reports_are_named_by_registry_key(self, capsys):
+        assert main(["--format", "json", "example", "--all"]) == 0
+        names = [rep["command"] for rep in json.loads(capsys.readouterr().out)]
+        assert names == [f"example {key}" for key in registry.REGISTRY]
+        assert run_example("rotation", theta=0.5).command == "example rotation"
+
+    @pytest.mark.parametrize("value", ["-0.0", "-0", "0"])
+    def test_a_zero_tol_is_echoed_as_zero(self, channel_files, capsys, value):
+        order = ["order", channel_files["id2"], channel_files["id2"], "--tol", value]
+        verify = ["verify", channel_files["id2"], "--tol", value]
+        assert main(order) == 0
+        assert "\ntolerance: 0\n" in capsys.readouterr().out
+        assert main(verify) == 0
+        text = capsys.readouterr().out
+        assert "'tolerance': 0.0}" in text and "(tol -" not in text
+        for argv in (order, verify):
+            assert main(["--format", "json", *argv]) == 0
+            out = capsys.readouterr().out
+            assert '"tolerance": 0.0' in out and '"tolerance": -0.0' not in out
 
     def test_tol_flag_changes_order(self, channel_files, capsys):
         # with a coarse tolerance everything collapses to "equal"
@@ -848,13 +906,8 @@ class TestCliErrorPaths:
 
     def test_failing_checks_exit_3(self, monkeypatch, capsys):
         # a registry entry whose check fails must drive the exit code to 3
-        from cpmean import registry
-        from cpmean.report import Report
-
-        def failing():
-            rep = Report("example broken")
+        def failing(rep):
             rep.check("impossible", residual=1.0, tolerance=1e-9)
-            return rep
 
         monkeypatch.setitem(registry.REGISTRY, "broken", failing)
         assert main(["example", "broken"]) == 3
@@ -1004,11 +1057,9 @@ class TestReusedParsers:
 
     def test_repeated_main_calls_match_fresh_parsers(self, channel_files, capsys, monkeypatch):
         assert cli._build_parser() is cli._build_parser()
-        assert cli._globals_parser() is cli._globals_parser()
         reused = self._run(channel_files, capsys)
         assert [r[0] for r in reused] == [0, 0, ("exit", 2), 0, 3, 3, 0, 2, 0]
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        monkeypatch.setattr(cli, "_globals_parser", cli._globals_parser.__wrapped__)
         assert cli._build_parser() is not cli._build_parser()
         assert self._run(channel_files, capsys) == reused
 
@@ -1018,9 +1069,9 @@ class TestReusedParsers:
         seen = []
         real = cli.cmd_index
 
-        def spy(args, tol):
+        def spy(args):
             seen.append(args.path)
-            return real(args, tol)
+            return real(args)
 
         monkeypatch.setattr(cli, "cmd_index", spy)
         assert main(["index", channel_files["dep3"]]) == 0

@@ -62,6 +62,9 @@ class TestChoiConstruction:
         assert max_abs(got.choi.entries - np.eye(4) / 2.0) < 1e-14
         assert max_abs(got.choi.entries - depolarizing(2).choi.entries) < 1e-14
 
+    def test_repr_names_the_dimensions(self):
+        assert repr(from_choi(2, 3, np.eye(6))) == "CpMap(2 -> 3)"
+
     def test_zero_action(self):
         got = choi_from_action(2, 3, lambda e: np.zeros((3, 3)))
         assert max_abs(got.choi.entries) == 0.0

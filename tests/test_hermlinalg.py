@@ -64,6 +64,10 @@ class TestTypes:
             with pytest.raises(InvalidInput):
                 PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD)
 
+    def test_repr_names_the_type_and_dimension(self):
+        assert repr(HermitianMatrix(np.eye(3))) == "HermitianMatrix(dim=3)"
+        assert repr(PsdMatrix(np.eye(2))) == "PsdMatrix(dim=2)"
+
 
 def _bits(x):
     return np.ascontiguousarray(x).tobytes()

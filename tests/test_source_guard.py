@@ -38,7 +38,7 @@ package but numpy, at module or function level, and every module-level import
 is used.  The public names of ``import cpmean`` and the parameter names of each
 are pinned, as are those of ``Report.add_input``, the slots of
 ``HermitianMatrix`` and ``SpectralPair`` and the functions that
-``functools.lru_cache`` keeps (the two CLI parsers), so adding or removing a
+``functools.lru_cache`` keeps (the CLI parser), so adding or removing a
 name, a knob, a field or a cache shows in this file; README's list of the
 public names is checked against the pinned one.
 """
@@ -344,8 +344,8 @@ def test_environment_guard_sees_a_planted_read():
     assert not _reads("import os\nx = 'os.environ'  # getenv\n", "environ")
 
 
-# (file, top-level function) of each functools cache in src/: the two parsers
-LRU_CACHE_SITES = {("cli.py", "_build_parser"), ("cli.py", "_globals_parser")}
+# (file, top-level function) of each functools cache in src/: the parser
+LRU_CACHE_SITES = {("cli.py", "_build_parser")}
 
 
 def _cache_sites(name: str, text: str) -> set[tuple[str, str]]:
