@@ -10,9 +10,9 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
       "name": optional string
     }
 
-Both forms are read, each in one numpy conversion of all its cells, a Kraus
-list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite or
-too large cell is a ParseError, and a float64 comes through bit for bit.  The
+Both forms are read in one ``hermlinalg._as_array`` conversion of all cells, a
+Kraus list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite
+or too large cell is a ParseError; a float64 comes through bit for bit.  The
 form written is choi, whose floats are Python's shortest round-trip repr, so a
 document of an exactly Hermitian matrix survives save/load bit-exactly,
 signed zeros included.  ``save_channel`` returns the SHA-256 of the bytes it
@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import chain
 
 import numpy as np
 
@@ -74,26 +73,13 @@ def _to_pairs(a) -> list:
 
 
 def _rows_to_matrix(rows, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex array of any shape, (mn, mn) for a Choi matrix or (k, n, m) for
-    k Kraus operators, from nested [re, im] pairs in one conversion, bit for
-    bit.  A boolean is not a number, alone or beside numbers that would absorb it."""
-    try:
-        arr = np.asarray(rows)
-        if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
-            arr = arr.astype(np.float64)  # integer literals beyond 64 bits
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"complex matrix data is malformed: {exc}") from exc
-    if arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf":
-        raise ParseError(f"expected {' x '.join(map(str, shape))} [re, im] pairs of numbers, "
-                         f"got shape {arr.shape} of {arr.dtype}")
-    numbers = rows
-    for _ in shape:
-        numbers = chain.from_iterable(numbers)
-    if bool in set(map(type, numbers)):
-        raise ParseError("boolean entries are not permitted in documents")
+    """Complex array of shape (mn, mn) or (k, n, m) from nested [re, im] pairs."""
+    arr = hermlinalg._as_array(rows, np.float64, ParseError)
+    if arr.shape != (*shape, 2):
+        raise ParseError(f"expected shape {(*shape, 2)} of [re, im] pairs, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ParseError("non-finite entries are not permitted in documents")
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+    return arr.view(np.complex128)[..., 0]
 
 
 def channel_to_doc(f: CpMap, name: str | None = None) -> dict:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import chain
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -45,11 +47,12 @@ def _bound(tol: float, *arrays) -> float:
 
 
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
-    """A new array of x.  Where numpy cannot convert it, ShapeError for ragged
-    data and InvalidInput for an entry that is no number in range, or error
-    for both, in place of numpy's ValueError or TypeError."""
+    """A new array of x by the one rule for outside numbers: ints (beyond 64
+    bits too), floats and complex numbers, an ndarray's judged by its dtype.
+    ShapeError for ragged data, InvalidInput for a string, None, boolean, other
+    object or number out of range, or error for both."""
     try:
-        return np.array(x, dtype=dtype)
+        a = np.array(x, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         try:  # ragged: a sequence where numpy expects a number
             ragged = any(isinstance(e, (list, tuple, np.ndarray))
@@ -59,6 +62,16 @@ def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
         if ragged:
             raise (error or ShapeError)(f"array data is ragged: {exc}") from exc
         raise (error or InvalidInput)(f"array entries must be numbers: {exc}") from exc
+    kinds = {x.dtype.type} if isinstance(x, np.ndarray) and x.dtype != object else set()
+    if not kinds:  # the leaves, a.ndim levels down, where numpy would absorb a boolean
+        leaves = [x]
+        for _ in range(a.ndim):
+            leaves = chain.from_iterable(leaves)
+        kinds = set(map(type, leaves)) - {np.ndarray}  # a 0-d array as numpy takes it
+    if bool in kinds or not all(issubclass(k, Number) for k in kinds):
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise (error or InvalidInput)(f"array entries must be numbers (no booleans): {names}")
+    return a
 
 
 def _square(entries) -> np.ndarray:
