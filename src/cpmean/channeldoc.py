@@ -102,7 +102,7 @@ def doc_to_channel(doc) -> CpMap:
         data = doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing document field {exc}") from exc
-    if not all(type(x) is int and x >= 1 for x in (m, n)):
+    if not (hermlinalg._is_whole(m) and hermlinalg._is_whole(n)):
         raise ParseError("dim_in and dim_out must be positive integers")
     if kind == "choi":
         return from_choi(m, n, _rows_to_matrix(data, (m * n, m * n)))

@@ -16,7 +16,8 @@ times the largest Choi entry modulus and verify's absolute bound on the
 unital and trace-preserving defects, a finite number >= 0 or else exit 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 a failed check or an
-internal error.
+internal error.  A reader that closes stdout early (``| head``) changes
+neither: the rest of the output is dropped without a word on stderr.
 """
 
 from __future__ import annotations
@@ -269,8 +270,13 @@ def main(argv=None) -> int:
         # cmd_<command> is looked up at each call, not kept in the parser,
         # which is built once: a wrapped or patched command is the one that runs
         reports = globals()[f"cmd_{args.command}"](args)
-        # strict JSON: a non-finite value is an internal error
-        _emit(reports, getattr(args, "format", "text"))
+        try:  # strict JSON: a non-finite value is an internal error
+            _emit(reports, getattr(args, "format", "text"))
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone: the rest and the exit flush go nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except CpMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from .hermlinalg import (
     Verdict,
     _as_array,
     _bound,
+    _is_whole,
     as_psd,
     psd_sqrt,
 )
@@ -48,8 +49,7 @@ class CpMap:
     choi: PsdMatrix
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ShapeError("dimensions must be positive")
+        _check_dims(self.dim_in, self.dim_out)
         if self.choi.dim != self.dim_in * self.dim_out:
             raise ShapeError(
                 f"Choi matrix has size {self.choi.dim}, expected "
@@ -93,6 +93,12 @@ class CpMap:
         return f"CpMap({self.dim_in} -> {self.dim_out})"
 
 
+def _check_dims(*dims) -> None:
+    """ShapeError unless every dimension is an integer >= 1 by ``_is_whole``."""
+    if not all(map(_is_whole, dims)):
+        raise ShapeError(f"dimensions must be positive integers, got {dims}")
+
+
 def _check_same_dims(f: CpMap, g: CpMap):
     if (f.dim_in, f.dim_out) != (g.dim_in, g.dim_out):
         raise ShapeError(
@@ -131,6 +137,9 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
     """Build a CpMap from Kraus operators (each dim_out x dim_in), converted as
     one (k, dim_out, dim_in) stack; its Choi matrix, a Gram form, is PSD by
     construction, so no admission runs.  The operators are not kept."""
+    if not all(d is None or _is_whole(d) for d in (dim_in, dim_out)):
+        raise ShapeError(f"Kraus operators must be dim_out x dim_in, positive integers, "
+                         f"got {dim_out!r} x {dim_in!r}")
     try:
         ks = _as_array(ops)
     except ShapeError as exc:
@@ -235,11 +244,13 @@ def index_cp(f: CpMap) -> float:
 
 def identity(d: int) -> CpMap:
     """Identity channel on M_d, Kraus map of 1; Choi is the maximally entangled vv*."""
+    _check_dims(d)
     return from_kraus([np.eye(d)])
 
 
 def depolarizing(d: int) -> CpMap:
     """Completely depolarizing channel x -> Tr(x)/d; Choi is I/d."""
+    _check_dims(d)
     return CpMap(d, d, PsdMatrix._trusted(np.eye(d * d) / d))
 
 
@@ -272,6 +283,7 @@ def schur(a) -> CpMap:
 
 def cond_exp_diag(d: int) -> CpMap:
     """Conditional expectation of M_d onto its diagonal: Kraus operators |i><i|."""
+    _check_dims(d)
     return from_kraus([np.diag(e) for e in np.eye(d)])
 
 

@@ -74,6 +74,13 @@ def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
     return a
 
 
+def _is_whole(value, least: int = 1) -> bool:
+    """Whether value is an integer >= least, the rule for outside counts and
+    dimensions: an int or numpy integer, never a float or a boolean."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 def _square(entries) -> np.ndarray:
     """A finite square complex128 copy of entries."""
     m = _as_array(entries)

@@ -32,14 +32,15 @@ from .cpmaps import (
     unitary_conj,
 )
 from .errors import DomainError, UnknownExample
-from .hermlinalg import _ando_part, _max_abs
+from .hermlinalg import _ando_part, _is_whole, _max_abs
 from .opmeans import GEO, HARM, ConnectionRep, MeanKind, geometric_mean, mean, parallel_sum
 from .report import Report
 
 
 def _whole(key: str, value, least: int) -> int:
-    """value as an int >= least; a float, a boolean or a smaller value is a DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """value as an int; one that fails ``_is_whole`` (a float, a boolean or a
+    smaller value) is a DomainError."""
+    if not _is_whole(value, least):
         raise DomainError(f"{key} must be an integer >= {least}, got {value!r}")
     return int(value)
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -912,6 +915,26 @@ class TestCliErrorPaths:
         monkeypatch.setitem(registry.REGISTRY, "broken", failing)
         assert main(["example", "broken"]) == 3
         assert "CHECKS FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["example", "--all"], 0),
+        (["--format", "json", "example", "--all"], 0),
+        (["verify", "twice.json"], 3),
+    ], ids=["text", "json", "failed check"])
+    def test_a_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(self, tmp_path, argv, code):
+        # the reader closes its end before the command writes, as `| head -n 1`
+        # may: the command exits as if its output had been read, and says nothing
+        save_channel(2.0 * identity(2), tmp_path / "twice.json")  # not unital
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cpmean.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (code, "")
 
 
 def _tricky_map(d: int, rng, shift: float = 0.0):

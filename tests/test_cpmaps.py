@@ -28,7 +28,8 @@ from cpmean.cpmaps import (
     tensor,
     unitary_conj,
 )
-from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ShapeError
+from cpmean.channeldoc import doc_to_channel
+from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ParseError, ShapeError
 from cpmean.hermlinalg import (
     RANK_RTOL, TOL_HERM, TOL_PSD, HermitianMatrix, Verdict, as_psd, is_psd, psd_sqrt)
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
@@ -731,9 +732,10 @@ class TestStateQuantities:
 
 
 class TestUnconvertibleArrays:
-    """An array argument numpy cannot convert raises a package error: ShapeError
-    where it is ragged, InvalidInput where an entry is no number, DomainError
-    where the function raises it for any bad value of that argument."""
+    """An array argument that ``hermlinalg._as_array`` refuses raises a package
+    error: ShapeError where it is ragged, InvalidInput where an entry is no
+    number (a string, None, a boolean or another object) or out of range,
+    DomainError where the function raises it for any bad value of that argument."""
 
     RAGGED, WORDS = [[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]]
 
@@ -760,3 +762,95 @@ class TestUnconvertibleArrays:
             call(self.RAGGED)
         with pytest.raises(words):
             call(self.WORDS)
+
+
+def _pairs(m) -> list:
+    """The rows of m as a document's [re, im] cells, each im 0.0."""
+    return [[[x, 0.0] for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+
+
+class TestOneNumberRule:
+    """Library calls and channel documents judge outside numbers by one rule:
+    the same cell is refused, as each entry point's package error, or taken as
+    the same float, whether it comes in an array or in a document."""
+
+    # each entry point fed a 2 x 2 matrix m: (call, error of a bad cell, of a ragged row)
+    ENTRIES = {
+        "HermitianMatrix": (HermitianMatrix, InvalidInput, ShapeError),
+        "from_choi": (lambda m: from_choi(1, 2, m), NotCompletelyPositive, ShapeError),
+        "from_kraus": (lambda m: from_kraus([m]), InvalidInput, ShapeError),
+        "schur": (schur, DomainError, ShapeError),
+        "cond_exp_tensor": (lambda m: cond_exp_tensor(1, m[0]), DomainError, DomainError),
+        "choi document": (lambda m: doc_to_channel(
+            {"dim_in": 1, "dim_out": 2, "repr": "choi", "data": _pairs(m)}),
+            ParseError, ParseError),
+        "kraus document": (lambda m: doc_to_channel(
+            {"dim_in": 2, "dim_out": 2, "repr": "kraus", "data": [_pairs(m)]}),
+            ParseError, ParseError),
+    }
+    # the matrix, PSD with positive entries, that every entry point takes, and
+    # the bad data: its first cell replaced, or all of it a bool array (which a
+    # document holds as boolean cells beside 0.0)
+    GOOD = [[2.0, 1.0], [1.0, 2.0]]
+    BAD = {
+        "numeric string": [["1.5", 1.0], [1.0, 2.0]],
+        "boolean beside floats": [[True, 1.0], [1.0, 2.0]],
+        "bool array": np.array([[True, False], [False, True]]),
+        "None": [[None, 1.0], [1.0, 2.0]],
+        "object": [[{"re": 1}, 1.0], [1.0, 2.0]],
+        "out of range": [[10**400, 1.0], [1.0, 2.0]],
+        "ragged row": [[2.0, [1.0, 1.0]], [1.0, 2.0]],
+    }
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_each_entry_point_refuses_the_same_cells(self, entry, bad):
+        call, error, ragged = self.ENTRIES[entry]
+        call(self.GOOD)
+        with pytest.raises(ragged if bad == "ragged row" else error):
+            call(self.BAD[bad])
+
+    def test_an_integer_beyond_64_bits_is_the_same_float_both_ways(self):
+        m = [[10**20, 1.0], [1.0, 2.0]]
+        want = np.array([[1e20, 1.0], [1.0, 2.0]])
+        assert np.array_equal(HermitianMatrix(m).entries, want)
+        for lib, doc in (("from_choi", "choi document"), ("from_kraus", "kraus document")):
+            got = self.ENTRIES[lib][0](m).choi.entries
+            assert got.tobytes() == self.ENTRIES[doc][0](m).choi.entries.tobytes()
+        assert from_choi(1, 2, m).choi.entries[0, 0] == 1e20
+        assert np.array_equal(cond_exp_tensor(1, m[0]).choi.entries,
+                              cond_exp_tensor(1, [1e20, 1.0]).choi.entries)
+
+
+class TestWholeDimensions:
+    """A dimension is an integer >= 1, never a float or a boolean: anything else
+    is a ShapeError before numpy sees it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: from_choi(True, 2, np.eye(2)),
+        lambda: from_choi(1.0, 2, np.eye(2)),
+        lambda: CpMap(2, 1.0, as_psd(np.eye(2))),
+        lambda: depolarizing(True),
+        lambda: depolarizing(2.5),
+        lambda: identity(2.0),
+        lambda: identity(-1),
+        lambda: cond_exp_diag(2.0),
+    ], ids=["from_choi-bool", "from_choi-float", "CpMap-float", "depolarizing-bool",
+            "depolarizing-float", "identity-float", "identity-negative", "cond_exp_diag-float"])
+    def test_a_dimension_that_is_no_positive_integer(self, call):
+        with pytest.raises(ShapeError, match="dimensions must be positive"):
+            call()
+
+    @pytest.mark.parametrize("ops, dims", [
+        ([np.eye(2)], {"dim_in": 2.0, "dim_out": 2}),
+        ([np.eye(2)], {"dim_in": 2, "dim_out": True}),
+        ([], {"dim_in": 2.0, "dim_out": 2}),
+    ], ids=["float dim_in", "boolean dim_out", "empty list float dim_in"])
+    def test_kraus_dimensions_that_are_no_positive_integers(self, ops, dims):
+        with pytest.raises(ShapeError, match="dim_out x dim_in"):
+            from_kraus(ops, **dims)
+
+    def test_numpy_integers_are_dimensions(self):
+        f = from_choi(np.int64(1), np.int32(2), np.eye(2))
+        assert (f.dim_in, f.dim_out) == (1, 2)
+        assert np.array_equal(identity(np.int64(2)).choi.entries, identity(2).choi.entries)
