@@ -16,8 +16,8 @@ times the largest Choi entry modulus and verify's absolute bound on the
 unital and trace-preserving defects, a finite number >= 0 or else exit 2.
 
 Exit codes: 0 success, 2 input/validation error, 3 a failed check or an
-internal error.  A reader that closes stdout early (``| head``) changes
-neither: the rest of the output is dropped without a word on stderr.
+internal error.  A reader that closes stdout early (``| head``) changes no
+exit code: the rest of the output is dropped without a word on stderr.
 """
 
 from __future__ import annotations
