@@ -260,8 +260,9 @@ def unitary_conj(u) -> CpMap:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError("conjugation requires a square matrix")
     d = u.shape[0]
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > TOL_FLAGS:
-        raise DomainError("matrix is not unitary within tolerance")
+    # a non-finite u is rejected before u* u, whose NaN would pass the test
+    if not np.isfinite(u).all() or np.abs(u.conj().T @ u - np.eye(d)).max() > TOL_FLAGS:
+        raise DomainError("matrix is not a finite unitary within tolerance")
     return from_kraus([u])
 
 

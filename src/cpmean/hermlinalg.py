@@ -4,15 +4,17 @@ Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
 alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
 the admission of outside data, ``is_psd``, the PSD square root, and the
-``SpectralPair`` (two eigh, or one SVD from cached eigs) on which every mean,
-connection and Lebesgue split is evaluated.  Every rank, range and kernel
-decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range test
+``SpectralPair`` (two eigh, or one thin SVD from cached eigs, with a
+complement R formed only when weighed) on which every mean, connection and
+Lebesgue split is evaluated.  Every rank, range and kernel decision reads
+``RANK_RTOL`` here alone: ``support()``, the index's range test
 ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Matrices are
 small dense complex arrays (Choi matrices up to about 144 x 144); all values are
 immutable after construction and each eig is computed once and cached, so
-instances are safe to share across threads.  ``_RUN`` keeps the last pair (about
-1.0 MB at Choi 144: 0.33 MB of ``t`` and ``Z``, the rest its operands) and the
-document slots.
+instances are safe to share across threads.  ``_RUN`` keeps the last pair
+(at Choi 144, 0.66 MB of operands and 0.33 MB of ``t``, ``1 - t`` and ``Z``,
+or, factored, 0.33 MB of X and 4.6 KB per column of Z and P; never R) and
+the document slots.
 """
 
 from __future__ import annotations
@@ -295,41 +297,47 @@ class SpectralPair:
     (1 for a zero operand), which takes no eigendecomposition and cannot
     overflow: each real and imaginary part is divided by s_A, correctly
     rounded, with no reciprocal 1/s_A, which is inf for a subnormal s_A.
-    ``A = s_A Z diag(t) Z*`` and ``B = s_B Z diag(1 - t) Z*`` with ``Z Z* = Ĉ
-    = A/s_A + B/s_B`` (Kubo-Ando 1980, Ando 1976): ``_factored`` where it
-    applies, one SVD, else with ``Ĉ = U diag(w) U*`` on its support, ``A' =
-    W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'``
-    commute, ``Z = U W^{1/2} V`` and ``Z*Z = V* diag(w) V``.  Each t_i is
-    snapped onto {0, 1} within its own rounding error, and onto 1 where B = 0
-    (A = 0 gives 0), so rank-deficient directions carry no eigensolver noise
-    and a zero operand gives exact zero connections.  Two eigendecompositions,
-    of Ĉ and of the r x r A'; an empty support gives 0-column arrays.  It keeps
-    (s_A, s_B, t, Z) alone; t and Z are read-only, as the last pair built is
-    shared by every caller of ``_shared_pair``.
+    ``A = s_A (Z diag(t) Z* + t_⊥ R)`` and ``B = s_B (Z diag(1 - t) Z* + (1 -
+    t_⊥) R)`` with ``Z Z* + R = Ĉ = A/s_A + B/s_B`` (Kubo-Ando 1980, Ando
+    1976): ``_factored`` where it applies, one thin SVD, with t_⊥ 1 (B thin)
+    or 0 (A thin) and R formed only when weighed (``gram``); else R = 0,
+    t_⊥ None, and with ``Ĉ = U diag(w) U*`` on its support, ``A' = W^{-1/2}
+    U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'`` commute, ``Z =
+    U W^{1/2} V`` and ``Z*Z = V* diag(w) V``.  Each t_i is snapped onto {0,
+    1} within its own rounding error, and onto 1 where B = 0 (A = 0 gives
+    0), so rank-deficient directions carry no eigensolver noise and a zero
+    operand gives exact zero connections.  Two eigendecompositions, of Ĉ and
+    of the r x r A'; an empty support gives 0-column arrays.  It keeps (s_A,
+    s_B, t, 1 - t, Z, t_⊥) and R's factors, read-only, as the last pair built
+    is shared by every caller of ``_shared_pair``; 1 - t, ``tc``, is exact
+    where t is near 1.
     """
 
-    __slots__ = ("sa", "sb", "t", "z")
+    __slots__ = ("sa", "sb", "t", "tc", "z", "tp", "_xp")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
         sa, sb = (_max_abs(x.entries) for x in (a, b))
         self.sa, self.sb = sa or 1.0, sb or 1.0
-        self.t, self.z = self._factored(a, b) or self._eigh(a, b, sb)
-        for x in (self.t, self.z):
+        pair = self._factored(a, b) or self._eigh(a, b, sb)
+        self.t, self.tc, self.z, self.tp, self._xp = pair
+        for x in (self.t, self.tc, self.z, *(self._xp or ())):
             x.flags.writeable = False
 
     def _factored(self, a: HermitianMatrix, b: HermitianMatrix):
-        """(t, Z) from the cached eigs where one operand F is invertible, the
-        other G has support r < n, and both s lie in [2^-299, 2^484], where
-        zheevd does not rescale (RMIN, RMAX = 2^∓485), nor zsteqr a block above
-        ε² s (SSFMIN = 2^-405): eigh commutes with scaling by 2^k there, so the
-        pair keeps joint homogeneity bit for bit, and each |w| <= n s is finite.
-        Else None.  ``X = U_F (w_F/s_F)^{1/2}``, ``Ŷ = U_G (w_G/s_G)^{1/2}`` on
-        G's support and one full SVD ``M = X^{-1} Ŷ = P Σ Q*`` give ``Ĉ = X P
-        diag(1 + σ², 1...) P* X*`` and ``Z = X P diag((1 + σ²)^{1/2}, 1...)``.
-        B thin gives ``t = 1/(1 + σ²)``, 1 on P⊥ (B' = 0); A thin ``σ²/(1 +
-        σ²)``, 0, each form computed as such, accurate at its end; no t of an
-        invertible side is snapped onto 0.  The SVD is backward stable, so by
-        Weyl each σ_i is known to n ε σ_max: one at or below that is 0."""
+        """(t, 1 - t, Z, t_⊥, (X, P)) from the cached eigs where one operand F
+        is invertible, the other G has support r < n, and both s lie in
+        [2^-299, 2^484], where zheevd does not rescale (RMIN, RMAX = 2^∓485),
+        nor zsteqr a block above ε² s (SSFMIN = 2^-405): eigh commutes with
+        scaling by 2^k there, so the pair keeps joint homogeneity bit for bit,
+        and each |w| <= n s is finite.  Else None.  ``X = U_F (w_F/s_F)^{1/2}``,
+        ``Ŷ = U_G (w_G/s_G)^{1/2}`` on G's support and one thin SVD ``M = X^{-1}
+        Ŷ = P Σ Q*``, P n x r, give ``Ĉ = X P diag(1 + σ²) P* X* + R``, ``Z = X P
+        diag(1 + σ²)^{1/2}`` and ``R = Y Y*``, ``Y = X - (X P) P*``.  B thin
+        gives ``t = 1/(1 + σ²)``, ``1 - t = σ²/(1 + σ²)``, t_⊥ = 1; A thin the
+        two swapped, t_⊥ = 0; each form computed as such, accurate at its end.
+        No t of an invertible side is snapped onto 0.  The SVD is backward
+        stable, so by Weyl each σ_i is known to n ε σ_max: one at or below
+        that is 0."""
         if not all(x._eig is not None and 2.0 ** -299 <= s <= 2.0 ** 484
                    for x, s in ((a, self.sa), (b, self.sb))):
             return None
@@ -339,17 +347,16 @@ class SpectralPair:
             return None
         (wf, uf, sf), (wg, ug, sg) = sup[::1 if a_full else -1]
         xf = np.sqrt(wf / sf)
-        p, sig, _ = np.linalg.svd((uf.conj().T @ ug) * np.sqrt(wg / sg) / xf[:, None])
+        m = (uf.conj().T @ ug) * np.sqrt(wg / sg) / xf[:, None]
+        p, sig, _ = np.linalg.svd(m, full_matrices=False)
         sig[sig <= uf.shape[0] * _EPS * sig.max(initial=0.0)] = 0.0
-        sig2, r = sig * sig, sig.size
-        t = np.full(uf.shape[0], float(a_full))  # on P⊥
-        t[:r] = (1.0 if a_full else sig2) / (1.0 + sig2)
-        z = (uf * xf) @ p
-        z[:, :r] *= np.sqrt(1.0 + sig2)
-        return t, z
+        sig2, x = sig * sig, uf * xf
+        q, s = 1.0 / (1.0 + sig2), sig2 / (1.0 + sig2)
+        t, tc = (q, s) if a_full else (s, q)
+        return t, tc, (x @ p) * np.sqrt(1.0 + sig2), float(a_full), (x, p)
 
     def _eigh(self, a: HermitianMatrix, b: HermitianMatrix, sb: float):
-        """(t, Z) from the eigh of Ĉ and of A'."""
+        """(t, 1 - t, Z, None, None) from the eigh of Ĉ and of A'."""
         ah = _fold(a.entries, self.sa)
         w, u = HermitianMatrix(ah + _fold(b.entries, self.sb)).support()
         x = u / np.sqrt(w)
@@ -362,7 +369,20 @@ class SpectralPair:
                 * ((np.abs(v) ** 2).T @ (1.0 / w)))
         t[t < snap] = 0.0
         t[(t > 1.0 - snap) | (sb == 0.0)] = 1.0
-        return t, (u * np.sqrt(w)) @ v
+        return t, 1.0 - t, (u * np.sqrt(w)) @ v, None, None
+
+    def y(self) -> np.ndarray:
+        """``Y = X - (X P) P*``, R = Y Y*, of a factored pair: no SVD, no eigh."""
+        x, p = self._xp
+        return x - (x @ p) @ p.conj().T
+
+    def gram(self, h, hp: float = 0.0) -> PsdMatrix:
+        """``Z diag(h) Z* + hp R`` for h, hp >= 0, PSD by construction; R is
+        formed only where hp is not 0."""
+        if not hp:
+            return PsdMatrix._gram(self.z, h)
+        y = self.y()
+        return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h, np.full(y.shape[1], hp)])
 
     def ratio(self) -> float:
         """``s_B/s_A``; DomainError where it or 1/it overflows: one side would round away."""

@@ -271,20 +271,21 @@ class TestTransforms:
 class TestEighCount:
     @pytest.mark.parametrize("nodes", [16, 64])
     def test_custom_mean_costs_its_pair_and_clamp_at_any_atom_count(self, rng, eigh_calls, nodes):
-        # whatever the atom count, each costs the pair's SVD (F invertible and
-        # G rank-deficient, both eigs cached by their admission: the factored
-        # pair, down from eig C and eig A'): alone where the result has G's
+        # whatever the atom count, each costs the pair's SVD alone (F invertible
+        # and G rank-deficient, both eigs cached by their admission: the
+        # factored pair, down from eig C and eig A'): where the result has G's
         # nullity 2 (Choi 4, G rank 2) and is a Gram form, its kernel d zero
         # where G is, down from 3 as it has no clamp, then from (2, 0) to (0,
-        # 0, 1); with the clamp's admitting 2 where the adjoint and the dual of
-        # the atom sum leak 1/g(inf) onto ker B, so their kernel d has no zero
-        # and their result is well conditioned and admitted, from (4, 0)
+        # 0, 1); and where the adjoint and the dual of the atom sum leak
+        # 1/g(inf) onto ker B, the complement R weighed by d_⊥ = 1 σ 0 > 0:
+        # that sum with the thin pair's Gram form is PSD by construction, so
+        # it takes no clamp, down from (2, 0, 1), from (4, 0)
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
         rep = power_atoms(0.3, nodes)
         assert len(rep.atoms) == nodes
         for transform, counts in ((lambda r: r, (0, 0, 1)), (transpose_rep, (0, 0, 1)),
-                                  (adjoint_rep, (2, 0, 1)), (dual_rep, (2, 0, 1))):
+                                  (adjoint_rep, (0, 0, 1)), (dual_rep, (0, 0, 1))):
             kind = MeanKind.custom(transform(rep))
             assert eigh_calls(lambda: mean_cp(kind, f, g)) == counts
 

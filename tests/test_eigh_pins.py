@@ -10,14 +10,18 @@ A change that moves a count restates its row here and says why.  A count
 is (eigh, eigvalsh), with the svd calls as a third entry where there are any.
 
 F is invertible and G rank-deficient, and both were admitted with their eig
-cached, so their spectral pair is the factored one: one SVD of the n x r
-factor ``X_F^{-1} Y_G`` and no eigh (``SpectralPair._factored``).  A pair
-with an operand whose eig is not cached, or of two full-rank operands, costs
-the eigh route's 2.
+cached, so their spectral pair is the factored one: one thin SVD of the n x
+r factor ``X_F^{-1} Y_G``, a Z of r columns, and no eigh
+(``SpectralPair._factored``).  The complement ``R = Y Y*``, ``Y = X_F - (X_F
+P) P*``, is formed from the X_F and P the pair keeps, with no SVD and no
+eigh, and only by a result that weighs it: the ``COMPLEMENT`` rows, and the
+split and the residual with F thin.  A pair with an operand whose eig is not
+cached, or of two full-rank operands, costs the eigh route's 2.
 
 A mean on the spectral pair that is rank-deficient by construction (a zero
 in its kernel d, or fewer pair columns than rows) is the Gram form ``s_A Z
-diag(d) Z*``, no eigh past the pair's.  Any other goes through the clamp,
+diag(d) Z*``, plus ``s_A d_⊥ R`` where the kernel d_⊥ on R is not 0, no eigh
+past the pair's.  Any other goes through the clamp,
 which picks its branch by its bound: a result whose smallest computed
 eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
 eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above it is
@@ -55,6 +59,13 @@ PINS = [
     ("mean custom", (0, 0, 1)),
     ("mean custom adjoint", (0, 0, 1)),
     ("mean custom dual", (0, 0, 1)),
+    # custom reps that weigh the thin pair's complement R (COMPLEMENT): its
+    # sum with the Gram form is PSD by construction and R takes no SVD and no
+    # eigh.  Down from (2, 0, 1), the clamp's admitting branch on a result
+    # with no zero in its kernel
+    ("mean custom a, thin B", (0, 0, 1)),
+    ("mean custom b, thin A", (0, 0, 1)),
+    ("mean custom adjoint atoms", (0, 0, 1)),
     # a well-conditioned result takes the clamp's admitting branch: eig C, eig
     # A', the clamp's eig and the admission's (perfbench pins the same count);
     # two full-rank operands take the eigh route, no SVD
@@ -74,6 +85,10 @@ PINS = [
     ("decompose", (0, 0, 1)),
     ("is_singular", (0, 0, 1)),
     ("is_abs_continuous", (0, 0, 1)),
+    # F = G thin and G = F invertible: the singular part is s_G R, and the
+    # residual reads the trace of R as ||Y||_F²; as decompose
+    ("decompose, thin F", (0, 0, 1)),
+    ("is_abs_continuous, thin F", (0, 0, 1)),
     ("index_cp", (0, 0)),         # reads the cached eig of C_F
     ("kraus_decompose", (0, 0)),  # likewise
     # down from (1, 0): the two verdicts read only the eigenvalues of C_G - C_F
@@ -141,6 +156,16 @@ PINS = [
     ("ac_part_oracle", (8, 7)),
 ]
 
+# custom reps whose kernel is not 0 on the complement R of the pins' thin pair,
+# and whether the operands are swapped to make A the thin one
+ATOMS = ((0.3, 1.5), (7.0, 0.25))
+COMPLEMENT = {
+    "mean custom a, thin B": (opmeans.ConnectionRep(0.2, 0.0, ATOMS), False),
+    "mean custom b, thin A": (opmeans.ConnectionRep(0.0, 0.1, ATOMS), True),
+    "mean custom adjoint atoms": (opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, ATOMS)),
+                                  False),
+}
+
 # argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk
 # and gk the Kraus documents of f and g; F is a random CP map, neither unital
 # nor trace preserving, so verify fails its checks.
@@ -184,6 +209,10 @@ def _operation(name, f, g, geo, paths, h):
     if name.endswith(", full-rank operands"):
         kind = MeanKind.parse(name.split()[1].rstrip(","))
         return lambda: cpmaps.mean_cp(kind, f, h)
+    if name in COMPLEMENT:
+        rep, swap = COMPLEMENT[name]
+        kind = MeanKind.custom(rep)
+        return lambda: cpmaps.mean_cp(kind, *((g, f) if swap else (f, g)))
     if name.startswith("mean custom"):
         transform = {"custom": lambda r: r, "adjoint": opmeans.adjoint_rep,
                      "dual": opmeans.dual_rep}[name.split()[-1]]
@@ -208,6 +237,8 @@ def _operation(name, f, g, geo, paths, h):
         "parallel_sum": lambda: opmeans.parallel_sum(f.choi, g.choi),
         "ac_part_oracle": lambda: lebesgue.ac_part_oracle(f, g),
         "decompose": lambda: lebesgue.decompose(f, g),
+        "decompose, thin F": lambda: lebesgue.decompose(g, f),
+        "is_abs_continuous, thin F": lambda: lebesgue.is_abs_continuous(f, g),
         "is_singular": lambda: lebesgue.is_singular(f, g),
         "is_abs_continuous": lambda: lebesgue.is_abs_continuous(g, f),
         "index_cp": lambda: cpmaps.index_cp(f),

@@ -553,8 +553,12 @@ class TestFactoredPair:
         kinds = [MeanKind.parse(k) for k in ("geo", "harm", "parallel", "log", "power:0.3")]
         for a, b, t in ((one, zero, 1.0), (zero, one, 0.0)):
             assert eigh_calls(lambda: _shared_pair(a, b)) == (0, 0, 1)
+            # the zero operand's support is empty: Z has no column, and the
+            # complement R = Y Y*, t_⊥ = t on it, is the whole of Ĉ
             p = _shared_pair(a, b)
-            assert np.array_equal(p.t, np.full(n, t)) and p.z.shape == (n, n)
+            assert p.t.shape == p.tc.shape == (0,) and p.z.shape == (n, 0) and p.tp == t
+            r = p.y() @ p.y().conj().T
+            assert max_abs(r - one.entries / max_abs(one.entries)) <= 1e-14
             for kind in kinds:
                 assert not opmeans.mean(kind, a, b).entries.any(), (t, kind)
             # G = 0 splits into two exact zeros, and G against F = 0 is all singular
@@ -564,13 +568,31 @@ class TestFactoredPair:
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     def test_within_1e_12_of_the_eigh_route_on_choi_64_pairs(self, rng, scale):
+        # both orientations, (invertible A, thin B) and (thin A, invertible B),
+        # and custom reps that weigh the complement R, where d_⊥ = 1 σ 0 or 0
+        # σ r is not 0: a > 0 (B thin), b > 0 (A thin), the adjoint of an atom
+        # sum (both); the split and its two predicates, with F thin and with G
         kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
+        atoms = ((0.3, 1.5), (7.0, 0.25))
+        kinds += [MeanKind.custom(rep) for rep in (
+            opmeans.ConnectionRep(0.2, 0.0, atoms), opmeans.ConnectionRep(0.0, 0.1, atoms),
+            opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, atoms)))]
         for rank in (1, 16, 48, 63):
-            f, g = scale * random_psd(rng, 64), scale * random_psd(rng, 64, rank=rank)
-            for kind in kinds:
-                want = opmeans.mean(kind, PsdMatrix._trusted(f), PsdMatrix._trusted(g)).entries
-                got = opmeans.mean(kind, PsdMatrix(f), PsdMatrix(g)).entries
-                assert max_abs(got - want) <= 1e-12 * max_abs(want), (rank, kind)
+            full, thin = scale * random_psd(rng, 64), scale * random_psd(rng, 64, rank=rank)
+            for f, g in ((full, thin), (thin, full)):
+                for kind in kinds:
+                    want = opmeans.mean(kind, PsdMatrix._trusted(f), PsdMatrix._trusted(g)).entries
+                    got = opmeans.mean(kind, PsdMatrix(f), PsdMatrix(g)).entries
+                    assert max_abs(got - want) <= 1e-12 * max_abs(want), (rank, kind)
+                ref, fac = ([cpmaps.CpMap(8, 8, admit(x)) for x in (f, g)]
+                            for admit in (PsdMatrix._trusted, PsdMatrix))
+                want, got = lebesgue.decompose(*ref), lebesgue.decompose(*fac)
+                for part in ("ac", "sing"):
+                    x, y = (getattr(s, part).choi.entries for s in (got, want))
+                    assert max_abs(x - y) <= 1e-12 * max_abs(g), (rank, part)
+                assert abs(got.alpha_min - want.alpha_min) <= 1e-12 * want.alpha_min, rank
+                for check in (lebesgue.is_singular, lambda x, y: lebesgue.is_abs_continuous(y, x)):
+                    assert abs(check(*fac).residual - check(*ref).residual) <= 1e-12, rank
 
     @pytest.mark.parametrize("k", [-298, 484])
     def test_joint_scaling_by_two_to_the_k_is_bit_exact(self, rng, eigh_calls, k):
@@ -597,7 +619,8 @@ class TestFactoredPair:
         # / n > n eps; a support of its own width lets one reach the snap
         monkeypatch.setattr(hermlinalg, "RANK_RTOL", 0.0)
         a, b = PsdMatrix(np.diag([1e-33, 1.0, 0.0, 0.0])), PsdMatrix(np.eye(4))
-        assert sorted(_shared_pair(a, b).t) == [0.0, 0.0, 0.0, 0.5]
+        p = _shared_pair(a, b)  # the two zeros of A's kernel are t_⊥ = 0 on R
+        assert sorted(p.t) == [0.0, 0.5] and sorted(p.tc) == [0.5, 1.0] and p.tp == 0.0
 
     @pytest.mark.parametrize("k", [-484, 1020])
     def test_beyond_the_unscaled_range_the_eigh_route_runs(self, rng, eigh_calls, k):

@@ -107,14 +107,20 @@ def below(theta, x, g):
 def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
     (C_F, C_G), as matrices in the original basis; C is the sum of the
-    folded operands ``C_F/s_F + C_G/s_G``.  The pair keeps t and ``Z = U
-    W^{1/2} V`` alone: ``Z Z* = C`` and ``Z*Z = V* W V``, so with the SVD ``Z =
-    X S Y*``, ``C^{1/2} = X S X*`` with support projection ``X X*``, and the
-    polar factor ``X Y*`` of Z is the basis UV in which A' is ``diag(t)``."""
+    folded operands ``C_F/s_F + C_G/s_G``.  The pair keeps t, 1 - t and Z,
+    and where it is factored the complement ``R = Y Y*`` with t_⊥ on it:
+    ``K = [Z, Y]`` and t_⊥ on each column of Y give ``K K* = C`` and ``C/s =
+    K diag(t) K*``, so with the SVD ``K = X S W*``, ``C^{1/2} = X S X*`` with
+    support projection ``X X*``, and the polar factor ``X W*`` of K is the
+    basis in which A' is ``diag(t)``."""
     p = SpectralPair(f.choi, g.choi)
-    x, s, yh = np.linalg.svd(p.z, full_matrices=False)
-    uv = x @ yh
-    return ((uv * p.t) @ uv.conj().T, (uv * (1.0 - p.t)) @ uv.conj().T,
+    k, t, tc = p.z, p.t, p.tc
+    if p.tp is not None:
+        n = k.shape[0]
+        k, t, tc = np.hstack([k, p.y()]), np.r_[t, [p.tp] * n], np.r_[tc, [1.0 - p.tp] * n]
+    x, s, wh = np.linalg.svd(k, full_matrices=False)
+    xw = x @ wh
+    return ((xw * t) @ xw.conj().T, (xw * tc) @ xw.conj().T,
             x @ x.conj().T, (x * s) @ x.conj().T)
 
 

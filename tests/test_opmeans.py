@@ -334,16 +334,17 @@ class TestExtremeScales:
     @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_clamp_verdict_does_not_depend_on_joint_scale(self, rng, s, lift):
         # sqrt(uv) - 0.45 (u + v) is no connection: its weights reach -0.45.
-        # The kernel check reads d itself, so it raises at every s on both
-        # sides of the choice: a rank-2 G snaps t to 1 on its kernel, where a
-        # connection's d is 0 and its mean a Gram form; G lifted to full rank
-        # leaves every t in (0, 1), where d has no zero and the mean takes
-        # the clamp, with t near 1 where this kernel is near -0.45.  Relative
-        # to max(1, ||result||) the clamp once passed it silently at s = 1e-12.
+        # The kernel check reads d and d_⊥ themselves, so it raises at every s
+        # on both sides of the choice: a rank-2 G leaves the complement R of
+        # the thin pair with t_⊥ = 1, where a connection's d_⊥ is 0 and its
+        # mean a Gram form; G lifted to full rank leaves every t in (0, 1) and
+        # no complement, where d has no zero and the mean takes the clamp,
+        # with t near 1 where this kernel is near -0.45.  Relative to max(1,
+        # ||result||) the clamp once passed it silently at s = 1e-12.
         a = random_psd(rng, 4)
         b = random_psd(rng, 4, rank=2) + lift * random_psd(rng, 4)
-        t = _shared_pair(PsdMatrix(a), PsdMatrix(b)).t
-        assert (t == 1.0).any() == (lift == 0.0) and (t > 0.0).all()
+        p = _shared_pair(PsdMatrix(a), PsdMatrix(b))
+        assert (p.tp == 1.0 or (p.t == 1.0).any()) == (lift == 0.0) and (p.t > 0.0).all()
         with pytest.raises(InvalidInput, match="kernel is negative"):
             opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
@@ -443,6 +444,14 @@ class TestMeanDispatch:
         want = (u * [TestExtremeScales.SCALAR[text](*p) for p in zip(x, y)]) @ u.conj().T
         got = mean(kind, (u * x) @ u.conj().T, (u * y) @ u.conj().T).entries
         assert max_abs(got - want) <= 1e-12 * max_abs(want)
+        # I and diag(1, 1e-9, 0), either way round, take the factored pair:
+        # its 1e-9 entry is as accurate as the scalar mean, as 1 - t is read
+        # from the singular values, not formed as 1 minus a t near 1
+        graded = np.diag([1.0, 1e-9, 0.0])
+        for a, b in ((np.eye(3), graded), (graded, np.eye(3))):
+            got = mean(kind, a, b).entries[1, 1].real
+            want = TestExtremeScales.SCALAR[text](a[1, 1].real, b[1, 1].real)
+            assert abs(got / want - 1.0) <= 1e-14, (a[1, 1], got, want)
 
     def test_custom_kind_requires_a_rep(self):
         with pytest.raises(DomainError, match="requires a ConnectionRep"):

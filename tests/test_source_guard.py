@@ -546,8 +546,9 @@ def test_hermitian_matrix_caches_only_its_eig():
 def test_spectral_pair_keeps_only_its_factorization():
     from cpmean.hermlinalg import SpectralPair
 
-    # (s_A, s_B, t, Z): U, w and V are locals of the construction
-    assert SpectralPair.__slots__ == ("sa", "sb", "t", "z")
+    # (s_A, s_B, t, 1 - t, Z, t_⊥) and the factors (X, P) of the complement R:
+    # U, w, V and R itself are locals of the construction or of its readers
+    assert SpectralPair.__slots__ == ("sa", "sb", "t", "tc", "z", "tp", "_xp")
 
 
 README = SRC.parent.parent / "README.md"
