@@ -80,14 +80,19 @@ class CpMap:
         return float(np.abs(tr_blocks - np.eye(self.dim_in)).max())
 
     def __add__(self, other: "CpMap") -> "CpMap":
+        if not isinstance(other, CpMap):
+            return NotImplemented
         _check_same_dims(self, other)
         return CpMap(self.dim_in, self.dim_out,
                      PsdMatrix._trusted(self.choi.entries + other.choi.entries))
 
     def __rmul__(self, scalar: float) -> "CpMap":
-        if np.iscomplexobj(scalar) or scalar < 0:
-            raise DomainError(f"CP maps admit only nonnegative real scaling, got {scalar!r}")
-        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(scalar * self.choi.entries))
+        c = math.nan if np.iscomplexobj(scalar) else _as_array(scalar, np.float64, DomainError)
+        # c max |C_ij| bounds every real and imaginary part of the product
+        if np.ndim(c) or not (c >= 0.0 and math.isfinite(float(c) * self.choi._scale())):
+            raise DomainError("CP maps admit only nonnegative real scaling to a finite "
+                              f"Choi matrix, got {scalar!r}")
+        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(float(c) * self.choi.entries))
 
     def __repr__(self):
         return f"CpMap({self.dim_in} -> {self.dim_out})"
@@ -175,8 +180,8 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict
     ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
     largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
-    w = HermitianMatrix(g.choi.entries - f.choi.entries).eigvals()
-    bound = _bound(tol, f.choi.entries, g.choi.entries)
+    w = HermitianMatrix._trusted(g.choi.entries - f.choi.entries).eigvals()
+    bound = _bound(tol, f.choi, g.choi)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
 
@@ -198,8 +203,8 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     _check_same_dims(f, g)
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
-    w = HermitianMatrix(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
-    return Verdict(max(0.0, -float(w[0])), _bound(tol, cf, cg, ct))
+    w = HermitianMatrix._trusted(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
+    return Verdict(max(0.0, -float(w[0])), _bound(tol, f.choi, g.choi, theta.choi))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

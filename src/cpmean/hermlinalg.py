@@ -8,13 +8,14 @@ the admission of outside data, ``is_psd``, the PSD square root, and the
 complement R formed only when weighed) on which every mean, connection and
 Lebesgue split is evaluated.  Every rank, range and kernel decision reads
 ``RANK_RTOL`` here alone: ``support()``, the index's range test
-``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Matrices are
-small dense complex arrays (Choi matrices up to about 144 x 144); all values are
-immutable after construction and each eig is computed once and cached, so
-instances are safe to share across threads.  ``_RUN`` keeps the last pair
-(at Choi 144, 0.66 MB of operands and 0.33 MB of ``t``, ``1 - t`` and ``Z``,
-or, factored, 0.33 MB of X and 4.6 KB per column of Z and P; never R) and
-the document slots.
+``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside data
+enters only through ``_admit``, which alone calls the public constructors; what
+the library makes enters by ``_trusted``.  Matrices are small dense complex
+arrays (Choi matrices up to about 144 x 144), immutable after construction; each
+eig and largest entry modulus is computed once and kept, so instances are safe
+to share across threads.  ``_RUN`` keeps the last pair (at Choi 144, 0.66 MB of
+operands and 0.33 MB of ``t``, ``1 - t`` and ``Z``, or, factored, 0.33 MB of X
+and 4.6 KB per column of Z and P; never R) and the document slots.
 """
 
 from __future__ import annotations
@@ -38,14 +39,16 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _max_abs(*arrays) -> float:
-    """The largest entry modulus of the arrays, the scale of every verdict's bound."""
-    return max(float(np.abs(x).max()) for x in arrays)
+    """The largest entry modulus of arrays, or matrices' kept one: every bound's scale."""
+    return max(x._scale() if isinstance(x, HermitianMatrix) else float(np.abs(x).max())
+               for x in arrays)
 
 
 def _bound(tol: float, *arrays) -> float:
     """``tol * _max_abs(*arrays)``, but never below ``d * 2^-1074``, d the
-    largest dimension of the arrays: a residual carries a rounding unit."""
-    return max(tol * _max_abs(*arrays), max(max(np.shape(x)) for x in arrays) * 2.0 ** -1074)
+    largest dimension of the arrays or matrices: a residual carries a rounding unit."""
+    dim = max(x.dim if isinstance(x, HermitianMatrix) else max(np.shape(x)) for x in arrays)
+    return max(tol * _max_abs(*arrays), dim * 2.0 ** -1074)
 
 
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
@@ -97,23 +100,35 @@ class HermitianMatrix:
     """Complex Hermitian matrix, symmetrized once at construction.
 
     Entries are stored row-major as a read-only complex128 array.  The
-    eigendecomposition is computed lazily and cached; concurrent readers may
-    race to fill the cache but the filled value is identical either way.
+    eigendecomposition and ``_scale()`` are computed lazily and kept; concurrent
+    readers may race to fill them but the filled value is identical either way.
     """
 
-    __slots__ = ("_m", "_eig")
+    __slots__ = ("_m", "_eig", "_amax")
 
     def __init__(self, entries):
-        m = _square(entries)
-        mh = m.conj().T
-        if not (m == mh).all():
-            # Halved as real arrays: a complex product by 0.5 would turn some
-            # -0.0 into 0.0.  An exactly Hermitian input is kept bit for bit.
-            m = m + mh
+        self._own(_square(entries))
+
+    def _own(self, m: np.ndarray) -> "HermitianMatrix":
+        # Row 0 first, where a product is usually not Hermitian; a Hermitian m is kept
+        # bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
+        if not ((m[0] == m[:, 0].conj()).all() and (m == m.conj().T).all()):
+            m = m + m.conj().T
             m.view(np.float64)[...] *= 0.5
         m.flags.writeable = False
-        self._m = m
-        self._eig = None
+        self._m, self._eig, self._amax = m, None, None
+        return self
+
+    @classmethod
+    def _trusted(cls, entries):
+        """A cls of an array the library made, not copied if C-contiguous complex128,
+        with no outside-number check and no PSD admission: ``U f(w) U*``, f >= 0,
+        or a sum, scaling, tensor or composition of admitted matrices.  Non-finite
+        entries raise InvalidInput.  Outside data enters only through ``_admit``."""
+        m = np.ascontiguousarray(entries, dtype=np.complex128)
+        if not np.isfinite(m).all():
+            raise InvalidInput("matrix entries must be finite")
+        return cls.__new__(cls)._own(m)
 
     @property
     def dim(self) -> int:
@@ -123,6 +138,12 @@ class HermitianMatrix:
     def entries(self) -> np.ndarray:
         """Read-only view of the underlying array."""
         return self._m
+
+    def _scale(self) -> float:
+        """``max |h_ij|``, computed once into ``_amax``: the entries never change."""
+        if self._amax is None:
+            self._amax = float(np.abs(self._m).max())
+        return self._amax
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigendecomposition: ascending eigenvalues and unitary columns."""
@@ -173,9 +194,8 @@ class HermitianMatrix:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix admitted as positive semidefinite.
 
-    The constructor is the internal admission, ``is_psd`` at TOL_PSD of the
-    symmetrized entries; outside data enters through ``as_psd``.  Small
-    negative eigenvalues are tolerated here and clamped to zero below.
+    The constructor, which only ``_admit`` calls, admits the symmetrized
+    entries by ``is_psd`` at TOL_PSD, small negative eigenvalues included.
     """
 
     __slots__ = ()
@@ -197,26 +217,16 @@ class PsdMatrix(HermitianMatrix):
         max(w, 0) U*`` (Higham 1988), whose eig stays lazy, one eigh in all;
         below -bound, InvalidInput.
         """
-        h = HermitianMatrix(entries)
+        h = HermitianMatrix._trusted(entries)
         w, u = h.eig()
-        if w[0] > bound:
-            return cls(h.entries)
+        if w[0] > bound:  # admitted with its own eigh: w_0 > bound >= 0 is its verdict
+            (out := cls._trusted(h.entries)).eig()
+            return out
         if w[0] < -bound:
             raise InvalidInput(
                 f"negative eigenvalue {w[0]:.3e} exceeds clamping tolerance"
             )
         return cls._gram(u, np.clip(w, 0.0, None))
-
-    @classmethod
-    def _trusted(cls, entries) -> "PsdMatrix":
-        """Admit a result PSD by construction without the admission
-        eigendecomposition; eig stays lazy.  PSD by construction means ``U f(w)
-        U*`` with f >= 0, or a sum, nonnegative scaling, Kronecker product or
-        composition (Choi of a composed map) of admitted matrices.  Non-finite
-        entries still raise InvalidInput.  Never for external data."""
-        out = cls.__new__(cls)
-        HermitianMatrix.__init__(out, entries)
-        return out
 
     @classmethod
     def _gram(cls, x: np.ndarray, h=None) -> "PsdMatrix":
@@ -261,7 +271,7 @@ def is_psd(h, tol: float = TOL_PSD) -> Verdict:
     h)``: h is PSD within tol iff the verdict holds, at every scale.  An
     array-like h meets ``_admit``'s Hermiticity rule first."""
     hm = _admit(h, HermitianMatrix)
-    return Verdict(max(0.0, -float(hm.eig()[0][0])), _bound(tol, hm.entries))
+    return Verdict(max(0.0, -float(hm.eig()[0][0])), _bound(tol, hm))
 
 
 def psd_sqrt(a) -> PsdMatrix:
@@ -280,7 +290,7 @@ def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
         return cg
     half = psd_sqrt(cg).entries
     m = u0.conj().T @ half
-    w, v = HermitianMatrix(m.conj().T @ m).eig()
+    w, v = HermitianMatrix._trusted(m.conj().T @ m).eig()
     return PsdMatrix._gram(half @ v[:, w <= RANK_RTOL * cg.norm()])
 
 
@@ -316,7 +326,7 @@ class SpectralPair:
     __slots__ = ("sa", "sb", "t", "tc", "z", "tp", "_xp")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
-        sa, sb = (_max_abs(x.entries) for x in (a, b))
+        sa, sb = a._scale(), b._scale()
         self.sa, self.sb = sa or 1.0, sb or 1.0
         pair = self._factored(a, b) or self._eigh(a, b, sb)
         self.t, self.tc, self.z, self.tp, self._xp = pair
@@ -358,7 +368,7 @@ class SpectralPair:
     def _eigh(self, a: HermitianMatrix, b: HermitianMatrix, sb: float):
         """(t, 1 - t, Z, None, None) from the eigh of Ĉ and of A'."""
         ah = _fold(a.entries, self.sa)
-        w, u = HermitianMatrix(ah + _fold(b.entries, self.sb)).support()
+        w, u = HermitianMatrix._trusted(ah + _fold(b.entries, self.sb)).support()
         x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
         t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))

@@ -97,7 +97,7 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
         est = max(moves[-2:])
         raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** _ORACLE_STEPS}, "
                              f"tolerance {tol:.3e}", est)
-    w, u = HermitianMatrix(best).eig()
+    w, u = HermitianMatrix._trusted(best).eig()
     if w[0] < -tol:
         raise NonConvergence(f"extrapolated limit has eigenvalue {w[0]:.3e}, "
                              f"tolerance {tol:.3e}", -float(w[0]))
@@ -128,7 +128,7 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
         ac=CpMap(f.dim_in, f.dim_out, ac),
         sing=CpMap(f.dim_in, f.dim_out, sing),
         alpha_min=r * q,
-        recon=Verdict(resid, _bound(TOL_ADD, f.choi.entries, g.choi.entries)),
+        recon=Verdict(resid, _bound(TOL_ADD, f.choi, g.choi)),
     )
 
 

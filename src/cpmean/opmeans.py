@@ -101,7 +101,7 @@ def parallel_sum(a, b) -> HermitianMatrix:
     a, b = _check_pair(a, b)
     c = PsdMatrix._trusted(a.entries + b.entries)
     w, u = c.support()  # (A+B)^+ inverts the eigenvalues its support keeps
-    out = HermitianMatrix((a.entries @ (u / w)) @ (u.conj().T @ b.entries))
+    out = HermitianMatrix._trusted((a.entries @ (u / w)) @ (u.conj().T @ b.entries))
     # Round-off in the product is relative to the operands, not to the result,
     # which can be far smaller than A + B.
     low, bound = float(out.eigvals()[0]), TOL_MEAN * c.norm()

@@ -99,6 +99,22 @@ class TestChoiConstruction:
         with pytest.raises(DomainError, match="real"):
             scalar * identity(2)
 
+    @pytest.mark.parametrize("scalar", [True, "2", None, 2 ** 2000, math.nan, math.inf, [2.0]],
+                             ids=["bool", "str", "None", "2**2000", "nan", "inf", "list"])
+    def test_scaling_by_anything_but_a_finite_number_raises_domain_error(self, scalar):
+        with pytest.raises(DomainError):
+            scalar * identity(2)
+
+    def test_scaling_past_double_range_raises_domain_error(self):
+        f = 1e308 * identity(2)
+        with pytest.raises(DomainError, match="finite Choi matrix"):
+            2 * f
+        assert (1.0 * f).choi.entries.max() == 1e308
+
+    def test_adding_anything_but_a_map_raises_type_error(self):
+        with pytest.raises(TypeError):
+            identity(2) + 3
+
     def test_a_map_is_its_choi_matrix_and_hashable(self):
         f = identity(2)
         assert [field.name for field in dataclasses.fields(f)] == ["dim_in", "dim_out", "choi"]

@@ -266,6 +266,62 @@ def test_pinned_counts(pair, eigh_calls, monkeypatch, name, counts):
     assert eigh_calls(_operation(name, *pair), warm) == counts
 
 
+# rows whose inputs include outside data, which ``_as_array`` judges: a scalar,
+# Kraus operators, a symbol or density matrices; and every command, whose
+# documents are outside data
+OUTSIDE_INPUTS = {"CpMap scalar *", "identity", "unitary_conj", "cond_exp_diag",
+                  "cond_exp_rotated", "cond_exp_tensor", "from_kraus", "schur", "functional",
+                  "state_mean_quantities"}
+ADMITTED = [name for name, _ in PINS if name not in OUTSIDE_INPUTS and not name.startswith("cli ")]
+
+
+@pytest.mark.parametrize("name", ADMITTED)
+def test_admitted_operands_take_no_outside_number_rule(pair, monkeypatch, name):
+    """Every matrix the library makes from admitted operands enters by
+    ``_trusted``: no ``_as_array`` copy or dtype rule."""
+    name, _, first = name.partition(" after ")
+    first = first.removesuffix(" in a fresh run")
+    monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
+    if first:
+        _operation(f"mean {first}", *pair)()
+    calls = []
+
+    def counting(*args, _real=hermlinalg._as_array, **kwargs):
+        calls.append(args[0])
+        return _real(*args, **kwargs)
+
+    for module in (hermlinalg, cpmaps):
+        monkeypatch.setattr(module, "_as_array", counting)
+    _operation(name, *pair)()
+    assert calls == []
+
+
+def test_a_cold_pair_reads_its_operands_kept_scales(monkeypatch):
+    """Each operand's largest entry modulus is computed once: a second cold
+    pair on the same two objects, in a fresh run, takes no ``np.abs`` of them.
+    Kraus maps have no cached eig, so the pair takes the eigh route, whose
+    snap takes ``np.abs`` of its own arrays."""
+    rng = np.random.default_rng(2424)
+    f, g = (cpmaps.from_kraus(rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4)))
+            for k in (16, 3))
+    geo = MeanKind("geo")
+    monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
+    cpmaps.mean_cp(geo, f, g)
+    assert (f.choi._amax, g.choi._amax) == (hermlinalg._max_abs(f.choi.entries),
+                                            hermlinalg._max_abs(g.choi.entries))
+    seen = []
+
+    def counting(x, *args, _real=np.abs, **kwargs):
+        seen.append(any(x is c.choi.entries for c in (f, g)))
+        return _real(x, *args, **kwargs)
+
+    monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
+    monkeypatch.setattr(np, "abs", counting)
+    cpmaps.mean_cp(geo, f, g)
+    monkeypatch.undo()
+    assert seen and not any(seen)
+
+
 @pytest.mark.parametrize("alpha", [0, 1])
 def test_power_mean_at_an_end_weight_is_the_operand_itself(pair, alpha):
     f, g, *_ = pair

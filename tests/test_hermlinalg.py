@@ -73,6 +73,57 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
+class TestTrusted:
+    """``_trusted`` skips the outside-number rule and nothing else: its bits are
+    those of the public constructor on every array the library can make."""
+
+    @staticmethod
+    def _same_bits(x):
+        for cls in (HermitianMatrix, PsdMatrix):
+            got, want = cls._trusted(x), HermitianMatrix(x)
+            assert type(got) is cls and got._eig is None
+            assert _bits(got.entries) == _bits(want.entries)
+            assert got.entries.dtype == np.complex128 and not got.entries.flags.writeable
+        return got
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_random_complex_products(self, rng, dim):
+        a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in "ab")
+        self._same_bits(a @ b)
+        self._same_bits(a @ a.conj().T)  # a Gram product, Hermitian up to rounding
+
+    def test_an_exactly_hermitian_array_is_kept_bit_for_bit(self, rng):
+        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        x = m + m.conj().T
+        x.imag[np.diag_indices(5)] = -0.0
+        got = self._same_bits(x)
+        assert _bits(got.entries) == _bits(x)
+        assert np.signbit(got.entries.diagonal().imag).all()
+
+    def test_a_hermitian_first_row_falls_through_to_the_full_test(self, rng):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        x = m + m.conj().T
+        x[1, 2] += 1.0  # row 0 still equals conj(column 0)
+        got = self._same_bits(x)
+        assert max_abs(got.entries - got.entries.conj().T) == 0.0
+        assert got.entries[1, 2] == x[1, 2] - 0.5
+
+    def test_a_real_array(self, rng):
+        self._same_bits(rng.normal(size=(6, 6)))
+
+    def test_an_overflowed_gram_product_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite"):
+            PsdMatrix._gram(np.full((2, 1), 1e200))
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 3)), [[5e-324]], [[1.0, 2.0 + 1j], [0.0, 1.0]]],
+                             ids=["zero", "subnormal 1x1", "symmetrized"])
+    def test_the_kept_scale_is_the_largest_entry_modulus(self, x):
+        h = HermitianMatrix(x)
+        assert h._amax is None
+        assert hermlinalg._max_abs(h) == hermlinalg._max_abs(h.entries) == h._amax
+        assert hermlinalg._bound(1e-9, h) == hermlinalg._bound(1e-9, h.entries)
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 class TestClamped:
     """``PsdMatrix.clamped`` at joint scales picks its branch by its bound:

@@ -19,10 +19,11 @@ the split against Ando's closed form ``hermlinalg._ando_part``, and
 ``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), no module calls the
-``PsdMatrix`` admission by name, and ``TOL_HERM``, the
-Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere else.  Every
-verdict is bounded by tol times ``hermlinalg._max_abs`` of its operands,
-floored at a rounding unit per dimension (``hermlinalg._bound``): no
+``PsdMatrix`` admission by name, ``hermlinalg._admit`` alone calls the public
+matrix constructors (every other matrix enters by ``_trusted``), and
+``TOL_HERM``, the Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere
+else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
+operands, floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
 norm is read only by the two oracle bounds and the rank and range decisions.
 State that calls keep for later calls has one owner, the run
@@ -124,8 +125,8 @@ CALL_SITES = {
     "_ando_part": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
-    # the admission runs only as cls(...), in _admit and in clamped's
-    # admitting branch: a sum or product the library built enters as trusted
+    # the admission runs only as cls(...) in _admit (see below): a sum or
+    # product the library built enters as trusted
     "PsdMatrix": set(),
     # a norm bounds no verdict: it scales the two oracle bounds and the rank
     # and range decisions, all in hermlinalg (Ando's kernel, the index's range
@@ -157,6 +158,30 @@ def test_pair_and_pseudo_inverse_have_one_caller_each(callee):
     for name, text in _sources():
         sites |= _call_sites(name, text, callee)
     assert sites == CALL_SITES[callee]
+
+
+def _constructor_sites(name: str, text: str) -> set[tuple[str, str]]:
+    """Sites of each call of the public matrix constructors, by plain or
+    attribute name, and of ``cls(...)`` in hermlinalg, where cls is one of them."""
+    callees = ("HermitianMatrix", "PsdMatrix", *(("cls",) if name == "hermlinalg.py" else ()))
+    return set().union(*(_call_sites(name, text, callee) for callee in callees))
+
+
+def test_outside_data_enters_only_through_admit():
+    """``_admit`` alone calls ``HermitianMatrix(...)`` or ``PsdMatrix(...)``:
+    every matrix the library makes itself enters by ``_trusted``."""
+    sites = set()
+    for name, text in _sources():
+        sites |= _constructor_sites(name, text)
+    assert sites == {("hermlinalg.py", "_admit")}
+
+
+def test_constructor_guard_sees_a_planted_call():
+    text = "def f(x):\n    return hermlinalg.HermitianMatrix(x @ x)\n"
+    assert _constructor_sites("cli.py", text) == {("cli.py", "f")}
+    text = "class P:\n    @classmethod\n    def g(cls, x):\n        return cls(x)\n"
+    assert _constructor_sites("hermlinalg.py", text) == {("hermlinalg.py", "P")}
+    assert _constructor_sites("opmeans.py", text) == set()  # MeanKind's own cls
 
 
 def test_call_guard_sees_a_planted_call():
@@ -540,7 +565,9 @@ def test_public_signatures_are_pinned():
 def test_hermitian_matrix_caches_only_its_eig():
     import cpmean
 
-    assert cpmean.HermitianMatrix.__slots__ == ("_m", "_eig")
+    # and its largest entry modulus, the scale of every bound on it, which its
+    # entries fix as they fix the eig
+    assert cpmean.HermitianMatrix.__slots__ == ("_m", "_eig", "_amax")
 
 
 def test_spectral_pair_keeps_only_its_factorization():
