@@ -71,8 +71,9 @@ class CpMap:
         return np.einsum("ij,ikjl->kl", x, self.choi_blocks())
 
     def unital_defect(self) -> float:
-        """``max |F(1) - 1|`` over the entries."""
-        return float(np.abs(self.apply(np.eye(self.dim_in)) - np.eye(self.dim_out)).max())
+        """``max |F(1) - 1|``, F(1) the sum of the diagonal blocks F(e_ii)."""
+        f1 = np.einsum("ikil->kl", self.choi_blocks())
+        return float(np.abs(f1 - np.eye(self.dim_out)).max())
 
     def trace_defect(self) -> float:
         """``max |Tr F(e_ij) - delta_ij|``: the partial trace over the output leg."""
@@ -83,11 +84,14 @@ class CpMap:
         if not isinstance(other, CpMap):
             return NotImplemented
         _check_same_dims(self, other)
-        return CpMap(self.dim_in, self.dim_out,
-                     PsdMatrix._trusted(self.choi.entries + other.choi.entries))
+        with np.errstate(over="ignore"):
+            c = self.choi.entries + other.choi.entries
+        if not np.isfinite(c).all():
+            raise DomainError("the sum's Choi matrix is beyond double range")
+        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(c))
 
     def __rmul__(self, scalar: float) -> "CpMap":
-        c = math.nan if np.iscomplexobj(scalar) else _as_array(scalar, np.float64, DomainError)
+        c = _as_array(scalar, np.float64, DomainError)
         # c max |C_ij| bounds every real and imaginary part of the product
         if np.ndim(c) or not (c >= 0.0 and math.isfinite(float(c) * self.choi._scale())):
             raise DomainError("CP maps admit only nonnegative real scaling to a finite "

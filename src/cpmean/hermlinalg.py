@@ -4,8 +4,8 @@ Everything in this package runs through the small set of primitives below:
 the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
 alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
 the admission of outside data, ``is_psd``, the PSD square root, and the
-``SpectralPair`` (two eigh, or one thin SVD from cached eigs, with a
-complement R formed only when weighed) on which every mean, connection and
+``SpectralPair`` (two eigh, or one thin SVD from cached eigs with the
+complement R as its last part) on which every mean, connection and
 Lebesgue split is evaluated.  Every rank, range and kernel decision reads
 ``RANK_RTOL`` here alone: ``support()``, the index's range test
 ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside data
@@ -55,9 +55,12 @@ def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
     """A new array of x by the one rule for outside numbers: ints (beyond 64
     bits too), floats and complex numbers, an ndarray's judged by its dtype.
     ShapeError for ragged data, InvalidInput for a string, None, boolean, other
-    object or number out of range, or error for both."""
-    try:
-        a = np.array(x, dtype=dtype)
+    object, number out of range or complex number in a real dtype, or error for both."""
+    try:  # in a real dtype, numpy would drop an imaginary part
+        a = np.array(x, dtype=dtype if dtype == np.complex128 else None)
+        if a.dtype.kind == "c" and dtype != np.complex128:
+            raise (error or InvalidInput)("array entries must be real numbers, not complex")
+        a = a.astype(dtype, copy=False)
     except (ValueError, TypeError, OverflowError) as exc:
         try:  # ragged: a sequence where numpy expects a number
             ragged = any(isinstance(e, (list, tuple, np.ndarray))
@@ -87,8 +90,8 @@ def _is_whole(value, least: int = 1) -> bool:
 
 
 def _square(entries) -> np.ndarray:
-    """A finite square complex128 copy of entries."""
-    m = _as_array(entries)
+    """A finite square row-major complex128 copy of entries."""
+    m = np.ascontiguousarray(_as_array(entries))
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -112,9 +115,17 @@ class HermitianMatrix:
     def _own(self, m: np.ndarray) -> "HermitianMatrix":
         # Row 0 first, where a product is usually not Hermitian; a Hermitian m is kept
         # bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
+        # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part finite and
+        # below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
+        small = np.vdot(m, m).real < math.inf
+        if not (small or np.isfinite(m).all()):
+            raise InvalidInput("matrix entries must be finite")
         if not ((m[0] == m[:, 0].conj()).all() and (m == m.conj().T).all()):
-            m = m + m.conj().T
-            m.view(np.float64)[...] *= 0.5
+            if small or max(np.abs(m.real).max(), np.abs(m.imag).max()) < 2.0 ** 1023:
+                m = m + m.conj().T
+                m.view(np.float64)[...] *= 0.5
+            else:
+                m = _fold(m, 2.0) + _fold(m.conj().T, 2.0)
         m.flags.writeable = False
         self._m, self._eig, self._amax = m, None, None
         return self
@@ -125,10 +136,7 @@ class HermitianMatrix:
         with no outside-number check and no PSD admission: ``U f(w) U*``, f >= 0,
         or a sum, scaling, tensor or composition of admitted matrices.  Non-finite
         entries raise InvalidInput.  Outside data enters only through ``_admit``."""
-        m = np.ascontiguousarray(entries, dtype=np.complex128)
-        if not np.isfinite(m).all():
-            raise InvalidInput("matrix entries must be finite")
-        return cls.__new__(cls)._own(m)
+        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128))
 
     @property
     def dim(self) -> int:
@@ -303,51 +311,44 @@ def _fold(x: np.ndarray, s: float) -> np.ndarray:
 class SpectralPair:
     """The commuting Radon-Nikodym pair of PSD A and B, folded to unit scale.
 
-    The operands are folded by their largest entry modulus ``s_A = max |A_ij|``
-    (1 for a zero operand), which takes no eigendecomposition and cannot
-    overflow: each real and imaginary part is divided by s_A, correctly
-    rounded, with no reciprocal 1/s_A, which is inf for a subnormal s_A.
-    ``A = s_A (Z diag(t) Z* + t_⊥ R)`` and ``B = s_B (Z diag(1 - t) Z* + (1 -
-    t_⊥) R)`` with ``Z Z* + R = Ĉ = A/s_A + B/s_B`` (Kubo-Ando 1980, Ando
-    1976): ``_factored`` where it applies, one thin SVD, with t_⊥ 1 (B thin)
-    or 0 (A thin) and R formed only when weighed (``gram``); else R = 0,
-    t_⊥ None, and with ``Ĉ = U diag(w) U*`` on its support, ``A' = W^{-1/2}
-    U* (A/s_A) U W^{-1/2} = V diag(t) V*`` and ``B' = I - A'`` commute, ``Z =
-    U W^{1/2} V`` and ``Z*Z = V* diag(w) V``.  Each t_i is snapped onto {0,
-    1} within its own rounding error, and onto 1 where B = 0 (A = 0 gives
-    0), so rank-deficient directions carry no eigensolver noise and a zero
-    operand gives exact zero connections.  Two eigendecompositions, of Ĉ and
-    of the r x r A'; an empty support gives 0-column arrays.  It keeps (s_A,
-    s_B, t, 1 - t, Z, t_⊥) and R's factors, read-only, as the last pair built
-    is shared by every caller of ``_shared_pair``; 1 - t, ``tc``, is exact
-    where t is near 1.
+    Each operand is folded by its largest entry modulus ``s_A = max |A_ij|`` (1 for a
+    zero operand), which takes no eigendecomposition and cannot overflow: each real and
+    imaginary part is divided by s_A, correctly rounded, with no reciprocal 1/s_A, which
+    is inf for a subnormal s_A.  ``Ĉ = A/s_A + B/s_B`` is a sum of PSD parts, each with
+    one t: ``A = s_A Σ_k t_k (part k)``, ``B = s_B Σ_k (1 - t_k) (part k)`` (Kubo-Ando
+    1980, Ando 1976).  The parts are ``z z*`` for each column z of Z and, last on a pair
+    ``_factored`` by one thin SVD, R, formed only when weighed.  Else, with ``Ĉ = U
+    diag(w) U*`` on its support, ``A' = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*``
+    and ``B' = I - A'`` commute, ``Z = U W^{1/2} V`` and ``Z*Z = V* diag(w) V``: two
+    eigh, of Ĉ and of the r x r A'.  Each t_i is snapped onto {0, 1} within its own
+    rounding error, and onto 1 where B = 0 (A = 0 gives 0), so rank-deficient directions
+    carry no eigensolver noise and a zero operand gives exact zero connections.  An
+    empty support gives 0-column arrays.  The arrays are read-only, as ``_shared_pair``
+    shares the last pair built; 1 - t, ``tc``, is exact where t is near 1.
     """
 
-    __slots__ = ("sa", "sb", "t", "tc", "z", "tp", "_xp")
+    __slots__ = ("sa", "sb", "t", "tc", "z", "_xp")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
         sa, sb = a._scale(), b._scale()
         self.sa, self.sb = sa or 1.0, sb or 1.0
-        pair = self._factored(a, b) or self._eigh(a, b, sb)
-        self.t, self.tc, self.z, self.tp, self._xp = pair
+        self.t, self.tc, self.z, self._xp = self._factored(a, b) or self._eigh(a, b, sb)
         for x in (self.t, self.tc, self.z, *(self._xp or ())):
             x.flags.writeable = False
 
     def _factored(self, a: HermitianMatrix, b: HermitianMatrix):
-        """(t, 1 - t, Z, t_⊥, (X, P)) from the cached eigs where one operand F
-        is invertible, the other G has support r < n, and both s lie in
-        [2^-299, 2^484], where zheevd does not rescale (RMIN, RMAX = 2^∓485),
-        nor zsteqr a block above ε² s (SSFMIN = 2^-405): eigh commutes with
-        scaling by 2^k there, so the pair keeps joint homogeneity bit for bit,
-        and each |w| <= n s is finite.  Else None.  ``X = U_F (w_F/s_F)^{1/2}``,
-        ``Ŷ = U_G (w_G/s_G)^{1/2}`` on G's support and one thin SVD ``M = X^{-1}
-        Ŷ = P Σ Q*``, P n x r, give ``Ĉ = X P diag(1 + σ²) P* X* + R``, ``Z = X P
-        diag(1 + σ²)^{1/2}`` and ``R = Y Y*``, ``Y = X - (X P) P*``.  B thin
-        gives ``t = 1/(1 + σ²)``, ``1 - t = σ²/(1 + σ²)``, t_⊥ = 1; A thin the
-        two swapped, t_⊥ = 0; each form computed as such, accurate at its end.
-        No t of an invertible side is snapped onto 0.  The SVD is backward
-        stable, so by Weyl each σ_i is known to n ε σ_max: one at or below
-        that is 0."""
+        """(t, 1 - t, Z, (X, P)) from the cached eigs where one operand F is invertible,
+        the other G has support r < n, and both s lie in [2^-299, 2^484], where zheevd
+        does not rescale (RMIN, RMAX = 2^∓485), nor zsteqr a block above ε² s (SSFMIN =
+        2^-405): eigh commutes with scaling by 2^k there, so the pair keeps joint
+        homogeneity bit for bit, and each |w| <= n s is finite.  Else None.  ``X = U_F
+        (w_F/s_F)^{1/2}``, ``Ŷ = U_G (w_G/s_G)^{1/2}`` on G's support and one thin SVD
+        ``M = X^{-1} Ŷ = P Σ Q*``, P n x r, give ``Ĉ = X P diag(1 + σ²) P* X* + R``, ``Z
+        = X P diag(1 + σ²)^{1/2}`` and ``R = Y Y*``, ``Y = X - (X P) P*``.  B thin gives
+        ``t = 1/(1 + σ²)``, ``1 - t = σ²/(1 + σ²)``, R's part as σ = 0 (G has nothing
+        there); A thin the two swapped; each form computed as such, accurate at its end.
+        No t of an invertible side is snapped onto 0.  The SVD is backward stable, so by
+        Weyl each σ_i is known to n ε σ_max: one at or below that is 0."""
         if not all(x._eig is not None and 2.0 ** -299 <= s <= 2.0 ** 484
                    for x, s in ((a, self.sa), (b, self.sb))):
             return None
@@ -360,13 +361,13 @@ class SpectralPair:
         m = (uf.conj().T @ ug) * np.sqrt(wg / sg) / xf[:, None]
         p, sig, _ = np.linalg.svd(m, full_matrices=False)
         sig[sig <= uf.shape[0] * _EPS * sig.max(initial=0.0)] = 0.0
-        sig2, x = sig * sig, uf * xf
+        sig2, x = np.append(sig * sig, 0.0), uf * xf
         q, s = 1.0 / (1.0 + sig2), sig2 / (1.0 + sig2)
         t, tc = (q, s) if a_full else (s, q)
-        return t, tc, (x @ p) * np.sqrt(1.0 + sig2), float(a_full), (x, p)
+        return t, tc, (x @ p) * np.sqrt(1.0 + sig2[:-1]), (x, p)
 
     def _eigh(self, a: HermitianMatrix, b: HermitianMatrix, sb: float):
-        """(t, 1 - t, Z, None, None) from the eigh of Ĉ and of A'."""
+        """(t, 1 - t, Z, None) from the eigh of Ĉ and of A'."""
         ah = _fold(a.entries, self.sa)
         w, u = HermitianMatrix._trusted(ah + _fold(b.entries, self.sb)).support()
         x = u / np.sqrt(w)
@@ -379,20 +380,32 @@ class SpectralPair:
                 * ((np.abs(v) ** 2).T @ (1.0 / w)))
         t[t < snap] = 0.0
         t[(t > 1.0 - snap) | (sb == 0.0)] = 1.0
-        return t, 1.0 - t, (u * np.sqrt(w)) @ v, None, None
+        return t, 1.0 - t, (u * np.sqrt(w)) @ v, None
+
+    def product(self, h) -> np.ndarray:
+        """``Z diag(h) Z*`` unsymmetrized, on a pair with no R part: the clamp's input."""
+        return (self.z * h) @ self.z.conj().T
 
     def y(self) -> np.ndarray:
         """``Y = X - (X P) P*``, R = Y Y*, of a factored pair: no SVD, no eigh."""
         x, p = self._xp
         return x - (x @ p) @ p.conj().T
 
-    def gram(self, h, hp: float = 0.0) -> PsdMatrix:
-        """``Z diag(h) Z* + hp R`` for h, hp >= 0, PSD by construction; R is
-        formed only where hp is not 0."""
-        if not hp:
-            return PsdMatrix._gram(self.z, h)
+    def gram(self, h) -> PsdMatrix:
+        """``Σ_k h_k (part k)``, one weight h_k >= 0 per part; R formed only where weighed."""
+        r = self.z.shape[1]
+        if h.size == r or not h[r]:
+            return PsdMatrix._gram(self.z, h[:r])
         y = self.y()
-        return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h, np.full(y.shape[1], hp)])
+        return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h[:r], np.full(y.shape[1], h[r])])
+
+    def mass(self, h) -> float:
+        """``Σ_k h_k tr(part k)``: ``|z|²`` per column z of Z, ``||Y||_F²`` for a weighed R."""
+        r = self.z.shape[1]
+        m = float(h[:r] @ (np.abs(self.z) ** 2).sum(axis=0))
+        if h.size > r and h[r]:
+            m += float(h[r]) * float((np.abs(self.y()) ** 2).sum())
+        return m
 
     def ratio(self) -> float:
         """``s_B/s_A``; DomainError where it or 1/it overflows: one side would round away."""

@@ -1,18 +1,15 @@
 """Lebesgue-type decomposition of CP maps with respect to a reference map.
 
-Everything is read from the ``hermlinalg.SpectralPair`` of (C_F, C_G) that
-the operator means use, ``C_F = s_F (Z diag(t) Z* + t_⊥ R)`` and ``C_G = s_G
-(Z diag(1 - t) Z* + (1 - t_⊥) R)``, t_⊥ in {0, 1} (R = 0 unless factored):
-the absolutely continuous part of G is ``s_G Z diag(1[t>0] (1-t)) Z*``, the
-singular part ``s_G (Z diag(1[t=0] (1-t)) Z* + 1[t_⊥=0] R)``, and
-``alpha_min = (s_G/s_F) max (1-t)/t`` over t > 0, where R adds nothing.
-``decompose``, the one route to the parts, returns both with ``alpha_min``
-and the verdict of their sum against C_G; ``is_singular`` and
-``is_abs_continuous`` return their Verdict at TOL_SPLIT.  Ando's closed form
-``hermlinalg._ando_part`` checks the split without the pair;
-``ac_part_oracle``, the parallel-sum limit ``lim_n (nF : G)`` on the
-pseudo-inverse ``opmeans.parallel_sum``, Richardson-extrapolated along n =
-2^k up to 2^20, is a test oracle the package does not export.
+Everything is read from the ``hermlinalg.SpectralPair`` of (C_F, C_G) that the operator
+means use, ``C_F = s_F Σ_k t_k (part k)`` and ``C_G = s_G Σ_k (1 - t_k) (part k)``: the
+absolutely continuous part of G is ``s_G Σ_{t_k > 0} (1 - t_k) (part k)``, the singular
+part the same sum over t_k = 0, and ``alpha_min = (s_G/s_F) max (1-t)/t`` over t > 0.
+``decompose``, the one route to the parts, returns both with ``alpha_min`` and the
+verdict of their sum against C_G; ``is_singular`` and ``is_abs_continuous`` return their
+Verdict at TOL_SPLIT.  Ando's closed form ``hermlinalg._ando_part`` checks the split
+without the pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF : G)`` on the
+pseudo-inverse ``opmeans.parallel_sum``, Richardson-extrapolated along n = 2^k up to
+2^20, is a test oracle the package does not export.
 """
 
 from __future__ import annotations
@@ -115,14 +112,13 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     alpha_min itself overflows.
     """
     p = _pair(f, g)
-    # the support rule phi = 1[t > 0]: G's kernel s_G (1 - t) on phi is ac, off it
-    # sing; the complement R carries F alone (t_⊥ = 1) or G alone (t_⊥ = 0, sing)
+    # the support rule phi = 1[t > 0]: G's kernel s_G (1 - t) on phi is ac, off it sing
     phi, h = p.t > 0.0, p.sb * p.tc
     r, q = p.ratio(), float((p.tc[phi] / p.t[phi]).max(initial=0.0))
     if math.isinf(r * q):
         raise DomainError(f"alpha_min = {r:.3g} * {q:.3g} is beyond double range")
     ac = p.gram(np.where(phi, h, 0.0))
-    sing = p.gram(np.where(phi, 0.0, h), p.sb if p.tp == 0.0 else 0.0)
+    sing = p.gram(np.where(phi, 0.0, h))
     resid = _max_abs(ac.entries + sing.entries - g.choi.entries)
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
@@ -136,7 +132,7 @@ def is_singular(f: CpMap, g: CpMap) -> Verdict:
     """``max t (1 - t)`` over the spectrum of A' against TOL_SPLIT: the residual
     is 0 iff F and G are mutually singular.  A' is that of the folded pair, so
     scaling F or G leaves the residual as it is."""
-    p = _pair(f, g)  # t_⊥ (1 - t_⊥) is 0
+    p = _pair(f, g)
     return Verdict(float((p.t * p.tc).max(initial=0.0)), TOL_SPLIT)
 
 
@@ -153,7 +149,5 @@ def is_abs_continuous(g: CpMap, f: CpMap) -> Verdict:
     total = float((np.diagonal(g.choi.entries).real / p.sb).sum())
     if not total > 0.0:
         return Verdict(0.0, TOL_SPLIT)
-    sing = float(np.where(p.t > 0.0, 0.0, p.tc) @ (np.abs(p.z) ** 2).sum(axis=0))
-    if p.tp == 0.0:  # the complement R is G's alone, of trace ||Y||_F²
-        sing += float((np.abs(p.y()) ** 2).sum())
+    sing = p.mass(np.where(p.t > 0.0, 0.0, p.tc))
     return Verdict(sing / total, TOL_SPLIT)

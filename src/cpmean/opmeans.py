@@ -1,17 +1,15 @@
 """Operator means and Kubo-Ando connections on the PSD cone.
 
 Every connection but the arithmetic mean (a plain sum) is evaluated on
-``hermlinalg.SpectralPair``, the commuting pair of the operands folded to
-unit scale, ``A = s_A (Z diag(t) Z* + t_⊥ R)`` and ``B = s_B (Z diag(1 - t)
-Z* + (1 - t_⊥) R)``, R = 0 but on a factored pair.  A connection acts on
-commuting operands as its jointly homogeneous function of two scalars u σ v,
-so ``A σ B = s_A (Z diag(t σ r(1 - t)) Z* + (t_⊥ σ r(1 - t_⊥)) R)``, ``r =
-s_B/s_A`` (Kubo-Ando 1980): exact for singular inputs and at every ratio of
-scales up to about 1.8e308 either way (r and 1/r finite); beyond it,
-DomainError.  The last pair built is shared (``hermlinalg._shared_pair``):
-the first connection of two operand objects costs the pair's two eigh, or
-one thin SVD where it is factored from cached eigs, each next one none where
-its result is rank-deficient by construction, a Gram form, and otherwise
+``hermlinalg.SpectralPair``, the operands folded to unit scale as sums of commuting
+parts, each with one t: ``A = s_A Σ_k t_k (part k)``, ``B = s_B Σ_k (1 - t_k) (part
+k)``.  A connection acts on commuting operands as its jointly homogeneous function of two
+scalars u σ v, so ``A σ B = s_A Σ_k (t_k σ r(1 - t_k)) (part k)``, ``r = s_B/s_A``
+(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales up to about
+1.8e308 either way (r and 1/r finite); beyond it, DomainError.  The last pair built is
+shared (``hermlinalg._shared_pair``): the first connection of two operand objects costs
+the pair's two eigh, or one thin SVD where it is factored from cached eigs, each next
+one none where its result is rank-deficient by construction, a Gram form, and otherwise
 the clamp's (``PsdMatrix.clamped``): two for a result above its bound.
 ``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B`` on ``support()``,
 one eigh and an eigenvalue check with no clip, is the limit oracle's reference,
@@ -47,26 +45,23 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
 
 
 def _connect(a, b, sigma) -> PsdMatrix:
-    """``A σ B = s_A (Z diag(d) Z* + d_⊥ R)``, ``d = t σ r(1-t)``, ``d_⊥ = t_⊥
-    σ r(1-t_⊥)``, from the folded pair.
+    """``A σ B = s_A Σ_k d_k (part k)``, ``d = t σ r(1-t)``, on the folded pair.
 
-    sigma connects two scalars u, v >= 0, not both zero; a negative d or d_⊥
-    raises InvalidInput.  A result rank-deficient by construction (a zero in
-    d, or Z with fewer columns than rows) is that Gram form, with R only where
-    d_⊥ is not 0, and no eigh; any other goes through the clamp.  The ratio r
-    keeps both scalars within range, where the product of the two scales
-    would underflow; ``SpectralPair.ratio`` raises DomainError where r or 1/r
-    overflows.
+    sigma connects two scalars u, v >= 0, not both zero; a negative d raises
+    InvalidInput.  A result rank-deficient by construction (a zero in d, or Z
+    with fewer columns than rows, as on a factored pair) is that Gram form with
+    no eigh; any other, with Z's columns as all its parts, goes through the
+    clamp.  The ratio r keeps both scalars within range, where the product of
+    the two scales would underflow; ``SpectralPair.ratio`` raises DomainError
+    where r or 1/r overflows.
     """
     p = _shared_pair(*_check_pair(a, b))
-    r = p.ratio()
-    d = sigma(p.t, r * p.tc)
-    dp = 0.0 if p.tp is None else float(sigma(p.tp, r * (1.0 - p.tp)))
-    if (d < 0.0).any() or dp < 0.0:
-        raise InvalidInput(f"connection kernel is negative ({min(dp, *d):.3e})")
+    d = sigma(p.t, p.ratio() * p.tc)
+    if (d < 0.0).any():
+        raise InvalidInput(f"connection kernel is negative ({d.min():.3e})")
     if not d.all() or p.z.shape[1] < p.z.shape[0]:
-        return p.gram(p.sa * d, p.sa * dp)
-    out = p.sa * ((p.z * d) @ p.z.conj().T)
+        return p.gram(p.sa * d)
+    out = p.sa * p.product(d)
     return PsdMatrix.clamped(out, TOL_MEAN * _max_abs(out))
 
 
@@ -263,7 +258,11 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
     """
     if kind.tag == "arith":
         a, b = _check_pair(a, b)
-        return PsdMatrix._trusted(0.5 * (a.entries + b.entries))
+        with np.errstate(over="ignore"):
+            s = a.entries + b.entries
+        if not np.isfinite(s).all():  # A + B past DBL_MAX: the sum of the halves, exact
+            return PsdMatrix._trusted(0.5 * a.entries + 0.5 * b.entries)
+        return PsdMatrix._trusted(0.5 * s)
     if kind.tag == "geo":
         return geometric_mean(a, b)
     if kind.tag == "power":

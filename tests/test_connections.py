@@ -277,7 +277,7 @@ class TestEighCount:
         # nullity 2 (Choi 4, G rank 2) and is a Gram form, its kernel d zero
         # where G is, down from 3 as it has no clamp, then from (2, 0) to (0,
         # 0, 1); and where the adjoint and the dual of the atom sum leak
-        # 1/g(inf) onto ker B, the complement R weighed by d_⊥ = 1 σ 0 > 0:
+        # 1/g(inf) onto ker B, the complement R weighed by its d = 1 σ 0 > 0:
         # that sum with the thin pair's Gram form is PSD by construction, so
         # it takes no clamp, down from (2, 0, 1), from (4, 0)
         f = random_cp(rng, 2, 2)

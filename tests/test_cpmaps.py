@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpmean import cpmaps
 from cpmean.cpmaps import (
     TOL_FLAGS,
     CpMap,
@@ -94,7 +95,8 @@ class TestChoiConstruction:
         with pytest.raises(DomainError, match="nonnegative"):
             -1 * identity(2)
 
-    @pytest.mark.parametrize("scalar", [1j, 2.0 + 0j, np.complex128(1.0)])
+    @pytest.mark.parametrize("scalar", [1j, 2.0 + 0j, np.complex128(1.0), np.complex64(1j),
+                                        np.array(2.0 + 0j)])
     def test_complex_scaling_raises_domain_error(self, scalar):
         with pytest.raises(DomainError, match="real"):
             scalar * identity(2)
@@ -110,6 +112,14 @@ class TestChoiConstruction:
         with pytest.raises(DomainError, match="finite Choi matrix"):
             2 * f
         assert (1.0 * f).choi.entries.max() == 1e308
+
+    def test_a_sum_past_double_range_raises_domain_error(self):
+        f, g = (from_choi(1, 2, x * np.eye(2)) for x in (1.2e308, 1.08e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                f + g
+        assert ((f + 1e-300 * g).choi.entries == f.choi.entries).all()
 
     def test_adding_anything_but_a_map_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -649,6 +659,16 @@ class TestZoo:
         with pytest.raises(DomainError):
             cond_exp_tensor(1, (0.5, -0.5))
 
+    @pytest.mark.parametrize("weights", [
+        [0.5 + 0.5j, 0.5], np.array([0.5 + 0.5j, 0.5]), [np.complex128(0.5 + 0.5j), 0.5],
+        np.array([0.5, 0.5], dtype=complex)], ids=["python", "array", "numpy scalar", "zero im"])
+    def test_complex_weights_rejected_without_warnings(self, weights):
+        # numpy would drop the imaginary part of a complex in a real slot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="real numbers"):
+                cond_exp_tensor(1, weights)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_and_weights_rejected_without_warnings(self, bad):
         with warnings.catch_warnings():
@@ -658,6 +678,13 @@ class TestZoo:
             for weights in ((bad, 1.0), (0.5, bad)):
                 with pytest.raises(DomainError, match="finite positive"):
                     cond_exp_tensor(1, weights)
+
+    def test_unital_defect_reads_the_choi_blocks(self, rng, monkeypatch):
+        # F(1) is the sum of the diagonal blocks: no identity through apply's number rule
+        f = random_cp(rng, 3, 2)
+        want = float(np.abs(f.apply(np.eye(3)) - np.eye(2)).max())
+        monkeypatch.setattr(cpmaps, "_as_array", None)
+        assert f.unital_defect() == pytest.approx(want, rel=1e-14)
 
     def test_flags(self):
         ident = identity(3)

@@ -20,7 +20,7 @@ cached, or of two full-rank operands, costs the eigh route's 2.
 
 A mean on the spectral pair that is rank-deficient by construction (a zero
 in its kernel d, or fewer pair columns than rows) is the Gram form ``s_A Z
-diag(d) Z*``, plus ``s_A d_⊥ R`` where the kernel d_⊥ on R is not 0, no eigh
+diag(d) Z*``, plus ``s_A d_R R`` where the kernel d_R on R is not 0, no eigh
 past the pair's.  Any other goes through the clamp,
 which picks its branch by its bound: a result whose smallest computed
 eigenvalue is within the bound is projected to the PSD cone (a Gram form whose

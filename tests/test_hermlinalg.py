@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -114,6 +115,24 @@ class TestTrusted:
     def test_an_overflowed_gram_product_raises(self):
         with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite"):
             PsdMatrix._gram(np.full((2, 1), 1e200))
+
+    @pytest.mark.parametrize("build, x", [
+        (lambda x: cpmaps.from_choi(1, 2, x).choi,
+         [[1.7e308, 1e300], [1e300 * (1 + 1e-13), 1.7e308]]),
+        (HermitianMatrix._trusted, [[1.7e308, 1e300], [2e300, 1.7e308]]),
+    ], ids=["from_choi", "_trusted"])
+    def test_a_sum_past_the_double_range_is_taken_of_halves(self, build, x):
+        # m + m* overflows past DBL_MAX/2, though (m + m*)/2 is a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = build(x).entries
+        assert np.isfinite(m).all() and (m.diagonal() == 1.7e308).all()
+        assert m[0, 1] == m[1, 0] == 0.5 * x[0][1] + 0.5 * x[1][0]
+
+    def test_a_sum_within_the_double_range_keeps_its_bits(self):
+        # (2^-1074 + 2^-1073)/2 rounds to 2^-1073; halves first would give 2^-1074
+        m = HermitianMatrix([[8e307, 5e-324], [1e-323, 8e307]]).entries
+        assert m[0, 1] == m[1, 0] == 1e-323 and (m.diagonal() == 8e307).all()
 
     @pytest.mark.parametrize("x", [np.zeros((3, 3)), [[5e-324]], [[1.0, 2.0 + 1j], [0.0, 1.0]]],
                              ids=["zero", "subnormal 1x1", "symmetrized"])
@@ -248,6 +267,21 @@ class TestAsPsd:
         assert max_abs(got.entries - np.eye(2)) <= 1e-15
         admitted = as_psd(HermitianMatrix(np.eye(3)))
         assert type(admitted) is PsdMatrix and np.array_equal(admitted.entries, np.eye(3))
+
+    def test_any_memory_layout_gives_the_row_major_bits(self, rng):
+        # a transpose or a Fortran-ordered copy is the same matrix: admitted, stored
+        # row-major and with the bits of the C-ordered input on every reader
+        x, g = random_psd(rng, 4), PsdMatrix(random_psd(rng, 4))
+        geo = MeanKind.parse("geo")
+        for y in (np.asfortranarray(x), x.T, x[::-1, ::-1], np.asfortranarray(x.real)):
+            c = np.ascontiguousarray(y)
+            got, want = as_psd(y), as_psd(c)
+            assert got.entries.flags.c_contiguous and np.array_equal(got.entries, want.entries)
+            assert np.array_equal(HermitianMatrix(y).entries, HermitianMatrix(c).entries)
+            assert np.array_equal(cpmaps.from_choi(2, 2, y).choi.entries,
+                                  cpmaps.from_choi(2, 2, c).choi.entries)
+            assert is_psd(y) == is_psd(c)
+            assert np.array_equal(opmeans.mean(geo, y, g).entries, opmeans.mean(geo, c, g).entries)
 
     def test_hermitian_but_not_psd_raises_invalid_input(self):
         h = HermitianMatrix(np.diag([1.0, -1.0]))
@@ -605,10 +639,11 @@ class TestFactoredPair:
         for a, b, t in ((one, zero, 1.0), (zero, one, 0.0)):
             assert eigh_calls(lambda: _shared_pair(a, b)) == (0, 0, 1)
             # the zero operand's support is empty: Z has no column, and the
-            # complement R = Y Y*, t_⊥ = t on it, is the whole of Ĉ
+            # pair's one part, the complement R = Y Y* with t on it, is all of Ĉ
             p = _shared_pair(a, b)
-            assert p.t.shape == p.tc.shape == (0,) and p.z.shape == (n, 0) and p.tp == t
-            r = p.y() @ p.y().conj().T
+            assert p.z.shape == (n, 0) and (*p.t, *p.tc) == (t, 1.0 - t)
+            r = p.gram(np.ones(1)).entries
+            assert abs(p.mass(np.ones(1)) - np.trace(r).real) <= 1e-14 * np.trace(r).real
             assert max_abs(r - one.entries / max_abs(one.entries)) <= 1e-14
             for kind in kinds:
                 assert not opmeans.mean(kind, a, b).entries.any(), (t, kind)
@@ -620,7 +655,7 @@ class TestFactoredPair:
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     def test_within_1e_12_of_the_eigh_route_on_choi_64_pairs(self, rng, scale):
         # both orientations, (invertible A, thin B) and (thin A, invertible B),
-        # and custom reps that weigh the complement R, where d_⊥ = 1 σ 0 or 0
+        # and custom reps that weigh the complement R, where its d = 1 σ 0 or 0
         # σ r is not 0: a > 0 (B thin), b > 0 (A thin), the adjoint of an atom
         # sum (both); the split and its two predicates, with F thin and with G
         kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
@@ -670,8 +705,9 @@ class TestFactoredPair:
         # / n > n eps; a support of its own width lets one reach the snap
         monkeypatch.setattr(hermlinalg, "RANK_RTOL", 0.0)
         a, b = PsdMatrix(np.diag([1e-33, 1.0, 0.0, 0.0])), PsdMatrix(np.eye(4))
-        p = _shared_pair(a, b)  # the two zeros of A's kernel are t_⊥ = 0 on R
-        assert sorted(p.t) == [0.0, 0.5] and sorted(p.tc) == [0.5, 1.0] and p.tp == 0.0
+        p = _shared_pair(a, b)  # the two zeros of A's kernel are R, the last part, t = 0
+        assert sorted(p.t[:-1]) == [0.0, 0.5] and sorted(p.tc[:-1]) == [0.5, 1.0]
+        assert (p.t[-1], p.tc[-1]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("k", [-484, 1020])
     def test_beyond_the_unscaled_range_the_eigh_route_runs(self, rng, eigh_calls, k):
@@ -686,3 +722,47 @@ class TestFactoredPair:
         want = opmeans.mean(MeanKind("geo"), *(PsdMatrix._trusted(x.choi.entries) for x in (f, g)))
         assert np.array_equal(cpmaps.mean_cp(MeanKind("geo"), f, g).choi.entries, want.entries)
         assert lebesgue.decompose(f, g).recon
+
+    @staticmethod
+    def _factored_cases():
+        """(name, F, G, RANK_RTOL) of factored pairs in both orientations: the
+        eigh pins' Choi-16 pair and its swap, a zero operand on either side, and
+        the SVD-rounding case with its swap."""
+        rng = np.random.default_rng(1616)
+        f, g = (random_cp(rng, 4, 4, rank=r).choi.entries for r in (None, 8))
+        one, zero = random_psd(np.random.default_rng(7), 4), np.zeros((4, 4))
+        a, b = np.diag([1e-33, 1.0, 0.0, 0.0]), np.eye(4)
+        return [("pins", f, g, hermlinalg.RANK_RTOL), ("pins swapped", g, f, hermlinalg.RANK_RTOL),
+                ("zero G", one, zero, hermlinalg.RANK_RTOL),
+                ("zero F", zero, one, hermlinalg.RANK_RTOL),
+                ("svd rounding", a, b, 0.0), ("svd rounding swapped", b, a, 0.0)]
+
+    @pytest.mark.parametrize("case", range(6),
+                             ids=lambda i: TestFactoredPair._factored_cases()[i][0])
+    def test_every_reader_agrees_with_the_eigh_route(self, monkeypatch, case):
+        # each reader of the pair, on operands with their admission eig cached
+        # (the factored pair, R its last part) and on the same entries with no
+        # cached eig (the eigh route, no R)
+        _, f, g, rtol = self._factored_cases()[case]
+        monkeypatch.setattr(hermlinalg, "RANK_RTOL", rtol)
+        kinds = [MeanKind.parse(k) for k in ("arith", "geo", "harm", "parallel", "log",
+                                             "power:0.3")]
+        atoms = ((0.3, 1.5), (7.0, 0.25))
+        kinds += [MeanKind.custom(rep) for rep in (  # R weighed by a (B thin), b (A thin), both
+            opmeans.ConnectionRep(0.2, 0.0, atoms), opmeans.ConnectionRep(0.0, 0.1, atoms),
+            opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, atoms)))]
+        fac, ref = ([admit(x) for x in (f, g)] for admit in (PsdMatrix, PsdMatrix._trusted))
+        p, q = _shared_pair(*fac), _shared_pair(*ref)
+        assert (p.t.size, q.t.size) == (p.z.shape[1] + 1, q.z.shape[1])
+        bound = 1e-12 * max(max_abs(f), max_abs(g))
+        for kind in kinds:
+            got, want = (opmeans.mean(kind, *x).entries for x in (fac, ref))
+            assert max_abs(got - want) <= bound, kind
+        fac, ref = ([cpmaps.CpMap(1, x.dim, x) for x in pair] for pair in (fac, ref))
+        got, want = lebesgue.decompose(*fac), lebesgue.decompose(*ref)
+        for part in ("ac", "sing"):
+            x, y = (getattr(s, part).choi.entries for s in (got, want))
+            assert max_abs(x - y) <= bound, part
+        assert abs(got.alpha_min - want.alpha_min) <= 1e-12 * want.alpha_min
+        for check in (lebesgue.is_singular, lambda x, y: lebesgue.is_abs_continuous(y, x)):
+            assert abs(check(*fac).residual - check(*ref).residual) <= 1e-12

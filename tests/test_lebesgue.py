@@ -108,16 +108,16 @@ def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
     (C_F, C_G), as matrices in the original basis; C is the sum of the
     folded operands ``C_F/s_F + C_G/s_G``.  The pair keeps t, 1 - t and Z,
-    and where it is factored the complement ``R = Y Y*`` with t_⊥ on it:
-    ``K = [Z, Y]`` and t_⊥ on each column of Y give ``K K* = C`` and ``C/s =
+    and where it is factored the complement ``R = Y Y*`` as its last part:
+    ``K = [Z, Y]`` and R's t on each column of Y give ``K K* = C`` and ``C/s =
     K diag(t) K*``, so with the SVD ``K = X S W*``, ``C^{1/2} = X S X*`` with
     support projection ``X X*``, and the polar factor ``X W*`` of K is the
     basis in which A' is ``diag(t)``."""
     p = SpectralPair(f.choi, g.choi)
-    k, t, tc = p.z, p.t, p.tc
-    if p.tp is not None:
+    k, t, tc, r = p.z, p.t, p.tc, p.z.shape[1]
+    if t.size > r:  # a factored pair: R is one part more
         n = k.shape[0]
-        k, t, tc = np.hstack([k, p.y()]), np.r_[t, [p.tp] * n], np.r_[tc, [1.0 - p.tp] * n]
+        k, t, tc = np.hstack([k, p.y()]), np.r_[t[:r], [t[r]] * n], np.r_[tc[:r], [tc[r]] * n]
     x, s, wh = np.linalg.svd(k, full_matrices=False)
     xw = x @ wh
     return ((xw * t) @ xw.conj().T, (xw * tc) @ xw.conj().T,

@@ -334,17 +334,18 @@ class TestExtremeScales:
     @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_clamp_verdict_does_not_depend_on_joint_scale(self, rng, s, lift):
         # sqrt(uv) - 0.45 (u + v) is no connection: its weights reach -0.45.
-        # The kernel check reads d and d_⊥ themselves, so it raises at every s
-        # on both sides of the choice: a rank-2 G leaves the complement R of
-        # the thin pair with t_⊥ = 1, where a connection's d_⊥ is 0 and its
-        # mean a Gram form; G lifted to full rank leaves every t in (0, 1) and
-        # no complement, where d has no zero and the mean takes the clamp,
+        # The kernel check reads d itself, one entry per part of the pair, so
+        # it raises at every s on both sides of the choice: a rank-2 G leaves
+        # the thin pair's complement R, its last part, with t = 1, where a
+        # connection's d is 0 and its mean a Gram form; G lifted to full rank
+        # leaves every t in (0, 1) and no complement, where d has no zero and
+        # the mean takes the clamp,
         # with t near 1 where this kernel is near -0.45.  Relative to max(1,
         # ||result||) the clamp once passed it silently at s = 1e-12.
         a = random_psd(rng, 4)
         b = random_psd(rng, 4, rank=2) + lift * random_psd(rng, 4)
         p = _shared_pair(PsdMatrix(a), PsdMatrix(b))
-        assert (p.tp == 1.0 or (p.t == 1.0).any()) == (lift == 0.0) and (p.t > 0.0).all()
+        assert (p.t == 1.0).any() == (lift == 0.0) and (p.t > 0.0).all()
         with pytest.raises(InvalidInput, match="kernel is negative"):
             opmeans._connect(PsdMatrix(s * a), PsdMatrix(s * b),
                              lambda u, v: np.sqrt(u) * np.sqrt(v) - 0.45 * (u + v))
@@ -382,6 +383,17 @@ class TestExtremeScales:
         want = s * mean(kind, a, b).entries
         got = mean(kind, s * a, s * b).entries
         assert max_abs(got - want) <= 1e-12 * max_abs(want)
+
+    def test_arith_mean_where_the_sum_overflows(self):
+        # A + B = 2.28e308 is not a double, the mean is: it is the sum of the
+        # halves, correctly rounded; where A + B is a double the mean is 0.5 (A
+        # + B), which keeps (2^-1074 + 2^-1073)/2 at 2^-1073, not halves' 2^-1074
+        f, g = (cpmaps.from_choi(1, 2, x * np.eye(2)) for x in (1.2e308, 1.08e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cpmaps.mean_cp(ARITH, f, g).choi.entries
+        assert np.array_equal(got, (0.5 * 1.2e308 + 0.5 * 1.08e308) * np.eye(2))
+        assert mean(ARITH, [[5e-324]], [[1e-323]]).entries[0, 0] == 1e-323
 
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
@@ -614,7 +626,8 @@ class TestGramRoute:
             a, b = PsdMatrix(s * a), PsdMatrix(s * b)
             p = _shared_pair(a, b)
             for kind, sigma in self.SIGMA.items():
-                d = sigma(p.t, p.ratio() * (1.0 - p.t))
+                # Z's parts: on a factored pair, R's kernel 1 σ 0 is 0 for these kinds
+                d = sigma(p.t, p.ratio() * (1.0 - p.t))[:p.z.shape[1]]
                 assert not d.all() or p.z.shape[1] < a.dim, kind
                 out = p.sa * ((p.z * d) @ p.z.conj().T)
                 want = PsdMatrix.clamped(out, TOL_MEAN * max_abs(out))

@@ -26,6 +26,8 @@ else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
 operands, floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
 norm is read only by the two oracle bounds and the rank and range decisions.
+Only ``hermlinalg`` places a factored pair's complement R: no other module
+reads the pair's ``y()`` or ``_xp``.
 State that calls keep for later calls has one owner, the run
 ``hermlinalg._RUN``: no other module-level name is bound to a mutable value
 but the constant tables ``opmeans._SIGMA`` and ``registry.REGISTRY``, and only
@@ -352,6 +354,23 @@ def test_document_slots_guard_sees_a_planted_read():
     assert _reads("def f(h):\n    return _recall(h)\n", "_recall")
 
 
+# the complement R of a factored spectral pair, which ``hermlinalg`` alone
+# places: its readers weigh the pair's parts through ``gram``, ``mass`` and ``product``
+PAIR_INTERNALS = ("tp", "y", "_xp")
+
+
+def test_only_hermlinalg_reads_the_pairs_complement():
+    offenders = [(name, attr) for name, text in _sources() if name != "hermlinalg.py"
+                 for attr in PAIR_INTERNALS if _reads_attribute(text, attr)]
+    assert offenders == []
+
+
+def test_complement_guard_sees_a_planted_read():
+    assert _reads_attribute("def f(p):\n    return p.gram(p.t) + p.y()\n", "y")
+    assert _reads_attribute("def f(p):\n    return p.sb if p.tp == 0.0 else 0.0\n", "tp")
+    assert _reads_attribute("def f(p):\n    x, q = p._xp\n", "_xp")
+
+
 # os.environ and os.getenv, used or imported by name
 ENV_READS = ("environ", "getenv")
 
@@ -573,9 +592,10 @@ def test_hermitian_matrix_caches_only_its_eig():
 def test_spectral_pair_keeps_only_its_factorization():
     from cpmean.hermlinalg import SpectralPair
 
-    # (s_A, s_B, t, 1 - t, Z, t_⊥) and the factors (X, P) of the complement R:
-    # U, w, V and R itself are locals of the construction or of its readers
-    assert SpectralPair.__slots__ == ("sa", "sb", "t", "tc", "z", "tp", "_xp")
+    # (s_A, s_B, t, 1 - t, Z), t and 1 - t with R's entry last on a factored
+    # pair, and the factors (X, P) of the complement R: U, w, V and R itself
+    # are locals of the construction or of its readers
+    assert SpectralPair.__slots__ == ("sa", "sb", "t", "tc", "z", "_xp")
 
 
 README = SRC.parent.parent / "README.md"

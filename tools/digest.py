@@ -1,0 +1,239 @@
+"""One SHA-256 per group of cpmean results, to show a change keeps them bit for bit.
+
+    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N]
+
+Run it on the source trees before and after a change (``--src`` picks the
+tree whose ``cpmean`` is imported) and compare the lines it prints.  Groups:
+
+- ``lib-means``, ``lib-connections``, ``lib-lebesgue``: every library result
+  on the seeded cases of the benchmark workloads of ``perfbench/workloads.py``,
+  with the operands in both orders: the workload's means, the parallel mean
+  and custom reps that weigh a factored pair's complement (lib-means); the
+  power connection and its transpose, adjoint and dual (lib-connections);
+  ``decompose``, ``is_singular`` and the limit oracle (lib-lebesgue);
+- ``lib-lebesgue is_abs_continuous``: that residual alone, as a sum over the
+  pair's parts whose order of summation a change may move;
+- ``generic``: every report and ``-o`` document of a sweep of every command
+  over generic document pairs (as ``tests/test_cli_generic.py`` draws them);
+- ``example``: ``cpmean example --all`` in text and JSON.
+
+A result is hashed as the bytes of its entries, the repr of its floats, or the
+type and message of the error it raised; a report as its bytes and exit code.
+Every command runs in a scratch directory with relative paths, so a report's
+paths do not depend on where it ran.  ``--cases N`` keeps the first N cases
+of each workload, sweep seed and example format.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
+ATOMS = ((0.3, 1.5), (7.0, 0.25))
+
+
+class Digest:
+    """A SHA-256 over a sequence of results."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, x):
+        if isinstance(x, BaseException):
+            x = f"{type(x).__name__}: {x}"
+        elif hasattr(x, "choi"):
+            x = x.choi.entries
+        elif hasattr(x, "entries"):
+            x = x.entries
+        if isinstance(x, np.ndarray):
+            self.h.update(repr((x.dtype.str, x.shape)).encode())
+            self.h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, bytes):
+            self.h.update(repr(len(x)).encode() + x)
+        else:
+            self.h.update(repr(x).encode())
+
+    def add_call(self, call):
+        """The result of call(), or the cpmean error it raised."""
+        from cpmean.errors import CpMeanError
+
+        try:
+            out = call()
+        except CpMeanError as exc:
+            out = exc
+        if hasattr(out, "alpha_min"):  # a LebesgueSplit
+            for x in (out.ac, out.sing, out.alpha_min, tuple(out.recon)):
+                self.add(x)
+        else:
+            self.add(tuple(out) if hasattr(out, "residual") else out)
+
+    def hexdigest(self) -> str:
+        return self.h.hexdigest()
+
+
+def _cases(name: str, seeds, limit):
+    import workloads
+
+    for seed in seeds:
+        yield from workloads.WORKLOADS[name].make_cases(np.random.default_rng(seed), ".")[:limit]
+
+
+def lib_means(seeds, limit) -> Digest:
+    from cpmean import cpmaps, opmeans
+    from cpmean.opmeans import MeanKind
+
+    reps = [opmeans.ConnectionRep(0.2, 0.0, ATOMS), opmeans.ConnectionRep(0.0, 0.1, ATOMS),
+            opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, ATOMS))]
+    out = Digest()
+    for c in _cases("lib-means", seeds, limit):
+        kinds = [*c.kinds, MeanKind("parallel"), *map(MeanKind.custom, reps)]
+        for f, g in ((c.f, c.g), (c.g, c.f)):
+            for kind in kinds:
+                out.add_call(lambda: cpmaps.mean_cp(kind, f, g))
+    return out
+
+
+def lib_connections(seeds, limit) -> Digest:
+    from cpmean import cpmaps, opmeans
+    from cpmean.opmeans import MeanKind
+
+    transforms = (lambda r: r, opmeans.transpose_rep, opmeans.adjoint_rep, opmeans.dual_rep)
+    out = Digest()
+    for c in _cases("lib-connections", seeds, limit):
+        kinds = [MeanKind.custom(t(opmeans.power_rep(c.alpha))) for t in transforms]
+        for f, g in ((c.f, c.g), (c.g, c.f)):
+            for kind in kinds:
+                out.add_call(lambda: cpmaps.mean_cp(kind, f, g))
+    return out
+
+
+def lib_lebesgue(seeds, limit) -> tuple[Digest, Digest]:
+    from cpmean import lebesgue
+
+    out, abs_cont = Digest(), Digest()
+    for c in _cases("lib-lebesgue", seeds, limit):
+        for f, g in ((c.f, c.g), (c.g, c.f)):
+            out.add_call(lambda: lebesgue.decompose(f, g))
+            out.add_call(lambda: lebesgue.is_singular(f, g))
+            out.add_call(lambda: lebesgue.ac_part_oracle(f, g))
+            abs_cont.add_call(lambda: lebesgue.is_abs_continuous(g, f))
+    return out, abs_cont
+
+
+def _command(out: Digest, argv, written=()):
+    """Run ``cpmean *argv``; add its exit code, stdout, stderr and the bytes of
+    each file in written, then remove those files."""
+    from cpmean import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    out.add((code, stdout.getvalue(), stderr.getvalue()))
+    for path in written:
+        if os.path.exists(path):
+            out.add(Path(path).read_bytes())
+            os.remove(path)
+
+
+def _write(chan, path, ops=None):
+    """The choi document of chan, or with ops the kraus document of its
+    operators; then a fresh run, so the next load decodes the file's bytes."""
+    from cpmean import channeldoc, hermlinalg
+
+    if ops is None:
+        channeldoc.save_channel(chan, path)
+    else:
+        data = [np.ascontiguousarray(k).view(np.float64).reshape(*k.shape, 2).tolist()
+                for k in ops]
+        doc = {"dim_in": chan.dim_in, "dim_out": chan.dim_out, "repr": "kraus", "data": data}
+        Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    hermlinalg._RUN = hermlinalg._Run()
+
+
+def _kraus(rng, m, n, scale=1.0):
+    """Complex Gaussian Kraus operators m -> n of rank uniform on 0..mn."""
+    rank = int(rng.integers(0, m * n + 1))
+    return list(np.sqrt(scale) * (rng.normal(size=(rank, n, m))
+                                  + 1j * rng.normal(size=(rank, n, m))))
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def generic(seeds, limit) -> Digest:
+    from cpmean.cpmaps import from_kraus
+
+    out = Digest()
+    for seed in seeds:
+        rng, mix_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+        for _ in range(300 if limit is None else limit):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            for path in ("a.json", "b.json"):
+                ops = _kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
+                _write(from_kraus(ops, dim_in=m, dim_out=n), path,
+                       ops if rng.integers(2) else None)
+            weights = mix_rng.dirichlet(np.ones(int(mix_rng.integers(1, 5))))
+            ops = [np.sqrt(w) * _unitary(mix_rng, n) for w in weights]
+            _write(from_kraus(ops, dim_in=n, dim_out=n), "mix.json",
+                   ops if mix_rng.integers(2) else None)
+            runs = [(["lebesgue", "a.json", "b.json", "-o", "split"],
+                     ["split.ac.json", "split.sing.json"]), (["order", "a.json", "b.json"], [])]
+            runs += [(["mean", "--kind", k, "a.json", "b.json", "-o", "m.json"], ["m.json"])
+                     for k in KINDS]
+            runs += [(["index", p], []) for p in ("a.json", "b.json") if m == n]
+            runs += [(["verify", "mix.json"], []), (["index", "mix.json"], [])]
+            for argv, written in runs:
+                _command(out, ["--format", "json", *argv], written)
+    return out
+
+
+def example(limit) -> Digest:
+    out = Digest()
+    for argv in [["example", "--all"], ["--format", "json", "example", "--all"]][:limit]:
+        _command(out, argv)
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", default=str(ROOT / "src"), help="the tree whose cpmean to import")
+    p.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
+    p.add_argument("--cases", type=int, default=None, help="first N cases of each group")
+    args = p.parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.src), str(ROOT / "perfbench")]
+    # a warning is printed once per place, so a report's stderr would depend
+    # on what ran before it
+    warnings.simplefilter("ignore")
+    seeds, limit = args.seeds, args.cases
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            split, abs_cont = lib_lebesgue(seeds, limit)
+            groups = [("lib-means", lib_means(seeds, limit)),
+                      ("lib-connections", lib_connections(seeds, limit)),
+                      ("lib-lebesgue", split), ("lib-lebesgue is_abs_continuous", abs_cont),
+                      ("generic", generic(seeds, limit)), ("example", example(limit))]
+        finally:
+            os.chdir(cwd)
+    for name, digest in groups:
+        print(f"{digest.hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
