@@ -116,9 +116,9 @@ def doc_to_channel(doc) -> CpMap:
 
 def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> str:
     """Write the choi document of f, the text of ``channel_to_doc``, and
-    return the SHA-256 of the bytes written.  An admitted map is kept in the
-    memo under that hash, as reading the bytes back gives its Choi matrix
-    bit for bit.  A name must be a string; a path that cannot be written
+    return the SHA-256 of the bytes written.  The map, admitted as every CpMap
+    is, is kept in the memo under that hash, as reading the bytes back gives its
+    Choi matrix bit for bit.  A name must be a string; a path that cannot be written
     raises DomainError."""
     if name is not None and not isinstance(name, str):
         raise DomainError(f"document name must be a string, got {type(name).__name__}")
@@ -129,8 +129,7 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
     sha256 = hashlib.sha256(raw).hexdigest()
-    if isinstance(f.choi, hermlinalg.PsdMatrix):
-        _remember(sha256, f, name)
+    _remember(sha256, f, name)
     return sha256
 
 

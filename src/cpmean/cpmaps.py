@@ -42,7 +42,8 @@ TOL_FLAGS = 1e-8  # absolute: max |U*U - I| in unitary_conj, the examples' unita
 
 @dataclass(frozen=True)
 class CpMap:
-    """Completely positive map M_m -> M_n, held as its Choi matrix alone."""
+    """Completely positive map M_m -> M_n, held as its Choi matrix alone, admitted by
+    ``as_psd`` (a PsdMatrix as itself); one it refuses raises NotCompletelyPositive."""
 
     dim_in: int
     dim_out: int
@@ -50,6 +51,10 @@ class CpMap:
 
     def __post_init__(self):
         _check_dims(self.dim_in, self.dim_out)
+        try:
+            object.__setattr__(self, "choi", as_psd(self.choi))
+        except InvalidInput as exc:
+            raise NotCompletelyPositive(str(exc)) from exc
         if self.choi.dim != self.dim_in * self.dim_out:
             raise ShapeError(
                 f"Choi matrix has size {self.choi.dim}, expected "
@@ -116,12 +121,9 @@ def _check_same_dims(f: CpMap, g: CpMap):
 
 
 def from_choi(dim_in: int, dim_out: int, choi) -> CpMap:
-    """Build a CpMap from outside Choi data admitted by ``as_psd``; data that
-    is not Hermitian or not PSD raises NotCompletelyPositive."""
-    try:
-        return CpMap(dim_in, dim_out, as_psd(choi))
-    except InvalidInput as exc:
-        raise NotCompletelyPositive(str(exc)) from exc
+    """Build a CpMap from outside Choi data, which ``CpMap`` admits by ``as_psd``;
+    data that is not Hermitian or not PSD raises NotCompletelyPositive."""
+    return CpMap(dim_in, dim_out, choi)
 
 
 def choi_from_action(dim_in: int, dim_out: int,
@@ -254,7 +256,7 @@ def index_cp(f: CpMap) -> float:
 def identity(d: int) -> CpMap:
     """Identity channel on M_d, Kraus map of 1; Choi is the maximally entangled vv*."""
     _check_dims(d)
-    return from_kraus([np.eye(d)])
+    return from_kraus(np.eye(d)[None])
 
 
 def depolarizing(d: int) -> CpMap:
@@ -272,7 +274,7 @@ def unitary_conj(u) -> CpMap:
     # a non-finite u is rejected before u* u, whose NaN would pass the test
     if not np.isfinite(u).all() or np.abs(u.conj().T @ u - np.eye(d)).max() > TOL_FLAGS:
         raise DomainError("matrix is not a finite unitary within tolerance")
-    return from_kraus([u])
+    return from_kraus(u[None])
 
 
 def schur(a) -> CpMap:
@@ -294,7 +296,7 @@ def schur(a) -> CpMap:
 def cond_exp_diag(d: int) -> CpMap:
     """Conditional expectation of M_d onto its diagonal: Kraus operators |i><i|."""
     _check_dims(d)
-    return from_kraus([np.diag(e) for e in np.eye(d)])
+    return from_kraus(np.array([np.diag(e) for e in np.eye(d)]))
 
 
 def cond_exp_rotated(theta: float) -> CpMap:
@@ -309,7 +311,7 @@ def cond_exp_rotated(theta: float) -> CpMap:
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
         dtype=np.complex128,
     )
-    return from_kraus([np.outer(col, col.conj()) for col in u.T])
+    return from_kraus(np.array([np.outer(col, col.conj()) for col in u.T]))
 
 
 def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
@@ -326,8 +328,8 @@ def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
     if w.ndim != 1 or len(w) < 1 or not np.all(np.isfinite(w) & (w > 0.0)):
         raise DomainError("weights must be a nonempty vector of finite positive numbers")
     eye = np.eye(len(w))
-    slices = [np.sqrt(wj) * np.outer(ek, ej) for ej, wj in zip(eye, w) for ek in eye]
-    return from_kraus([np.kron(eye, k) if factor == 1 else np.kron(k, eye) for k in slices])
+    slices = np.array([np.sqrt(wj) * np.outer(ek, ej) for ej, wj in zip(eye, w) for ek in eye])
+    return from_kraus(np.kron(eye, slices) if factor == 1 else np.kron(slices, eye))
 
 
 def functional(rho) -> CpMap:

@@ -1,21 +1,21 @@
 """Dense Hermitian/PSD linear algebra kernel with an explicit tolerance policy.
 
-Everything in this package runs through the small set of primitives below:
-the cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues
-alone (``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``,
-the admission of outside data, ``is_psd``, the PSD square root, and the
-``SpectralPair`` (two eigh, or one thin SVD from cached eigs with the
-complement R as its last part) on which every mean, connection and
-Lebesgue split is evaluated.  Every rank, range and kernel decision reads
-``RANK_RTOL`` here alone: ``support()``, the index's range test
-``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside data
-enters only through ``_admit``, which alone calls the public constructors; what
-the library makes enters by ``_trusted``.  Matrices are small dense complex
-arrays (Choi matrices up to about 144 x 144), immutable after construction; each
-eig and largest entry modulus is computed once and kept, so instances are safe
-to share across threads.  ``_RUN`` keeps the last pair (at Choi 144, 0.66 MB of
-operands and 0.33 MB of ``t``, ``1 - t`` and ``Z``, or, factored, 0.33 MB of X
-and 4.6 KB per column of Z and P; never R) and the document slots.
+Everything in this package runs through the small set of primitives below: the
+cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues alone
+(``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``, the
+admission of outside data, ``is_psd``, the PSD square root, and the ``SpectralPair``
+(two eigh, or one thin SVD from cached eigs with the complement R as its last part)
+on which every mean, connection and Lebesgue split is evaluated.  Every rank, range
+and kernel decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range
+test ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside
+data, and a ``CpMap``'s Choi matrix, enters only through ``_admit``, converted once;
+it alone calls the public constructors, and what the library makes enters by
+``_trusted``.  Matrices are small dense complex arrays (Choi matrices up to about
+144 x 144), immutable after construction; each eig and largest entry modulus is
+computed once and kept, so instances are safe to share across threads.  ``_RUN``
+keeps the last pair (at Choi 144, 0.66 MB of operands and 0.33 MB of ``t``,
+``1 - t`` and ``Z``, or, factored, 0.33 MB of X and 4.6 KB per column of Z and P;
+never R) and the document slots.
 """
 
 from __future__ import annotations
@@ -90,12 +90,10 @@ def _is_whole(value, least: int = 1) -> bool:
 
 
 def _square(entries) -> np.ndarray:
-    """A finite square row-major complex128 copy of entries."""
+    """A square row-major complex128 copy of entries, judged finite by ``_own``."""
     m = np.ascontiguousarray(_as_array(entries))
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix entries must be finite")
     return m
 
 
@@ -105,18 +103,20 @@ class HermitianMatrix:
     Entries are stored row-major as a read-only complex128 array.  The
     eigendecomposition and ``_scale()`` are computed lazily and kept; concurrent
     readers may race to fill them but the filled value is identical either way.
+    A HermitianMatrix given as entries is adopted: its array and what it has kept.
     """
 
     __slots__ = ("_m", "_eig", "_amax")
 
     def __init__(self, entries):
-        self._own(_square(entries))
+        h = entries if isinstance(entries, HermitianMatrix) else self._own(_square(entries))
+        self._m, self._eig, self._amax = h._m, h._eig, h._amax
 
     def _own(self, m: np.ndarray) -> "HermitianMatrix":
         # Row 0 first, where a product is usually not Hermitian; a Hermitian m is kept
         # bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
-        # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part finite and
-        # below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
+        # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part and modulus
+        # finite and below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
         small = np.vdot(m, m).real < math.inf
         if not (small or np.isfinite(m).all()):
             raise InvalidInput("matrix entries must be finite")
@@ -126,6 +126,8 @@ class HermitianMatrix:
                 m.view(np.float64)[...] *= 0.5
             else:
                 m = _fold(m, 2.0) + _fold(m.conj().T, 2.0)
+        if not (small or np.abs(m).max() < math.inf):  # so _scale() and each bound are finite
+            raise DomainError("an entry modulus is beyond double range")
         m.flags.writeable = False
         self._m, self._eig, self._amax = m, None, None
         return self
@@ -135,7 +137,8 @@ class HermitianMatrix:
         """A cls of an array the library made, not copied if C-contiguous complex128,
         with no outside-number check and no PSD admission: ``U f(w) U*``, f >= 0,
         or a sum, scaling, tensor or composition of admitted matrices.  Non-finite
-        entries raise InvalidInput.  Outside data enters only through ``_admit``."""
+        entries raise InvalidInput, and an entry modulus past DBL_MAX DomainError.
+        Outside data enters only through ``_admit``."""
         return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128))
 
     @property
@@ -244,23 +247,24 @@ class PsdMatrix(HermitianMatrix):
 
 
 def _admit(x, cls):
-    """x if it is a cls, else x as a cls: a HermitianMatrix from its entries,
-    an array-like once it is Hermitian within ``TOL_HERM`` of its largest entry
-    modulus, else InvalidInput."""
+    """x if it is a cls, else x as a cls: a HermitianMatrix as it is, its
+    entries and any cached eig shared; an array-like, converted once, if it is
+    Hermitian within ``TOL_HERM`` of its largest entry modulus, else
+    InvalidInput.  A non-finite entry is InvalidInput before that test."""
     if isinstance(x, cls):
         return x
-    if isinstance(x, HermitianMatrix):
-        return cls(x.entries)
-    m = _square(x)
-    defect = _max_abs(m - m.conj().T)
-    if defect > TOL_HERM * _max_abs(m):
-        raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
-    return cls(m)
+    if not isinstance(x, HermitianMatrix):
+        m = _square(x)
+        x, defect = HermitianMatrix._trusted(m), _max_abs(m - m.conj().T)
+        if defect > TOL_HERM * _max_abs(m):
+            raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
+    return cls(x)
 
 
 def as_psd(x) -> PsdMatrix:
     """Coerce an array-like or HermitianMatrix to PsdMatrix: the admission of
-    outside data, by ``_admit``'s Hermiticity rule and then ``PsdMatrix``."""
+    outside data and of ``CpMap``'s Choi matrix, by ``_admit``'s Hermiticity rule
+    and then ``PsdMatrix``, whose test reads a HermitianMatrix's cached eig."""
     return _admit(x, PsdMatrix)
 
 

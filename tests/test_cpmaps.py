@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpmean import cpmaps
+from cpmean import cli, cpmaps, hermlinalg
 from cpmean.cpmaps import (
     TOL_FLAGS,
     CpMap,
@@ -29,10 +29,10 @@ from cpmean.cpmaps import (
     tensor,
     unitary_conj,
 )
-from cpmean.channeldoc import doc_to_channel
+from cpmean.channeldoc import doc_to_channel, save_channel
 from cpmean.errors import DomainError, InvalidInput, NotCompletelyPositive, ParseError, ShapeError
 from cpmean.hermlinalg import (
-    RANK_RTOL, TOL_HERM, TOL_PSD, HermitianMatrix, Verdict, as_psd, is_psd, psd_sqrt)
+    RANK_RTOL, TOL_HERM, TOL_PSD, HermitianMatrix, PsdMatrix, Verdict, as_psd, is_psd, psd_sqrt)
 from cpmean.opmeans import GEO, HARM, MeanKind, geometric_mean
 
 from conftest import (
@@ -143,6 +143,69 @@ def skew_action(s, eps):
     """``x -> s (x + eps/2 (x01 - x10) 1)``: its Choi matrix has Hermiticity
     defect ``s eps`` against largest entry ``s``, and Hermitian part s vv*."""
     return lambda x: s * (x + 0.5 * eps * (x[0, 1] - x[1, 0]) * np.eye(2))
+
+
+class TestOneAdmission:
+    """``CpMap`` admits its Choi matrix by ``as_psd``, and ``hermlinalg._admit``
+    converts each outside matrix once: one ``_as_array`` call per matrix."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _real=hermlinalg._as_array, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
+
+        for module in (hermlinalg, cpmaps):
+            monkeypatch.setattr(module, "_as_array", counting)
+        return calls
+
+    @pytest.mark.parametrize("admit", [
+        lambda x: from_choi(2, 2, x), lambda x: CpMap(2, 2, x), as_psd, is_psd, schur, functional,
+    ], ids=["from_choi", "CpMap", "as_psd", "is_psd", "schur", "functional"])
+    def test_an_outside_matrix_is_converted_once(self, rng, conversions, admit):
+        x = random_psd(rng, 4)
+        admit(x)
+        assert len(conversions) == 1 and conversions[0] is x
+
+    def test_cli_verify_decodes_a_choi_document_and_converts_it_once(
+            self, rng, conversions, monkeypatch, tmp_path, capsys):
+        path = str(tmp_path / "f.json")
+        save_channel(random_cp(rng, 2, 2), path)
+        monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())  # so the bytes are decoded
+        conversions.clear()
+        assert cli.main(["--format", "json", "verify", path]) == 3  # neither unital nor TP
+        assert len(conversions) == 2
+
+    @pytest.mark.parametrize("choi", [np.diag([1.0, -1.0]), np.diag([1.0, -1.0, 0.0, 1.0])],
+                             ids=["Choi 2", "Choi 4"])
+    def test_an_indefinite_hermitian_matrix_is_not_cp(self, choi):
+        # the Choi 4 one had index 2.0 when CpMap took it unadmitted
+        with pytest.raises(NotCompletelyPositive, match="not PSD"):
+            CpMap(1, choi.shape[0], HermitianMatrix(choi))
+
+    @pytest.mark.parametrize("choi, match", [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
+        (np.array([[1.0, 0.0], [0.0, math.inf]]), "finite"),
+    ], ids=["non-Hermitian", "non-finite"])
+    def test_an_array_it_does_not_admit_is_not_cp(self, choi, match):
+        with pytest.raises(NotCompletelyPositive, match=match):
+            CpMap(1, 2, choi)
+
+    def test_a_ragged_array_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="ragged"):
+            CpMap(1, 2, [[1.0, 0.0], [0.0]])
+
+    def test_an_array_gives_the_map_of_from_choi_bit_for_bit(self):
+        got, want = CpMap(1, 2, np.eye(2)), from_choi(1, 2, np.eye(2))
+        assert type(got.choi) is PsdMatrix and (got.dim_in, got.dim_out) == (1, 2)
+        assert got.choi.entries.tobytes() == want.choi.entries.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(got.choi.eig(), want.choi.eig()))
+
+    def test_a_psd_matrix_is_kept_as_it_is(self):
+        p = as_psd(np.eye(4))
+        assert CpMap(2, 2, p).choi is p
 
 
 class TestHermiticityRule:
@@ -595,6 +658,24 @@ class TestIndex:
 
 
 class TestZoo:
+    @pytest.mark.parametrize("build", [
+        lambda: identity(3), lambda: unitary_conj(np.eye(2)), lambda: cond_exp_diag(3),
+        lambda: cond_exp_rotated(0.3), lambda: cond_exp_tensor(1, [0.25, 0.75]),
+        lambda: cond_exp_tensor(2, [0.25, 0.75])],
+        ids=["identity", "unitary_conj", "cond_exp_diag", "cond_exp_rotated",
+             "cond_exp_tensor 1", "cond_exp_tensor 2"])
+    def test_the_zoo_hands_from_kraus_one_stacked_array(self, monkeypatch, build):
+        # an ndarray is judged by its dtype; a list would be walked entry by entry
+        seen = []
+
+        def spy(ops, *args, _real=cpmaps.from_kraus, **kwargs):
+            seen.append((type(ops), np.ndim(ops)))
+            return _real(ops, *args, **kwargs)
+
+        monkeypatch.setattr(cpmaps, "from_kraus", spy)
+        build()
+        assert seen == [(np.ndarray, 3)]
+
     def test_cond_exp_diag_choi(self):
         got = cond_exp_diag(2).choi.entries
         assert max_abs(got - np.diag([1.0, 0.0, 0.0, 1.0])) < 1e-14

@@ -12,7 +12,7 @@ from cpmean.errors import DomainError
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 GROUPS = ["lib-means", "lib-connections", "lib-lebesgue", "lib-lebesgue is_abs_continuous",
-          "generic", "example"]
+          "generic", "example", "admission"]
 
 
 def _load():
@@ -46,3 +46,9 @@ def test_a_digest_tells_bits_dtypes_shapes_and_errors_apart():
     assert of(zero) == of(zero.copy())
     assert len({of(zero), of(-zero), of(zero.real), of(zero.reshape(4)), of(zero, zero),
                 of(DomainError("x")), of(DomainError("y")), of(b"x"), of(0.0), of(-0.0)}) == 10
+
+
+def test_the_admission_group_tells_seeds_apart_and_repeats():
+    admission = _load().admission
+    one, again, other = (admission(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
+    assert one == again != other

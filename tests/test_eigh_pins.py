@@ -111,6 +111,9 @@ PINS = [
     ("from_kraus", (0, 0)),
     ("schur", (1, 0)),            # the admission of its outside symbol
     ("functional", (1, 0)),       # likewise of rho
+    # a matrix the library made is admitted as it is: its entries and its
+    # cached eig are kept, with no copy and no new eigh.  Down from (1, 0)
+    ("as_psd of a HermitianMatrix with its eig", (0, 0)),
     # 2 input admissions, geo's SVD, and the eigenvalues of the fidelity's
     # Gram form.  Down from (6, 0): the fidelity sums the roots of its
     # eigenvalues and takes no square root of it; down from (5, 1): the
@@ -224,6 +227,8 @@ def _operation(name, f, g, geo, paths, h):
     ops = cpmaps.kraus_decompose(f)
     block = np.array(f.choi.entries[:4, :4])  # a principal block of C_F: PSD
     u = np.linalg.qr(g.choi.entries[:4, :4])[0]
+    held = hermlinalg.HermitianMatrix._trusted(f.choi.entries)
+    held.eig()
     return {
         "identity": lambda: cpmaps.identity(4),
         "depolarizing": lambda: cpmaps.depolarizing(4),
@@ -234,6 +239,7 @@ def _operation(name, f, g, geo, paths, h):
         "from_kraus": lambda: cpmaps.from_kraus(ops),
         "schur": lambda: cpmaps.schur(block),
         "functional": lambda: cpmaps.functional(block),
+        "as_psd of a HermitianMatrix with its eig": lambda: hermlinalg.as_psd(held),
         "parallel_sum": lambda: opmeans.parallel_sum(f.choi, g.choi),
         "ac_part_oracle": lambda: lebesgue.ac_part_oracle(f, g),
         "decompose": lambda: lebesgue.decompose(f, g),

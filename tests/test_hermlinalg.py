@@ -129,6 +129,20 @@ class TestTrusted:
         assert np.isfinite(m).all() and (m.diagonal() == 1.7e308).all()
         assert m[0, 1] == m[1, 0] == 0.5 * x[0][1] + 0.5 * x[1][0]
 
+    @pytest.mark.parametrize("build", [
+        lambda x: cpmaps.from_choi(1, 2, x), is_psd, lambda x: PsdMatrix._trusted(np.array(x)),
+        lambda x: HermitianMatrix(x)], ids=["from_choi", "is_psd", "_trusted", "HermitianMatrix"])
+    def test_an_entry_modulus_past_the_double_range_raises_domain_error(self, build):
+        # both parts are doubles, |z| = 2.1e308 is not: the scale of every bound
+        # would be inf, and the eig of this indefinite matrix [nan, nan]
+        z = 1.5e308 * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="double range"):
+                build([[0.0, z], [np.conj(z), 0.0]])
+            # a modulus within the range, with parts as large, is admitted
+            assert build([[1.7e308, 0.0], [0.0, 1.5e308]])
+
     def test_a_sum_within_the_double_range_keeps_its_bits(self):
         # (2^-1074 + 2^-1073)/2 rounds to 2^-1073; halves first would give 2^-1074
         m = HermitianMatrix([[8e307, 5e-324], [1e-323, 8e307]]).entries
@@ -260,7 +274,27 @@ class TestEigvals:
 
 
 class TestAsPsd:
-    """A HermitianMatrix is admitted from its entries, like any outside matrix."""
+    """A HermitianMatrix is admitted as it is: its entries and any cached eig are
+    shared, with no copy and no new eigendecomposition."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["eig cached", "eig lazy"])
+    def test_a_hermitian_matrix_keeps_its_entries_and_eig(self, rng, eigh_calls, cached):
+        h = HermitianMatrix._trusted(random_psd(rng, 6))
+        if cached:
+            h.eig()
+        got = []
+        assert eigh_calls(lambda: got.append(as_psd(h))) == ((0, 0) if cached else (1, 0))
+        p = got[0]
+        assert type(p) is PsdMatrix and p.entries is h.entries
+        assert (p._eig is h._eig) if cached else (h._eig is None)
+        assert as_psd(p) is p and hermlinalg._admit(h, HermitianMatrix) is h
+
+    def test_an_adopted_matrix_is_admitted_as_its_array_is(self, rng):
+        x = random_psd(rng, 5)
+        want = as_psd(x)
+        got = as_psd(HermitianMatrix(x))
+        assert np.array_equal(got.entries, want.entries)
+        assert all(np.array_equal(a, b) for a, b in zip(got.eig(), want.eig()))
 
     def test_hermitian_identity_gives_the_identity(self):
         got = opmeans.geometric_mean(HermitianMatrix(np.eye(2)), np.eye(2))

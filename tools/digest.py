@@ -15,7 +15,11 @@ tree whose ``cpmean`` is imported) and compare the lines it prints.  Groups:
   pair's parts whose order of summation a change may move;
 - ``generic``: every report and ``-o`` document of a sweep of every command
   over generic document pairs (as ``tests/test_cli_generic.py`` draws them);
-- ``example``: ``cpmean example --all`` in text and JSON.
+- ``example``: ``cpmean example --all`` in text and JSON;
+- ``admission``: what ``from_choi``, ``CpMap``, ``as_psd``, ``is_psd``, ``schur`` and
+  ``functional`` admit, or the error they raise, on seeded matrices of four
+  kinds: exactly Hermitian, Hermitian only within ``TOL_HERM``, rank-deficient,
+  and ``HermitianMatrix`` inputs, with and without a cached eig; 8 cases per seed.
 
 A result is hashed as the bytes of its entries, the repr of its floats, or the
 type and message of the error it raised; a report as its bytes and exit code.
@@ -65,13 +69,13 @@ class Digest:
         else:
             self.h.update(repr(x).encode())
 
-    def add_call(self, call):
-        """The result of call(), or the cpmean error it raised."""
+    def add_call(self, call, errors=()):
+        """The result of call(), or the cpmean error, or one of errors, it raised."""
         from cpmean.errors import CpMeanError
 
         try:
             out = call()
-        except CpMeanError as exc:
+        except (CpMeanError, *errors) as exc:
             out = exc
         if hasattr(out, "alpha_min"):  # a LebesgueSplit
             for x in (out.ac, out.sing, out.alpha_min, tuple(out.recon)):
@@ -201,6 +205,47 @@ def generic(seeds, limit) -> Digest:
     return out
 
 
+def _admission_inputs(rng):
+    """(dim_in, dim_out, matrix) of each kind, at a random scale and Choi size."""
+    from cpmean.hermlinalg import HermitianMatrix
+
+    m, n = (int(x) for x in rng.integers(1, 4, size=2))
+    d, scale = m * n, 10.0 ** rng.uniform(-12.0, 12.0)
+
+    def gaussian(cols):
+        return scale * (rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols)))
+
+    a, b, c = gaussian(d), gaussian(d), gaussian(int(rng.integers(0, d)))
+    exact = a + a.conj().T
+    w = np.linalg.eigvalsh(exact)  # shifted to be PSD or not
+    exact -= (w[0] + rng.uniform(-0.25, 0.25) * (w[-1] - w[0])) * np.eye(d)
+    gram = b @ b.conj().T  # Hermitian only to its rounding
+    near = gram + 1e-12 * np.abs(gram).max() * (gaussian(d) / scale)
+    thin = c @ c.conj().T
+    thin = 0.5 * (thin + thin.conj().T)
+    held, cached = HermitianMatrix._trusted(gram), HermitianMatrix._trusted(exact)
+    cached.eig()
+    return [(m, n, x) for x in (exact, near, thin, held, cached)]
+
+
+def admission(seeds, limit) -> Digest:
+    from cpmean import cpmaps, hermlinalg
+
+    out = Digest()
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 2])
+        for _ in range(8 if limit is None else limit):
+            for m, n, x in _admission_inputs(rng):
+                out.add_call(lambda: cpmaps.from_choi(m, n, x))
+                # a CpMap that does not admit its Choi matrix fails on an array's .dim
+                out.add_call(lambda: cpmaps.CpMap(m, n, x), (AttributeError,))
+                out.add_call(lambda: hermlinalg.as_psd(x))
+                out.add_call(lambda: hermlinalg.is_psd(x))
+                out.add_call(lambda: cpmaps.schur(x))
+                out.add_call(lambda: cpmaps.functional(x))
+    return out
+
+
 def example(limit) -> Digest:
     out = Digest()
     for argv in [["example", "--all"], ["--format", "json", "example", "--all"]][:limit]:
@@ -227,7 +272,8 @@ def main(argv=None) -> int:
             groups = [("lib-means", lib_means(seeds, limit)),
                       ("lib-connections", lib_connections(seeds, limit)),
                       ("lib-lebesgue", split), ("lib-lebesgue is_abs_continuous", abs_cont),
-                      ("generic", generic(seeds, limit)), ("example", example(limit))]
+                      ("generic", generic(seeds, limit)), ("example", example(limit)),
+                      ("admission", admission(seeds, limit))]
         finally:
             os.chdir(cwd)
     for name, digest in groups:
