@@ -89,10 +89,8 @@ class CpMap:
         if not isinstance(other, CpMap):
             return NotImplemented
         _check_same_dims(self, other)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
             c = self.choi.entries + other.choi.entries
-        if not np.isfinite(c).all():
-            raise DomainError("the sum's Choi matrix is beyond double range")
         return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(c))
 
     def __rmul__(self, scalar: float) -> "CpMap":
@@ -171,7 +169,8 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
         raise ShapeError("Kraus operators must be dim_out x dim_in")
     # the rows vec(K) = K^T.reshape(-1), transposed: C = sum_K vec(K) vec(K)* = v v*
     v = np.ascontiguousarray(ks.transpose(0, 2, 1)).reshape(len(ks), dim_in * dim_out).T
-    return CpMap(dim_in, dim_out, PsdMatrix._gram(v))
+    with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
+        return CpMap(dim_in, dim_out, PsdMatrix._gram(v))
 
 
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
@@ -186,7 +185,8 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict
     ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
     largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
-    w = HermitianMatrix._trusted(g.choi.entries - f.choi.entries).eigvals()
+    with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
+        w = HermitianMatrix._trusted(g.choi.entries - f.choi.entries).eigvals()
     bound = _bound(tol, f.choi, g.choi)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
@@ -216,9 +216,9 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
 def tensor(f: CpMap, g: CpMap) -> CpMap:
     """Tensor product map, with Choi legs permuted to the fixed convention."""
     m1, n1, m2, n2 = f.dim_in, f.dim_out, g.dim_in, g.dim_out
-    t = np.kron(f.choi.entries, g.choi.entries)
-    t = t.reshape(m1, n1, m2, n2, m1, n1, m2, n2)
-    t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
+        t = np.kron(f.choi.entries, g.choi.entries)
+    t = t.reshape(m1, n1, m2, n2, m1, n1, m2, n2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
     mn = m1 * m2 * n1 * n2
     return CpMap(m1 * m2, n1 * n2, PsdMatrix._trusted(t.reshape(mn, mn)))
 

@@ -8,9 +8,10 @@ admission of outside data, ``is_psd``, the PSD square root, and the ``SpectralPa
 on which every mean, connection and Lebesgue split is evaluated.  Every rank, range
 and kernel decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range
 test ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside
-data, and a ``CpMap``'s Choi matrix, enters only through ``_admit``, converted once;
-it alone calls the public constructors, and what the library makes enters by
-``_trusted``.  Matrices are small dense complex arrays (Choi matrices up to about
+data, and a ``CpMap``'s Choi matrix, enters only through the public constructors,
+converted once and held to the one Hermiticity rule ``TOL_HERM``; only ``as_psd``
+and ``is_psd`` call them, and what the library makes enters by ``_trusted``, with
+no such rule.  Matrices are small dense complex arrays (Choi matrices up to about
 144 x 144), immutable after construction; each eig and largest entry modulus is
 computed once and kept, so instances are safe to share across threads.  ``_RUN``
 keeps the last pair (at Choi 144, 0.66 MB of operands and 0.33 MB of ``t``,
@@ -33,7 +34,7 @@ from .errors import DomainError, InvalidInput, ShapeError
 # Tolerance policy.  Double-precision eigensolvers deliver ~1e-14 relative
 # residuals at these sizes; the defaults keep two safety decades.
 TOL_PSD = 1e-9      # PSD admission: min eigenvalue >= -TOL_PSD * max |h_ij|
-TOL_HERM = 1e-10    # Hermiticity of outside arrays in _admit, relative to max abs entry
+TOL_HERM = 1e-10    # Hermiticity of outside arrays in HermitianMatrix, relative to max abs entry
 RANK_RTOL = 1e-10   # rank cutoff, relative to the largest eigenvalue
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -89,37 +90,42 @@ def _is_whole(value, least: int = 1) -> bool:
             and value >= least)
 
 
-def _square(entries) -> np.ndarray:
-    """A square row-major complex128 copy of entries, judged finite by ``_own``."""
-    m = np.ascontiguousarray(_as_array(entries))
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 class HermitianMatrix:
-    """Complex Hermitian matrix, symmetrized once at construction.
+    """Complex Hermitian matrix; its constructor admits outside data by one rule.
 
-    Entries are stored row-major as a read-only complex128 array.  The
-    eigendecomposition and ``_scale()`` are computed lazily and kept; concurrent
-    readers may race to fill them but the filled value is identical either way.
-    A HermitianMatrix given as entries is adopted: its array and what it has kept.
+    An array-like, converted once by ``_as_array``, must be square (else ShapeError),
+    finite and Hermitian within ``TOL_HERM`` of its Hermitian part's largest entry
+    modulus (else InvalidInput), and is symmetrized as by ``_trusted``; a
+    HermitianMatrix given as entries is adopted: its array and what it has kept.
+    Entries are stored row-major as a read-only complex128 array.  The eig and
+    ``_scale()`` (an outside array's at admission) are computed once and kept;
+    concurrent readers may race to fill them but the filled value is identical either way.
     """
 
     __slots__ = ("_m", "_eig", "_amax")
 
     def __init__(self, entries):
-        h = entries if isinstance(entries, HermitianMatrix) else self._own(_square(entries))
-        self._m, self._eig, self._amax = h._m, h._eig, h._amax
+        if isinstance(entries, HermitianMatrix):
+            self._m, self._eig, self._amax = entries._m, entries._eig, entries._amax
+            return
+        m = np.ascontiguousarray(_as_array(entries))
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+        self._own(m, outside=True)
+        with np.errstate(over="ignore"):  # a defect past DBL_MAX is inf: refused
+            defect = _max_abs(m - m.conj().T)
+        if defect > TOL_HERM * self._scale():
+            raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
 
-    def _own(self, m: np.ndarray) -> "HermitianMatrix":
+    def _own(self, m: np.ndarray, outside: bool) -> "HermitianMatrix":
         # Row 0 first, where a product is usually not Hermitian; a Hermitian m is kept
         # bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
         # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part and modulus
         # finite and below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
         small = np.vdot(m, m).real < math.inf
-        if not (small or np.isfinite(m).all()):
-            raise InvalidInput("matrix entries must be finite")
+        if not (small or np.isfinite(m).all()):  # in what the library made, an overflow
+            raise (InvalidInput("matrix entries must be finite") if outside
+                   else DomainError("a computed entry is beyond double range"))
         if not ((m[0] == m[:, 0].conj()).all() and (m == m.conj().T).all()):
             if small or max(np.abs(m.real).max(), np.abs(m.imag).max()) < 2.0 ** 1023:
                 m = m + m.conj().T
@@ -135,11 +141,13 @@ class HermitianMatrix:
     @classmethod
     def _trusted(cls, entries):
         """A cls of an array the library made, not copied if C-contiguous complex128,
-        with no outside-number check and no PSD admission: ``U f(w) U*``, f >= 0,
-        or a sum, scaling, tensor or composition of admitted matrices.  Non-finite
-        entries raise InvalidInput, and an entry modulus past DBL_MAX DomainError.
-        Outside data enters only through ``_admit``."""
-        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128))
+        with no outside-number check, no Hermiticity rule and no PSD admission: ``U
+        f(w) U*``, f >= 0, or a sum, scaling, tensor or composition of admitted
+        matrices.  A non-finite entry, which only an overflow there can make, or an
+        entry modulus past DBL_MAX raises DomainError.  Outside data enters only
+        through the public constructors, which ``as_psd`` and ``is_psd`` call."""
+        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128),
+                                     outside=False)
 
     @property
     def dim(self) -> int:
@@ -205,8 +213,8 @@ class HermitianMatrix:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix admitted as positive semidefinite.
 
-    The constructor, which only ``_admit`` calls, admits the symmetrized
-    entries by ``is_psd`` at TOL_PSD, small negative eigenvalues included.
+    The constructor, which only ``as_psd`` calls, admits what ``HermitianMatrix``
+    admits if ``is_psd`` holds at TOL_PSD, small negative eigenvalues included.
     """
 
     __slots__ = ()
@@ -246,26 +254,10 @@ class PsdMatrix(HermitianMatrix):
         return cls._trusted((x if h is None else x * h) @ x.conj().T)
 
 
-def _admit(x, cls):
-    """x if it is a cls, else x as a cls: a HermitianMatrix as it is, its
-    entries and any cached eig shared; an array-like, converted once, if it is
-    Hermitian within ``TOL_HERM`` of its largest entry modulus, else
-    InvalidInput.  A non-finite entry is InvalidInput before that test."""
-    if isinstance(x, cls):
-        return x
-    if not isinstance(x, HermitianMatrix):
-        m = _square(x)
-        x, defect = HermitianMatrix._trusted(m), _max_abs(m - m.conj().T)
-        if defect > TOL_HERM * _max_abs(m):
-            raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
-    return cls(x)
-
-
 def as_psd(x) -> PsdMatrix:
-    """Coerce an array-like or HermitianMatrix to PsdMatrix: the admission of
-    outside data and of ``CpMap``'s Choi matrix, by ``_admit``'s Hermiticity rule
-    and then ``PsdMatrix``, whose test reads a HermitianMatrix's cached eig."""
-    return _admit(x, PsdMatrix)
+    """x if it is a PsdMatrix, else ``PsdMatrix(x)``: the admission of outside data
+    and of ``CpMap``'s Choi matrix, whose test reads a HermitianMatrix's cached eig."""
+    return x if isinstance(x, PsdMatrix) else PsdMatrix(x)
 
 
 class Verdict(NamedTuple):
@@ -281,8 +273,8 @@ class Verdict(NamedTuple):
 def is_psd(h, tol: float = TOL_PSD) -> Verdict:
     """``max(0, -min eigenvalue)`` from the cached eig against ``_bound(tol,
     h)``: h is PSD within tol iff the verdict holds, at every scale.  An
-    array-like h meets ``_admit``'s Hermiticity rule first."""
-    hm = _admit(h, HermitianMatrix)
+    array-like h is admitted by ``HermitianMatrix`` first."""
+    hm = h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
     return Verdict(max(0.0, -float(hm.eig()[0][0])), _bound(tol, hm))
 
 

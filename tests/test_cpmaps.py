@@ -121,6 +121,19 @@ class TestChoiConstruction:
                 f + g
         assert ((f + 1e-300 * g).choi.entries == f.choi.entries).all()
 
+    @pytest.mark.parametrize("build", [
+        lambda d: tensor(d, d), lambda d: compose(d, d), lambda d: from_kraus([1e160 * np.eye(2)]),
+        lambda d: order_cp(from_choi(1, 2, 1.6e308 * np.ones((2, 2))),
+                           from_choi(1, 2, 1.6e308 * np.array([[1.0, -1.0], [-1.0, 1.0]]))),
+    ], ids=["tensor", "compose", "from_kraus", "order_cp"])
+    def test_a_product_or_difference_past_double_range_raises_domain_error(self, build):
+        # no input holds a non-finite number: the library's own result overflowed
+        d = 2.0 ** 600 * depolarizing(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond double range"):
+                build(d)
+
     def test_adding_anything_but_a_map_raises_type_error(self):
         with pytest.raises(TypeError):
             identity(2) + 3
@@ -146,7 +159,7 @@ def skew_action(s, eps):
 
 
 class TestOneAdmission:
-    """``CpMap`` admits its Choi matrix by ``as_psd``, and ``hermlinalg._admit``
+    """``CpMap`` admits its Choi matrix by ``as_psd``, and the public constructor
     converts each outside matrix once: one ``_as_array`` call per matrix."""
 
     @pytest.fixture

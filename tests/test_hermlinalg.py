@@ -31,9 +31,12 @@ def support_of(a):
 
 class TestTypes:
     def test_symmetrization(self):
-        h = HermitianMatrix([[1.0, 1.0 + 0.2j], [1.0, 2.0]])
+        # Hermitian within TOL_HERM, so admitted, and stored exactly Hermitian
+        eps = 0.01 * TOL_HERM
+        h = HermitianMatrix([[1.0, 1.0 + eps * 1j], [1.0, 2.0]])
         m = h.entries
         assert max_abs(m - m.conj().T) == 0.0
+        assert m[0, 1] == np.conj(m[1, 0]) == 1.0 + 0.5 * eps * 1j
 
     def test_entries_read_only(self):
         h = HermitianMatrix(np.eye(2))
@@ -74,17 +77,34 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
+def _symmetrized(x):
+    """x itself if it is exactly Hermitian, else ``x + x*`` with each real and
+    imaginary part halved: the reference of the one symmetrization."""
+    x = np.asarray(x, dtype=np.complex128)
+    if (x == x.conj().T).all():
+        return x
+    return ((x + x.conj().T).view(np.float64) * 0.5).view(np.complex128)
+
+
 class TestTrusted:
-    """``_trusted`` skips the outside-number rule and nothing else: its bits are
-    those of the public constructor on every array the library can make."""
+    """``_trusted`` skips the outside-number rule and the Hermiticity rule and
+    nothing else: its bits are those of the one symmetrization on every array the
+    library can make, and those of the public constructor on each it admits."""
 
     @staticmethod
     def _same_bits(x):
+        x = np.asarray(x)
+        herm = max_abs(x - x.conj().T) <= TOL_HERM * max_abs(_symmetrized(x))
         for cls in (HermitianMatrix, PsdMatrix):
-            got, want = cls._trusted(x), HermitianMatrix(x)
+            got = cls._trusted(x)
             assert type(got) is cls and got._eig is None
-            assert _bits(got.entries) == _bits(want.entries)
+            assert _bits(got.entries) == _bits(_symmetrized(x))
             assert got.entries.dtype == np.complex128 and not got.entries.flags.writeable
+        if herm:
+            assert _bits(got.entries) == _bits(HermitianMatrix(x).entries)
+        else:
+            with pytest.raises(InvalidInput, match="not Hermitian"):
+                HermitianMatrix(x)
         return got
 
     @pytest.mark.parametrize("dim", [4, 16, 64])
@@ -113,7 +133,8 @@ class TestTrusted:
         self._same_bits(rng.normal(size=(6, 6)))
 
     def test_an_overflowed_gram_product_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite"):
+        # a product the library made: an overflow, not outside data
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="beyond double range"):
             PsdMatrix._gram(np.full((2, 1), 1e200))
 
     @pytest.mark.parametrize("build, x", [
@@ -151,10 +172,12 @@ class TestTrusted:
     @pytest.mark.parametrize("x", [np.zeros((3, 3)), [[5e-324]], [[1.0, 2.0 + 1j], [0.0, 1.0]]],
                              ids=["zero", "subnormal 1x1", "symmetrized"])
     def test_the_kept_scale_is_the_largest_entry_modulus(self, x):
-        h = HermitianMatrix(x)
+        h = HermitianMatrix._trusted(np.asarray(x, dtype=np.complex128))
         assert h._amax is None
         assert hermlinalg._max_abs(h) == hermlinalg._max_abs(h.entries) == h._amax
         assert hermlinalg._bound(1e-9, h) == hermlinalg._bound(1e-9, h.entries)
+        if max_abs(h.entries - np.asarray(x)) == 0.0:  # admitted, its scale kept at once
+            assert HermitianMatrix(x)._amax == h._amax
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
@@ -287,7 +310,9 @@ class TestAsPsd:
         p = got[0]
         assert type(p) is PsdMatrix and p.entries is h.entries
         assert (p._eig is h._eig) if cached else (h._eig is None)
-        assert as_psd(p) is p and hermlinalg._admit(h, HermitianMatrix) is h
+        assert as_psd(p) is p
+        q = HermitianMatrix(h)  # adopted as it is, by the constructor as_psd calls
+        assert q.entries is h.entries and q._eig is h._eig
 
     def test_an_adopted_matrix_is_admitted_as_its_array_is(self, rng):
         x = random_psd(rng, 5)
@@ -325,6 +350,49 @@ class TestAsPsd:
             opmeans.geometric_mean(h, np.eye(2))
 
 
+class TestOneDoor:
+    """The public constructors admit outside data by the one Hermiticity rule, as
+    ``as_psd`` and ``is_psd`` do: none takes the Hermitian part of an array that
+    is not Hermitian within ``TOL_HERM``, and no refusal escapes as a warning."""
+
+    def test_a_non_hermitian_array_is_refused_by_each_constructor(self):
+        x = [[1, 2], [0, 1]]  # its Hermitian part [[1, 1], [1, 1]] is PSD
+        for build in (HermitianMatrix, PsdMatrix, as_psd, is_psd,
+                      lambda x: cpmaps.CpMap(1, 2, PsdMatrix(x))):
+            with pytest.raises(InvalidInput, match="not Hermitian"):
+                build(x)
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_the_tolerance_is_that_of_as_psd_at_every_scale(self, rng, s):
+        x = s * random_psd(rng, 4)
+        defect = np.zeros((4, 4), dtype=complex)
+        defect[0, 1] = max_abs(x)
+        for eps, admitted in ((0.01 * TOL_HERM, True), (100.0 * TOL_HERM, False)):
+            y = x + eps * defect
+            builds = (HermitianMatrix, PsdMatrix, lambda y: cpmaps.CpMap(2, 2, PsdMatrix(y)).choi,
+                      lambda y: cpmaps.from_choi(2, 2, y).choi)
+            if admitted:
+                want = _bits(as_psd(y).entries)
+                assert all(_bits(build(y).entries) == want for build in builds)
+            else:
+                for build in builds:
+                    with pytest.raises((InvalidInput, cpmaps.NotCompletelyPositive),
+                                       match="not Hermitian"):
+                        build(y)
+
+    @pytest.mark.parametrize("x", [
+        [[1.0, 1.7e308], [-1.7e308, 1.0]],
+        [[0.0, 1.7e308 * (1 + 1j)], [1.7e308 * (1 + 1j), 0.0]],
+    ], ids=["defect past DBL_MAX", "entry modulus past DBL_MAX"])
+    def test_a_defect_past_the_double_range_is_refused_without_a_warning(self, x):
+        # the second one's Hermitian part [[0, 1.7e308], [1.7e308, 0]] is a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (HermitianMatrix, PsdMatrix, as_psd, is_psd):
+                with pytest.raises(InvalidInput, match=r"not Hermitian \(defect inf\)"):
+                    build(x)
+
+
 class TestIsPsd:
     def test_trivials(self):
         assert is_psd(np.diag([1.0, 0.0]))
@@ -338,13 +406,14 @@ class TestIsPsd:
     def test_raw_input_meets_the_hermiticity_rule(self, s):
         # the Hermitian part of this matrix is s I: is_psd must not judge it
         skew = s * np.array([[1.0, 0.9], [-0.9, 1.0]])
-        for check in (is_psd, as_psd):
+        for check in (is_psd, as_psd, HermitianMatrix, PsdMatrix):
             with pytest.raises(InvalidInput, match="not Hermitian"):
                 check(skew)
         nearly = s * np.array([[1.0, 0.9 + 0.01 * TOL_HERM], [0.9, 1.0]])
         assert is_psd(nearly) and type(as_psd(nearly)) is PsdMatrix
-        # a HermitianMatrix is judged as it is, relative to its largest entry
-        assert is_psd(HermitianMatrix(skew)) == Verdict(0.0, TOL_PSD * s)
+        # a HermitianMatrix is judged as it is, relative to its largest entry:
+        # the library-made Hermitian part of skew is s I
+        assert is_psd(HermitianMatrix._trusted(skew)) == Verdict(0.0, TOL_PSD * s)
 
     def test_signs_are_is_psd_of_both_signs(self, rng):
         # order_cp(f, g) reads both signs of C_G - C_F from its eigenvalues alone:

@@ -18,11 +18,11 @@ which inverts ``support()`` in place.  No command runs the parallel-sum limit
 the split against Ando's closed form ``hermlinalg._ando_part``, and
 ``parallel_sum`` has no caller but the limit and that example.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
-document, an action, an example's random matrices), no module calls the
-``PsdMatrix`` admission by name, ``hermlinalg._admit`` alone calls the public
-matrix constructors (every other matrix enters by ``_trusted``), and
-``TOL_HERM``, the Hermiticity rule of ``hermlinalg.as_psd``, is read nowhere
-else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
+document, an action, an example's random matrices), the public matrix
+constructors, the one door of outside data, are called only by
+``hermlinalg.as_psd`` and ``is_psd`` (every other matrix enters by
+``_trusted``), and ``TOL_HERM``, the Hermiticity rule of that door, is read
+nowhere else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
 operands, floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
 norm is read only by the two oracle bounds and the rank and range decisions.
@@ -127,9 +127,9 @@ CALL_SITES = {
     "_ando_part": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
-    # the admission runs only as cls(...) in _admit (see below): a sum or
-    # product the library built enters as trusted
-    "PsdMatrix": set(),
+    # the PSD admission runs only in as_psd (see below): a sum or product the
+    # library built enters as trusted
+    "PsdMatrix": {("hermlinalg.py", "as_psd")},
     # a norm bounds no verdict: it scales the two oracle bounds and the rank
     # and range decisions, all in hermlinalg (Ando's kernel, the index's range
     # test in HermitianMatrix.pinv_form, the snap)
@@ -169,13 +169,14 @@ def _constructor_sites(name: str, text: str) -> set[tuple[str, str]]:
     return set().union(*(_call_sites(name, text, callee) for callee in callees))
 
 
-def test_outside_data_enters_only_through_admit():
-    """``_admit`` alone calls ``HermitianMatrix(...)`` or ``PsdMatrix(...)``:
-    every matrix the library makes itself enters by ``_trusted``."""
+def test_outside_data_enters_only_through_as_psd_and_is_psd():
+    """``as_psd`` and ``is_psd`` alone call ``HermitianMatrix(...)`` or
+    ``PsdMatrix(...)``, the door of outside data: every matrix the library
+    makes itself enters by ``_trusted``."""
     sites = set()
     for name, text in _sources():
         sites |= _constructor_sites(name, text)
-    assert sites == {("hermlinalg.py", "_admit")}
+    assert sites == {("hermlinalg.py", "as_psd"), ("hermlinalg.py", "is_psd")}
 
 
 def test_constructor_guard_sees_a_planted_call():
@@ -184,6 +185,8 @@ def test_constructor_guard_sees_a_planted_call():
     text = "class P:\n    @classmethod\n    def g(cls, x):\n        return cls(x)\n"
     assert _constructor_sites("hermlinalg.py", text) == {("hermlinalg.py", "P")}
     assert _constructor_sites("opmeans.py", text) == set()  # MeanKind's own cls
+    text = "def psd_sqrt(a):\n    return PsdMatrix(a)\n"  # a side door beside as_psd
+    assert _constructor_sites("hermlinalg.py", text) == {("hermlinalg.py", "psd_sqrt")}
 
 
 def test_call_guard_sees_a_planted_call():

@@ -16,10 +16,11 @@ tree whose ``cpmean`` is imported) and compare the lines it prints.  Groups:
 - ``generic``: every report and ``-o`` document of a sweep of every command
   over generic document pairs (as ``tests/test_cli_generic.py`` draws them);
 - ``example``: ``cpmean example --all`` in text and JSON;
-- ``admission``: what ``from_choi``, ``CpMap``, ``as_psd``, ``is_psd``, ``schur`` and
-  ``functional`` admit, or the error they raise, on seeded matrices of four
-  kinds: exactly Hermitian, Hermitian only within ``TOL_HERM``, rank-deficient,
-  and ``HermitianMatrix`` inputs, with and without a cached eig; 8 cases per seed.
+- ``admission``: what the public constructors ``HermitianMatrix`` and ``PsdMatrix``,
+  ``from_choi``, ``CpMap``, ``as_psd``, ``is_psd``, ``schur`` and ``functional``
+  admit, or the error they raise, on seeded matrices of four kinds: exactly
+  Hermitian, Hermitian only within ``TOL_HERM``, rank-deficient, and
+  ``HermitianMatrix`` inputs, with and without a cached eig; 8 cases per seed.
 
 A result is hashed as the bytes of its entries, the repr of its floats, or the
 type and message of the error it raised; a report as its bytes and exit code.
@@ -239,6 +240,8 @@ def admission(seeds, limit) -> Digest:
                 out.add_call(lambda: cpmaps.from_choi(m, n, x))
                 # a CpMap that does not admit its Choi matrix fails on an array's .dim
                 out.add_call(lambda: cpmaps.CpMap(m, n, x), (AttributeError,))
+                out.add_call(lambda: hermlinalg.HermitianMatrix(x))
+                out.add_call(lambda: hermlinalg.PsdMatrix(x))
                 out.add_call(lambda: hermlinalg.as_psd(x))
                 out.add_call(lambda: hermlinalg.is_psd(x))
                 out.add_call(lambda: cpmaps.schur(x))
