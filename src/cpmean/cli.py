@@ -151,7 +151,7 @@ def cmd_mean(args) -> list[Report]:
     chain = _chain(kind, f, g, result)
     bound = hermlinalg._bound(opmeans.TOL_MEAN, f.choi, g.choi)
     for (lo, below), (hi, above) in zip(chain, chain[1:]):
-        low = float(hermlinalg.HermitianMatrix._trusted(above - below).eigvals()[0])
+        low = float(hermlinalg.HermitianMatrix._exact(above - below).eigvals()[0])
         rep.check(f"chain {hi} - {lo} >= 0", max(0.0, -low), bound)
     if args.out:
         rep.outputs["written"] = _write(result, args.out, f"{args.kind}({name_a},{name_b})")

@@ -89,9 +89,9 @@ class CpMap:
         if not isinstance(other, CpMap):
             return NotImplemented
         _check_same_dims(self, other)
-        with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
+        with np.errstate(over="ignore"):  # past DBL_MAX, _exact raises DomainError
             c = self.choi.entries + other.choi.entries
-        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(c))
+        return CpMap(self.dim_in, self.dim_out, PsdMatrix._exact(c))
 
     def __rmul__(self, scalar: float) -> "CpMap":
         c = _as_array(scalar, np.float64, DomainError)
@@ -99,7 +99,7 @@ class CpMap:
         if np.ndim(c) or not (c >= 0.0 and math.isfinite(float(c) * self.choi._scale())):
             raise DomainError("CP maps admit only nonnegative real scaling to a finite "
                               f"Choi matrix, got {scalar!r}")
-        return CpMap(self.dim_in, self.dim_out, PsdMatrix._trusted(float(c) * self.choi.entries))
+        return CpMap(self.dim_in, self.dim_out, PsdMatrix._exact(float(c) * self.choi.entries))
 
     def __repr__(self):
         return f"CpMap({self.dim_in} -> {self.dim_out})"
@@ -185,8 +185,8 @@ def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict
     ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
     largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
     _check_same_dims(f, g)
-    with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
-        w = HermitianMatrix._trusted(g.choi.entries - f.choi.entries).eigvals()
+    with np.errstate(over="ignore"):  # past DBL_MAX, _exact raises DomainError
+        w = HermitianMatrix._exact(g.choi.entries - f.choi.entries).eigvals()
     bound = _bound(tol, f.choi, g.choi)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
@@ -209,18 +209,18 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     _check_same_dims(f, g)
     _check_same_dims(f, theta)
     cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
-    w = HermitianMatrix._trusted(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
+    w = HermitianMatrix._exact(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
     return Verdict(max(0.0, -float(w[0])), _bound(tol, f.choi, g.choi, theta.choi))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:
     """Tensor product map, with Choi legs permuted to the fixed convention."""
     m1, n1, m2, n2 = f.dim_in, f.dim_out, g.dim_in, g.dim_out
-    with np.errstate(over="ignore"):  # past DBL_MAX, _trusted raises DomainError
+    with np.errstate(over="ignore"):  # past DBL_MAX, _exact raises DomainError
         t = np.kron(f.choi.entries, g.choi.entries)
     t = t.reshape(m1, n1, m2, n2, m1, n1, m2, n2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
     mn = m1 * m2 * n1 * n2
-    return CpMap(m1 * m2, n1 * n2, PsdMatrix._trusted(t.reshape(mn, mn)))
+    return CpMap(m1 * m2, n1 * n2, PsdMatrix._exact(t.reshape(mn, mn)))
 
 
 def compose(after: CpMap, first: CpMap) -> CpMap:
@@ -262,7 +262,7 @@ def identity(d: int) -> CpMap:
 def depolarizing(d: int) -> CpMap:
     """Completely depolarizing channel x -> Tr(x)/d; Choi is I/d."""
     _check_dims(d)
-    return CpMap(d, d, PsdMatrix._trusted(np.eye(d * d) / d))
+    return CpMap(d, d, PsdMatrix._exact(np.eye(d * d) / d))
 
 
 def unitary_conj(u) -> CpMap:
@@ -290,7 +290,7 @@ def schur(a) -> CpMap:
     diag = np.arange(n) * (n + 1)
     c = np.zeros((n * n, n * n), dtype=np.complex128)
     c[np.ix_(diag, diag)] = a.entries
-    return CpMap(n, n, PsdMatrix._trusted(c))
+    return CpMap(n, n, PsdMatrix._exact(c))
 
 
 def cond_exp_diag(d: int) -> CpMap:
@@ -335,7 +335,7 @@ def cond_exp_tensor(factor: int, weights: Sequence[float]) -> CpMap:
 def functional(rho) -> CpMap:
     """CP functional x -> Tr(rho x) as a map M_n -> M_1; Choi is rho^T."""
     rho = as_psd(rho)
-    return CpMap(rho.dim, 1, PsdMatrix._trusted(rho.entries.T))
+    return CpMap(rho.dim, 1, PsdMatrix._exact(rho.entries.T))
 
 
 class StateMeanQuantities(NamedTuple):

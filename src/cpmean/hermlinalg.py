@@ -10,13 +10,15 @@ and kernel decision reads ``RANK_RTOL`` here alone: ``support()``, the index's r
 test ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside
 data, and a ``CpMap``'s Choi matrix, enters only through the public constructors,
 converted once and held to the one Hermiticity rule ``TOL_HERM``; only ``as_psd``
-and ``is_psd`` call them, and what the library makes enters by ``_trusted``, with
-no such rule.  Matrices are small dense complex arrays (Choi matrices up to about
-144 x 144), immutable after construction; each eig and largest entry modulus is
-computed once and kept, so instances are safe to share across threads.  ``_RUN``
-keeps the last pair (at Choi 144, 0.66 MB of operands and 0.33 MB of ``t``,
-``1 - t`` and ``Z``, or, factored, 0.33 MB of X and 4.6 KB per column of Z and P;
-never R) and the document slots.
+and ``is_psd`` call them.  What the library makes enters with no such rule: a
+product, Hermitian to rounding, by ``_trusted``, which symmetrizes it, and a sum,
+scaling, block or transpose of admitted matrices, Hermitian bit for bit, by
+``_exact``, which skips the test.  Matrices are small dense complex arrays (Choi
+matrices up to about 144 x 144), immutable after construction; each eig and largest
+entry modulus is computed once and kept, so instances are safe to share across
+threads.  ``_RUN`` keeps the last pair (at Choi 144, 0.66 MB of operands and 0.33 MB
+of ``t``, ``1 - t`` and ``Z``, or, factored, 0.33 MB of X and 4.6 KB per column of Z
+and P; never R) and the document slots.
 """
 
 from __future__ import annotations
@@ -117,16 +119,16 @@ class HermitianMatrix:
         if defect > TOL_HERM * self._scale():
             raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
 
-    def _own(self, m: np.ndarray, outside: bool) -> "HermitianMatrix":
-        # Row 0 first, where a product is usually not Hermitian; a Hermitian m is kept
-        # bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
+    def _own(self, m: np.ndarray, outside: bool, exact: bool = False) -> "HermitianMatrix":
+        # Row 0 first, where a product is usually not Hermitian; a Hermitian (or exact) m
+        # is kept bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
         # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part and modulus
         # finite and below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
         small = np.vdot(m, m).real < math.inf
         if not (small or np.isfinite(m).all()):  # in what the library made, an overflow
             raise (InvalidInput("matrix entries must be finite") if outside
                    else DomainError("a computed entry is beyond double range"))
-        if not ((m[0] == m[:, 0].conj()).all() and (m == m.conj().T).all()):
+        if not (exact or (m[0] == m[:, 0].conj()).all() and (m == m.conj().T).all()):
             if small or max(np.abs(m.real).max(), np.abs(m.imag).max()) < 2.0 ** 1023:
                 m = m + m.conj().T
                 m.view(np.float64)[...] *= 0.5
@@ -140,14 +142,24 @@ class HermitianMatrix:
 
     @classmethod
     def _trusted(cls, entries):
-        """A cls of an array the library made, not copied if C-contiguous complex128,
+        """A cls of a product the library made, not copied if C-contiguous complex128,
         with no outside-number check, no Hermiticity rule and no PSD admission: ``U
-        f(w) U*``, f >= 0, or a sum, scaling, tensor or composition of admitted
-        matrices.  A non-finite entry, which only an overflow there can make, or an
-        entry modulus past DBL_MAX raises DomainError.  Outside data enters only
-        through the public constructors, which ``as_psd`` and ``is_psd`` call."""
+        f(w) U*``, f >= 0, a Gram form or a composition of admitted matrices, Hermitian
+        to rounding and symmetrized where not exactly.  A non-finite entry, which only
+        an overflow there can make, or an entry modulus past DBL_MAX raises DomainError.
+        Outside data enters only through the public constructors, which ``as_psd`` and
+        ``is_psd`` call; exactly Hermitian arithmetic enters by ``_exact``."""
         return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128),
                                      outside=False)
+
+    @classmethod
+    def _exact(cls, entries):
+        """``_trusted`` with no Hermitian test, for an array Hermitian bit for bit by
+        construction: a sum, difference, real scaling, block matrix, permuted tensor
+        product or transpose of admitted matrices, or ``eye/d``.  The test would pass
+        and keep the array, so the bits are the same; the finiteness decision stays."""
+        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128),
+                                     outside=False, exact=True)
 
     @property
     def dim(self) -> int:
@@ -239,7 +251,7 @@ class PsdMatrix(HermitianMatrix):
         h = HermitianMatrix._trusted(entries)
         w, u = h.eig()
         if w[0] > bound:  # admitted with its own eigh: w_0 > bound >= 0 is its verdict
-            (out := cls._trusted(h.entries)).eig()
+            (out := cls._exact(h.entries)).eig()
             return out
         if w[0] < -bound:
             raise InvalidInput(
@@ -279,8 +291,11 @@ def is_psd(h, tol: float = TOL_PSD) -> Verdict:
 
 
 def psd_sqrt(a) -> PsdMatrix:
-    """PSD square root; negative eigenvalues within tolerance are clamped to 0."""
+    """PSD square root; negative eigenvalues within tolerance are clamped to 0.
+    DomainError where the largest eigenvalue overflowed, as in ``support()``."""
     w, u = as_psd(a).eig()
+    if not math.isfinite(w[-1]):
+        raise DomainError("largest eigenvalue beyond double range")
     return PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
@@ -365,7 +380,7 @@ class SpectralPair:
     def _eigh(self, a: HermitianMatrix, b: HermitianMatrix, sb: float):
         """(t, 1 - t, Z, None) from the eigh of Ĉ and of A'."""
         ah = _fold(a.entries, self.sa)
-        w, u = HermitianMatrix._trusted(ah + _fold(b.entries, self.sb)).support()
+        w, u = HermitianMatrix._exact(ah + _fold(b.entries, self.sb)).support()
         x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
         t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))

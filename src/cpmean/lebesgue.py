@@ -80,7 +80,7 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     k0 = min(max(math.ceil(math.log2(ratio)) if ratio > 0.0 else 1, 1), _ORACLE_STEPS - 2)
     row, best, moves, ok = [], None, [math.inf], 0
     for k in range(k0, _ORACLE_STEPS + 1):
-        x = parallel_sum(PsdMatrix._trusted((2.0 ** k) * f.choi.entries), g.choi).entries
+        x = parallel_sum(PsdMatrix._exact((2.0 ** k) * f.choi.entries), g.choi).entries
         new = [x]
         for j, r in enumerate(row[:_RICHARDSON_DEPTH - 1], start=1):
             new.append(new[-1] + (new[-1] - r) / (2.0 ** j - 1.0))
@@ -94,7 +94,7 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
         est = max(moves[-2:])
         raise NonConvergence(f"parallel-sum limit moved {est:.3e} at n={2 ** _ORACLE_STEPS}, "
                              f"tolerance {tol:.3e}", est)
-    w, u = HermitianMatrix._trusted(best).eig()
+    w, u = HermitianMatrix._exact(best).eig()
     if w[0] < -tol:
         raise NonConvergence(f"extrapolated limit has eigenvalue {w[0]:.3e}, "
                              f"tolerance {tol:.3e}", -float(w[0]))

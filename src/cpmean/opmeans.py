@@ -61,7 +61,8 @@ def _connect(a, b, sigma) -> PsdMatrix:
         raise InvalidInput(f"connection kernel is negative ({d.min():.3e})")
     if not d.all() or p.z.shape[1] < p.z.shape[0]:
         return p.gram(p.sa * d)
-    out = p.sa * p.product(d)
+    with np.errstate(over="ignore"):  # past DBL_MAX, the clamp raises DomainError
+        out = p.sa * p.product(d)
     return PsdMatrix.clamped(out, TOL_MEAN * _max_abs(out))
 
 
@@ -94,7 +95,8 @@ def parallel_sum(a, b) -> HermitianMatrix:
     the PSD cone, once its smallest eigenvalue is within -TOL_MEAN ||A + B||.
     """
     a, b = _check_pair(a, b)
-    c = PsdMatrix._trusted(a.entries + b.entries)
+    with np.errstate(over="ignore"):  # past DBL_MAX, _exact raises DomainError
+        c = PsdMatrix._exact(a.entries + b.entries)
     w, u = c.support()  # (A+B)^+ inverts the eigenvalues its support keeps
     out = HermitianMatrix._trusted((a.entries @ (u / w)) @ (u.conj().T @ b.entries))
     # Round-off in the product is relative to the operands, not to the result,
@@ -261,8 +263,8 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
         with np.errstate(over="ignore"):
             s = a.entries + b.entries
         if not np.isfinite(s).all():  # A + B past DBL_MAX: the sum of the halves, exact
-            return PsdMatrix._trusted(0.5 * a.entries + 0.5 * b.entries)
-        return PsdMatrix._trusted(0.5 * s)
+            return PsdMatrix._exact(0.5 * a.entries + 0.5 * b.entries)
+        return PsdMatrix._exact(0.5 * s)
     if kind.tag == "geo":
         return geometric_mean(a, b)
     if kind.tag == "power":

@@ -131,6 +131,25 @@ def rng():
 
 
 @pytest.fixture
+def exact_guard(monkeypatch):
+    """Patch ``HermitianMatrix._exact``, and so ``PsdMatrix._exact``, to assert
+    that each array it receives equals its conjugate transpose, the test that
+    ``_exact`` skips; returns the list of the shapes it saw, so a test can tell
+    that its calls reached it."""
+    exact = hermlinalg.HermitianMatrix.__dict__["_exact"].__func__
+    seen = []
+
+    def guarded(cls, entries):
+        m = np.asarray(entries)
+        assert (m == m.conj().T).all(), f"_exact took a non-Hermitian {m.shape} array"
+        seen.append(m.shape)
+        return exact(cls, entries)
+
+    monkeypatch.setattr(hermlinalg.HermitianMatrix, "_exact", classmethod(guarded))
+    return seen
+
+
+@pytest.fixture
 def eigh_calls(monkeypatch):
     """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
     that call() makes on a fresh run, after warm(), if given, has run uncounted,

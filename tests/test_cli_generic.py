@@ -137,3 +137,12 @@ def test_a_zero_operand_gives_exact_zeros(tmp_path, capsys):
         assert main(["--format", "json", "mean", "--kind", "log", *argv]) == 0
         assert not np.any(json.loads(capsys.readouterr().out)["outputs"]["choi"])
     assert _failure(capsys, ["lebesgue", *paths]) is None
+
+
+def test_the_first_seed_builds_only_hermitian_arrays_without_the_test(tmp_path, capsys,
+                                                                       exact_guard):
+    """Seed 0 of both sweeps with ``HermitianMatrix._exact`` guarded: every
+    array it takes is Hermitian bit for bit (``conftest.exact_guard``)."""
+    test_lebesgue_passes_on_generic_document_pairs(tmp_path, capsys, 0)
+    test_every_command_passes_on_generic_document_pairs(tmp_path, capsys, 0)
+    assert exact_guard

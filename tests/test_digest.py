@@ -12,7 +12,7 @@ from cpmean.errors import DomainError
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 GROUPS = ["lib-means", "lib-connections", "lib-lebesgue", "lib-lebesgue is_abs_continuous",
-          "generic", "example", "admission"]
+          "generic", "example", "admission", "construction"]
 
 
 def _load():
@@ -51,4 +51,10 @@ def test_a_digest_tells_bits_dtypes_shapes_and_errors_apart():
 def test_the_admission_group_tells_seeds_apart_and_repeats():
     admission = _load().admission
     one, again, other = (admission(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
+    assert one == again != other
+
+
+def test_the_construction_group_tells_seeds_apart_and_repeats():
+    construction = _load().construction
+    one, again, other = (construction(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
     assert one == again != other

@@ -180,6 +180,51 @@ class TestTrusted:
             assert HermitianMatrix(x)._amax == h._amax
 
 
+class TestExact:
+    """``_exact`` is ``_trusted`` without the Hermitian test: on an exactly
+    Hermitian array, which that test keeps as it is, the two give the same bits,
+    and the finiteness decision is the same."""
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: 2.0 ** 40 * a,
+        lambda a, b: 0.5 * a + 0.5 * b, lambda a, b: a.T,
+        lambda a, b: np.block([[a, a @ b], [(a @ b).conj().T, b]]),
+        lambda a, b: np.eye(3) / 3.0,
+    ], ids=["sum", "difference", "scaling", "halves", "transpose", "block", "eye/d"])
+    def test_exact_arithmetic_keeps_the_bits_of_trusted(self, rng, build):
+        a, b = (HermitianMatrix._trusted(g @ g.conj().T).entries
+                for g in (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in "ab"))
+        x = build(a, b)
+        for cls in (HermitianMatrix, PsdMatrix):
+            got = cls._exact(x)
+            assert type(got) is cls and got._eig is None and got._amax is None
+            assert got.entries.dtype == np.complex128 and not got.entries.flags.writeable
+            assert _bits(got.entries) == _bits(cls._trusted(x).entries) == _bits(_symmetrized(x))
+
+    def test_signed_zeros_are_kept(self):
+        x = np.array([[complex(1.0, -0.0), complex(-0.0, 0.0)],
+                      [complex(0.0, -0.0), complex(2.0, -0.0)]])
+        got = HermitianMatrix._exact(x).entries
+        assert _bits(got) == _bits(HermitianMatrix._trusted(x).entries) == _bits(x)
+        assert np.signbit(got.diagonal().imag).all() and np.signbit(got[0, 1].real)
+
+    def test_no_hermitian_test_runs(self):
+        # the caller's construction is the test: a non-Hermitian array is kept
+        x = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+        assert _bits(HermitianMatrix._exact(x).entries) == _bits(x)
+
+    @pytest.mark.parametrize("x, match", [
+        ([[np.inf, 0.0], [0.0, 1.0]], "computed entry is beyond double range"),
+        ([[0.0, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j), 0.0]], "modulus is beyond double range"),
+    ], ids=["overflowed entry", "entry modulus"])
+    def test_the_finiteness_decision_stays(self, x, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for construct in (HermitianMatrix._exact, HermitianMatrix._trusted):
+                with pytest.raises(DomainError, match=match):
+                    construct(np.array(x, dtype=complex))
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 class TestClamped:
     """``PsdMatrix.clamped`` at joint scales picks its branch by its bound:
@@ -505,6 +550,13 @@ class TestSupport:
         assert c.eig()[0][-1] == np.inf
         with pytest.raises(DomainError, match="largest eigenvalue beyond double range"):
             c.support()
+
+    def test_the_square_root_of_an_overflowed_largest_eigenvalue_raises(self):
+        # entries 1.7e308, largest eigenvalue 6.8e308: sqrt(inf) times U's zeros was nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="largest eigenvalue beyond double range"):
+                psd_sqrt(PsdMatrix(1.7e308 * np.ones((4, 4))))
 
 
 class TestProjIntersection:

@@ -395,6 +395,20 @@ class TestExtremeScales:
         assert np.array_equal(got, (0.5 * 1.2e308 + 0.5 * 1.08e308) * np.eye(2))
         assert mean(ARITH, [[5e-324]], [[1e-323]]).entries[0, 0] == 1e-323
 
+    @pytest.mark.parametrize("build", [
+        lambda f, g: parallel_sum(f.choi, g.choi),
+        lambda f, g: cpmaps.mean_cp(MeanKind.custom(ConnectionRep(1.0, 1.0, ((1.0, 1.0),))), f, g),
+    ], ids=["parallel_sum", "custom"])
+    def test_a_sum_or_connection_past_the_double_range_raises_domain_error(self, rng, build):
+        # full-rank Choi 4 operands with entries up to 1.7e308: A + B, and the
+        # connection's s_A Z diag(d) Z* on its clamp route, pass the double range
+        f, g = (cpmaps.from_choi(2, 2, 1.7e308 * (c / max_abs(c)))
+                for c in (random_psd(rng, 4), random_psd(rng, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond double range"):
+                build(f, g)
+
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
         assert got == pytest.approx((1.0 - 1e-12) / np.log(1e12), rel=1e-14)

@@ -21,7 +21,8 @@ Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), the public matrix
 constructors, the one door of outside data, are called only by
 ``hermlinalg.as_psd`` and ``is_psd`` (every other matrix enters by
-``_trusted``), and ``TOL_HERM``, the Hermiticity rule of that door, is read
+``_trusted``, or, Hermitian bit for bit by construction, by ``_exact``, each at
+pinned sites), and ``TOL_HERM``, the Hermiticity rule of that door, is read
 nowhere else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
 operands, floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
@@ -196,6 +197,62 @@ def test_call_guard_sees_a_planted_call():
     assert _call_sites("x.py", text, "pinv_psd") == {("x.py", "harmonic_mean")}
     assert _call_sites("x.py", text, "SpectralPair") == {("x.py", "X")}
     assert _call_sites("x.py", "pinv = pinv_psd\n", "pinv_psd") == set()
+
+
+# callee -> the (file, function or Class.method) allowed to call it.  A product,
+# Hermitian only to its rounding, enters by _trusted, whose test symmetrizes it;
+# a sum, real scaling, difference, block, permuted tensor product, transpose
+# or eye/d of admitted matrices, Hermitian bit for bit, enters by _exact, which
+# skips that test.  A new site of either shows here, so that a product cannot
+# take _exact unseen.
+TRUSTED_SITES = {
+    "_trusted": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "PsdMatrix._gram"),
+                 ("hermlinalg.py", "_ando_part"), ("opmeans.py", "parallel_sum"),
+                 ("cpmaps.py", "compose")},
+    "_exact": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "SpectralPair._eigh"),
+               ("opmeans.py", "parallel_sum"), ("opmeans.py", "mean"),
+               ("lebesgue.py", "ac_part_oracle"), ("cpmaps.py", "CpMap.__add__"),
+               ("cpmaps.py", "CpMap.__rmul__"), ("cpmaps.py", "order_cp"),
+               ("cpmaps.py", "geo_certificate"), ("cpmaps.py", "tensor"),
+               ("cpmaps.py", "depolarizing"), ("cpmaps.py", "schur"),
+               ("cpmaps.py", "functional"), ("cli.py", "cmd_mean")},
+}
+
+
+def _qualified_call_sites(name: str, text: str, callee: str) -> set[tuple[str, str]]:
+    """(file, enclosing top-level function, ``Class.method`` or '<module>') of
+    each call of ``callee``, by plain or attribute name."""
+    owners = []
+    for top in ast.parse(text).body:
+        if isinstance(top, ast.ClassDef):
+            owners += [(f"{top.name}.{getattr(node, 'name', '<class>')}", node)
+                       for node in top.body]
+        else:
+            owners.append((getattr(top, "name", "<module>"), top))
+    return {(name, owner) for owner, tree in owners for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == callee}
+
+
+@pytest.mark.parametrize("callee", sorted(TRUSTED_SITES))
+def test_products_take_trusted_and_exact_arithmetic_takes_exact(callee):
+    sites = set()
+    for name, text in _sources():
+        sites |= _qualified_call_sites(name, text, callee)
+    assert sites == TRUSTED_SITES[callee]
+
+
+def test_trusted_guard_sees_a_planted_call():
+    text = ("class CpMap:\n    def __matmul__(self, other):\n"
+            "        return PsdMatrix._exact(self.choi.entries @ other.choi.entries)\n\n"
+            "def compose(a, b):\n    return hermlinalg.PsdMatrix._exact(a @ b)\n\n"
+            "x = HermitianMatrix._exact(np.eye(2))\n")
+    assert _qualified_call_sites("cpmaps.py", text, "_exact") == {
+        ("cpmaps.py", "CpMap.__matmul__"), ("cpmaps.py", "compose"), ("cpmaps.py", "<module>")}
+    assert _qualified_call_sites("cpmaps.py", text, "_trusted") == set()
+    text = "def f(m):\n    exact = PsdMatrix._exact\n    return m  # _exact(m @ m)\n"
+    assert _qualified_call_sites("x.py", text, "_exact") == set()
 
 
 def _pseudo_inverse_helpers(name: str, text: str) -> set[tuple[str, str]]:

@@ -20,7 +20,11 @@ tree whose ``cpmean`` is imported) and compare the lines it prints.  Groups:
   ``from_choi``, ``CpMap``, ``as_psd``, ``is_psd``, ``schur`` and ``functional``
   admit, or the error they raise, on seeded matrices of four kinds: exactly
   Hermitian, Hermitian only within ``TOL_HERM``, rank-deficient, and
-  ``HermitianMatrix`` inputs, with and without a cached eig; 8 cases per seed.
+  ``HermitianMatrix`` inputs, with and without a cached eig; 8 cases per seed;
+- ``construction``: the map arithmetic that ``HermitianMatrix._exact`` builds with
+  no Hermitian test, on seeded pairs of maps: ``CpMap +``, scalar ``*``,
+  ``tensor``, the ``order_cp`` verdicts and the ``geo_certificate`` residuals of
+  the geometric mean and of the sum; 8 cases per seed.
 
 A result is hashed as the bytes of its entries, the repr of its floats, or the
 type and message of the error it raised; a report as its bytes and exit code.
@@ -249,6 +253,28 @@ def admission(seeds, limit) -> Digest:
     return out
 
 
+def construction(seeds, limit) -> Digest:
+    from cpmean import cpmaps
+    from cpmean.opmeans import GEO
+
+    out = Digest()
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 3])
+        for _ in range(8 if limit is None else limit):
+            m, n = (int(x) for x in rng.integers(1, 4, size=2))
+            f, g = (cpmaps.from_kraus(_kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0)),
+                                      dim_in=m, dim_out=n) for _ in "fg")
+            c = float(rng.uniform(0.0, 4.0) * 10.0 ** rng.uniform(-6.0, 6.0))
+            out.add_call(lambda: f + g)
+            out.add_call(lambda: c * f)
+            out.add_call(lambda: cpmaps.tensor(f, g))
+            out.add_call(lambda: cpmaps.order_cp(f, g))
+            out.add_call(lambda: cpmaps.order_cp(f, f + g))
+            for theta in (lambda: cpmaps.mean_cp(GEO, f, g), lambda: f + g):
+                out.add_call(lambda: cpmaps.geo_certificate(f, g, theta()))
+    return out
+
+
 def example(limit) -> Digest:
     out = Digest()
     for argv in [["example", "--all"], ["--format", "json", "example", "--all"]][:limit]:
@@ -276,7 +302,8 @@ def main(argv=None) -> int:
                       ("lib-connections", lib_connections(seeds, limit)),
                       ("lib-lebesgue", split), ("lib-lebesgue is_abs_continuous", abs_cont),
                       ("generic", generic(seeds, limit)), ("example", example(limit)),
-                      ("admission", admission(seeds, limit))]
+                      ("admission", admission(seeds, limit)),
+                      ("construction", construction(seeds, limit))]
         finally:
             os.chdir(cwd)
     for name, digest in groups:
