@@ -30,7 +30,9 @@ from .hermlinalg import (
     Verdict,
     _as_array,
     _bound,
+    _common,
     _is_whole,
+    _ldexp,
     as_psd,
     psd_sqrt,
 )
@@ -176,17 +178,16 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     """Kraus operators from the spectral decomposition of the Choi matrix: the
     columns of ``U W^{1/2}`` on its support are their vec(K), as in ``from_kraus``."""
-    w, u = f.choi.support()
-    return list((u * np.sqrt(w)).T.reshape(-1, f.dim_in, f.dim_out).transpose(0, 2, 1))
+    return list(f.choi._root().T.reshape(-1, f.dim_in, f.dim_out).transpose(0, 2, 1))
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
-    """``(F <= G, G <= F)`` in the CP order from the eigenvalues of C_G - C_F alone:
-    ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against ``tol`` times the
-    largest entry modulus of C_F and C_G, so neither changes under joint scaling."""
+    """``(F <= G, G <= F)`` in the CP order from the eigenvalues of C_G - C_F alone, at
+    their common power of two: ``max(0, -lambda_min)`` and ``max(0, lambda_max)`` against
+    ``tol`` times the largest entry modulus of C_F and C_G, unmoved by joint scaling."""
     _check_same_dims(f, g)
-    with np.errstate(over="ignore"):  # past DBL_MAX, _exact raises DomainError
-        w = HermitianMatrix._exact(g.choi.entries - f.choi.entries).eigvals()
+    e, (cf, cg) = _common(f.choi, g.choi)
+    w = _ldexp(HermitianMatrix._exact(cg - cf).eigvals()[[0, -1]], e)
     bound = _bound(tol, f.choi, g.choi)
     return Verdict(max(0.0, -float(w[0])), bound), Verdict(max(0.0, float(w[-1])), bound)
 
@@ -208,9 +209,9 @@ def geo_certificate(f: CpMap, g: CpMap, theta: CpMap, tol: float = TOL_PSD) -> V
     """
     _check_same_dims(f, g)
     _check_same_dims(f, theta)
-    cf, cg, ct = f.choi.entries, g.choi.entries, theta.choi.entries
+    e, (cf, cg, ct) = _common(f.choi, g.choi, theta.choi)
     w = HermitianMatrix._exact(np.block([[cf, ct], [ct.conj().T, cg]])).eigvals()
-    return Verdict(max(0.0, -float(w[0])), _bound(tol, f.choi, g.choi, theta.choi))
+    return Verdict(max(0.0, -float(_ldexp(w[0], e))), _bound(tol, f.choi, g.choi, theta.choi))
 
 
 def tensor(f: CpMap, g: CpMap) -> CpMap:

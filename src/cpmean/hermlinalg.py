@@ -1,24 +1,19 @@
 """Dense Hermitian/PSD linear algebra kernel with an explicit tolerance policy.
 
-Everything in this package runs through the small set of primitives below: the
-cached spectral decomposition of a ``HermitianMatrix``, its eigenvalues alone
-(``eigvals()``, not cached) and its rank cutoff ``support()``, ``as_psd``, the
+Everything in this package runs through the primitives below: the cached eig of a
+``HermitianMatrix``, its ``eigvals()`` and rank cutoff ``support()``, ``as_psd``, the
 admission of outside data, ``is_psd``, the PSD square root, and the ``SpectralPair``
-(two eigh, or one thin SVD from cached eigs with the complement R as its last part)
-on which every mean, connection and Lebesgue split is evaluated.  Every rank, range
-and kernel decision reads ``RANK_RTOL`` here alone: ``support()``, the index's range
-test ``pinv_form`` and the kernel of Ando's closed form ``_ando_part``.  Outside
-data, and a ``CpMap``'s Choi matrix, enters only through the public constructors,
-converted once and held to the one Hermiticity rule ``TOL_HERM``; only ``as_psd``
-and ``is_psd`` call them.  What the library makes enters with no such rule: a
-product, Hermitian to rounding, by ``_trusted``, which symmetrizes it, and a sum,
-scaling, block or transpose of admitted matrices, Hermitian bit for bit, by
-``_exact``, which skips the test.  Matrices are small dense complex arrays (Choi
-matrices up to about 144 x 144), immutable after construction; each eig and largest
-entry modulus is computed once and kept, so instances are safe to share across
-threads.  ``_RUN`` keeps the last pair (at Choi 144, 0.66 MB of operands and 0.33 MB
-of ``t``, ``1 - t`` and ``Z``, or, factored, 0.33 MB of X and 4.6 KB per column of Z
-and P; never R) and the document slots.
+(two eigh, or one thin SVD from cached eigs) on which every mean, connection and
+Lebesgue split is evaluated.  Every rank, range and kernel decision reads ``RANK_RTOL``
+here alone, and so does the one scale rule: a matrix's scale is 2^e, e the ``frexp``
+exponent of its largest entry modulus; it is folded by ``ldexp``, exactly, each eig is
+that of the folded entries, kept at unit scale beside e, so LAPACK never rescales, and
+a result formed at unit scale is scaled by a power of two once.  Outside data enters
+only through the public constructors, held to the one Hermiticity rule ``TOL_HERM``;
+what the library makes enters by ``_trusted``, a product, which symmetrizes it, or by
+``_exact``, Hermitian bit for bit.  Matrices are immutable; each eig and largest entry
+modulus is computed once and kept, so instances are safe to share across threads.
+``_RUN`` keeps the last pair and the document slots.
 """
 
 from __future__ import annotations
@@ -52,6 +47,35 @@ def _bound(tol: float, *arrays) -> float:
     largest dimension of the arrays or matrices: a residual carries a rounding unit."""
     dim = max(x.dim if isinstance(x, HermitianMatrix) else max(np.shape(x)) for x in arrays)
     return max(tol * _max_abs(*arrays), dim * 2.0 ** -1074)
+
+
+def _ldexp(x, e: int, what: str | None = None):
+    """``x 2^e`` by parts, exact in the normal range, past DBL_MAX inf with no warning,
+    or, for a value ``what`` that the library returns, DomainError."""
+    if not isinstance(x, np.ndarray):  # a scalar, at a fraction of numpy's cost
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            y = math.copysign(math.inf, x)
+    elif not e:
+        return x
+    else:
+        v = np.ascontiguousarray(x).view(np.float64)
+        if e < 0 or math.frexp(float(np.abs(v).max(initial=0.0)))[1] + e <= 1024:
+            # no overflow; a product by a normal 2^e rounds as ldexp does, and is faster
+            return (v * 2.0 ** e if -1022 <= e <= 1023 else np.ldexp(v, e)).view(x.dtype)
+        with np.errstate(over="ignore"):
+            y = np.ldexp(v, e).view(x.dtype)
+    if what:  # y holds an overflow
+        raise DomainError(f"{what} is beyond double range")
+    return y
+
+
+def _common(*mats) -> tuple[int, list[np.ndarray]]:
+    """(e, the entries of mats times 2^-e), e >= 0 the least that keeps each entry below
+    2^1022: a sum or difference of two cannot overflow, and below that nothing moves."""
+    e = max(0, *(x._exp() - 1022 for x in mats))
+    return e, [_ldexp(x.entries, -e) for x in mats]
 
 
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
@@ -98,10 +122,9 @@ class HermitianMatrix:
     An array-like, converted once by ``_as_array``, must be square (else ShapeError),
     finite and Hermitian within ``TOL_HERM`` of its Hermitian part's largest entry
     modulus (else InvalidInput), and is symmetrized as by ``_trusted``; a
-    HermitianMatrix given as entries is adopted: its array and what it has kept.
-    Entries are stored row-major as a read-only complex128 array.  The eig and
-    ``_scale()`` (an outside array's at admission) are computed once and kept;
-    concurrent readers may race to fill them but the filled value is identical either way.
+    HermitianMatrix given as entries is adopted with what it has kept.  Entries are a
+    read-only row-major complex128 array.  The eig and ``_scale()`` are computed once
+    and kept; concurrent readers may race to fill them with identical values.
     """
 
     __slots__ = ("_m", "_eig", "_amax")
@@ -110,7 +133,7 @@ class HermitianMatrix:
         if isinstance(entries, HermitianMatrix):
             self._m, self._eig, self._amax = entries._m, entries._eig, entries._amax
             return
-        m = np.ascontiguousarray(_as_array(entries))
+        m = _as_array(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         self._own(m, outside=True)
@@ -119,12 +142,14 @@ class HermitianMatrix:
         if defect > TOL_HERM * self._scale():
             raise InvalidInput(f"matrix is not Hermitian (defect {defect:.3e})")
 
-    def _own(self, m: np.ndarray, outside: bool, exact: bool = False) -> "HermitianMatrix":
+    def _own(self, m: np.ndarray, outside: bool, exact: bool = False,
+             e: int = 0) -> "HermitianMatrix":
         # Row 0 first, where a product is usually not Hermitian; a Hermitian (or exact) m
-        # is kept bit for bit, any other halved as real: a complex 0.5 * turns -0.0 into 0.0.
-        # One pass, with no warning: sum |m_ij|^2 < DBL_MAX keeps each part and modulus
-        # finite and below DBL_MAX/2, so m + m* cannot overflow; a part past it sums halves.
-        small = np.vdot(m, m).real < math.inf
+        # is kept bit for bit, any other halved as real (a complex 0.5 * turns -0.0 into
+        # 0.0).  sum |m_ij|^2 < DBL_MAX keeps m + m* finite; a part past it sums halves.
+        m = np.ascontiguousarray(m, dtype=np.complex128)
+        squares = np.vdot(m, m).real
+        small = squares < math.inf
         if not (small or np.isfinite(m).all()):  # in what the library made, an overflow
             raise (InvalidInput("matrix entries must be finite") if outside
                    else DomainError("a computed entry is beyond double range"))
@@ -133,33 +158,31 @@ class HermitianMatrix:
                 m = m + m.conj().T
                 m.view(np.float64)[...] *= 0.5
             else:
-                m = _fold(m, 2.0) + _fold(m.conj().T, 2.0)
-        if not (small or np.abs(m).max() < math.inf):  # so _scale() and each bound are finite
+                m = _ldexp(m, -1) + _ldexp(m.conj().T, -1)
+        if e:  # formed at 2^-e of its scale, symmetrized, scaled once
+            small = small and math.frexp(squares)[1] + 2 * e <= 1024  # then no overflow
+            m = (m.view(np.float64) * 2.0 ** e).view(np.complex128) if small and e >= -1022 \
+                else _ldexp(m, e)
+        amax = None if small else float(np.abs(m).max())
+        if not (small or amax < math.inf):  # so _scale() and each bound are finite
             raise DomainError("an entry modulus is beyond double range")
         m.flags.writeable = False
-        self._m, self._eig, self._amax = m, None, None
+        self._m, self._eig, self._amax = m, None, amax
         return self
 
     @classmethod
-    def _trusted(cls, entries):
-        """A cls of a product the library made, not copied if C-contiguous complex128,
-        with no outside-number check, no Hermiticity rule and no PSD admission: ``U
-        f(w) U*``, f >= 0, a Gram form or a composition of admitted matrices, Hermitian
-        to rounding and symmetrized where not exactly.  A non-finite entry, which only
-        an overflow there can make, or an entry modulus past DBL_MAX raises DomainError.
-        Outside data enters only through the public constructors, which ``as_psd`` and
-        ``is_psd`` call; exactly Hermitian arithmetic enters by ``_exact``."""
-        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128),
-                                     outside=False)
+    def _trusted(cls, entries, e: int = 0):
+        """A cls of a product the library made (``U f(w) U*``, f >= 0, a Gram form or a
+        composition), symmetrized, times 2^e, with no Hermiticity rule or PSD admission;
+        an entry or entry modulus past DBL_MAX, an overflow, raises DomainError."""
+        return cls.__new__(cls)._own(entries, outside=False, e=e)
 
     @classmethod
-    def _exact(cls, entries):
+    def _exact(cls, entries, e: int = 0):
         """``_trusted`` with no Hermitian test, for an array Hermitian bit for bit by
         construction: a sum, difference, real scaling, block matrix, permuted tensor
-        product or transpose of admitted matrices, or ``eye/d``.  The test would pass
-        and keep the array, so the bits are the same; the finiteness decision stays."""
-        return cls.__new__(cls)._own(np.ascontiguousarray(entries, dtype=np.complex128),
-                                     outside=False, exact=True)
+        product or transpose of admitted matrices, or ``eye/d``."""
+        return cls.__new__(cls)._own(entries, outside=False, exact=True, e=e)
 
     @property
     def dim(self) -> int:
@@ -176,47 +199,57 @@ class HermitianMatrix:
             self._amax = float(np.abs(self._m).max())
         return self._amax
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition: ascending eigenvalues and unitary columns."""
+    def _exp(self) -> int:
+        """e of the scale 2^e, with ``_scale()`` in [2^(e-1), 2^e) (0 for a zero matrix)."""
+        return math.frexp(self._scale())[1]
+
+    def _spectrum(self, cut: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+        """(w, U, e), computed once: the eigh of the entries folded by 2^-e, e =
+        ``_exp()``, so each |w_i| <= n and LAPACK never rescales (outside 2^+-485);
+        with cut, its tail above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``."""
         if self._eig is None:
-            w, u = np.linalg.eigh(self._m)
-            w.flags.writeable = False
-            u.flags.writeable = False
-            self._eig = (w, u)
-        return self._eig
+            e = self._exp()
+            w, u = np.linalg.eigh(_ldexp(self._m, -e))
+            w.flags.writeable = u.flags.writeable = False
+            self._eig = (w, u, e)
+        if not cut:
+            return self._eig
+        w, u, e = self._eig
+        k = int(np.searchsorted(w, RANK_RTOL * max(float(w[-1]), 0.0), side="right"))
+        return w[k:], u[:, k:], e
+
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and unitary columns, DomainError past DBL_MAX."""
+        w, u, e = self._spectrum()
+        return _ldexp(w, e, "an eigenvalue"), u
 
     def eigvals(self) -> np.ndarray:
-        """Ascending eigenvalues: those of the cached ``eig()`` if there is one,
-        else one uncached ``eigvalsh``."""
-        return np.linalg.eigvalsh(self._m) if self._eig is None else self._eig[0]
+        """Ascending eigenvalues: the cached ``eig()``'s, else one uncached ``eigvalsh``'s."""
+        return np.linalg.eigvalsh(self._m) if self._eig is None else self.eig()[0]
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``: views
-        of the cached ``eig()``, whose ascending order makes them its tail.
-        DomainError where w[-1] overflowed: an inf cutoff would keep no pair."""
-        w, u = self.eig()
-        if not math.isfinite(w[-1]):
-            raise DomainError("largest eigenvalue beyond double range")
-        k = int(np.searchsorted(w, RANK_RTOL * max(float(w[-1]), 0.0), side="right"))
-        return w[k:], u[:, k:]
+        """Eigenpairs above the rank cutoff, DomainError past DBL_MAX."""
+        w, u, e = self._spectrum(cut=True)
+        return _ldexp(w, e, "an eigenvalue"), u
+
+    def _root(self) -> np.ndarray:
+        """``X = U W^{1/2}`` on the support, formed at unit scale: finite with the entries."""
+        w, u, e = self._spectrum(cut=True)
+        return _ldexp(u * np.sqrt(_ldexp(w, e % 2)), e // 2)
 
     def pinv_form(self, v: np.ndarray) -> float:
-        """``<v, C^+ v>`` on ``support()``; inf if v is off its range by > RANK_RTOL
-        ||v||, DomainError where the form on the range overflows."""
-        w, u = self.support()
+        """``<v, C^+ v>`` on the support at unit scale; inf if v is off its range by >
+        RANK_RTOL ||v||, DomainError where the form overflows."""
+        w, u, e = self._spectrum(cut=True)
         y = u.conj().T @ v  # v in the eigenbasis of C on its support
         if np.linalg.norm(v - u @ y) > RANK_RTOL * np.linalg.norm(v):
             return math.inf
-        with np.errstate(over="ignore"):
-            form = float(np.sum(np.abs(y) ** 2 / w))
-        if math.isinf(form):  # finite, but inf would read as off the range
-            raise DomainError("<v, C^+ v> is beyond double range")
-        return form
+        return float(_ldexp(np.sum(np.abs(y) ** 2 / w), -e, "<v, C^+ v>"))
 
     def norm(self) -> float:
-        """Spectral norm."""
-        w, _ = self.eig()
-        return float(max(abs(w[0]), abs(w[-1])))
+        """Spectral norm; DomainError where it is beyond double range."""
+        w, _, e = self._spectrum()
+        return float(_ldexp(max(abs(w[0]), abs(w[-1])), e, "the spectral norm"))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -240,30 +273,27 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
-        """Entries PSD up to bound, which the caller sets from the round-off of
-        the computation that produced them: a connection not rank-deficient by
-        construction (``opmeans._connect``), its one caller.  The
-        smallest eigenvalue w_0 picks the branch: above bound, the entries are
-        admitted as computed, a second eigh; within ±bound, the Gram form ``U
-        max(w, 0) U*`` (Higham 1988), whose eig stays lazy, one eigh in all;
-        below -bound, InvalidInput.
-        """
-        h = HermitianMatrix._trusted(entries)
-        w, u = h.eig()
-        if w[0] > bound:  # admitted with its own eigh: w_0 > bound >= 0 is its verdict
-            (out := cls._exact(h.entries)).eig()
+        """Entries (an array, or a HermitianMatrix the library made) PSD up to bound, set
+        by its one caller ``opmeans._connect`` from a connection's round-off.  The least
+        eigenvalue w_0 picks the branch: above bound, the entries are admitted as
+        computed, a second eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham
+        1988), its eig lazy; below -bound, InvalidInput."""
+        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix._trusted(entries)
+        w, u, e = h._spectrum()
+        unit = _ldexp(bound, -e)
+        if w[0] > unit:  # admitted with its own eigh: w_0 > bound >= 0 is its verdict
+            (out := cls._exact(h.entries))._amax = h._amax
+            out._spectrum()
             return out
-        if w[0] < -bound:
-            raise InvalidInput(
-                f"negative eigenvalue {w[0]:.3e} exceeds clamping tolerance"
-            )
-        return cls._gram(u, np.clip(w, 0.0, None))
+        if w[0] < -unit:
+            raise InvalidInput(f"negative eigenvalue {_ldexp(w[0], e):.3e} exceeds "
+                               "clamping tolerance")
+        return cls._gram(u, np.clip(w, 0.0, None), e)
 
     @classmethod
-    def _gram(cls, x: np.ndarray, h=None) -> "PsdMatrix":
-        """``X diag(h) X*`` for h >= 0, or ``X X*`` without h, admitted as PSD
-        by construction."""
-        return cls._trusted((x if h is None else x * h) @ x.conj().T)
+    def _gram(cls, x: np.ndarray, h=None, e: int = 0) -> "PsdMatrix":
+        """``2^e X diag(h) X*`` for h >= 0, or ``2^e X X*`` without h: PSD by construction."""
+        return cls._trusted((x if h is None else x * h) @ x.conj().T, e)
 
 
 def as_psd(x) -> PsdMatrix:
@@ -283,93 +313,71 @@ class Verdict(NamedTuple):
 
 
 def is_psd(h, tol: float = TOL_PSD) -> Verdict:
-    """``max(0, -min eigenvalue)`` from the cached eig against ``_bound(tol,
-    h)``: h is PSD within tol iff the verdict holds, at every scale.  An
-    array-like h is admitted by ``HermitianMatrix`` first."""
+    """``max(0, -min eigenvalue)`` from the cached eig against ``_bound(tol, h)``, at
+    every scale; an array-like h is admitted by ``HermitianMatrix`` first."""
     hm = h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
-    return Verdict(max(0.0, -float(hm.eig()[0][0])), _bound(tol, hm))
+    w, _, e = hm._spectrum()
+    return Verdict(max(0.0, -float(_ldexp(w[0], e))), _bound(tol, hm))
 
 
 def psd_sqrt(a) -> PsdMatrix:
-    """PSD square root; negative eigenvalues within tolerance are clamped to 0.
-    DomainError where the largest eigenvalue overflowed, as in ``support()``."""
-    w, u = as_psd(a).eig()
-    if not math.isfinite(w[-1]):
-        raise DomainError("largest eigenvalue beyond double range")
-    return PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None)))
+    """PSD square root, ``2^(e//2) U (2^(e%2) max(w, 0))^{1/2} U*`` from a's unit-scale
+    eig: negative eigenvalues within tolerance are clamped to 0."""
+    w, u, e = as_psd(a)._spectrum()
+    return PsdMatrix._gram(u, np.sqrt(_ldexp(np.clip(w, 0.0, None), e % 2)), e // 2)
 
 
 def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
-    """Ando's closed form ``cg^{1/2} P cg^{1/2}`` of the part of cg absolutely
-    continuous to cf (Ando 1976): P projects onto the eigenspace of M*M at or
-    below ``RANK_RTOL ||cg||``, one eigh, for ``M = U_0* cg^{1/2}`` and U_0 the
-    columns of cf's cached eig below ``support()``.  A full-rank cf returns cg."""
-    u0 = cf.eig()[1][:, :cf.dim - cf.support()[0].size]
+    """Ando's closed form ``cg^{1/2} P cg^{1/2}`` of cg's part absolutely continuous to
+    cf (Ando 1976), at cg's unit scale: P projects onto the eigenspace of M*M at or below
+    ``RANK_RTOL ||cg||``, ``M = U_0* cg^{1/2}``, U_0 cf's eigenvectors off its support."""
+    u0 = cf._spectrum()[1][:, :cf.dim - cf._spectrum(cut=True)[0].size]
     if not u0.size:
         return cg
-    half = psd_sqrt(cg).entries
+    w, u, e = cg._spectrum()
+    half = PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None))).entries
     m = u0.conj().T @ half
-    w, v = HermitianMatrix._trusted(m.conj().T @ m).eig()
-    return PsdMatrix._gram(half @ v[:, w <= RANK_RTOL * cg.norm()])
-
-
-def _fold(x: np.ndarray, s: float) -> np.ndarray:
-    """x / s, dividing the float64 view: numpy divides a complex array by a
-    real scalar as a product with 1/s."""
-    return (np.ascontiguousarray(x).view(np.float64) / s).view(np.complex128)
+    wm, v = HermitianMatrix._trusted(m.conj().T @ m).eig()
+    return PsdMatrix._gram(half @ v[:, wm <= RANK_RTOL * w[-1]], None, e)
 
 
 class SpectralPair:
     """The commuting Radon-Nikodym pair of PSD A and B, folded to unit scale.
 
-    Each operand is folded by its largest entry modulus ``s_A = max |A_ij|`` (1 for a
-    zero operand), which takes no eigendecomposition and cannot overflow: each real and
-    imaginary part is divided by s_A, correctly rounded, with no reciprocal 1/s_A, which
-    is inf for a subnormal s_A.  ``Ĉ = A/s_A + B/s_B`` is a sum of PSD parts, each with
-    one t: ``A = s_A Σ_k t_k (part k)``, ``B = s_B Σ_k (1 - t_k) (part k)`` (Kubo-Ando
-    1980, Ando 1976).  The parts are ``z z*`` for each column z of Z and, last on a pair
-    ``_factored`` by one thin SVD, R, formed only when weighed.  Else, with ``Ĉ = U
-    diag(w) U*`` on its support, ``A' = W^{-1/2} U* (A/s_A) U W^{-1/2} = V diag(t) V*``
-    and ``B' = I - A'`` commute, ``Z = U W^{1/2} V`` and ``Z*Z = V* diag(w) V``: two
-    eigh, of Ĉ and of the r x r A'.  Each t_i is snapped onto {0, 1} within its own
-    rounding error, and onto 1 where B = 0 (A = 0 gives 0), so rank-deficient directions
-    carry no eigensolver noise and a zero operand gives exact zero connections.  An
-    empty support gives 0-column arrays.  The arrays are read-only, as ``_shared_pair``
-    shares the last pair built; 1 - t, ``tc``, is exact where t is near 1.
+    Each operand is folded exactly by its scale 2^e, so ``Ĉ = 2^-e_A A + 2^-e_B B`` is a
+    sum of PSD parts, each with one t: ``A = 2^e_A Σ_k t_k (part k)``, ``B = 2^e_B Σ_k
+    (1 - t_k) (part k)`` (Kubo-Ando 1980, Ando 1976).  The parts are ``z z*`` for each
+    column z of Z and, last on a pair ``_factored`` by one thin SVD, R.  Else, with ``Ĉ
+    = U diag(w) U*`` on its support, ``A' = W^{-1/2} U* Â U W^{-1/2} = V diag(t) V*``
+    and ``Z = U W^{1/2} V``: two eigh, of Ĉ and of A'.  Each t_i is snapped onto {0, 1}
+    within its own rounding error, and onto 1 where B = 0, so a zero operand gives exact
+    zero connections.  The arrays are read-only, shared; 1 - t is exact near t = 1.
     """
 
-    __slots__ = ("sa", "sb", "t", "tc", "z", "_xp")
+    __slots__ = ("ea", "eb", "t", "tc", "z", "_xp")
 
     def __init__(self, a: HermitianMatrix, b: HermitianMatrix):
-        sa, sb = a._scale(), b._scale()
-        self.sa, self.sb = sa or 1.0, sb or 1.0
-        self.t, self.tc, self.z, self._xp = self._factored(a, b) or self._eigh(a, b, sb)
+        self.ea, self.eb = a._exp(), b._exp()
+        self.t, self.tc, self.z, self._xp = self._factored(a, b) or self._eigh(a, b)
         for x in (self.t, self.tc, self.z, *(self._xp or ())):
             x.flags.writeable = False
 
-    def _factored(self, a: HermitianMatrix, b: HermitianMatrix):
-        """(t, 1 - t, Z, (X, P)) from the cached eigs where one operand F is invertible,
-        the other G has support r < n, and both s lie in [2^-299, 2^484], where zheevd
-        does not rescale (RMIN, RMAX = 2^∓485), nor zsteqr a block above ε² s (SSFMIN =
-        2^-405): eigh commutes with scaling by 2^k there, so the pair keeps joint
-        homogeneity bit for bit, and each |w| <= n s is finite.  Else None.  ``X = U_F
-        (w_F/s_F)^{1/2}``, ``Ŷ = U_G (w_G/s_G)^{1/2}`` on G's support and one thin SVD
-        ``M = X^{-1} Ŷ = P Σ Q*``, P n x r, give ``Ĉ = X P diag(1 + σ²) P* X* + R``, ``Z
-        = X P diag(1 + σ²)^{1/2}`` and ``R = Y Y*``, ``Y = X - (X P) P*``.  B thin gives
-        ``t = 1/(1 + σ²)``, ``1 - t = σ²/(1 + σ²)``, R's part as σ = 0 (G has nothing
-        there); A thin the two swapped; each form computed as such, accurate at its end.
-        No t of an invertible side is snapped onto 0.  The SVD is backward stable, so by
-        Weyl each σ_i is known to n ε σ_max: one at or below that is 0."""
-        if not all(x._eig is not None and 2.0 ** -299 <= s <= 2.0 ** 484
-                   for x, s in ((a, self.sa), (b, self.sb))):
+    @staticmethod
+    def _factored(a: HermitianMatrix, b: HermitianMatrix):
+        """(t, 1 - t, Z, (X, P)) from the cached unit-scale eigs where F is invertible and
+        G has support r < n, else None: ``X = U_F w_F^{1/2}``, ``Ŷ = U_G w_G^{1/2}`` and
+        the thin SVD ``X^{-1} Ŷ = P Σ Q*`` give ``Z = X P diag(1 + σ²)^{1/2}`` and ``R =
+        Y Y*``, ``Y = X - (X P) P*``.  B thin gives ``t = 1/(1 + σ²)``, ``1 - t = σ²/(1 +
+        σ²)``, R's part as σ = 0; A thin the two swapped.  By Weyl a σ_i <= n ε σ_max is 0."""
+        if a._eig is None or b._eig is None:
             return None
-        sup = [(*x.support(), s) for x, s in ((a, self.sa), (b, self.sb))]
+        sup = [x._spectrum(cut=True) for x in (a, b)]
         a_full, b_full = (w.size == a.dim for w, _, _ in sup)
         if a_full == b_full:
             return None
-        (wf, uf, sf), (wg, ug, sg) = sup[::1 if a_full else -1]
-        xf = np.sqrt(wf / sf)
-        m = (uf.conj().T @ ug) * np.sqrt(wg / sg) / xf[:, None]
+        (wf, uf, _), (wg, ug, _) = sup[::1 if a_full else -1]
+        xf = np.sqrt(wf)
+        m = (uf.conj().T @ ug) * np.sqrt(wg) / xf[:, None]
         p, sig, _ = np.linalg.svd(m, full_matrices=False)
         sig[sig <= uf.shape[0] * _EPS * sig.max(initial=0.0)] = 0.0
         sig2, x = np.append(sig * sig, 0.0), uf * xf
@@ -377,21 +385,27 @@ class SpectralPair:
         t, tc = (q, s) if a_full else (s, q)
         return t, tc, (x @ p) * np.sqrt(1.0 + sig2[:-1]), (x, p)
 
-    def _eigh(self, a: HermitianMatrix, b: HermitianMatrix, sb: float):
+    def _eigh(self, a: HermitianMatrix, b: HermitianMatrix):
         """(t, 1 - t, Z, None) from the eigh of Ĉ and of A'."""
-        ah = _fold(a.entries, self.sa)
-        w, u = HermitianMatrix._exact(ah + _fold(b.entries, self.sb)).support()
+        ah = _ldexp(a.entries, -self.ea)
+        w, u = HermitianMatrix._exact(ah + _ldexp(b.entries, -self.eb)).support()
         x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
         t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))
-        # Rounding in the product (n eps ||Â||) and in the eigenvectors of Ĉ
-        # (n eps ||Ĉ||, times t_i) reaches t_i as n eps (||Â|| + t_i ||Ĉ||)
-        # sum_j |V_ji|^2 / w_j.
+        # Rounding in the product (n eps ||Â||) and in Ĉ's eigenvectors (n eps ||Ĉ||,
+        # times t_i) reaches t_i as n eps (||Â|| + t_i ||Ĉ||) sum_j |V_ji|^2 / w_j.
         snap = (u.shape[0] * _EPS * (np.linalg.norm(ah) + t * np.linalg.norm(w))
                 * ((np.abs(v) ** 2).T @ (1.0 / w)))
         t[t < snap] = 0.0
-        t[(t > 1.0 - snap) | (sb == 0.0)] = 1.0
+        t[(t > 1.0 - snap) | (b._scale() == 0.0)] = 1.0
         return t, 1.0 - t, (u * np.sqrt(w)) @ v, None
+
+    def midpoint(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(u, v, m): ``A = 2^m Σ_k u_k (part k)``, ``B = 2^m Σ_k v_k (part k)``, u v <= 2."""
+        m = (self.ea + self.eb) // 2  # the midpoint exponent
+        if max(self.ea, self.eb) - m > 1023:  # else 2^(e - m) t, t <= 1, rounds as ldexp
+            raise DomainError(f"scales 2^{self.ea} and 2^{self.eb} lie beyond double range apart")
+        return self.t * 2.0 ** (self.ea - m), self.tc * 2.0 ** (self.eb - m), m
 
     def product(self, h) -> np.ndarray:
         """``Z diag(h) Z*`` unsymmetrized, on a pair with no R part: the clamp's input."""
@@ -402,13 +416,13 @@ class SpectralPair:
         x, p = self._xp
         return x - (x @ p) @ p.conj().T
 
-    def gram(self, h) -> PsdMatrix:
-        """``Σ_k h_k (part k)``, one weight h_k >= 0 per part; R formed only where weighed."""
+    def gram(self, h, e: int = 0) -> PsdMatrix:
+        """``2^e Σ_k h_k (part k)``, one weight h_k >= 0 per part; R formed only if weighed."""
         r = self.z.shape[1]
         if h.size == r or not h[r]:
-            return PsdMatrix._gram(self.z, h[:r])
+            return PsdMatrix._gram(self.z, h[:r], e)
         y = self.y()
-        return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h[:r], np.full(y.shape[1], h[r])])
+        return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h[:r], np.full(y.shape[1], h[r])], e)
 
     def mass(self, h) -> float:
         """``Σ_k h_k tr(part k)``: ``|z|²`` per column z of Z, ``||Y||_F²`` for a weighed R."""
@@ -417,14 +431,6 @@ class SpectralPair:
         if h.size > r and h[r]:
             m += float(h[r]) * float((np.abs(self.y()) ** 2).sum())
         return m
-
-    def ratio(self) -> float:
-        """``s_B/s_A``; DomainError where it or 1/it overflows: one side would round away."""
-        r = self.sb / self.sa
-        if math.isinf(max(r, self.sa / self.sb)):
-            raise DomainError(f"scale ratio s_B/s_A = {self.sb:.3g}/{self.sa:.3g} "
-                              "is beyond double range")
-        return r
 
 
 class _Run:

@@ -2,23 +2,18 @@
 
 Every connection but the arithmetic mean (a plain sum) is evaluated on
 ``hermlinalg.SpectralPair``, the operands folded to unit scale as sums of commuting
-parts, each with one t: ``A = s_A Σ_k t_k (part k)``, ``B = s_B Σ_k (1 - t_k) (part
-k)``.  A connection acts on commuting operands as its jointly homogeneous function of two
-scalars u σ v, so ``A σ B = s_A Σ_k (t_k σ r(1 - t_k)) (part k)``, ``r = s_B/s_A``
-(Kubo-Ando 1980): exact for singular inputs and at every ratio of scales up to about
-1.8e308 either way (r and 1/r finite); beyond it, DomainError.  The last pair built is
-shared (``hermlinalg._shared_pair``): the first connection of two operand objects costs
-the pair's two eigh, or one thin SVD where it is factored from cached eigs, each next
-one none where its result is rank-deficient by construction, a Gram form, and otherwise
-the clamp's (``PsdMatrix.clamped``): two for a result above its bound.
-``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B`` on ``support()``,
-one eigh and an eigenvalue check with no clip, is the limit oracle's reference,
-not package API (that is ``mean(PARALLEL)``): (A+B)^+ loses the smaller
-operand once the two scales lie over about 1e4 apart.
-
-Every mean is evaluated by ``mean(kind, A, B)``.  Scale convention for the
-power mean: ``MeanKind.power(a)`` carries weight ``a`` on B, so commuting
-scalars r (A) and s (B) give ``r**(1-a) * s**a``.
+parts: ``A = 2^e_A Σ_k t_k (part k)``, ``B = 2^e_B Σ_k (1 - t_k) (part k)``.  A
+connection acts on commuting operands as its jointly homogeneous function of two
+scalars u σ v (Kubo-Ando 1980), so ``A σ B = 2^m Σ_k (u_k σ v_k) (part k)`` at the
+pair's ``midpoint()``: exact for singular inputs, and scaled once by 2^m.  The last
+pair built is shared: the first connection of two operand objects costs the pair's
+two eigh, or one thin SVD where it is factored from cached eigs, each next one none
+where its result is rank-deficient by construction, and otherwise the clamp's.
+``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B``, one eigh and an
+eigenvalue check, is the limit oracle's reference, not package API (that is
+``mean(PARALLEL)``): (A+B)^+ loses the smaller operand once the scales lie over about
+1e4 apart.  Scale convention for the power mean: ``MeanKind.power(a)`` carries weight
+``a`` on B, so commuting scalars r (A) and s (B) give ``r**(1-a) * s**a``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, InvalidInput, ShapeError
-from .hermlinalg import HermitianMatrix, PsdMatrix, _max_abs, _shared_pair, as_psd
+from .hermlinalg import HermitianMatrix, PsdMatrix, _common, _shared_pair, as_psd
 
 # Round-off bound of a mean.  Its clamp is relative to the result's largest
 # entry modulus for the connections on the spectral pair, parallel_sum's PSD
@@ -45,42 +40,40 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
 
 
 def _connect(a, b, sigma) -> PsdMatrix:
-    """``A σ B = s_A Σ_k d_k (part k)``, ``d = t σ r(1-t)``, on the folded pair.
+    """``A σ B = 2^m Σ_k d_k (part k)``, ``d = u σ v`` at the pair's ``midpoint()``.
 
     sigma connects two scalars u, v >= 0, not both zero; a negative d raises
     InvalidInput.  A result rank-deficient by construction (a zero in d, or Z
     with fewer columns than rows, as on a factored pair) is that Gram form with
-    no eigh; any other, with Z's columns as all its parts, goes through the
-    clamp.  The ratio r keeps both scalars within range, where the product of
-    the two scales would underflow; ``SpectralPair.ratio`` raises DomainError
-    where r or 1/r overflows.
+    no eigh; any other, with Z's columns as all its parts, goes through the clamp.
     """
     p = _shared_pair(*_check_pair(a, b))
-    d = sigma(p.t, p.ratio() * p.tc)
+    u, v, m = p.midpoint()
+    d = sigma(u, v)
     if (d < 0.0).any():
         raise InvalidInput(f"connection kernel is negative ({d.min():.3e})")
     if not d.all() or p.z.shape[1] < p.z.shape[0]:
-        return p.gram(p.sa * d)
-    with np.errstate(over="ignore"):  # past DBL_MAX, the clamp raises DomainError
-        out = p.sa * p.product(d)
-    return PsdMatrix.clamped(out, TOL_MEAN * _max_abs(out))
+        return p.gram(d, m)
+    out = HermitianMatrix._trusted(p.product(d), m)
+    return PsdMatrix.clamped(out, TOL_MEAN * out._scale())
 
 
 def _parallel(u, v):
-    return u * (v / (u + v))
+    return u * v / (u + v)  # u v <= 2 at the midpoint exponent; v / (u + v) can underflow
 
 
 def _log(u, v):
     """``(u - v)/(log u - log v)``, 0 where u or v is, u where they are equal.
 
     As ``m (1 - q)/(-log q)``, m = max(u, v), q = min/max: 1 - q is exact for
-    q >= 1/2 and log q is taken of q itself, so nothing cancels.
+    q >= 1/2 and log q is taken of q itself, so nothing cancels; where q is
+    subnormal or 0, and keeps few bits or none, log q is ``log min - log max``.
     """
-    m = np.maximum(u, v)
+    m, n = np.maximum(u, v), np.minimum(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.minimum(u, v) / m
-        out = m * (1.0 - q) / -np.log(q)
-    return np.where(q == 1.0, m, np.where(q > 0.0, out, 0.0))
+        q = n / m
+        out = m * (1.0 - q) / np.where(q >= 2.0 ** -1022, -np.log(q), np.log(m) - np.log(n))
+    return np.where(q == 1.0, m, np.where(n > 0.0, out, 0.0))
 
 
 def parallel_sum(a, b) -> HermitianMatrix:
@@ -259,12 +252,8 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
     ``aA + bB + sum_k w_k (1+l_k)/l_k [(l_k A) : B]``.
     """
     if kind.tag == "arith":
-        a, b = _check_pair(a, b)
-        with np.errstate(over="ignore"):
-            s = a.entries + b.entries
-        if not np.isfinite(s).all():  # A + B past DBL_MAX: the sum of the halves, exact
-            return PsdMatrix._exact(0.5 * a.entries + 0.5 * b.entries)
-        return PsdMatrix._exact(0.5 * s)
+        e, (a, b) = _common(*_check_pair(a, b))  # (A + B)/2 = 2^(e-1) (Â + B̂)
+        return PsdMatrix._exact(a + b, e - 1)
     if kind.tag == "geo":
         return geometric_mean(a, b)
     if kind.tag == "power":

@@ -139,11 +139,11 @@ def exact_guard(monkeypatch):
     exact = hermlinalg.HermitianMatrix.__dict__["_exact"].__func__
     seen = []
 
-    def guarded(cls, entries):
+    def guarded(cls, entries, e=0):
         m = np.asarray(entries)
         assert (m == m.conj().T).all(), f"_exact took a non-Hermitian {m.shape} array"
         seen.append(m.shape)
-        return exact(cls, entries)
+        return exact(cls, entries, e)
 
     monkeypatch.setattr(hermlinalg.HermitianMatrix, "_exact", classmethod(guarded))
     return seen

@@ -547,20 +547,25 @@ class TestCliCommands:
     @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
     @pytest.mark.parametrize("command", [["mean", "--kind", "log"], ["lebesgue"]],
                              ids=["mean-log", "lebesgue"])
-    def test_scale_ratio_beyond_the_double_range_exits_2(self, tmp_path, capsys, command, swap):
+    def test_scale_ratio_beyond_the_double_range_is_answered(self, tmp_path, capsys, command,
+                                                             swap):
+        # scales 1e310 apart: the log mean (1.4e297) is a double, and so is the
+        # split's alpha_min of 1e-10 I against 1e300 I (1e-310), while that of
+        # 1e300 I against 1e-10 I (1e310) is not: one error line, exit 2
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_channel(from_choi(1, 2, 1e-10 * np.eye(2)), a)
         write_channel(from_choi(1, 2, 1e300 * np.eye(2)), b)
+        fails = command == ["lebesgue"] and not swap
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*command, *((b, a) if swap else (a, b))]) == 2
+            assert main([*command, *((b, a) if swap else (a, b))]) == (2 if fails else 0)
         err = capsys.readouterr().err
-        assert err.startswith("error: scale ratio") and err.count("\n") == 1
+        assert err == ("error: alpha_min is beyond double range\n" if fails else "")
 
     @pytest.mark.parametrize("command", [["index"], ["lebesgue", "b"]],
                              ids=["index", "lebesgue"])
     def test_a_result_beyond_the_double_range_exits_2(self, tmp_path, capsys, rng, command):
-        # finite index and alpha_min beyond DBL_MAX, at s_B/s_A within it
+        # finite index and alpha_min beyond DBL_MAX, at scales 1e308 apart
         u = random_unitary(rng, 4)
         a, b = ((u * w) @ u.conj().T for w in ([1.0, 1.0, 1.0, 0.1], [0.5, 0.5, 0.5, 1.0]))
         paths = {"a": str(tmp_path / "a.json"), "b": str(tmp_path / "b.json")}
@@ -573,22 +578,29 @@ class TestCliCommands:
         assert err.startswith("error: ") and "beyond double range" in err
         assert err.count("\n") == 1 and "scale ratio" not in err
 
-    @pytest.mark.parametrize("k, code", [(1018, 0), (1020, 2)])
+    @pytest.mark.parametrize("k", [1018, 1020])
     @pytest.mark.parametrize("command", [["index"], ["lebesgue", "b"]],
                              ids=["index", "lebesgue"])
-    def test_a_largest_eigenvalue_beyond_the_double_range_exits_2(
-            self, tmp_path, capsys, command, k, code):
+    def test_a_largest_eigenvalue_beyond_the_double_range_is_read_at_unit_scale(
+            self, tmp_path, capsys, command, k):
         # 5 J + I, full rank, has entries up to 6 and largest eigenvalue 21:
-        # times 2^1020 its entries are finite and that eigenvalue is not, so
-        # the rank cutoff of support() is lost; times 2^1018 both are finite
+        # times 2^1020 its entries are finite and that eigenvalue is not, but
+        # the eig is kept at unit scale, so the index and the split are doubles
         paths = {"a": str(tmp_path / "a.json"), "b": str(tmp_path / "b.json")}
         write_channel(from_choi(2, 2, 2.0 ** k * (5.0 * np.ones((4, 4)) + np.eye(4))),
                       paths["a"])
         write_channel(depolarizing(2), paths["b"])
-        assert main([command[0], paths["a"], *(paths[x] for x in command[1:])]) == code
-        err = capsys.readouterr().err
-        assert err == ("" if code == 0 else
-                       "error: largest eigenvalue beyond double range\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--format", "json", command[0], paths["a"],
+                         *(paths[x] for x in command[1:])]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        value = json.loads(out)["outputs"]["index" if command == ["index"] else "alpha_min"]
+        # (5J + I)^-1 = I - 5J/21: the index <v, C^-1 v> of v = vec(1) is 2^-k 22/21,
+        # and alpha_min of G = I/2 is 2^-k/2, half the largest eigenvalue of C^-1
+        want = 22.0 / 21.0 if command == ["index"] else 0.5
+        assert value == pytest.approx(2.0 ** -k * want, rel=1e-12)
 
     def test_a_subnormal_document_has_its_geometric_mean(self, tmp_path, capsys):
         # 1/5e-324 overflows: the fold divides by the scale itself

@@ -1,8 +1,10 @@
 """``tools/digest.py``, the bit-identity check of a change: the same digests
-on two runs, and a digest that tells results apart bit for bit."""
+on two runs, a digest that tells results apart bit for bit, and the numeric
+comparison of two trees that ``--against`` prints."""
 
 import importlib.util
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -58,3 +60,29 @@ def test_the_construction_group_tells_seeds_apart_and_repeats():
     construction = _load().construction
     one, again, other = (construction(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
     assert one == again != other
+
+
+def _against(tmp_path, src, other, *groups) -> dict[str, tuple[float, int, int]]:
+    cmd = [sys.executable, str(TOOL), "--src", str(src), "--against", str(other),
+           "--seeds", "7", "--cases", "1", *(["--groups", *groups] if groups else [])]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=tmp_path).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    return {" ".join(row[3:]): (float(row[0]), int(row[1]), int(row[2])) for row in rows}
+
+
+def test_against_reads_zero_on_one_tree_and_sees_a_planted_perturbation(tmp_path):
+    src = TOOL.parent.parent / "src"
+    assert _against(tmp_path, src, src) == {name: (0.0, 0, 0) for name in GROUPS}
+    # a parallel sum 2^-30 too large: harm and parallel move, admission does not
+    planted = tmp_path / "planted"
+    shutil.copytree(src, planted, ignore=shutil.ignore_patterns("__pycache__"))
+    opmeans = planted / "cpmean" / "opmeans.py"
+    text = opmeans.read_text(encoding="utf-8")
+    assert text.count("    return u * v / (u + v)  #") == 1
+    opmeans.write_text(text.replace("    return u * v / (u + v)  #",
+                                    "    return u * v / (u + v) * (1.0 + 2.0 ** -30)  #"),
+                       encoding="utf-8")
+    moved = _against(tmp_path, planted, src, "lib-means", "generic", "admission")
+    assert set(moved) == {"lib-means", "generic", "admission"}
+    assert 2.0 ** -32 < moved["lib-means"][0] < 2.0 ** -28
+    assert moved["generic"][0] > 0.0 and moved["admission"] == (0.0, 0, 0)

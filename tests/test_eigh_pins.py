@@ -19,8 +19,8 @@ split and the residual with F thin.  A pair with an operand whose eig is not
 cached, or of two full-rank operands, costs the eigh route's 2.
 
 A mean on the spectral pair that is rank-deficient by construction (a zero
-in its kernel d, or fewer pair columns than rows) is the Gram form ``s_A Z
-diag(d) Z*``, plus ``s_A d_R R`` where the kernel d_R on R is not 0, no eigh
+in its kernel d, or fewer pair columns than rows) is the Gram form ``2^m Z
+diag(d) Z*``, plus ``2^m d_R R`` where the kernel d_R on R is not 0, no eigh
 past the pair's.  Any other goes through the clamp,
 which picks its branch by its bound: a result whose smallest computed
 eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
@@ -46,7 +46,7 @@ PINS = [
     ("mean arith", (0, 0)),       # (A + B)/2 is PSD by construction
     # the factored pair's SVD.  Down from (3, 0): the result is rank-deficient
     # by construction (d is 0 on the 8 directions where G is), so it is the
-    # Gram form s_A Z diag(d) Z* and goes through no clamp; from (2, 0) to
+    # Gram form 2^m Z diag(d) Z* and goes through no clamp; from (2, 0) to
     # (0, 0, 1): the pair is factored from the cached eigs of F and G, one SVD
     # in place of eig C and eig A'
     ("mean harm", (0, 0, 1)),
@@ -342,7 +342,7 @@ KERNEL_KINDS = [*(MeanKind.parse(k) for k in ("geo", "harm", "parallel", "power:
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_cold_kernel_means_cost_2_or_4_by_rank(eigh_calls, scale):
     """Every cold mean on the spectral pair costs the pair's 2 alone where the
-    result is rank-deficient, as the Gram form ``s_A Z diag(d) Z*`` goes
+    result is rank-deficient, as the Gram form ``2^m Z diag(d) Z*`` goes
     through no clamp, and 4 where it is well conditioned, with the clamp's eig
     and its admission.  F is full rank
     and G has nullity 0-3 at Choi 4-16, both times scale: the results have G's

@@ -338,7 +338,7 @@ class TestEigvals:
         h = HermitianMatrix(random_psd(rng, 5))
         w, _ = h.eig()
         assert eigh_calls(h.eigvals) == (0, 0)
-        assert h.eigvals() is w
+        assert np.array_equal(h.eigvals(), w)
 
 
 class TestAsPsd:
@@ -544,19 +544,31 @@ class TestSupport:
         a = random_psd(rng, 6, rank=4)
         assert max_abs(support_of(a) @ a - a) <= TOL_RECON * max(1.0, max_abs(a))
 
-    def test_an_overflowed_largest_eigenvalue_raises(self):
-        # 5 J + I: finite entries up to 6 * 2^1020, largest eigenvalue 21 * 2^1020
+    def test_an_overflowed_largest_eigenvalue_is_kept_at_unit_scale(self):
+        # 5 J + I: finite entries up to 6 * 2^1020, largest eigenvalue 21 * 2^1020.
+        # The eig is kept at unit scale, so the rank cutoff, the index and the
+        # Kraus operators are doubles; only a returned eigenvalue is not
         c = PsdMatrix(2.0 ** 1020 * (5.0 * np.ones((4, 4)) + np.eye(4)))
-        assert c.eig()[0][-1] == np.inf
-        with pytest.raises(DomainError, match="largest eigenvalue beyond double range"):
-            c.support()
+        w, u, e = c._spectrum()
+        assert e == 1023 and np.allclose(w, [1 / 8] * 3 + [21 / 8])
+        for read in (c.eig, c.support, c.norm):
+            with pytest.raises(DomainError, match="beyond double range"):
+                read()
+        f = cpmaps.CpMap(2, 2, c)
+        assert cpmaps.index_cp(f) == pytest.approx(2.0 ** -1020 * 22 / 21, rel=1e-14)
+        ks = cpmaps.kraus_decompose(f)
+        back = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in ks)
+        assert max_abs(back - c.entries) <= 1e-14 * max_abs(c.entries)
 
-    def test_the_square_root_of_an_overflowed_largest_eigenvalue_raises(self):
-        # entries 1.7e308, largest eigenvalue 6.8e308: sqrt(inf) times U's zeros was nan
+    def test_the_square_root_of_an_overflowed_largest_eigenvalue_is_a_double(self):
+        # entries 1.7e308, largest eigenvalue 6.8e308: the root, sqrt(1.7e308)/2
+        # in every entry, is formed at unit scale and written with no warning;
+        # the root of the three zero eigenvalues' rounding is sqrt(n eps) of it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="largest eigenvalue beyond double range"):
-                psd_sqrt(PsdMatrix(1.7e308 * np.ones((4, 4))))
+            got = psd_sqrt(PsdMatrix(1.7e308 * np.ones((4, 4)))).entries
+        want = np.sqrt(1.7e308) / 2.0
+        assert max_abs(got - want * np.ones((4, 4))) <= 1e-7 * want
 
 
 class TestProjIntersection:
@@ -799,7 +811,7 @@ class TestFactoredPair:
             assert p.z.shape == (n, 0) and (*p.t, *p.tc) == (t, 1.0 - t)
             r = p.gram(np.ones(1)).entries
             assert abs(p.mass(np.ones(1)) - np.trace(r).real) <= 1e-14 * np.trace(r).real
-            assert max_abs(r - one.entries / max_abs(one.entries)) <= 1e-14
+            assert max_abs(r - one.entries / 2.0 ** one._exp()) <= 1e-14
             for kind in kinds:
                 assert not opmeans.mean(kind, a, b).entries.any(), (t, kind)
             # G = 0 splits into two exact zeros, and G against F = 0 is all singular
@@ -835,11 +847,10 @@ class TestFactoredPair:
                 for check in (lebesgue.is_singular, lambda x, y: lebesgue.is_abs_continuous(y, x)):
                     assert abs(check(*fac).residual - check(*ref).residual) <= 1e-12, rank
 
-    @pytest.mark.parametrize("k", [-298, 484])
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
     def test_joint_scaling_by_two_to_the_k_is_bit_exact(self, rng, eigh_calls, k):
-        # largest entries in (1/2, 1], so 2^k s stays where eigh does not
-        # rescale: each eig scales bit for bit, and so does every result.  (At
-        # 2^-484 zsteqr rescales the tridiagonal blocks of a Choi 9 matrix.)
+        # each eig is that of the operand folded to unit scale, the same at
+        # every k, and every result is formed at unit scale and scaled once
         f, g = (x / max_abs(x) for x in (random_psd(rng, 9), random_psd(rng, 9, rank=4)))
         kinds = [MeanKind.parse(k) for k in ("harm", "geo", "power:0.3", "log")]
 
@@ -865,17 +876,17 @@ class TestFactoredPair:
         assert (p.t[-1], p.tc[-1]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("k", [-484, 1020])
-    def test_beyond_the_unscaled_range_the_eigh_route_runs(self, rng, eigh_calls, k):
-        # outside [2^-299, 2^484] the pair is the eigh route's, bit for bit; at
-        # 2^1020 the cached eig of G, rank 3 with largest eigenvalue 21 * 2^1020,
-        # has overflowed, so the factored pair would lose G altogether
+    def test_beyond_the_unscaled_range_the_factored_route_runs(self, rng, eigh_calls, k):
+        # outside [2^-299, 2^484] LAPACK would rescale, and at 2^1020 the largest
+        # eigenvalue of G, rank 3, is 21 * 2^1020: the cached eigs are at unit
+        # scale, so the pair is factored all the same, and agrees with the eigh route
         g0 = 5.0 * np.ones((4, 4)) + np.diag([1.0, 1.0, 0.0, 0.0])
         f = cpmaps.from_choi(2, 2, 2.0 ** k * random_psd(rng, 4))
         g = cpmaps.from_choi(2, 2, 2.0 ** k * g0)
-        assert (g.choi.eig()[0][-1] == np.inf) == (k == 1020)
-        assert eigh_calls(lambda: cpmaps.mean_cp(MeanKind("geo"), f, g)) == (2, 0)  # no SVD
+        assert eigh_calls(lambda: cpmaps.mean_cp(MeanKind("geo"), f, g)) == (0, 0, 1)
         want = opmeans.mean(MeanKind("geo"), *(PsdMatrix._trusted(x.choi.entries) for x in (f, g)))
-        assert np.array_equal(cpmaps.mean_cp(MeanKind("geo"), f, g).choi.entries, want.entries)
+        got = cpmaps.mean_cp(MeanKind("geo"), f, g).choi.entries
+        assert max_abs(got - want.entries) <= 1e-12 * max_abs(want.entries)
         assert lebesgue.decompose(f, g).recon
 
     @staticmethod

@@ -107,7 +107,7 @@ def below(theta, x, g):
 def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
     (C_F, C_G), as matrices in the original basis; C is the sum of the
-    folded operands ``C_F/s_F + C_G/s_G``.  The pair keeps t, 1 - t and Z,
+    folded operands ``2^-e_F C_F + 2^-e_G C_G``.  The pair keeps t, 1 - t and Z,
     and where it is factored the complement ``R = Y Y*`` as its last part:
     ``K = [Z, Y]`` and R's t on each column of Y give ``K K* = C`` and ``C/s =
     K diag(t) K*``, so with the SVD ``K = X S W*``, ``C^{1/2} = X S X*`` with
@@ -142,8 +142,9 @@ class TestRnPair:
         for _ in range(8):
             f, g = planted_pair(rng, 2, 2)
             a_prime, b_prime, support, ch = rn_matrices(f, g)
-            # the pair is built on the operands folded by their largest entries
-            sf, sg = max_abs(f.choi.entries), max_abs(g.choi.entries)
+            # the pair is built on the operands folded by their scales 2^e,
+            # e the exponent of their largest entries
+            sf, sg = (2.0 ** np.frexp(max_abs(x.choi.entries))[1] for x in (f, g))
             assert max_abs(a_prime + b_prime - support) < 1e-8
             assert max_abs(sf * ch @ a_prime @ ch - f.choi.entries) < 1e-12 * sf
             assert max_abs(sg * ch @ b_prime @ ch - g.choi.entries) < 1e-12 * sg
@@ -650,6 +651,30 @@ class TestEighCount:
         assert sums and got == (1 + len(sums), len(sums))
 
 
+class TestOracleAtExtremeScales:
+    """The limit oracle where its radius ``||C_G|| / lambda_min^+(C_F)`` or its
+    iterates ``2^k C_F`` leave the double range: a CpMeanError, never a bare
+    Python error or a warning."""
+
+    def test_a_radius_past_the_double_range_is_past_the_budget(self):
+        # the radius 2e603 overflowed; from the exponents it is about 2^2005
+        f, g = from_choi(1, 2, 1e-300 * np.diag([1.0, 0.0])), from_choi(1, 2, 1e303 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match=r"needs n >= 2\^2005") as info:
+                ac_part_oracle(f, g)
+        assert info.value.estimate == g.choi.norm() > TOL_LIM * g.choi.norm()
+
+    def test_an_iterate_past_the_double_range_is_a_domain_error(self):
+        # 2^k C_F passes DBL_MAX at k = 5, before the iterates settle
+        f = from_choi(1, 2, 1e307 * np.diag([1.0, 1e-10]))
+        g = from_choi(1, 2, 1e307 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond double range"):
+                ac_part_oracle(f, g)
+
+
 class TestIndependentScales:
     """F and G scaled apart: the split reads the folded pair, so the support
     rule and alpha_min do not depend on the ratio of the two scales."""
@@ -666,18 +691,24 @@ class TestIndependentScales:
 
     @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
     @pytest.mark.parametrize("large", [1e297, 1e300])
-    def test_scale_ratio_beyond_the_double_range_is_a_domain_error(self, large, swap):
+    def test_scale_ratio_beyond_the_double_range_splits(self, large, swap):
         # s_G/s_F = 1e307 is a double, 1e310 is not: alpha_min, the least alpha
-        # with C_G <= alpha C_F, or DomainError in place of inf or a subnormal
+        # with C_G <= alpha C_F, reads the exponents, so only an alpha_min past
+        # DBL_MAX is a DomainError, and one below 2^-1022 is a subnormal double
         small = from_choi(1, 2, 1e-10 * np.eye(2))
         big = from_choi(1, 2, large * np.array([[1.0, 0.5], [0.5, 1.0]]))
         f, g = (big, small) if swap else (small, big)
-        if large == 1e300:
-            with pytest.raises(DomainError, match="scale ratio"):
-                decompose(f, g)
-        else:
-            want = 1e-10 / (0.5 * large) if swap else 1.5 * large / 1e-10
-            assert decompose(f, g).alpha_min == pytest.approx(want, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if large == 1e300 and not swap:
+                with pytest.raises(DomainError, match="alpha_min is beyond double range"):
+                    decompose(f, g)
+                return
+            split = decompose(f, g)
+        want = 1e-10 / (0.5 * large) if swap else 1.5 * large / 1e-10
+        assert split.alpha_min == pytest.approx(want, rel=1e-15 if want > 2.0 ** -1022 else 1e-3)
+        assert max_abs(split.ac.choi.entries - g.choi.entries) <= 1e-14 * max_abs(g.choi.entries)
+        assert not split.sing.choi.entries.any() and split.recon
 
     def test_a_subnormal_joint_scale_splits_as_at_unit_scale(self, rng):
         s = 1e-310  # below 1/DBL_MAX: folding by 1/s would overflow

@@ -385,9 +385,9 @@ class TestExtremeScales:
         assert max_abs(got - want) <= 1e-12 * max_abs(want)
 
     def test_arith_mean_where_the_sum_overflows(self):
-        # A + B = 2.28e308 is not a double, the mean is: it is the sum of the
-        # halves, correctly rounded; where A + B is a double the mean is 0.5 (A
-        # + B), which keeps (2^-1074 + 2^-1073)/2 at 2^-1073, not halves' 2^-1074
+        # A + B = 2.28e308 is not a double, the mean is: the sum is taken of
+        # the two folded to their common exponent e and scaled by 2^(e - 1),
+        # correctly rounded, so (2^-1074 + 2^-1073)/2 is 2^-1073, not 2^-1074
         f, g = (cpmaps.from_choi(1, 2, x * np.eye(2)) for x in (1.2e308, 1.08e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -401,13 +401,29 @@ class TestExtremeScales:
     ], ids=["parallel_sum", "custom"])
     def test_a_sum_or_connection_past_the_double_range_raises_domain_error(self, rng, build):
         # full-rank Choi 4 operands with entries up to 1.7e308: A + B, and the
-        # connection's s_A Z diag(d) Z* on its clamp route, pass the double range
+        # connection's 2^m Z diag(d) Z* on its clamp route, pass the double range
         f, g = (cpmaps.from_choi(2, 2, 1.7e308 * (c / max_abs(c)))
                 for c in (random_psd(rng, 4), random_psd(rng, 4)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="beyond double range"):
                 build(f, g)
+
+    def test_log_kernel_where_the_ratio_of_its_arguments_is_subnormal_or_zero(self):
+        # q = min/max below 2^-1022 keeps few bits (2^-1060) or none (2^-2000)
+        for lo, hi in ((2.0 ** -1000, 2.0 ** 60), (2.0 ** -1000, 2.0 ** 1000), (5e-324, 1.0)):
+            got = opmeans._log(np.array([lo]), np.array([hi]))[0]
+            assert got == pytest.approx((hi - lo) / (math.log(hi) - math.log(lo)), rel=1e-15)
+
+    def test_scales_over_two_to_the_2046_apart_raise_domain_error(self):
+        # F near DBL_MAX (scale 2^1024) and G subnormal (2^-1062): at their
+        # midpoint exponent one of the two scalars still leaves the double range
+        f, g = (cpmaps.from_choi(1, 2, x * np.eye(2)) for x in (1.5e308, 1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((f, g), (g, f)):
+                with pytest.raises(DomainError, match="lie beyond double range apart"):
+                    cpmaps.mean_cp(MeanKind("geo"), *pair)
 
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
@@ -428,21 +444,17 @@ class TestExtremeScales:
     @pytest.mark.parametrize("swap", [False, True], ids=["small-large", "large-small"])
     @pytest.mark.parametrize("large", [1e297, 1e300])
     @pytest.mark.parametrize("text", list(SCALAR))
-    def test_scale_ratio_beyond_the_double_range_is_a_domain_error(self, text, large, swap):
-        # s_B/s_A = 1e307 is a double, 1e310 is not: the mean matches the
-        # scalar mean or raises DomainError, and never writes a warning
+    def test_scale_ratio_beyond_the_double_range_gives_the_scalar_mean(self, text, large, swap):
+        # a ratio of scales of 1e307 is a double, 1e310 is not: each kind is taken at the
+        # midpoint exponent of the two scales, where neither scalar leaves the
+        # double range, so the mean matches the scalar mean and writes no warning
         u, v = (large, 1e-10) if swap else (1e-10, large)
         kind = (MeanKind.custom(ConnectionRep(0.5, 0.25, ((2.0, 1.0),))) if text == "custom"
                 else MeanKind.parse(text))
         f, g = (cpmaps.from_choi(1, 2, x * np.eye(2)) for x in (u, v))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                got = cpmaps.mean_cp(kind, f, g).choi.entries
-            except DomainError as exc:
-                assert large == 1e300 and text != "arith"
-                assert "scale ratio" in str(exc)
-                return
+            got = cpmaps.mean_cp(kind, f, g).choi.entries
         want = self.SCALAR[text](u, v)
         assert max_abs(got - want * np.eye(2)) <= 1e-12 * want
 
@@ -606,9 +618,9 @@ class TestStructuralProperties:
 
 
 class TestGramRoute:
-    """A mean rank-deficient by construction is the Gram form ``s_A Z diag(d)
-    Z*``; it matches the clamp of the same ``out = s_A (Z d) Z*``, the
-    reference route, entry for entry and in rank."""
+    """A mean rank-deficient by construction is the Gram form ``2^m Z diag(d)
+    Z*`` at the pair's midpoint exponent m; it matches the clamp of the same
+    ``out = 2^m (Z d) Z*``, the reference route, entry for entry and in rank."""
 
     # the two-scalar kernel of each kind, as ``mean`` evaluates it
     DUAL = opmeans.dual_rep(power_rep(0.3))
@@ -641,9 +653,10 @@ class TestGramRoute:
             p = _shared_pair(a, b)
             for kind, sigma in self.SIGMA.items():
                 # Z's parts: on a factored pair, R's kernel 1 σ 0 is 0 for these kinds
-                d = sigma(p.t, p.ratio() * (1.0 - p.t))[:p.z.shape[1]]
+                u, v, m = p.midpoint()
+                d = sigma(u, v)[:p.z.shape[1]]
                 assert not d.all() or p.z.shape[1] < a.dim, kind
-                out = p.sa * ((p.z * d) @ p.z.conj().T)
+                out = np.ldexp(((p.z * d) @ p.z.conj().T).view(float), m).view(complex)
                 want = PsdMatrix.clamped(out, TOL_MEAN * max_abs(out))
                 got = mean(kind, a, b)
                 assert max_abs(got.entries - want.entries) <= 1e-14 * max_abs(out), kind

@@ -15,8 +15,9 @@ import pytest
 from cpmean import cli
 from cpmean.channeldoc import save_channel
 from cpmean.cpmaps import (
-    from_choi, from_kraus, geo_certificate, identity, mean_cp, order_cp)
-from cpmean.errors import NotCompletelyPositive
+    from_choi, from_kraus, geo_certificate, identity, index_cp, kraus_decompose, mean_cp,
+    order_cp)
+from cpmean.errors import DomainError, NotCompletelyPositive
 from cpmean.hermlinalg import is_psd
 from cpmean.lebesgue import decompose, is_abs_continuous, is_singular
 from cpmean.opmeans import (
@@ -266,3 +267,102 @@ def test_order_of_tiny_channels_is_not_equal(tmp_path, capsys):
     save_channel(2e-12 * identity(2), b)
     assert _report(["order", a, b], capsys)["outputs"]["order"] == "<=cp"
     assert _report(["order", b, a], capsys)["outputs"]["order"] == ">=cp"
+
+
+# The scale sweep: 2^k over the double range, past where LAPACK would rescale
+# (2^+-485) and where a ratio of two scales leaves the double range (2^+-512).
+SWEEP = [-1000, -600, -300, 300, 600, 1000]
+SWEEP_KINDS = [CASES[name][0] for name in
+               ("arith", "geo", "harm", "parallel", "log", "power", "mixed", "dual")]
+
+
+def dyadic_pair(rng, d, rank):
+    """(F, G) of Choi size d with small Gaussian-integer entries, exact at every
+    scale 2^k: F = X X* + d I full rank, G = Y Y* of the given rank."""
+    def ints(cols):
+        return rng.integers(-3, 4, size=(d, cols)) + 1j * rng.integers(-3, 4, size=(d, cols))
+
+    x, y = ints(d), ints(rank)
+    return x @ x.conj().T + d * np.eye(d), y @ y.conj().T
+
+
+def sweep_reads(f0, g0, k):
+    """Every result of the pair at 2^k: each mean kind, both parts and alpha_min
+    of the split, and the index and Kraus operators of F, with the power of two
+    that each scales by when F and G scale jointly by 2^k."""
+    f, g = from_choi(2, 2, 2.0 ** k * f0), from_choi(2, 2, 2.0 ** k * g0)
+    split = decompose(f, g)
+    out = [(mean_cp(kind, f, g).choi.entries, k) for kind in SWEEP_KINDS]
+    out += [(split.ac.choi.entries, k), (split.sing.choi.entries, k), (split.alpha_min, 0)]
+    out += [(index_cp(f), -k), *((x, k // 2) for x in kraus_decompose(f))]
+    return out
+
+
+@pytest.mark.parametrize("k", SWEEP)
+@pytest.mark.parametrize("rank", [2, 4], ids=["factored", "full rank"])
+def test_joint_homogeneity_over_the_double_range_is_bit_exact(eigh_calls, k, rank):
+    # each eig is that of its operand folded to unit scale and every result is
+    # formed at unit scale and scaled once, so 2^k scales each bit for bit; a
+    # thin G with cached eigs keeps the factored pair, (2, 0, 1) with the two
+    # admissions, at every k
+    f0, g0 = dyadic_pair(np.random.default_rng(46), 4, rank)
+    want = sweep_reads(f0, g0, 0)
+    got = []
+    calls = eigh_calls(lambda: got.extend(sweep_reads(f0, g0, k)))
+    assert rank == 4 or calls == (2, 0, 1)
+    assert len(got) == len(want)
+    for i, ((x, j), (y, _)) in enumerate(zip(got, want)):
+        assert np.array_equal(x, 2.0 ** j * y), i
+
+
+def scalar_means(x, y):
+    """Each SWEEP_KIND of scalars x, y > 0, written with no ratio of the two,
+    which is beyond double range where they lie 2^2000 apart."""
+    atoms = [(l, w * (1.0 + l)) for l, w in MIXED.atoms]
+    return [0.5 * x + 0.5 * y, np.sqrt(x) * np.sqrt(y), 2.0 * x * y / (x + y),
+            x * y / (x + y), (x - y) / (np.log(x) - np.log(y)), x ** 0.7 * y ** 0.3,
+            0.2 * x + 0.1 * y + sum(c * x * y / (y + l * x) for l, c in atoms),
+            x * y / (0.2 * x + 0.1 * y + sum(c * x * y / (y + l * x) for l, c in atoms))]
+
+
+@pytest.mark.parametrize("k", SWEEP)
+def test_independent_scales_over_the_double_range(k):
+    # F at 2^-k and G at 2^k, 2^2k apart: on a shared frame every kind is its
+    # scalar mean eigenvalue by eigenvalue; on a generic pair geo is the unit
+    # pair's, power and custom power means are it times 2^(k (2a - 1)), the
+    # split's parts are 2^k those of the unit pair, and alpha_min is 2^2k its,
+    # a DomainError past DBL_MAX and a subnormal double below 2^-1022
+    rng = np.random.default_rng(47)
+    u = random_unitary(rng, 4)
+    a, b = rng.uniform(0.25, 4.0, 4), rng.uniform(0.25, 4.0, 4)
+    x, y = 2.0 ** -k * a, 2.0 ** k * b
+    f, g = (from_choi(2, 2, (u * w) @ u.conj().T) for w in (x, y))
+    for kind, d in zip(SWEEP_KINDS, scalar_means(x, y)):
+        want = (u * d) @ u.conj().T
+        got = mean_cp(kind, f, g).choi.entries
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), kind
+
+    f0, g0 = random_psd(rng, 4), random_psd(rng, 4, rank=2)
+    f, g = from_choi(2, 2, 2.0 ** -k * f0), from_choi(2, 2, 2.0 ** k * g0)
+    unit_f, unit_g = from_choi(2, 2, f0), from_choi(2, 2, g0)
+    # u^(1 - a) v^a of the scales, with the exponents 1 - a and a as doubles
+    for kind, c in ((MeanKind("geo"), 1.0),
+                    (MeanKind.power(0.3), (2.0 ** -k) ** (1.0 - 0.3) * (2.0 ** k) ** 0.3),
+                    (MeanKind.custom(power_rep(0.7)),
+                     (2.0 ** -k) ** (1.0 - 0.7) * (2.0 ** k) ** 0.7)):
+        want = c * mean_cp(kind, unit_f, unit_g).choi.entries
+        got = mean_cp(kind, f, g).choi.entries
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), kind
+    base = decompose(unit_f, unit_g)
+    alpha = 2.0 ** (2 * k) * base.alpha_min if 2 * k < 1024 else np.inf
+    if not np.isfinite(alpha):
+        with pytest.raises(DomainError, match="alpha_min is beyond double range"):
+            decompose(f, g)
+        return
+    split = decompose(f, g)
+    for part in ("ac", "sing"):
+        want = 2.0 ** k * getattr(base, part).choi.entries
+        got = getattr(split, part).choi.entries
+        assert np.abs(got - want).max() <= 1e-14 * 2.0 ** k * np.abs(g0).max(), part
+    assert split.alpha_min == pytest.approx(alpha, rel=1e-14 if alpha > 2.0 ** -1022 else 1e-3,
+                                            abs=2.0 ** -1074)

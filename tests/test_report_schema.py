@@ -115,7 +115,7 @@ def test_example_all(capsys):
 
 def test_non_finite_residual_is_written_infinite(capsys):
     # the index of this mean reads inf on rounding noise (ROADMAP item 13)
-    code = main(["--format", "json", "example", "ce-tensor", "rho=1e-6,1"])
+    code = main(["--format", "json", "example", "ce-tensor", "rho=1e-7,1"])
     rep = _strict(capsys.readouterr().out)
     assert code == (0 if rep["passed"] else 3)
     assert list(rep) == REPORT_KEYS and all(list(c) == CHECK_KEYS for c in rep["checks"])

@@ -23,7 +23,8 @@ constructors, the one door of outside data, are called only by
 ``hermlinalg.as_psd`` and ``is_psd`` (every other matrix enters by
 ``_trusted``, or, Hermitian bit for bit by construction, by ``_exact``, each at
 pinned sites), and ``TOL_HERM``, the Hermiticity rule of that door, is read
-nowhere else.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
+nowhere else.  The scale rule sits in ``hermlinalg`` alone: no other module reads
+``ldexp`` or ``frexp``.  Every verdict is bounded by tol times ``hermlinalg._max_abs`` of its
 operands, floored at a rounding unit per dimension (``hermlinalg._bound``): no
 module has a ``max(1, ...)`` floor or a scale function of its own, and the
 norm is read only by the two oracle bounds and the rank and range decisions.
@@ -131,12 +132,11 @@ CALL_SITES = {
     # the PSD admission runs only in as_psd (see below): a sum or product the
     # library built enters as trusted
     "PsdMatrix": {("hermlinalg.py", "as_psd")},
-    # a norm bounds no verdict: it scales the two oracle bounds and the rank
-    # and range decisions, all in hermlinalg (Ando's kernel, the index's range
-    # test in HermitianMatrix.pinv_form, the snap)
+    # a norm bounds no verdict: it scales the two oracle bounds and the range
+    # decisions, all in hermlinalg (the index's range test in
+    # HermitianMatrix.pinv_form, the snap); Ando's kernel reads C_G's unit-scale eig
     "norm": {("opmeans.py", "parallel_sum"), ("lebesgue.py", "ac_part_oracle"),
-             ("hermlinalg.py", "_ando_part"), ("hermlinalg.py", "HermitianMatrix"),
-             ("hermlinalg.py", "SpectralPair")},
+             ("hermlinalg.py", "HermitianMatrix"), ("hermlinalg.py", "SpectralPair")},
 }
 
 
@@ -208,6 +208,7 @@ def test_call_guard_sees_a_planted_call():
 TRUSTED_SITES = {
     "_trusted": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "PsdMatrix._gram"),
                  ("hermlinalg.py", "_ando_part"), ("opmeans.py", "parallel_sum"),
+                 ("opmeans.py", "_connect"),
                  ("cpmaps.py", "compose")},
     "_exact": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "SpectralPair._eigh"),
                ("opmeans.py", "parallel_sum"), ("opmeans.py", "mean"),
@@ -336,6 +337,25 @@ def test_rank_guard_sees_a_planted_copy():
     text = "def f(w, u):\n    return u[:, w <= hermlinalg.RANK_RTOL * w[-1]]\n"
     assert _reads(text, "RANK_RTOL")
     assert not _reads("TOL = 1e-10  # RANK_RTOL\nx = 'RANK_RTOL * max('\n", "RANK_RTOL")
+
+
+def test_the_scale_rule_only_in_hermlinalg():
+    # a matrix's scale is 2^e, e the frexp exponent of its largest entry
+    # modulus, and it is folded by ldexp: every other module takes both through
+    # hermlinalg's helpers and methods
+    sources = dict(_sources())
+    offenders = [(name, fn) for name, text in sources.items() for fn in ("ldexp", "frexp")
+                 if name != "hermlinalg.py" and _reads(text, fn)]
+    assert offenders == []
+    assert all(_reads(sources["hermlinalg.py"], fn) for fn in ("ldexp", "frexp"))
+
+
+def test_scale_rule_guard_sees_a_planted_copy():
+    assert _reads("from numpy import ldexp\n", "ldexp")
+    assert _reads("def f(s):\n    return math.frexp(s)[1]\n", "frexp")
+    assert _reads("fold = np.ldexp\n", "ldexp")
+    assert not _reads("y = _ldexp(x, -1)  # np.ldexp(x, -1)\nz = 'frexp'\n", "ldexp")
+    assert not _reads("y = _ldexp(x, -1)  # np.ldexp(x, -1)\nz = 'frexp'\n", "frexp")
 
 
 def test_hermiticity_guard_sees_a_planted_copy():
@@ -645,17 +665,20 @@ def test_hermitian_matrix_caches_only_its_eig():
     import cpmean
 
     # and its largest entry modulus, the scale of every bound on it, which its
-    # entries fix as they fix the eig
+    # entries fix as they fix the eig; the eig is kept at unit scale, as (w, U,
+    # e) with e the frexp exponent of that modulus, and no second copy of the
+    # entries is kept
     assert cpmean.HermitianMatrix.__slots__ == ("_m", "_eig", "_amax")
 
 
 def test_spectral_pair_keeps_only_its_factorization():
     from cpmean.hermlinalg import SpectralPair
 
-    # (s_A, s_B, t, 1 - t, Z), t and 1 - t with R's entry last on a factored
-    # pair, and the factors (X, P) of the complement R: U, w, V and R itself
-    # are locals of the construction or of its readers
-    assert SpectralPair.__slots__ == ("sa", "sb", "t", "tc", "z", "_xp")
+    # (e_A, e_B, t, 1 - t, Z): the operands' integer exponents, which fold them
+    # by 2^-e exactly (no scale is kept as a float), t and 1 - t with R's entry
+    # last on a factored pair, and the factors (X, P) of the complement R: U, w,
+    # V and R itself are locals of the construction or of its readers
+    assert SpectralPair.__slots__ == ("ea", "eb", "t", "tc", "z", "_xp")
 
 
 README = SRC.parent.parent / "README.md"

@@ -1,9 +1,16 @@
 """One SHA-256 per group of cpmean results, to show a change keeps them bit for bit.
 
-    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N]
+    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N] [--groups G ...]
+    python3 tools/digest.py [--src DIR] --against OTHER_SRC [--seeds 7 8] [--cases N]
 
 Run it on the source trees before and after a change (``--src`` picks the
-tree whose ``cpmean`` is imported) and compare the lines it prints.  Groups:
+tree whose ``cpmean`` is imported) and compare the lines it prints.  With
+``--against``, the groups run on both trees, each in its own subprocess, and
+for each group it prints how far the results of ``--src`` moved from those of
+``OTHER_SRC``: the largest entrywise difference of a result relative to that
+result's largest entry (every number of a report or document counts as an
+entry), and how many results changed kind (a value against an error) or
+shape (a different count of numbers).  Groups:
 
 - ``lib-means``, ``lib-connections``, ``lib-lebesgue``: every library result
   on the seeded cases of the benchmark workloads of ``perfbench/workloads.py``,
@@ -40,6 +47,9 @@ import hashlib
 import io
 import json
 import os
+import pickle
+import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -53,19 +63,54 @@ KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
 ATOMS = ((0.3, 1.5), (7.0, 0.25))
 
 
-class Digest:
-    """A SHA-256 over a sequence of results."""
+# a number as it is written in a report, a document or an example's text
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+SINK = None  # with --dump, the stream each result is also written to, by group
 
-    def __init__(self):
-        self.h = hashlib.sha256()
+
+def _leaves(tree) -> list[float]:
+    """The numbers (booleans as 0 and 1) of a decoded JSON document, in order."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [v for t in tree for v in _leaves(t)]
+    return [float(tree)] if isinstance(tree, (int, float)) else []
+
+
+def numbers(x) -> np.ndarray | None:
+    """The numbers of a result as one float array, or None for an error; a JSON
+    report or document gives the numbers it holds (not those in its strings, such
+    as an input's SHA-256), any other text those it writes."""
+    if isinstance(x, BaseException):
+        return None
+    if isinstance(x, (str, bytes)):
+        try:
+            return np.array(_leaves(json.loads(x)), dtype=np.float64)
+        except ValueError:
+            return np.array([float(t) for t in NUMBER.findall(
+                x.encode() if isinstance(x, str) else x)])
+    if isinstance(x, tuple):
+        return np.concatenate([numbers(y) for y in x] or [np.zeros(0)])
+    x = np.asarray(x)
+    return np.ascontiguousarray(x).view(np.float64).reshape(-1) if x.dtype.kind == "c" \
+        else x.astype(np.float64).reshape(-1)
+
+
+class Digest:
+    """A SHA-256 over a sequence of results, the group ``name``'s."""
+
+    def __init__(self, name: str = ""):
+        self.name, self.h = name, hashlib.sha256()
 
     def add(self, x):
-        if isinstance(x, BaseException):
-            x = f"{type(x).__name__}: {x}"
-        elif hasattr(x, "choi"):
+        if hasattr(x, "choi"):
             x = x.choi.entries
         elif hasattr(x, "entries"):
             x = x.entries
+        if SINK is not None:
+            pickle.dump((self.name, numbers(x)), SINK)
+        if isinstance(x, BaseException):
+            x = f"{type(x).__name__}: {x}"
         if isinstance(x, np.ndarray):
             self.h.update(repr((x.dtype.str, x.shape)).encode())
             self.h.update(np.ascontiguousarray(x).tobytes())
@@ -105,7 +150,7 @@ def lib_means(seeds, limit) -> Digest:
 
     reps = [opmeans.ConnectionRep(0.2, 0.0, ATOMS), opmeans.ConnectionRep(0.0, 0.1, ATOMS),
             opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, ATOMS))]
-    out = Digest()
+    out = Digest("lib-means")
     for c in _cases("lib-means", seeds, limit):
         kinds = [*c.kinds, MeanKind("parallel"), *map(MeanKind.custom, reps)]
         for f, g in ((c.f, c.g), (c.g, c.f)):
@@ -119,7 +164,7 @@ def lib_connections(seeds, limit) -> Digest:
     from cpmean.opmeans import MeanKind
 
     transforms = (lambda r: r, opmeans.transpose_rep, opmeans.adjoint_rep, opmeans.dual_rep)
-    out = Digest()
+    out = Digest("lib-connections")
     for c in _cases("lib-connections", seeds, limit):
         kinds = [MeanKind.custom(t(opmeans.power_rep(c.alpha))) for t in transforms]
         for f, g in ((c.f, c.g), (c.g, c.f)):
@@ -131,7 +176,7 @@ def lib_connections(seeds, limit) -> Digest:
 def lib_lebesgue(seeds, limit) -> tuple[Digest, Digest]:
     from cpmean import lebesgue
 
-    out, abs_cont = Digest(), Digest()
+    out, abs_cont = Digest("lib-lebesgue"), Digest("lib-lebesgue is_abs_continuous")
     for c in _cases("lib-lebesgue", seeds, limit):
         for f, g in ((c.f, c.g), (c.g, c.f)):
             out.add_call(lambda: lebesgue.decompose(f, g))
@@ -186,7 +231,7 @@ def _unitary(rng, d):
 def generic(seeds, limit) -> Digest:
     from cpmean.cpmaps import from_kraus
 
-    out = Digest()
+    out = Digest("generic")
     for seed in seeds:
         rng, mix_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
         for _ in range(300 if limit is None else limit):
@@ -236,7 +281,7 @@ def _admission_inputs(rng):
 def admission(seeds, limit) -> Digest:
     from cpmean import cpmaps, hermlinalg
 
-    out = Digest()
+    out = Digest("admission")
     for seed in seeds:
         rng = np.random.default_rng([seed, 2])
         for _ in range(8 if limit is None else limit):
@@ -257,7 +302,7 @@ def construction(seeds, limit) -> Digest:
     from cpmean import cpmaps
     from cpmean.opmeans import GEO
 
-    out = Digest()
+    out = Digest("construction")
     for seed in seeds:
         rng = np.random.default_rng([seed, 3])
         for _ in range(8 if limit is None else limit):
@@ -276,18 +321,66 @@ def construction(seeds, limit) -> Digest:
 
 
 def example(limit) -> Digest:
-    out = Digest()
+    out = Digest("example")
     for argv in [["example", "--all"], ["--format", "json", "example", "--all"]][:limit]:
         _command(out, argv)
     return out
 
 
+def against(args) -> int:
+    """Run every group on --src and on --against, each tree in a subprocess that
+    streams its results, and print, per group, how far the first moved from the second."""
+    flags = ["--seeds", *map(str, args.seeds), *(["--cases", str(args.cases)] if args.cases else []),
+             *(["--groups", *args.groups] if args.groups else [])]
+    runs = [subprocess.Popen([sys.executable, __file__, "--src", src, "--dump", *flags],
+                             stdout=subprocess.PIPE) for src in (args.src, args.against)]
+    moved = {}  # group -> [largest relative difference, changed kind, changed shape]
+    while True:
+        got = []
+        for run in runs:
+            try:
+                got.append(pickle.load(run.stdout))
+            except EOFError:
+                got.append(None)
+        if got == [None, None]:
+            break
+        if None in got or got[0][0] != got[1][0]:
+            raise SystemExit("error: the two trees ran different sequences of results")
+        (name, x), (_, y) = got
+        row = moved.setdefault(name, [0.0, 0, 0])
+        if (x is None) != (y is None):
+            row[1] += 1
+        elif x is not None and x.shape != y.shape:
+            row[2] += 1
+        elif x is not None and x.size:
+            same = (x == y) | (np.isnan(x) & np.isnan(y))
+            scale = np.abs(y[np.isfinite(y)]).max(initial=0.0)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, where unequal
+                diff = np.where(same, 0.0, np.abs(x - y)).max()
+            row[0] = max(row[0], diff / scale if scale else diff)
+    if any(run.wait() for run in runs):
+        raise SystemExit("error: a tree's run failed")
+    print(f"{'relative':>10}  {'kind':>4}  {'shape':>5}  group")
+    for name, (rel, kind, shape) in moved.items():
+        print(f"{rel:10.3e}  {kind:4d}  {shape:5d}  {name}")
+    return 0
+
+
 def main(argv=None) -> int:
+    global SINK
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"), help="the tree whose cpmean to import")
+    p.add_argument("--against", help="a second tree: print how far --src moved from it")
+    p.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
     p.add_argument("--cases", type=int, default=None, help="first N cases of each group")
+    p.add_argument("--groups", nargs="+", help="run these groups only (lib-lebesgue runs "
+                   "both of its groups)")
     args = p.parse_args(argv)
+    if args.against:
+        return against(args)
+    if args.dump:  # the results go to stdout as (group, numbers) pickles, one per result
+        SINK = sys.stdout.buffer
     sys.path[:0] = [os.path.abspath(args.src), str(ROOT / "perfbench")]
     # a warning is printed once per place, so a report's stderr would depend
     # on what ran before it
@@ -297,17 +390,20 @@ def main(argv=None) -> int:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            split, abs_cont = lib_lebesgue(seeds, limit)
-            groups = [("lib-means", lib_means(seeds, limit)),
-                      ("lib-connections", lib_connections(seeds, limit)),
-                      ("lib-lebesgue", split), ("lib-lebesgue is_abs_continuous", abs_cont),
-                      ("generic", generic(seeds, limit)), ("example", example(limit)),
-                      ("admission", admission(seeds, limit)),
-                      ("construction", construction(seeds, limit))]
+            runs = {"lib-means": lambda: [lib_means(seeds, limit)],
+                    "lib-connections": lambda: [lib_connections(seeds, limit)],
+                    "lib-lebesgue": lambda: list(lib_lebesgue(seeds, limit)),
+                    "generic": lambda: [generic(seeds, limit)], "example": lambda: [example(limit)],
+                    "admission": lambda: [admission(seeds, limit)],
+                    "construction": lambda: [construction(seeds, limit)]}
+            digests = [d for name, run in runs.items() if name in (args.groups or runs)
+                       for d in run()]
         finally:
             os.chdir(cwd)
-    for name, digest in groups:
-        print(f"{digest.hexdigest()}  {name}")
+    if args.dump:
+        return 0
+    for digest in digests:
+        print(f"{digest.hexdigest()}  {digest.name}")
     return 0
 
 
