@@ -49,9 +49,9 @@ def _bound(tol: float, *arrays) -> float:
     return max(tol * _max_abs(*arrays), dim * 2.0 ** -1074)
 
 
-def _ldexp(x, e: int, what: str | None = None):
-    """``x 2^e`` by parts, exact in the normal range, past DBL_MAX inf with no warning,
-    or, for a value ``what`` that the library returns, DomainError."""
+def _ldexp(x, e: int, what: str | None = None, top: int | None = None):
+    """``x 2^e`` by parts, exact in the normal range, past DBL_MAX inf with no warning or,
+    for a value ``what`` the library returns, DomainError; ``|x| < 2^top`` spares a scan."""
     if not isinstance(x, np.ndarray):  # a scalar, at a fraction of numpy's cost
         try:
             return math.ldexp(x, e)
@@ -61,7 +61,7 @@ def _ldexp(x, e: int, what: str | None = None):
         return x
     else:
         v = np.ascontiguousarray(x).view(np.float64)
-        if e < 0 or math.frexp(float(np.abs(v).max(initial=0.0)))[1] + e <= 1024:
+        if e < 0 or (top or math.frexp(float(np.abs(v).max(initial=0.0)))[1]) + e <= 1024:
             # no overflow; a product by a normal 2^e rounds as ldexp does, and is faster
             return (v * 2.0 ** e if -1022 <= e <= 1023 else np.ldexp(v, e)).view(x.dtype)
         with np.errstate(over="ignore"):
@@ -73,8 +73,8 @@ def _ldexp(x, e: int, what: str | None = None):
 
 def _common(*mats) -> tuple[int, list[np.ndarray]]:
     """(e, the entries of mats times 2^-e), e >= 0 the least that keeps each entry below
-    2^1022: a sum or difference of two cannot overflow, and below that nothing moves."""
-    e = max(0, *(x._exp() - 1022 for x in mats))
+    2^1023, so a sum or difference of two is at most DBL_MAX; below that nothing moves."""
+    e = max(0, *(x._exp() - 1023 for x in mats))
     return e, [_ldexp(x.entries, -e) for x in mats]
 
 
@@ -160,9 +160,9 @@ class HermitianMatrix:
             else:
                 m = _ldexp(m, -1) + _ldexp(m.conj().T, -1)
         if e:  # formed at 2^-e of its scale, symmetrized, scaled once
-            small = small and math.frexp(squares)[1] + 2 * e <= 1024  # then no overflow
-            m = (m.view(np.float64) * 2.0 ** e).view(np.complex128) if small and e >= -1022 \
-                else _ldexp(m, e)
+            top = math.frexp(squares)[1] // 2 + 1 if small else None  # each |m_ij| < 2^top
+            m = _ldexp(m, e, top=top)
+            small = small and top + e <= 1023  # each modulus then below 2^1023
         amax = None if small else float(np.abs(m).max())
         if not (small or amax < math.inf):  # so _scale() and each bound are finite
             raise DomainError("an entry modulus is beyond double range")
@@ -209,7 +209,7 @@ class HermitianMatrix:
         with cut, its tail above the rank cutoff ``RANK_RTOL * max(w[-1], 0)``."""
         if self._eig is None:
             e = self._exp()
-            w, u = np.linalg.eigh(_ldexp(self._m, -e))
+            w, u = np.linalg.eigh(_ldexp(self._m, -e, top=e))
             w.flags.writeable = u.flags.writeable = False
             self._eig = (w, u, e)
         if not cut:
@@ -221,7 +221,7 @@ class HermitianMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and unitary columns, DomainError past DBL_MAX."""
         w, u, e = self._spectrum()
-        return _ldexp(w, e, "an eigenvalue"), u
+        return _ldexp(w, e, "an eigenvalue", self.dim.bit_length()), u
 
     def eigvals(self) -> np.ndarray:
         """Ascending eigenvalues: the cached ``eig()``'s, else one uncached ``eigvalsh``'s."""
@@ -230,7 +230,7 @@ class HermitianMatrix:
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs above the rank cutoff, DomainError past DBL_MAX."""
         w, u, e = self._spectrum(cut=True)
-        return _ldexp(w, e, "an eigenvalue"), u
+        return _ldexp(w, e, "an eigenvalue", self.dim.bit_length()), u
 
     def _root(self) -> np.ndarray:
         """``X = U W^{1/2}`` on the support, formed at unit scale: finite with the entries."""
@@ -273,16 +273,15 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
-        """Entries (an array, or a HermitianMatrix the library made) PSD up to bound, set
-        by its one caller ``opmeans._connect`` from a connection's round-off.  The least
-        eigenvalue w_0 picks the branch: above bound, the entries are admitted as
-        computed, a second eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham
-        1988), its eig lazy; below -bound, InvalidInput."""
-        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix._trusted(entries)
-        w, u, e = h._spectrum()
+        """A HermitianMatrix the library made, entries PSD up to bound, set by its one
+        caller ``opmeans._connect`` from a connection's round-off.  The least eigenvalue
+        w_0 picks the branch: above bound, the entries are admitted as computed, a second
+        eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham 1988), its eig
+        lazy; below -bound, InvalidInput."""
+        w, u, e = entries._spectrum()
         unit = _ldexp(bound, -e)
         if w[0] > unit:  # admitted with its own eigh: w_0 > bound >= 0 is its verdict
-            (out := cls._exact(h.entries))._amax = h._amax
+            (out := cls._exact(entries.entries))._amax = entries._amax
             out._spectrum()
             return out
         if w[0] < -unit:
@@ -387,8 +386,8 @@ class SpectralPair:
 
     def _eigh(self, a: HermitianMatrix, b: HermitianMatrix):
         """(t, 1 - t, Z, None) from the eigh of Ĉ and of A'."""
-        ah = _ldexp(a.entries, -self.ea)
-        w, u = HermitianMatrix._exact(ah + _ldexp(b.entries, -self.eb)).support()
+        ah = _ldexp(a.entries, -self.ea, top=self.ea)
+        w, u = HermitianMatrix._exact(ah + _ldexp(b.entries, -self.eb, top=self.eb)).support()
         x = u / np.sqrt(w)
         ap = x.conj().T @ ah @ x
         t, v = np.linalg.eigh(0.5 * (ap + ap.conj().T))

@@ -157,7 +157,8 @@ class ConnectionRep:
 
         The adjoint ``u v / (v σ_g u)`` is summed as reciprocals, so its zeros
         at u = 0 (a > 0) or v = 0 (b > 0) are exact, not 0/0.  A power
-        connection is its own adjoint, ``u^(1-p) v^p``.
+        connection is its own adjoint, ``u^(1-p) v^p``.  DomainError where a term
+        of the atoms' form overflows, as ``a u`` does for a > 1 and u near 2^1023.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -168,15 +169,16 @@ class ConnectionRep:
         lam, wt = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         c = wt * (1.0 + lam)
         uu, vv = u[..., None], v[..., None]
-        if not self.adjoint:
-            return self.a * u + self.b * v + (c * uu * vv / (lam * uu + vv)).sum(axis=-1)
-        k = (c / (lam * vv + uu)).sum(axis=-1)
-        with np.errstate(divide="ignore"):
-            if self.a > 0.0:
-                k = k + self.a / u
-            if self.b > 0.0:
-                k = k + self.b / v
-        return 1.0 / k
+        # u v <= 2 at a pair's midpoint; a denominator past DBL_MAX is inf, its term 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if not self.adjoint:
+                d = self.a * u + self.b * v + (c * (uu * vv) / (lam * uu + vv)).sum(axis=-1)
+            else:  # a reciprocal only where its coefficient is > 0: 0/0 is not 0
+                d = 1.0 / ((c / (lam * vv + uu)).sum(axis=-1) + (self.a / u if self.a else 0.0)
+                           + (self.b / v if self.b else 0.0))
+        if not np.isfinite(d).all():  # a coefficient times a scalar past DBL_MAX
+            raise DomainError("connection kernel is beyond double range")
+        return d
 
     def scalar(self, t):
         """Evaluate f(t) for scalar or array t >= 0."""

@@ -59,7 +59,8 @@ def max_abs(a):
 def clamp_psd(x, tol=hermlinalg.TOL_PSD) -> hermlinalg.PsdMatrix:
     """``PsdMatrix.clamped`` at the bound ``tol * max(1, ||x||)``, for a
     product that is PSD up to its round-off."""
-    return hermlinalg.PsdMatrix.clamped(x, tol * max(1.0, hermlinalg.HermitianMatrix(x).norm()))
+    h = hermlinalg.HermitianMatrix._trusted(x)
+    return hermlinalg.PsdMatrix.clamped(h, tol * max(1.0, h.norm()))
 
 
 def min_eig(a):

@@ -60,17 +60,22 @@ class TestTypes:
 
     def test_clamped_zeroes_small_negatives(self):
         for low in (-1e-12, -TOL_PSD):  # down to the bound itself
-            w, _ = PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD).eig()
+            w, _ = PsdMatrix.clamped(_made(np.diag([1.0, low])), TOL_PSD).eig()
             assert w[0] == 0.0
 
     def test_clamped_rejects_large_negatives(self):
         for low in (-1e-3, np.nextafter(-TOL_PSD, -1.0)):
             with pytest.raises(InvalidInput):
-                PsdMatrix.clamped(np.diag([1.0, low]), TOL_PSD)
+                PsdMatrix.clamped(_made(np.diag([1.0, low])), TOL_PSD)
 
     def test_repr_names_the_type_and_dimension(self):
         assert repr(HermitianMatrix(np.eye(3))) == "HermitianMatrix(dim=3)"
         assert repr(PsdMatrix(np.eye(2))) == "PsdMatrix(dim=2)"
+
+
+def _made(x) -> HermitianMatrix:
+    """x as a product the library made: the one input ``PsdMatrix.clamped`` takes."""
+    return HermitianMatrix._trusted(x)
 
 
 def _bits(x):
@@ -244,7 +249,7 @@ class TestClamped:
         w, u = HermitianMatrix(x).eig()
         assert -bound <= w[0] <= bound
         got = []
-        assert eigh_calls(lambda: got.append(PsdMatrix.clamped(x, bound))) == (1, 0)
+        assert eigh_calls(lambda: got.append(PsdMatrix.clamped(_made(x), bound))) == (1, 0)
         want = PsdMatrix((u * np.clip(w, 0.0, None)) @ u.conj().T)
         assert type(got[0]) is PsdMatrix and _bits(got[0].entries) == _bits(want.entries)
         assert got[0]._eig is None
@@ -266,7 +271,7 @@ class TestClamped:
             self._projects(x, bound, eigh_calls)
 
     def test_projection_keeps_its_eig_lazy(self, rng, scale, eigh_calls):
-        out = PsdMatrix.clamped(self._result(rng, scale, [-1e-13, 0.0, 0.0, 1.0, 2.0]),
+        out = PsdMatrix.clamped(_made(self._result(rng, scale, [-1e-13, 0.0, 0.0, 1.0, 2.0])),
                                 1e-9 * scale)
         assert eigh_calls(out.eig) == (1, 0)
         for have, fresh in zip(out.eig(), np.linalg.eigh(out.entries)):
@@ -280,14 +285,14 @@ class TestClamped:
             h = HermitianMatrix(x)
             assert h.eig()[0][0] > bound  # the admitting branch
             got = []
-            assert eigh_calls(lambda: got.append(PsdMatrix.clamped(x, bound))) == (2, 0)
+            assert eigh_calls(lambda: got.append(PsdMatrix.clamped(_made(x), bound))) == (2, 0)
             assert _bits(got[0].entries) == _bits(h.entries)
             assert eigh_calls(got[0].eig) == (0, 0)  # filled by the admission
 
     def test_eigenvalue_below_the_bound_raises(self, rng, scale):
         for w in ([-1e-6, 0.0, 1.0, 2.0], [-2e-9, 0.0, 1.0, 2.0]):  # down to -2 bound
             with pytest.raises(InvalidInput, match="exceeds clamping tolerance"):
-                PsdMatrix.clamped(self._result(rng, scale, w), 1e-9 * scale)
+                PsdMatrix.clamped(_made(self._result(rng, scale, w)), 1e-9 * scale)
 
 
 class TestEigh:

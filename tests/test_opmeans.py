@@ -7,7 +7,7 @@ import pytest
 
 from cpmean import cpmaps, opmeans
 from cpmean.errors import DomainError, InvalidInput, ShapeError
-from cpmean.hermlinalg import PsdMatrix, _shared_pair, is_psd
+from cpmean.hermlinalg import HermitianMatrix, PsdMatrix, _shared_pair, is_psd
 from cpmean.opmeans import (
     ARITH,
     GEO,
@@ -395,6 +395,14 @@ class TestExtremeScales:
         assert np.array_equal(got, (0.5 * 1.2e308 + 0.5 * 1.08e308) * np.eye(2))
         assert mean(ARITH, [[5e-324]], [[1e-323]]).entries[0, 0] == 1e-323
 
+    def test_arith_mean_below_two_to_the_1023_is_correctly_rounded(self):
+        # an entry of 5e307, in [2^1022, 2^1023), folds nothing: (2^-1074 + 2^-1021 +
+        # 2^-1073)/2 rounds once, to 2^-1022 + 2^-1073, where halves summed would round
+        # twice, to 2^-1022 + 2^-1074
+        tiny, low = 2.0 ** -1074, 2.0 ** -1022
+        a, b = np.diag([5e307, tiny]), np.diag([0.0, 2.0 * low + 2.0 * tiny])
+        assert np.array_equal(mean(ARITH, a, b).entries, np.diag([2.5e307, low + 2.0 * tiny]))
+
     @pytest.mark.parametrize("build", [
         lambda f, g: parallel_sum(f.choi, g.choi),
         lambda f, g: cpmaps.mean_cp(MeanKind.custom(ConnectionRep(1.0, 1.0, ((1.0, 1.0),))), f, g),
@@ -424,6 +432,49 @@ class TestExtremeScales:
             for pair in ((f, g), (g, f)):
                 with pytest.raises(DomainError, match="lie beyond double range apart"):
                     cpmaps.mean_cp(MeanKind("geo"), *pair)
+
+    # mixed atoms, one at l = 7 and one at 0.3: at scales 2^2043 apart the kernel
+    # sees u near 2^1022, where l u and c u leave the double range and u v does not
+    MIXED = ConnectionRep(0.2, 0.1, ((7.0, 0.25), (0.3, 1.5)))
+
+    @staticmethod
+    def _rep_scalar(rep, x, y) -> float:
+        """x σ y of rep's flags, in decimal, where no step leaves the range."""
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x, y = Decimal(x), Decimal(y)
+            if rep.transposed:
+                x, y = y, x
+            a, b = Decimal(rep.a), Decimal(rep.b)
+            atoms = [(Decimal(lam), Decimal(wt) * (1 + Decimal(lam))) for lam, wt in rep.atoms]
+            if not rep.adjoint:
+                return float(a * x + b * y + sum(c * x * y / (lam * x + y) for lam, c in atoms))
+            k = sum(c / (lam * y + x) for lam, c in atoms) + a / x + b / y
+            return float(1 / k)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["large-small", "small-large"])
+    @pytest.mark.parametrize("transform", [
+        lambda r: r, opmeans.transpose_rep, opmeans.adjoint_rep, opmeans.dual_rep],
+        ids=["rep", "transpose", "adjoint", "dual"])
+    def test_a_custom_kernel_at_scales_near_two_to_the_2043_apart(self, transform, swap):
+        rep = transform(self.MIXED)
+        x, y = (1e-307, 1.5e308) if swap else (1.5e308, 1e-307)
+        f, g = (cpmaps.from_choi(1, 2, v * np.eye(2)) for v in (x, y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cpmaps.mean_cp(MeanKind.custom(rep), f, g).choi.entries
+        want = self._rep_scalar(rep, x, y)
+        assert max_abs(got - want * np.eye(2)) <= 1e-14 * want
+
+    def test_a_custom_kernel_past_the_double_range_raises_domain_error(self):
+        # 100 u is past DBL_MAX at u near 2^1022, although 100 F (2^-20 of it) is a
+        # double: the kernel is evaluated at the midpoint exponent alone
+        f, g = (cpmaps.from_choi(1, 2, v * np.eye(2)) for v in (2.0 ** 1000, 2.0 ** -1040))
+        kind = MeanKind.custom(ConnectionRep(100.0, 0.0, ((1.0, 1.0),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="connection kernel is beyond double range"):
+                cpmaps.mean_cp(kind, f, g)
 
     def test_log_mean_of_unbalanced_scalars(self):
         got = mean(LOG, np.diag([1e-12]), np.diag([1.0])).entries[0, 0].real
@@ -657,7 +708,7 @@ class TestGramRoute:
                 d = sigma(u, v)[:p.z.shape[1]]
                 assert not d.all() or p.z.shape[1] < a.dim, kind
                 out = np.ldexp(((p.z * d) @ p.z.conj().T).view(float), m).view(complex)
-                want = PsdMatrix.clamped(out, TOL_MEAN * max_abs(out))
+                want = PsdMatrix.clamped(HermitianMatrix._trusted(out), TOL_MEAN * max_abs(out))
                 got = mean(kind, a, b)
                 assert max_abs(got.entries - want.entries) <= 1e-14 * max_abs(out), kind
                 assert got.support()[0].size == want.support()[0].size, kind

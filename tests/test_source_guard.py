@@ -206,9 +206,8 @@ def test_call_guard_sees_a_planted_call():
 # skips that test.  A new site of either shows here, so that a product cannot
 # take _exact unseen.
 TRUSTED_SITES = {
-    "_trusted": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "PsdMatrix._gram"),
-                 ("hermlinalg.py", "_ando_part"), ("opmeans.py", "parallel_sum"),
-                 ("opmeans.py", "_connect"),
+    "_trusted": {("hermlinalg.py", "PsdMatrix._gram"), ("hermlinalg.py", "_ando_part"),
+                 ("opmeans.py", "parallel_sum"), ("opmeans.py", "_connect"),
                  ("cpmaps.py", "compose")},
     "_exact": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "SpectralPair._eigh"),
                ("opmeans.py", "parallel_sum"), ("opmeans.py", "mean"),

@@ -1,6 +1,6 @@
 """One SHA-256 per group of cpmean results, to show a change keeps them bit for bit.
 
-    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N] [--groups G ...]
+    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N]
     python3 tools/digest.py [--src DIR] --against OTHER_SRC [--seeds 7 8] [--cases N]
 
 Run it on the source trees before and after a change (``--src`` picks the
@@ -330,8 +330,7 @@ def example(limit) -> Digest:
 def against(args) -> int:
     """Run every group on --src and on --against, each tree in a subprocess that
     streams its results, and print, per group, how far the first moved from the second."""
-    flags = ["--seeds", *map(str, args.seeds), *(["--cases", str(args.cases)] if args.cases else []),
-             *(["--groups", *args.groups] if args.groups else [])]
+    flags = ["--seeds", *map(str, args.seeds), *(["--cases", str(args.cases)] if args.cases else [])]
     runs = [subprocess.Popen([sys.executable, __file__, "--src", src, "--dump", *flags],
                              stdout=subprocess.PIPE) for src in (args.src, args.against)]
     moved = {}  # group -> [largest relative difference, changed kind, changed shape]
@@ -374,8 +373,6 @@ def main(argv=None) -> int:
     p.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
     p.add_argument("--cases", type=int, default=None, help="first N cases of each group")
-    p.add_argument("--groups", nargs="+", help="run these groups only (lib-lebesgue runs "
-                   "both of its groups)")
     args = p.parse_args(argv)
     if args.against:
         return against(args)
@@ -390,14 +387,10 @@ def main(argv=None) -> int:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            runs = {"lib-means": lambda: [lib_means(seeds, limit)],
-                    "lib-connections": lambda: [lib_connections(seeds, limit)],
-                    "lib-lebesgue": lambda: list(lib_lebesgue(seeds, limit)),
-                    "generic": lambda: [generic(seeds, limit)], "example": lambda: [example(limit)],
-                    "admission": lambda: [admission(seeds, limit)],
-                    "construction": lambda: [construction(seeds, limit)]}
-            digests = [d for name, run in runs.items() if name in (args.groups or runs)
-                       for d in run()]
+            split, abs_cont = lib_lebesgue(seeds, limit)
+            digests = [lib_means(seeds, limit), lib_connections(seeds, limit), split, abs_cont,
+                       generic(seeds, limit), example(limit), admission(seeds, limit),
+                       construction(seeds, limit)]
         finally:
             os.chdir(cwd)
     if args.dump:
