@@ -6,9 +6,10 @@ admission of outside data, ``is_psd``, the PSD square root, and the ``SpectralPa
 (two eigh, or one thin SVD from cached eigs) on which every mean, connection and
 Lebesgue split is evaluated.  Every rank, range and kernel decision reads ``RANK_RTOL``
 here alone, and so does the one scale rule: a matrix's scale is 2^e, e the ``frexp``
-exponent of its largest entry modulus; it is folded by ``ldexp``, exactly, each eig is
-that of the folded entries, kept at unit scale beside e, so LAPACK never rescales, and
-a result formed at unit scale is scaled by a power of two once.  Outside data enters
+exponent of its largest entry modulus; it is folded by ``ldexp``, exactly, each kept
+eig is that of the folded entries, at unit scale beside e, and a result formed at unit
+scale is scaled by a power of two once.  An uncached ``eigvals()`` alone takes the
+entries as they are, so LAPACK rescales them outside about [2^-400, 2^484].  Outside data enters
 only through the public constructors, held to the one Hermiticity rule ``TOL_HERM``;
 what the library makes enters by ``_trusted``, a product, which symmetrizes it, or by
 ``_exact``, Hermitian bit for bit.  Matrices are immutable; each eig and largest entry
@@ -66,7 +67,7 @@ def _ldexp(x, e: int, what: str | None = None, top: int | None = None):
             return (v * 2.0 ** e if -1022 <= e <= 1023 else np.ldexp(v, e)).view(x.dtype)
         with np.errstate(over="ignore"):
             y = np.ldexp(v, e).view(x.dtype)
-    if what:  # y holds an overflow
+    if what and not np.isfinite(y).all():  # top is a bound: only an inf is an overflow
         raise DomainError(f"{what} is beyond double range")
     return y
 
@@ -224,7 +225,7 @@ class HermitianMatrix:
         return _ldexp(w, e, "an eigenvalue", self.dim.bit_length()), u
 
     def eigvals(self) -> np.ndarray:
-        """Ascending eigenvalues: the cached ``eig()``'s, else one uncached ``eigvalsh``'s."""
+        """Ascending eigenvalues: the cached ``eig()``'s, else the unfolded entries' eigvalsh."""
         return np.linalg.eigvalsh(self._m) if self._eig is None else self.eig()[0]
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +274,8 @@ class PsdMatrix(HermitianMatrix):
 
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
-        """A HermitianMatrix the library made, entries PSD up to bound, set by its one
-        caller ``opmeans._connect`` from a connection's round-off.  The least eigenvalue
+        """A matrix the library made, PSD up to bound: the Gram form ``SpectralPair.gram``
+        gives its one caller ``opmeans._connect``, bound its round-off.  The least eigenvalue
         w_0 picks the branch: above bound, the entries are admitted as computed, a second
         eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham 1988), its eig
         lazy; below -bound, InvalidInput."""
@@ -346,7 +347,8 @@ class SpectralPair:
     Each operand is folded exactly by its scale 2^e, so ``Ĉ = 2^-e_A A + 2^-e_B B`` is a
     sum of PSD parts, each with one t: ``A = 2^e_A Σ_k t_k (part k)``, ``B = 2^e_B Σ_k
     (1 - t_k) (part k)`` (Kubo-Ando 1980, Ando 1976).  The parts are ``z z*`` for each
-    column z of Z and, last on a pair ``_factored`` by one thin SVD, R.  Else, with ``Ĉ
+    column z of Z and, last on a pair ``_factored`` by one thin SVD, R, formed by
+    ``gram``, the parts' one reader, from the kept (X, P).  Else, with ``Ĉ
     = U diag(w) U*`` on its support, ``A' = W^{-1/2} U* Â U W^{-1/2} = V diag(t) V*``
     and ``Z = U W^{1/2} V``: two eigh, of Ĉ and of A'.  Each t_i is snapped onto {0, 1}
     within its own rounding error, and onto 1 where B = 0, so a zero operand gives exact
@@ -406,30 +408,14 @@ class SpectralPair:
             raise DomainError(f"scales 2^{self.ea} and 2^{self.eb} lie beyond double range apart")
         return self.t * 2.0 ** (self.ea - m), self.tc * 2.0 ** (self.eb - m), m
 
-    def product(self, h) -> np.ndarray:
-        """``Z diag(h) Z*`` unsymmetrized, on a pair with no R part: the clamp's input."""
-        return (self.z * h) @ self.z.conj().T
-
-    def y(self) -> np.ndarray:
-        """``Y = X - (X P) P*``, R = Y Y*, of a factored pair: no SVD, no eigh."""
-        x, p = self._xp
-        return x - (x @ p) @ p.conj().T
-
     def gram(self, h, e: int = 0) -> PsdMatrix:
-        """``2^e Σ_k h_k (part k)``, one weight h_k >= 0 per part; R formed only if weighed."""
+        """``2^e Σ_k h_k (part k)``, h_k >= 0; R = Y Y*, ``Y = X - (X P) P*``, only if weighed."""
         r = self.z.shape[1]
         if h.size == r or not h[r]:
             return PsdMatrix._gram(self.z, h[:r], e)
-        y = self.y()
+        x, p = self._xp
+        y = x - (x @ p) @ p.conj().T
         return PsdMatrix._gram(np.hstack([self.z, y]), np.r_[h[:r], np.full(y.shape[1], h[r])], e)
-
-    def mass(self, h) -> float:
-        """``Σ_k h_k tr(part k)``: ``|z|²`` per column z of Z, ``||Y||_F²`` for a weighed R."""
-        r = self.z.shape[1]
-        m = float(h[:r] @ (np.abs(self.z) ** 2).sum(axis=0))
-        if h.size > r and h[r]:
-            m += float(h[r]) * float((np.abs(self.y()) ** 2).sum())
-        return m
 
 
 class _Run:

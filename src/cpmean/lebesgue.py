@@ -4,12 +4,13 @@ Everything is read from the ``hermlinalg.SpectralPair`` of (C_F, C_G) that the o
 means use, ``C_F = 2^e_F Σ_k t_k (part k)`` and ``C_G = 2^e_G Σ_k (1 - t_k) (part k)``:
 the absolutely continuous part of G is ``2^e_G Σ_{t_k > 0} (1 - t_k) (part k)``, the
 singular part the same sum over t_k = 0, and ``alpha_min = 2^(e_G - e_F) max (1-t)/t``
-over t > 0.  ``decompose``, the one route to the parts, returns both with ``alpha_min``
-and the verdict of their sum against C_G; ``is_singular`` and ``is_abs_continuous``
-return their Verdict at TOL_SPLIT.  Ando's closed form ``hermlinalg._ando_part`` checks
-the split without the pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF :
-G)`` on the pseudo-inverse ``opmeans.parallel_sum``, Richardson-extrapolated along n =
-2^k up to 2^20, is a test oracle the package does not export.
+over t > 0.  Each part is the pair's ``gram`` of those weights: ``decompose`` returns
+both with ``alpha_min`` and the verdict of their sum against C_G, ``is_abs_continuous``
+the singular part's trace share, ``is_singular`` reads t alone, each Verdict at
+TOL_SPLIT.  Ando's closed form ``hermlinalg._ando_part`` checks the split without the
+pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF : G)`` on the pseudo-inverse
+``opmeans.parallel_sum``, Richardson-extrapolated along n = 2^k up to 2^20, is a test
+oracle the package does not export.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def is_singular(f: CpMap, g: CpMap) -> Verdict:
 
 def is_abs_continuous(g: CpMap, f: CpMap) -> Verdict:
     """Share of tr C_G carried by the t = 0 directions of A' (the trace of the
-    singular part over that of C_G) against TOL_SPLIT: the residual is 0 iff G
-    is F-absolutely continuous, and invariant under scaling F and G.
+    singular part's ``gram``, at unit scale, over that of C_G) against TOL_SPLIT: 0 iff
+    G is F-absolutely continuous, and invariant under scaling F and G.
 
     The equivalent range criterion supp(B') <= supp(A') in the RN picture is
     exercised by the test suite.
@@ -151,5 +152,5 @@ def is_abs_continuous(g: CpMap, f: CpMap) -> Verdict:
     total = float(_ldexp(np.diagonal(g.choi.entries).real, -p.eb).sum())
     if not total > 0.0:
         return Verdict(0.0, TOL_SPLIT)
-    sing = p.mass(np.where(p.t > 0.0, 0.0, p.tc))
-    return Verdict(sing / total, TOL_SPLIT)
+    sing = p.gram(np.where(p.t > 0.0, 0.0, p.tc)).entries
+    return Verdict(float(np.trace(sing).real) / total, TOL_SPLIT)

@@ -52,9 +52,9 @@ def _connect(a, b, sigma) -> PsdMatrix:
     d = sigma(u, v)
     if (d < 0.0).any():
         raise InvalidInput(f"connection kernel is negative ({d.min():.3e})")
+    out = p.gram(d, m)
     if not d.all() or p.z.shape[1] < p.z.shape[0]:
-        return p.gram(d, m)
-    out = HermitianMatrix._trusted(p.product(d), m)
+        return out
     return PsdMatrix.clamped(out, TOL_MEAN * out._scale())
 
 

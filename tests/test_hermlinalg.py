@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -552,11 +553,13 @@ class TestSupport:
     def test_an_overflowed_largest_eigenvalue_is_kept_at_unit_scale(self):
         # 5 J + I: finite entries up to 6 * 2^1020, largest eigenvalue 21 * 2^1020.
         # The eig is kept at unit scale, so the rank cutoff, the index and the
-        # Kraus operators are doubles; only a returned eigenvalue is not
+        # Kraus operators are doubles; only a returned eigenvalue is not, and so
+        # parallel_sum, which reads the support of the sum, raises too
         c = PsdMatrix(2.0 ** 1020 * (5.0 * np.ones((4, 4)) + np.eye(4)))
         w, u, e = c._spectrum()
         assert e == 1023 and np.allclose(w, [1 / 8] * 3 + [21 / 8])
-        for read in (c.eig, c.support, c.norm):
+        for read in (c.eig, c.support, c.eigvals, c.norm,
+                     lambda: opmeans.parallel_sum(0.5 * c.entries, 0.5 * c.entries)):
             with pytest.raises(DomainError, match="beyond double range"):
                 read()
         f = cpmaps.CpMap(2, 2, c)
@@ -574,6 +577,35 @@ class TestSupport:
             got = psd_sqrt(PsdMatrix(1.7e308 * np.ones((4, 4)))).entries
         want = np.sqrt(1.7e308) / 2.0
         assert max_abs(got - want * np.ones((4, 4))) <= 1e-7 * want
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_the_top_binades_are_read_at_scale(self, rng, n):
+        """Largest entry in each binade from 2^1019 to 2^1023, every eigenvalue a double:
+        eig, support, the cached eigvals and norm are the unit-scale ones times 2^k, bit
+        for bit, and parallel_sum within the rounding of its subnormal ``U / w``.  Where
+        the bound ``|w| < n`` on the unit-scale eigenvalues passes DBL_MAX times 2^-k,
+        that bound alone is no overflow."""
+        a, b = (random_psd(rng, n, rank=r, lo=0.5, hi=0.625) for r in (n - 1, n))
+        a, b = (_times_two_to(x, -math.frexp(max_abs(a + b))[1]) for x in (a, b))
+        unit = {name: PsdMatrix(_times_two_to(x, -math.frexp(max_abs(x))[1]))
+                for name, x in (("a", a), ("a + b", a + b))}  # largest entry in [1/2, 1)
+        want = opmeans.parallel_sum(a, b).entries
+        for k in range(1020, 1025):
+            for name, x in unit.items():
+                big = PsdMatrix(_times_two_to(x.entries, k))
+                assert math.frexp(max_abs(big.entries))[1] == k
+                for read in ("eig", "support"):
+                    (w, u), (w1, u1) = getattr(big, read)(), getattr(x, read)()
+                    assert _bits(w) == _bits(np.ldexp(w1, k)) and _bits(u) == _bits(u1), (k, name)
+                assert _bits(big.eigvals()) == _bits(np.ldexp(x.eigvals(), k)), (k, name)
+                assert big.norm() == math.ldexp(x.norm(), k), (k, name)
+            got = opmeans.parallel_sum(*(_times_two_to(x, k) for x in (a, b))).entries
+            assert max_abs(_times_two_to(got, -k) - want) <= 1e-14 * max_abs(want), k
+
+
+def _times_two_to(x: np.ndarray, k: int) -> np.ndarray:
+    """The complex array x times 2^k, exactly where no entry underflows."""
+    return np.ldexp(x.view(np.float64), k).view(np.complex128)
 
 
 class TestProjIntersection:
@@ -814,8 +846,11 @@ class TestFactoredPair:
             # pair's one part, the complement R = Y Y* with t on it, is all of Ĉ
             p = _shared_pair(a, b)
             assert p.z.shape == (n, 0) and (*p.t, *p.tc) == (t, 1.0 - t)
-            r = p.gram(np.ones(1)).entries
-            assert abs(p.mass(np.ones(1)) - np.trace(r).real) <= 1e-14 * np.trace(r).real
+            # gram forms R from the pair's (X, P) as Y Y*, Y = X - (X P) P*
+            (x, q), r = p._xp, p.gram(np.ones(1)).entries
+            y = x - (x @ q) @ q.conj().T
+            assert max_abs(r - y @ y.conj().T) <= 1e-14 * max_abs(r)
+            assert abs(np.sum(np.abs(y) ** 2) - np.trace(r).real) <= 1e-14 * np.trace(r).real
             assert max_abs(r - one.entries / 2.0 ** one._exp()) <= 1e-14
             for kind in kinds:
                 assert not opmeans.mean(kind, a, b).entries.any(), (t, kind)

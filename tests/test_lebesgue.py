@@ -108,7 +108,8 @@ def rn_matrices(f, g):
     """(A', B', support projection of C, C^{1/2}) of the ``SpectralPair`` of
     (C_F, C_G), as matrices in the original basis; C is the sum of the
     folded operands ``2^-e_F C_F + 2^-e_G C_G``.  The pair keeps t, 1 - t and Z,
-    and where it is factored the complement ``R = Y Y*`` as its last part:
+    and where it is factored the complement ``R = Y Y*`` as its last part, with
+    ``Y = X - (X P) P*`` formed here from the pair's ``(X, P)`` as ``gram`` forms it:
     ``K = [Z, Y]`` and R's t on each column of Y give ``K K* = C`` and ``C/s =
     K diag(t) K*``, so with the SVD ``K = X S W*``, ``C^{1/2} = X S X*`` with
     support projection ``X X*``, and the polar factor ``X W*`` of K is the
@@ -116,8 +117,9 @@ def rn_matrices(f, g):
     p = SpectralPair(f.choi, g.choi)
     k, t, tc, r = p.z, p.t, p.tc, p.z.shape[1]
     if t.size > r:  # a factored pair: R is one part more
-        n = k.shape[0]
-        k, t, tc = np.hstack([k, p.y()]), np.r_[t[:r], [t[r]] * n], np.r_[tc[:r], [tc[r]] * n]
+        (x, q), n = p._xp, k.shape[0]
+        y = x - (x @ q) @ q.conj().T
+        k, t, tc = np.hstack([k, y]), np.r_[t[:r], [t[r]] * n], np.r_[tc[:r], [tc[r]] * n]
     x, s, wh = np.linalg.svd(k, full_matrices=False)
     xw = x @ wh
     return ((xw * t) @ xw.conj().T, (xw * tc) @ xw.conj().T,
@@ -442,6 +444,23 @@ class TestPredicates:
             outside = (np.eye(3) - pa) @ b_prime @ (np.eye(3) - pa)
             range_ok = max_abs(outside) < 1e-8
             assert bool(is_abs_continuous(g, f)) == range_ok
+
+    @pytest.mark.parametrize("ranks, factored", [((6, 3), True), ((4, 3), False)],
+                             ids=["factored", "eigh"])
+    def test_abs_continuity_residual_is_the_singular_parts_trace_share(self, rng, ranks,
+                                                                       factored):
+        """The residual is tr(sing) / tr(C_G) of ``decompose``'s split, both read at
+        the pair's folded scale 2^-e_G, on either route and in both orientations."""
+        for _ in range(4):
+            c, s = 10.0 ** rng.uniform(-12.0, 12.0, size=2)
+            one, two = (from_choi(2, 3, x * random_psd(rng, 6, rank=r))
+                        for x, r in zip((c, s), ranks))
+            for f, g in ((one, two), (two, one)):
+                assert (hermlinalg._shared_pair(f.choi, g.choi)._xp is not None) == factored
+                e = g.choi._exp()
+                sing, total = (np.ldexp(np.trace(x.choi.entries).real, -e)
+                               for x in (lebesgue.decompose(f, g).sing, g))
+                assert abs(is_abs_continuous(g, f).residual - sing / total) <= 1e-14
 
 
 class TestNormalFunctionalSpecialization:

@@ -207,8 +207,7 @@ def test_call_guard_sees_a_planted_call():
 # take _exact unseen.
 TRUSTED_SITES = {
     "_trusted": {("hermlinalg.py", "PsdMatrix._gram"), ("hermlinalg.py", "_ando_part"),
-                 ("opmeans.py", "parallel_sum"), ("opmeans.py", "_connect"),
-                 ("cpmaps.py", "compose")},
+                 ("opmeans.py", "parallel_sum"), ("cpmaps.py", "compose")},
     "_exact": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "SpectralPair._eigh"),
                ("opmeans.py", "parallel_sum"), ("opmeans.py", "mean"),
                ("lebesgue.py", "ac_part_oracle"), ("cpmaps.py", "CpMap.__add__"),
@@ -434,8 +433,8 @@ def test_document_slots_guard_sees_a_planted_read():
 
 
 # the complement R of a factored spectral pair, which ``hermlinalg`` alone
-# places: its readers weigh the pair's parts through ``gram``, ``mass`` and ``product``
-PAIR_INTERNALS = ("tp", "y", "_xp")
+# places: its readers weigh the pair's parts through ``gram``
+PAIR_INTERNALS = ("tp", "_xp")
 
 
 def test_only_hermlinalg_reads_the_pairs_complement():
@@ -445,9 +444,59 @@ def test_only_hermlinalg_reads_the_pairs_complement():
 
 
 def test_complement_guard_sees_a_planted_read():
-    assert _reads_attribute("def f(p):\n    return p.gram(p.t) + p.y()\n", "y")
     assert _reads_attribute("def f(p):\n    return p.sb if p.tp == 0.0 else 0.0\n", "tp")
     assert _reads_attribute("def f(p):\n    x, q = p._xp\n", "_xp")
+
+
+# What a module other than hermlinalg may read of a SpectralPair: its t, 1 - t,
+# Z and exponents, the kernel's arguments at ``midpoint``, and sums of its parts
+# through ``gram``, their one reader.
+PAIR_READS = {"t", "tc", "z", "ea", "eb", "midpoint", "gram"}
+
+
+def _pair_reads(text: str) -> set[str]:
+    """Each attribute read of a spectral pair: of a call of ``SpectralPair``,
+    ``_shared_pair`` or a function of the module annotated to return a
+    SpectralPair, or of a name that a function assigns such a call."""
+    tree = ast.parse(text)
+    makers = {"SpectralPair", "_shared_pair"} | {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and isinstance(node.returns, ast.Name) and node.returns.id == "SpectralPair"}
+
+    def made(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            node.func.id if isinstance(node.func, ast.Name)
+            else getattr(node.func, "attr", None)) in makers
+
+    reads = set()
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        pairs = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and made(node.value) for target in node.targets
+                 if isinstance(target, ast.Name)}
+        reads |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and (made(node.value) or isinstance(node.value, ast.Name)
+                       and node.value.id in pairs)}
+    return reads
+
+
+def test_pairs_are_read_only_through_their_reader_surface():
+    reads = {name: _pair_reads(text) for name, text in _sources() if name != "hermlinalg.py"}
+    assert {name: found - PAIR_READS for name, found in reads.items()
+            if found - PAIR_READS} == {}
+    # the guard sees the readers there are: the connections' and the split's
+    assert {"midpoint", "gram", "z"} <= reads["opmeans.py"]
+    assert {"t", "tc", "ea", "eb", "gram"} <= reads["lebesgue.py"]
+
+
+def test_pair_reader_guard_sees_a_planted_read():
+    text = ("def _pair(f, g) -> SpectralPair:\n    return _shared_pair(f.choi, g.choi)\n\n"
+            "def split(f, g):\n    p = _pair(f, g)\n    return p.gram(p.t) + p.y()\n\n"
+            "def connect(a, b):\n    q = hermlinalg._shared_pair(a, b)\n"
+            "    return q.product(q.tc), SpectralPair(a, b).mass(1.0)\n\n"
+            "def other(p):\n    r = p.rep()\n    return p.y(), r.y()\n")
+    assert _pair_reads(text) == {"gram", "t", "y", "product", "tc", "mass"}
+    assert _pair_reads("def f(a, b):\n    p = _pair(a, b)\n    return p.y()\n") == set()
 
 
 # os.environ and os.getenv, used or imported by name

@@ -18,8 +18,8 @@ shape (a different count of numbers).  Groups:
   and custom reps that weigh a factored pair's complement (lib-means); the
   power connection and its transpose, adjoint and dual (lib-connections);
   ``decompose``, ``is_singular`` and the limit oracle (lib-lebesgue);
-- ``lib-lebesgue is_abs_continuous``: that residual alone, as a sum over the
-  pair's parts whose order of summation a change may move;
+- ``lib-lebesgue is_abs_continuous``: that residual alone, the trace of a Gram
+  form of the pair's parts, whose order of summation a change may move;
 - ``generic``: every report and ``-o`` document of a sweep of every command
   over generic document pairs (as ``tests/test_cli_generic.py`` draws them);
 - ``example``: ``cpmean example --all`` in text and JSON;
