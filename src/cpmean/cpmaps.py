@@ -33,8 +33,8 @@ from .hermlinalg import (
     _common,
     _is_whole,
     _ldexp,
+    _unit,
     as_psd,
-    psd_sqrt,
 )
 from . import opmeans
 from .opmeans import MeanKind
@@ -69,13 +69,15 @@ class CpMap:
         return self.choi.entries.reshape(m, n, m, n)
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate the map on an m x m matrix."""
+        """Evaluate the map on a finite m x m matrix at unit scale; DomainError past DBL_MAX."""
         x = _as_array(x)
         if x.shape != (self.dim_in, self.dim_in):
-            raise ShapeError(
-                f"input must be {self.dim_in} x {self.dim_in}, got {x.shape}"
-            )
-        return np.einsum("ij,ikjl->kl", x, self.choi_blocks())
+            raise ShapeError(f"input must be {self.dim_in} x {self.dim_in}, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise InvalidInput("input entries must be finite")
+        (ex, x), ec = _unit(x), self.choi._exp()
+        y = np.einsum("ij,ikjl->kl", x, _ldexp(self.choi_blocks(), -ec))
+        return _ldexp(y, ex + ec, "an entry of F(x)")
 
     def unital_defect(self) -> float:
         """``max |F(1) - 1|``, F(1) the sum of the diagonal blocks F(e_ii)."""
@@ -178,7 +180,8 @@ def from_kraus(ops: Sequence[np.ndarray], dim_in: int | None = None,
 def kraus_decompose(f: CpMap) -> list[np.ndarray]:
     """Kraus operators from the spectral decomposition of the Choi matrix: the
     columns of ``U W^{1/2}`` on its support are their vec(K), as in ``from_kraus``."""
-    return list(f.choi._root().T.reshape(-1, f.dim_in, f.dim_out).transpose(0, 2, 1))
+    u, h, e = f.choi._half(cut=True)
+    return list(_ldexp(u * h, e).T.reshape(-1, f.dim_in, f.dim_out).transpose(0, 2, 1))
 
 
 def order_cp(f: CpMap, g: CpMap, tol: float = TOL_PSD) -> tuple[Verdict, Verdict]:
@@ -350,14 +353,14 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
 
     Returns (Tr(rho # sigma), Tr(rho^{1/2} sigma^{1/2}), Tr sqrt(rho^{1/2}
     sigma rho^{1/2})); the chain gm <= sqrt <= fidelity always holds, with
-    equality iff the states commute.
+    equality iff the states commute.  The last two are ``Re <W, m>`` and the sum of m's
+    singular values, ``W = U_rho* U_sigma``, ``m = diag(h_rho) W diag(h_sigma)`` by ``_half()``.
     """
     rho, sigma = opmeans._check_pair(rho, sigma)
     gm = float(np.trace(opmeans.geometric_mean(rho, sigma).entries).real)
-    rh = psd_sqrt(rho).entries
-    sh = psd_sqrt(sigma).entries
-    sqrt_trace = float(np.trace(rh @ sh).real)
-    # rho^{1/2} sigma rho^{1/2} is the Gram form of rho^{1/2} sigma^{1/2}
-    w = PsdMatrix._gram(rh @ sh).eigvals()
-    fidelity = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return StateMeanQuantities(gm, sqrt_trace, fidelity)
+    (ur, hr, er), (us, hs, es) = rho._half(), sigma._half()
+    w = ur.conj().T @ us
+    m = hr[:, None] * w * hs
+    fidelity = np.sqrt(np.clip(PsdMatrix._gram(m).eigvals(), 0.0, None)).sum()
+    return StateMeanQuantities(gm, _ldexp(float(np.vdot(w, m).real), er + es, "a trace"),
+                               _ldexp(float(fidelity), er + es, "the fidelity"))

@@ -79,6 +79,12 @@ def _common(*mats) -> tuple[int, list[np.ndarray]]:
     return e, [_ldexp(x.entries, -e) for x in mats]
 
 
+def _unit(x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(e, x 2^-e) for a finite complex x, each real and imaginary part below 2^e."""
+    e = math.frexp(float(np.abs(np.ascontiguousarray(x).view(np.float64)).max(initial=0.0)))[1]
+    return e, _ldexp(x, -e)
+
+
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
     """A new array of x by the one rule for outside numbers: ints (beyond 64
     bits too), floats and complex numbers, an ndarray's judged by its dtype.
@@ -233,10 +239,11 @@ class HermitianMatrix:
         w, u, e = self._spectrum(cut=True)
         return _ldexp(w, e, "an eigenvalue", self.dim.bit_length()), u
 
-    def _root(self) -> np.ndarray:
-        """``X = U W^{1/2}`` on the support, formed at unit scale: finite with the entries."""
-        w, u, e = self._spectrum(cut=True)
-        return _ldexp(u * np.sqrt(_ldexp(w, e % 2)), e // 2)
+    def _half(self, cut: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+        """(U, h, e), the square root ``2^e U diag(h) U*`` from the unit-scale eig, on the
+        support with cut: ``h = (2^(e_w % 2) max(w, 0))^{1/2}``, e = e_w // 2."""
+        w, u, e = self._spectrum(cut)
+        return u, np.sqrt(_ldexp(np.clip(w, 0.0, None), e % 2)), e // 2
 
     def pinv_form(self, v: np.ndarray) -> float:
         """``<v, C^+ v>`` on the support at unit scale; inf if v is off its range by >
@@ -321,24 +328,23 @@ def is_psd(h, tol: float = TOL_PSD) -> Verdict:
 
 
 def psd_sqrt(a) -> PsdMatrix:
-    """PSD square root, ``2^(e//2) U (2^(e%2) max(w, 0))^{1/2} U*`` from a's unit-scale
-    eig: negative eigenvalues within tolerance are clamped to 0."""
-    w, u, e = as_psd(a)._spectrum()
-    return PsdMatrix._gram(u, np.sqrt(_ldexp(np.clip(w, 0.0, None), e % 2)), e // 2)
+    """PSD square root, the Gram form of a's ``_half()``: negative eigenvalues within
+    tolerance are clamped to 0."""
+    return PsdMatrix._gram(*as_psd(a)._half())
 
 
 def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
-    """Ando's closed form ``cg^{1/2} P cg^{1/2}`` of cg's part absolutely continuous to
-    cf (Ando 1976), at cg's unit scale: P projects onto the eigenspace of M*M at or below
-    ``RANK_RTOL ||cg||``, ``M = U_0* cg^{1/2}``, U_0 cf's eigenvectors off its support."""
+    """Ando's closed form ``Y P Y*`` of cg's part absolutely continuous to cf (Ando 1976), for
+    any ``cg = Y Y*``, here ``Y = U_+ w_+^{1/2}`` at cg's unit scale: P projects onto M*M's
+    eigenspace <= RANK_RTOL ||cg||, M = U_0* Y, U_0 cf's kernel; cg if cf is full rank or cg = 0."""
     u0 = cf._spectrum()[1][:, :cf.dim - cf._spectrum(cut=True)[0].size]
-    if not u0.size:
+    if not u0.size or not cg._scale():
         return cg
-    w, u, e = cg._spectrum()
-    half = PsdMatrix._gram(u, np.sqrt(np.clip(w, 0.0, None))).entries
-    m = u0.conj().T @ half
+    w, u, e = cg._spectrum(cut=True)
+    y = u * np.sqrt(w)
+    m = u0.conj().T @ y
     wm, v = HermitianMatrix._trusted(m.conj().T @ m).eig()
-    return PsdMatrix._gram(half @ v[:, wm <= RANK_RTOL * w[-1]], None, e)
+    return PsdMatrix._gram(y @ v[:, wm <= RANK_RTOL * w[-1]], None, e)
 
 
 class SpectralPair:

@@ -10,7 +10,7 @@ pair built is shared: the first connection of two operand objects costs the pair
 two eigh, or one thin SVD where it is factored from cached eigs, each next one none
 where its result is rank-deficient by construction, and otherwise the clamp's.
 ``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B``, one eigh and an
-eigenvalue check, is the limit oracle's reference, not package API (that is
+eigenvalue check, serves the limit oracle alone, not package API (that is
 ``mean(PARALLEL)``): (A+B)^+ loses the smaller operand once the scales lie over about
 1e4 apart.  Scale convention for the power mean: ``MeanKind.power(a)`` carries weight
 ``a`` on B, so commuting scalars r (A) and s (B) give ``r**(1-a) * s**a``.
@@ -80,10 +80,10 @@ def parallel_sum(a, b) -> HermitianMatrix:
     """Parallel sum ``A : B = A (A+B)^+ B``, the operator analog of parallel resistors.
 
     The pseudo-inverse formula, independent of the spectral pair that
-    ``mean(PARALLEL, A, B)`` uses: the reference of ``ac_part_oracle`` and the
-    ``ando-recovery`` example, not package API.  Its range is ran(A) ∩ ran(B),
-    and ``A : B <= A, B``; it is exact to round-off only while the scales of A
-    and B are within about 1e4 of each other.  One eigh, of A + B, and one
+    ``mean(PARALLEL, A, B)`` uses: the reference of ``ac_part_oracle``, its one
+    caller, not package API.  Its range is ran(A) ∩ ran(B), and ``A : B <= A,
+    B``; it is exact to round-off only while the scales of A and B are within
+    about 1e4 of each other.  One eigh, of A + B, and one
     eigvalsh: the symmetrized formula is returned as computed, not clipped to
     the PSD cone, once its smallest eigenvalue is within -TOL_MEAN ||A + B||.
     """

@@ -29,6 +29,8 @@ TGRID = 2.0 ** np.arange(-4, 5, dtype=float)
 
 ARITH_REP = ConnectionRep(0.5, 0.5, ())
 HARM_REP = ConnectionRep(0.0, 0.0, ((1.0, 1.0),))
+# one atom (l, w) = (1, 1/2): g(t) = t/(1+t), whose atom formula is parallel_sum itself
+PARALLEL_REP = ConnectionRep(0.0, 0.0, ((1.0, 0.5),))
 
 
 def atom_oracle(rep, a, b):
@@ -116,15 +118,17 @@ class TestKernelRoute:
                              ids=["plain", "transpose"])
     def test_matches_atom_formula_on_rank_deficient_pairs(self, rng, dim, transform):
         # Rank pairs (r, dim + 1 - r) and (r, dim) run each argument through
-        # every rank from 1 to full, with ran(A) ∩ ran(B) never trivial.
+        # every rank from 1 to full, with ran(A) ∩ ran(B) never trivial.  The
+        # one-atom rep compares the spectral pair with parallel_sum alone.
         pairs = [(r, dim + 1 - r) for r in range(1, dim + 1)]
         pairs += [(r, dim) for r in range(1, dim + 1)] + [(dim, r) for r in range(1, dim)]
         for ra, rb in pairs:
             a = random_psd(rng, dim, rank=ra)
             b = random_psd(rng, dim, rank=rb)
-            rep = transform(power_atoms(float(rng.uniform(0.1, 0.9)), 16))
-            got = mean(MeanKind.custom(rep), a, b).entries
-            assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10, (ra, rb)
+            for rep in (transform(power_atoms(float(rng.uniform(0.1, 0.9)), 16)),
+                        transform(PARALLEL_REP)):
+                got = mean(MeanKind.custom(rep), a, b).entries
+                assert rel_err(got, atom_oracle(rep, a, b)) < 1e-10, (ra, rb)
 
     def test_custom_kind_matches_atom_formula(self, rng):
         a = random_psd(rng, 4, rank=2)

@@ -391,6 +391,35 @@ class TestApply:
         with pytest.raises(ShapeError):
             identity(2).apply(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_argument_raises_invalid_input(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            identity(2).apply(np.diag([bad, 1.0]))
+
+    def test_a_value_past_double_range_raises_domain_error_with_no_warning(self):
+        f, g = from_choi(2, 2, 1e200 * np.eye(4)), from_choi(2, 2, 1.5e308 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, x in ((f, 1e200 * np.eye(2)), (g, np.eye(2))):
+                with pytest.raises(DomainError, match="beyond double range"):
+                    h.apply(x)
+            # the defects are residuals, not values: past DBL_MAX they read inf
+            assert g.unital_defect() == g.trace_defect() == math.inf
+
+    def test_it_is_formed_at_unit_scale(self, rng):
+        # formed at unit scale and scaled once: it scales by 2^k bit for bit, a
+        # value below the double range rounds to 0 once, and one whose products
+        # overflow is still a double
+        f = random_cp(rng, 2, 3)
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        y = f.apply(x)
+        for k in (-600, 600):
+            assert (f.apply(2.0 ** k * x) == 2.0 ** k * y).all()
+            assert ((2.0 ** k * f).apply(2.0 ** -k * x) == y).all()
+        assert not (2.0 ** -600 * f).apply(2.0 ** -600 * x).any()
+        # 2 Tr(x) 1 = 0, though each product 2 x_ii is past DBL_MAX
+        assert not (4.0 * depolarizing(2)).apply(np.diag([1.5e308, -1.5e308])).any()
+
 
 class TestOrder:
     def test_reflexive_and_scaled(self, rng):
@@ -883,6 +912,24 @@ class TestStateQuantities:
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
             state_mean_quantities(np.eye(2), np.eye(3))
+
+    def test_each_quantity_scales_by_two_to_k_bit_for_bit(self, rng):
+        # read from the kept unit-scale eigs and scaled once: at 2^-600 nothing
+        # underflows to 0 and at 2^600 nothing overflows
+        for dim in (2, 3):
+            rho, sigma = random_density(rng, dim), random_density(rng, dim)
+            want = state_mean_quantities(rho, sigma)
+            for k in (-1000, -600, -300, 300, 600, 1000):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = state_mean_quantities(2.0 ** k * rho, 2.0 ** k * sigma)
+                assert got == tuple(2.0 ** k * x for x in want), k
+
+    def test_commuting_states_near_the_bottom_of_the_range(self):
+        # the Gram form of rho^{1/2} sigma^{1/2} at raw scale is about 1e-340
+        q = state_mean_quantities(1e-170 * np.diag([1.0, 2.0]), 1e-170 * np.diag([3.0, 1.0]))
+        assert q.fidelity == 3.146264369941972e-170
+        assert q.sqrt_trace == pytest.approx(q.fidelity, rel=1e-15)
 
 
 class TestUnconvertibleArrays:

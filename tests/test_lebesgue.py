@@ -223,6 +223,22 @@ class TestOracle:
             ac_part_oracle(f, f)
         assert info.value.estimate == 0.5
 
+    def test_iterates_that_never_settle_raise_with_the_larger_of_the_last_two_moves(
+            self, monkeypatch):
+        # the stage at n = 2^k returns (-1/2)^k diag(1, 0), so the diagonal of
+        # the depth-4 table is (80/7) (-1/2)^k diag(1, 0): its moves halve at
+        # each step, and the larger of the last two, from 2^18 to 2^19, is
+        # (80/7) (2^-18 + 2^-19) = (240/7) 2^-19, well past TOL_LIM ||C_G||
+        f = from_choi(1, 2, np.eye(2))
+        monkeypatch.setattr(lebesgue, "parallel_sum", lambda a, b: HermitianMatrix(
+            np.diag([(-0.5) ** round(math.log2(a.entries[0, 0].real)), 0.0])))
+        est, tol = 240 / 7 * 2.0 ** -19, TOL_LIM * f.choi.norm()
+        with pytest.raises(NonConvergence, match=f"parallel-sum limit moved {est:.3e} at "
+                                                 f"n={2 ** 20}, tolerance {tol:.3e}") as info:
+            ac_part_oracle(f, f)
+        assert info.value.estimate == pytest.approx(est, rel=1e-12)
+        assert info.value.estimate > tol
+
     def test_planted_pairs(self, rng):
         for _ in range(10):
             f, g = planted_pair(rng, 1, 3)
@@ -556,6 +572,9 @@ class TestGenericPairs:
             want = ando_ac(f.choi.entries, g.choi.entries)
             scale = s * g.choi.norm()
             assert max_abs(split.ac.choi.entries - s * want) <= 1e-10 * scale
+            # and the library's own closed form, from the support factor of C_G
+            ando = hermlinalg._ando_part((s * f).choi, (s * g).choi).entries
+            assert max_abs(ando - s * want) <= 1e-10 * scale
             assert max_abs(split.sing.choi.entries - s * (g.choi.entries - want)) \
                 <= 1e-10 * scale
             assert is_singular(s * f, split.sing)
@@ -611,6 +630,12 @@ class TestAndoClosedForm:
             want = shorted_to_subspace(g.choi.entries, u[:, w > 0.5])
             got = hermlinalg._ando_part(f.choi, g.choi).entries
             assert max_abs(got - want) <= 1e-8 * g.choi.norm()
+
+    def test_it_is_g_itself_where_f_is_full_rank_or_g_is_zero(self, rng):
+        # neither reads the eig of C_G: a scaled map keeps none
+        f, thin = random_cp(rng, 2, 2), random_cp(rng, 2, 2, rank=2)
+        for cf, cg in ((f.choi, (0.5 * thin).choi), (thin.choi, (0.0 * f).choi)):
+            assert hermlinalg._ando_part(cf, cg) is cg and cg._eig is None
 
 
 class TestScaleFreeSingularity:

@@ -16,7 +16,7 @@ pseudo-inverse is that of the reference formula ``opmeans.parallel_sum``,
 which inverts ``support()`` in place.  No command runs the parallel-sum limit
 ``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
 the split against Ando's closed form ``hermlinalg._ando_part``, and
-``parallel_sum`` has no caller but the limit and that example.
+``parallel_sum`` has no caller but the limit.
 Outside Choi data is admitted by ``from_choi`` only where it comes in (a
 document, an action, an example's random matrices), the public matrix
 constructors, the one door of outside data, are called only by
@@ -125,7 +125,7 @@ CALL_SITES = {
     "_connect": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "ac_part_oracle": set(),
-    "parallel_sum": {("lebesgue.py", "ac_part_oracle"), ("registry.py", "example_ando_recovery")},
+    "parallel_sum": {("lebesgue.py", "ac_part_oracle")},
     "_ando_part": {("cli.py", "cmd_lebesgue"), ("registry.py", "example_ando_recovery")},
     "from_choi": {("channeldoc.py", "doc_to_channel"), ("cpmaps.py", "choi_from_action"),
                   ("registry.py", "example_ando_recovery")},
