@@ -2,19 +2,18 @@
 
 Everything in this package runs through the primitives below: the cached eig of a
 ``HermitianMatrix``, its ``eigvals()`` and rank cutoff ``support()``, ``as_psd``, the
-admission of outside data, ``is_psd``, the PSD square root, and the ``SpectralPair``
-(two eigh, or one thin SVD from cached eigs) on which every mean, connection and
-Lebesgue split is evaluated.  Every rank, range and kernel decision reads ``RANK_RTOL``
-here alone, and so does the one scale rule: a matrix's scale is 2^e, e the ``frexp``
-exponent of its largest entry modulus; it is folded by ``ldexp``, exactly, each kept
-eig is that of the folded entries, at unit scale beside e, and a result formed at unit
-scale is scaled by a power of two once.  An uncached ``eigvals()`` alone takes the
-entries as they are, so LAPACK rescales them outside about [2^-400, 2^484].  Outside data enters
-only through the public constructors, held to the one Hermiticity rule ``TOL_HERM``;
-what the library makes enters by ``_trusted``, a product, which symmetrizes it, or by
-``_exact``, Hermitian bit for bit.  Matrices are immutable; each eig and largest entry
-modulus is computed once and kept, so instances are safe to share across threads.
-``_RUN`` keeps the last pair and the document slots.
+admission of outside data, ``is_psd``, the PSD square root, the ``SpectralPair`` (two
+eigh, or one thin SVD from cached eigs) of every mean, connection and Lebesgue split,
+and the one support of the limit oracle's stages.  Every rank, range and kernel
+decision reads ``RANK_RTOL`` here alone, and so does the one scale rule: a matrix's
+scale is 2^e, e the ``frexp`` exponent of its largest entry modulus, folded by
+``ldexp``, exactly; each eig and eigvalsh is of the folded entries, at unit scale
+beside e, and a result formed at unit scale is scaled by a power of two once.  Outside
+data enters only through the public constructors, held to the one Hermiticity rule
+``TOL_HERM``; what the library makes enters by ``_trusted``, a product, which
+symmetrizes it, or by ``_exact``, Hermitian bit for bit.  Matrices are immutable; each
+eig and largest entry modulus is computed once and kept, so instances are safe to
+share across threads.  ``_RUN`` keeps the last pair and the document slots.
 """
 
 from __future__ import annotations
@@ -231,8 +230,10 @@ class HermitianMatrix:
         return _ldexp(w, e, "an eigenvalue", self.dim.bit_length()), u
 
     def eigvals(self) -> np.ndarray:
-        """Ascending eigenvalues: the cached ``eig()``'s, else the unfolded entries' eigvalsh."""
-        return np.linalg.eigvalsh(self._m) if self._eig is None else self.eig()[0]
+        """Ascending eigenvalues at unit scale, scaled back once; DomainError past DBL_MAX."""
+        e = self._exp()  # the kept eig's too, else an eigvalsh's
+        w = self._eig[0] if self._eig else np.linalg.eigvalsh(_ldexp(self._m, -e, top=e))
+        return _ldexp(w, e, "an eigenvalue", self.dim.bit_length())
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs above the rank cutoff, DomainError past DBL_MAX."""
@@ -345,6 +346,33 @@ def _ando_part(cf: HermitianMatrix, cg: PsdMatrix) -> PsdMatrix:
     m = u0.conj().T @ y
     wm, v = HermitianMatrix._trusted(m.conj().T @ m).eig()
     return PsdMatrix._gram(y @ v[:, wm <= RANK_RTOL * w[-1]], None, e)
+
+
+def _parallel_stages(a: HermitianMatrix, b: HermitianMatrix, k0: int, tol: float):
+    """stage(k) = ``2^k a : b = 2^k a U (U* c_k U)^{-1} U* b``, ``c_k = 2^k a + b``, k >= k0,
+    an r x r solve at unit scale: ran c_k = ran a + ran b is c0's support U (one eigh),
+    and ``λ_max(c_k) <= 2^(k-k0) λ_max(c0)``, ``λ_min⁺(c_k) >= λ_min⁺(c0)`` keep c_k's own
+    cut while ``w0_min > RANK_RTOL 2^(k-k0) w0_max``; past that, None.  InvalidInput below
+    ``-tol max(2^k ||a||, ||b||)``, parallel_sum's check; DomainError past DBL_MAX."""
+    (wa, _, ea), (wb, _, eb) = a._spectrum(), b._spectrum()
+    ah, bh = _ldexp(a.entries, -ea, top=ea), _ldexp(b.entries, -eb, top=eb)
+    s = max(k0 + ea, eb)  # c0 at 2^-s, each entry below 2, then c0 = 2^e U diag(w) U*
+    w, u, e = HermitianMatrix._exact(_ldexp(ah, k0 + ea - s) + _ldexp(bh, eb - s))._spectrum(True)
+    au, ub, e = ah @ u, u.conj().T @ bh, e + s
+    ar, br = _ldexp(u.conj().T @ au, k0 + ea - e), _ldexp(ub @ u, eb - e)  # c_k's at 2^-e
+    na, nb = (_ldexp(max(abs(x[0]), abs(x[-1])), f - e) for x, f in ((wa, k0 + ea), (wb, eb)))
+
+    def stage(k: int) -> np.ndarray | None:
+        t, f = 2.0 ** (k - k0), k + ea + eb - e  # the stage is 2^f x
+        if w.size and not w[0] > RANK_RTOL * t * w[-1]:
+            return None
+        x = HermitianMatrix._trusted(au @ np.linalg.solve(t * ar + br, ub))
+        low, bound = _ldexp(float(np.linalg.eigvalsh(x.entries)[0]), f - e), tol * max(t * na, nb)
+        if low < -bound:  # both at c0's scale
+            raise InvalidInput(f"negative eigenvalue {_ldexp(low, e):.3e} exceeds "
+                               f"tolerance {_ldexp(bound, e):.3e}")
+        return _ldexp(x.entries, f, "a parallel sum")
+    return stage
 
 
 class SpectralPair:

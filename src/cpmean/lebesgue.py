@@ -8,9 +8,9 @@ over t > 0.  Each part is the pair's ``gram`` of those weights: ``decompose`` re
 both with ``alpha_min`` and the verdict of their sum against C_G, ``is_abs_continuous``
 the singular part's trace share, ``is_singular`` reads t alone, each Verdict at
 TOL_SPLIT.  Ando's closed form ``hermlinalg._ando_part`` checks the split without the
-pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF : G)`` on the pseudo-inverse
-``opmeans.parallel_sum``, Richardson-extrapolated along n = 2^k up to 2^20, is a test
-oracle the package does not export.
+pair; ``ac_part_oracle``, the parallel-sum limit ``lim_n (nF : G)`` on the one support
+of nF + G (``hermlinalg._parallel_stages``), Richardson-extrapolated along n = 2^k up
+to 2^20, is a test oracle the package does not export.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .cpmaps import CpMap, _check_same_dims
 from .errors import NonConvergence
-from .hermlinalg import (
-    HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _bound, _ldexp, _max_abs, _shared_pair)
-from .opmeans import parallel_sum
+from .hermlinalg import (HermitianMatrix, PsdMatrix, SpectralPair, Verdict, _bound, _ldexp,
+                         _max_abs, _parallel_stages, _shared_pair)
+from .opmeans import TOL_MEAN, parallel_sum
 
 # Parallel-sum-limit gate on the oracle's error estimate, relative to ||C_G||.
 TOL_LIM = 1e-6
@@ -69,8 +69,8 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     its diagonal are within TOL_LIM ||C_G||.  NonConvergence if twice the
     radius is past the budget (estimate ||C_G||), if the differences never
     settle (the larger of the last two), or if the extrapolant is not PSD
-    within the gate (``-lambda_min``).  Each iterate is ``parallel_sum``'s; the
-    extrapolant alone is clipped to the PSD cone, one eigh more.
+    within the gate (``-lambda_min``).  An iterate is a solve on the support of nF + G
+    or past its test ``parallel_sum``'s; only the extrapolant is clipped, one eigh more.
     """
     _check_same_dims(f, g)
     gnorm = g.choi.norm()
@@ -82,9 +82,11 @@ def ac_part_oracle(f: CpMap, g: CpMap) -> CpMap:
     if k0 > _ORACLE_STEPS:
         raise NonConvergence(f"the series of nF : G needs n >= 2^{k0}, past the budget", gnorm)
     k0 = min(max(k0, 1), _ORACLE_STEPS - 2)
+    stage = _parallel_stages(f.choi, g.choi, k0, TOL_MEAN)
     row, best, moves, ok = [], None, [math.inf], 0
     for k in range(k0, _ORACLE_STEPS + 1):
-        x = parallel_sum(PsdMatrix._exact(f.choi.entries, k), g.choi).entries
+        if (x := stage(k)) is None:  # past the one support's test: on its own support
+            x = parallel_sum(PsdMatrix._exact(f.choi.entries, k), g.choi).entries
         new = [x]
         for j, r in enumerate(row[:_RICHARDSON_DEPTH - 1], start=1):
             new.append(new[-1] + (new[-1] - r) / (2.0 ** j - 1.0))

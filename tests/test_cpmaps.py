@@ -472,6 +472,26 @@ class TestOrder:
             if tol == 1e-9:  # equal, <=, >= and incomparable all occur
                 assert len(seen) == 4
 
+    def test_order_and_certificate_residuals_scale_bit_for_bit(self):
+        # an uncached eigvals() folds its entries to unit scale, so LAPACK never
+        # rescales them: at 2^+-500 and 2^+-1000, past about [2^-400, 2^484],
+        # each residual is the unit-scale one times 2^k
+        rng = np.random.default_rng(909)
+        for _ in range(3):
+            f, g = random_cp(rng, 3, 3), random_cp(rng, 3, 3, rank=5)
+            theta = mean_cp(GEO, f, g)
+
+            def residuals(s):
+                f_s, g_s, theta_s = s * f, s * g, s * theta
+                checks = (*order_cp(f_s, g_s), geo_certificate(f_s, g_s, theta_s),
+                          geo_certificate(f_s, g_s, 2.0 * theta_s))
+                return [v.residual for v in checks]
+
+            want = residuals(1.0)
+            assert min(want) > 0.0
+            for k in (-1000, -500, 500, 1000):
+                assert residuals(2.0 ** k) == [math.ldexp(x, k) for x in want], k
+
 
 class TestMeanCp:
     def test_id_depolarizing(self):

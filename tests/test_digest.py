@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from cpmean.errors import DomainError
+from cpmean.hermlinalg import Verdict
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 GROUPS = ["lib-means", "lib-connections", "lib-lebesgue", "lib-lebesgue is_abs_continuous",
@@ -73,7 +74,10 @@ def _against(tmp_path, src, other) -> dict[str, tuple[float, int, int]]:
 def test_against_reads_zero_on_one_tree_and_sees_a_planted_perturbation(tmp_path):
     src = TOOL.parent.parent / "src"
     assert _against(tmp_path, src, src) == {name: (0.0, 0, 0) for name in GROUPS}
-    # a parallel sum 2^-30 too large: harm and parallel move, admission does not
+    # a parallel sum 2^-30 too large: harm and parallel move, admission does not.
+    # A harm or parallel -o document moves by 2^-30 of its largest entry; a library
+    # mean by 2^-30 of its own entries, on its operands' largest entry, which the
+    # one case's scale ratio makes far larger
     planted = tmp_path / "planted"
     shutil.copytree(src, planted, ignore=shutil.ignore_patterns("__pycache__"))
     opmeans = planted / "cpmean" / "opmeans.py"
@@ -84,5 +88,27 @@ def test_against_reads_zero_on_one_tree_and_sees_a_planted_perturbation(tmp_path
                        encoding="utf-8")
     moved = _against(tmp_path, planted, src)
     assert set(moved) == set(GROUPS)
-    assert 2.0 ** -32 < moved["lib-means"][0] < 2.0 ** -28
-    assert moved["generic"][0] > 0.0 and moved["admission"] == (0.0, 0, 0)
+    assert 2.0 ** -32 < moved["generic"][0] < 2.0 ** -28
+    assert 0.0 < moved["lib-means"][0] < 2.0 ** -28 and moved["admission"] == (0.0, 0, 0)
+
+
+def test_a_move_is_read_on_its_scale():
+    """A matrix on the scale given (its operands' largest entry), a check's numbers
+    on its tolerance, in a verdict and in a JSON or text report, a report's matrix
+    entries on their largest and its other numbers each on itself."""
+    measure = _load().measure
+    got, scale = measure(np.array([[1.0, 2e-12j], [-2e-12j, 0.0]]), 8.0)
+    assert got.tolist() == [1.0, 0.0, 0.0, 2e-12, 0.0, -2e-12, 0.0, 0.0]
+    assert scale.tolist() == [8.0] * 8
+    assert measure(np.array([0.5, -4.0]))[1].tolist() == [4.0, 4.0]
+    assert [x.tolist() for x in measure(Verdict(1e-15, 1e-9))] == [[1e-15, 1e-9], [1e-9, 1e-9]]
+    report = ('{"outputs": {"alpha_min": 0.25, "choi": [[[3.0, 0.0]], [[-6.0, 0.5]]]}, '
+              '"checks": [{"name": "c", "passed": true, "residual": 1e-16, "tolerance": 1e-08}], '
+              '"passed": true}')
+    got, scale = measure(report)
+    assert got.tolist() == [0.25, 3.0, 0.0, -6.0, 0.5, 1.0, 1e-16, 1e-08, 1.0]
+    assert scale.tolist() == [0.25, 6.0, 6.0, 6.0, 6.0, 1e-08, 1e-08, 1e-08, 1.0]
+    got, scale = measure("[ok ] d=4: x = 2: residual 3.331e-16 (tol 1.000e-08)\n")
+    assert got.tolist() == [4.0, 2.0, 3.331e-16, 1e-08]
+    assert scale.tolist() == [4.0, 4.0, 1e-08, 1e-08]
+    assert measure(DomainError("x")) == (None, None)

@@ -153,10 +153,12 @@ PINS = [
     # the eig of A + B and the eigenvalues of the result, its PSD check.  From
     # (2, 0): the result is returned as computed, with no clamp's eig
     ("parallel_sum", (1, 1)),
-    # parallel_sum's (1, 1) for each of its 7 iterates on this pair, and the
-    # eig of the extrapolant; C_F's eig is cached from its admission.  From
-    # (15, 0), as parallel_sum
-    ("ac_part_oracle", (8, 7)),
+    # the eig of c0 = 2^k0 C_F + C_G, the one support of every stage, the
+    # eigenvalues of each of its 7 stages, their PSD check, and the eig of the
+    # extrapolant; the eigs of C_F and C_G are cached from their admission.
+    # Down from (8, 7): each stage is an r x r solve on c0's support, not
+    # parallel_sum's eig of 2^k C_F + C_G; from (15, 0), as parallel_sum
+    ("ac_part_oracle", (2, 7)),
 ]
 
 # custom reps whose kernel is not 0 on the complement R of the pins' thin pair,

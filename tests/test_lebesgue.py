@@ -1,12 +1,14 @@
 import math
+import re
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from cpmean.cpmaps import from_choi, functional
-from cpmean.errors import DomainError, NonConvergence, ShapeError
-from cpmean.hermlinalg import HermitianMatrix, SpectralPair, Verdict, is_psd
+from cpmean.errors import DomainError, InvalidInput, NonConvergence, ShapeError
+from cpmean.hermlinalg import SpectralPair, Verdict, is_psd
 from cpmean.lebesgue import (
     TOL_ADD,
     TOL_LIM,
@@ -60,6 +62,23 @@ def nearly_parallel_pair(rng, theta):
     q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
     v, w = q[:, 0], np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, 1]
     return from_choi(2, 2, np.outer(v, v.conj())), from_choi(2, 2, np.outer(w, w.conj()))
+
+
+def record_stages(monkeypatch):
+    """[(k, stage(k))] of the limit oracle's next runs, read through its stage seam
+    ``_parallel_stages``: the stage's entries, or None past the one support's test."""
+    seen, real = [], lebesgue._parallel_stages
+
+    def wrapped(*args):
+        stage = real(*args)
+
+        def recorded(k):
+            seen.append((k, stage(k)))
+            return seen[-1][1]
+        return recorded
+
+    monkeypatch.setattr(lebesgue, "_parallel_stages", wrapped)
+    return seen
 
 
 def shorted_to_subspace(x, basis):
@@ -203,22 +222,16 @@ class TestOracle:
     def test_singular_pair_is_zero_at_every_stage(self, monkeypatch):
         f = from_choi(1, 2, np.diag([1.0, 0.0]))
         g = from_choi(1, 2, np.diag([0.0, 1.0]))
-        stages = []
-
-        def recording(a, b):
-            stages.append(parallel_sum(a, b).entries)
-            return parallel_sum(a, b)
-
-        monkeypatch.setattr(lebesgue, "parallel_sum", recording)
+        stages = record_stages(monkeypatch)
         assert max_abs(ac_part_oracle(f, g).choi.entries) < 1e-14
-        assert stages and max(max_abs(x) for x in stages) < 1e-14
+        assert stages and max(max_abs(x) for _, x in stages) < 1e-14
 
     def test_extrapolant_that_is_not_psd_raises_with_its_lowest_eigenvalue(self, monkeypatch):
         # every stage returns one indefinite matrix, so the table converges at
         # once and its extrapolant is that matrix, with eigenvalue -0.5
         f = from_choi(1, 2, np.eye(2))
-        monkeypatch.setattr(lebesgue, "parallel_sum",
-                            lambda a, b: HermitianMatrix(np.diag([1.0, -0.5])))
+        monkeypatch.setattr(lebesgue, "_parallel_stages",
+                            lambda *args: lambda k: np.diag([1.0, -0.5]))
         with pytest.raises(NonConvergence, match="extrapolated limit") as info:
             ac_part_oracle(f, f)
         assert info.value.estimate == 0.5
@@ -230,14 +243,56 @@ class TestOracle:
         # each step, and the larger of the last two, from 2^18 to 2^19, is
         # (80/7) (2^-18 + 2^-19) = (240/7) 2^-19, well past TOL_LIM ||C_G||
         f = from_choi(1, 2, np.eye(2))
-        monkeypatch.setattr(lebesgue, "parallel_sum", lambda a, b: HermitianMatrix(
-            np.diag([(-0.5) ** round(math.log2(a.entries[0, 0].real)), 0.0])))
+        monkeypatch.setattr(lebesgue, "_parallel_stages",
+                            lambda *args: lambda k: np.diag([(-0.5) ** k, 0.0]))
         est, tol = 240 / 7 * 2.0 ** -19, TOL_LIM * f.choi.norm()
         with pytest.raises(NonConvergence, match=f"parallel-sum limit moved {est:.3e} at "
                                                  f"n={2 ** 20}, tolerance {tol:.3e}") as info:
             ac_part_oracle(f, f)
         assert info.value.estimate == pytest.approx(est, rel=1e-12)
         assert info.value.estimate > tol
+
+    @pytest.mark.parametrize("s", [1.0, 2.0 ** 1000])
+    def test_a_stage_below_its_psd_bound_raises(self, monkeypatch, s):
+        # the solves negated from the second on: the stages start at n = 4, so
+        # n = 8 gives -(8F : G) = -diag(8/9, 4/5) s, below -TOL_MEAN max(8 ||C_F||,
+        # ||C_G||) = -8e-7 s, read at c0's scale
+        f, g = from_choi(1, 2, s * np.diag([1.0, 0.5])), from_choi(1, 2, s * np.eye(2))
+        solve, calls = np.linalg.solve, []
+
+        def negated(m, b):
+            calls.append(None)
+            return solve(m, b) * (1.0 if len(calls) == 1 else -1.0)
+
+        monkeypatch.setattr(np.linalg, "solve", negated)
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"negative eigenvalue {-8 / 9 * s:.3e} exceeds tolerance {8e-7 * s:.3e}")):
+            ac_part_oracle(f, g)
+
+    def test_stages_past_the_support_test_are_parallel_sums(self, monkeypatch):
+        # G has a direction of its own at 1e-7 of ||C_G||: c0 = 2^k0 C_F + C_G
+        # keeps it, but from the first k with w0_min <= RANK_RTOL 2^(k - k0)
+        # w0_max a stage's own cut might drop it, so from there on each stage
+        # is parallel_sum's
+        q = random_unitary(np.random.default_rng(5), 4)
+        f = from_choi(2, 2, (q * [0.0, 0.0, 1.0, 2.0]) @ q.conj().T)
+        g = from_choi(2, 2, (q * [1e-7, 0.0, 1.0, 0.5]) @ q.conj().T)
+        stages, sums = record_stages(monkeypatch), []
+
+        def counting(a, b):
+            sums.append(round(math.log2(a._scale() / f.choi._scale())))
+            return parallel_sum(a, b)
+
+        monkeypatch.setattr(lebesgue, "parallel_sum", counting)
+        got = ac_part_oracle(f, g).choi.entries
+        k0, last = stages[0][0], stages[-1][0]
+        w0 = np.linalg.eigvalsh(2.0 ** k0 * f.choi.entries + g.choi.entries)
+        w0 = w0[w0 > hermlinalg.RANK_RTOL * w0[-1]]
+        first = next(k for k, _ in stages
+                     if w0[0] <= hermlinalg.RANK_RTOL * 2.0 ** (k - k0) * w0[-1])
+        assert sums == [k for k, x in stages if x is None] == list(range(first, last + 1))
+        assert sums and first > k0
+        assert max_abs(got - decompose(f, g).ac.choi.entries) <= TOL_LIM * g.choi.norm()
 
     def test_planted_pairs(self, rng):
         for _ in range(10):
@@ -561,6 +616,17 @@ def generic_pairs(seed):
                 yield random_cp(rng, m, n, rank=int(rf)), random_cp(rng, m, n, rank=int(rg))
 
 
+def overlap_pairs(seed):
+    """Pairs at Choi 4, 9 and 16 whose supports share part of one frame
+    (``planted_pair``), and generic and rank-deficient ones at Choi 9."""
+    rng = np.random.default_rng(seed)
+    for m in (2, 3, 4):
+        for _ in range(3):
+            yield planted_pair(rng, m, m)
+    for rf, rg in ((9, 9), (9, 4), (5, 7)):
+        yield random_cp(rng, 3, 3, rank=rf), random_cp(rng, 3, 3, rank=rg)
+
+
 SCALES = [1e-12, 1.0, 1e12]
 
 
@@ -587,11 +653,20 @@ class TestGenericPairs:
                 assert abs(got - alpha) <= 1e-10 * max(1.0, alpha)
 
     @pytest.mark.parametrize("s", SCALES)
-    def test_oracle_agrees(self, s):
-        for f, g in generic_pairs(63):
-            want = decompose(s * f, s * g).ac.choi.entries
-            got = ac_part_oracle(s * f, s * g).choi.entries
-            assert max_abs(got - want) <= TOL_LIM * s * g.choi.norm()
+    def test_oracle_agrees(self, monkeypatch, s):
+        # and each stage on the one support is parallel_sum's 2^k F : G, within
+        # 1e-10 of max |C_G|
+        stages = record_stages(monkeypatch)
+        for f, g in chain(generic_pairs(63), overlap_pairs(64)):
+            f, g = s * f, s * g
+            stages.clear()
+            want = decompose(f, g).ac.choi.entries
+            got = ac_part_oracle(f, g).choi.entries
+            assert max_abs(got - want) <= TOL_LIM * g.choi.norm()
+            assert stages
+            for k, x in stages:
+                ref = parallel_sum((2.0 ** k * f).choi, g.choi).entries
+                assert x is not None and max_abs(x - ref) <= 1e-10 * max_abs(g.choi.entries)
 
     def test_slow_direction_raises(self, rng):
         # F has an eigenvalue 1e-8 along a direction where G has weight 1, so
@@ -682,17 +757,12 @@ class TestEighCount:
     def test_pinned_eigh_counts(self, rng, eigh_calls, monkeypatch):
         f = random_cp(rng, 2, 2)
         g = random_cp(rng, 2, 2, rank=2)
-        sums = []
-
-        def counting(a, b):
-            sums.append(None)
-            return parallel_sum(a, b)
-
-        monkeypatch.setattr(lebesgue, "parallel_sum", counting)
+        stages = record_stages(monkeypatch)
         got = eigh_calls(lambda: ac_part_oracle(f, g))
-        # the extrapolant's eig, and per sum the eig of nF + G and the
-        # eigenvalues of nF : G, its PSD check
-        assert sums and got == (1 + len(sums), len(sums))
+        # the eig of c0 = 2^k0 F + G, the one support of every stage, and the
+        # extrapolant's; per stage the eigenvalues of nF : G, its PSD check
+        assert stages and all(x is not None for _, x in stages)
+        assert got == (2, len(stages))
 
 
 class TestOracleAtExtremeScales:
@@ -709,10 +779,21 @@ class TestOracleAtExtremeScales:
                 ac_part_oracle(f, g)
         assert info.value.estimate == g.choi.norm() > TOL_LIM * g.choi.norm()
 
-    def test_an_iterate_past_the_double_range_is_a_domain_error(self):
-        # 2^k C_F passes DBL_MAX at k = 5, before the iterates settle
+    def test_an_iterate_past_the_double_range_is_read_at_unit_scale(self):
+        # 2^k C_F passes DBL_MAX at k = 5, before the iterates settle; the
+        # stages on the one support are formed at unit scale and scaled once
         f = from_choi(1, 2, 1e307 * np.diag([1.0, 1e-10]))
         g = from_choi(1, 2, 1e307 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ac_part_oracle(f, g).choi.entries
+        assert max_abs(got - decompose(f, g).ac.choi.entries) <= TOL_LIM * g.choi.norm()
+
+    def test_a_stage_on_its_own_support_past_the_double_range_is_a_domain_error(self):
+        # G's direction at 3e-9 of ||C_G|| fails the one support's test from
+        # k = 5, where parallel_sum's 2^k C_F passes DBL_MAX
+        f = from_choi(1, 2, 1e307 * np.diag([1.0, 0.0]))
+        g = from_choi(1, 2, 1e307 * np.diag([1.0, 3e-9]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="beyond double range"):

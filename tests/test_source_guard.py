@@ -4,8 +4,9 @@ Hermiticity rule, numpy as the only dependency, and a pinned public surface.
 
 Every rank, range and kernel decision sits in ``hermlinalg``, the one module
 that reads ``RANK_RTOL``: the support cutoff ``HermitianMatrix.support``, the
-index's range test ``HermitianMatrix.pinv_form`` and the kernel of Ando's
-closed form ``_ando_part``; a zero operand gives exact zero connections and an
+index's range test ``HermitianMatrix.pinv_form``, the kernel of Ando's closed
+form ``_ando_part`` and the test of the one support of the limit oracle's
+stages ``_parallel_stages``; a zero operand gives exact zero connections and an
 exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh``/``svd``/``cholesky``
 calls sit only in ``hermlinalg``.  A ``SpectralPair`` is built only by
 ``hermlinalg._shared_pair``, which keeps the last one in the run and which
@@ -207,8 +208,10 @@ def test_call_guard_sees_a_planted_call():
 # take _exact unseen.
 TRUSTED_SITES = {
     "_trusted": {("hermlinalg.py", "PsdMatrix._gram"), ("hermlinalg.py", "_ando_part"),
-                 ("opmeans.py", "parallel_sum"), ("cpmaps.py", "compose")},
+                 ("hermlinalg.py", "_parallel_stages"), ("opmeans.py", "parallel_sum"),
+                 ("cpmaps.py", "compose")},
     "_exact": {("hermlinalg.py", "PsdMatrix.clamped"), ("hermlinalg.py", "SpectralPair._eigh"),
+               ("hermlinalg.py", "_parallel_stages"),
                ("opmeans.py", "parallel_sum"), ("opmeans.py", "mean"),
                ("lebesgue.py", "ac_part_oracle"), ("cpmaps.py", "CpMap.__add__"),
                ("cpmaps.py", "CpMap.__rmul__"), ("cpmaps.py", "order_cp"),

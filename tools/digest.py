@@ -7,10 +7,14 @@ Run it on the source trees before and after a change (``--src`` picks the
 tree whose ``cpmean`` is imported) and compare the lines it prints.  With
 ``--against``, the groups run on both trees, each in its own subprocess, and
 for each group it prints how far the results of ``--src`` moved from those of
-``OTHER_SRC``: the largest entrywise difference of a result relative to that
-result's largest entry (every number of a report or document counts as an
-entry), and how many results changed kind (a value against an error) or
-shape (a different count of numbers).  Groups:
+``OTHER_SRC``: the largest difference of a number over its scale in
+``OTHER_SRC``, so that a rounding move reads as rounding, and how many results
+changed kind (a value against an error) or shape (a different count of
+numbers).  A library matrix's scale is its operands' largest entry (its own in
+the ``admission`` and ``construction`` groups); a check's residual and bound (a
+verdict, or each number of a report's check) are on that check's tolerance; a
+JSON report's or document's matrix entries are on their largest, its other
+numbers each on itself; a text's other numbers on their largest.  Groups:
 
 - ``lib-means``, ``lib-connections``, ``lib-lebesgue``: every library result
   on the seeded cases of the benchmark workloads of ``perfbench/workloads.py``,
@@ -65,35 +69,62 @@ ATOMS = ((0.3, 1.5), (7.0, 0.25))
 
 # a number as it is written in a report, a document or an example's text
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+# a check as a text report writes it
+CHECK = re.compile(rb"residual (" + NUMBER.pattern + rb") \(tol (" + NUMBER.pattern + rb")\)")
 SINK = None  # with --dump, the stream each result is also written to, by group
 
 
-def _leaves(tree) -> list[float]:
-    """The numbers (booleans as 0 and 1) of a decoded JSON document, in order."""
+def _leaves(tree, tol=None, entry=False) -> list[tuple[float, float | str | None]]:
+    """(number, its scale) for each number (booleans as 0 and 1) of a decoded JSON
+    document, in order: the tolerance of its check, "entry" in an array (a matrix
+    entry), or None for a field of its own."""
     if isinstance(tree, dict):
-        tree = list(tree.values())
+        if "residual" in tree and "tolerance" in tree:  # a report's check
+            tol = float(tree["tolerance"])
+        return [v for t in tree.values() for v in _leaves(t, tol)]
     if isinstance(tree, list):
-        return [v for t in tree for v in _leaves(t)]
-    return [float(tree)] if isinstance(tree, (int, float)) else []
+        return [v for t in tree for v in _leaves(t, tol, True)]
+    if isinstance(tree, (int, float)):
+        return [(float(tree), "entry" if tol is None and entry else tol)]
+    return []
 
 
-def numbers(x) -> np.ndarray | None:
-    """The numbers of a result as one float array, or None for an error; a JSON
-    report or document gives the numbers it holds (not those in its strings, such
-    as an input's SHA-256), any other text those it writes."""
+def _largest(x) -> float:
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.abs(x[np.isfinite(x)]).max(initial=0.0))
+
+
+def measure(x, scale=None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(numbers, scales) of a result as two float arrays, or (None, None) for an
+    error.  A verdict's two numbers are on its bound.  A JSON report or document
+    gives the numbers it holds (not those in its strings, such as an input's
+    SHA-256): a check's on its tolerance, a matrix entry on the largest entry, any
+    other on itself; any other text the numbers it writes, a check's on its
+    tolerance and the others on their largest; an array or number is on scale, or
+    without one on its largest."""
     if isinstance(x, BaseException):
-        return None
+        return None, None
+    if hasattr(x, "bound"):  # a Verdict
+        return np.array(x, dtype=np.float64), np.full(2, float(x.bound))
     if isinstance(x, (str, bytes)):
         try:
-            return np.array(_leaves(json.loads(x)), dtype=np.float64)
+            pairs = _leaves(json.loads(x))
         except ValueError:
-            return np.array([float(t) for t in NUMBER.findall(
-                x.encode() if isinstance(x, str) else x)])
+            text = x.encode() if isinstance(x, str) else x
+            tols = {m.start(g): float(m.group(2)) for m in CHECK.finditer(text) for g in (1, 2)}
+            pairs = [(float(m.group()), tols.get(m.start(), "entry"))
+                     for m in NUMBER.finditer(text)]
+        values = np.array([v for v, _ in pairs], dtype=np.float64)
+        entry = _largest([v for v, on in pairs if on == "entry"])
+        return values, np.array([entry if on == "entry" else abs(v) if on is None else on
+                                 for v, on in pairs], dtype=np.float64)
     if isinstance(x, tuple):
-        return np.concatenate([numbers(y) for y in x] or [np.zeros(0)])
+        parts = [measure(y, scale) for y in x] or [(np.zeros(0), np.zeros(0))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     x = np.asarray(x)
-    return np.ascontiguousarray(x).view(np.float64).reshape(-1) if x.dtype.kind == "c" \
+    x = np.ascontiguousarray(x).view(np.float64).reshape(-1) if x.dtype.kind == "c" \
         else x.astype(np.float64).reshape(-1)
+    return x, np.full(x.size, _largest(x) if scale is None else scale)
 
 
 class Digest:
@@ -102,13 +133,16 @@ class Digest:
     def __init__(self, name: str = ""):
         self.name, self.h = name, hashlib.sha256()
 
-    def add(self, x):
+    def add(self, x, scale=None):
+        """Hash x; with --dump, write its ``measure`` too, a matrix on scale if given."""
         if hasattr(x, "choi"):
             x = x.choi.entries
         elif hasattr(x, "entries"):
             x = x.entries
         if SINK is not None:
-            pickle.dump((self.name, numbers(x)), SINK)
+            pickle.dump((self.name, *measure(x, scale)), SINK)
+        if hasattr(x, "bound"):  # a Verdict, hashed as its two numbers
+            x = tuple(x)
         if isinstance(x, BaseException):
             x = f"{type(x).__name__}: {x}"
         if isinstance(x, np.ndarray):
@@ -119,19 +153,22 @@ class Digest:
         else:
             self.h.update(repr(x).encode())
 
-    def add_call(self, call, errors=()):
-        """The result of call(), or the cpmean error, or one of errors, it raised."""
+    def add_call(self, call, errors=(), operands=()):
+        """The result of call(), or the cpmean error, or one of errors, it raised; a
+        matrix it returns is on the largest Choi entry of the maps in operands."""
         from cpmean.errors import CpMeanError
 
+        scale = max((_largest(x.choi.entries.view(np.float64)) for x in operands), default=None)
         try:
             out = call()
         except (CpMeanError, *errors) as exc:
             out = exc
         if hasattr(out, "alpha_min"):  # a LebesgueSplit
-            for x in (out.ac, out.sing, out.alpha_min, tuple(out.recon)):
-                self.add(x)
+            for x, on in ((out.ac, scale), (out.sing, scale), (out.alpha_min, None),
+                          (out.recon, None)):
+                self.add(x, on)
         else:
-            self.add(tuple(out) if hasattr(out, "residual") else out)
+            self.add(out, scale)
 
     def hexdigest(self) -> str:
         return self.h.hexdigest()
@@ -155,7 +192,7 @@ def lib_means(seeds, limit) -> Digest:
         kinds = [*c.kinds, MeanKind("parallel"), *map(MeanKind.custom, reps)]
         for f, g in ((c.f, c.g), (c.g, c.f)):
             for kind in kinds:
-                out.add_call(lambda: cpmaps.mean_cp(kind, f, g))
+                out.add_call(lambda: cpmaps.mean_cp(kind, f, g), operands=(f, g))
     return out
 
 
@@ -169,7 +206,7 @@ def lib_connections(seeds, limit) -> Digest:
         kinds = [MeanKind.custom(t(opmeans.power_rep(c.alpha))) for t in transforms]
         for f, g in ((c.f, c.g), (c.g, c.f)):
             for kind in kinds:
-                out.add_call(lambda: cpmaps.mean_cp(kind, f, g))
+                out.add_call(lambda: cpmaps.mean_cp(kind, f, g), operands=(f, g))
     return out
 
 
@@ -179,9 +216,9 @@ def lib_lebesgue(seeds, limit) -> tuple[Digest, Digest]:
     out, abs_cont = Digest("lib-lebesgue"), Digest("lib-lebesgue is_abs_continuous")
     for c in _cases("lib-lebesgue", seeds, limit):
         for f, g in ((c.f, c.g), (c.g, c.f)):
-            out.add_call(lambda: lebesgue.decompose(f, g))
+            out.add_call(lambda: lebesgue.decompose(f, g), operands=(f, g))
             out.add_call(lambda: lebesgue.is_singular(f, g))
-            out.add_call(lambda: lebesgue.ac_part_oracle(f, g))
+            out.add_call(lambda: lebesgue.ac_part_oracle(f, g), operands=(f, g))
             abs_cont.add_call(lambda: lebesgue.is_abs_continuous(g, f))
     return out, abs_cont
 
@@ -333,7 +370,7 @@ def against(args) -> int:
     flags = ["--seeds", *map(str, args.seeds), *(["--cases", str(args.cases)] if args.cases else [])]
     runs = [subprocess.Popen([sys.executable, __file__, "--src", src, "--dump", *flags],
                              stdout=subprocess.PIPE) for src in (args.src, args.against)]
-    moved = {}  # group -> [largest relative difference, changed kind, changed shape]
+    moved = {}  # group -> [largest difference over scale, changed kind, changed shape]
     while True:
         got = []
         for run in runs:
@@ -345,7 +382,7 @@ def against(args) -> int:
             break
         if None in got or got[0][0] != got[1][0]:
             raise SystemExit("error: the two trees ran different sequences of results")
-        (name, x), (_, y) = got
+        (name, x, _), (_, y, scale) = got
         row = moved.setdefault(name, [0.0, 0, 0])
         if (x is None) != (y is None):
             row[1] += 1
@@ -353,13 +390,13 @@ def against(args) -> int:
             row[2] += 1
         elif x is not None and x.size:
             same = (x == y) | (np.isnan(x) & np.isnan(y))
-            scale = np.abs(y[np.isfinite(y)]).max(initial=0.0)
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, where unequal
-                diff = np.where(same, 0.0, np.abs(x - y)).max()
-            row[0] = max(row[0], diff / scale if scale else diff)
+                diff = np.where(same, 0.0, np.abs(x - y))
+            row[0] = max(row[0], np.where(scale > 0.0, diff / np.where(scale > 0.0, scale, 1.0),
+                                          diff).max())
     if any(run.wait() for run in runs):
         raise SystemExit("error: a tree's run failed")
-    print(f"{'relative':>10}  {'kind':>4}  {'shape':>5}  group")
+    print(f"{'moved':>10}  {'kind':>4}  {'shape':>5}  group")
     for name, (rel, kind, shape) in moved.items():
         print(f"{rel:10.3e}  {kind:4d}  {shape:5d}  {name}")
     return 0
