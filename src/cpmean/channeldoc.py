@@ -15,9 +15,9 @@ Kraus list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite
 or too large cell is a ParseError; a float64 comes through bit for bit.  The
 form written is choi, whose floats are Python's shortest round-trip repr, so a
 document of an exactly Hermitian matrix survives save/load bit-exactly,
-signed zeros included.  ``save_channel`` returns the SHA-256 of the bytes it
-writes, by which a ``-o`` report names them; they are encoded with no cycle
-check, as a freshly built document has no cycles.
+signed zeros included.  ``save_channel`` writes the ``json.dumps`` bytes from
+the upper triangle, one ``float.__repr__`` per part modulus (``_data_text``),
+and returns their SHA-256, by which a ``-o`` report names them.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
@@ -72,6 +72,22 @@ def _to_pairs(a) -> list:
     return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
 
 
+def _data_text(a: np.ndarray) -> str:
+    """``json.dumps(_to_pairs(a))`` of a square complex array by one ``float.__repr__`` per part
+    modulus of its upper triangle: a cell below writes its mirror's with its own sign bits."""
+    v, n = np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2), len(a)
+    i, j = np.triu_indices(n)
+    up, lo = v[i, j], v[j, i]
+    text = np.array(list(map(float.__repr__, np.abs(up).ravel().tolist())), dtype=object)
+    (text, neg), cells = (x.reshape(-1, 2) for x in (text, "-" + text)), np.empty_like(v, object)
+    cells[j, i] = np.where(np.signbit(lo), neg, text)
+    cells[i, j] = np.where(np.signbit(up), neg, text)
+    r, p = np.nonzero(np.abs(lo) != np.abs(up))  # moduli unlike its mirror's: none if Hermitian
+    cells[j[r], i[r], p] = list(map(float.__repr__, lo[r, p].tolist()))
+    row = "[" + ", ".join(["[%s, %s]"] * n) + "]"
+    return ("[" + ", ".join([row] * n) + "]") % tuple(cells.ravel().tolist())
+
+
 def _rows_to_matrix(rows, shape: tuple[int, ...]) -> np.ndarray:
     """Complex array of shape (mn, mn) or (k, n, m) from nested [re, im] pairs."""
     arr = hermlinalg._as_array(rows, np.float64, ParseError)
@@ -122,7 +138,9 @@ def save_channel(f: CpMap, path: str | os.PathLike, name: str | None = None) -> 
     raises DomainError."""
     if name is not None and not isinstance(name, str):
         raise DomainError(f"document name must be a string, got {type(name).__name__}")
-    raw = (json.dumps(channel_to_doc(f, name), check_circular=False) + "\n").encode("utf-8")
+    head = f'{{"dim_in": {f.dim_in}, "dim_out": {f.dim_out}, "repr": "choi", "data": '
+    tail = "" if name is None else f', "name": {json.dumps(name)}'
+    raw = (head + _data_text(f.choi.entries) + tail + "}\n").encode("utf-8")
     try:
         with open(path, "wb") as fh:
             fh.write(raw)

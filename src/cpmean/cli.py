@@ -199,8 +199,10 @@ def cmd_lebesgue(args) -> list[Report]:
     split = lebesgue.decompose(phi, psi)
     rep.outputs["alpha_min"] = split.alpha_min
     rep.check("ac + sing = psi", *split.recon)
-    rep.check("sing is phi-singular", *lebesgue.is_singular(phi, split.sing))
-    rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(split.ac, phi))
+    pair = lebesgue._pair(phi, psi)  # the split's, kept in the run: the parts at unit scale
+    ac, sing = (CpMap(phi.dim_in, phi.dim_out, x) for x in lebesgue._parts(pair))
+    rep.check("sing is phi-singular", *lebesgue.is_singular(phi, sing))
+    rep.check("ac is phi-absolutely continuous", *lebesgue.is_abs_continuous(ac, phi))
     ando = hermlinalg._ando_part(phi.choi, psi.choi).entries
     rep.check("ac = Ando closed form", hermlinalg._max_abs(split.ac.choi.entries - ando),
               hermlinalg._bound(lebesgue.TOL_SPLIT, psi.choi))

@@ -53,6 +53,8 @@ class CpMap:
 
     def __post_init__(self):
         _check_dims(self.dim_in, self.dim_out)
+        object.__setattr__(self, "dim_in", int(self.dim_in))  # a Python int, as JSON writes
+        object.__setattr__(self, "dim_out", int(self.dim_out))
         try:
             object.__setattr__(self, "choi", as_psd(self.choi))
         except InvalidInput as exc:

@@ -117,11 +117,9 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
     DBL_MAX, and a subnormal double (or 0) below 2^-1022.
     """
     p = _pair(f, g)
-    # the support rule phi = 1[t > 0]: G's kernel 2^e_G (1 - t) on phi is ac, off it sing
     phi = p.t > 0.0
     alpha_min = _ldexp(float((p.tc[phi] / p.t[phi]).max(initial=0.0)), p.eb - p.ea, "alpha_min")
-    ac = p.gram(np.where(phi, p.tc, 0.0), p.eb)
-    sing = p.gram(np.where(phi, 0.0, p.tc), p.eb)
+    ac, sing = _parts(p, p.eb)
     resid = _max_abs(ac.entries + sing.entries - g.choi.entries)
     return LebesgueSplit(
         ac=CpMap(f.dim_in, f.dim_out, ac),
@@ -129,6 +127,12 @@ def decompose(f: CpMap, g: CpMap) -> LebesgueSplit:
         alpha_min=alpha_min,
         recon=Verdict(resid, _bound(TOL_ADD, f.choi, g.choi)),
     )
+
+
+def _parts(p: SpectralPair, e: int = 0) -> tuple[PsdMatrix, PsdMatrix]:
+    """(ac, sing) of the pair's B at 2^e: its kernel 1 - t where t > 0 (phi), and off it."""
+    phi = p.t > 0.0
+    return p.gram(np.where(phi, p.tc, 0.0), e), p.gram(np.where(phi, 0.0, p.tc), e)
 
 
 def is_singular(f: CpMap, g: CpMap) -> Verdict:

@@ -19,17 +19,26 @@ from cpmean.channeldoc import (
 )
 from cpmean.cli import main
 from cpmean.cpmaps import (
+    compose,
+    cond_exp_diag,
+    cond_exp_rotated,
+    cond_exp_tensor,
     depolarizing,
     from_choi,
     from_kraus,
+    functional,
     identity,
     kraus_decompose,
+    mean_cp,
+    schur,
+    tensor,
     unitary_conj,
 )
 from cpmean.errors import DomainError, NotCompletelyPositive, ParseError
 from cpmean.hermlinalg import PsdMatrix, Verdict
 from cpmean.opmeans import MeanKind
 from cpmean.registry import run_example
+from cpmean.report import Report
 
 from conftest import (
     TOL_RECON,
@@ -37,6 +46,8 @@ from conftest import (
     gaussian_kraus,
     max_abs,
     random_cp,
+    random_density,
+    random_psd,
     random_unitary,
     read_channel,
     write_channel,
@@ -207,6 +218,21 @@ class TestChannelDoc:
         assert g.choi.entries.tobytes() == c.tobytes()
         save_channel(g, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_numpy_integer_dimensions_are_written_as_ints(self, tmp_path):
+        f = from_choi(np.int64(1), np.int32(2), np.eye(2))
+        g = from_kraus([np.eye(2)], dim_in=np.int64(2), dim_out=np.uint8(2))
+        assert {type(d) for d in (f.dim_in, f.dim_out, g.dim_in, g.dim_out)} == {int}
+        assert json.dumps(channel_to_doc(f)).startswith('{"dim_in": 1, "dim_out": 2, ')
+        p = tmp_path / "f.json"
+        sha256 = save_channel(f, p, name="f")
+        assert p.read_text() == json.dumps(channel_to_doc(f, name="f")) + "\n"
+        doc = json.loads(p.read_text())
+        assert doc_to_channel(doc).choi.entries.tobytes() == f.choi.entries.tobytes()
+        assert read_doc(p) == (f, "f", sha256)
+        rep = Report("mean")
+        rep.outputs["dim_in"] = mean_cp(MeanKind("geo"), f, f).dim_in
+        assert json.loads(rep.to_json())["outputs"] == {"dim_in": 1}
 
     def test_unwritable_path_raises_domain_error(self, tmp_path):
         with pytest.raises(DomainError, match="cannot write"):
@@ -849,6 +875,21 @@ class TestChecksAtJointScale:
             else:
                 assert code == 2 and "not Hermitian" in err
 
+    @pytest.mark.parametrize("k", [-1070, -1060, -1000, 0, 1015])
+    def test_lebesgue_passes_its_part_checks_both_ways_at_2_to_the_k(self, tmp_path,
+                                                                     capsys, k):
+        # the two part checks read the split's parts at unit scale: at 2^-1060 the
+        # parts at scale are rounded into the subnormal range
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
+        for path, c in zip(paths, (x @ x.conj().T, y @ y.conj().T)):
+            write_channel(from_choi(2, 2, hermlinalg._ldexp(c, k)), path)
+        for argv in (paths[::-1], paths):
+            assert main(["--format", "json", "lebesgue", *argv]) == 0
+            assert _failed_checks(capsys.readouterr().out) == []
+
     def test_lebesgue_reports_a_missed_sum_as_a_failed_check(self, tmp_path, capsys):
         from test_lebesgue import nearly_parallel_pair
         phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
@@ -1063,6 +1104,90 @@ class TestEncodeOnce:
     def test_example_list_is_the_json_dumps_of_its_reports(self, capsys, emitted):
         assert main(["--format", "json", "example", "--all"]) == 0
         assert capsys.readouterr().out == json.dumps([r.to_obj() for r in emitted]) + "\n"
+
+
+def _planted_zeros(rng):
+    """A 2 -> 2 map whose mirrored cells hold zeros of opposite signs, equal by
+    ``==``, so its admission keeps them bit for bit."""
+    c = random_psd(rng, 4) + 4.0 * np.eye(4)
+    c[0, 1], c[1, 0] = complex(-0.0, 0.0), complex(0.0, 0.0)
+    c[0, 2], c[2, 0] = complex(0.0, -0.0), complex(-0.0, -0.0)
+    c[1, 3], c[3, 1] = complex(0.5, 0.0), complex(0.5, 0.0)
+    c[2, 2] = complex(3.0, -0.0)
+    return from_choi(2, 2, c)
+
+
+def _subnormal(rng, k):
+    """A 2 -> 2 map at 2^k whose off-diagonal holds subnormal and signed-zero parts."""
+    c = hermlinalg._ldexp(8.0 * np.eye(4, dtype=complex) + random_psd(rng, 4), k)
+    c[0, 3], c[1, 2] = complex(2.0 ** -1070, -0.0), complex(-0.0, -5e-324)
+    c[np.tril_indices(4, -1)] = c.T.conj()[np.tril_indices(4, -1)]
+    return from_choi(2, 2, c)
+
+
+def _mean(tag):
+    return lambda rng: mean_cp(MeanKind.parse(tag), random_cp(rng, 2, 2),
+                               random_cp(rng, 2, 2, rank=2))
+
+
+# maps whose documents the writer's bytes are checked on
+WRITTEN_MAPS = {
+    "from_choi": lambda rng: random_cp(rng, 3, 2),
+    "from_kraus": lambda rng: gaussian_cp(rng, 2, 3),
+    "identity": lambda rng: identity(3),
+    "depolarizing": lambda rng: depolarizing(2),
+    "unitary_conj": lambda rng: unitary_conj(random_unitary(rng, 3)),
+    "schur": lambda rng: schur(random_psd(rng, 3)),
+    "cond_exp_diag": lambda rng: cond_exp_diag(3),
+    "cond_exp_rotated": lambda rng: cond_exp_rotated(0.3),
+    "cond_exp_tensor": lambda rng: cond_exp_tensor(2, (0.25, 0.75)),
+    "functional": lambda rng: functional(random_density(rng, 3)),
+    "tensor": lambda rng: tensor(random_cp(rng, 2, 1), depolarizing(2)),
+    "compose": lambda rng: compose(unitary_conj(random_unitary(rng, 2)), random_cp(rng, 2, 2)),
+    **{f"mean {tag}": _mean(tag) for tag in ("geo", "harm", "arith", "parallel", "log",
+                                             "power:0.3")},
+    "real": lambda rng: from_choi(2, 2, random_psd(rng, 4).real),
+    "planted signed zeros": _planted_zeros,
+    "choi 1x1": lambda rng: from_choi(1, 1, [[2.5]]),
+    "choi 1x1 zero": lambda rng: from_choi(1, 1, [[complex(-0.0, -0.0)]]),
+    "at 2^-1000": lambda rng: _subnormal(rng, -1000),
+    "at 2^1000": lambda rng: _subnormal(rng, 1000),
+    "numpy int dims": lambda rng: from_choi(np.int64(2), np.int32(2), random_psd(rng, 4)),
+}
+
+
+class TestWriterBytes:
+    """``save_channel`` writes each document from its upper triangle, in the
+    bytes that ``json.dumps`` gives ``channel_to_doc``."""
+
+    @pytest.mark.parametrize("name", [None, "", 'say "x" \\ y', "Φ₁ ⊗ é"],
+                             ids=["none", "empty", "quotes", "non-ascii"])
+    @pytest.mark.parametrize("case", WRITTEN_MAPS)
+    def test_bytes_are_those_of_json_dumps(self, tmp_path, rng, case, name):
+        f = WRITTEN_MAPS[case](rng)
+        p = tmp_path / "doc.json"
+        sha256 = save_channel(f, p, name=name)
+        raw = p.read_bytes()
+        assert raw == (json.dumps(channel_to_doc(f, name)) + "\n").encode("utf-8")
+        assert sha256 == hashlib.sha256(raw).hexdigest()
+        g = doc_to_channel(json.loads(raw))
+        assert g.choi.entries.tobytes() == f.choi.entries.tobytes()
+
+    def test_planted_zeros_are_kept(self, rng):
+        c = _planted_zeros(rng).choi.entries
+        assert np.signbit(c[0, 1].real) and not np.signbit(c[1, 0].real)
+        assert np.signbit(c[2, 0].imag) and not np.signbit(c[0, 2].real)
+        assert np.signbit(c[2, 2].imag)
+        for k in (-1000, 1000):
+            c = _subnormal(rng, k).choi.entries
+            assert c[0, 3].real == 2.0 ** -1070 and c[2, 1].imag == 5e-324
+
+    def test_a_cell_unlike_its_mirror_takes_its_own_text(self, rng):
+        # no Hermitian matrix has one, but the text is still that of json.dumps
+        c = random_psd(rng, 3)
+        c[2, 0] += 1.0 - 0.5j
+        c[1, 0] = complex(-c[0, 1].real, c[0, 1].imag)
+        assert channeldoc._data_text(c) == json.dumps(channeldoc._to_pairs(c))
 
 
 class TestReusedParsers:
