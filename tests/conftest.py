@@ -111,6 +111,28 @@ def write_channel(f: CpMap, path, name: str | None = None, kraus=None) -> None:
     hermlinalg._RUN = hermlinalg._Run()
 
 
+def generic_pairs(seed, paths, mix=None, count=300):
+    """Write count generic pairs of maps m -> n to paths in turn, yielding
+    (i, m, n) after each: m and n uniform on 1-3, ``gaussian_kraus`` operators
+    at log10 scales independent on [-12, 12], each in choi or kraus form.  With
+    mix, also write there, beside each pair, a convex combination of 1-4
+    random unitary conjugations of M_n, drawn from a stream of its own, so the
+    pairs are those the seed always drew."""
+    rng, mix_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    for i in range(count):
+        m, n = (int(x) for x in rng.integers(1, 4, size=2))
+        for path in paths:
+            ops = gaussian_kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
+            write_channel(from_kraus(ops, dim_in=m, dim_out=n), path,
+                          kraus=ops if rng.integers(2) else None)
+        if mix is not None:
+            p = mix_rng.dirichlet(np.ones(int(mix_rng.integers(1, 5))))
+            ops = [np.sqrt(w) * random_unitary(mix_rng, n) for w in p]
+            write_channel(from_kraus(ops, dim_in=n, dim_out=n), mix,
+                          kraus=ops if mix_rng.integers(2) else None)
+        yield i, m, n
+
+
 def read_channel(path) -> CpMap:
     """``read_doc(path)[0]`` in a fresh run: the map decoded and admitted from
     the file's bytes, not one kept from its save."""

@@ -19,20 +19,9 @@ import pytest
 from cpmean.cli import main
 from cpmean.cpmaps import from_kraus
 
-from conftest import gaussian_kraus, random_unitary, write_channel
+from conftest import generic_pairs, write_channel
 
 KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
-
-
-def _generic_pairs(rng, paths):
-    """Write 300 generic pairs to paths in turn, yielding (i, m, n) after each."""
-    for i in range(300):
-        m, n = (int(x) for x in rng.integers(1, 4, size=2))
-        for path in paths:
-            ops = gaussian_kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
-            write_channel(from_kraus(ops, dim_in=m, dim_out=n), path,
-                          kraus=ops if rng.integers(2) else None)
-        yield i, m, n
 
 
 def _failure(capsys, argv):
@@ -45,17 +34,10 @@ def _failure(capsys, argv):
     return (code, failed or err) if code or failed else None
 
 
-def _unitary_mixture(rng, d):
-    """Kraus operators of a convex combination of 1-4 random unitary
-    conjugations of M_d."""
-    p = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
-    return [np.sqrt(w) * random_unitary(rng, d) for w in p]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lebesgue_passes_on_generic_document_pairs(tmp_path, capsys, seed):
     paths = [str(tmp_path / "phi.json"), str(tmp_path / "psi.json")]
-    failures = [(i, bad) for i, _, _ in _generic_pairs(np.random.default_rng(seed), paths)
+    failures = [(i, bad) for i, _, _ in generic_pairs(seed, paths)
                 if (bad := _failure(capsys, ["lebesgue", *paths]))]
     assert failures == []
 
@@ -64,15 +46,11 @@ def test_lebesgue_passes_on_generic_document_pairs(tmp_path, capsys, seed):
 def test_every_command_passes_on_generic_document_pairs(tmp_path, capsys, seed):
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     mix = str(tmp_path / "mix.json")
-    mix_rng = np.random.default_rng([seed, 1])
     failures = []
-    for i, m, n in _generic_pairs(np.random.default_rng(seed), paths):
+    for i, m, n in generic_pairs(seed, paths, mix):
         runs = [["mean", "--kind", kind, *paths] for kind in KINDS] + [["order", *paths]]
         if m == n:
             runs += [["index", path] for path in paths]
-        ops = _unitary_mixture(mix_rng, n)
-        write_channel(from_kraus(ops, dim_in=n, dim_out=n), mix,
-                      kraus=ops if mix_rng.integers(2) else None)
         runs += [["verify", mix], ["index", mix]]
         failures += [(i, argv, bad) for argv in runs if (bad := _failure(capsys, argv))]
     assert failures == []
@@ -129,7 +107,7 @@ def test_a_zero_operand_gives_exact_zeros(tmp_path, capsys):
     # seed 13, draw 77: F is a full-rank 1 -> 2 map and G = 0, on which the
     # rounding of A' = I once left a log mean of 2.6% of max |C_F|
     paths = [str(tmp_path / "f.json"), str(tmp_path / "zero.json")]
-    for i, m, n in _generic_pairs(np.random.default_rng(13), paths):
+    for i, m, n in generic_pairs(13, paths):
         if i == 77:
             break
     assert (m, n) == (1, 2)

@@ -1,6 +1,7 @@
-"""``tools/digest.py``, the bit-identity check of a change: the same digests
-on two runs, a digest that tells results apart bit for bit, and the numeric
-comparison of two trees that ``--against`` prints."""
+"""``tools/digest.py``, the check that a change keeps cpmean's results: a key
+that tells results apart bit for bit, the scale a move is read on, and the
+comparison of two checkouts that ``--against`` prints: zero on one tree, and a
+planted move or a reworded error seen in its columns."""
 
 import importlib.util
 import pathlib
@@ -13,7 +14,8 @@ import numpy as np
 from cpmean.errors import DomainError
 from cpmean.hermlinalg import Verdict
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "digest.py"
 GROUPS = ["lib-means", "lib-connections", "lib-lebesgue", "lib-lebesgue is_abs_continuous",
           "generic", "example", "admission", "construction"]
 
@@ -25,71 +27,76 @@ def _load():
     return module
 
 
-def test_two_cases_per_group_give_the_same_digests_twice(tmp_path):
-    cmd = [sys.executable, str(TOOL), "--seeds", "7", "--cases", "2"]
-    out = [subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=tmp_path).stdout
-           for _ in range(2)]
-    lines = [line.split("  ", 1) for line in out[0].splitlines()]
-    assert [name for _, name in lines] == GROUPS
-    assert all(len(digest) == 64 for digest, _ in lines)
-    assert out[0] == out[1]
-    assert list(tmp_path.iterdir()) == []  # every command ran in a directory of its own
-
-
-def test_a_digest_tells_bits_dtypes_shapes_and_errors_apart():
-    digest = _load().Digest
-
-    def of(*xs):
-        d = digest()
-        for x in xs:
-            d.add(x)
-        return d.hexdigest()
-
+def test_a_key_tells_bits_dtypes_shapes_and_errors_apart():
+    key = _load().key
     zero = np.zeros((2, 2), dtype=complex)
-    assert of(zero) == of(zero.copy())
-    assert len({of(zero), of(-zero), of(zero.real), of(zero.reshape(4)), of(zero, zero),
-                of(DomainError("x")), of(DomainError("y")), of(b"x"), of(0.0), of(-0.0)}) == 10
+    assert key(zero) == key(zero.copy())
+    assert len({key(zero), key(-zero), key(zero.real), key(zero.reshape(4)), key((zero, zero)),
+                key(DomainError("x")), key(DomainError("y")), key(b"x"), key(0.0),
+                key(-0.0)}) == 10
+    assert key(Verdict(0.0, 1e-9)) != key(Verdict(-0.0, 1e-9))
 
 
 def test_the_admission_group_tells_seeds_apart_and_repeats():
-    admission = _load().admission
-    one, again, other = (admission(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
+    digest = _load()
+    one, again, other = ([digest.key(x) for _, x, _ in digest.admission(seeds, 2)]
+                         for seeds in ([7], [7], [8]))
     assert one == again != other
 
 
 def test_the_construction_group_tells_seeds_apart_and_repeats():
-    construction = _load().construction
-    one, again, other = (construction(seeds, 2).hexdigest() for seeds in ([7], [7], [8]))
+    digest = _load()
+    one, again, other = ([digest.key(x) for _, x, _ in digest.construction(seeds, 2)]
+                         for seeds in ([7], [7], [8]))
     assert one == again != other
 
 
-def _against(tmp_path, src, other) -> dict[str, tuple[float, int, int]]:
-    cmd = [sys.executable, str(TOOL), "--src", str(src), "--against", str(other),
-           "--seeds", "7", "--cases", "1"]
+def _against(tmp_path, other, seed=7) -> dict[str, tuple[float, int, int, int]]:
+    """The rows of ``--against other`` on the first case of seed: (moved, kind,
+    shape, bits) by group, in the order printed."""
+    cmd = [sys.executable, str(TOOL), "--against", str(other), "--seeds", str(seed),
+           "--cases", "1"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=tmp_path).stdout
     rows = [line.split() for line in out.splitlines()[1:]]
-    return {" ".join(row[3:]): (float(row[0]), int(row[1]), int(row[2])) for row in rows}
+    return {" ".join(row[4:]): (float(row[0]), *map(int, row[1:4])) for row in rows}
+
+
+def _planted(tmp_path, module, old, new) -> pathlib.Path:
+    """A checkout root whose src is this one's with old, once in module, made new."""
+    planted = tmp_path / "planted"
+    shutil.copytree(ROOT / "src", planted / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = planted / "src" / "cpmean" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return planted
 
 
 def test_against_reads_zero_on_one_tree_and_sees_a_planted_perturbation(tmp_path):
-    src = TOOL.parent.parent / "src"
-    assert _against(tmp_path, src, src) == {name: (0.0, 0, 0) for name in GROUPS}
+    assert _against(tmp_path, ROOT) == {name: (0.0, 0, 0, 0) for name in GROUPS}
+    assert list(tmp_path.iterdir()) == []  # every command ran in a directory of its own
     # a parallel sum 2^-30 too large: harm and parallel move, admission does not.
     # A harm or parallel -o document moves by 2^-30 of its largest entry; a library
     # mean by 2^-30 of its own entries, on its operands' largest entry, which the
-    # one case's scale ratio makes far larger
-    planted = tmp_path / "planted"
-    shutil.copytree(src, planted, ignore=shutil.ignore_patterns("__pycache__"))
-    opmeans = planted / "cpmean" / "opmeans.py"
-    text = opmeans.read_text(encoding="utf-8")
-    assert text.count("    return u * v / (u + v)  #") == 1
-    opmeans.write_text(text.replace("    return u * v / (u + v)  #",
-                                    "    return u * v / (u + v) * (1.0 + 2.0 ** -30)  #"),
-                       encoding="utf-8")
-    moved = _against(tmp_path, planted, src)
-    assert set(moved) == set(GROUPS)
+    # one case's scale ratio makes far larger; both change bits
+    planted = _planted(tmp_path, "opmeans.py", "    return u * v / (u + v)  #",
+                       "    return u * v / (u + v) * (1.0 + 2.0 ** -30)  #")
+    moved = _against(tmp_path, planted)
+    assert list(moved) == GROUPS
     assert 2.0 ** -32 < moved["generic"][0] < 2.0 ** -28
-    assert 0.0 < moved["lib-means"][0] < 2.0 ** -28 and moved["admission"] == (0.0, 0, 0)
+    assert 0.0 < moved["lib-means"][0] < 2.0 ** -28
+    assert moved["generic"][3] > 0 and moved["lib-means"][3] > 0
+    assert moved["admission"] == (0.0, 0, 0, 0)
+
+
+def test_bits_count_a_reworded_error_that_no_number_shows(tmp_path):
+    # the indefinite matrices of the admission group's first case of seed 8 raise
+    # this error: no number moves and no result changes kind or shape, yet each
+    # such error's bytes do
+    planted = _planted(tmp_path, "hermlinalg.py", "matrix is not PSD within tolerance",
+                       "matrix is not PSD to within tolerance")
+    moved, kind, shape, bits = _against(tmp_path, planted, seed=8)["admission"]
+    assert (moved, kind, shape) == (0.0, 0, 0) and bits >= 1
 
 
 def test_a_move_is_read_on_its_scale():

@@ -1,20 +1,26 @@
-"""One SHA-256 per group of cpmean results, to show a change keeps them bit for bit.
+"""How far cpmean's results moved between two checkouts, and how many changed bits.
 
-    python3 tools/digest.py [--src DIR] [--seeds 7 8] [--cases N]
-    python3 tools/digest.py [--src DIR] --against OTHER_SRC [--seeds 7 8] [--cases N]
+    python3 tools/digest.py --against OTHER_ROOT [--seeds 7 8] [--cases N]
 
-Run it on the source trees before and after a change (``--src`` picks the
-tree whose ``cpmean`` is imported) and compare the lines it prints.  With
-``--against``, the groups run on both trees, each in its own subprocess, and
-for each group it prints how far the results of ``--src`` moved from those of
-``OTHER_SRC``: the largest difference of a number over its scale in
-``OTHER_SRC``, so that a rounding move reads as rounding, and how many results
-changed kind (a value against an error) or shape (a different count of
-numbers).  A library matrix's scale is its operands' largest entry (its own in
-the ``admission`` and ``construction`` groups); a check's residual and bound (a
-verdict, or each number of a report's check) are on that check's tolerance; a
-JSON report's or document's matrix entries are on their largest, its other
-numbers each on itself; a text's other numbers on their largest.  Groups:
+Every group runs on this checkout's ``src`` and on ``OTHER_ROOT/src``, each
+tree in a subprocess of its own with one BLAS thread, on the cases this
+checkout draws.  For each group it prints four columns:
+
+- ``moved``: the largest difference of a number over its scale in
+  ``OTHER_ROOT``, so that a rounding move reads as rounding;
+- ``kind``: how many results changed kind (a value against an error);
+- ``shape``: how many changed shape (a different count of numbers);
+- ``bits``: how many changed their exact bytes: an array's dtype, shape and
+  bytes; a report's or document's bytes and its exit code; an error's type
+  and message; a verdict's two numbers.  It counts what ``moved`` cannot
+  see: a signed zero, a reworded error, a renamed check.
+
+``0 0 0 0`` on a group says its results are the same bit for bit.  A library
+matrix's scale is its operands' largest entry (its own in the ``admission``
+and ``construction`` groups); a check's residual and bound (a verdict, or
+each number of a report's check) are on that check's tolerance; a JSON
+report's or document's matrix entries are on their largest, its other numbers
+each on itself; a text's other numbers on their largest.  Groups:
 
 - ``lib-means``, ``lib-connections``, ``lib-lebesgue``: every library result
   on the seeded cases of the benchmark workloads of ``perfbench/workloads.py``,
@@ -25,7 +31,7 @@ numbers each on itself; a text's other numbers on their largest.  Groups:
 - ``lib-lebesgue is_abs_continuous``: that residual alone, the trace of a Gram
   form of the pair's parts, whose order of summation a change may move;
 - ``generic``: every report and ``-o`` document of a sweep of every command
-  over generic document pairs (as ``tests/test_cli_generic.py`` draws them);
+  over the generic document pairs of ``tests/conftest.py``'s ``generic_pairs``;
 - ``example``: ``cpmean example --all`` in text and JSON;
 - ``admission``: what the public constructors ``HermitianMatrix`` and ``PsdMatrix``,
   ``from_choi``, ``CpMap``, ``as_psd``, ``is_psd``, ``schur`` and ``functional``
@@ -37,8 +43,6 @@ numbers each on itself; a text's other numbers on their largest.  Groups:
   ``tensor``, the ``order_cp`` verdicts and the ``geo_certificate`` residuals of
   the geometric mean and of the sum; 8 cases per seed.
 
-A result is hashed as the bytes of its entries, the repr of its floats, or the
-type and message of the error it raised; a report as its bytes and exit code.
 Every command runs in a scratch directory with relative paths, so a report's
 paths do not depend on where it ran.  ``--cases N`` keeps the first N cases
 of each workload, sweep seed and example format.
@@ -47,7 +51,6 @@ of each workload, sweep seed and example format.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -65,13 +68,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
 ATOMS = ((0.3, 1.5), (7.0, 0.25))
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # a number as it is written in a report, a document or an example's text
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 # a check as a text report writes it
 CHECK = re.compile(rb"residual (" + NUMBER.pattern + rb") \(tol (" + NUMBER.pattern + rb")\)")
-SINK = None  # with --dump, the stream each result is also written to, by group
 
 
 def _leaves(tree, tol=None, entry=False) -> list[tuple[float, float | str | None]]:
@@ -127,51 +130,39 @@ def measure(x, scale=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     return x, np.full(x.size, _largest(x) if scale is None else scale)
 
 
-class Digest:
-    """A SHA-256 over a sequence of results, the group ``name``'s."""
+def key(x) -> bytes:
+    """The bytes a result is compared by, bit for bit: an array's dtype, shape and
+    entries; a text's or document's bytes; an error's type and message; a verdict
+    or a report (exit code, stdout, stderr) as its parts'; a number as its repr."""
+    if hasattr(x, "bound"):  # a Verdict, as its two numbers
+        x = tuple(x)
+    if isinstance(x, BaseException):
+        x = f"{type(x).__name__}: {x}"
+    if isinstance(x, tuple):
+        parts = [key(y) for y in x]
+        return repr([len(p) for p in parts]).encode() + b"".join(parts)
+    if isinstance(x, np.ndarray):
+        return repr((x.dtype.str, x.shape)).encode() + np.ascontiguousarray(x).tobytes()
+    if isinstance(x, str):
+        return x.encode()
+    return x if isinstance(x, bytes) else repr(x).encode()
 
-    def __init__(self, name: str = ""):
-        self.name, self.h = name, hashlib.sha256()
 
-    def add(self, x, scale=None):
-        """Hash x; with --dump, write its ``measure`` too, a matrix on scale if given."""
-        if hasattr(x, "choi"):
-            x = x.choi.entries
-        elif hasattr(x, "entries"):
-            x = x.entries
-        if SINK is not None:
-            pickle.dump((self.name, *measure(x, scale)), SINK)
-        if hasattr(x, "bound"):  # a Verdict, hashed as its two numbers
-            x = tuple(x)
-        if isinstance(x, BaseException):
-            x = f"{type(x).__name__}: {x}"
-        if isinstance(x, np.ndarray):
-            self.h.update(repr((x.dtype.str, x.shape)).encode())
-            self.h.update(np.ascontiguousarray(x).tobytes())
-        elif isinstance(x, bytes):
-            self.h.update(repr(len(x)).encode() + x)
-        else:
-            self.h.update(repr(x).encode())
+def _call(name, call, errors=(), operands=()) -> list[tuple]:
+    """(name, result, scale) of call(): its result, or the cpmean error, or one of
+    errors, it raised; a map as its Choi entries and a LebesgueSplit as its four
+    parts.  A matrix is on the largest Choi entry of the maps in operands."""
+    from cpmean.errors import CpMeanError
 
-    def add_call(self, call, errors=(), operands=()):
-        """The result of call(), or the cpmean error, or one of errors, it raised; a
-        matrix it returns is on the largest Choi entry of the maps in operands."""
-        from cpmean.errors import CpMeanError
-
-        scale = max((_largest(x.choi.entries.view(np.float64)) for x in operands), default=None)
-        try:
-            out = call()
-        except (CpMeanError, *errors) as exc:
-            out = exc
-        if hasattr(out, "alpha_min"):  # a LebesgueSplit
-            for x, on in ((out.ac, scale), (out.sing, scale), (out.alpha_min, None),
-                          (out.recon, None)):
-                self.add(x, on)
-        else:
-            self.add(out, scale)
-
-    def hexdigest(self) -> str:
-        return self.h.hexdigest()
+    scale = max((_largest(x.choi.entries.view(np.float64)) for x in operands), default=None)
+    try:
+        out = call()
+    except (CpMeanError, *errors) as exc:
+        out = exc
+    parts = [(out.ac, scale), (out.sing, scale), (out.alpha_min, None), (out.recon, None)] \
+        if hasattr(out, "alpha_min") else [(out, scale)]
+    return [(name, x.choi.entries if hasattr(x, "choi") else getattr(x, "entries", x), on)
+            for x, on in parts]
 
 
 def _cases(name: str, seeds, limit):
@@ -181,106 +172,66 @@ def _cases(name: str, seeds, limit):
         yield from workloads.WORKLOADS[name].make_cases(np.random.default_rng(seed), ".")[:limit]
 
 
-def lib_means(seeds, limit) -> Digest:
+def lib_means(seeds, limit):
     from cpmean import cpmaps, opmeans
     from cpmean.opmeans import MeanKind
 
     reps = [opmeans.ConnectionRep(0.2, 0.0, ATOMS), opmeans.ConnectionRep(0.0, 0.1, ATOMS),
             opmeans.adjoint_rep(opmeans.ConnectionRep(0.0, 0.0, ATOMS))]
-    out = Digest("lib-means")
     for c in _cases("lib-means", seeds, limit):
         kinds = [*c.kinds, MeanKind("parallel"), *map(MeanKind.custom, reps)]
         for f, g in ((c.f, c.g), (c.g, c.f)):
             for kind in kinds:
-                out.add_call(lambda: cpmaps.mean_cp(kind, f, g), operands=(f, g))
-    return out
+                yield from _call("lib-means", lambda: cpmaps.mean_cp(kind, f, g), operands=(f, g))
 
 
-def lib_connections(seeds, limit) -> Digest:
+def lib_connections(seeds, limit):
     from cpmean import cpmaps, opmeans
     from cpmean.opmeans import MeanKind
 
     transforms = (lambda r: r, opmeans.transpose_rep, opmeans.adjoint_rep, opmeans.dual_rep)
-    out = Digest("lib-connections")
     for c in _cases("lib-connections", seeds, limit):
         kinds = [MeanKind.custom(t(opmeans.power_rep(c.alpha))) for t in transforms]
         for f, g in ((c.f, c.g), (c.g, c.f)):
             for kind in kinds:
-                out.add_call(lambda: cpmaps.mean_cp(kind, f, g), operands=(f, g))
-    return out
+                yield from _call("lib-connections", lambda: cpmaps.mean_cp(kind, f, g),
+                                 operands=(f, g))
 
 
-def lib_lebesgue(seeds, limit) -> tuple[Digest, Digest]:
+def lib_lebesgue(seeds, limit):
     from cpmean import lebesgue
 
-    out, abs_cont = Digest("lib-lebesgue"), Digest("lib-lebesgue is_abs_continuous")
-    for c in _cases("lib-lebesgue", seeds, limit):
+    name = "lib-lebesgue"
+    for c in _cases(name, seeds, limit):
         for f, g in ((c.f, c.g), (c.g, c.f)):
-            out.add_call(lambda: lebesgue.decompose(f, g), operands=(f, g))
-            out.add_call(lambda: lebesgue.is_singular(f, g))
-            out.add_call(lambda: lebesgue.ac_part_oracle(f, g), operands=(f, g))
-            abs_cont.add_call(lambda: lebesgue.is_abs_continuous(g, f))
-    return out, abs_cont
+            yield from _call(name, lambda: lebesgue.decompose(f, g), operands=(f, g))
+            yield from _call(name, lambda: lebesgue.is_singular(f, g))
+            yield from _call(name, lambda: lebesgue.ac_part_oracle(f, g), operands=(f, g))
+            yield from _call(f"{name} is_abs_continuous",
+                             lambda: lebesgue.is_abs_continuous(g, f))
 
 
-def _command(out: Digest, argv, written=()):
-    """Run ``cpmean *argv``; add its exit code, stdout, stderr and the bytes of
-    each file in written, then remove those files."""
+def _command(name, argv, written=()):
+    """Run ``cpmean *argv``: its exit code, stdout and stderr, then the bytes of
+    each file in written, which is then removed."""
     from cpmean import cli
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli.main(argv)
-    out.add((code, stdout.getvalue(), stderr.getvalue()))
+    yield name, (code, stdout.getvalue(), stderr.getvalue()), None
     for path in written:
         if os.path.exists(path):
-            out.add(Path(path).read_bytes())
+            yield name, Path(path).read_bytes(), None
             os.remove(path)
 
 
-def _write(chan, path, ops=None):
-    """The choi document of chan, or with ops the kraus document of its
-    operators; then a fresh run, so the next load decodes the file's bytes."""
-    from cpmean import channeldoc, hermlinalg
+def generic(seeds, limit):
+    from conftest import generic_pairs
 
-    if ops is None:
-        channeldoc.save_channel(chan, path)
-    else:
-        data = [np.ascontiguousarray(k).view(np.float64).reshape(*k.shape, 2).tolist()
-                for k in ops]
-        doc = {"dim_in": chan.dim_in, "dim_out": chan.dim_out, "repr": "kraus", "data": data}
-        Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    hermlinalg._RUN = hermlinalg._Run()
-
-
-def _kraus(rng, m, n, scale=1.0):
-    """Complex Gaussian Kraus operators m -> n of rank uniform on 0..mn."""
-    rank = int(rng.integers(0, m * n + 1))
-    return list(np.sqrt(scale) * (rng.normal(size=(rank, n, m))
-                                  + 1j * rng.normal(size=(rank, n, m))))
-
-
-def _unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def generic(seeds, limit) -> Digest:
-    from cpmean.cpmaps import from_kraus
-
-    out = Digest("generic")
     for seed in seeds:
-        rng, mix_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
-        for _ in range(300 if limit is None else limit):
-            m, n = (int(x) for x in rng.integers(1, 4, size=2))
-            for path in ("a.json", "b.json"):
-                ops = _kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0))
-                _write(from_kraus(ops, dim_in=m, dim_out=n), path,
-                       ops if rng.integers(2) else None)
-            weights = mix_rng.dirichlet(np.ones(int(mix_rng.integers(1, 5))))
-            ops = [np.sqrt(w) * _unitary(mix_rng, n) for w in weights]
-            _write(from_kraus(ops, dim_in=n, dim_out=n), "mix.json",
-                   ops if mix_rng.integers(2) else None)
+        for _, m, n in generic_pairs(seed, ("a.json", "b.json"), "mix.json",
+                                     300 if limit is None else limit):
             runs = [(["lebesgue", "a.json", "b.json", "-o", "split"],
                      ["split.ac.json", "split.sing.json"]), (["order", "a.json", "b.json"], [])]
             runs += [(["mean", "--kind", k, "a.json", "b.json", "-o", "m.json"], ["m.json"])
@@ -288,8 +239,7 @@ def generic(seeds, limit) -> Digest:
             runs += [(["index", p], []) for p in ("a.json", "b.json") if m == n]
             runs += [(["verify", "mix.json"], []), (["index", "mix.json"], [])]
             for argv, written in runs:
-                _command(out, ["--format", "json", *argv], written)
-    return out
+                yield from _command("generic", ["--format", "json", *argv], written)
 
 
 def _admission_inputs(rng):
@@ -315,62 +265,83 @@ def _admission_inputs(rng):
     return [(m, n, x) for x in (exact, near, thin, held, cached)]
 
 
-def admission(seeds, limit) -> Digest:
+def admission(seeds, limit):
     from cpmean import cpmaps, hermlinalg
 
-    out = Digest("admission")
+    name = "admission"
     for seed in seeds:
         rng = np.random.default_rng([seed, 2])
         for _ in range(8 if limit is None else limit):
             for m, n, x in _admission_inputs(rng):
-                out.add_call(lambda: cpmaps.from_choi(m, n, x))
+                yield from _call(name, lambda: cpmaps.from_choi(m, n, x))
                 # a CpMap that does not admit its Choi matrix fails on an array's .dim
-                out.add_call(lambda: cpmaps.CpMap(m, n, x), (AttributeError,))
-                out.add_call(lambda: hermlinalg.HermitianMatrix(x))
-                out.add_call(lambda: hermlinalg.PsdMatrix(x))
-                out.add_call(lambda: hermlinalg.as_psd(x))
-                out.add_call(lambda: hermlinalg.is_psd(x))
-                out.add_call(lambda: cpmaps.schur(x))
-                out.add_call(lambda: cpmaps.functional(x))
-    return out
+                yield from _call(name, lambda: cpmaps.CpMap(m, n, x), (AttributeError,))
+                yield from _call(name, lambda: hermlinalg.HermitianMatrix(x))
+                yield from _call(name, lambda: hermlinalg.PsdMatrix(x))
+                yield from _call(name, lambda: hermlinalg.as_psd(x))
+                yield from _call(name, lambda: hermlinalg.is_psd(x))
+                yield from _call(name, lambda: cpmaps.schur(x))
+                yield from _call(name, lambda: cpmaps.functional(x))
 
 
-def construction(seeds, limit) -> Digest:
+def construction(seeds, limit):
     from cpmean import cpmaps
     from cpmean.opmeans import GEO
+    from conftest import gaussian_cp
 
-    out = Digest("construction")
+    name = "construction"
     for seed in seeds:
         rng = np.random.default_rng([seed, 3])
         for _ in range(8 if limit is None else limit):
             m, n = (int(x) for x in rng.integers(1, 4, size=2))
-            f, g = (cpmaps.from_kraus(_kraus(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0)),
-                                      dim_in=m, dim_out=n) for _ in "fg")
+            f, g = (gaussian_cp(rng, m, n, 10.0 ** rng.uniform(-12.0, 12.0)) for _ in "fg")
             c = float(rng.uniform(0.0, 4.0) * 10.0 ** rng.uniform(-6.0, 6.0))
-            out.add_call(lambda: f + g)
-            out.add_call(lambda: c * f)
-            out.add_call(lambda: cpmaps.tensor(f, g))
-            out.add_call(lambda: cpmaps.order_cp(f, g))
-            out.add_call(lambda: cpmaps.order_cp(f, f + g))
+            yield from _call(name, lambda: f + g)
+            yield from _call(name, lambda: c * f)
+            yield from _call(name, lambda: cpmaps.tensor(f, g))
+            yield from _call(name, lambda: cpmaps.order_cp(f, g))
+            yield from _call(name, lambda: cpmaps.order_cp(f, f + g))
             for theta in (lambda: cpmaps.mean_cp(GEO, f, g), lambda: f + g):
-                out.add_call(lambda: cpmaps.geo_certificate(f, g, theta()))
-    return out
+                yield from _call(name, lambda: cpmaps.geo_certificate(f, g, theta()))
 
 
-def example(limit) -> Digest:
-    out = Digest("example")
+def example(limit):
     for argv in [["example", "--all"], ["--format", "json", "example", "--all"]][:limit]:
-        _command(out, argv)
-    return out
+        yield from _command("example", argv)
 
 
-def against(args) -> int:
-    """Run every group on --src and on --against, each tree in a subprocess that
-    streams its results, and print, per group, how far the first moved from the second."""
-    flags = ["--seeds", *map(str, args.seeds), *(["--cases", str(args.cases)] if args.cases else [])]
-    runs = [subprocess.Popen([sys.executable, __file__, "--src", src, "--dump", *flags],
-                             stdout=subprocess.PIPE) for src in (args.src, args.against)]
-    moved = {}  # group -> [largest difference over scale, changed kind, changed shape]
+def results(src, seeds, limit) -> int:
+    """Write (group, exact bytes, numbers, scales) of every result of the cpmean of
+    src to stdout as pickles, one per result, in order."""
+    sys.path[:0] = [os.path.abspath(src), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    # a warning is printed once per place, so a report's stderr would depend
+    # on what ran before it
+    warnings.simplefilter("ignore")
+    groups = [lib_means(seeds, limit), lib_connections(seeds, limit), lib_lebesgue(seeds, limit),
+              generic(seeds, limit), example(limit), admission(seeds, limit),
+              construction(seeds, limit)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for group in groups:
+                for name, x, scale in group:
+                    pickle.dump((name, key(x), *measure(x, scale)), sys.stdout.buffer)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+def against(other, seeds, limit) -> int:
+    """Run every group on this checkout and on other, each tree in a subprocess
+    that streams its results, and print, per group, how far and how many of this
+    checkout's results moved from other's."""
+    flags = ["--seeds", *map(str, seeds), *(["--cases", str(limit)] if limit else [])]
+    env = {**os.environ, **{v: "1" for v in THREADS}}  # two BLAS pools would contend
+    runs = [subprocess.Popen([sys.executable, __file__, "--results", src, *flags],
+                             stdout=subprocess.PIPE, env=env)
+            for src in (str(ROOT / "src"), os.path.join(other, "src"))]
+    rows = {}  # group -> [largest difference over scale, changed kind, shape, bits]
     while True:
         got = []
         for run in runs:
@@ -382,8 +353,9 @@ def against(args) -> int:
             break
         if None in got or got[0][0] != got[1][0]:
             raise SystemExit("error: the two trees ran different sequences of results")
-        (name, x, _), (_, y, scale) = got
-        row = moved.setdefault(name, [0.0, 0, 0])
+        (name, k, x, _), (_, other_k, y, scale) = got
+        row = rows.setdefault(name, [0.0, 0, 0, 0])
+        row[3] += k != other_k
         if (x is None) != (y is None):
             row[1] += 1
         elif x is not None and x.shape != y.shape:
@@ -396,45 +368,24 @@ def against(args) -> int:
                                           diff).max())
     if any(run.wait() for run in runs):
         raise SystemExit("error: a tree's run failed")
-    print(f"{'moved':>10}  {'kind':>4}  {'shape':>5}  group")
-    for name, (rel, kind, shape) in moved.items():
-        print(f"{rel:10.3e}  {kind:4d}  {shape:5d}  {name}")
+    print(f"{'moved':>10}  {'kind':>4}  {'shape':>5}  {'bits':>5}  group")
+    for name, (rel, kind, shape, bits) in rows.items():
+        print(f"{rel:10.3e}  {kind:4d}  {shape:5d}  {bits:5d}  {name}")
     return 0
 
 
 def main(argv=None) -> int:
-    global SINK
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--src", default=str(ROOT / "src"), help="the tree whose cpmean to import")
-    p.add_argument("--against", help="a second tree: print how far --src moved from it")
-    p.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--against", metavar="OTHER_ROOT", help="the checkout to compare this one with")
+    p.add_argument("--results", metavar="SRC", help=argparse.SUPPRESS)  # the child: SRC's results
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
     p.add_argument("--cases", type=int, default=None, help="first N cases of each group")
     args = p.parse_args(argv)
-    if args.against:
-        return against(args)
-    if args.dump:  # the results go to stdout as (group, numbers) pickles, one per result
-        SINK = sys.stdout.buffer
-    sys.path[:0] = [os.path.abspath(args.src), str(ROOT / "perfbench")]
-    # a warning is printed once per place, so a report's stderr would depend
-    # on what ran before it
-    warnings.simplefilter("ignore")
-    seeds, limit = args.seeds, args.cases
-    with tempfile.TemporaryDirectory() as tmp:
-        cwd = os.getcwd()
-        os.chdir(tmp)
-        try:
-            split, abs_cont = lib_lebesgue(seeds, limit)
-            digests = [lib_means(seeds, limit), lib_connections(seeds, limit), split, abs_cont,
-                       generic(seeds, limit), example(limit), admission(seeds, limit),
-                       construction(seeds, limit)]
-        finally:
-            os.chdir(cwd)
-    if args.dump:
-        return 0
-    for digest in digests:
-        print(f"{digest.hexdigest()}  {digest.name}")
-    return 0
+    if args.results:
+        return results(args.results, args.seeds, args.cases)
+    if not args.against or not os.path.isdir(os.path.join(args.against, "src", "cpmean")):
+        p.error("--against OTHER_ROOT needs a checkout root, with src/cpmean in it")
+    return against(args.against, args.seeds, args.cases)
 
 
 if __name__ == "__main__":
