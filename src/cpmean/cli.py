@@ -122,19 +122,22 @@ def _chain(kind: MeanKind, f: CpMap, g: CpMap, result: CpMap) -> list:
     result among them, for the mean checks to bound each step: harm <= geo <=
     arith, with log between geo and arith and parallel as half of harm; a
     power mean between its weighted harmonic mean, the adjoint of its
-    weighted arithmetic mean, and that arithmetic mean."""
+    weighted arithmetic mean, and that arithmetic mean.  Each mean but result
+    is read as ``opmeans._gram_means`` gives it, a connection with no clamp."""
     held = result.choi.entries
     if kind.tag == "power":
         w = kind.alpha
         arith = opmeans.ConnectionRep(1.0 - w, w, ())
-        harm = mean_cp(MeanKind.custom(opmeans.adjoint_rep(arith)), f, g).choi.entries
+        harm, = opmeans._gram_means([MeanKind.custom(opmeans.adjoint_rep(arith))],
+                                    f.choi, g.choi)
         return [(f"harm:{w}", harm), (f"power:{w}", held),
                 (f"arith:{w}", (1.0 - w) * f.choi.entries + w * g.choi.entries)]
     if kind.tag == "parallel":
         kind, held = MeanKind("harm"), 2.0 * held
     tags = ("harm", "geo", "log", "arith") if kind.tag == "log" else ("harm", "geo", "arith")
-    return [(tag, held if tag == kind.tag else mean_cp(MeanKind(tag), f, g).choi.entries)
-            for tag in tags]
+    means = iter(opmeans._gram_means([MeanKind(t) for t in tags if t != kind.tag],
+                                     f.choi, g.choi))
+    return [(tag, held if tag == kind.tag else next(means)) for tag in tags]
 
 
 def cmd_mean(args) -> list[Report]:

@@ -283,7 +283,7 @@ class PsdMatrix(HermitianMatrix):
     @classmethod
     def clamped(cls, entries, bound: float) -> "PsdMatrix":
         """A matrix the library made, PSD up to bound: the Gram form ``SpectralPair.gram``
-        gives its one caller ``opmeans._connect``, bound its round-off.  The least eigenvalue
+        gives its one caller ``opmeans._clamp``, bound its round-off.  The least eigenvalue
         w_0 picks the branch: above bound, the entries are admitted as computed, a second
         eigh; within ±bound, the Gram form ``U max(w, 0) U*`` (Higham 1988), its eig
         lazy; below -bound, InvalidInput."""

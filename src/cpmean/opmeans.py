@@ -8,7 +8,9 @@ scalars u σ v (Kubo-Ando 1980), so ``A σ B = 2^m Σ_k (u_k σ v_k) (part k)`` 
 pair's ``midpoint()``: exact for singular inputs, and scaled once by 2^m.  The last
 pair built is shared: the first connection of two operand objects costs the pair's
 two eigh, or one thin SVD where it is factored from cached eigs, each next one none
-where its result is rank-deficient by construction, and otherwise the clamp's.
+where its result is rank-deficient by construction, and otherwise the clamp's, which
+``mean`` and ``geometric_mean`` apply; the CLI's chain checks take each mean's Gram
+form, with no clamp, from ``_gram_means``.
 ``parallel_sum``, the pseudo-inverse formula ``A (A+B)^+ B``, one eigh and an
 eigenvalue check, serves the limit oracle past its support test and the tests, not
 package API (that is ``mean(PARALLEL)``): (A+B)^+ loses the smaller operand beyond
@@ -39,23 +41,25 @@ def _check_pair(a, b) -> tuple[PsdMatrix, PsdMatrix]:
     return a, b
 
 
-def _connect(a, b, sigma) -> PsdMatrix:
-    """``A σ B = 2^m Σ_k d_k (part k)``, ``d = u σ v`` at the pair's ``midpoint()``.
+def _connect(a, b, sigma) -> tuple[PsdMatrix, bool]:
+    """(``A σ B = 2^m Σ_k d_k (part k)``, full), ``d = u σ v`` at the pair's ``midpoint()``.
 
     sigma connects two scalars u, v >= 0, not both zero; a negative d raises
-    InvalidInput.  A result rank-deficient by construction (a zero in d, or Z
-    with fewer columns than rows, as on a factored pair) is that Gram form with
-    no eigh; any other, with Z's columns as all its parts, goes through the clamp.
+    InvalidInput.  The result is that Gram form, with no eigh past the pair's;
+    full says that Z's columns are all its parts and d has no zero, so that it
+    is not rank-deficient by construction (as on a factored pair).
     """
     p = _shared_pair(*_check_pair(a, b))
     u, v, m = p.midpoint()
     d = sigma(u, v)
     if (d < 0.0).any():
         raise InvalidInput(f"connection kernel is negative ({d.min():.3e})")
-    out = p.gram(d, m)
-    if not d.all() or p.z.shape[1] < p.z.shape[0]:
-        return out
-    return PsdMatrix.clamped(out, TOL_MEAN * out._scale())
+    return p.gram(d, m), bool(d.all()) and p.z.shape[1] == p.z.shape[0]
+
+
+def _clamp(out: PsdMatrix, full: bool) -> PsdMatrix:
+    """A full ``_connect`` result through the clamp, any other as it is."""
+    return PsdMatrix.clamped(out, TOL_MEAN * out._scale()) if full else out
 
 
 def _parallel(u, v):
@@ -107,7 +111,7 @@ def geometric_mean(a, b) -> PsdMatrix:
     inputs; for singular inputs it is the maximal X with
     ``[[A, X], [X, B]] >= 0``, whose range is ran(A) ∩ ran(B).
     """
-    return _connect(a, b, lambda u, v: np.sqrt(u) * np.sqrt(v))
+    return _clamp(*_connect(a, b, _SIGMA["geo"]))
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,8 @@ PARALLEL = MeanKind("parallel")
 LOG = MeanKind("log")
 
 # The two-scalar function u σ v of each fixed kind that ``_connect`` evaluates.
-_SIGMA = {"harm": lambda u, v: 2.0 * _parallel(u, v), "parallel": _parallel, "log": _log}
+_SIGMA = {"geo": lambda u, v: np.sqrt(u) * np.sqrt(v), "harm": lambda u, v: 2.0 * _parallel(u, v),
+          "parallel": _parallel, "log": _log}
 
 
 def mean(kind: MeanKind, a, b) -> PsdMatrix:
@@ -258,15 +263,22 @@ def mean(kind: MeanKind, a, b) -> PsdMatrix:
         return PsdMatrix._exact(a + b, e - 1)
     if kind.tag == "geo":
         return geometric_mean(a, b)
-    if kind.tag == "power":
-        if kind.alpha in (0.0, 1.0):
-            return _check_pair(a, b)[int(kind.alpha)]
-        sigma = power_rep(kind.alpha)._pair
-    elif kind.tag == "custom":
-        sigma = kind.rep._pair
-    else:
-        sigma = _SIGMA[kind.tag]
-    return _connect(a, b, sigma)
+    if kind.tag == "power" and kind.alpha in (0.0, 1.0):
+        return _check_pair(a, b)[int(kind.alpha)]
+    return _clamp(*_connect(a, b, _sigma(kind)))
+
+
+def _sigma(kind: MeanKind):
+    """The two-scalar function u σ v of a kind that ``mean`` connects: a fixed
+    kind's from ``_SIGMA``, a custom or power kind's that of its ConnectionRep."""
+    return _SIGMA.get(kind.tag) or (kind.rep or power_rep(kind.alpha))._pair
+
+
+def _gram_means(kinds, a, b) -> list[np.ndarray]:
+    """The entries of each kind's ``mean`` of A and B, a connection's as its Gram
+    form from ``_connect`` with no clamp: the CLI's chain checks read them."""
+    return [(mean(k, a, b) if k.tag == "arith" else _connect(a, b, _sigma(k))[0]).entries
+            for k in kinds]
 
 
 def power_rep(alpha: float) -> ConnectionRep:

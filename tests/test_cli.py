@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpmean import channeldoc, cli, hermlinalg, lebesgue, registry
+from cpmean import channeldoc, cli, hermlinalg, lebesgue, opmeans, registry
 from cpmean.channeldoc import (
     channel_to_doc,
     doc_to_channel,
@@ -372,9 +372,10 @@ class TestCliCommands:
         for check in obj["checks"]:
             assert set(check) == {"name", "passed", "residual", "tolerance"}
 
-    # the mean, then the chain's other means: parallel's harm is twice the
-    # result, and power's chain has its own ends, its weighted harmonic mean a
-    # custom connection and its weighted arithmetic mean a plain sum
+    # the mean from mean_cp, then the chain's other means from one call of
+    # opmeans._gram_means: parallel's harm is twice the result, and power's
+    # chain has its own ends, its weighted harmonic mean a custom connection
+    # and its weighted arithmetic mean a plain sum
     @pytest.mark.parametrize("kind, calls", [
         ("geo", ["geo", "harm", "arith"]), ("harm", ["harm", "geo", "arith"]),
         ("arith", ["arith", "harm", "geo"]), ("parallel", ["parallel", "geo", "arith"]),
@@ -382,13 +383,18 @@ class TestCliCommands:
     def test_mean_chain_checks_reuse_the_result(self, channel_files, monkeypatch,
                                                  capsys, kind, calls):
         seen = []
-        real_mean_cp = cli.mean_cp
+        real_mean_cp, real_gram_means = cli.mean_cp, opmeans._gram_means
 
         def counting(kind, f, g, **kwargs):
             seen.append(kind.tag)
             return real_mean_cp(kind, f, g, **kwargs)
 
+        def counting_chain(kinds, a, b):
+            seen.extend(k.tag for k in kinds)
+            return real_gram_means(kinds, a, b)
+
         monkeypatch.setattr(cli, "mean_cp", counting)
+        monkeypatch.setattr(opmeans, "_gram_means", counting_chain)
         assert main(["mean", "--kind", kind, channel_files["id2"],
                      channel_files["dep2"]]) == 0
         assert seen == calls
@@ -806,8 +812,11 @@ class TestChecksAtJointScale:
                 *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
         assert main(argv) == 0
         assert _failed_checks(capsys.readouterr().out) == []
-        real = cli.mean_cp
+        # every mean doubled, the result and the chain's alike
+        real, real_chain = cli.mean_cp, opmeans._gram_means
         monkeypatch.setattr(cli, "mean_cp", lambda kind, f, g: 2.0 * real(kind, f, g))
+        monkeypatch.setattr(opmeans, "_gram_means",
+                            lambda kinds, a, b: [2.0 * x for x in real_chain(kinds, a, b)])
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == [
             "block certificate [[A,G],[G,B]] PSD"]
@@ -818,14 +827,55 @@ class TestChecksAtJointScale:
         rng = np.random.default_rng(45)
         argv = ["--format", "json", "mean", "--kind", "geo",
                 *scaled_files(s, random_cp(rng, 2, 2), random_cp(rng, 2, 2))]
-        real = cli.mean_cp
+        real = opmeans._gram_means
 
-        def doubled_harm(kind, f, g):
-            return (2.0 if kind.tag == "harm" else 1.0) * real(kind, f, g)
+        def doubled_harm(kinds, a, b):
+            return [(2.0 if k.tag == "harm" else 1.0) * x
+                    for k, x in zip(kinds, real(kinds, a, b))]
 
-        monkeypatch.setattr(cli, "mean_cp", doubled_harm)
+        monkeypatch.setattr(opmeans, "_gram_means", doubled_harm)
         assert main(argv) == 3
         assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_chain_means_are_the_library_means_bit_for_bit(self, scaled_files, capsys,
+                                                           monkeypatch, s):
+        # on well-conditioned full-rank operands mean_cp admits each connection
+        # as computed, so the chain's Gram forms, which take no clamp, are its
+        # entries bit for bit; a doubled chain harm fails its one step
+        rng = np.random.default_rng(46)
+        real, real_chain = cli.mean_cp, opmeans._gram_means
+        operands, chains = [], []
+
+        def spy(kind, f, g):
+            operands.append((f, g))
+            return real(kind, f, g)
+
+        def spy_chain(kinds, a, b):
+            chains.append((kinds, real_chain(kinds, a, b)))
+            return chains[-1][1]
+
+        def doubled_harm(kinds, a, b):
+            return [(2.0 if k.tag == "harm" else 1.0) * x
+                    for k, x in zip(kinds, real_chain(kinds, a, b))]
+
+        for _ in range(3):
+            paths = scaled_files(s, random_cp(rng, 2, 3), random_cp(rng, 2, 3))
+            operands.clear()
+            chains.clear()
+            monkeypatch.setattr(cli, "mean_cp", spy)
+            monkeypatch.setattr(opmeans, "_gram_means", spy_chain)
+            for kind in ("geo", "harm", "parallel", "log", "power:0.3", "arith"):
+                assert main(["--format", "json", "mean", "--kind", kind, *paths]) == 0
+                assert _failed_checks(capsys.readouterr().out) == []
+            for (f, g), (kinds, got) in zip(operands, chains, strict=True):
+                for k, x in zip(kinds, got, strict=True):
+                    want = real(k, f, g).choi.entries
+                    assert (x.dtype, x.tobytes()) == (want.dtype, want.tobytes()), k
+            monkeypatch.setattr(opmeans, "_gram_means", doubled_harm)
+            for kind in ("geo", "log", "arith"):
+                assert main(["--format", "json", "mean", "--kind", kind, *paths]) == 3
+                assert _failed_checks(capsys.readouterr().out) == ["chain geo - harm >= 0"]
 
     @pytest.mark.parametrize("kind, factor, failed", [
         ("geo", 2.0, ["block certificate [[A,G],[G,B]] PSD", "chain arith - geo >= 0"]),

@@ -27,7 +27,11 @@ eigenvalue is within the bound is projected to the PSD cone (a Gram form whose
 eig stays lazy), 1 eigh, and one whose smallest eigenvalue is above it is
 admitted as computed, 2 eigh.  G has Choi rank 8, so every mean of F and G
 has nullity 8 and is a Gram form; the mean of ``mean geo, full-rank
-operands`` is well conditioned and is admitted.  The reference formula
+operands`` is well conditioned and is admitted.  The clamp is the library
+means' alone: the chain checks of ``cpmean mean`` read each mean they compute
+apart from the result as its Gram form (``opmeans._gram_means``), so on the
+full-rank documents of F and H the result takes the clamp and the chain takes
+no eigh.  The reference formula
 ``opmeans.parallel_sum`` takes no clamp: one eigh and one eigvalsh.
 ``test_cold_kernel_means_cost_2_or_4_by_rank`` checks the rule on seeded pairs.
 """
@@ -127,6 +131,15 @@ PINS = [
     # eigh; down from (6, 3): neither mean goes through the clamp; from (4,
     # 3): geo's pair is factored from the admissions' eigs, one SVD
     ("cli mean --kind geo -o", (2, 3, 1)),
+    # F and the full-rank H take the eigh route: 2 input admissions, the
+    # pair's 2 and the result's clamp 2, its admitting branch; the chain's
+    # other means are Gram forms with no clamp.  Down from (8, 3), (10, 3),
+    # (8, 2) and (8, 2): geo's chain harm, log's harm and geo, harm's geo and
+    # power's weighted harm each took the clamp's admitting branch, 2 eigh
+    ("cli mean --kind geo -o, full-rank documents", (6, 3)),
+    ("cli mean --kind log -o, full-rank documents", (6, 3)),
+    ("cli mean --kind harm -o, full-rank documents", (6, 2)),
+    ("cli mean --kind power:0.3 -o, full-rank documents", (6, 2)),
     ("cli verify", (1, 0)),       # the input admission; the CP check reads its eig
     ("cli index", (1, 0)),        # likewise, the index reads it
     # 2 input admissions and the eigenvalues of C_G - C_F.  Down from (3, 0)
@@ -171,19 +184,23 @@ COMPLEMENT = {
                                   False),
 }
 
-# argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk), fk
-# and gk the Kraus documents of f and g; F is a random CP map, neither unital
-# nor trace preserving, so verify fails its checks.
+# argv and exit code of each CLI row, over the paths (f, g, geo, fk, gk, h,
+# out), fk and gk the Kraus documents of f and g, h the document of the
+# full-rank H and out the full-rank rows' -o; F is a random CP map, neither
+# unital nor trace preserving, so verify fails its checks.
 CLI = {
-    "cli mean --kind geo -o": (lambda f, g, geo, fk, gk: ["mean", "--kind", "geo", f, g,
-                                                           "-o", geo], 0),
-    "cli verify": (lambda f, g, geo, fk, gk: ["verify", f], 3),
-    "cli verify geo.json": (lambda f, g, geo, fk, gk: ["verify", geo], 3),
-    "cli index": (lambda f, g, geo, fk, gk: ["index", f], 0),
-    "cli order": (lambda f, g, geo, fk, gk: ["order", f, g], 0),
-    "cli order kraus": (lambda f, g, geo, fk, gk: ["order", fk, gk], 0),
-    "cli lebesgue": (lambda f, g, geo, fk, gk: ["lebesgue", f, g], 0),
-    "cli lebesgue kraus": (lambda f, g, geo, fk, gk: ["lebesgue", fk, gk], 0),
+    "cli mean --kind geo -o": (lambda f, g, geo, fk, gk, h, out: ["mean", "--kind", "geo", f, g,
+                                                                  "-o", geo], 0),
+    "cli verify": (lambda f, g, geo, fk, gk, h, out: ["verify", f], 3),
+    "cli verify geo.json": (lambda f, g, geo, fk, gk, h, out: ["verify", geo], 3),
+    "cli index": (lambda f, g, geo, fk, gk, h, out: ["index", f], 0),
+    "cli order": (lambda f, g, geo, fk, gk, h, out: ["order", f, g], 0),
+    "cli order kraus": (lambda f, g, geo, fk, gk, h, out: ["order", fk, gk], 0),
+    "cli lebesgue": (lambda f, g, geo, fk, gk, h, out: ["lebesgue", f, g], 0),
+    "cli lebesgue kraus": (lambda f, g, geo, fk, gk, h, out: ["lebesgue", fk, gk], 0),
+    **{f"cli mean --kind {kind} -o, full-rank documents":
+       (lambda f, g, geo, fk, gk, h, out, kind=kind: ["mean", "--kind", kind, f, h, "-o", out], 0)
+       for kind in ("geo", "log", "harm", "power:0.3")},
 }
 
 
@@ -192,9 +209,11 @@ def pair(tmp_path_factory):
     rng = np.random.default_rng(1616)
     f, g, h = random_cp(rng, 4, 4), random_cp(rng, 4, 4, rank=8), random_cp(rng, 4, 4)
     tmp = tmp_path_factory.mktemp("pins")
-    paths = [str(tmp / name) for name in ("f.json", "g.json", "geo.json", "fk.json", "gk.json")]
+    paths = [str(tmp / name) for name in ("f.json", "g.json", "geo.json", "fk.json", "gk.json",
+                                          "h.json", "out.json")]
     save_channel(f, paths[0])
     save_channel(g, paths[1])
+    save_channel(h, paths[5])
     write_kraus(cpmaps.kraus_decompose(f), paths[3], 4, 4)
     write_kraus(cpmaps.kraus_decompose(g), paths[4], 4, 4)
     return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g), paths, h

@@ -11,10 +11,14 @@ exact zero split.  Raw ``numpy.linalg.eigh``/``eigvalsh``/``svd``/``cholesky``
 calls sit only in ``hermlinalg``.  A ``SpectralPair`` is built only by
 ``hermlinalg._shared_pair``, which keeps the last one in the run and which
 every connection and the Lebesgue split call in one place each.  Every
-connection is taken by ``opmeans._connect``, which only ``mean`` and
-``geometric_mean`` call.  No module defines a pseudo-inverse helper: the one
-pseudo-inverse is that of the reference formula ``opmeans.parallel_sum``,
-which inverts ``support()`` in place.  No command runs the parallel-sum limit
+connection is taken by ``opmeans._connect``, which only ``mean``,
+``geometric_mean`` and ``_gram_means`` call; the clamp ``opmeans._clamp``, the
+one caller of ``PsdMatrix.clamped``, is applied by ``mean`` and
+``geometric_mean`` alone, and ``_gram_means``, which gives the CLI's mean
+chain its Gram forms unclamped, is called only by ``cli._chain``.  No module
+defines a pseudo-inverse helper: the one pseudo-inverse is that of the
+reference formula ``opmeans.parallel_sum``, which inverts ``support()`` in
+place.  No command runs the parallel-sum limit
 ``ac_part_oracle``: ``cpmean lebesgue`` and the ``ando-recovery`` example check
 the split against Ando's closed form ``hermlinalg._ando_part``, and
 ``parallel_sum`` has no caller but the limit.
@@ -123,7 +127,12 @@ def test_guard_sees_a_copy_of_svd_or_cholesky():
 # callee -> the (file, top-level function) allowed to call it
 CALL_SITES = {
     "SpectralPair": {("hermlinalg.py", "_shared_pair")},
-    "_connect": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean")},
+    "_connect": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean"),
+                 ("opmeans.py", "_gram_means")},
+    # the clamp is the library means' alone: the CLI's chain checks read Gram forms
+    "_clamp": {("opmeans.py", "mean"), ("opmeans.py", "geometric_mean")},
+    "clamped": {("opmeans.py", "_clamp")},
+    "_gram_means": {("cli.py", "_chain")},
     "_shared_pair": {("opmeans.py", "_connect"), ("lebesgue.py", "_pair")},
     "ac_part_oracle": set(),
     "parallel_sum": {("lebesgue.py", "ac_part_oracle")},

@@ -16,11 +16,13 @@ checkout draws.  For each group it prints four columns:
   see: a signed zero, a reworded error, a renamed check.
 
 ``0 0 0 0`` on a group says its results are the same bit for bit.  A library
-matrix's scale is its operands' largest entry (its own in the ``admission``
-and ``construction`` groups); a check's residual and bound (a verdict, or
-each number of a report's check) are on that check's tolerance; a JSON
-report's or document's matrix entries are on their largest, its other numbers
-each on itself; a text's other numbers on their largest.  Groups:
+matrix's scale is its own largest entry, floored in the ``lib-*`` groups at
+eps times its operands' largest, so that a result far below its operands
+shows its relative move and a zero result one on its operands; a check's
+residual and bound (a verdict, or each number of a report's check) are on
+that check's tolerance; a JSON report's or document's matrix entries are on
+their largest, its other numbers each on itself; a text's other numbers on
+their largest.  Groups:
 
 - ``lib-means``, ``lib-connections``, ``lib-lebesgue``: every library result
   on the seeded cases of the benchmark workloads of ``perfbench/workloads.py``,
@@ -69,6 +71,7 @@ ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("geo", "harm", "arith", "parallel", "log", "power:0.3")
 ATOMS = ((0.3, 1.5), (7.0, 0.25))
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+EPS = float(np.finfo(np.float64).eps)
 
 
 # a number as it is written in a report, a document or an example's text
@@ -151,7 +154,8 @@ def key(x) -> bytes:
 def _call(name, call, errors=(), operands=()) -> list[tuple]:
     """(name, result, scale) of call(): its result, or the cpmean error, or one of
     errors, it raised; a map as its Choi entries and a LebesgueSplit as its four
-    parts.  A matrix is on the largest Choi entry of the maps in operands."""
+    parts.  With operands, a matrix is on its own largest entry, but never below
+    eps times the largest Choi entry of the maps in operands."""
     from cpmean.errors import CpMeanError
 
     scale = max((_largest(x.choi.entries.view(np.float64)) for x in operands), default=None)
@@ -161,8 +165,10 @@ def _call(name, call, errors=(), operands=()) -> list[tuple]:
         out = exc
     parts = [(out.ac, scale), (out.sing, scale), (out.alpha_min, None), (out.recon, None)] \
         if hasattr(out, "alpha_min") else [(out, scale)]
-    return [(name, x.choi.entries if hasattr(x, "choi") else getattr(x, "entries", x), on)
-            for x, on in parts]
+    parts = [(x.choi.entries if hasattr(x, "choi") else getattr(x, "entries", x), on)
+             for x, on in parts]
+    return [(name, x, max(_largest(x.view(np.float64)), EPS * on)
+             if on is not None and isinstance(x, np.ndarray) else on) for x, on in parts]
 
 
 def _cases(name: str, seeds, limit):
