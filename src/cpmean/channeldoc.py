@@ -10,14 +10,17 @@ Schema (all complex scalars are two-element arrays [re, im]; no NaN/Inf):
       "name": optional string
     }
 
-Both forms are read in one ``hermlinalg._as_array`` conversion of all cells, a
-Kraus list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite
-or too large cell is a ParseError; a float64 comes through bit for bit.  The
-form written is choi, whose floats are Python's shortest round-trip repr, so a
-document of an exactly Hermitian matrix survives save/load bit-exactly,
-signed zeros included.  ``save_channel`` writes the ``json.dumps`` bytes from
-the upper triangle, one ``float.__repr__`` per part modulus (``_data_text``),
-and returns their SHA-256, by which a ``-o`` report names them.
+A document in the layout ``json.dumps`` writes (keys in the order above, ", " and ": "
+between items, an optional newline) is read flat (``_flat_doc``): its data, number bytes
+removed, must be its shape's bracket skeleton with no cell empty, and one ``json.loads``
+parses the numbers.  Any other, or one whose flat read fails, is parsed as nested lists,
+the read that raises.  Both convert all cells in one ``hermlinalg._as_array`` call, a
+Kraus list as one (k, n, m) stack: a ragged, null, string, boolean, non-finite or too
+large cell is a ParseError; a float64 comes through bit for bit.  The form written is
+choi, whose floats are Python's shortest round-trip repr, so a document of an exactly
+Hermitian matrix survives save/load bit-exactly, signed zeros included.  ``save_channel``
+writes the ``json.dumps`` bytes from the upper triangle, one ``float.__repr__`` per part
+modulus (``_data_text``), and returns their SHA-256, by which a ``-o`` report names them.
 
 Each document is decoded and admitted once per process.  The last three
 documents read or written are kept as (map, name) by the SHA-256 of their
@@ -32,14 +35,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 
 from . import hermlinalg
 from .cpmaps import CpMap, from_choi, from_kraus
-from .errors import DomainError, ParseError
+from .errors import CpMeanError, DomainError, ParseError
 
 _DOC_SLOTS = 3
+_HEAD = re.compile(rb'\{"dim_in": ([1-9][0-9]*), "dim_out": ([1-9][0-9]*), '
+                   rb'"repr": "(choi|kraus)", "data": ')  # the json.dumps layout up to the data
+_TAIL = re.compile(rb'(?:, "name": ("(?:[^"\\]|\\.)*"))?\}\n?')  # after its last "]"
 
 
 def _remember(sha256: str, chan: CpMap, name: str | None) -> tuple[CpMap, str | None]:
@@ -88,9 +95,10 @@ def _data_text(a: np.ndarray) -> str:
     return ("[" + ", ".join([row] * n) + "]") % tuple(cells.ravel().tolist())
 
 
-def _rows_to_matrix(rows, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex array of shape (mn, mn) or (k, n, m) from nested [re, im] pairs."""
+def _rows_to_matrix(rows, shape: tuple[int, ...], flat: bool = False) -> np.ndarray:
+    """Complex array of shape (mn, mn) or (k, n, m) from nested [re, im] pairs or flat parts."""
     arr = hermlinalg._as_array(rows, np.float64, ParseError)
+    arr = arr.reshape(*shape, 2) if flat else arr
     if arr.shape != (*shape, 2):
         raise ParseError(f"expected shape {(*shape, 2)} of [re, im] pairs, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -107,8 +115,29 @@ def channel_to_doc(f: CpMap, name: str | None = None) -> dict:
     return doc
 
 
-def doc_to_channel(doc) -> CpMap:
-    """Parse a document object into a verified CpMap."""
+def _flat_doc(raw: bytes) -> dict:
+    """The document of bytes in the layout ``json.dumps`` writes, its data the flat list of
+    its cells' parts; ValueError for any other layout, or where a number does not parse."""
+    head, end = _HEAD.match(raw), raw.rfind(b"]") + 1
+    if not (head and (tail := _TAIL.fullmatch(raw, end))):
+        raise ValueError("not the json.dumps layout")
+    m, n, kind, span = int(head[1]), int(head[2]), head[3].decode(), raw[head.end():end]
+    bare, size, skeleton = span.translate(None, b"0123456789+-.eE"), 0, b""
+    shape = (m * n, m * n, 2) if kind == "choi" else (len(bare) // (n * (6 * m + 2) + 2), n, m, 2)
+    for d in reversed(shape):  # the skeleton's length, n(6m + 2) for an n x m operator's
+        size = d * (size + 2)
+    for d in reversed(shape) if size == len(bare) else ():  # none longer than bare is built
+        skeleton = b"[" + b", ".join([skeleton] * d) + b"]"
+    c = np.frombuffer(span, np.uint8)  # an empty cell ("[," or " ]") lets a stray number parse
+    if bare != skeleton or ((c[:-1] == 91) & (c[1:] == 44) | (c[:-1] == 32) & (c[1:] == 93)).any():
+        raise ValueError("not the json.dumps layout")
+    name = tail[1] and json.loads(tail[1].decode())
+    return {"dim_in": m, "dim_out": n, "repr": kind, "name": name,
+            "data": json.loads(b"[" + span.translate(bytes.maketrans(b"[]", b"  ")) + b"]")}
+
+
+def doc_to_channel(doc, flat: bool = False) -> CpMap:
+    """Parse a document object, with flat one of ``_flat_doc``, into a verified CpMap."""
     if not isinstance(doc, dict):
         raise ParseError("channel document must be a JSON object")
     try:
@@ -121,11 +150,12 @@ def doc_to_channel(doc) -> CpMap:
     if not (hermlinalg._is_whole(m) and hermlinalg._is_whole(n)):
         raise ParseError("dim_in and dim_out must be positive integers")
     if kind == "choi":
-        return from_choi(m, n, _rows_to_matrix(data, (m * n, m * n)))
+        return from_choi(m, n, _rows_to_matrix(data, (m * n, m * n), flat))
     if kind == "kraus":
         if not isinstance(data, list):
             raise ParseError("kraus data must be a list of operators")
-        ops = _rows_to_matrix(data, (len(data), n, m)) if data else []
+        k = len(data) // (2 * m * n) if flat else len(data)
+        ops = _rows_to_matrix(data, (k, n, m), flat) if data else []
         return from_kraus(ops, dim_in=m, dim_out=n)
     raise ParseError(f"unknown representation {kind!r}")
 
@@ -163,11 +193,16 @@ def read_doc(path: str | os.PathLike) -> tuple[CpMap, str | None, str]:
     sha256 = hashlib.sha256(raw).hexdigest()
     entry = _recall(sha256)
     if entry is None:
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-        chan = doc_to_channel(doc)
+        try:  # the flat read; a document it does not take is parsed, which raises each error
+            chan = doc_to_channel(doc := _flat_doc(raw), flat=True)
+        except (ValueError, CpMeanError):
+            doc = None
+        if doc is None:
+            try:
+                doc = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+            chan = doc_to_channel(doc)
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise ParseError(f"document name must be a string, got {type(name).__name__}")

@@ -33,6 +33,7 @@ from .hermlinalg import (
     _common,
     _is_whole,
     _ldexp,
+    _trace_norm,
     _unit,
     as_psd,
 )
@@ -363,6 +364,5 @@ def state_mean_quantities(rho, sigma) -> StateMeanQuantities:
     (ur, hr, er), (us, hs, es) = rho._half(), sigma._half()
     w = ur.conj().T @ us
     m = hr[:, None] * w * hs
-    fidelity = np.sqrt(np.clip(PsdMatrix._gram(m).eigvals(), 0.0, None)).sum()
     return StateMeanQuantities(gm, _ldexp(float(np.vdot(w, m).real), er + es, "a trace"),
-                               _ldexp(float(fidelity), er + es, "the fidelity"))
+                               _ldexp(_trace_norm(m), er + es, "the fidelity"))

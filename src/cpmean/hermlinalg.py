@@ -84,6 +84,11 @@ def _unit(x: np.ndarray) -> tuple[int, np.ndarray]:
     return e, _ldexp(x, -e)
 
 
+def _trace_norm(x: np.ndarray) -> float:
+    """The sum of x's singular values, by one SVD: x x*'s eigenvalues square its conditioning."""
+    return float(np.linalg.svd(x, compute_uv=False).sum())
+
+
 def _as_array(x, dtype=np.complex128, error=None) -> np.ndarray:
     """A new array of x by the one rule for outside numbers: ints (beyond 64
     bits too), floats and complex numbers, an ndarray's judged by its dtype.

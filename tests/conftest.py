@@ -172,26 +172,27 @@ def exact_guard(monkeypatch):
     return seen
 
 
+def count_calls(monkeypatch, call, warm=None) -> tuple[int, ...]:
+    """The (eigh, eigvalsh) calls into numpy.linalg that call() makes on a fresh run,
+    after warm(), if given, has run uncounted, and its svd calls as a third count where
+    it makes any, so a 2-tuple says no svd ran; the counters are set and undone with
+    monkeypatch.  Without warm the count is a cold one."""
+    monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
+    if warm is not None:
+        warm()
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            m.setattr(np.linalg, name, counting)
+        call()
+    return (calls["eigh"], calls["eigvalsh"]) + ((calls["svd"],) if calls["svd"] else ())
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """``count(call, warm=None)``: the (eigh, eigvalsh) calls into numpy.linalg
-    that call() makes on a fresh run, after warm(), if given, has run uncounted,
-    and its svd calls as a third count where it makes any, so a 2-tuple says
-    no svd ran.  Without warm the count is a cold one."""
-
-    def count(call, warm=None) -> tuple[int, ...]:
-        monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
-        if warm is not None:
-            warm()
-        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-        with monkeypatch.context() as m:
-            for name in calls:
-                def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                    calls[_name] += 1
-                    return _real(*args, **kwargs)
-
-                m.setattr(np.linalg, name, counting)
-            call()
-        return (calls["eigh"], calls["eigvalsh"]) + ((calls["svd"],) if calls["svd"] else ())
-
-    return count
+    """``count(call, warm=None)``: ``count_calls`` of call with this test's monkeypatch."""
+    return lambda call, warm=None: count_calls(monkeypatch, call, warm)

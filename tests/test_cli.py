@@ -279,7 +279,8 @@ class TestChannelDoc:
         calls = []
         real = channeldoc._rows_to_matrix
         monkeypatch.setattr(channeldoc, "_rows_to_matrix",
-                            lambda rows, shape: calls.append(shape) or real(rows, shape))
+                            lambda rows, shape, flat=False: calls.append(shape)
+                            or real(rows, shape, flat))
         p = tmp_path / "k.json"
         write_kraus([random_unitary(rng, 3) / 3.0 for _ in range(7)], p, 3, 3)
         read_doc(p)
@@ -1340,9 +1341,9 @@ def decodes(monkeypatch):
     seen = []
     real = channeldoc.doc_to_channel
 
-    def counting(doc):
+    def counting(doc, flat=False):
         seen.append(doc.get("name") if isinstance(doc, dict) else None)
-        return real(doc)
+        return real(doc, flat)
 
     monkeypatch.setattr(channeldoc, "doc_to_channel", counting)
     return seen

@@ -951,6 +951,17 @@ class TestStateQuantities:
         assert q.fidelity == 3.146264369941972e-170
         assert q.sqrt_trace == pytest.approx(q.fidelity, rel=1e-15)
 
+    def test_fidelity_of_jointly_rotated_commuting_states_is_the_closed_form(self):
+        # sum_i sqrt(p_i q_i); the products of the small eigenvalues are near
+        # eps times the largest, which the eigenvalues of a Gram form m m* lose
+        # (about 3e-9 relative) and m's singular values keep
+        p, q = np.array([0.6, 0.4, 3e-8, 1e-8]), np.array([0.7, 0.3, 2e-8, 5e-9])
+        want = float(np.sqrt(p * q).sum())
+        for seed in range(40):
+            u = random_unitary(np.random.default_rng(seed), 4)
+            got = state_mean_quantities((u * p) @ u.conj().T, (u * q) @ u.conj().T).fidelity
+            assert got == pytest.approx(want, rel=1e-13), seed
+
 
 class TestUnconvertibleArrays:
     """An array argument that ``hermlinalg._as_array`` refuses raises a package

@@ -36,6 +36,8 @@ no eigh.  The reference formula
 ``test_cold_kernel_means_cost_2_or_4_by_rank`` checks the rule on seeded pairs.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ from cpmean import cli, cpmaps, hermlinalg, lebesgue, opmeans
 from cpmean.channeldoc import save_channel
 from cpmean.opmeans import MeanKind
 
-from conftest import random_cp, write_kraus
+from conftest import count_calls, random_cp, write_kraus
 
 # (operation, (numpy.linalg.eigh calls, numpy.linalg.eigvalsh calls[, svd calls]))
 PINS = [
@@ -118,12 +120,13 @@ PINS = [
     # a matrix the library made is admitted as it is: its entries and its
     # cached eig are kept, with no copy and no new eigh.  Down from (1, 0)
     ("as_psd of a HermitianMatrix with its eig", (0, 0)),
-    # 2 input admissions, geo's SVD, and the eigenvalues of the fidelity's
-    # Gram form.  Down from (6, 0): the fidelity sums the roots of its
-    # eigenvalues and takes no square root of it; down from (5, 1): the
-    # rank-deficient geo has no clamp; from (4, 1): geo's pair is factored
-    # from the admissions' eigs
-    ("state_mean_quantities", (2, 1, 1)),
+    # 2 input admissions, geo's SVD, and the fidelity's SVD of m.  Down from
+    # (6, 0): the fidelity takes no square root of a matrix; down from (5, 1):
+    # the rank-deficient geo has no clamp; from (4, 1): geo's pair is factored
+    # from the admissions' eigs; from (2, 1, 1): the fidelity sums m's
+    # singular values, where the roots of the eigenvalues of its Gram form m m*
+    # lost half the digits of the small ones
+    ("state_mean_quantities", (2, 0, 2)),
     # 2 input admissions and geo's SVD; the chain checks' harm reuses geo's pair
     # and, rank-deficient, has no clamp; their two eigvalsh bound the dips of
     # geo - harm and arith - geo.  Down from (9, 2): the certificate is one
@@ -204,19 +207,24 @@ CLI = {
 }
 
 
-@pytest.fixture(scope="module")
-def pair(tmp_path_factory):
+def make_pair(tmp):
+    """(F, G, their geometric mean, the CLI rows' paths in the directory tmp, H), the
+    documents of F, G and H and the Kraus documents of F and G written there."""
     rng = np.random.default_rng(1616)
     f, g, h = random_cp(rng, 4, 4), random_cp(rng, 4, 4, rank=8), random_cp(rng, 4, 4)
-    tmp = tmp_path_factory.mktemp("pins")
-    paths = [str(tmp / name) for name in ("f.json", "g.json", "geo.json", "fk.json", "gk.json",
-                                          "h.json", "out.json")]
+    paths = [os.path.join(tmp, name) for name in ("f.json", "g.json", "geo.json", "fk.json",
+                                                  "gk.json", "h.json", "out.json")]
     save_channel(f, paths[0])
     save_channel(g, paths[1])
     save_channel(h, paths[5])
     write_kraus(cpmaps.kraus_decompose(f), paths[3], 4, 4)
     write_kraus(cpmaps.kraus_decompose(g), paths[4], 4, 4)
     return f, g, cpmaps.mean_cp(MeanKind("geo"), f, g), paths, h
+
+
+@pytest.fixture(scope="module")
+def pair(tmp_path_factory):
+    return make_pair(str(tmp_path_factory.mktemp("pins")))
 
 
 def _operation(name, f, g, geo, paths, h):
@@ -281,8 +289,8 @@ def _operation(name, f, g, geo, paths, h):
     }[name]
 
 
-@pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
-def test_pinned_counts(pair, eigh_calls, monkeypatch, name, counts):
+def pin_count(name, pair, monkeypatch) -> tuple[int, ...]:
+    """The count of the ``PINS`` row name on pair (``make_pair``), by ``count_calls``."""
     name, _, first = name.partition(" after ")
     first, fresh = first.removesuffix(" in a fresh run"), first.endswith(" in a fresh run")
     warm = _operation(first if first in CLI else f"mean {first}", *pair) if first else None
@@ -290,7 +298,12 @@ def test_pinned_counts(pair, eigh_calls, monkeypatch, name, counts):
         def warm(run=warm):
             run()
             monkeypatch.setattr(hermlinalg, "_RUN", hermlinalg._Run())
-    assert eigh_calls(_operation(name, *pair), warm) == counts
+    return count_calls(monkeypatch, _operation(name, *pair), warm)
+
+
+@pytest.mark.parametrize("name, counts", PINS, ids=[name for name, _ in PINS])
+def test_pinned_counts(pair, monkeypatch, name, counts):
+    assert pin_count(name, pair, monkeypatch) == counts
 
 
 # rows whose inputs include outside data, which ``_as_array`` judges: a scalar,

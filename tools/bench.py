@@ -1,4 +1,5 @@
-"""Codec cost rows of cpmean and the end-to-end medians of cli-docs, as one JSON object.
+"""Codec cost rows and pinned eigendecomposition counts of cpmean and the end-to-end
+medians of cli-docs, as one JSON object.
 
     python3 tools/bench.py [--quick] > BENCH_<n>.json
     python3 tools/bench.py --against OTHER_ROOT > BENCH_<n>.json
@@ -6,12 +7,21 @@
 Rows: for a Choi d x d document, d in 16, 64 and 144 (4 alone with ``--quick``),
 of a complex and of a real Hermitian PSD matrix, the min-of-k wall time of
 ``save_channel`` and of ``read_doc`` with the document memo emptied before
-each read, so that every read decodes and admits; k is 15 a round, and the
-least of 3 rounds is kept (one round of k = 3 with ``--quick``).  The rows
-run in a child process that imports ``cpmean`` from the tree's ``src`` with
-OpenBLAS, OpenMP and MKL pinned to one thread, as ``perfbench/run.py`` pins
-them; the object records that setting, the BLAS numpy reports and the line
-count of each ``src/cpmean/*.py``.
+each read, so that every read decodes and admits: of the choi document
+(``read_doc_ms``), of the Kraus document of its ``kraus_decompose``, d
+operators in the layout ``json.dumps`` writes (``read_kraus_ms``), and of the
+choi document written with ``indent=1`` (``read_indent_ms``), a layout that
+``read_doc`` parses as nested lists; k is 15 a round, and the least of 3
+rounds is kept (one round of k = 3 with ``--quick``).  The rows run in a child
+process that imports ``cpmean`` from the tree's ``src`` with OpenBLAS, OpenMP
+and MKL pinned to one thread, as ``perfbench/run.py`` pins them; the object
+records that setting, the BLAS numpy reports and the line count of each
+``src/cpmean/*.py``.
+
+Counts: ``pin_counts`` holds the (eigh, eigvalsh[, svd]) count of every row of
+``PINS`` in ``tests/test_eigh_pins.py`` on its Choi 16 pair, taken with that
+file's operation table and counter in a child process on this checkout's
+``src``, so it must read as ``PINS`` does; counts only, no timings.
 
 With ``--against``, the rows are taken on this checkout and OTHER_ROOT in
 turn, and 10 pairs of ``perfbench/run.py --workload cli-docs --trace 0 --seed s
@@ -27,6 +37,7 @@ directories that perfbench makes and removes.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import pathlib
@@ -35,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -56,7 +68,7 @@ def codec_rows(sizes: list[int], k: int) -> dict:
     """The rows of the tree on ``sys.path``, with what they ran on."""
     import numpy as np
 
-    from cpmean import channeldoc, from_choi, hermlinalg
+    from cpmean import channeldoc, from_choi, hermlinalg, kraus_decompose
 
     def memo_free_read(path):
         with hermlinalg._RUN.lock:
@@ -73,11 +85,21 @@ def codec_rows(sizes: list[int], k: int) -> dict:
                 if kind == "complex":
                     x = x + 1j * rng.standard_normal((d, d))
                 f = from_choi(m, m, x @ x.conj().T / d)
-                path = os.path.join(tmp, f"{kind}{d}.json")
+                path, kraus, indent = (os.path.join(tmp, f"{kind}{d}{form}.json")
+                                       for form in ("", "k", "i"))
                 save_ms = _min_ms(lambda: channeldoc.save_channel(f, path, name="f"), k)
+                ops = [np.ascontiguousarray(op).view(np.float64).reshape(m, m, 2).tolist()
+                       for op in kraus_decompose(f)]
+                _write(kraus, {"dim_in": m, "dim_out": m, "repr": "kraus", "data": ops})
+                with open(path, encoding="utf-8") as fh:
+                    _write(indent, json.load(fh), indent=1)
                 rows.append({"choi": d, "kind": kind, "bytes": os.path.getsize(path),
                              "save_channel_ms": save_ms,
-                             "read_doc_ms": _min_ms(lambda: memo_free_read(path), k)})
+                             "read_doc_ms": _min_ms(lambda: memo_free_read(path), k),
+                             "kraus_bytes": os.path.getsize(kraus),
+                             "read_kraus_ms": _min_ms(lambda: memo_free_read(kraus), k),
+                             "indent_bytes": os.path.getsize(indent),
+                             "read_indent_ms": _min_ms(lambda: memo_free_read(indent), k)})
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -85,6 +107,26 @@ def codec_rows(sizes: list[int], k: int) -> dict:
         blas = "unknown"
     return {"rows": rows, "min_of": k, "numpy": np.__version__, "blas": blas,
             "threads": {v: os.environ.get(v) for v in THREADS}}
+
+
+def _write(path: str, doc: dict, indent: int | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent) + "\n")
+
+
+def pin_counts() -> dict:
+    """The count of every ``PINS`` row on the pins' pair, by the pins' own table and
+    counter, with ``src`` and ``tests`` of the tree on ``sys.path``."""
+    import pytest
+    import test_eigh_pins
+
+    counts, sink = {}, io.StringIO()  # the CLI rows' reports
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sink), redirect_stderr(sink):
+        pair = test_eigh_pins.make_pair(tmp)
+        for name, _ in test_eigh_pins.PINS:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                counts[name] = test_eigh_pins.pin_count(name, pair, monkeypatch)
+    return counts
 
 
 def rows_of(src: str, quick: bool) -> dict:
@@ -103,7 +145,7 @@ def alternated_rows(srcs: list[str], quick: bool) -> list[dict]:
     runs = [[rows_of(src, quick) for src in srcs] for _ in range(rounds)]
     for t, kept in enumerate(runs[0]):
         for i, row in enumerate(kept["rows"]):
-            for key in ("save_channel_ms", "read_doc_ms"):
+            for key in ("save_channel_ms", "read_doc_ms", "read_kraus_ms", "read_indent_ms"):
                 row[key] = min(run[t]["rows"][i][key] for run in runs)
         kept["rounds"] = rounds
     return runs[0]
@@ -151,14 +193,22 @@ def main() -> int:
     mode.add_argument("--quick", action="store_true", help="Choi 4 alone, min of 3, no runs")
     mode.add_argument("--against", help="another checkout: its rows and alternated cli-docs runs")
     p.add_argument("--rows", metavar="SRC", help=argparse.SUPPRESS)  # the child: rows of SRC
+    p.add_argument("--counts", action="store_true", help=argparse.SUPPRESS)  # the child: counts
     args = p.parse_args()
     if args.rows:
         sys.path.insert(0, os.path.abspath(args.rows))
         print(json.dumps(codec_rows([4] if args.quick else [16, 64, 144], 3 if args.quick else 15)))
         return 0
+    if args.counts:
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+        print(json.dumps(pin_counts()))
+        return 0
     srcs = [str(ROOT / "src")] + ([os.path.join(args.against, "src")] if args.against else [])
     rows = alternated_rows(srcs, args.quick)
-    result = {"codec": rows[0], "src_lines": source_lines(srcs[0])}
+    counts = subprocess.run([sys.executable, __file__, "--counts"], check=True,
+                            capture_output=True, text=True).stdout
+    result = {"codec": rows[0], "pin_counts": json.loads(counts),
+              "src_lines": source_lines(srcs[0])}
     if args.against:
         result["codec_against"], result["src_lines_against"] = rows[1], source_lines(srcs[1])
         result["cli_docs"] = cli_docs_pairs(args.against)
